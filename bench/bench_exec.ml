@@ -35,8 +35,9 @@ let percentile sorted p =
    symbols indexed). *)
 let run_mode ~jobs docs =
   let idx =
-    Dynamic_index.create ~variant:Dynamic_index.Worst_case ~backend:Dynamic_index.Plain_sa
-      ~sample:8 ~tau:8 ~jobs ()
+    Dynamic_index.create
+      ~index:{ Index_config.default with variant = Worst_case; backend = Plain_sa; jobs }
+      ()
   in
   let patterns = make_patterns () in
   let lat = Array.make (Array.length docs) 0 in

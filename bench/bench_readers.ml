@@ -59,8 +59,9 @@ let reader_loop idx patterns stop () =
    total reader queries, final epoch, scope). *)
 let run_mode ~k docs upd_docs =
   let idx =
-    Dynamic_index.create ~variant:Dynamic_index.Worst_case ~backend:Dynamic_index.Plain_sa
-      ~sample:8 ~tau:8 ~jobs:0 ~readers:k ()
+    Dynamic_index.create
+      ~index:{ Index_config.default with variant = Worst_case; backend = Plain_sa; readers = k }
+      ()
   in
   let patterns = make_patterns () in
   Array.iter (fun d -> ignore (Dynamic_index.insert idx d)) docs;

@@ -57,8 +57,9 @@ let with_tmp_dir f =
    scatter-gather query throughput at shard count [k]. *)
 let run_mem ~k docs upd_docs =
   let sh =
-    Sharded_index.create ~variant:Dsdg_core.Dynamic_index.Worst_case
-      ~backend:Dsdg_core.Dynamic_index.Plain_sa ~sample:8 ~tau:8 ~jobs:0 ~readers:0 ~shards:k ()
+    Sharded_index.create
+      ~index:{ Dsdg_core.Index_config.default with variant = Worst_case; backend = Plain_sa }
+      ~shards:k ()
   in
   let patterns = make_patterns () in
   Array.iter (fun d -> ignore (Sharded_index.insert sh d)) docs;

@@ -70,35 +70,10 @@ let die_usage fmt =
       exit Cmd.Exit.cli_error)
     fmt
 
-let variant_of_string = function
-  | "amortized" -> Dynamic_index.Amortized
-  (* "t3" is the paper name: Transformation 3, the Appendix A.4
-     doubling schedule with O(log log n) sub-collections *)
-  | "loglog" | "t3" -> Dynamic_index.Amortized_loglog
-  | "worst-case" -> Dynamic_index.Worst_case
-  | s -> die_usage "unknown variant: %s" s
-
-(* Canonical spelling for target selection and replay lines. *)
-let normalize_variant = function "t3" -> "loglog" | v -> v
-
-let backend_of_string = function
-  | "fm" -> Dynamic_index.Fm
-  | "sa" -> Dynamic_index.Plain_sa
-  | "csa" -> Dynamic_index.Csa
-  | s -> die_usage "unknown backend: %s" s
-
 let profile_of_string = function
   | "default" -> Dsdg_check.Opgen.default
   | "churny" -> Dsdg_check.Opgen.churny
   | s -> die_usage "unknown profile: %s" s
-
-(* Dynamic-sequence substrate selection (Dyn_bitvec AVL vs Spsi B-tree),
-   a runtime choice like --jobs/--readers: never persisted in store
-   dumps, recorded in replay-trace hints as seq=<name>. *)
-let seq_of_string = function
-  | "avl" -> Dsdg_delbits.Sums.Avl
-  | "spsi" -> Dsdg_delbits.Sums.Spsi
-  | s -> die_usage "unknown --seq-backend: %s (expected avl | spsi)" s
 
 (* Relation/graph adjacency backend (wavelet-tree pair list vs k2
    quadtree), the same kind of runtime seam as --seq-backend: never
@@ -155,13 +130,10 @@ let check_shard_layout ~dir ~shards =
 
 (* Open a sharded store, recovering the K shards in parallel on a
    small executor pool, and report per-shard recovery. *)
-let open_sharded ?(seq = "avl") ?retain_epochs ~config ~variant ~backend ~sample ~tau ~jobs
-    ~readers ~shards ~dir () =
+let open_sharded ~config ~index ~shards ~dir =
   check_shard_layout ~dir ~shards;
   let sh, infos =
-    Shard.Sharded_index.open_store ~config ~variant:(variant_of_string variant)
-      ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-      ~seq_backend:(seq_of_string seq) ?retain_epochs
+    Shard.Sharded_index.open_store ~config ~index
       ~recovery_jobs:(if shards > 1 then min shards 4 else 0)
       ~shards ~dir ()
   in
@@ -322,26 +294,17 @@ let index_files ~insert ~whole files =
       close_in ic)
     files
 
-let index_cmd files whole variant backend sample tau jobs readers shards store sync
-    checkpoint_every seq =
+let index_cmd files whole (index : Index_config.t) shards store sync checkpoint_every =
   if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
   match (store, shards) with
   | None, 1 ->
-    let idx =
-      Dynamic_index.create ~variant:(variant_of_string variant)
-        ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-        ~seq_backend:(seq_of_string seq) ()
-    in
+    let idx = Dynamic_index.create ~index () in
     index_files ~insert:(Dynamic_index.insert idx) ~whole files;
     Printf.printf "indexed %d document(s) from %d file(s)\n%!" (Dynamic_index.doc_count idx)
       (List.length files);
     Fun.protect ~finally:(fun () -> Dynamic_index.close idx) (fun () -> repl (repl_of_index idx))
   | None, _ ->
-    let sh =
-      Shard.Sharded_index.create ~variant:(variant_of_string variant)
-        ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-        ~seq_backend:(seq_of_string seq) ~shards ()
-    in
+    let sh = Shard.Sharded_index.create ~index ~shards () in
     index_files ~insert:(Shard.Sharded_index.insert sh) ~whole files;
     Printf.printf "indexed %d document(s) from %d file(s) across %d shard(s)\n%!"
       (Shard.Sharded_index.doc_count sh)
@@ -352,12 +315,8 @@ let index_cmd files whole variant backend sample tau jobs readers shards store s
   | Some dir, 1 ->
     with_store_errors ~dir (fun () ->
         check_shard_layout ~dir ~shards;
-        let config = store_config ~sync ~checkpoint_every ~jobs in
-        let d, info =
-          Store.Durable.open_ ~config ~variant:(variant_of_string variant)
-            ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-            ~seq_backend:(seq_of_string seq) ~dir ()
-        in
+        let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
+        let d, info = Store.Durable.open_ ~config ~index ~dir () in
         print_endline (Store.Recovery.info_to_string info);
         index_files ~insert:(Store.Durable.insert d) ~whole files;
         Printf.printf "indexed %d document(s) from %d file(s) into %s (next WAL serial %d)\n%!"
@@ -372,10 +331,8 @@ let index_cmd files whole variant backend sample tau jobs readers shards store s
                  (Store.Durable.index d))))
   | Some dir, _ ->
     with_store_errors ~dir (fun () ->
-        let config = store_config ~sync ~checkpoint_every ~jobs in
-        let sh =
-          open_sharded ~seq ~config ~variant ~backend ~sample ~tau ~jobs ~readers ~shards ~dir ()
-        in
+        let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
+        let sh = open_sharded ~config ~index ~shards ~dir in
         index_files ~insert:(Shard.Sharded_index.insert sh) ~whole files;
         Printf.printf "indexed %d document(s) from %d file(s) into %s across %d shard(s)\n%!"
           (Shard.Sharded_index.doc_count sh)
@@ -388,13 +345,10 @@ let index_cmd files whole variant backend sample tau jobs readers shards store s
    the next open (dsdg load, or any --store run) starts from the
    snapshot with zero WAL replay. Reuses prior state in the directory
    if there is any -- `save` onto an existing store appends. *)
-let save_cmd dir files whole variant backend sample tau sync pinned =
+let save_cmd dir files whole (index : Index_config.t) sync pinned =
   with_store_errors ~dir (fun () ->
-      let config = store_config ~sync ~checkpoint_every:0 ~jobs:0 in
-      let d, info =
-        Store.Durable.open_ ~config ~variant:(variant_of_string variant)
-          ~backend:(backend_of_string backend) ~sample ~tau ~dir ()
-      in
+      let config = store_config ~sync ~checkpoint_every:0 ~jobs:index.jobs in
+      let d, info = Store.Durable.open_ ~config ~index ~dir () in
       if info.Store.Recovery.ri_snapshot <> None || info.Store.Recovery.ri_replayed > 0 then
         print_endline (Store.Recovery.info_to_string info);
       (* --pinned: freeze the pre-index state NOW; the pin keeps that
@@ -423,16 +377,11 @@ let save_cmd dir files whole variant backend sample tau sync pinned =
 (* dsdg open: crash recovery (newest valid snapshot + WAL tail replay)
    followed by the interactive query loop; mutations made in the loop
    keep flowing through the WAL. *)
-let open_cmd dir variant backend sample tau jobs readers sync checkpoint_every retain =
-  if retain < 0 then die_usage "--retain-epochs must be >= 0 (got %d)" retain;
+let open_cmd dir (index : Index_config.t) sync checkpoint_every =
   with_store_errors ~dir (fun () ->
       check_shard_layout ~dir ~shards:1;
-      let config = store_config ~sync ~checkpoint_every ~jobs in
-      let d, info =
-        Store.Durable.open_ ~config ~variant:(variant_of_string variant)
-          ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-          ~retain_epochs:retain ~dir ()
-      in
+      let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
+      let d, info = Store.Durable.open_ ~config ~index ~dir () in
       print_endline (Store.Recovery.info_to_string info);
       Fun.protect
         ~finally:(fun () -> Store.Durable.close d)
@@ -446,10 +395,9 @@ let open_cmd dir variant backend sample tau jobs readers sync checkpoint_every r
    process): the graceful drain finishes in-flight requests, flushes
    the write queue through a final group commit, checkpoints and exits
    0 -- the next open replays nothing. *)
-let serve_cmd dir socket host port variant backend sample tau jobs readers shards sync
-    checkpoint_every max_batch max_frame max_conns timeout retain =
+let serve_cmd dir socket host port (index : Index_config.t) shards sync checkpoint_every max_batch
+    max_frame max_conns timeout =
   if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
-  if retain < 0 then die_usage "--retain-epochs must be >= 0 (got %d)" retain;
   if max_batch < 1 then die_usage "--max-batch must be >= 1 (got %d)" max_batch;
   if max_frame < 16 then die_usage "--max-frame must be >= 16 bytes (got %d)" max_frame;
   if max_conns < 1 then die_usage "--max-conns must be >= 1 (got %d)" max_conns;
@@ -458,7 +406,7 @@ let serve_cmd dir socket host port variant backend sample tau jobs readers shard
     match socket with Some path -> `Unix path | None -> `Tcp (host, port)
   in
   with_store_errors ~dir (fun () ->
-      let config = store_config ~sync ~checkpoint_every ~jobs in
+      let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
       (* the engine the server fronts: a plain durable store, or K
          shard stores behind one scatter-gather collection (the writer
          thread then fans each batch across the shard WALs, one group
@@ -466,19 +414,12 @@ let serve_cmd dir socket host port variant backend sample tau jobs readers shard
       let engine, close_engine =
         if shards = 1 then begin
           check_shard_layout ~dir ~shards;
-          let store, info =
-            Store.Durable.open_ ~config ~variant:(variant_of_string variant)
-              ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-              ~retain_epochs:retain ~dir ()
-          in
+          let store, info = Store.Durable.open_ ~config ~index ~dir () in
           print_endline (Store.Recovery.info_to_string info);
           (Serve.Server.engine_of_store store, fun () -> Store.Durable.close store)
         end
         else begin
-          let sh =
-            open_sharded ~config ~retain_epochs:retain ~variant ~backend ~sample ~tau ~jobs
-              ~readers ~shards ~dir ()
-          in
+          let sh = open_sharded ~config ~index ~shards ~dir in
           (Serve.Server.engine_of_sharded sh, fun () -> Shard.Sharded_index.close sh)
         end
       in
@@ -613,9 +554,7 @@ let loadgen_cmd socket host port clients ops seed timeout shards w_insert w_dele
    locally; mutations get a redirect error naming the leader.  SIGTERM
    stops tailing and closes the replica store cleanly -- the directory
    is an ordinary store, promotable with a plain `dsdg serve DIR`. *)
-let follow_cmd from_addr from_socket dir socket host port variant backend sample tau seq retain
-    poll =
-  if retain < 0 then die_usage "--retain-epochs must be >= 0 (got %d)" retain;
+let follow_cmd from_addr from_socket dir socket host port (index : Index_config.t) poll =
   if poll <= 0. then die_usage "--poll must be > 0 seconds";
   let leader =
     match (from_socket, from_addr) with
@@ -634,9 +573,7 @@ let follow_cmd from_addr from_socket dir socket host port variant backend sample
   with_store_errors ~dir (fun () ->
       let f =
         try
-          Serve.Follower.start ~variant:(variant_of_string variant)
-            ~backend:(backend_of_string backend) ~sample ~tau
-            ~seq_backend:(seq_of_string seq) ~retain_epochs:retain ~poll ~leader ~dir ()
+          Serve.Follower.start ~index ~poll ~leader ~dir ()
         with Failure msg ->
           Printf.eprintf "dsdg: %s\n" msg;
           exit 1
@@ -725,21 +662,17 @@ let demo_cmd ops =
    --store), then the observability dump -- the "shard" scope shows
    scatter/gather and migration counters next to each shard's own
    core/store scopes. *)
-let stats_sharded ~ops ~variant ~backend ~sample ~tau ~no_obs ~jobs ~readers ~shards ~store ~sync
-    ~checkpoint_every ~seq =
+let stats_sharded ~ops ~(index : Index_config.t) ~no_obs ~shards ~store ~sync ~checkpoint_every =
   let open Dsdg_workload in
   let open Dsdg_obs in
   if no_obs then Obs.set_enabled false;
   let sh =
     match store with
-    | None ->
-      Shard.Sharded_index.create ~variant:(variant_of_string variant)
-        ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-        ~seq_backend:(seq_of_string seq) ~shards ()
+    | None -> Shard.Sharded_index.create ~index ~shards ()
     | Some dir ->
       with_store_errors ~dir (fun () ->
-          let config = store_config ~sync ~checkpoint_every ~jobs in
-          open_sharded ~seq ~config ~variant ~backend ~sample ~tau ~jobs ~readers ~shards ~dir ())
+          let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
+          open_sharded ~config ~index ~shards ~dir)
   in
   let st = Text_gen.rng 42 in
   let live = ref [] in
@@ -785,12 +718,9 @@ let stats_sharded ~ops ~variant ~backend ~sample ~tau ~no_obs ~jobs ~readers ~sh
   if no_obs then print_endline "observability disabled (--no-obs): no counters recorded"
   else List.iter (fun s -> print_string (Obs.render s)) (Obs.registered ())
 
-let stats_cmd ops variant backend sample tau no_obs jobs readers shards store sync
-    checkpoint_every seq =
+let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_every =
   if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
-  if shards > 1 then
-    stats_sharded ~ops ~variant ~backend ~sample ~tau ~no_obs ~jobs ~readers ~shards ~store ~sync
-      ~checkpoint_every ~seq
+  if shards > 1 then stats_sharded ~ops ~index ~no_obs ~shards ~store ~sync ~checkpoint_every
   else
   let open Dsdg_workload in
   let open Dsdg_obs in
@@ -801,19 +731,13 @@ let stats_cmd ops variant backend sample tau no_obs jobs readers shards store sy
     | Some dir ->
       Some
         (with_store_errors ~dir (fun () ->
-             let config = store_config ~sync ~checkpoint_every ~jobs in
-             fst
-               (Store.Durable.open_ ~config ~variant:(variant_of_string variant)
-                  ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-                  ~seq_backend:(seq_of_string seq) ~dir ())))
+             let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
+             fst (Store.Durable.open_ ~config ~index ~dir ())))
   in
   let idx =
     match durable with
     | Some d -> Store.Durable.index d
-    | None ->
-      Dynamic_index.create ~variant:(variant_of_string variant)
-        ~backend:(backend_of_string backend) ~sample ~tau ~jobs ~readers
-        ~seq_backend:(seq_of_string seq) ()
+    | None -> Dynamic_index.create ~index ()
   in
   let ins, del =
     match durable with
@@ -841,7 +765,7 @@ let stats_cmd ops variant backend sample tau no_obs jobs readers shards store sy
       incr searches;
       let p = if i mod 2 = 0 then "data" else "query" in
       let c =
-        if readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_count v p)
+        if index.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_count v p)
         else Dynamic_index.count idx p
       in
       hits := !hits + c
@@ -896,37 +820,20 @@ let stats_cmd ops variant backend sample tau no_obs jobs readers shards store sy
    kill-and-recover sweep of Dsdg_store.Kill_check: crash (optionally
    tearing the final WAL record) at every stride-th op, recover, and
    diff the recovered index against the model. *)
-let fuzz_cmd seed ops streams variant backend sample tau fault profile replay trace_dir jobs
-    readers shards store sync checkpoint_every kill_stride seq follow rel rel_backend =
+let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault profile replay
+    trace_dir shards store sync checkpoint_every kill_stride follow rel rel_backend =
   let open Dsdg_check in
-  (* validate enums up front so a typo is a usage error (124), not an
-     internal crash from deep inside the runner *)
-  if variant <> "all" then ignore (variant_of_string variant);
-  if backend <> "all" then ignore (backend_of_string backend);
-  let seq_kind = seq_of_string seq in
   if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
-  let variant = normalize_variant variant in
-  let load_trace file =
-    try Trace.load file
-    with Trace.Parse_error e ->
-      prerr_endline (Trace.parse_error_message ~file e);
-      exit 2
-  in
-  (* A trace recorded under concurrency or sharding does not reproduce
-     under a different shape: silently replaying it with the flags
-     omitted would "pass" without testing anything. Mismatch (including
-     omission) is a usage error. *)
-  let enforce_hint file =
+  let base = Runner.default_config.index in
+  let targets = Runner.select_targets ~variant ~backend () in
+  (* a target's name as a directory-name component *)
+  let slug tg = String.map (function '/' -> '-' | c -> c) tg.Runner.tg_name in
+  (* A trace records every setting its run used beyond the fuzz
+     defaults; replaying it under a different shape (including with the
+     flag omitted) would "pass" without testing anything, so a mismatch
+     is a usage error. *)
+  let enforce_hint file (index : Index_config.t) =
     let h = Trace.load_hint file in
-    let need flag got = function
-      | Some want when got <> want ->
-        die_usage "trace %s was recorded with --%s %d (this invocation has --%s %d); pass --%s %d"
-          file flag want flag got flag want
-      | _ -> ()
-    in
-    need "shards" shards h.Trace.h_shards;
-    need "readers" readers h.Trace.h_readers;
-    need "jobs" jobs h.Trace.h_jobs;
     (match h.Trace.h_rel with
     | Some want ->
       die_usage
@@ -934,13 +841,36 @@ let fuzz_cmd seed ops streams variant backend sample tau fault profile replay tr
          dsdg fuzz --rel --rel-backend %s --replay %s"
         file want want file
     | None -> ());
-    match h.Trace.h_seq with
-    | Some want when want <> seq ->
-      die_usage
-        "trace %s was recorded with --seq-backend %s (this invocation has --seq-backend %s); \
-         pass --seq-backend %s"
-        file want seq want
-    | _ -> ()
+    let need_shards =
+      match h.Trace.h_shards with
+      | Some k when k <> shards -> [ ("shards", string_of_int k, string_of_int shards) ]
+      | _ -> []
+    in
+    match need_shards @ Index_config.mismatches h.Trace.h_index index with
+    | (flag, want, got) :: _ ->
+      die_usage "trace %s was recorded with --%s %s (this invocation has --%s %s); pass --%s %s"
+        file flag want flag got flag want
+    | [] -> ()
+  in
+  let stream_ops index =
+    match replay with
+    | Some file ->
+      enforce_hint file index;
+      (try Trace.load file
+       with Trace.Parse_error e ->
+         prerr_endline (Trace.parse_error_message ~file e);
+         exit 2)
+    | None -> Opgen.generate ~profile:(profile_of_string profile) ~seed ~ops ()
+  in
+  (* save a failing trace with the hint that replays it, and return the
+     replay flags that go with that hint *)
+  let save_trace ?shards ~name (index : Index_config.t) ops =
+    let dir = match trace_dir with Some d -> d | None -> Filename.get_temp_dir_name () in
+    let path = Filename.concat dir name in
+    Trace.save
+      ~hint:{ Trace.no_hint with h_shards = shards; h_index = Index_config.to_hint ~base index }
+      path ops;
+    (path, Index_config.to_flags ~base index)
   in
   match store with
   | _ when rel ->
@@ -1039,33 +969,20 @@ let fuzz_cmd seed ops streams variant backend sample tau fault profile replay tr
       | Some d -> d
       | None -> die_usage "--follow needs --store DIR as cluster scratch space"
     in
-    let fault_v =
-      match fault with
-      | "none" -> None
-      | "skip-top-clean" -> Some `Skip_top_clean
-      | s ->
-        die_usage
-          "--follow supports --fault none | skip-top-clean (planted in the replica's index, \
-           proving the divergence oracle has teeth), not %s"
-          s
-    in
+    if fault <> "none" && fault <> "skip-top-clean" then
+      die_usage
+        "--follow supports --fault none | skip-top-clean (planted in the replica's index, \
+         proving the divergence oracle has teeth), not %s"
+        fault;
+    let index = { index with fault = List.assoc_opt fault Index_config.faults } in
     let sync_v =
       match Store.Wal.sync_of_string sync with
       | Ok s -> s
       | Error msg -> die_usage "--sync: %s" msg
     in
-    let sweep_ops =
-      match replay with
-      | Some file ->
-        enforce_hint file;
-        load_trace file
-      | None -> Opgen.generate ~profile:(profile_of_string profile) ~seed ~ops ()
-    in
+    let sweep_ops = stream_ops index in
+    let checkpoint_every = if checkpoint_every > 0 then checkpoint_every else 7 in
     let counts = List.sort_uniq compare [ 1; shards ] in
-    let variants =
-      match variant with "all" -> [ "amortized"; "loglog"; "worst-case" ] | v -> [ v ]
-    in
-    let backends = match backend with "all" -> [ "fm"; "sa"; "csa" ] | b -> [ b ] in
     let n = List.length sweep_ops in
     let stride = if kill_stride > 0 then kill_stride else max 1 (n / 4) in
     Printf.printf
@@ -1074,138 +991,57 @@ let fuzz_cmd seed ops streams variant backend sample tau fault profile replay tr
       n
       (String.concat "," (List.map string_of_int counts))
       stride
-      (List.length variants * List.length backends * List.length counts)
+      (List.length targets * List.length counts)
       dir;
     let failed = ref false in
     List.iter
-      (fun v ->
+      (fun tg ->
+        let ix = Runner.target_index tg index in
         List.iter
-          (fun b ->
-            List.iter
-              (fun k ->
-                let name = Printf.sprintf "%s/%s K=%d" v b k in
-                let scratch = Filename.concat dir (Printf.sprintf "follow-%s-%s-k%d" v b k) in
-                let conv =
-                  Serve.Repl_check.convergence ~variant:(variant_of_string v)
-                    ~backend:(backend_of_string b) ~sample ~tau ~seq_backend:seq_kind
-                    ?fault:fault_v ~shards:k ~sync:sync_v
-                    ~checkpoint_every:(if checkpoint_every > 0 then checkpoint_every else 7)
-                    ~dir:scratch ~ops:sweep_ops ()
-                in
-                Printf.printf "%-24s %-12s %s\n%!" name "converge"
-                  (Serve.Repl_check.outcome_to_string conv);
-                if conv.Serve.Repl_check.rc_failures <> [] then begin
-                  failed := true;
-                  (* a planted fault diverges by design; the shrinker
-                     replays without it, so there is nothing to minimize *)
-                  if k = 1 && fault_v = None then begin
-                    let shrunk =
-                      Serve.Repl_check.shrink ~variant:(variant_of_string v)
-                        ~backend:(backend_of_string b) ~sample ~tau ~seq_backend:seq_kind
-                        ~sync:sync_v ~dir:scratch sweep_ops
-                    in
-                    let tdir =
-                      match trace_dir with Some d -> d | None -> Filename.get_temp_dir_name ()
-                    in
-                    let path = Filename.concat tdir "dsdg-fuzz-follow.trace" in
-                    Trace.save
-                      ~hint:
-                        {
-                          Trace.no_hint with
-                          h_seq = (if seq <> "avl" then Some seq else None);
-                        }
-                      path shrunk;
-                    Printf.printf
-                      "minimal diverging trace (%d ops) saved to %s\nreplay: dsdg fuzz --follow \
-                       --replay %s --store %s --variant %s --backend %s\n"
-                      (List.length shrunk) path path dir v b
-                  end
-                end
-                (* a planted fault makes failover pointless (the replica
-                   is already known-corrupt); otherwise prove promotion *)
-                else if fault_v = None then begin
-                  let fo =
-                    Serve.Repl_check.failover_sweep ~variant:(variant_of_string v)
-                      ~backend:(backend_of_string b) ~sample ~tau ~seq_backend:seq_kind
-                      ~shards:k ~sync:sync_v
-                      ~checkpoint_every:(if checkpoint_every > 0 then checkpoint_every else 7)
-                      ~torn:true ~stride ~dir:scratch ~ops:sweep_ops ()
-                  in
-                  Printf.printf "%-24s %-12s %s\n%!" name "failover"
-                    (Store.Kill_check.outcome_to_string fo);
-                  if fo.Store.Kill_check.kc_failures <> [] then failed := true
-                end)
-              counts)
-          backends)
-      variants;
+          (fun k ->
+            let name = Printf.sprintf "%s K=%d" tg.Runner.tg_name k in
+            let scratch = Filename.concat dir (Printf.sprintf "follow-%s-k%d" (slug tg) k) in
+            let conv =
+              Serve.Repl_check.convergence ~index:ix ~shards:k ~sync:sync_v ~checkpoint_every
+                ~dir:scratch ~ops:sweep_ops ()
+            in
+            Printf.printf "%-24s %-12s %s\n%!" name "converge"
+              (Serve.Repl_check.outcome_to_string conv);
+            if conv.Serve.Repl_check.rc_failures <> [] then begin
+              failed := true;
+              (* a planted fault diverges by design; the shrinker
+                 replays without it, so there is nothing to minimize *)
+              if k = 1 && index.fault = None then begin
+                let shrunk = Serve.Repl_check.shrink ~index:ix ~sync:sync_v ~dir:scratch sweep_ops in
+                let path, flags = save_trace ~name:"dsdg-fuzz-follow.trace" index shrunk in
+                let v, b = Scanf.sscanf tg.Runner.tg_name "%[^/]/%s" (fun v b -> (v, b)) in
+                Printf.printf
+                  "minimal diverging trace (%d ops) saved to %s\nreplay: dsdg fuzz --follow \
+                   --replay %s --store %s --variant %s --backend %s%s\n"
+                  (List.length shrunk) path path dir v b flags
+              end
+            end
+            (* a planted fault makes failover pointless (the replica
+               is already known-corrupt); otherwise prove promotion *)
+            else if index.fault = None then begin
+              let fo =
+                Serve.Repl_check.failover_sweep ~index:ix ~shards:k ~sync:sync_v ~checkpoint_every
+                  ~torn:true ~stride ~dir:scratch ~ops:sweep_ops ()
+              in
+              Printf.printf "%-24s %-12s %s\n%!" name "failover"
+                (Store.Kill_check.outcome_to_string fo);
+              if fo.Store.Kill_check.kc_failures <> [] then failed := true
+            end)
+          counts)
+      targets;
     if !failed then exit 1;
     Printf.printf
       "leader/follower OK: every quiesce point converged and every promoted follower re-served \
        all acked writes\n"
-  | Some dir when shards > 1 ->
-    (* sharded kill-and-recover: the stride sweep plus the mid-split
-       migration sweep, per selected variant x backend *)
-    let torn =
-      match fault with
-      | "none" -> false
-      | "torn-write" -> true
-      | s ->
-        die_usage "--store kill-and-recover mode supports --fault none | torn-write, not %s" s
-    in
-    let sweep_ops =
-      match replay with
-      | Some file ->
-        enforce_hint file;
-        load_trace file
-      | None -> Opgen.generate ~profile:(profile_of_string profile) ~seed ~ops ()
-    in
-    let config =
-      store_config ~sync
-        ~checkpoint_every:(if checkpoint_every > 0 then checkpoint_every else 7)
-        ~jobs
-    in
-    let variants =
-      match variant with "all" -> [ "amortized"; "loglog"; "worst-case" ] | v -> [ v ]
-    in
-    let backends = match backend with "all" -> [ "fm"; "sa"; "csa" ] | b -> [ b ] in
-    let n = List.length sweep_ops in
-    let stride = if kill_stride > 0 then kill_stride else max 1 (n / 16) in
-    Printf.printf
-      "sharded kill-and-recover: K=%d, %d op(s), crash every %d op(s)%s plus every mid-split \
-       kill point, %d target(s), scratch under %s\n%!"
-      shards n stride
-      (if torn then " with torn final WAL records" else "")
-      (List.length variants * List.length backends)
-      dir;
-    let failed = ref false in
-    List.iter
-      (fun v ->
-        List.iter
-          (fun b ->
-            let show name o =
-              Printf.printf "%-20s %-10s %s\n%!" (v ^ "/" ^ b) name
-                (Store.Kill_check.outcome_to_string o);
-              if o.Store.Kill_check.kc_failures <> [] then failed := true
-            in
-            let scratch = Filename.concat dir (Printf.sprintf "shardkill-%s-%s" v b) in
-            show "kill"
-              (Shard.Shard_check.kill_sweep ~variant:(variant_of_string v)
-                 ~backend:(backend_of_string b) ~sample ~tau ~seq_backend:seq_kind ~config ~torn
-                 ~stride ~shards ~dir:scratch ~ops:sweep_ops ());
-            let scratch = Filename.concat dir (Printf.sprintf "shardsplit-%s-%s" v b) in
-            show "split"
-              (Shard.Shard_check.split_kill_sweep ~variant:(variant_of_string v)
-                 ~backend:(backend_of_string b) ~sample ~tau ~seq_backend:seq_kind ~config ~torn
-                 ~shards ~dir:scratch ~ops:sweep_ops ()))
-          backends)
-      variants;
-    if !failed then exit 1;
-    Printf.printf
-      "sharded kill-and-recover OK: every crash and split kill point re-served all acked writes \
-       exactly once\n"
   | Some dir ->
     (* kill-and-recover mode: the scheduling faults do not apply here;
-       the planted fault is the torn write *)
+       the planted fault is the torn write. With --shards K the sweep
+       crashes a sharded store, plus every mid-split kill point. *)
     let torn =
       match fault with
       | "none" -> false
@@ -1213,47 +1049,59 @@ let fuzz_cmd seed ops streams variant backend sample tau fault profile replay tr
       | s ->
         die_usage "--store kill-and-recover mode supports --fault none | torn-write, not %s" s
     in
-    let sweep_ops =
-      match replay with
-      | Some file ->
-        enforce_hint file;
-        load_trace file
-      | None -> Opgen.generate ~profile:(profile_of_string profile) ~seed ~ops ()
-    in
+    let sweep_ops = stream_ops index in
     let config =
       store_config ~sync
         ~checkpoint_every:(if checkpoint_every > 0 then checkpoint_every else 7)
-        ~jobs
+        ~jobs:index.jobs
     in
-    let variants =
-      match variant with "all" -> [ "amortized"; "loglog"; "worst-case" ] | v -> [ v ]
-    in
-    let backends = match backend with "all" -> [ "fm"; "sa"; "csa" ] | b -> [ b ] in
     let n = List.length sweep_ops in
     let stride = if kill_stride > 0 then kill_stride else max 1 (n / 16) in
-    Printf.printf
-      "kill-and-recover: %d op(s), crash every %d op(s)%s, %d target(s), scratch under %s\n%!" n
-      stride
-      (if torn then " with a torn final WAL record" else "")
-      (List.length variants * List.length backends)
-      dir;
+    if shards > 1 then
+      Printf.printf
+        "sharded kill-and-recover: K=%d, %d op(s), crash every %d op(s)%s plus every mid-split \
+         kill point, %d target(s), scratch under %s\n%!"
+        shards n stride
+        (if torn then " with torn final WAL records" else "")
+        (List.length targets) dir
+    else
+      Printf.printf
+        "kill-and-recover: %d op(s), crash every %d op(s)%s, %d target(s), scratch under %s\n%!" n
+        stride
+        (if torn then " with a torn final WAL record" else "")
+        (List.length targets) dir;
     let failed = ref false in
     List.iter
-      (fun v ->
-        List.iter
-          (fun b ->
-            let scratch = Filename.concat dir (Printf.sprintf "kill-%s-%s" v b) in
-            let o =
-              Store.Kill_check.sweep ~variant:(variant_of_string v) ~backend:(backend_of_string b)
-                ~sample ~tau ~seq_backend:seq_kind ~config ~torn ~stride ~dir:scratch
-                ~ops:sweep_ops ()
-            in
-            Printf.printf "%-20s %s\n%!" (v ^ "/" ^ b) (Store.Kill_check.outcome_to_string o);
-            if o.Store.Kill_check.kc_failures <> [] then failed := true)
-          backends)
-      variants;
+      (fun tg ->
+        let index = Runner.target_index tg index in
+        let show name o =
+          Printf.printf "%-20s %s%s\n%!" tg.Runner.tg_name
+            (if shards > 1 then Printf.sprintf "%-10s " name else "")
+            (Store.Kill_check.outcome_to_string o);
+          if o.Store.Kill_check.kc_failures <> [] then failed := true
+        in
+        if shards > 1 then begin
+          show "kill"
+            (Shard.Shard_check.kill_sweep ~index ~config ~torn ~stride ~shards
+               ~dir:(Filename.concat dir ("shardkill-" ^ slug tg))
+               ~ops:sweep_ops ());
+          show "split"
+            (Shard.Shard_check.split_kill_sweep ~index ~config ~torn ~shards
+               ~dir:(Filename.concat dir ("shardsplit-" ^ slug tg))
+               ~ops:sweep_ops ())
+        end
+        else
+          show "kill"
+            (Store.Kill_check.sweep ~index ~config ~torn ~stride
+               ~dir:(Filename.concat dir ("kill-" ^ slug tg))
+               ~ops:sweep_ops ()))
+      targets;
     if !failed then exit 1;
-    Printf.printf "kill-and-recover OK: every crash point recovered to the model\n"
+    if shards > 1 then
+      Printf.printf
+        "sharded kill-and-recover OK: every crash and split kill point re-served all acked \
+         writes exactly once\n"
+    else Printf.printf "kill-and-recover OK: every crash point recovered to the model\n"
   | None when shards > 1 ->
     (* shard-aware differential matrix: one op stream fanned over
        K in {1, 2, shards}, every answer compared against the model
@@ -1264,72 +1112,57 @@ let fuzz_cmd seed ops streams variant backend sample tau fault profile replay tr
          with --shards (got --fault %s)"
         fault;
     let counts = List.sort_uniq compare [ 1; min 2 shards; shards ] in
-    let pairs = Runner.select_targets ~variant ~backend () in
-    let mk_config tg =
-      {
-        Shard.Shard_check.sc_variant = tg.Runner.tg_variant;
-        sc_backend = tg.Runner.tg_backend;
-        sc_sample = sample;
-        sc_tau = tau;
-        sc_jobs = jobs;
-        sc_readers = readers;
-        sc_seq = seq_kind;
-        sc_shard_counts = counts;
-      }
-    in
-    let fail_with ~seed_used ~config ~pair failure shrunk =
-      Printf.printf "pair   : %s\n" pair;
+    let fail_with ~seed_used ~tg failure shrunk =
+      Printf.printf "pair   : %s\n" tg.Runner.tg_name;
       print_string (Shard.Shard_check.report ?seed:seed_used ~failure ~shrunk ());
-      let dir = match trace_dir with Some d -> d | None -> Filename.get_temp_dir_name () in
-      let path =
-        Filename.concat dir
-          (match seed_used with
-          | Some s -> Printf.sprintf "dsdg-fuzz-shard-seed%d.trace" s
-          | None -> "dsdg-fuzz-shard-replay.trace")
+      let path, flags =
+        save_trace ~shards
+          ~name:
+            (match seed_used with
+            | Some s -> Printf.sprintf "dsdg-fuzz-shard-seed%d.trace" s
+            | None -> "dsdg-fuzz-shard-replay.trace")
+          index shrunk
       in
-      Trace.save ~hint:(Shard.Shard_check.hint_of_config config) path shrunk;
       Printf.printf
         "minimal trace saved to %s\nreplay: dsdg fuzz --replay %s --shards %d --variant %s \
-         --backend %s%s%s\n"
-        path path shards variant backend
-        (if jobs > 0 then Printf.sprintf " --jobs %d" jobs else "")
-        ((if readers > 0 then Printf.sprintf " --readers %d" readers else "")
-        ^ if seq <> "avl" then " --seq-backend " ^ seq else "");
+         --backend %s%s\n"
+        path path shards variant backend flags;
       exit 1
+    in
+    let config tg =
+      { Shard.Shard_check.sc_index = Runner.target_index tg index; sc_shard_counts = counts }
     in
     let knames = String.concat "," (List.map string_of_int counts) in
     (match replay with
-    | Some file ->
-      enforce_hint file;
-      let trace = load_trace file in
+    | Some _ ->
+      let trace = stream_ops index in
       Printf.printf "replaying %d ops over K in {%s}, %d variant/backend pair(s)\n%!"
-        (List.length trace) knames (List.length pairs);
+        (List.length trace) knames (List.length targets);
       List.iter
         (fun tg ->
-          let config = mk_config tg in
+          let config = config tg in
           match Shard.Shard_check.run_trace ~config trace with
           | Ok () -> ()
           | Error f ->
             let prefix = List.filteri (fun i _ -> i < f.Shard.Shard_check.sf_step) trace in
-            let shrunk = Shard.Shard_check.shrink ~config prefix in
-            fail_with ~seed_used:None ~config ~pair:tg.Runner.tg_name f shrunk)
-        pairs;
+            fail_with ~seed_used:None ~tg f (Shard.Shard_check.shrink ~config prefix))
+        targets;
       Printf.printf "replay OK: every shard count agrees with the model and the K=1 baseline\n"
     | None ->
       Printf.printf "shard fuzzing %d stream(s) x %d ops, K in {%s}, %d variant/backend pair(s)\n%!"
-        streams ops knames (List.length pairs);
+        streams ops knames (List.length targets);
       let profile = profile_of_string profile in
       for s = 0 to streams - 1 do
         let stream_seed = seed + s in
         List.iter
           (fun tg ->
-            let config = mk_config tg in
-            match Shard.Shard_check.run_stream ~config ~profile ~seed:stream_seed ~ops () with
+            match
+              Shard.Shard_check.run_stream ~config:(config tg) ~profile ~seed:stream_seed ~ops ()
+            with
             | Shard.Shard_check.Pass -> ()
             | Shard.Shard_check.Fail { failure; shrunk; _ } ->
-              fail_with ~seed_used:(Some stream_seed) ~config ~pair:tg.Runner.tg_name failure
-                shrunk)
-          pairs;
+              fail_with ~seed_used:(Some stream_seed) ~tg failure shrunk)
+          targets;
         if streams > 1 then Printf.printf "stream seed=%d: ok\n%!" stream_seed
       done;
       Printf.printf
@@ -1337,64 +1170,39 @@ let fuzz_cmd seed ops streams variant backend sample tau fault profile replay tr
          K=1 baseline\n"
         streams ops knames)
   | None ->
-    let targets = Runner.select_targets ~variant ~backend () in
-    let config =
-      {
-        Runner.default_config with
-        Runner.sample;
-        tau;
-        jobs;
-        readers;
-        seq = seq_kind;
-        fault =
-          (match fault with
-          | "none" -> None
-          | "skip-top-clean" -> Some `Skip_top_clean
-          | "worker-crash" -> Some `Worker_crash
-          | "stale-epoch" -> Some `Stale_epoch
-          | "torn-write" ->
-            die_usage
-              "--fault torn-write plants a half-written WAL record in the durable store; add --store DIR"
-          | s -> die_usage "unknown fault: %s" s);
-      }
-    in
-    if config.Runner.fault = Some `Worker_crash && jobs = 0 then
+    (match fault with
+    | "torn-write" ->
+      die_usage
+        "--fault torn-write plants a half-written WAL record in the durable store; add --store DIR"
+    | "rel-lost-remove" -> die_usage "--fault rel-lost-remove plants a relation defect; add --rel"
+    | _ -> ());
+    (* the enum admits nothing else: every other value names an index fault *)
+    let index = { index with fault = List.assoc_opt fault Index_config.faults } in
+    if index.fault = Some `Worker_crash && index.jobs = 0 then
       die_usage "--fault worker-crash requires --jobs >= 1 (it sabotages the pooled executor)";
-    if config.Runner.fault = Some `Stale_epoch && readers = 0 then
+    if index.fault = Some `Stale_epoch && index.readers = 0 then
       die_usage
         "--fault stale-epoch requires --readers >= 1 (it breaks only the read plane, which direct queries never touch)";
+    let config = { Runner.default_config with index } in
     let profile = profile_of_string profile in
     let tnames = String.concat ", " (List.map (fun t -> t.Runner.tg_name) targets) in
     let fail_with ~seed_used failure shrunk =
       print_string (Runner.report ?seed:seed_used ~failure ~shrunk ());
-      let dir = match trace_dir with Some d -> d | None -> Filename.get_temp_dir_name () in
-      let path =
-        Filename.concat dir
-          (match seed_used with
-          | Some s -> Printf.sprintf "dsdg-fuzz-seed%d.trace" s
-          | None -> "dsdg-fuzz-replay.trace")
+      let path, flags =
+        save_trace
+          ~name:
+            (match seed_used with
+            | Some s -> Printf.sprintf "dsdg-fuzz-seed%d.trace" s
+            | None -> "dsdg-fuzz-replay.trace")
+          index shrunk
       in
-      Trace.save
-        ~hint:
-          {
-            Trace.no_hint with
-            h_readers = (if readers > 0 then Some readers else None);
-            h_jobs = (if jobs > 0 then Some jobs else None);
-            h_seq = (if seq <> "avl" then Some seq else None);
-          }
-        path shrunk;
-      Printf.printf "minimal trace saved to %s\nreplay: dsdg fuzz --replay %s --variant %s --backend %s%s%s%s%s\n"
-        path path variant backend
-        (if config.Runner.fault <> None then " --fault " ^ fault else "")
-        (if jobs > 0 then Printf.sprintf " --jobs %d" jobs else "")
-        (if readers > 0 then Printf.sprintf " --readers %d" readers else "")
-        (if seq <> "avl" then " --seq-backend " ^ seq else "");
+      Printf.printf "minimal trace saved to %s\nreplay: dsdg fuzz --replay %s --variant %s --backend %s%s\n"
+        path path variant backend flags;
       exit 1
     in
     (match replay with
     | Some file ->
-      enforce_hint file;
-      let trace = load_trace file in
+      let trace = stream_ops index in
       Printf.printf "replaying %d ops from %s against %s\n%!" (List.length trace) file tnames;
       (match Runner.run_trace ~config ~targets trace with
       | Ok () -> Printf.printf "replay OK: all targets agree with the model, all invariants hold\n"
@@ -1524,23 +1332,8 @@ let graph_cmd nodes edges seed rel_backend tau queries save_path load_path =
 
 let files_arg = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE")
 let whole_arg = Arg.(value & flag & info [ "whole" ] ~doc:"Index whole files instead of lines.")
-let variant_arg =
-  Arg.(value & opt string "worst-case"
-       & info [ "variant" ] ~doc:"amortized | loglog (alias: t3, the Transformation 3 doubling schedule) | worst-case")
-let backend_arg = Arg.(value & opt string "fm" & info [ "backend" ] ~doc:"fm | sa | csa")
-let sample_arg = Arg.(value & opt int 8 & info [ "sample" ] ~doc:"SA sampling rate s.")
-let tau_arg = Arg.(value & opt int 8 & info [ "tau" ] ~doc:"Lazy-deletion threshold tau.")
+let tau_arg default = Arg.(value & opt int default & info [ "tau" ] ~doc:"Lazy-deletion threshold tau.")
 let ops_arg = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"Demo operations.")
-let jobs_arg =
-  Arg.(value & opt int 0
-       & info [ "jobs" ]
-           ~doc:"Background-rebuild worker domains (0 = deterministic synchronous mode). With --store, any value >= 1 also moves checkpoint serialization onto a worker domain.")
-
-let readers_arg =
-  Arg.(value & opt int 0
-       & info [ "readers" ]
-           ~doc:"Reader-pool domains serving queries from the latest published snapshot (0 = queries run on the caller's domain).")
-
 let shards_arg =
   Arg.(value & opt int 1
        & info [ "shards" ] ~docv:"K"
@@ -1561,15 +1354,62 @@ let checkpoint_every_arg =
        & info [ "checkpoint-every" ] ~docv:"K"
            ~doc:"Snapshot the index and compact the WAL every K updates (0 = never automatically; fuzz --store defaults to 7).")
 
-let seq_backend_arg =
-  Arg.(value & opt string "avl"
-       & info [ "seq-backend" ] ~docv:"NAME"
-           ~doc:"Dynamic-sequence substrate for every index structure: avl (balanced-tree bitvectors) | spsi (B-tree searchable partial sums with word-packed leaves). A runtime choice, never persisted: a store written under one backend reopens under the other.")
+(* --- index settings: one Index_config.t per invocation --- *)
 
-let retain_epochs_arg =
-  Arg.(value & opt int 0
-       & info [ "retain-epochs" ] ~docv:"N"
-           ~doc:"Keep the $(docv) most recently published views resolvable for point-in-time reads (interactive ~EPOCH ?PAT / ~EPOCH #PAT); 0 retains only the live view. Pinned views survive eviction regardless.")
+let variant_arg =
+  Arg.(value & opt (enum (Index_config.variants @ [ ("t3", Index_config.Amortized_loglog) ]))
+         Index_config.default.variant
+       & info [ "variant" ] ~doc:"amortized | loglog (alias: t3, the Transformation 3 doubling schedule) | worst-case")
+
+let backend_arg =
+  Arg.(value & opt (enum Index_config.backends) Index_config.default.backend
+       & info [ "backend" ] ~doc:"fm | sa | csa")
+
+(* Every index setting but the planted fault, from flags: Cmdliner
+   parses the enums and Index_config.validate checks the ranges, so
+   either failure exits 124 before any store is opened or socket bound.
+   [base] supplies the defaults and [shape] the variant and backend;
+   the runtime settings named in [fixed] stay at [base] and get no flag,
+   for the subcommands on which they would have no effect. *)
+let config_term ?(fixed = []) ~(base : Index_config.t) shape =
+  let flag key v term = if List.mem key fixed then Term.const v else term in
+  let int_arg name default ?docv doc = Arg.(value & opt int default & info [ name ] ?docv ~doc) in
+  let seq_kinds =
+    List.map (fun k -> (Dsdg_delbits.Sums.kind_to_string k, k)) Dsdg_delbits.Sums.all_kinds
+  in
+  let make (variant, backend) sample tau jobs readers seq_backend retain_epochs =
+    try
+      Ok
+        (Index_config.validate
+           { base with variant; backend; sample; tau; jobs; readers; seq_backend; retain_epochs })
+    with Invalid_argument msg -> Error msg
+  in
+  Term.(
+    cli_parse_result'
+      (const make $ shape
+      $ int_arg "sample" base.sample "SA sampling rate s."
+      $ tau_arg base.tau
+      $ int_arg "jobs" base.jobs
+          "Background-rebuild worker domains (0 = deterministic synchronous mode). With --store, any value >= 1 also moves checkpoint serialization onto a worker domain."
+      $ flag `Readers base.readers
+          (int_arg "readers" base.readers
+             "Reader-pool domains serving queries from the latest published snapshot (0 = queries run on the caller's domain).")
+      $ Arg.(
+          value
+          & opt (enum seq_kinds) base.seq_backend
+          & info [ "seq-backend" ] ~docv:"NAME"
+              ~doc:
+                "Dynamic-sequence substrate for every index structure: avl (balanced-tree bitvectors) | spsi (B-tree searchable partial sums with word-packed leaves). A runtime choice, never persisted: a store written under one backend reopens under the other.")
+      $ flag `Retain_epochs base.retain_epochs
+          (int_arg "retain-epochs" base.retain_epochs ~docv:"N"
+             "Keep the $(docv) most recently published views resolvable for point-in-time reads (interactive ~EPOCH ?PAT / ~EPOCH #PAT); 0 retains only the live view. Pinned views survive eviction regardless.")))
+
+let shape_t = Term.(const (fun v b -> (v, b)) $ variant_arg $ backend_arg)
+let index_config_t = config_term ~base:Index_config.default shape_t
+
+(* save never queries and stats never reads a past epoch *)
+let save_config_t = config_term ~fixed:[ `Readers; `Retain_epochs ] ~base:Index_config.default shape_t
+let stats_config_t = config_term ~fixed:[ `Retain_epochs ] ~base:Index_config.default shape_t
 
 let store_dir_pos =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Store directory.")
@@ -1579,9 +1419,8 @@ let save_files_arg = Arg.(non_empty & pos_right 0 file [] & info [] ~docv:"FILE"
 let index_t =
   Cmd.v (Cmd.info "index" ~doc:"Index files and answer queries interactively")
     Term.(
-      const index_cmd $ files_arg $ whole_arg $ variant_arg $ backend_arg $ sample_arg $ tau_arg
-      $ jobs_arg $ readers_arg $ shards_arg $ store_arg $ sync_arg $ checkpoint_every_arg
-      $ seq_backend_arg)
+      const index_cmd $ files_arg $ whole_arg $ index_config_t $ shards_arg $ store_arg $ sync_arg
+      $ checkpoint_every_arg)
 
 let pinned_arg =
   Arg.(value & opt (some string) None
@@ -1592,15 +1431,14 @@ let save_t =
   Cmd.v
     (Cmd.info "save" ~doc:"Index files into a durable store directory and checkpoint")
     Term.(
-      const save_cmd $ store_dir_pos $ save_files_arg $ whole_arg $ variant_arg $ backend_arg
-      $ sample_arg $ tau_arg $ sync_arg $ pinned_arg)
+      const save_cmd $ store_dir_pos $ save_files_arg $ whole_arg $ save_config_t $ sync_arg
+      $ pinned_arg)
 
 let open_t =
   Cmd.v
     (Cmd.info "open" ~doc:"Recover an index from a store directory and answer queries interactively")
     Term.(
-      const open_cmd $ store_dir_pos $ variant_arg $ backend_arg $ sample_arg $ tau_arg $ jobs_arg
-      $ readers_arg $ sync_arg $ checkpoint_every_arg $ retain_epochs_arg)
+      const open_cmd $ store_dir_pos $ index_config_t $ sync_arg $ checkpoint_every_arg)
 
 (* --- service plane: serve + load --- *)
 
@@ -1653,10 +1491,9 @@ let serve_t =
               flushes, the store checkpoints, and the process exits 0.";
          ])
     Term.(
-      const serve_cmd $ store_dir_pos $ socket_arg $ host_arg $ port_arg $ variant_arg
-      $ backend_arg $ sample_arg $ tau_arg $ jobs_arg $ readers_arg $ shards_arg $ sync_arg
-      $ checkpoint_every_arg $ max_batch_arg $ max_frame_arg $ max_conns_arg $ timeout_arg
-      $ retain_epochs_arg)
+      const serve_cmd $ store_dir_pos $ socket_arg $ host_arg $ port_arg $ index_config_t
+      $ shards_arg $ sync_arg $ checkpoint_every_arg $ max_batch_arg $ max_frame_arg
+      $ max_conns_arg $ timeout_arg)
 
 (* --- follow: WAL-shipped read replica --- *)
 
@@ -1704,8 +1541,7 @@ let follow_t =
          ])
     Term.(
       const follow_cmd $ from_arg $ from_socket_arg $ follow_store_arg $ socket_arg $ host_arg
-      $ follow_port_arg $ variant_arg $ backend_arg $ sample_arg $ tau_arg $ seq_backend_arg
-      $ retain_epochs_arg $ follow_poll_arg)
+      $ follow_port_arg $ index_config_t $ follow_poll_arg)
 
 let clients_arg =
   Arg.(value & opt int 8 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client sessions.")
@@ -1796,7 +1632,7 @@ let graph_t =
          ])
     Term.(
       const graph_cmd $ graph_nodes_arg $ graph_edges_arg $ load_seed_arg $ graph_rel_backend_arg
-      $ tau_arg $ graph_queries_arg $ graph_save_arg $ graph_load_arg)
+      $ tau_arg Index_config.default.tau $ graph_queries_arg $ graph_save_arg $ graph_load_arg)
 
 let no_obs_arg =
   Arg.(value & flag & info [ "no-obs" ] ~doc:"Disable the observability layer (overhead demo).")
@@ -1805,21 +1641,32 @@ let stats_t =
   Cmd.v
     (Cmd.info "stats" ~doc:"Scripted churn workload + observability dump")
     Term.(
-      const stats_cmd $ ops_arg $ variant_arg $ backend_arg $ sample_arg $ tau_arg $ no_obs_arg
-      $ jobs_arg $ readers_arg $ shards_arg $ store_arg $ sync_arg $ checkpoint_every_arg
-      $ seq_backend_arg)
+      const stats_cmd $ ops_arg $ stats_config_t $ no_obs_arg $ shards_arg $ store_arg $ sync_arg
+      $ checkpoint_every_arg)
 
 let fuzz_seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Base random seed (stream i uses seed+i).")
 let fuzz_ops_arg = Arg.(value & opt int 1000 & info [ "ops" ] ~doc:"Operations per stream.")
 let fuzz_streams_arg = Arg.(value & opt int 1 & info [ "streams" ] ~doc:"Number of independent streams.")
+(* fuzz selects variant x backend pairs by name ("all" or one), so its
+   config term keeps the base shape and reads the names separately; no
+   checker reads a retained view *)
+let names table = List.map (fun (n, _) -> (n, n)) table
+
 let fuzz_variant_arg =
-  Arg.(value & opt string "all"
+  Arg.(value & opt (enum ((("all", "all") :: names Index_config.variants) @ [ ("t3", "loglog") ])) "all"
        & info [ "variant" ] ~doc:"all | amortized | loglog (alias: t3) | worst-case")
-let fuzz_backend_arg = Arg.(value & opt string "all" & info [ "backend" ] ~doc:"all | fm | sa | csa")
-let fuzz_sample_arg = Arg.(value & opt int 2 & info [ "sample" ] ~doc:"SA sampling rate s.")
-let fuzz_tau_arg = Arg.(value & opt int 4 & info [ "tau" ] ~doc:"Lazy-deletion threshold tau.")
+
+let fuzz_backend_arg =
+  Arg.(value & opt (enum (("all", "all") :: names Index_config.backends)) "all"
+       & info [ "backend" ] ~doc:"all | fm | sa | csa")
+
+let fuzz_config_t =
+  let base = Dsdg_check.Runner.default_config.index in
+  config_term ~fixed:[ `Retain_epochs ] ~base (Term.const (base.variant, base.backend))
+
 let fuzz_fault_arg =
-  Arg.(value & opt string "none"
+  let faults = ("none" :: List.map fst Index_config.faults) @ [ "torn-write"; "rel-lost-remove" ] in
+  Arg.(value & opt (enum (List.map (fun f -> (f, f)) faults)) "none"
        & info [ "fault" ]
            ~doc:"Plant a deliberate defect: none | skip-top-clean | worker-crash | stale-epoch | torn-write (harness self-tests; worker-crash needs --jobs >= 1, stale-epoch needs --readers >= 1, torn-write needs --store DIR).")
 let fuzz_profile_arg =
@@ -1859,10 +1706,9 @@ let fuzz_t =
     (Cmd.info "fuzz" ~doc:"Differential checking with shrinking and invariant oracles")
     Term.(
       const fuzz_cmd $ fuzz_seed_arg $ fuzz_ops_arg $ fuzz_streams_arg $ fuzz_variant_arg
-      $ fuzz_backend_arg $ fuzz_sample_arg $ fuzz_tau_arg $ fuzz_fault_arg $ fuzz_profile_arg
-      $ fuzz_replay_arg $ fuzz_trace_dir_arg $ jobs_arg $ readers_arg $ shards_arg $ store_arg
-      $ sync_arg $ checkpoint_every_arg $ fuzz_kill_stride_arg $ seq_backend_arg
-      $ fuzz_follow_arg $ fuzz_rel_arg $ fuzz_rel_backend_arg)
+      $ fuzz_backend_arg $ fuzz_config_t $ fuzz_fault_arg $ fuzz_profile_arg $ fuzz_replay_arg
+      $ fuzz_trace_dir_arg $ shards_arg $ store_arg $ sync_arg $ checkpoint_every_arg
+      $ fuzz_kill_stride_arg $ fuzz_follow_arg $ fuzz_rel_arg $ fuzz_rel_backend_arg)
 
 let () =
   let doc = "dynamic compressed document collection index (Munro-Nekrich-Vitter, PODS 2015)" in

@@ -6,7 +6,7 @@ open Dsdg_core
 
 let () =
   (* A worst-case-update dynamic index over the compressed FM backend. *)
-  let idx = Dynamic_index.create ~variant:Dynamic_index.Worst_case () in
+  let idx = Dynamic_index.create ~index:{ Index_config.default with variant = Worst_case } () in
 
   let doc1 = Dynamic_index.insert idx "the quick brown fox jumps over the lazy dog" in
   let doc2 = Dynamic_index.insert idx "pack my box with five dozen liquor jugs" in

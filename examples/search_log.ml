@@ -9,7 +9,9 @@ open Dsdg_workload
 
 let () =
   let st = Text_gen.rng 2025 in
-  let idx = Dynamic_index.create ~variant:Dynamic_index.Worst_case ~sample:4 () in
+  let idx =
+    Dynamic_index.create ~index:{ Index_config.default with variant = Worst_case; sample = 4 } ()
+  in
 
   (* Ingest a synthetic access log. *)
   let window = 400 in

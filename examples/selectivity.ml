@@ -14,7 +14,7 @@ open Dsdg_workload
 
 let () =
   let st = Text_gen.rng 99 in
-  let idx = Dynamic_index.create ~sample:4 () in
+  let idx = Dynamic_index.create ~index:{ Index_config.default with sample = 4 } () in
 
   (* a "product names" column *)
   let adjectives = [| "small"; "large"; "blue"; "red"; "heavy"; "smart"; "eco" |] in

@@ -8,15 +8,6 @@ type target = {
   tg_backend : Dynamic_index.backend;
 }
 
-let variants = [ ("amortized", Dynamic_index.Amortized); ("loglog", Dynamic_index.Amortized_loglog); ("worst-case", Dynamic_index.Worst_case) ]
-let backends = [ ("fm", Dynamic_index.Fm); ("sa", Dynamic_index.Plain_sa); ("csa", Dynamic_index.Csa) ]
-
-let all_targets =
-  List.concat_map
-    (fun (vn, v) ->
-      List.map (fun (bn, b) -> { tg_name = vn ^ "/" ^ bn; tg_variant = v; tg_backend = b }) backends)
-    variants
-
 let select_targets ?(variant = "all") ?(backend = "all") () =
   let pick what name choices =
     if name = "all" then choices
@@ -29,29 +20,19 @@ let select_targets ?(variant = "all") ?(backend = "all") () =
     (fun (vn, v) ->
       List.map
         (fun (bn, b) -> { tg_name = vn ^ "/" ^ bn; tg_variant = v; tg_backend = b })
-        (pick "backend" backend backends))
-    (pick "variant" variant variants)
+        (pick "backend" backend Index_config.backends))
+    (pick "variant" variant Index_config.variants)
 
-type config = {
-  sample : int;
-  tau : int;
-  fault : Transform2.fault option;
-  check_invariants : bool;
-  jobs : int; (* executor workers per index under test; 0 = Sync *)
-  readers : int; (* reader-pool domains; > 0 routes queries through views *)
-  seq : Dsdg_delbits.Sums.kind; (* dynamic-sequence substrate for every index *)
-}
+let all_targets = select_targets ()
+let target_index tg (index : Index_config.t) =
+  { index with variant = tg.tg_variant; backend = tg.tg_backend }
 
+type config = { index : Index_config.t; check_invariants : bool }
+
+(* Small s and tau make every sampled-locate and purge path fire on
+   short streams. *)
 let default_config =
-  {
-    sample = 2;
-    tau = 4;
-    fault = None;
-    check_invariants = true;
-    jobs = 0;
-    readers = 0;
-    seq = Dsdg_delbits.Sums.Avl;
-  }
+  { index = { Index_config.default with sample = 2; tau = 4 }; check_invariants = true }
 
 type failure = {
   f_step : int;
@@ -91,9 +72,9 @@ let run_trace ?(config = default_config) ~targets ops =
     List.map
       (fun tg ->
         ( tg,
-          Dynamic_index.create ~variant:tg.tg_variant ~backend:tg.tg_backend ~sample:config.sample
-            ~tau:config.tau ?fault:config.fault ~jobs:config.jobs ~readers:config.readers
-            ~seq_backend:config.seq (),
+          Dynamic_index.create
+            ~index:(target_index tg config.index)
+            (),
           Oracle.create () ))
       targets
   in
@@ -103,20 +84,20 @@ let run_trace ?(config = default_config) ~targets ops =
      [`Stale_epoch] fault) becomes a model disagreement even though the
      write plane stays correct. *)
   let q_search idx p =
-    if config.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_search v p)
+    if config.index.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_search v p)
     else Dynamic_index.search idx p
   in
   let q_count idx p =
-    if config.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_count v p)
+    if config.index.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_count v p)
     else Dynamic_index.count idx p
   in
   let q_extract idx ~doc ~off ~len =
-    if config.readers > 0 then
+    if config.index.readers > 0 then
       Dynamic_index.query idx (fun v -> Dynamic_index.view_extract v ~doc ~off ~len)
     else Dynamic_index.extract idx ~doc ~off ~len
   in
   let q_mem idx id =
-    if config.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_mem v id)
+    if config.index.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_mem v id)
     else Dynamic_index.mem idx id
   in
   (* pooled indexes own worker domains; leak none, whatever the verdict *)
@@ -226,7 +207,7 @@ let run_trace ?(config = default_config) ~targets ops =
             if dc <> mdc then fail_on idx tg.tg_name "doc_count %d, model %d" dc mdc;
             let ts = Dynamic_index.total_symbols idx and mts = Model.total_symbols model in
             if ts <> mts then fail_on idx tg.tg_name "total_symbols %d, model %d" ts mts;
-            if config.readers > 0 then begin
+            if config.index.readers > 0 then begin
               (* the published view must agree with the write plane the
                  moment the writer is quiescent *)
               let vdc, vts =

@@ -17,28 +17,24 @@ val all_targets : target list
     every choice. Raises [Invalid_argument] on unknown names. *)
 val select_targets : ?variant:string -> ?backend:string -> unit -> target list
 
+(** [target_index tg index] is [index] with [tg]'s variant and backend. *)
+val target_index : target -> Dsdg_core.Index_config.t -> Dsdg_core.Index_config.t
+
 type config = {
-  sample : int;
-  tau : int;
-  fault : Dsdg_core.Transform2.fault option;  (** planted defect, for self-tests *)
-  check_invariants : bool;
-  jobs : int;
-      (** executor worker domains per index under test (default [0] =
-          deterministic Sync mode). Pooled indexes are closed -- domains
-          joined -- before [run_trace] returns, pass or fail. *)
-  readers : int;
-      (** reader-pool domains per index under test (default [0]). With
-          [readers >= 1] every query op runs on a reader domain against
-          the latest published view, so the read plane itself is
-          differentially checked -- a stale or incomplete epoch
+  index : Dsdg_core.Index_config.t;
+      (** settings of every index under test; each target overrides
+          [variant] and [backend]. [jobs >= 1] indexes are closed --
+          domains joined -- before [run_trace] returns, pass or fail.
+          With [readers >= 1] every query op runs on a reader domain
+          against the latest published view, so the read plane itself
+          is differentially checked -- a stale or incomplete epoch
           publication (e.g. the planted [`Stale_epoch] fault) becomes a
           model disagreement. *)
-  seq : Dsdg_delbits.Sums.kind;
-      (** dynamic-sequence substrate every index under test is created
-          with (default [Avl]); recorded in saved-trace hints as
-          [seq=<name>]. *)
+  check_invariants : bool;
 }
 
+(** The fuzz harnesses' defaults: {!Dsdg_core.Index_config.default}
+    with [sample = 2] and [tau = 4], invariants checked. *)
 val default_config : config
 
 type failure = {

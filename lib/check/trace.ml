@@ -68,51 +68,37 @@ let render ops =
 
 (* Replay hints ride in '%'-comment headers: old traces (no header)
    and old readers (comments skipped) both keep working. *)
-type hint = {
-  h_shards : int option;
-  h_readers : int option;
-  h_jobs : int option;
-  h_seq : string option;
-  h_rel : string option;
-}
+type hint = { h_shards : int option; h_rel : string option; h_index : (string * string) list }
 
-let no_hint =
-  { h_shards = None; h_readers = None; h_jobs = None; h_seq = None; h_rel = None }
+let no_hint = { h_shards = None; h_rel = None; h_index = [] }
 
 let hint_line hint =
-  let field name = function None -> [] | Some v -> [ Printf.sprintf "%s=%d" name v ] in
-  let field_s name = function None -> [] | Some v -> [ Printf.sprintf "%s=%s" name v ] in
+  let opt name = function None -> [] | Some v -> [ (name, v) ] in
   match
-    field "shards" hint.h_shards @ field "readers" hint.h_readers @ field "jobs" hint.h_jobs
-    @ field_s "seq" hint.h_seq @ field_s "rel" hint.h_rel
+    opt "shards" (Option.map string_of_int hint.h_shards) @ hint.h_index @ opt "rel" hint.h_rel
   with
   | [] -> None
-  | fields -> Some ("% requires " ^ String.concat " " fields)
+  | fields ->
+    Some ("% requires " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) fields))
 
 let parse_hint_line line =
-  (* "% requires shards=2 readers=1 ..." -- unknown keys are ignored so
-     future hints stay forward compatible *)
+  (* "% requires shards=2 readers=1 ..." -- every field but shards= and
+     rel= belongs to the index config, which ignores keys it does not
+     know, so future hints stay forward compatible *)
   match String.split_on_char ' ' (String.trim line) with
   | "%" :: "requires" :: fields ->
-    let get key =
-      List.find_map
+    let pairs =
+      List.filter_map
         (fun f ->
-          match String.split_on_char '=' f with
-          | [ k; v ] when k = key -> int_of_string_opt v
-          | _ -> None)
-        fields
-    in
-    let get_s key =
-      List.find_map
-        (fun f ->
-          match String.split_on_char '=' f with
-          | [ k; v ] when k = key && v <> "" -> Some v
-          | _ -> None)
+          match String.split_on_char '=' f with [ k; v ] when v <> "" -> Some (k, v) | _ -> None)
         fields
     in
     Some
-      { h_shards = get "shards"; h_readers = get "readers"; h_jobs = get "jobs";
-        h_seq = get_s "seq"; h_rel = get_s "rel" }
+      {
+        h_shards = Option.bind (List.assoc_opt "shards" pairs) int_of_string_opt;
+        h_rel = List.assoc_opt "rel" pairs;
+        h_index = List.filter (fun (k, _) -> k <> "shards" && k <> "rel") pairs;
+      }
   | _ -> None
 
 let save ?(hint = no_hint) path ops =

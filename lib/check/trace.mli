@@ -48,23 +48,23 @@ val op_of_string : string -> op
 (** Numbered, one op per line -- the shape printed with failures. *)
 val render : op list -> string
 
-(** A replay hint: the concurrency/sharding shape a recorded failure
-    needs to reproduce. Saved as a ["% requires shards=K readers=N
-    jobs=N seq=spsi"] comment header, so hinted traces remain loadable by any
-    reader (comments are skipped) while hint-aware replayers
-    ([dsdg fuzz --replay]) can refuse to replay under a different
-    shape. *)
+(** A replay hint: the shape a recorded failure needs to reproduce.
+    Saved as a ["% requires shards=K tau=3 readers=N seq=spsi"] comment
+    header, so hinted traces remain loadable by any reader (comments
+    are skipped) while hint-aware replayers ([dsdg fuzz --replay]) can
+    refuse to replay under a different shape. An absent field means no
+    requirement. *)
 type hint = {
   h_shards : int option;
-  h_readers : int option;
-  h_jobs : int option;
-  h_seq : string option;  (** dynamic-sequence backend name ("avl"/"spsi") *)
   h_rel : string option;
       (** relation backend spec of a relation-stream trace ("str"/"k2"/
           "both"); absent on document traces *)
+  h_index : (string * string) list;
+      (** every other [key=value] field: the index settings the run
+          used, as written by {!Dsdg_core.Index_config.to_hint} *)
 }
 
-(** All [None]: no requirements recorded. *)
+(** No requirements recorded. *)
 val no_hint : hint
 
 val save : ?hint:hint -> string -> op list -> unit

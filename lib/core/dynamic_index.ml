@@ -8,15 +8,8 @@
      Dynamic_index.search idx "cument"   (* [(id, 4)] *)
    ]} *)
 
-type variant =
-  | Amortized (* Transformation 1, geometric schedule *)
-  | Amortized_loglog (* Transformation 3 (Appendix A.4), doubling schedule *)
-  | Worst_case (* Transformation 2 *)
-
-type backend =
-  | Fm (* compressed: FM-index (BWT + wavelet), nHk-style space *)
-  | Plain_sa (* fast/large: plain suffix array, Table 3 class *)
-  | Csa (* compressed: Sadakane-style psi-based CSA, Table 1 row [39] *)
+type variant = Index_config.variant = Amortized | Amortized_loglog | Worst_case
+type backend = Index_config.backend = Fm | Plain_sa | Csa
 
 (* Read-only structural snapshot for the invariant oracles in Dsdg_check:
    the per-structure census (with dead counts), the schedule's level
@@ -104,16 +97,13 @@ let g_pinned = Dsdg_obs.Obs.gauge obs_core "pinned_views"
 type t = {
   ops : ops;
   readers : Exec.t option;
-  (* creation parameters, recorded verbatim into every dump *)
-  variant : variant;
-  backend : backend;
-  sample : int;
-  tau : int;
-  (* bounded epoch retention: the [retain] most recently published
-     views, newest first, held in an immutable list behind one Atomic so
-     any domain can resolve [view_at] wait-free while the writer pushes.
-     [retain = 0] keeps the ring empty -- the historical behavior. *)
-  retain : int;
+  (* creation settings; the shape fields are recorded into every dump *)
+  config : Index_config.t;
+  (* bounded epoch retention: the [retain_epochs] most recently
+     published views, newest first, held in an immutable list behind one
+     Atomic so any domain can resolve [view_at] wait-free while the
+     writer pushes. [retain_epochs = 0] keeps the ring empty -- the
+     historical behavior. *)
   ring : view list Atomic.t;
   (* pinned views survive ring eviction until [unpin]; tokens are local
      to this instance. *)
@@ -185,8 +175,10 @@ let mk_view ~epoch ~docs ~syms ~census ~search ~count ~extract ~mem ~components 
    is set, each branch rebuilds the transformation from the dump's
    components instead of starting empty -- everything else (closure
    wiring, conventions, reader pool) is identical. *)
-let make ~variant ~backend ~sample ~tau ~seq ?fault ~jobs ~readers ?(retain_epochs = 0)
-    ?restore_from () : t =
+let make ?restore_from (config : Index_config.t) : t =
+  let { Index_config.variant; backend; sample; tau; fault; jobs; readers; seq_backend = seq; _ } =
+    Index_config.validate config
+  in
   let t1_probe census_full level_capacity nf () =
     {
       pr_census = census_full ();
@@ -462,27 +454,22 @@ let make ~variant ~backend ~sample ~tau ~seq ?fault ~jobs ~readers ?(retain_epoc
   {
     ops;
     readers;
-    variant;
-    backend;
-    sample;
-    tau;
-    retain = max 0 retain_epochs;
+    config;
     ring = Atomic.make [];
     pins = Atomic.make [];
     pin_next = Atomic.make 0;
   }
 
-let create ?(variant = Worst_case) ?(backend = Fm) ?(sample = 8) ?(tau = 8) ?fault
-    ?(jobs = 0) ?(readers = 0) ?(seq_backend = Dsdg_delbits.Sums.Avl) ?retain_epochs () : t =
-  make ~variant ~backend ~sample ~tau ~seq:seq_backend ?fault ~jobs ~readers ?retain_epochs ()
+let create ?(index = Index_config.default) () : t = make index
 
 (* Record the newest published view in the retention ring (writer side;
    called after every update).  Epochs advance by one per successful
    update, so the ring holds a dense window of recent epochs; entries
-   beyond [retain] fall off the tail and can no longer be named by
+   beyond [retain_epochs] fall off the tail and can no longer be named by
    [view_at] unless pinned. *)
 let retain_note t =
-  if t.retain > 0 then begin
+  let retain = t.config.retain_epochs in
+  if retain > 0 then begin
     let v = t.ops.op_view () in
     match Atomic.get t.ring with
     | w :: _ when w.vw_epoch >= v.vw_epoch -> ()
@@ -493,7 +480,7 @@ let retain_note t =
         | x :: tl -> x :: keep (n - 1) tl
       in
       let full = v :: ring in
-      let kept = keep t.retain full in
+      let kept = keep retain full in
       let dropped = List.length full - List.length kept in
       if dropped > 0 then Dsdg_obs.Obs.add c_evictions dropped;
       Dsdg_obs.Obs.incr c_retained;
@@ -558,7 +545,7 @@ let view_extract v ~doc ~off ~len = v.vw_extract ~doc ~off ~len
 
 (* --- epoch retention and pinning --- *)
 
-let retain_epochs t = t.retain
+let retain_epochs t = t.config.retain_epochs
 
 (* Resolve an epoch against the live view, the retention ring, then the
    pin table.  Wait-free on any domain: each is one Atomic.get over
@@ -634,10 +621,10 @@ let dump t : dump =
   let v = t.ops.op_view () in
   let next_id, nf, del_counter = dump_scalars t in
   {
-    dm_variant = t.variant;
-    dm_backend = t.backend;
-    dm_sample = t.sample;
-    dm_tau = t.tau;
+    dm_variant = t.config.variant;
+    dm_backend = t.config.backend;
+    dm_sample = t.config.sample;
+    dm_tau = t.config.tau;
     dm_epoch = v.vw_epoch;
     dm_next_id = next_id;
     dm_nf = nf;
@@ -652,10 +639,10 @@ let dump t : dump =
 let checkpoint_header t (v : view) : dump =
   let next_id, nf, del_counter = dump_scalars t in
   {
-    dm_variant = t.variant;
-    dm_backend = t.backend;
-    dm_sample = t.sample;
-    dm_tau = t.tau;
+    dm_variant = t.config.variant;
+    dm_backend = t.config.backend;
+    dm_sample = t.config.sample;
+    dm_tau = t.config.tau;
     dm_epoch = v.vw_epoch;
     dm_next_id = next_id;
     dm_nf = nf;
@@ -665,10 +652,10 @@ let checkpoint_header t (v : view) : dump =
 
 let checkpoint_body (d : dump) (v : view) : dump = { d with dm_components = v.vw_components () }
 
-let restore ?fault ?(jobs = 0) ?(readers = 0) ?(seq_backend = Dsdg_delbits.Sums.Avl)
-    ?retain_epochs (d : dump) : t =
-  make ~variant:d.dm_variant ~backend:d.dm_backend ~sample:d.dm_sample ~tau:d.dm_tau
-    ~seq:seq_backend ?fault ~jobs ~readers ?retain_epochs ~restore_from:d ()
+(* The dump's shape wins; only the runtime fields come from [index]. *)
+let restore ?(index = Index_config.default) (d : dump) : t =
+  make ~restore_from:d
+    { index with variant = d.dm_variant; backend = d.dm_backend; sample = d.dm_sample; tau = d.dm_tau }
 
 (* Run [f] against the latest published view -- on one of the reader
    domains when the index was created with [readers >= 1], inline
@@ -698,7 +685,7 @@ let drain t = t.ops.op_drain ()
 
 (* Drain, then stop and join the executor's worker domains (background
    rebuilds and the reader pool alike).  Required for a clean exit when
-   [create ~jobs:(n > 0)] or [~readers:(n > 0)]; harmless otherwise.
+   [jobs > 0] or [readers > 0]; harmless otherwise.
    The index remains usable -- subsequent rebuilds run inline and
    queries fall back to the caller's domain. *)
 let close t =

@@ -5,60 +5,29 @@
     paper's "library management" problem, with the dynamization strategy
     and the static backend pluggable at creation time. *)
 
-(** Dynamization strategy. *)
-type variant =
-  | Amortized  (** Transformation 1: geometric schedule, amortized updates. *)
-  | Amortized_loglog
-      (** Transformation 3 (Appendix A.4): doubling schedule, cheaper
-          amortized insertions, O(log log n) sub-collections. *)
-  | Worst_case
-      (** Transformation 2: locked copies + background incremental
-          rebuilds; worst-case update bounds. *)
+(** Dynamization strategy ({!Index_config.variant}). *)
+type variant = Index_config.variant = Amortized | Amortized_loglog | Worst_case
 
-(** Static index plugged into the transformation. *)
-type backend =
-  | Fm  (** FM-index: compressed (nHk-style) space. *)
-  | Plain_sa  (** Plain suffix array: Table 3's fast/large class. *)
-  | Csa  (** Sadakane-style psi-based CSA: Table 1's row [39]. *)
+(** Static index plugged into the transformation ({!Index_config.backend}). *)
+type backend = Index_config.backend = Fm | Plain_sa | Csa
 
 type t
 
-(** [create ()] defaults to [Worst_case] over [Fm]. [sample] is the
-    suffix-array sampling rate s (locate cost vs space); [tau] the
-    lazy-deletion threshold (dead fraction tolerated before purge).
-    [fault] plants a deliberate scheduling defect (see
-    {!Transform2.fault}) so the differential checker can prove it
-    catches real bugs; it only affects [Worst_case] instances.
+(** [create ~index ()] builds an empty index with the settings of
+    [index] (default {!Index_config.default}: [Worst_case] over [Fm]);
+    raises [Invalid_argument] if {!Index_config.validate} rejects them.
 
-    [jobs] (default [0]) sets the background-rebuild executor: [0] is
-    the deterministic Sync mode (rebuild jobs stepped cooperatively
-    inside updates, bit-for-bit the historical behaviour); [n >= 1]
-    spawns [n] worker domains ({!Dsdg_exec.Executor}) that run
-    [Worst_case] rebuild jobs (and the amortized variants'
-    purge/global-rebuild constructions) off the update path, with
-    results installed at exactly the paper's install points.
-
-    [readers] (default [0]) sets the reader pool: [n >= 1] spawns [n]
-    domains that serve {!query} calls against the latest published
-    {!view} while updates stay exclusive on the caller's domain. Call
-    {!close} when done with a pooled index (jobs or readers).
-
-    [retain_epochs] (default [0]) bounds the epoch-retention ring: the
-    [n] most recently published views stay resolvable by {!view_at} /
-    [query ~epoch] after the writer has moved on. [0] retains nothing
-    beyond the live view -- the historical behavior. *)
-val create :
-  ?variant:variant ->
-  ?backend:backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?fault:Transform2.fault ->
-  ?jobs:int ->
-  ?readers:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
-  ?retain_epochs:int ->
-  unit ->
-  t
+    [jobs = 0] is the deterministic Sync mode (rebuild jobs stepped
+    cooperatively inside updates); [jobs >= 1] spawns worker domains
+    ({!Dsdg_exec.Executor}) that run [Worst_case] rebuild jobs (and the
+    amortized variants' purge/global-rebuild constructions) off the
+    update path, with results installed at exactly the paper's install
+    points. [readers >= 1] spawns domains that serve {!query} calls
+    against the latest published {!view} while updates stay exclusive on
+    the caller's domain. Call {!close} when done with a pooled index.
+    [retain_epochs = n] keeps the [n] most recently published views
+    resolvable by {!view_at} / [query ~epoch]. *)
+val create : ?index:Index_config.t -> unit -> t
 
 (** [insert t text] adds a document and returns its id. *)
 val insert : t -> string -> int
@@ -200,7 +169,7 @@ val query : ?epoch:int -> t -> (view -> 'a) -> 'a
 
 (** {1 Epoch retention and pinning}
 
-    With [create ~retain_epochs:n], the [n] most recently published
+    With [retain_epochs = n] in the index config, the [n] most recently published
     views are kept in an immutable ring (one [Atomic.set] per update on
     the writer; wait-free [Atomic.get] resolution on any domain), so
     recent epochs can be named by point-in-time queries. A {!pin}
@@ -208,7 +177,7 @@ val query : ?epoch:int -> t -> (view -> 'a) -> 'a
     the mechanism behind consistent backups taken while the writer
     proceeds. *)
 
-(** The [retain_epochs] this instance was created with. *)
+(** The [retain_epochs] setting this instance was created with. *)
 val retain_epochs : t -> int
 
 (** Resolve an epoch: the live view, the retention ring, then the pin
@@ -294,17 +263,13 @@ val checkpoint_body : dump -> view -> dump
     query answers, same schedule state, first published view continuing
     [dm_epoch]. Locked-copy / staging components ([L*], [Temp*]) in the
     dump mark rebuild jobs that died with the process; their live
-    documents are folded into fresh top collections. [fault], [jobs]
-    and [readers] are fresh runtime choices, not part of the dump.
-    O(n) index construction. *)
-val restore :
-  ?fault:Transform2.fault ->
-  ?jobs:int ->
-  ?readers:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
-  ?retain_epochs:int ->
-  dump ->
-  t
+    documents are folded into fresh top collections.
+
+    The dump's shape ([variant], [backend], [sample], [tau]) wins over
+    [index]'s; only the runtime fields ([fault], [jobs], [readers],
+    [seq_backend], [retain_epochs]) are taken from [index], since a
+    dump never records them. O(n) index construction. *)
+val restore : ?index:Index_config.t -> dump -> t
 
 (** Land every in-flight background job now (each counts as a forced
     completion); no-op for the amortized variants. *)

@@ -1,0 +1,93 @@
+(** The settings of one dynamic index, as one value.
+
+    The paper fixes four construction parameters per index: the
+    dynamization schedule, the static backend, the suffix-array
+    sampling rate s and the lazy-deletion threshold tau. The engine adds
+    five runtime settings. Every layer that builds an index
+    ([Dynamic_index], the store, the shards, the replicas and their
+    checkers) takes one [t] instead of nine optional arguments.
+
+    {b What persists.} A snapshot records the {e shape} fields
+    ([variant], [backend], [sample], [tau]); restoring one keeps them
+    and takes only the {e runtime} fields ([fault], [jobs], [readers],
+    [seq_backend], [retain_epochs]) from the caller's config. *)
+
+(** Dynamization strategy. *)
+type variant =
+  | Amortized  (** Transformation 1: geometric schedule, amortized updates. *)
+  | Amortized_loglog
+      (** Transformation 3 (Appendix A.4): doubling schedule, cheaper
+          amortized insertions, O(log log n) sub-collections. *)
+  | Worst_case
+      (** Transformation 2: locked copies + background incremental
+          rebuilds; worst-case update bounds. *)
+
+(** Static index plugged into the transformation. *)
+type backend =
+  | Fm  (** FM-index: compressed (nHk-style) space. *)
+  | Plain_sa  (** Plain suffix array: Table 3's fast/large class. *)
+  | Csa  (** Sadakane-style psi-based CSA: Table 1's row [39]. *)
+
+type t = {
+  variant : variant;  (** persisted *)
+  backend : backend;  (** persisted *)
+  sample : int;  (** suffix-array sampling rate s (locate cost vs space); persisted *)
+  tau : int;  (** dead fraction 1/tau tolerated before a purge; persisted *)
+  fault : Transform2.fault option;
+      (** a deliberate scheduling defect ({!Transform2.fault}) so the
+          differential checkers can prove they catch real bugs; affects
+          [Worst_case] indexes only *)
+  jobs : int;
+      (** background-rebuild worker domains; [0] steps rebuilds
+          cooperatively inside updates (deterministic) *)
+  readers : int;  (** reader-pool domains serving queries from published views *)
+  seq_backend : Dsdg_delbits.Sums.kind;  (** dynamic-sequence substrate *)
+  retain_epochs : int;  (** recently published views kept resolvable for as-of reads *)
+}
+
+(** [Worst_case] over [Fm], s = 8, tau = 8, no fault, no worker or
+    reader domains, the [Avl] substrate, no retained epochs. *)
+val default : t
+
+(** [validate t] is [t] when [tau >= 1], [sample >= 1] and [jobs],
+    [readers], [retain_epochs >= 0]; otherwise it raises
+    [Invalid_argument] naming the first bad field. Every index
+    constructor calls it. *)
+val validate : t -> t
+
+(** {1 Names} *)
+
+(** [("amortized", Amortized); ("loglog", Amortized_loglog);
+    ("worst-case", Worst_case)] -- the command-line spellings. *)
+val variants : (string * variant) list
+
+(** [("fm", Fm); ("sa", Plain_sa); ("csa", Csa)]. *)
+val backends : (string * backend) list
+
+(** ["skip-top-clean"], ["worker-crash"], ["stale-epoch"]. *)
+val faults : (string * Transform2.fault) list
+
+(** {1 Trace-hint header}
+
+    A failing fuzz trace records the settings it ran under as
+    [key=value] fields of its [% requires ...] header (see
+    [Dsdg_check.Trace.hint]). Keys: [sample tau fault jobs readers
+    seq]; values use the command-line spellings. An absent key means
+    "no requirement". The other fields are not hinted: a replay line
+    names the variant and backend explicitly, and no fuzz harness reads
+    a retained epoch. *)
+
+(** The hinted fields of [t] that differ from [base], in key order. *)
+val to_hint : base:t -> t -> (string * string) list
+
+(** [base] with every recognized, well-formed field applied; other
+    fields are ignored. [of_hint ~base (to_hint ~base t) = t]. *)
+val of_hint : base:t -> (string * string) list -> t
+
+(** [(flag, wanted, got)] for every recognized field whose value [t]
+    does not have; [flag] is the command-line option without dashes. *)
+val mismatches : (string * string) list -> t -> (string * string * string) list
+
+(** The command-line options that set the fields [to_hint ~base t]
+    lists, e.g. [" --tau 3 --fault skip-top-clean"]. *)
+val to_flags : base:t -> t -> string

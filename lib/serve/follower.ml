@@ -285,19 +285,14 @@ let fresh_dir dir =
   (not (Sys.file_exists dir))
   || ((not (Sys.file_exists (Recovery.wal_path ~dir))) && Snapshot.list ~dir = [])
 
-let start ?(config = Durable.default_config) ?variant ?backend ?sample ?tau ?fault ?jobs
-    ?readers ?seq_backend ?retain_epochs ?(poll = 0.02) ?(connect_attempts = 25) ~leader ~dir
-    () =
+let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_attempts = 25)
+    ~leader ~dir () =
   let cl =
     match connect_backoff ~stop:(Atomic.make false) ~attempts:connect_attempts leader with
     | Some cl -> cl
     | None -> failwith (Printf.sprintf "cannot reach leader at %s" (leader_name leader))
   in
-  let reopen () =
-    fst
-      (Durable.open_ ~config ?variant ?backend ?sample ?tau ?fault ?jobs ?readers ?seq_backend
-         ?retain_epochs ~dir ())
-  in
+  let reopen () = fst (Durable.open_ ~config ?index ~dir ()) in
   let replica, reopen_opt =
     Fun.protect
       ~finally:(fun () -> Client.close cl)
@@ -327,12 +322,7 @@ let start ?(config = Durable.default_config) ?variant ?backend ?sample ?tau ?fau
           (* sharded: open (or create) the replica layout; a directory
              seeded from a pinned backup recovers to the pinned prefix
              and the streams resume from the recovered serials *)
-          ignore fault;
-          (* Transform2 fault planting is a single-index knob *)
-          let sh, _infos =
-            Sh.open_store ~config ?variant ?backend ?sample ?tau ?jobs ?readers ?seq_backend
-              ?retain_epochs ~shards:k ~dir ()
-          in
+          let sh, _infos = Sh.open_store ~config ?index ~shards:k ~dir () in
           (R_sharded sh, None))
   in
   let t =

@@ -64,22 +64,14 @@ type lag = {
     times with backoff; raises [Failure] if the leader stays
     unreachable), bootstraps the replica under [dir], and spawns the
     tail thread.  [poll] (default 20ms) is the idle delay between
-    empty polls; the index/store parameters mirror
-    {!Dsdg_store.Durable.open_} and apply to the local replica --
-    including [fault], which plants a defect in the {e replica's} index
-    (K=1 only; the replication checkers use it to prove divergence
-    detection works). *)
+    empty polls; [config] and [index] mirror
+    {!Dsdg_store.Durable.open_} and apply to the local replica (every
+    shard of a sharded one) -- including [index.fault], which plants a
+    defect in the {e replica's} index; the replication checkers use it
+    to prove divergence detection works. *)
 val start :
   ?config:Dsdg_store.Durable.config ->
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?fault:Dsdg_core.Transform2.fault ->
-  ?jobs:int ->
-  ?readers:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
-  ?retain_epochs:int ->
+  ?index:Dsdg_core.Index_config.t ->
   ?poll:float ->
   ?connect_attempts:int ->
   leader:[ `Unix of string | `Tcp of string * int ] ->

@@ -60,22 +60,17 @@ let leader_config ~sync ~checkpoint_every =
 (* Spin up leader server + follower + client on an ephemeral TCP port.
    The leader handle stays visible so quiesce detection can compare
    serials directly instead of guessing from op counts. *)
-let start_cluster ?variant ?backend ?sample ?tau ?seq_backend ?fault ~shards ~sync
-    ~checkpoint_every ~dir () =
+let start_cluster ~(index : Dsdg_core.Index_config.t) ~shards ~sync ~checkpoint_every ~dir () =
   let lead_dir = Filename.concat dir "leader" and repl_dir = Filename.concat dir "replica" in
   let config = leader_config ~sync ~checkpoint_every in
+  let lead_index = { index with fault = None } in
   let leader, engine =
     if shards <= 1 then begin
-      let st, _ =
-        Durable.open_ ~config ?variant ?backend ?sample ?tau ?seq_backend ~dir:lead_dir ()
-      in
+      let st, _ = Durable.open_ ~config ~index:lead_index ~dir:lead_dir () in
       (`Single st, Server.engine_of_store st)
     end
     else begin
-      let sh, _ =
-        Sh.open_store ~config ?variant ?backend ?sample ?tau ?seq_backend ~shards ~dir:lead_dir
-          ()
-      in
+      let sh, _ = Sh.open_store ~config ~index:lead_index ~shards ~dir:lead_dir () in
       (`Sharded sh, Server.engine_of_sharded sh)
     end
   in
@@ -87,8 +82,7 @@ let start_cluster ?variant ?backend ?sample ?tau ?seq_backend ?fault ~shards ~sy
      replica-vs-model oracle -- that is exactly what the self-test
      needs to prove the oracle has teeth *)
   let follower =
-    Follower.start ~config:Durable.default_config ?variant ?backend ?sample ?tau ?fault
-      ?seq_backend ~poll:0.002 ~leader:addr ~dir:repl_dir ()
+    Follower.start ~config:Durable.default_config ~index ~poll:0.002 ~leader:addr ~dir:repl_dir ()
   in
   let client = Client.connect addr in
   { cl_server = server; cl_leader = leader; cl_follower = follower; cl_client = client }
@@ -167,14 +161,13 @@ let outcome_to_string o =
       (String.concat "; "
          (List.map (fun (p, m) -> Printf.sprintf "[after %d ops] %s" p m) o.rc_failures))
 
-let convergence ?variant ?backend ?sample ?tau ?seq_backend ?fault ?(shards = 1)
+let convergence ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
     ?(sync = Dsdg_store.Wal.Always) ?(checkpoint_every = 0) ?(quiesce_every = 16) ~dir ~ops ()
     =
   reset_dir dir;
   let ops = mutations ops in
   let c =
-    start_cluster ?variant ?backend ?sample ?tau ?seq_backend ?fault ~shards ~sync
-      ~checkpoint_every ~dir ()
+    start_cluster ~index ~shards ~sync ~checkpoint_every ~dir ()
   in
   let model = Model.create () in
   let inserts = ref 0 in
@@ -217,13 +210,11 @@ let convergence ?variant ?backend ?sample ?tau ?seq_backend ?fault ?(shards = 1)
 
 (* Delta-debug a diverging stream (K=1 keeps runtime sane): the failing
    predicate replays the whole cluster per candidate. *)
-let shrink ?variant ?backend ?sample ?tau ?seq_backend ?shards ?sync ?checkpoint_every
-    ?quiesce_every ?(max_runs = 24) ~dir ops =
+let shrink ?index ?shards ?sync ?checkpoint_every ?quiesce_every ?(max_runs = 24) ~dir ops =
   Runner.shrink_ops ~max_runs
     ~fails:(fun candidate ->
       let o =
-        convergence ?variant ?backend ?sample ?tau ?seq_backend ?shards ?sync ?checkpoint_every
-          ?quiesce_every ~dir ~ops:candidate ()
+        convergence ?index ?shards ?sync ?checkpoint_every ?quiesce_every ~dir ~ops:candidate ()
       in
       o.rc_failures <> [])
     ops
@@ -234,7 +225,7 @@ let shrink ?variant ?backend ?sample ?tau ?seq_backend ?shards ?sync ?checkpoint
    shipped), promote the follower, and verify every acknowledged write
    -- then drive the remaining ops on the promoted store and re-verify,
    so promotion leaves a fully functional writer. *)
-let failover_sweep ?variant ?backend ?sample ?tau ?seq_backend ?(shards = 1)
+let failover_sweep ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
     ?(sync = Dsdg_store.Wal.Always) ?(checkpoint_every = 0) ?(torn = true) ?(stride = 8) ~dir
     ~ops () =
   let ops = mutations ops in
@@ -244,8 +235,7 @@ let failover_sweep ?variant ?backend ?sample ?tau ?seq_backend ?(shards = 1)
     incr points;
     reset_dir dir;
     let c =
-      start_cluster ?variant ?backend ?sample ?tau ?seq_backend ~shards ~sync ~checkpoint_every
-        ~dir ()
+      start_cluster ~index ~shards ~sync ~checkpoint_every ~dir ()
     in
     let model = Model.create () in
     let inserts = ref 0 in

@@ -36,18 +36,13 @@ type outcome = {
 val outcome_to_string : outcome -> string
 
 (** [convergence ~dir ~ops ()] -- non-mutation ops in [ops] are
-    ignored.  [fault] plants a defect in the K=1 {e replica's} index
-    (the leader's WAL stays correct either way, so replica-side
-    corruption is the only kind this oracle can and must catch -- the
-    planted fault is the checker's self-test).  [dir] is wiped
-    first. *)
+    ignored.  [index] configures leader and replica alike, except that
+    [index.fault] is planted in the {e replica's} index only (the
+    leader's WAL stays correct either way, so replica-side corruption
+    is the only kind this oracle can and must catch -- the planted
+    fault is the checker's self-test).  [dir] is wiped first. *)
 val convergence :
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
-  ?fault:Dsdg_core.Transform2.fault ->
+  ?index:Dsdg_core.Index_config.t ->
   ?shards:int ->
   ?sync:Dsdg_store.Wal.sync ->
   ?checkpoint_every:int ->
@@ -61,11 +56,7 @@ val convergence :
     candidate replays a whole fresh cluster, so [max_runs] (default 24)
     keeps the budget sane. *)
 val shrink :
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
+  ?index:Dsdg_core.Index_config.t ->
   ?shards:int ->
   ?sync:Dsdg_store.Wal.sync ->
   ?checkpoint_every:int ->
@@ -81,11 +72,7 @@ val shrink :
     leader's WAL.  Returns a {!Dsdg_store.Kill_check.outcome} so it
     reports like the other kill sweeps. *)
 val failover_sweep :
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
+  ?index:Dsdg_core.Index_config.t ->
   ?shards:int ->
   ?sync:Dsdg_store.Wal.sync ->
   ?checkpoint_every:int ->

@@ -9,26 +9,11 @@ module Durable = Dsdg_store.Durable
 module Kill_check = Dsdg_store.Kill_check
 module S = Sharded_index
 
-type config = {
-  sc_variant : Di.variant;
-  sc_backend : Di.backend;
-  sc_sample : int;
-  sc_tau : int;
-  sc_jobs : int;
-  sc_readers : int;
-  sc_seq : Dsdg_delbits.Sums.kind;
-  sc_shard_counts : int list;
-}
+type config = { sc_index : Dsdg_core.Index_config.t; sc_shard_counts : int list }
 
 let default_config =
   {
-    sc_variant = Di.Amortized;
-    sc_backend = Di.Fm;
-    sc_sample = 2;
-    sc_tau = 4;
-    sc_jobs = 0;
-    sc_readers = 0;
-    sc_seq = Dsdg_delbits.Sums.Avl;
+    sc_index = { Runner.default_config.index with variant = Di.Amortized };
     sc_shard_counts = [ 1; 2; 4 ];
   }
 
@@ -58,21 +43,9 @@ let rebalance_every = 41
 
 let run_trace ?(config = default_config) ops =
   let model = Model.create () in
-  let mk_baseline () =
-    Di.create ~variant:config.sc_variant ~backend:config.sc_backend ~sample:config.sc_sample
-      ~tau:config.sc_tau ~jobs:config.sc_jobs ~readers:config.sc_readers
-      ~seq_backend:config.sc_seq ()
-  in
-  let baseline = mk_baseline () in
-  let shardeds =
-    List.map
-      (fun k ->
-        ( k,
-          S.create ~variant:config.sc_variant ~backend:config.sc_backend ~sample:config.sc_sample
-            ~tau:config.sc_tau ~jobs:config.sc_jobs ~readers:config.sc_readers
-            ~seq_backend:config.sc_seq ~shards:k () ))
-      config.sc_shard_counts
-  in
+  let index = config.sc_index in
+  let baseline = Di.create ~index () in
+  let shardeds = List.map (fun k -> (k, S.create ~index ~shards:k ())) config.sc_shard_counts in
   Fun.protect
     ~finally:(fun () ->
       Di.close baseline;
@@ -87,19 +60,19 @@ let run_trace ?(config = default_config) ops =
   (* baseline queries through the read plane when it owns readers, same
      as the variant matrix *)
   let b_search p =
-    if config.sc_readers > 0 then Di.query baseline (fun v -> Di.view_search v p)
+    if index.readers > 0 then Di.query baseline (fun v -> Di.view_search v p)
     else Di.search baseline p
   in
   let b_count p =
-    if config.sc_readers > 0 then Di.query baseline (fun v -> Di.view_count v p)
+    if index.readers > 0 then Di.query baseline (fun v -> Di.view_count v p)
     else Di.count baseline p
   in
   let b_extract ~doc ~off ~len =
-    if config.sc_readers > 0 then Di.query baseline (fun v -> Di.view_extract v ~doc ~off ~len)
+    if index.readers > 0 then Di.query baseline (fun v -> Di.view_extract v ~doc ~off ~len)
     else Di.extract baseline ~doc ~off ~len
   in
   let b_mem id =
-    if config.sc_readers > 0 then Di.query baseline (fun v -> Di.view_mem v id)
+    if index.readers > 0 then Di.query baseline (fun v -> Di.view_mem v id)
     else Di.mem baseline id
   in
   try
@@ -214,19 +187,6 @@ let run_stream ?(config = default_config) ?profile ?(shrink_budget = 200) ~seed 
     let failure = match run_trace ~config shrunk with Error f' -> f' | Ok () -> f in
     Fail { failure; trace; shrunk }
 
-let hint_of_config config =
-  {
-    Trace.no_hint with
-    Trace.h_shards =
-      (match config.sc_shard_counts with [] -> None | ks -> Some (List.fold_left max 1 ks));
-    h_readers = (if config.sc_readers > 0 then Some config.sc_readers else None);
-    h_jobs = (if config.sc_jobs > 0 then Some config.sc_jobs else None);
-    h_seq =
-      (if config.sc_seq <> Dsdg_delbits.Sums.Avl then
-         Some (Dsdg_delbits.Sums.kind_to_string config.sc_seq)
-       else None);
-  }
-
 let report ?seed ~failure ~shrunk () =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -312,9 +272,8 @@ let apply_op t model op =
     if g <> m then failwith (Printf.sprintf "mem %d -> %b, model %b" id g m)
   | Trace.Drain -> S.drain t
 
-let kill_sweep ?variant ?backend ?sample ?tau ?seq_backend ?(config = default_sweep_config)
-    ?(torn = true)
-    ?(stride = 1) ~shards ~dir ~ops () =
+let kill_sweep ?index ?(config = default_sweep_config) ?(torn = true) ?(stride = 1) ~shards ~dir
+    ~ops () =
   let ops_arr = Array.of_list ops in
   let n = Array.length ops_arr in
   let texts = insert_texts ops in
@@ -327,7 +286,7 @@ let kill_sweep ?variant ?backend ?sample ?tau ?seq_backend ?(config = default_sw
       Kill_check.reset_dir dir;
       let model = Model.create () in
       let t, _ =
-        S.open_store ~config ?variant ?backend ?sample ?tau ?seq_backend ~shards ~dir ()
+        S.open_store ~config ?index ~shards ~dir ()
       in
       for i = 0 to k - 1 do
         apply_op t model ops_arr.(i)
@@ -337,7 +296,7 @@ let kill_sweep ?variant ?backend ?sample ?tau ?seq_backend ?(config = default_sw
       if k mod 2 = 1 then ignore (S.rebalance_hottest t);
       S.kill t ~torn;
       let t, _ =
-        S.open_store ~config ?variant ?backend ?sample ?tau ?seq_backend ~recovery_jobs ~shards ~dir ()
+        S.open_store ~config ?index ~recovery_jobs ~shards ~dir ()
       in
       Fun.protect ~finally:(fun () -> S.close t) @@ fun () ->
       verify ~what:(Printf.sprintf "recovery at point %d" k) t model texts;
@@ -358,9 +317,8 @@ let kill_sweep ?variant ?backend ?sample ?tau ?seq_backend ?(config = default_sw
 
 exception Killed
 
-let split_kill_sweep ?variant ?backend ?sample ?tau ?seq_backend
-    ?(config = default_sweep_config)
-    ?(torn = false) ~shards ~dir ~ops () =
+let split_kill_sweep ?index ?(config = default_sweep_config) ?(torn = false) ~shards ~dir ~ops ()
+    =
   if shards < 2 then invalid_arg "Shard_check.split_kill_sweep: needs shards >= 2";
   let texts = insert_texts ops in
   let failures = ref [] in
@@ -375,7 +333,7 @@ let split_kill_sweep ?variant ?backend ?sample ?tau ?seq_backend
     (try
        Kill_check.reset_dir dir;
        let model = Model.create () in
-       let t, _ = S.open_store ~config ?variant ?backend ?sample ?tau ?seq_backend ~shards ~dir () in
+       let t, _ = S.open_store ~config ?index ~shards ~dir () in
        List.iter (fun op -> apply_op t model op) ops;
        let upper = Array.length texts in
        let src = ref 0 and best = ref (-1) in
@@ -402,7 +360,7 @@ let split_kill_sweep ?variant ?backend ?sample ?tau ?seq_backend
         with Killed -> ());
        S.kill t ~torn;
        let t, _ =
-         S.open_store ~config ?variant ?backend ?sample ?tau ?seq_backend ~recovery_jobs:2 ~shards ~dir ()
+         S.open_store ~config ?index ~recovery_jobs:2 ~shards ~dir ()
        in
        Fun.protect ~finally:(fun () -> S.close t) @@ fun () ->
        verify ~what:(Printf.sprintf "split recovery at kill point %d" k) t model texts;

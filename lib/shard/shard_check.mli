@@ -10,9 +10,7 @@
     so a sharded collection must be byte-identical to the K=1 index it
     partitions.  Periodic {!Sharded_index.rebalance_hottest} churn
     keeps document migration inside the checked region.  Failing
-    streams are delta-debugged with {!Dsdg_check.Runner.shrink_ops},
-    and replay traces record the shard count in their
-    {!Dsdg_check.Trace.hint}.
+    streams are delta-debugged with {!Dsdg_check.Runner.shrink_ops}.
 
     The durable sweeps are the persistence analogue, mirroring
     {!Dsdg_store.Kill_check}: {!kill_sweep} crashes a sharded store at
@@ -24,18 +22,14 @@
     exactly once -- no loss, no duplication across shards. *)
 
 type config = {
-  sc_variant : Dsdg_core.Dynamic_index.variant;
-  sc_backend : Dsdg_core.Dynamic_index.backend;
-  sc_sample : int;
-  sc_tau : int;
-  sc_jobs : int;  (** executor workers per index/shard (0 = sync) *)
-  sc_readers : int;  (** reader-pool domains; > 0 routes queries through views *)
-  sc_seq : Dsdg_delbits.Sums.kind;
-      (** dynamic-sequence substrate for baseline and every shard
-          (default [Avl]); recorded in replay hints as [seq=<name>] *)
+  sc_index : Dsdg_core.Index_config.t;
+      (** settings of the K=1 baseline and of every shard; [readers > 0]
+          routes queries through views *)
   sc_shard_counts : int list;  (** K values under test (default [[1; 2; 4]]) *)
 }
 
+(** {!Dsdg_check.Runner.default_config}'s index settings over the
+    [Amortized] variant, K in [{1, 2, 4}]. *)
 val default_config : config
 
 type failure = {
@@ -70,11 +64,6 @@ val run_stream :
   unit ->
   stream_outcome
 
-(** The {!Dsdg_check.Trace.hint} a saved replay of this configuration
-    needs: shard count = max configured K, plus readers/jobs when
-    non-zero. *)
-val hint_of_config : config -> Dsdg_check.Trace.hint
-
 (** Human-readable failure report (minimal trace included). *)
 val report : ?seed:int -> failure:failure -> shrunk:Dsdg_check.Trace.op list -> unit -> string
 
@@ -91,11 +80,7 @@ val report : ?seed:int -> failure:failure -> shrunk:Dsdg_check.Trace.op list -> 
     shared with {!Dsdg_store.Kill_check} ([kf_point] = ops applied
     before the crash). *)
 val kill_sweep :
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
+  ?index:Dsdg_core.Index_config.t ->
   ?config:Dsdg_store.Durable.config ->
   ?torn:bool ->
   ?stride:int ->
@@ -116,11 +101,7 @@ val kill_sweep :
     inserts.  [kf_point] reports the kill-point index within the
     migration. *)
 val split_kill_sweep :
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
+  ?index:Dsdg_core.Index_config.t ->
   ?config:Dsdg_store.Durable.config ->
   ?torn:bool ->
   shards:int ->

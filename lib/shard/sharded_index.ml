@@ -216,24 +216,21 @@ let set_l2g m s v =
   a.(s) <- v;
   a
 
-let mk_retention ~shards retain_epochs =
-  let retain = max 0 (match retain_epochs with Some r -> r | None -> 0) in
+let mk_retention ~shards (index : Dsdg_core.Index_config.t) =
+  let retain = index.retain_epochs in
   (retain, retain * shards)
 
-let create ?variant ?backend ?sample ?tau ?jobs ?readers ?seq_backend ?retain_epochs ~shards ()
-    =
+let create ?(index = Dsdg_core.Index_config.default) ~shards () =
   if shards < 1 then invalid_arg "Sharded_index.create: shards must be >= 1";
-  let idxs =
-    Array.init shards (fun _ ->
-        Di.create ?variant ?backend ?sample ?tau ?jobs ?readers ?seq_backend ?retain_epochs ())
-  in
-  let retain, map_cap = mk_retention ~shards retain_epochs in
+  let index = Dsdg_core.Index_config.validate index in
+  let idxs = Array.init shards (fun _ -> Di.create ~index ()) in
+  let retain, map_cap = mk_retention ~shards index in
   {
     k = shards;
     idxs;
     backing = Mem;
     mapping = Atomic.make (mapping0 shards);
-    readers = (match readers with Some r -> r | None -> 0);
+    readers = index.readers;
     ins_total = Array.make shards 0;
     closed = false;
     poisoned = false;
@@ -255,9 +252,10 @@ let store_shards ~dir =
     | None -> None
     | Some line -> parse_header line
 
-let open_store ?(config = Durable.default_config) ?variant ?backend ?sample ?tau ?jobs ?readers
-    ?seq_backend ?retain_epochs ?(recovery_jobs = 0) ~shards ~dir () =
+let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_config.default)
+    ?(recovery_jobs = 0) ~shards ~dir () =
   if shards < 1 then invalid_arg "Sharded_index.open_store: shards must be >= 1";
+  let index = Dsdg_core.Index_config.validate index in
   let t0 = Obs.start () in
   Dsdg_store.Snapshot.ensure_dir dir;
   let fsync = config.Durable.sync <> Dsdg_store.Wal.Never in
@@ -274,8 +272,7 @@ let open_store ?(config = Durable.default_config) ?variant ?backend ?sample ?tau
      recovery_jobs > 0; each store recovers independently (newest valid
      snapshot + WAL tail replay) *)
   let open_one s =
-    Durable.open_ ~config ?variant ?backend ?sample ?tau ?jobs ?readers ?seq_backend
-      ?retain_epochs ~dir:(shard_dir dir s) ()
+    Durable.open_ ~config ~index ~dir:(shard_dir dir s) ()
   in
   let pairs =
     if recovery_jobs > 0 then begin
@@ -378,7 +375,7 @@ let open_store ?(config = Durable.default_config) ?variant ?backend ?sample ?tau
   done;
   if !changed || !fixups > 0 then meta_rewrite meta k (List.rev !surviving)
   else meta.mt_records <- List.length events;
-  let retain, map_cap = mk_retention ~shards:k retain_epochs in
+  let retain, map_cap = mk_retention ~shards:k index in
   let t =
     {
       k;
@@ -387,7 +384,7 @@ let open_store ?(config = Durable.default_config) ?variant ?backend ?sample ?tau
       mapping =
         Atomic.make
           { m_g2p = !g2p; m_l2g = l2g; m_next_global = !next_g; m_version = 0 };
-      readers = (match readers with Some r -> r | None -> 0);
+      readers = index.readers;
       ins_total = totals;
       closed = false;
       poisoned = false;

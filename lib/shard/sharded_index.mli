@@ -66,37 +66,19 @@ exception
 
 (** {1 Construction} *)
 
-val create :
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?jobs:int ->
-  ?readers:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
-  ?retain_epochs:int ->
-  shards:int ->
-  unit ->
-  t
+val create : ?index:Dsdg_core.Index_config.t -> shards:int -> unit -> t
 (** In-memory sharded index: [shards] independent
-    [Dynamic_index.create]d shards ([jobs] executor workers and
-    [readers] reader-pool domains {e each}).  [retain_epochs] threads to
-    every shard and additionally retains recent mappings so composite
+    [Dynamic_index.create ~index]d shards (so [jobs] executor workers
+    and [readers] reader-pool domains {e each}).  [retain_epochs] also
+    retains recent mappings so composite
     {!epoch_vector}s stay resolvable for as-of queries (the mapping
     version advances once per update vs roughly [1/K] per shard epoch,
     so the mapping ring holds [retain_epochs * K] entries).  Raises
-    [Invalid_argument] when [shards < 1]. *)
+    [Invalid_argument] when [shards < 1] or [index] is invalid. *)
 
 val open_store :
   ?config:Dsdg_store.Durable.config ->
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?jobs:int ->
-  ?readers:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
-  ?retain_epochs:int ->
+  ?index:Dsdg_core.Index_config.t ->
   ?recovery_jobs:int ->
   shards:int ->
   dir:string ->
@@ -104,7 +86,8 @@ val open_store :
   t * Dsdg_store.Recovery.info array
 (** Open (or create) a durable sharded store under [dir]: K =
     [shards] sub-stores [dir/shard-s], each opened through
-    [Durable.open_] with [config], plus the [shard.meta] placement log.
+    [Durable.open_] with [config] and [index], plus the [shard.meta]
+    placement log.
     [recovery_jobs > 0] opens the shard stores in parallel on that many
     executor worker domains (default [0]: sequential, deterministic).
     Returns per-shard recovery reports in shard order.

@@ -54,12 +54,8 @@ let durable_serial t = Wal.durable_serial t.wal
 let wal_path t = Wal.path t.wal
 let sync_wal t = Wal.sync t.wal
 
-let open_ ?(config = default_config) ?variant ?backend ?sample ?tau ?fault ?jobs ?readers
-    ?seq_backend ?retain_epochs ~dir () =
-  let idx, info =
-    Recovery.open_or_recover ?variant ?backend ?sample ?tau ?fault ?jobs ?readers ?seq_backend
-      ?retain_epochs ~dir ()
-  in
+let open_ ?(config = default_config) ?index ~dir () =
+  let idx, info = Recovery.open_or_recover ?index ~dir () in
   Snapshot.ensure_dir dir;
   let wal_file = Recovery.wal_path ~dir in
   let wal =

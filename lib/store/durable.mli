@@ -34,19 +34,11 @@ val default_config : config
 type t
 
 (** Open a store directory, running crash recovery if it has prior
-    state (see {!Recovery.open_or_recover} for parameter semantics and
-    exceptions). Creates the directory and a fresh WAL as needed. *)
+    state (see {!Recovery.open_or_recover} for which [index] fields a
+    snapshot overrides, and for exceptions). Creates the directory and a fresh WAL as needed. *)
 val open_ :
   ?config:config ->
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?fault:Dsdg_core.Transform2.fault ->
-  ?jobs:int ->
-  ?readers:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
-  ?retain_epochs:int ->
+  ?index:Dsdg_core.Index_config.t ->
   dir:string ->
   unit ->
   t * Recovery.info

@@ -87,8 +87,7 @@ let verify ~label idx m ~inserts =
 let default_sweep_config =
   { Durable.sync = Wal.Always; checkpoint_every = 7; checkpoint_jobs = 0; keep_snapshots = 2; wal_archives = 4 }
 
-let sweep ?variant ?backend ?sample ?tau ?seq_backend ?(config = default_sweep_config)
-    ?(torn = true) ?(stride = 1) ~dir ~ops () =
+let sweep ?index ?(config = default_sweep_config) ?(torn = true) ?(stride = 1) ~dir ~ops () =
   let ops = Array.of_list ops in
   let n = Array.length ops in
   let stride = max 1 stride in
@@ -97,7 +96,7 @@ let sweep ?variant ?backend ?sample ?tau ?seq_backend ?(config = default_sweep_c
   let point k =
     incr points;
     reset_dir dir;
-    let d, _ = Durable.open_ ~config ?variant ?backend ?sample ?tau ?seq_backend ~dir () in
+    let d, _ = Durable.open_ ~config ?index ~dir () in
     let m = Model.create () in
     let inserts = ref 0 in
     let fail detail = failures := { kf_point = k; kf_detail = detail } :: !failures in
@@ -106,7 +105,7 @@ let sweep ?variant ?backend ?sample ?tau ?seq_backend ?(config = default_sweep_c
         apply d m inserts ops.(i)
       done;
       Durable.kill d ~torn;
-      let d2, _ = Durable.open_ ~config ?variant ?backend ?sample ?tau ?seq_backend ~dir () in
+      let d2, _ = Durable.open_ ~config ?index ~dir () in
       List.iter fail (verify ~label:"after recovery" (Durable.index d2) m ~inserts:!inserts);
       for i = k to n - 1 do
         apply d2 m inserts ops.(i)

@@ -29,16 +29,13 @@ type outcome = {
 val outcome_to_string : outcome -> string
 
 (** [sweep ~dir ~ops ()] exercises kill points [0, stride, 2*stride,
-    ..., length ops]. [dir] is scratch space, wiped per point. [torn]
+    ..., length ops]. [dir] is scratch space, wiped per point. [index]
+    configures every store the sweep opens. [torn]
     (default [true]) plants the half-written final record. [config]
     defaults to fsync-always with a checkpoint every 7 updates, so the
     sweep crosses snapshot installs as well as pure WAL tails. *)
 val sweep :
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
+  ?index:Dsdg_core.Index_config.t ->
   ?config:Durable.config ->
   ?torn:bool ->
   ?stride:int ->

@@ -63,19 +63,15 @@ let load_newest ~dir =
   in
   go [] (Snapshot.list ~dir)
 
-let open_or_recover ?(variant = Di.Worst_case) ?(backend = Di.Fm) ?(sample = 8) ?(tau = 8)
-    ?fault ?(jobs = 0) ?(readers = 0) ?seq_backend ?retain_epochs ?(read_only = false) ~dir () =
+let open_or_recover ?(index = Dsdg_core.Index_config.default) ?(read_only = false) ~dir () =
+  let index = Dsdg_core.Index_config.validate index in
   let t0 = Obs.start () in
   let loaded, skipped = load_newest ~dir in
   let idx, snap_path, snap_serial =
     match loaded with
     | Some (path, dump, wal_serial) ->
-      (Di.restore ?fault ~jobs ~readers ?seq_backend ?retain_epochs dump, Some path, wal_serial)
-    | None ->
-      ( Di.create ~variant ~backend ~sample ~tau ?fault ~jobs ~readers ?seq_backend
-          ?retain_epochs (),
-        None,
-        0 )
+      (Di.restore ~index dump, Some path, wal_serial)
+    | None -> (Di.create ~index (), None, 0)
   in
   let wal = wal_path ~dir in
   let replayed, truncated, next_serial =

@@ -45,12 +45,14 @@ val wal_path : dir:string -> string
     log are ignored. Exposed for the CLI's replay paths. *)
 val apply_op : Dsdg_core.Dynamic_index.t -> Dsdg_check.Trace.op -> unit
 
-(** [open_or_recover ~dir ()] runs the state machine above. The
-    creation parameters ([variant] .. [tau]) are used only when the
-    directory holds no usable snapshot {e and} no WAL -- a genuinely
-    fresh store; otherwise the dump's recorded parameters win. [fault],
-    [jobs], [readers] and [retain_epochs] are fresh runtime choices,
-    never persisted.
+(** [open_or_recover ~dir ()] runs the state machine above. The shape
+    fields of [index] ([variant], [backend], [sample], [tau]) are used
+    only when the directory holds no usable snapshot -- otherwise the
+    snapshot's recorded shape wins (see
+    {!Dsdg_core.Dynamic_index.restore}). The runtime fields are fresh
+    choices, never persisted. Raises [Invalid_argument] before touching
+    the directory if {!Dsdg_core.Index_config.validate} rejects
+    [index].
 
     [read_only] (default [false]) guarantees no on-disk mutation: the
     torn-tail truncation is skipped (the torn record is still dropped
@@ -63,15 +65,7 @@ val apply_op : Dsdg_core.Dynamic_index.t -> Dsdg_check.Trace.op -> unit
     so its records cannot stand alone) and
     {!Dsdg_check.Trace.Parse_error} on interior WAL corruption. *)
 val open_or_recover :
-  ?variant:Dsdg_core.Dynamic_index.variant ->
-  ?backend:Dsdg_core.Dynamic_index.backend ->
-  ?sample:int ->
-  ?tau:int ->
-  ?fault:Dsdg_core.Transform2.fault ->
-  ?jobs:int ->
-  ?readers:int ->
-  ?seq_backend:Dsdg_delbits.Sums.kind ->
-  ?retain_epochs:int ->
+  ?index:Dsdg_core.Index_config.t ->
   ?read_only:bool ->
   dir:string ->
   unit ->

@@ -26,7 +26,7 @@ let naive_search (docs : (int * string) list) (p : string) : (int * int) list =
   List.sort compare !res
 
 let battery (variant, backend, name) () =
-  let idx = Dynamic_index.create ~variant ~backend ~sample:2 ~tau:4 () in
+  let idx = Dynamic_index.create ~index:{ Index_config.default with variant; backend; sample = 2; tau = 4 } () in
   Alcotest.(check bool) (name ^ " describe nonempty") true (String.length (Dynamic_index.describe idx) > 0);
   let st = Random.State.make [| 1234 |] in
   let model = Hashtbl.create 32 in
@@ -70,7 +70,7 @@ let battery (variant, backend, name) () =
    delete of a never-existing id) must return false and leave doc_count,
    total_symbols and query results untouched -- in every variant. *)
 let double_delete (variant, backend, name) () =
-  let idx = Dynamic_index.create ~variant ~backend ~sample:2 ~tau:4 () in
+  let idx = Dynamic_index.create ~index:{ Index_config.default with variant; backend; sample = 2; tau = 4 } () in
   let ids = List.init 25 (fun i -> Dynamic_index.insert idx (Printf.sprintf "twice doc %d" i)) in
   let victim = List.nth ids 7 in
   Alcotest.(check bool) (name ^ " first delete") true (Dynamic_index.delete idx victim);

@@ -33,7 +33,10 @@ let seq =
     | Some k -> k
     | None -> failwith ("unknown DSDG_SEQ_BACKEND: " ^ s))
 
-let base_config = { Runner.default_config with Runner.jobs; Runner.readers; seq }
+(* Runner configs over the fuzz harnesses' default index settings. *)
+let fuzz_index = Runner.default_config.index
+let cfg index = { Runner.default_config with Runner.index }
+let base_config = cfg { fuzz_index with jobs; readers; seq_backend = seq }
 
 (* On failure, print everything needed to reproduce without rerunning
    the suite: the seed, the saved minimal trace and the replay command. *)
@@ -83,7 +86,7 @@ let test_fuzz_cross_targets () =
    the environment: the differential matrix must hold on both dynamic-
    sequence backends in every run, not only in the dedicated CI leg. *)
 let test_fuzz_spsi_streams () =
-  let config = { base_config with Runner.seq = Dsdg_delbits.Sums.Spsi } in
+  let config = cfg { base_config.index with seq_backend = Dsdg_delbits.Sums.Spsi } in
   let n_targets = List.length Runner.all_targets in
   for i = 0 to 8 do
     let seed = base_seed + 2000 + i in
@@ -93,6 +96,49 @@ let test_fuzz_spsi_streams () =
     | Runner.Pass -> ()
     | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
   done
+
+(* Every index setting survives the trace-hint header: a config with
+   each field moved off the default saves, reloads and parses back to
+   itself, and a header written before the config existed still reads. *)
+let test_index_config_hint () =
+  let module C = Dsdg_core.Index_config in
+  let base = C.default in
+  let moved =
+    {
+      base with
+      C.sample = 3;
+      tau = 5;
+      fault = Some `Stale_epoch;
+      jobs = 2;
+      readers = 1;
+      seq_backend = Dsdg_delbits.Sums.Spsi;
+    }
+  in
+  let path = Filename.temp_file "dsdg-config-hint" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let fields = C.to_hint ~base moved in
+  Alcotest.(check int) "one field per hinted setting" 6 (List.length fields);
+  Alcotest.(check int) "shape and retention are not hinted" 0
+    (List.length
+       (C.to_hint ~base
+          { base with variant = C.Amortized_loglog; backend = C.Csa; retain_epochs = 7 }));
+  Trace.save ~hint:{ Trace.no_hint with h_shards = Some 3; h_index = fields } path
+    [ Trace.Insert "x" ];
+  let h = Trace.load_hint path in
+  Alcotest.(check (option int)) "shards" (Some 3) h.Trace.h_shards;
+  Alcotest.(check bool) "config round-trips" true (C.of_hint ~base h.Trace.h_index = moved);
+  Alcotest.(check int) "a matching config has no mismatches" 0
+    (List.length (C.mismatches h.Trace.h_index moved));
+  Alcotest.(check int) "the default mismatches every field" 6
+    (List.length (C.mismatches h.Trace.h_index base));
+  Alcotest.(check int) "defaults need no hint" 0 (List.length (C.to_hint ~base base));
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "% requires shards=2 readers=1 seq=spsi\n+ \"x\"\n");
+  let h = Trace.load_hint path in
+  Alcotest.(check (option int)) "old-style shards" (Some 2) h.Trace.h_shards;
+  Alcotest.(check bool) "old-style readers and seq" true
+    (C.of_hint ~base h.Trace.h_index
+    = { base with readers = 1; seq_backend = Dsdg_delbits.Sums.Spsi })
 
 (* --- machinery unit tests --- *)
 
@@ -165,7 +211,7 @@ let test_model_semantics () =
    the schedule oracle trips, the trace shrinks, the minimal trace
    replays to a failure with the fault and runs clean without it. *)
 let test_planted_fault_caught () =
-  let config = { Runner.default_config with Runner.fault = Some `Skip_top_clean } in
+  let config = cfg { fuzz_index with fault = Some `Skip_top_clean } in
   let targets = Runner.select_targets ~variant:"worst-case" ~backend:"fm" () in
   let rec hunt seed =
     if seed > base_seed + 9 then
@@ -215,7 +261,7 @@ let test_fuzz_t3_streams () =
    domains on, regardless of DSDG_JOBS, so tier-1 always exercises the
    background-rebuild path (round-robin over the matrix). *)
 let test_fuzz_pooled_smoke () =
-  let config = { Runner.default_config with Runner.jobs = max 1 jobs } in
+  let config = cfg { fuzz_index with jobs = max 1 jobs } in
   let n_targets = List.length Runner.all_targets in
   for i = 0 to 19 do
     let seed = base_seed + 2000 + i in
@@ -230,8 +276,8 @@ let test_fuzz_pooled_smoke () =
    dropped instead of recovered) and demand the full catch -> shrink ->
    replay pipeline works, exactly as for the scheduling fault above. *)
 let test_planted_worker_crash_caught () =
-  let config = { Runner.default_config with Runner.fault = Some `Worker_crash; Runner.jobs = 1 } in
-  let clean_config = { Runner.default_config with Runner.jobs = 1 } in
+  let config = cfg { fuzz_index with fault = Some `Worker_crash; jobs = 1 } in
+  let clean_config = cfg { fuzz_index with jobs = 1 } in
   let targets = Runner.select_targets ~variant:"worst-case" ~backend:"fm" () in
   let rec hunt seed =
     if seed > base_seed + 9 then
@@ -258,7 +304,7 @@ let test_planted_worker_crash_caught () =
    regardless of DSDG_READERS, so tier-1 always differentially checks
    the read plane itself (round-robin over the matrix). *)
 let test_fuzz_readers_smoke () =
-  let config = { Runner.default_config with Runner.readers = max 1 readers } in
+  let config = cfg { fuzz_index with readers = max 1 readers } in
   let n_targets = List.length Runner.all_targets in
   for i = 0 to 19 do
     let seed = base_seed + 3000 + i in
@@ -275,11 +321,9 @@ let test_fuzz_readers_smoke () =
    invisible without readers -- with readers >= 1 it must be caught,
    shrunk, and deterministically replayable. *)
 let test_planted_stale_epoch_caught () =
-  let config =
-    { Runner.default_config with Runner.fault = Some `Stale_epoch; Runner.readers = 1 }
-  in
-  let clean_config = { Runner.default_config with Runner.readers = 1 } in
-  let blind_config = { Runner.default_config with Runner.fault = Some `Stale_epoch } in
+  let config = cfg { fuzz_index with fault = Some `Stale_epoch; readers = 1 } in
+  let clean_config = cfg { fuzz_index with readers = 1 } in
+  let blind_config = cfg { fuzz_index with fault = Some `Stale_epoch } in
   let targets = Runner.select_targets ~variant:"worst-case" ~backend:"fm" () in
   let rec hunt seed =
     if seed > base_seed + 9 then
@@ -312,7 +356,7 @@ let test_planted_stale_epoch_caught () =
    the model. *)
 let test_sync_vs_pooled_equivalence () =
   let ops = Opgen.generate ~seed:(base_seed + 77) ~ops:300 () in
-  let mk jobs = DI.create ~variant:DI.Worst_case ~backend:DI.Fm ~sample:2 ~tau:4 ~jobs () in
+  let mk jobs = DI.create ~index:{ fuzz_index with variant = DI.Worst_case; jobs } () in
   let a = mk 0 and b = mk 2 in
   Fun.protect ~finally:(fun () -> DI.close a; DI.close b) @@ fun () ->
   let cap f = try Ok (f ()) with Invalid_argument _ -> Error `Rejected in
@@ -416,6 +460,7 @@ let test_rel_planted_fault_caught () =
 let suite =
   [ ("trace round-trip", `Quick, test_trace_roundtrip);
     ("rel op round-trip", `Quick, test_rel_rop_roundtrip);
+    ("index config through the trace hint", `Quick, test_index_config_hint);
     ("opgen deterministic", `Quick, test_opgen_deterministic);
     ("opgen adversarial cases", `Quick, test_opgen_adversarial_cases);
     ("model semantics", `Quick, test_model_semantics);

@@ -71,7 +71,22 @@ let test_exit_codes () =
               Out_channel.output_string oc "not a wal\n");
           check_exit bin ~what:"corrupt store is data error (2)" ~expect:2 [ "open"; dir ]);
       check_exit bin ~what:"cmdliner rejects unknown flags (124)" ~expect:124
-        [ "demo"; "--no-such-flag" ])
+        [ "demo"; "--no-such-flag" ];
+      (* out-of-range index settings are usage errors caught before any
+         work: no store directory is created, no socket bound *)
+      let never_created = tmp_dir "dsdg-cli-invalid" in
+      List.iter
+        (fun (flag, cmd) ->
+          check_exit bin ~what:(Printf.sprintf "%s %s 0 is usage (124)" cmd flag) ~expect:124
+            (match cmd with
+            | "index" -> [ "index"; "/dev/null"; flag; "0" ]
+            | "serve" ->
+              [ "serve"; never_created; "--socket"; never_created ^ ".sock"; flag; "0" ]
+            | _ -> [ cmd; "--ops"; "10"; flag; "0" ]))
+        (List.concat_map
+           (fun flag -> List.map (fun cmd -> (flag, cmd)) [ "stats"; "index"; "fuzz"; "serve" ])
+           [ "--tau"; "--sample" ]);
+      Alcotest.(check bool) "serve made no store" false (Sys.file_exists never_created))
 
 (* Spawn `dsdg serve`, wait for its socket, return the pid. *)
 let spawn_serve bin dir sock args =
@@ -165,10 +180,10 @@ let test_serve_load_roundtrip () =
                 (Dsdg_core.Dynamic_index.doc_count (Durable.index store) > 0);
               Durable.close store)))
 
-(* Regression: a trace recorded under --shards / --readers carries a
-   `% requires ...` hint; replaying it without those flags must be a
-   usage error (124), not a silent run under the wrong configuration.
-   With matching flags the replay runs (and passes). *)
+(* Regression: a trace recorded under --shards / --readers / --tau
+   carries a `% requires ...` hint; replaying it without those flags
+   must be a usage error (124), not a silent run under the wrong
+   configuration. With matching flags the replay runs (and passes). *)
 let test_replay_hint_enforced () =
   with_bin (fun bin ->
       let module Trace = Dsdg_check.Trace in
@@ -178,15 +193,17 @@ let test_replay_hint_enforced () =
         Trace.save ~hint path ops;
         path
       in
+      let requiring fields = save { Trace.no_hint with Trace.h_index = fields } in
       let sharded =
-        save { Trace.no_hint with Trace.h_shards = Some 2; h_readers = Some 1 }
+        save { Trace.no_hint with Trace.h_shards = Some 2; h_index = [ ("readers", "1") ] }
       in
-      let readers_only = save { Trace.no_hint with Trace.h_readers = Some 1 } in
-      let spsi_hinted = save { Trace.no_hint with Trace.h_seq = Some "spsi" } in
+      let readers_only = requiring [ ("readers", "1") ] in
+      let spsi_hinted = requiring [ ("seq", "spsi") ] in
+      let tau_hinted = requiring [ ("tau", "3") ] in
       let unhinted = save Trace.no_hint in
       Fun.protect
         ~finally:(fun () ->
-          List.iter Sys.remove [ sharded; readers_only; spsi_hinted; unhinted ])
+          List.iter Sys.remove [ sharded; readers_only; spsi_hinted; tau_hinted; unhinted ])
         (fun () ->
           check_exit bin ~what:"sharded trace without flags is usage (124)" ~expect:124
             [ "fuzz"; "--replay"; sharded ];
@@ -204,6 +221,10 @@ let test_replay_hint_enforced () =
             [ "fuzz"; "--replay"; spsi_hinted ];
           check_exit bin ~what:"spsi trace with --seq-backend spsi replays" ~expect:0
             [ "fuzz"; "--replay"; spsi_hinted; "--seq-backend"; "spsi" ];
+          check_exit bin ~what:"tau trace without --tau is usage (124)" ~expect:124
+            [ "fuzz"; "--replay"; tau_hinted ];
+          check_exit bin ~what:"tau trace with --tau 3 replays" ~expect:0
+            [ "fuzz"; "--replay"; tau_hinted; "--tau"; "3" ];
           check_exit bin ~what:"unhinted trace still replays bare" ~expect:0
             [ "fuzz"; "--replay"; unhinted ];
           check_exit bin ~what:"t3 is an accepted variant alias" ~expect:0

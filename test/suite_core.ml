@@ -323,7 +323,9 @@ let test_empty_pattern_rejected_everywhere () =
   List.iter
     (fun pair ->
       let v, b = pair in
-      let idx = Dynamic_index.create ~variant:v ~backend:b ~sample:2 ~tau:4 () in
+      let idx = Dynamic_index.create
+          ~index:{ Index_config.default with variant = v; backend = b; sample = 2; tau = 4 }
+          () in
       Fun.protect ~finally:(fun () -> Dynamic_index.close idx) @@ fun () ->
       ignore (Dynamic_index.insert idx "banana");
       let expect_reject what f =
@@ -344,7 +346,9 @@ let test_extract_len0_convention () =
     (fun pair ->
       let v, b = pair in
       let name = pair_name pair in
-      let idx = Dynamic_index.create ~variant:v ~backend:b ~sample:2 ~tau:4 () in
+      let idx = Dynamic_index.create
+          ~index:{ Index_config.default with variant = v; backend = b; sample = 2; tau = 4 }
+          () in
       Fun.protect ~finally:(fun () -> Dynamic_index.close idx) @@ fun () ->
       let a = Dynamic_index.insert idx "banana" in
       let d = Dynamic_index.insert idx "bandana" in

@@ -37,7 +37,7 @@ let fingerprint ~max_doc v =
 (* --- retention ring bounds and view_at hit/miss --- *)
 
 let test_retention_ring () =
-  let idx = Di.create ~retain_epochs:3 () in
+  let idx = Di.create ~index:{ Index_config.default with retain_epochs = 3 } () in
   Alcotest.(check int) "retain_epochs" 3 (Di.retain_epochs idx);
   Alcotest.(check (list int)) "empty index retains its live epoch" [ 0 ] (Di.retained idx);
   let docs_at = Hashtbl.create 32 in
@@ -80,7 +80,7 @@ let test_retain_nothing () =
 (* --- acceptance criterion: query ~epoch = trace-prefix replay --- *)
 
 let test_query_epoch_matches_prefix_replay () =
-  let idx = Di.create ~retain_epochs:(List.length trace) () in
+  let idx = Di.create ~index:{ Index_config.default with retain_epochs = List.length trace } () in
   List.iter (apply idx) trace;
   let max_doc = List.length (List.filter (function I _ -> true | D _ -> false) trace) in
   List.iter
@@ -98,7 +98,7 @@ let test_query_epoch_matches_prefix_replay () =
 (* --- pins survive eviction --- *)
 
 let test_pin_survives_eviction () =
-  let idx = Di.create ~retain_epochs:2 () in
+  let idx = Di.create ~index:{ Index_config.default with retain_epochs = 2 } () in
   let prefix = [ I "banana"; I "bandana"; I "ananas" ] in
   List.iter (apply idx) prefix;
   let e3 = live_epoch idx in
@@ -127,7 +127,7 @@ let test_pin_survives_eviction () =
   Alcotest.(check bool) "evicted after unpin" true (Di.view_at idx ~epoch:e3 = None)
 
 let test_pin_retained_epoch () =
-  let idx = Di.create ~retain_epochs:4 () in
+  let idx = Di.create ~index:{ Index_config.default with retain_epochs = 4 } () in
   List.iter (apply idx) [ I "banana"; I "bandana"; I "ananas"; D 1 ];
   (* pin a ring slot, not the live view *)
   let pin = Di.pin ~epoch:2 idx in
@@ -142,7 +142,7 @@ let test_pin_retained_epoch () =
 (* --- misses raise from query ~epoch --- *)
 
 let test_query_epoch_invalid () =
-  let idx = Di.create ~retain_epochs:2 () in
+  let idx = Di.create ~index:{ Index_config.default with retain_epochs = 2 } () in
   List.iter (apply idx) [ I "banana"; I "bandana"; I "ananas" ];
   List.iter
     (fun epoch ->

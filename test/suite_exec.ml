@@ -353,7 +353,7 @@ let test_concurrent_readers_per_epoch_oracle () =
     let matches = List.sort compare (List.map (fun id -> (id, 5)) !live) in
     expected.(i + 1) <- (List.length !live, matches)
   done;
-  let idx = Dynamic_index.create ~variant:Worst_case ~backend:Fm ~sample:2 ~tau:4 () in
+  let idx = Dynamic_index.create ~index:{ Index_config.default with sample = 2; tau = 4 } () in
   let stop = Atomic.make false in
   let reader () =
     let errors = ref [] and last = ref (-1) and seen = ref 0 in
@@ -403,7 +403,7 @@ let test_concurrent_readers_per_epoch_oracle () =
    enforce the same API conventions) once the writer is quiescent. *)
 let test_reader_pool_query () =
   let open Dsdg_core in
-  let idx = Dynamic_index.create ~variant:Worst_case ~backend:Fm ~sample:2 ~tau:4 ~readers:2 () in
+  let idx = Dynamic_index.create ~index:{ Index_config.default with sample = 2; tau = 4; readers = 2 } () in
   Alcotest.(check int) "pool size" 2 (Dynamic_index.readers idx);
   let ids = List.init 20 (fun i -> Dynamic_index.insert idx (Printf.sprintf "%02d abcde" i)) in
   List.iteri (fun i id -> if i mod 4 = 0 then ignore (Dynamic_index.delete idx id)) ids;

@@ -64,7 +64,8 @@ let test_planted_fault_caught () =
   with_dir "dsdg-repl-fault" (fun dir ->
       let ops = Opgen.generate ~profile:Opgen.churny ~seed:5 ~ops:600 () in
       let o =
-        Repl_check.convergence ~fault:`Skip_top_clean ~quiesce_every:100
+        Repl_check.convergence
+          ~index:{ Dsdg_core.Index_config.default with fault = Some `Skip_top_clean } ~quiesce_every:100
           ~dir ~ops ()
       in
       Alcotest.(check bool) "planted fault detected" true (o.Repl_check.rc_failures <> []);

@@ -138,7 +138,7 @@ let test_rebalance_invisible () =
 
 let fail_stream ~seed ~failure ~shrunk =
   let path = Filename.temp_file "dsdg-shard-fuzz" ".trace" in
-  Trace.save ~hint:(Shard_check.hint_of_config Shard_check.default_config) path shrunk;
+  Trace.save ~hint:{ Trace.no_hint with h_shards = Some 4 } path shrunk;
   Alcotest.failf "%strace saved to %s\nreplay: dsdg fuzz --replay %s --shards 4"
     (Shard_check.report ~seed ~failure ~shrunk ())
     path path
@@ -164,8 +164,12 @@ let test_fuzz_matrix () =
     let config =
       {
         Shard_check.default_config with
-        Shard_check.sc_variant = List.nth variants (pair / List.length backends);
-        sc_backend = List.nth backends (pair mod List.length backends);
+        Shard_check.sc_index =
+          {
+            Shard_check.default_config.sc_index with
+            variant = List.nth variants (pair / List.length backends);
+            backend = List.nth backends (pair mod List.length backends);
+          };
       }
     in
     let profile = if i mod 3 = 2 then Dsdg_check.Opgen.churny else Dsdg_check.Opgen.default in
@@ -177,7 +181,10 @@ let test_fuzz_matrix () =
 (* Reader-routed smoke: the scatter-gather path with every per-shard
    query served from that shard's reader pool. *)
 let test_fuzz_readers_smoke () =
-  let config = { Shard_check.default_config with Shard_check.sc_readers = 1 } in
+  let config = {
+      Shard_check.default_config with
+      Shard_check.sc_index = { Shard_check.default_config.sc_index with readers = 1 };
+    } in
   for i = 0 to 7 do
     let seed = base_seed + 6000 + i in
     match Shard_check.run_stream ~config ~seed ~ops:ops_per_stream () with
@@ -313,7 +320,7 @@ let test_apply_batch () =
 (* An as-of query under a captured epoch vector must answer exactly as
    the collection did at capture time, however the writer moves on. *)
 let test_epoch_vector_asof () =
-  let sh = SI.create ~shards:3 ~retain_epochs:32 () in
+  let sh = SI.create ~index:{ Dsdg_core.Index_config.default with retain_epochs = 32 } ~shards:3 () in
   Fun.protect ~finally:(fun () -> SI.close sh) @@ fun () ->
   let m = Model.create () in
   List.iter

@@ -8,6 +8,9 @@ module Di = Dsdg_core.Dynamic_index
 module Trace = Dsdg_check.Trace
 module Model = Dsdg_check.Model
 
+(* Small s and tau so short streams exercise sampled locate and purges. *)
+let small = { Dsdg_core.Index_config.default with sample = 4; tau = 4 }
+
 let tmp_dir prefix =
   let d = Filename.temp_file prefix "" in
   Sys.remove d;
@@ -136,7 +139,7 @@ let test_crc32_vector () =
 (* --- container integrity --- *)
 
 let mk_small_store dir =
-  let idx = Di.create ~variant:Di.Worst_case ~backend:Di.Fm ~sample:4 ~tau:4 () in
+  let idx = Di.create ~index:small () in
   let m = Model.create () in
   let inserts = drive idx m churn_ops in
   let path = Snapshot.save ~dir ~wal_serial:17 (Di.dump idx) in
@@ -216,7 +219,7 @@ let test_dump_restore_matrix () =
       List.iter
         (fun backend ->
           let label = variant_name variant ^ "/" ^ backend_name backend in
-          let idx = Di.create ~variant ~backend ~sample:4 ~tau:4 () in
+          let idx = Di.create ~index:{ small with variant; backend } () in
           let m = Model.create () in
           let inserts = drive idx m churn_ops in
           let dump = Di.dump idx in
@@ -334,7 +337,7 @@ let durable_cfg every =
 
 let test_durable_reopen () =
   with_dir "dsdg-durable" (fun dir ->
-      let d, info0 = Durable.open_ ~config:(durable_cfg 4) ~sample:4 ~tau:4 ~dir () in
+      let d, info0 = Durable.open_ ~config:(durable_cfg 4) ~index:small ~dir () in
       Alcotest.(check int) "fresh: nothing replayed" 0 info0.Recovery.ri_replayed;
       let m = Model.create () in
       let inserts = ref 0 in
@@ -366,7 +369,7 @@ let test_durable_reopen () =
 
 let test_recovery_idempotent () =
   with_dir "dsdg-recover-idem" (fun dir ->
-      let d, _ = Durable.open_ ~config:(durable_cfg 5) ~sample:4 ~tau:4 ~dir () in
+      let d, _ = Durable.open_ ~config:(durable_cfg 5) ~index:small ~dir () in
       let m = Model.create () in
       let inserts = ref 0 in
       List.iter
@@ -407,7 +410,7 @@ let test_background_checkpoint () =
       let config =
         { Durable.sync = Wal.Every 4; checkpoint_every = 6; checkpoint_jobs = 1; keep_snapshots = 2; wal_archives = 4 }
       in
-      let d, _ = Durable.open_ ~config ~sample:4 ~tau:4 ~dir () in
+      let d, _ = Durable.open_ ~config ~index:small ~dir () in
       let m = Model.create () in
       let inserts = ref 0 in
       for round = 0 to 39 do
@@ -435,7 +438,7 @@ let test_kill_sweep_matrix () =
           let label = variant_name variant ^ "/" ^ backend_name backend in
           let dir = tmp_dir ("dsdg-kill-" ^ variant_name variant ^ backend_name backend) in
           let ops = Dsdg_check.Opgen.generate ~seed:7 ~ops:24 () in
-          let o = Kill_check.sweep ~variant ~backend ~sample:4 ~tau:4 ~stride:5 ~dir ~ops () in
+          let o = Kill_check.sweep ~index:{ small with variant; backend } ~stride:5 ~dir ~ops () in
           if o.Kill_check.kc_failures <> [] then
             Alcotest.failf "%s: %s" label (Kill_check.outcome_to_string o))
         all_backends)
@@ -550,7 +553,7 @@ let test_checkpoint_no_fd_leak () =
 
 let test_gap_detected () =
   with_dir "dsdg-gap" (fun dir ->
-      let d, _ = Durable.open_ ~config:(durable_cfg 4) ~sample:4 ~tau:4 ~dir () in
+      let d, _ = Durable.open_ ~config:(durable_cfg 4) ~index:small ~dir () in
       for i = 0 to 11 do
         ignore (Durable.insert d (Printf.sprintf "doc %d" i))
       done;
@@ -644,7 +647,7 @@ let test_wal_tail_torn_final_writer_alive () =
 let test_wal_archive_roundtrip () =
   with_dir "dsdg-wal-arch" (fun dir ->
       let cfg = { (durable_cfg 3) with Durable.wal_archives = 8 } in
-      let d, _ = Durable.open_ ~config:cfg ~sample:4 ~tau:4 ~dir () in
+      let d, _ = Durable.open_ ~config:cfg ~index:small ~dir () in
       for i = 0 to 10 do
         ignore (Durable.insert d (Printf.sprintf "archived doc %d" i))
       done;
@@ -684,7 +687,7 @@ let dir_bytes dir =
 
 let test_recovery_read_only_never_mutates () =
   with_dir "dsdg-ro" (fun dir ->
-      let d, _ = Durable.open_ ~config:(durable_cfg 4) ~sample:4 ~tau:4 ~dir () in
+      let d, _ = Durable.open_ ~config:(durable_cfg 4) ~index:small ~dir () in
       let m = Model.create () in
       for i = 0 to 9 do
         let id = Durable.insert d (Printf.sprintf "ro doc %d" i) in
@@ -719,7 +722,7 @@ let test_durable_pin_backup () =
       Fun.protect
         ~finally:(fun () -> Kill_check.reset_dir dest)
         (fun () ->
-          let d, _ = Durable.open_ ~config:(durable_cfg 3) ~sample:4 ~tau:4 ~dir () in
+          let d, _ = Durable.open_ ~config:(durable_cfg 3) ~index:small ~dir () in
           let m = Model.create () in
           for i = 0 to 7 do
             ignore (Durable.insert d (Printf.sprintf "pinned doc %d" i));
