@@ -23,7 +23,7 @@ let tmp_dir prefix =
   Sys.remove d;
   d
 
-let rm_rf = Dsdg_store.Kill_check.reset_dir
+let rm_rf = Dsdg_check.Runner.reset_dir
 
 let corpus st ~count = Text_gen.corpus st ~count ~avg_len:200 ~kind:(`Markov (8, 0.6))
 

@@ -35,7 +35,7 @@ let cell ~clients ~max_batch ~ops =
   let r = Load_gen.run ~mix (`Unix sock) ~clients ~ops ~seed:(1000 + clients + max_batch) in
   let fsyncs = store_fsyncs () - f0 in
   Server.stop srv;
-  Dsdg_store.Kill_check.reset_dir dir;
+  Dsdg_check.Runner.reset_dir dir;
   (r, fsyncs)
 
 let run () =

@@ -50,8 +50,8 @@ let with_tmp_dir f =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "dsdg-bench-shard-%d" (Unix.getpid ()))
   in
-  Store.Kill_check.reset_dir dir;
-  Fun.protect ~finally:(fun () -> Store.Kill_check.reset_dir dir) (fun () -> f dir)
+  Dsdg_check.Runner.reset_dir dir;
+  Fun.protect ~finally:(fun () -> Dsdg_check.Runner.reset_dir dir) (fun () -> f dir)
 
 (* In-memory phase: preload the stream, then measure update latency and
    scatter-gather query throughput at shard count [k]. *)

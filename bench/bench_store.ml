@@ -29,8 +29,8 @@ let with_tmp_dir f =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "dsdg-bench-store-%d" (Unix.getpid ()))
   in
-  Store.Kill_check.reset_dir dir;
-  Fun.protect ~finally:(fun () -> Store.Kill_check.reset_dir dir) (fun () -> f dir)
+  Dsdg_check.Runner.reset_dir dir;
+  Fun.protect ~finally:(fun () -> Dsdg_check.Runner.reset_dir dir) (fun () -> f dir)
 
 (* Insert the corpus one document at a time, returning (sorted
    per-insert ns, total ns). *)

@@ -824,7 +824,7 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
     trace_dir shards store sync checkpoint_every kill_stride follow rel rel_backend =
   let open Dsdg_check in
   if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
-  let base = Runner.default_config.index in
+  let base = Runner.fuzz_index in
   let targets = Runner.select_targets ~variant ~backend () in
   (* a target's name as a directory-name component *)
   let slug tg = String.map (function '/' -> '-' | c -> c) tg.Runner.tg_name in
@@ -895,22 +895,25 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
         | Some f -> Some f
         | None -> die_usage "--rel supports --fault none | rel-lost-remove, not %s" s)
     in
-    let fail_with ~seed_used failure shrunk =
-      print_string (Rel_check.report ?seed:seed_used ~failure ~shrunk ());
-      let dir = match trace_dir with Some d -> d | None -> Filename.get_temp_dir_name () in
-      let path =
-        Filename.concat dir
-          (match seed_used with
-          | Some s -> Printf.sprintf "dsdg-fuzz-rel-seed%d.trace" s
-          | None -> "dsdg-fuzz-rel-replay.trace")
-      in
-      Rel_check.save ?fault:fault_v ~spec path shrunk;
-      Printf.printf
-        "minimal trace saved to %s\nreplay: dsdg fuzz --rel --replay %s --rel-backend %s%s\n"
-        path path
-        (Rel_check.spec_to_string spec)
-        (match fault_v with Some f -> " --fault " ^ Rel_check.fault_to_string f | None -> "");
-      exit 1
+    let conclude ~seed_used = function
+      | Runner.Pass -> ()
+      | Runner.Fail { failure; shrunk; trace = _ } ->
+        print_string
+          (Runner.report ?seed:seed_used ~show:Rel_check.rop_to_string ~failure ~shrunk ());
+        let dir = match trace_dir with Some d -> d | None -> Filename.get_temp_dir_name () in
+        let path =
+          Filename.concat dir
+            (match seed_used with
+            | Some s -> Printf.sprintf "dsdg-fuzz-rel-seed%d.trace" s
+            | None -> "dsdg-fuzz-rel-replay.trace")
+        in
+        Rel_check.save ?fault:fault_v ~spec path shrunk;
+        Printf.printf
+          "minimal trace saved to %s\nreplay: dsdg fuzz --rel --replay %s --rel-backend %s%s\n"
+          path path
+          (Rel_check.spec_to_string spec)
+          (match fault_v with Some f -> " --fault " ^ Rel_check.fault_to_string f | None -> "");
+        exit 1
     in
     (match replay with
     | Some file ->
@@ -936,13 +939,8 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
           exit 2
       in
       Printf.printf "replaying %d relation op(s) over {%s}\n%!" (List.length trace) knames;
-      (match Rel_check.run_ops ?fault:fault_v ~kinds trace with
-      | Ok () ->
-        Printf.printf "replay OK: every backend agrees with the pair-set model after every op\n"
-      | Error f ->
-        let prefix = List.filteri (fun i _ -> i < f.Rel_check.rf_step) trace in
-        let shrunk = Rel_check.shrink ?fault:fault_v ~kinds prefix in
-        fail_with ~seed_used:None f shrunk)
+      conclude ~seed_used:None (Rel_check.check ?fault:fault_v kinds trace);
+      Printf.printf "replay OK: every backend agrees with the pair-set model after every op\n"
     | None ->
       Printf.printf "rel fuzzing %d stream(s) x %d ops over {%s}%s\n%!" streams ops knames
         (match fault_v with
@@ -950,10 +948,9 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
         | None -> "");
       for s = 0 to streams - 1 do
         let stream_seed = seed + s in
-        match Rel_check.run_stream ?fault:fault_v ~kinds ~seed:stream_seed ~ops () with
-        | Rel_check.Pass -> if streams > 1 then Printf.printf "stream seed=%d: ok\n%!" stream_seed
-        | Rel_check.Fail { failure; shrunk; trace = _ } ->
-          fail_with ~seed_used:(Some stream_seed) failure shrunk
+        conclude ~seed_used:(Some stream_seed)
+          (Rel_check.run_stream ?fault:fault_v ~seed:stream_seed ~ops kinds);
+        if streams > 1 then Printf.printf "stream seed=%d: ok\n%!" stream_seed
       done;
       Printf.printf
         "rel fuzz OK: %d stream(s) x %d ops, backends {%s} byte-identical to the pair-set model\n"
@@ -1028,9 +1025,8 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
                 Serve.Repl_check.failover_sweep ~index:ix ~shards:k ~sync:sync_v ~checkpoint_every
                   ~torn:true ~stride ~dir:scratch ~ops:sweep_ops ()
               in
-              Printf.printf "%-24s %-12s %s\n%!" name "failover"
-                (Store.Kill_check.outcome_to_string fo);
-              if fo.Store.Kill_check.kc_failures <> [] then failed := true
+              Printf.printf "%-24s %-12s %s\n%!" name "failover" (Runner.kill_summary fo);
+              if fo.Runner.kc_failures <> [] then failed := true
             end)
           counts)
       targets;
@@ -1057,118 +1053,39 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
     in
     let n = List.length sweep_ops in
     let stride = if kill_stride > 0 then kill_stride else max 1 (n / 16) in
-    if shards > 1 then
-      Printf.printf
-        "sharded kill-and-recover: K=%d, %d op(s), crash every %d op(s)%s plus every mid-split \
-         kill point, %d target(s), scratch under %s\n%!"
-        shards n stride
-        (if torn then " with torn final WAL records" else "")
-        (List.length targets) dir
-    else
-      Printf.printf
-        "kill-and-recover: %d op(s), crash every %d op(s)%s, %d target(s), scratch under %s\n%!" n
-        stride
-        (if torn then " with a torn final WAL record" else "")
-        (List.length targets) dir;
+    Printf.printf
+      "kill-and-recover: %s%d op(s), crash every %d op(s)%s%s, %d target(s), scratch under %s\n%!"
+      (if shards > 1 then Printf.sprintf "K=%d, " shards else "")
+      n stride
+      (if torn then " with torn final WAL records" else "")
+      (if shards > 1 then " plus every mid-split kill point" else "")
+      (List.length targets) dir;
     let failed = ref false in
     List.iter
       (fun tg ->
         let index = Runner.target_index tg index in
         let show name o =
-          Printf.printf "%-20s %s%s\n%!" tg.Runner.tg_name
-            (if shards > 1 then Printf.sprintf "%-10s " name else "")
-            (Store.Kill_check.outcome_to_string o);
-          if o.Store.Kill_check.kc_failures <> [] then failed := true
+          Printf.printf "%-20s %-10s %s\n%!" tg.Runner.tg_name name (Runner.kill_summary o);
+          if o.Runner.kc_failures <> [] then failed := true
         in
+        let sub what = Filename.concat dir (what ^ slug tg) in
         if shards > 1 then begin
           show "kill"
-            (Shard.Shard_check.kill_sweep ~index ~config ~torn ~stride ~shards
-               ~dir:(Filename.concat dir ("shardkill-" ^ slug tg))
-               ~ops:sweep_ops ());
+            (Runner.sweep ~stride
+               (Shard.Shard_check.crash ~index ~config ~torn ~shards ~dir:(sub "shardkill-") ())
+               sweep_ops);
           show "split"
             (Shard.Shard_check.split_kill_sweep ~index ~config ~torn ~shards
-               ~dir:(Filename.concat dir ("shardsplit-" ^ slug tg))
-               ~ops:sweep_ops ())
+               ~dir:(sub "shardsplit-") ~ops:sweep_ops ())
         end
         else
           show "kill"
-            (Store.Kill_check.sweep ~index ~config ~torn ~stride
-               ~dir:(Filename.concat dir ("kill-" ^ slug tg))
-               ~ops:sweep_ops ()))
+            (Runner.sweep ~stride
+               (Store.Kill_check.crash ~index ~config ~torn ~dir:(sub "kill-") ())
+               sweep_ops))
       targets;
     if !failed then exit 1;
-    if shards > 1 then
-      Printf.printf
-        "sharded kill-and-recover OK: every crash and split kill point re-served all acked \
-         writes exactly once\n"
-    else Printf.printf "kill-and-recover OK: every crash point recovered to the model\n"
-  | None when shards > 1 ->
-    (* shard-aware differential matrix: one op stream fanned over
-       K in {1, 2, shards}, every answer compared against the model
-       AND the K=1 baseline index, per selected variant x backend *)
-    if fault <> "none" then
-      die_usage
-        "sharded fuzzing checks the sharding layer itself; planted faults are not supported \
-         with --shards (got --fault %s)"
-        fault;
-    let counts = List.sort_uniq compare [ 1; min 2 shards; shards ] in
-    let fail_with ~seed_used ~tg failure shrunk =
-      Printf.printf "pair   : %s\n" tg.Runner.tg_name;
-      print_string (Shard.Shard_check.report ?seed:seed_used ~failure ~shrunk ());
-      let path, flags =
-        save_trace ~shards
-          ~name:
-            (match seed_used with
-            | Some s -> Printf.sprintf "dsdg-fuzz-shard-seed%d.trace" s
-            | None -> "dsdg-fuzz-shard-replay.trace")
-          index shrunk
-      in
-      Printf.printf
-        "minimal trace saved to %s\nreplay: dsdg fuzz --replay %s --shards %d --variant %s \
-         --backend %s%s\n"
-        path path shards variant backend flags;
-      exit 1
-    in
-    let config tg =
-      { Shard.Shard_check.sc_index = Runner.target_index tg index; sc_shard_counts = counts }
-    in
-    let knames = String.concat "," (List.map string_of_int counts) in
-    (match replay with
-    | Some _ ->
-      let trace = stream_ops index in
-      Printf.printf "replaying %d ops over K in {%s}, %d variant/backend pair(s)\n%!"
-        (List.length trace) knames (List.length targets);
-      List.iter
-        (fun tg ->
-          let config = config tg in
-          match Shard.Shard_check.run_trace ~config trace with
-          | Ok () -> ()
-          | Error f ->
-            let prefix = List.filteri (fun i _ -> i < f.Shard.Shard_check.sf_step) trace in
-            fail_with ~seed_used:None ~tg f (Shard.Shard_check.shrink ~config prefix))
-        targets;
-      Printf.printf "replay OK: every shard count agrees with the model and the K=1 baseline\n"
-    | None ->
-      Printf.printf "shard fuzzing %d stream(s) x %d ops, K in {%s}, %d variant/backend pair(s)\n%!"
-        streams ops knames (List.length targets);
-      let profile = profile_of_string profile in
-      for s = 0 to streams - 1 do
-        let stream_seed = seed + s in
-        List.iter
-          (fun tg ->
-            match
-              Shard.Shard_check.run_stream ~config:(config tg) ~profile ~seed:stream_seed ~ops ()
-            with
-            | Shard.Shard_check.Pass -> ()
-            | Shard.Shard_check.Fail { failure; shrunk; _ } ->
-              fail_with ~seed_used:(Some stream_seed) ~tg failure shrunk)
-          targets;
-        if streams > 1 then Printf.printf "stream seed=%d: ok\n%!" stream_seed
-      done;
-      Printf.printf
-        "shard fuzz OK: %d stream(s) x %d ops, K in {%s}, byte-identical to the model and the \
-         K=1 baseline\n"
-        streams ops knames)
+    Printf.printf "kill-and-recover OK: every crash point re-served all acked writes\n"
   | None ->
     (match fault with
     | "torn-write" ->
@@ -1183,44 +1100,61 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
     if index.fault = Some `Stale_epoch && index.readers = 0 then
       die_usage
         "--fault stale-epoch requires --readers >= 1 (it breaks only the read plane, which direct queries never touch)";
-    let config = { Runner.default_config with index } in
-    let profile = profile_of_string profile in
-    let tnames = String.concat ", " (List.map (fun t -> t.Runner.tg_name) targets) in
-    let fail_with ~seed_used failure shrunk =
-      print_string (Runner.report ?seed:seed_used ~failure ~shrunk ());
-      let path, flags =
-        save_trace
-          ~name:
-            (match seed_used with
-            | Some s -> Printf.sprintf "dsdg-fuzz-seed%d.trace" s
-            | None -> "dsdg-fuzz-replay.trace")
-          index shrunk
-      in
-      Printf.printf "minimal trace saved to %s\nreplay: dsdg fuzz --replay %s --variant %s --backend %s%s\n"
-        path path variant backend flags;
-      exit 1
+    (* with --shards K every target is joined by sharded collections over
+       the same settings, K in {1, 2, K} *)
+    let counts = if shards > 1 then List.sort_uniq compare [ 1; min 2 shards; shards ] else [] in
+    let subjects =
+      List.concat_map
+        (fun tg ->
+          Runner.subjects ~index [ tg ]
+          @ Shard.Shard_check.subjects ~index:(Runner.target_index tg index) ~name:tg.Runner.tg_name
+              counts)
+        targets
+    in
+    let against =
+      String.concat ", " (List.map (fun t -> t.Runner.tg_name) targets)
+      ^
+      if counts = [] then ""
+      else
+        Printf.sprintf ", each also K in {%s}" (String.concat "," (List.map string_of_int counts))
+    in
+    let conclude ~seed_used = function
+      | Runner.Pass -> ()
+      | Runner.Fail { failure; shrunk; _ } ->
+        print_string (Runner.report ?seed:seed_used ~show:Trace.op_to_string ~failure ~shrunk ());
+        let shards = if shards > 1 then Some shards else None in
+        let path, flags =
+          save_trace ?shards
+            ~name:
+              (match seed_used with
+              | Some s -> Printf.sprintf "dsdg-fuzz-seed%d.trace" s
+              | None -> "dsdg-fuzz-replay.trace")
+            index shrunk
+        in
+        Printf.printf
+          "minimal trace saved to %s\nreplay: dsdg fuzz --replay %s%s --variant %s --backend %s%s\n"
+          path path
+          (match shards with Some k -> Printf.sprintf " --shards %d" k | None -> "")
+          variant backend flags;
+        exit 1
     in
     (match replay with
     | Some file ->
       let trace = stream_ops index in
-      Printf.printf "replaying %d ops from %s against %s\n%!" (List.length trace) file tnames;
-      (match Runner.run_trace ~config ~targets trace with
-      | Ok () -> Printf.printf "replay OK: all targets agree with the model, all invariants hold\n"
-      | Error f ->
-        let prefix = List.filteri (fun i _ -> i < f.Runner.f_step) trace in
-        let shrunk = Runner.shrink ~config ~targets prefix in
-        fail_with ~seed_used:None f shrunk)
+      Printf.printf "replaying %d ops from %s against %s\n%!" (List.length trace) file against;
+      conclude ~seed_used:None (Runner.check subjects trace);
+      Printf.printf "replay OK: all subjects agree with the model, all invariants hold\n"
     | None ->
-      Printf.printf "fuzzing %d stream(s) x %d ops against %s\n%!" streams ops tnames;
+      Printf.printf "fuzzing %d stream(s) x %d ops against %s\n%!" streams ops against;
+      let profile = profile_of_string profile in
       for s = 0 to streams - 1 do
         let stream_seed = seed + s in
-        match Runner.run_stream ~config ~profile ~targets ~seed:stream_seed ~ops () with
-        | Runner.Pass ->
-          if streams > 1 then Printf.printf "stream seed=%d: ok\n%!" stream_seed
-        | Runner.Fail { failure; shrunk; _ } -> fail_with ~seed_used:(Some stream_seed) failure shrunk
+        conclude ~seed_used:(Some stream_seed)
+          (Runner.run_stream ~profile ~seed:stream_seed ~ops subjects);
+        if streams > 1 then Printf.printf "stream seed=%d: ok\n%!" stream_seed
       done;
-      Printf.printf "fuzz OK: %d stream(s) x %d ops, %d target(s), model + invariants clean\n" streams
-        ops (List.length targets))
+      Printf.printf "fuzz OK: %d stream(s) x %d ops, %d subject(s), model + invariants clean\n"
+        streams ops (List.length subjects))
 
 (* Graph workload driver: the CLI face of the compressed dynamic graph
    (DESIGN.md section 15). Builds a web-crawl-shaped edge stream (or
@@ -1661,7 +1595,7 @@ let fuzz_backend_arg =
        & info [ "backend" ] ~doc:"all | fm | sa | csa")
 
 let fuzz_config_t =
-  let base = Dsdg_check.Runner.default_config.index in
+  let base = Dsdg_check.Runner.fuzz_index in
   config_term ~fixed:[ `Retain_epochs ] ~base (Term.const (base.variant, base.backend))
 
 let fuzz_fault_arg =

@@ -22,6 +22,7 @@ let delete m id =
   else false
 
 let mem m id = Hashtbl.mem m.docs id
+let inserted m = m.next_id
 let live m = List.sort compare (Hashtbl.fold (fun d s acc -> (d, s) :: acc) m.docs [])
 let doc_count m = Hashtbl.length m.docs
 let total_symbols m = Hashtbl.fold (fun _ s acc -> acc + String.length s + 1) m.docs 0

@@ -19,6 +19,9 @@ val insert : t -> string -> int
 val delete : t -> int -> bool
 val mem : t -> int -> bool
 
+(** Inserts so far: every id below it was assigned once. *)
+val inserted : t -> int
+
 (** Live [(id, text)] pairs, sorted by id. *)
 val live : t -> (int * string) list
 

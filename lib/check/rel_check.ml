@@ -2,12 +2,7 @@
    relation operations over the Rel_backend matrix (str, k2, or both),
    cross-check every answer against the naive Model.Rel, and
    delta-debug failing streams down to minimal replayable traces with
-   the same ddmin core (Runner.shrink_ops) the document and shard
-   harnesses use.  Relation ops ride through the generic shrinker as
-   transport-encoded Trace ops (each rop carried as an [Insert] whose
-   payload is the rop's own line format); candidates that no longer
-   decode simply count as passing, so chunk removal does the work and
-   the result is always a valid rop list. *)
+   the same stream driver (Runner.drive) as the document fuzzer. *)
 
 open Dsdg_binrel
 
@@ -50,13 +45,6 @@ let rop_of_string line =
   | Ok op -> op
   | Error reason -> invalid_arg (Printf.sprintf "Rel_check.rop_of_string: %S (%s)" line reason)
 
-let render ops =
-  let buf = Buffer.create 256 in
-  List.iteri
-    (fun i op -> Buffer.add_string buf (Printf.sprintf "%4d  %s\n" (i + 1) (rop_to_string op)))
-    ops;
-  Buffer.contents buf
-
 (* --- backend selection --- *)
 
 type spec = One of Rel_backend.kind | Both
@@ -85,22 +73,26 @@ let fault_of_string = function "rel-lost-remove" -> Some Lost_remove | _ -> None
 
 (* --- differential run --- *)
 
-type failure = { rf_step : int; rf_backend : string; rf_op : rop; rf_message : string }
-
-let run_ops ?fault ~kinds (ops : rop list) : (unit, failure) result =
+let run_ops ?fault kinds (ops : rop list) : (unit, rop Runner.failure) result =
   let model = Model.Rel.create () in
   let rels =
-    List.map (fun k -> (Rel_backend.kind_to_string k, Rel_backend.create ~tau:4 k)) kinds
+    List.mapi (fun i k -> ((i, Rel_backend.kind_to_string k), Rel_backend.create ~tau:4 k)) kinds
   in
-  let exception Diverged of failure in
-  let fail step name op fmt =
-    Printf.ksprintf (fun m -> raise (Diverged { rf_step = step; rf_backend = name; rf_op = op; rf_message = m })) fmt
+  let exception Diverged of rop Runner.failure in
+  let fail step (i, name) op fmt =
+    Printf.ksprintf
+      (fun m ->
+        raise
+          (Diverged
+             { Runner.f_step = step; f_target = name; f_subject = i; f_op = op; f_message = m;
+               f_events = [] }))
+      fmt
   in
-  let check_list step name op what expected got =
+  let check_list step who op what expected got =
     if expected <> got then
-      fail step name op "%s: model [%s] vs %s [%s]" what
+      fail step who op "%s: model [%s] vs %s [%s]" what
         (String.concat ";" (List.map string_of_int expected))
-        name
+        (snd who)
         (String.concat ";" (List.map string_of_int got))
   in
   try
@@ -111,59 +103,59 @@ let run_ops ?fault ~kinds (ops : rop list) : (unit, failure) result =
         | Radd (o, a) ->
           let want = Model.Rel.add model o a in
           List.iter
-            (fun (name, r) ->
+            (fun (who, r) ->
               let got = Rel_backend.add r o a in
-              if got <> want then fail step name op "add %d %d: model %b vs %b" o a want got)
+              if got <> want then fail step who op "add %d %d: model %b vs %b" o a want got)
             rels
         | Rremove (o, a) ->
           let want = Model.Rel.remove model o a in
           let dropped = fault = Some Lost_remove && (o + a) mod 3 = 0 in
           List.iter
-            (fun (name, r) ->
+            (fun (who, r) ->
               let got = if dropped then false else Rel_backend.remove r o a in
-              if got <> want then fail step name op "remove %d %d: model %b vs %b" o a want got)
+              if got <> want then fail step who op "remove %d %d: model %b vs %b" o a want got)
             rels
         | Rrelated (o, a) ->
           let want = Model.Rel.related model o a in
           List.iter
-            (fun (name, r) ->
+            (fun (who, r) ->
               let got = Rel_backend.related r o a in
-              if got <> want then fail step name op "related %d %d: model %b vs %b" o a want got)
+              if got <> want then fail step who op "related %d %d: model %b vs %b" o a want got)
             rels
         | Rsucc o ->
           let want = Model.Rel.labels_of_object model o in
           List.iter
-            (fun (name, r) ->
-              check_list step name op
+            (fun (who, r) ->
+              check_list step who op
                 (Printf.sprintf "labels_of_object %d" o)
                 want
                 (Rel_backend.labels_of_object_list r o);
               let c = Rel_backend.count_labels_of_object r o in
               if c <> List.length want then
-                fail step name op "count_labels_of_object %d: model %d vs %d" o
+                fail step who op "count_labels_of_object %d: model %d vs %d" o
                   (List.length want) c)
             rels
         | Rpred a ->
           let want = Model.Rel.objects_of_label model a in
           List.iter
-            (fun (name, r) ->
-              check_list step name op
+            (fun (who, r) ->
+              check_list step who op
                 (Printf.sprintf "objects_of_label %d" a)
                 want
                 (Rel_backend.objects_of_label_list r a);
               let c = Rel_backend.count_objects_of_label r a in
               if c <> List.length want then
-                fail step name op "count_objects_of_label %d: model %d vs %d" a
+                fail step who op "count_objects_of_label %d: model %d vs %d" a
                   (List.length want) c)
             rels
         | Rpairs ->
           let want = Model.Rel.pairs model in
           List.iter
-            (fun (name, r) ->
+            (fun (who, r) ->
               let got = Rel_backend.pairs_list r in
               if got <> want then
-                fail step name op "pair-set snapshot: model %d pairs vs %s %d pairs%s"
-                  (List.length want) name (List.length got)
+                fail step who op "pair-set snapshot: model %d pairs vs %s %d pairs%s"
+                  (List.length want) (snd who) (List.length got)
                   (match
                      List.find_opt (fun p -> not (List.mem p got)) want
                    with
@@ -173,9 +165,9 @@ let run_ops ?fault ~kinds (ops : rop list) : (unit, failure) result =
         (* live-pair census after every op: cheap and catches drift early *)
         let want = Model.Rel.size model in
         List.iter
-          (fun (name, r) ->
+          (fun (who, r) ->
             let got = Rel_backend.live_pairs r in
-            if got <> want then fail step name op "live_pairs: model %d vs %d" want got)
+            if got <> want then fail step who op "live_pairs: model %d vs %d" want got)
           rels)
       ops;
     Ok ()
@@ -200,39 +192,13 @@ let gen_ops ~seed ~ops =
       | n when n < 96 -> Rpred (id ())
       | _ -> Rpairs)
 
-(* --- shrinking through the shared ddmin core --- *)
+(* --- shrinking through the shared stream driver --- *)
 
-let to_transport rops = List.map (fun r -> Trace.Insert (rop_to_string r)) rops
-
-let of_transport tops =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | Trace.Insert s :: rest -> (
-      match parse_rop s with Ok r -> go (r :: acc) rest | Error _ -> None)
-    | _ -> None
-  in
-  go [] tops
-
-let shrink ?fault ?(max_runs = 400) ~kinds rops =
-  let fails tops =
-    match of_transport tops with
-    | None -> false
-    | Some cand -> Result.is_error (run_ops ?fault ~kinds cand)
-  in
-  match of_transport (Runner.shrink_ops ~fails ~max_runs (to_transport rops)) with
-  | Some shrunk -> shrunk
-  | None -> rops
-
-type outcome = Pass | Fail of { failure : failure; trace : rop list; shrunk : rop list }
-
-let run_stream ?fault ~kinds ~seed ~ops () =
-  let trace = gen_ops ~seed ~ops in
-  match run_ops ?fault ~kinds trace with
-  | Ok () -> Pass
-  | Error f ->
-    let shrunk = shrink ?fault ~kinds trace in
-    let failure = match run_ops ?fault ~kinds shrunk with Error f' -> f' | Ok () -> f in
-    Fail { failure; trace; shrunk }
+(* Relation ops carry no payload worth halving: chunk removal does the
+   work. *)
+let check ?fault kinds trace =
+  Runner.drive ~run:(run_ops ?fault) ~simplify:(fun _ -> None) kinds trace
+let run_stream ?fault ~seed ~ops kinds = check ?fault kinds (gen_ops ~seed ~ops)
 
 (* --- persistence (same header convention as Trace) --- *)
 
@@ -270,15 +236,3 @@ let load path =
          done
        with End_of_file -> ());
       List.rev !ops)
-
-let report ?seed ~failure ~shrunk () =
-  let buf = Buffer.create 512 in
-  (match seed with
-  | Some s -> Buffer.add_string buf (Printf.sprintf "relation stream (seed %d) diverged\n" s)
-  | None -> Buffer.add_string buf "relation trace diverged\n");
-  Buffer.add_string buf
-    (Printf.sprintf "backend %s, op %d (%s): %s\n" failure.rf_backend failure.rf_step
-       (rop_to_string failure.rf_op) failure.rf_message);
-  Buffer.add_string buf (Printf.sprintf "minimal trace (%d ops):\n" (List.length shrunk));
-  Buffer.add_string buf (render shrunk);
-  Buffer.contents buf

@@ -2,8 +2,9 @@
     relation operations fanned over the {!Dsdg_binrel.Rel_backend}
     matrix and cross-checked answer-by-answer against the naive
     {!Model.Rel}, with failing streams delta-debugged to minimal
-    replayable traces through the same ddmin core
-    ({!Runner.shrink_ops}) the document and shard harnesses use. *)
+    replayable traces through the same stream driver ({!Runner.drive})
+    as the document fuzzer. Failures and reports are the runner's:
+    print one with [Runner.report ~show:rop_to_string]. *)
 
 (** One relation operation. The textual format is line-based, in the
     {!Trace} mold: ["> o a"] (add), ["< o a"] (remove), ["~ o a"]
@@ -27,9 +28,6 @@ val parse_rop : string -> (rop, string) result
 
 (** Raises [Invalid_argument] on garbage. *)
 val rop_of_string : string -> rop
-
-(** Numbered, one op per line — the shape printed with failures. *)
-val render : rop list -> string
 
 (** Which backends a stream fans over. *)
 type spec = One of Dsdg_binrel.Rel_backend.kind | Both
@@ -59,38 +57,26 @@ val fault_to_string : fault -> string
 (** Inverse of {!fault_to_string}. *)
 val fault_of_string : string -> fault option
 
-(** A divergence: the 1-based failing step, the backend name, the op,
-    and a human-readable disagreement. *)
-type failure = { rf_step : int; rf_backend : string; rf_op : rop; rf_message : string }
-
-(** Run a trace over fresh instances of every [kinds] backend;
+(** Run a trace over fresh instances of every backend in [kinds];
     [Error] carries the first disagreement with the model (answers,
-    live-pair census after every op, and pair-set snapshots). *)
+    live-pair census after every op, and pair-set snapshots), with the
+    backend's name as [f_target]. *)
 val run_ops :
-  ?fault:fault -> kinds:Dsdg_binrel.Rel_backend.kind list -> rop list -> (unit, failure) result
+  ?fault:fault -> Dsdg_binrel.Rel_backend.kind list -> rop list -> (unit, rop Runner.failure) result
 
 (** Deterministic bounded stream: a mostly-small id universe with
     occasional far-out ids (exercising k2 matrix growth), weighted
     toward updates with queries and snapshots interleaved. *)
 val gen_ops : seed:int -> ops:int -> rop list
 
-(** Delta-debug a failing trace, preserving "still fails", through
-    {!Runner.shrink_ops} ([max_runs] bounds re-executions). *)
-val shrink :
-  ?fault:fault -> ?max_runs:int -> kinds:Dsdg_binrel.Rel_backend.kind list -> rop list -> rop list
+(** {!Runner.drive} over {!run_ops}: run, and on failure shrink
+    against the disagreeing backend. *)
+val check :
+  ?fault:fault -> Dsdg_binrel.Rel_backend.kind list -> rop list -> rop Runner.outcome
 
-(** Outcome of one generated stream. *)
-type outcome = Pass | Fail of { failure : failure; trace : rop list; shrunk : rop list }
-
-(** Generate (from [seed]), run, and on failure shrink before
-    re-running for the final report. *)
+(** {!check} on the stream {!gen_ops} makes from [seed]. *)
 val run_stream :
-  ?fault:fault ->
-  kinds:Dsdg_binrel.Rel_backend.kind list ->
-  seed:int ->
-  ops:int ->
-  unit ->
-  outcome
+  ?fault:fault -> seed:int -> ops:int -> Dsdg_binrel.Rel_backend.kind list -> rop Runner.outcome
 
 (** Save a relation trace with a ["% requires rel=<spec>"] hint header
     (readable back via {!Trace.load_hint}), so replays can refuse a
@@ -100,7 +86,3 @@ val save : ?fault:fault -> spec:spec -> string -> rop list -> unit
 (** Load a relation trace; raises {!Trace.Parse_error} with the line
     number and offending field on garbage. *)
 val load : string -> rop list
-
-(** Human-readable failure report: the divergence and the minimal
-    trace. *)
-val report : ?seed:int -> failure:failure -> shrunk:rop list -> unit -> string

@@ -1,4 +1,5 @@
-(* Differential runner + delta-debugging shrinker; see runner.mli. *)
+(* The differential runner, shrinker, verifier and kill sweep; see
+   runner.mli. *)
 
 open Dsdg_core
 
@@ -27,22 +28,26 @@ let all_targets = select_targets ()
 let target_index tg (index : Index_config.t) =
   { index with variant = tg.tg_variant; backend = tg.tg_backend }
 
-type config = { index : Index_config.t; check_invariants : bool }
-
 (* Small s and tau make every sampled-locate and purge path fire on
    short streams. *)
-let default_config =
-  { index = { Index_config.default with sample = 2; tau = 4 }; check_invariants = true }
+let fuzz_index = { Index_config.default with sample = 2; tau = 4 }
 
-type failure = {
+let subjects ?(index = fuzz_index) targets =
+  List.map
+    (fun tg () ->
+      Subject.of_index ~name:tg.tg_name (Dynamic_index.create ~index:(target_index tg index) ()))
+    targets
+
+type 'op failure = {
   f_step : int;
   f_target : string;
-  f_op : Trace.op;
+  f_subject : int;
+  f_op : 'op;
   f_message : string;
   f_events : string list;
 }
 
-exception Failed of failure
+(* --- applying and comparing --- *)
 
 (* Bounded pretty-printers for disagreement messages. *)
 let pp_hits hits =
@@ -59,181 +64,118 @@ let pp_str_opt = function
 (* Queries and the model must agree on outcomes including the uniform
    empty-pattern rejection, so both sides run through [Ok]/[`Rejected]
    capture: a structure that *answers* the empty pattern (or rejects a
-   legitimate one) disagrees with the model and fails the trace. *)
+   legitimate one) disagrees with the model. *)
 let capture f = try Ok (f ()) with Invalid_argument _ -> Error `Rejected
 
 let pp_outcome pp = function
   | Ok v -> pp v
   | Error `Rejected -> "Invalid_argument"
 
-let run_trace ?(config = default_config) ~targets ops =
-  let model = Model.create () in
-  let insts =
-    List.map
-      (fun tg ->
-        ( tg,
-          Dynamic_index.create
-            ~index:(target_index tg config.index)
-            (),
-          Oracle.create () ))
-      targets
-  in
-  (* With a reader pool, queries run on reader domains against the
-     latest published view: the read plane itself is under test, so a
-     stale or incomplete epoch publication (e.g. the planted
-     [`Stale_epoch] fault) becomes a model disagreement even though the
-     write plane stays correct. *)
-  let q_search idx p =
-    if config.index.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_search v p)
-    else Dynamic_index.search idx p
-  in
-  let q_count idx p =
-    if config.index.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_count v p)
-    else Dynamic_index.count idx p
-  in
-  let q_extract idx ~doc ~off ~len =
-    if config.index.readers > 0 then
-      Dynamic_index.query idx (fun v -> Dynamic_index.view_extract v ~doc ~off ~len)
-    else Dynamic_index.extract idx ~doc ~off ~len
-  in
-  let q_mem idx id =
-    if config.index.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_mem v id)
-    else Dynamic_index.mem idx id
-  in
-  (* pooled indexes own worker domains; leak none, whatever the verdict *)
-  Fun.protect ~finally:(fun () -> List.iter (fun (_, idx, _) -> Dynamic_index.close idx) insts)
-  @@ fun () ->
-  let step = ref 0 in
+exception Mismatch of string
+
+let mismatch fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt
+
+(* Move the model by [op] and return the check each subject's answer
+   must pass: the model moves once, every subject is held to it. *)
+let expect model op : Subject.t -> unit =
+  match op with
+  | Trace.Insert text ->
+    let want = Model.insert model text in
+    fun s ->
+      let got = s.insert text in
+      if got <> want then mismatch "insert returned id %d, model %d" got want
+  | Trace.Delete id ->
+    let want = Model.delete model id in
+    fun s ->
+      let got = s.delete id in
+      if got <> want then mismatch "delete %d returned %b, model %b" id got want
+  | Trace.Search p ->
+    let want = capture (fun () -> Model.search model p) in
+    fun s ->
+      let got = capture (fun () -> s.search p) in
+      if got <> want then
+        mismatch "search %S -> %s, model %s" p (pp_outcome pp_hits got) (pp_outcome pp_hits want)
+  | Trace.Count p ->
+    let want = capture (fun () -> Model.count model p) in
+    fun s ->
+      let got = capture (fun () -> s.count p) in
+      if got <> want then
+        mismatch "count %S -> %s, model %s" p (pp_outcome string_of_int got)
+          (pp_outcome string_of_int want)
+  | Trace.Extract { doc; off; len } ->
+    let want = Model.extract model ~doc ~off ~len in
+    fun s ->
+      let got = s.extract ~doc ~off ~len in
+      if got <> want then
+        mismatch "extract %d %d %d -> %s, model %s" doc off len (pp_str_opt got) (pp_str_opt want)
+  | Trace.Mem id ->
+    let want = Model.mem model id in
+    fun s ->
+      let got = s.mem id in
+      if got <> want then mismatch "mem %d -> %b, model %b" id got want
+  | Trace.Drain ->
+    (* a random forced-completion point: nothing to compare, but every
+       post-op check must still hold *)
+    fun s -> s.drain ()
+
+(* After every op: size accounting against the model, then the
+   subject's own invariants. *)
+let census model (s : Subject.t) =
+  let dc = s.doc_count () and want = Model.doc_count model in
+  if dc <> want then mismatch "doc_count %d, model %d" dc want;
+  let ts = s.total_symbols () and want = Model.total_symbols model in
+  if ts <> want then mismatch "total_symbols %d, model %d" ts want;
+  match s.check () with [] -> () | vs -> mismatch "%s" (String.concat " | " vs)
+
+let guard op f =
   try
-    List.iter
-      (fun op ->
-        incr step;
-        let fail_on idx name fmt =
-          Printf.ksprintf
-            (fun m ->
-              raise
-                (Failed
-                   { f_step = !step; f_target = name; f_op = op; f_message = m;
-                     f_events = Dynamic_index.events idx }))
-            fmt
+    f ();
+    Ok ()
+  with
+  | Mismatch m -> Error m
+  | exn -> Error (Printf.sprintf "%s raised %s" (Trace.op_to_string op) (Printexc.to_string exn))
+
+let apply model s op =
+  let answer = expect model op in
+  guard op (fun () ->
+      answer s;
+      census model s)
+
+let run_trace factories ops =
+  let model = Model.create () in
+  let subjects = List.mapi (fun i mk -> (i, mk ())) factories in
+  (* pooled indexes own worker domains; leak none, whatever the verdict *)
+  Fun.protect ~finally:(fun () -> List.iter (fun (_, (s : Subject.t)) -> s.close ()) subjects)
+  @@ fun () ->
+  let exception Failed of Trace.op failure in
+  try
+    List.iteri
+      (fun step op ->
+        let on f (i, (s : Subject.t)) =
+          match guard op (fun () -> f s) with
+          | Ok () -> ()
+          | Error m ->
+            raise
+              (Failed
+                 { f_step = step + 1; f_target = s.name; f_subject = i; f_op = op; f_message = m;
+                   f_events = s.events () })
         in
-        (* the model moves first; each structure must agree with it (and
-           therefore with every other structure) *)
-        (match op with
-        | Trace.Insert text ->
-          let mid = Model.insert model text in
-          List.iter
-            (fun (tg, idx, _) ->
-              let id =
-                try Dynamic_index.insert idx text
-                with exn -> fail_on idx tg.tg_name "insert raised %s" (Printexc.to_string exn)
-              in
-              if id <> mid then fail_on idx tg.tg_name "insert returned id %d, model %d" id mid)
-            insts
-        | Trace.Delete id ->
-          let expected = Model.delete model id in
-          List.iter
-            (fun (tg, idx, _) ->
-              let got =
-                try Dynamic_index.delete idx id
-                with exn -> fail_on idx tg.tg_name "delete %d raised %s" id (Printexc.to_string exn)
-              in
-              if got <> expected then
-                fail_on idx tg.tg_name "delete %d returned %b, model %b" id got expected)
-            insts
-        | Trace.Search p ->
-          let expected = capture (fun () -> Model.search model p) in
-          List.iter
-            (fun (tg, idx, _) ->
-              let got =
-                try Ok (q_search idx p) with
-                | Invalid_argument _ -> Error `Rejected
-                | exn -> fail_on idx tg.tg_name "search %S raised %s" p (Printexc.to_string exn)
-              in
-              if got <> expected then
-                fail_on idx tg.tg_name "search %S -> %s, model %s" p (pp_outcome pp_hits got)
-                  (pp_outcome pp_hits expected))
-            insts
-        | Trace.Count p ->
-          let expected = capture (fun () -> Model.count model p) in
-          List.iter
-            (fun (tg, idx, _) ->
-              let got =
-                try Ok (q_count idx p) with
-                | Invalid_argument _ -> Error `Rejected
-                | exn -> fail_on idx tg.tg_name "count %S raised %s" p (Printexc.to_string exn)
-              in
-              if got <> expected then
-                fail_on idx tg.tg_name "count %S -> %s, model %s" p
-                  (pp_outcome string_of_int got) (pp_outcome string_of_int expected))
-            insts
-        | Trace.Extract { doc; off; len } ->
-          let expected = Model.extract model ~doc ~off ~len in
-          List.iter
-            (fun (tg, idx, _) ->
-              let got =
-                try q_extract idx ~doc ~off ~len
-                with exn ->
-                  fail_on idx tg.tg_name "extract %d %d %d raised %s" doc off len
-                    (Printexc.to_string exn)
-              in
-              if got <> expected then
-                fail_on idx tg.tg_name "extract %d %d %d -> %s, model %s" doc off len (pp_str_opt got)
-                  (pp_str_opt expected))
-            insts
-        | Trace.Mem id ->
-          let expected = Model.mem model id in
-          List.iter
-            (fun (tg, idx, _) ->
-              let got =
-                try q_mem idx id
-                with exn -> fail_on idx tg.tg_name "mem %d raised %s" id (Printexc.to_string exn)
-              in
-              if got <> expected then fail_on idx tg.tg_name "mem %d -> %b, model %b" id got expected)
-            insts
-        | Trace.Drain ->
-          (* a random forced-completion point; the model has nothing to
-             do, but every post-op equivalence below must still hold *)
-          List.iter
-            (fun (tg, idx, _) ->
-              try Dynamic_index.drain idx
-              with exn -> fail_on idx tg.tg_name "drain raised %s" (Printexc.to_string exn))
-            insts);
-        (* after every op: size accounting vs the model, then the paper
-           invariants *)
-        List.iter
-          (fun (tg, idx, orc) ->
-            let dc = Dynamic_index.doc_count idx and mdc = Model.doc_count model in
-            if dc <> mdc then fail_on idx tg.tg_name "doc_count %d, model %d" dc mdc;
-            let ts = Dynamic_index.total_symbols idx and mts = Model.total_symbols model in
-            if ts <> mts then fail_on idx tg.tg_name "total_symbols %d, model %d" ts mts;
-            if config.index.readers > 0 then begin
-              (* the published view must agree with the write plane the
-                 moment the writer is quiescent *)
-              let vdc, vts =
-                Dynamic_index.query idx (fun v ->
-                    (Dynamic_index.view_doc_count v, Dynamic_index.view_total_symbols v))
-              in
-              if vdc <> mdc then fail_on idx tg.tg_name "view doc_count %d, model %d" vdc mdc;
-              if vts <> mts then
-                fail_on idx tg.tg_name "view total_symbols %d, model %d" vts mts
-            end;
-            if config.check_invariants then
-              match Oracle.check orc idx with
-              | [] -> ()
-              | vs -> fail_on idx tg.tg_name "invariant violation: %s" (String.concat " | " vs))
-          insts)
+        List.iter (on (expect model op)) subjects;
+        List.iter (on (census model)) subjects)
       ops;
     Ok ()
   with Failed f -> Error f
 
 (* --- shrinking: ddmin-style chunk removal, then op simplification --- *)
 
-(* The generic delta-debugger: chunk removal then per-op payload
-   simplification against an arbitrary "still fails" predicate, so any
-   harness that can re-run a trace (the variant matrix here, the shard
-   matrix in [Dsdg_shard.Shard_check], ...) shrinks the same way. *)
-let shrink_ops ~fails ?(max_runs = 500) ops =
+let simplify = function
+  | Trace.Insert s when String.length s > 0 -> Some (Trace.Insert (String.sub s 0 (String.length s / 2)))
+  | Trace.Search p when String.length p > 1 -> Some (Trace.Search (String.sub p 0 (String.length p / 2)))
+  | Trace.Count p when String.length p > 1 -> Some (Trace.Count (String.sub p 0 (String.length p / 2)))
+  | Trace.Extract { doc; off; len } when len > 0 -> Some (Trace.Extract { doc; off; len = len / 2 })
+  | _ -> None
+
+let shrink_ops ~fails ~simplify ?(max_runs = 500) ops =
   let runs = ref 0 in
   let fails candidate =
     !runs < max_runs
@@ -260,14 +202,7 @@ let shrink_ops ~fails ?(max_runs = 500) ops =
     removal_pass !size;
     size := (if !size = 1 then 0 else !size / 2)
   done;
-  (* per-op simplification: halve payloads while the trace still fails *)
-  let simplify = function
-    | Trace.Insert s when String.length s > 0 -> Some (Trace.Insert (String.sub s 0 (String.length s / 2)))
-    | Trace.Search p when String.length p > 1 -> Some (Trace.Search (String.sub p 0 (String.length p / 2)))
-    | Trace.Count p when String.length p > 1 -> Some (Trace.Count (String.sub p 0 (String.length p / 2)))
-    | Trace.Extract { doc; off; len } when len > 0 -> Some (Trace.Extract { doc; off; len = len / 2 })
-    | _ -> None
-  in
+  (* per-op simplification while the trace still fails *)
   let improved = ref true in
   while !improved && !runs < max_runs do
     improved := false;
@@ -286,46 +221,164 @@ let shrink_ops ~fails ?(max_runs = 500) ops =
   done;
   Array.to_list !current
 
-let shrink ?(config = default_config) ?(max_runs = 500) ~targets ops =
-  shrink_ops ~max_runs ops ~fails:(fun candidate ->
-      match run_trace ~config ~targets candidate with Error _ -> true | Ok () -> false)
-
-type stream_outcome =
+type 'op outcome =
   | Pass
-  | Fail of { failure : failure; trace : Trace.op list; shrunk : Trace.op list }
+  | Fail of { failure : 'op failure; trace : 'op list; shrunk : 'op list }
 
-let run_stream ?(config = default_config) ?profile ?(shrink_budget = 500) ~targets ~seed ~ops () =
-  let trace = Opgen.generate ?profile ~seed ~ops () in
-  match run_trace ~config ~targets trace with
+let drive ~run ~simplify subjects trace =
+  match run subjects trace with
   | Ok () -> Pass
   | Error f ->
     (* everything after the failing op is noise; shrink the prefix, and
-       only against the structure that disagreed *)
+       only against the subject that disagreed *)
+    let culprit = match List.nth_opt subjects f.f_subject with Some s -> [ s ] | None -> subjects in
     let prefix = List.filteri (fun i _ -> i < f.f_step) trace in
-    let shrink_targets =
-      match List.find_opt (fun tg -> tg.tg_name = f.f_target) targets with
-      | Some tg -> [ tg ]
-      | None -> targets
-    in
-    let shrunk = shrink ~config ~max_runs:shrink_budget ~targets:shrink_targets prefix in
-    let failure =
-      match run_trace ~config ~targets:shrink_targets shrunk with Error f' -> f' | Ok () -> f
-    in
+    let shrunk = shrink_ops ~simplify prefix ~fails:(fun c -> Result.is_error (run culprit c)) in
+    let failure = match run culprit shrunk with Error f' -> f' | Ok () -> f in
     Fail { failure; trace; shrunk }
 
-let report ?seed ~failure ~shrunk () =
+let check subjects trace = drive ~run:run_trace ~simplify subjects trace
+
+let run_stream ?profile ~seed ~ops subjects =
+  check subjects (Opgen.generate ?profile ~seed ~ops ())
+
+let report ?seed ~show ~failure ~shrunk () =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   (match seed with
   | Some s -> add "differential check FAILED (seed %d)\n" s
   | None -> add "differential check FAILED\n");
   add "target : %s\n" failure.f_target;
-  add "at op  : #%d  %s\n" failure.f_step (Trace.op_to_string failure.f_op);
+  add "at op  : #%d  %s\n" failure.f_step (show failure.f_op);
   add "because: %s\n" failure.f_message;
-  add "minimal trace (%d ops):\n%s" (List.length shrunk) (Trace.render shrunk);
+  add "minimal trace (%d ops):\n" (List.length shrunk);
+  List.iteri (fun i op -> add "%4d  %s\n" (i + 1) (show op)) shrunk;
   (match failure.f_events with
   | [] -> ()
   | events ->
     add "recent structural events (newest first):\n";
     List.iteri (fun i e -> if i < 12 then add "  %s\n" e) events);
   Buffer.contents buf
+
+(* --- recovered state --- *)
+
+let verify ~label (s : Subject.t) model =
+  let errs = ref [] in
+  let err fmt =
+    Printf.ksprintf
+      (fun m -> if List.length !errs < 5 then errs := Printf.sprintf "%s: %s" label m :: !errs)
+      fmt
+  in
+  let dc = s.doc_count () and want = Model.doc_count model in
+  if dc <> want then err "doc_count %d, model %d" dc want;
+  let ts = s.total_symbols () and want = Model.total_symbols model in
+  if ts <> want then err "total_symbols %d, model %d" ts want;
+  List.iter (err "%s") (s.check ());
+  (* every id ever assigned and two past it: a dead id must stay dead
+     and an unassigned one must not appear *)
+  for id = 0 to Model.inserted model + 2 do
+    let want = Model.mem model id in
+    if s.mem id <> want then err "mem %d -> %b, model %b" id (not want) want;
+    let got = s.extract ~doc:id ~off:0 ~len:3
+    and want = Model.extract model ~doc:id ~off:0 ~len:3 in
+    if got <> want then err "extract %d 0 3 -> %s, model %s" id (pp_str_opt got) (pp_str_opt want)
+  done;
+  let live = Model.live model in
+  List.iter
+    (fun (id, text) ->
+      let got = s.extract ~doc:id ~off:0 ~len:(String.length text) in
+      if got <> Some text then err "doc %d extracts %s, model %S" id (pp_str_opt got) text)
+    live;
+  (* searches sampled from live texts: the first 8 that are long enough,
+     and every 7th live document *)
+  let long = ref 0 in
+  let sampled =
+    List.filteri
+      (fun i (_, text) ->
+        String.length text >= 2
+        && begin
+             incr long;
+             !long <= 8 || i mod 7 = 0
+           end)
+      live
+    |> List.map (fun (_, text) -> String.sub text 0 (min 3 (String.length text)))
+  in
+  List.iter
+    (fun p ->
+      let got = s.search p and want = Model.search model p in
+      if got <> want then err "search %S -> %s, model %s" p (pp_hits got) (pp_hits want);
+      let got = s.count p and want = Model.count model p in
+      if got <> want then err "count %S -> %d, model %d" p got want)
+    (List.sort_uniq compare ("ab" :: "a" :: sampled));
+  List.rev !errs
+
+(* --- kill sweeps --- *)
+
+type 'h crash = {
+  dir : string;
+  open_ : unit -> 'h * Subject.t;
+  kill : 'h -> point:int -> unit;
+  reopen : 'h -> Subject.t;
+}
+
+type kill_failure = { kf_point : int; kf_detail : string }
+type kill_outcome = { kc_points : int; kc_failures : kill_failure list }
+
+let kill_summary o =
+  if o.kc_failures = [] then Printf.sprintf "kill-check: %d kill point(s), all recovered" o.kc_points
+  else
+    Printf.sprintf "kill-check: %d kill point(s), %d FAILURE(S)\n%s" o.kc_points
+      (List.length o.kc_failures)
+      (String.concat "\n"
+         (List.map (fun f -> Printf.sprintf "  point %d: %s" f.kf_point f.kf_detail) o.kc_failures))
+
+let rec reset_dir path =
+  match Sys.is_directory path with
+  | true ->
+    Array.iter (fun n -> reset_dir (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+let sweep ?(stride = 1) crash ops =
+  let ops = Array.of_list ops in
+  let n = Array.length ops in
+  let failures = ref [] and points = ref 0 in
+  let point k =
+    incr points;
+    let fail detail = failures := { kf_point = k; kf_detail = detail } :: !failures in
+    let run model s lo hi =
+      for i = lo to hi - 1 do
+        match apply model s ops.(i) with
+        | Ok () -> ()
+        | Error m ->
+          failwith (Printf.sprintf "op #%d %s: %s" (i + 1) (Trace.op_to_string ops.(i)) m)
+      done
+    in
+    reset_dir crash.dir;
+    let model = Model.create () in
+    match
+      let h, (s : Subject.t) = crash.open_ () in
+      (try run model s 0 k
+       with e ->
+         (try s.close () with _ -> ());
+         raise e);
+      crash.kill h ~point:k;
+      let s = crash.reopen h in
+      Fun.protect ~finally:s.close @@ fun () ->
+      List.iter fail (verify ~label:"after recovery" s model);
+      run model s k n;
+      List.iter fail (verify ~label:"after continuation" s model)
+    with
+    | () -> ()
+    | exception Failure m -> fail m
+    | exception e -> fail (Printf.sprintf "exception: %s" (Printexc.to_string e))
+  in
+  let k = ref 0 in
+  while !k < n do
+    point !k;
+    k := !k + max 1 stride
+  done;
+  point n;
+  reset_dir crash.dir;
+  { kc_points = !points; kc_failures = List.rev !failures }

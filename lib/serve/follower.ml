@@ -392,69 +392,21 @@ let kill t ~torn =
 (* --- serving the replica --- *)
 
 let engine t =
-  let redirect =
-    Printf.sprintf "read-only replica; the leader is %s" t.f_leader_name
-  in
-  let lag_stats () =
-    let l = lag t in
-    [
-      ("lag_serials", l.lg_serials);
-      ("lag_epochs", l.lg_epochs);
-      ("replayed", l.lg_applied);
-      ("connected", if l.lg_connected then 1 else 0);
-    ]
-  in
-  (* every closure re-resolves the replica: a re-seed swaps the store
+  (* re-resolve the replica on every call: a re-seed swaps the store
      handle out from under a serving engine *)
-  let describe =
+  let current () =
     match replica t with
-    | R_single st ->
-      Printf.sprintf "replica of %s: %s" t.f_leader_name (Di.describe (Durable.index st))
-    | R_sharded sh -> Printf.sprintf "replica of %s: %s" t.f_leader_name (Sh.describe sh)
+    | R_single st -> Server.engine_of_store st
+    | R_sharded sh -> Server.engine_of_sharded sh
   in
-  Server.engine_readonly ~describe
-    ~search:(fun p ->
-      match replica t with
-      | R_single st ->
-        let idx = Durable.index st in
-        Di.query idx (fun v -> Di.view_search v p)
-      | R_sharded sh -> Sh.search sh p)
-    ~count:(fun p ->
-      match replica t with
-      | R_single st ->
-        let idx = Durable.index st in
-        Di.query idx (fun v -> Di.view_count v p)
-      | R_sharded sh -> Sh.count sh p)
-    ~extract:(fun ~doc ~off ~len ->
-      match replica t with
-      | R_single st ->
-        let idx = Durable.index st in
-        Di.query idx (fun v -> Di.view_extract v ~doc ~off ~len)
-      | R_sharded sh -> Sh.extract sh ~doc ~off ~len)
-    ~mem:(fun id ->
-      match replica t with
-      | R_single st ->
-        let idx = Durable.index st in
-        Di.query idx (fun v -> Di.view_mem v id)
-      | R_sharded sh -> Sh.mem sh id)
+  Server.engine_readonly ~current ~leader:t.f_leader_name
     ~stats:(fun () ->
-      (match replica t with
-      | R_single st ->
-        let v = Di.view (Durable.index st) in
-        [
-          ("docs", Di.view_doc_count v);
-          ("symbols", Di.view_total_symbols v);
-          ("epoch", Di.view_epoch v);
-        ]
-      | R_sharded sh ->
-        let ev = Sh.epoch_vector sh in
-        [
-          ("docs", Sh.doc_count sh);
-          ("symbols", Sh.total_symbols sh);
-          ("epoch", Array.fold_left ( + ) 0 ev);
-          ("shards", Sh.shards sh);
-        ])
-      @ lag_stats ())
-    ~redirect
+      let l = lag t in
+      [
+        ("lag_serials", l.lg_serials);
+        ("lag_epochs", l.lg_epochs);
+        ("replayed", l.lg_applied);
+        ("connected", if l.lg_connected then 1 else 0);
+      ])
     ~close:(fun () -> stop t)
     ~kill:(fun ~torn -> kill t ~torn)

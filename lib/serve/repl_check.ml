@@ -4,46 +4,10 @@
 module Trace = Dsdg_check.Trace
 module Model = Dsdg_check.Model
 module Runner = Dsdg_check.Runner
-module Di = Dsdg_core.Dynamic_index
 module Durable = Dsdg_store.Durable
 module Kill_check = Dsdg_store.Kill_check
 module Sh = Dsdg_shard.Sharded_index
-
-let reset_dir = Kill_check.reset_dir
-
-(* --- the sharded differential verifier (global-id surface) --- *)
-
-(* The sharded analogue of [Kill_check.verify]: census, membership and
-   full-text extraction of every live document, dead-id checks, sampled
-   searches -- against the model, in global ids. *)
-let verify_sharded ~label sh (model : Model.t) ~inserts =
-  let errs = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> errs := Printf.sprintf "%s: %s" label m :: !errs) fmt in
-  if Sh.doc_count sh <> Model.doc_count model then
-    fail "doc_count %d, model %d" (Sh.doc_count sh) (Model.doc_count model);
-  if Sh.total_symbols sh <> Model.total_symbols model then
-    fail "total_symbols %d, model %d" (Sh.total_symbols sh) (Model.total_symbols model);
-  for id = 0 to inserts - 1 do
-    let want = Model.mem model id in
-    if Sh.mem sh id <> want then fail "mem %d: %b, model %b" id (Sh.mem sh id) want
-  done;
-  let live = Model.live model in
-  List.iteri
-    (fun i (id, text) ->
-      let len = String.length text in
-      (match Sh.extract sh ~doc:id ~off:0 ~len with
-      | Some got when got = text -> ()
-      | Some got -> fail "extract %d: %S, model %S" id got text
-      | None -> fail "extract %d: none, model %S" id text);
-      (* sampled searches: a short pattern from every 7th live doc *)
-      if i mod 7 = 0 && len >= 2 then begin
-        let p = String.sub text 0 (min 3 len) in
-        let got = Sh.search sh p and want = Model.search model p in
-        if got <> want then
-          fail "search %S: %d hits, model %d" p (List.length got) (List.length want)
-      end)
-    live;
-  List.rev !errs
+module Shard_check = Dsdg_shard.Shard_check
 
 (* --- harness plumbing --- *)
 
@@ -115,40 +79,41 @@ let wait_catchup ?(timeout = 30.) c =
   in
   go ()
 
-(* Drive one mutation through the wire, mirroring it in the model; a
-   leader/model id or ack disagreement is itself a failure. *)
-let send_op c model op =
-  match op with
-  | Trace.Insert text ->
-    let got = Client.insert c.cl_client text and want = Model.insert model text in
-    if got <> want then Some (Printf.sprintf "insert acked id %d, model %d" got want) else None
-  | Trace.Delete id ->
-    let got = Client.delete c.cl_client id and want = Model.delete model id in
-    if got <> want then Some (Printf.sprintf "delete %d acked %b, model %b" id got want)
-    else None
-  | _ -> None
+let stop_cluster c =
+  (try Client.close c.cl_client with _ -> ());
+  (try Follower.stop c.cl_follower with _ -> ());
+  try Server.stop c.cl_server with _ -> ()
+
+(* The leader as seen by its client: every op goes over the wire, and
+   closing the subject tears the whole cluster down. *)
+let leader_subject c =
+  let cl = c.cl_client in
+  let stat key () = List.assoc key (Client.stats cl) in
+  {
+    Dsdg_check.Subject.name = "leader";
+    insert = Client.insert cl;
+    delete = Client.delete cl;
+    search = Client.search cl;
+    count = Client.count cl;
+    extract = (fun ~doc ~off ~len -> Client.extract cl ~doc ~off ~len);
+    mem = Client.mem cl;
+    drain = ignore;
+    doc_count = stat "docs";
+    total_symbols = stat "symbols";
+    check = (fun () -> []);
+    events = (fun () -> []);
+    close = (fun () -> stop_cluster c);
+  }
+
+(* A replica store: its [check] runs the paper invariants, including
+   the Dietz-Sleator cleaning schedule -- the probe that catches a
+   replayed [`Skip_top_clean] fault, which never corrupts answers. *)
+let replica_subject = function
+  | Follower.R_single st -> Kill_check.subject ~name:"replica" st
+  | Follower.R_sharded sh -> Shard_check.subject ~name:"replica" sh
 
 let mutations ops =
   List.filter (function Trace.Insert _ | Trace.Delete _ -> true | _ -> false) ops
-
-let verify_replica ~label c model ~inserts =
-  match Follower.replica c.cl_follower with
-  | Follower.R_single st ->
-    let idx = Durable.index st in
-    (* content vs model, plus the Dietz-Sleator cleaning-schedule
-       invariant -- the probe that catches a replayed [`Skip_top_clean]
-       fault, which never corrupts query answers, only the bound *)
-    Kill_check.verify ~label idx model ~inserts
-    @ (match (Di.probe idx).Di.pr_clean with
-      | Some (counter, period) when counter > 2 * period ->
-        [
-          Printf.sprintf
-            "%s: Dietz-Sleator cleaning fell behind on the replica: %d deleted symbols since \
-             dispatch > 2 * delta = %d"
-            label counter (2 * period);
-        ]
-      | _ -> [])
-  | Follower.R_sharded sh -> verify_sharded ~label sh model ~inserts
 
 (* --- convergence --- *)
 
@@ -164,13 +129,10 @@ let outcome_to_string o =
 let convergence ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
     ?(sync = Dsdg_store.Wal.Always) ?(checkpoint_every = 0) ?(quiesce_every = 16) ~dir ~ops ()
     =
-  reset_dir dir;
-  let ops = mutations ops in
-  let c =
-    start_cluster ~index ~shards ~sync ~checkpoint_every ~dir ()
-  in
+  Runner.reset_dir dir;
+  let c = start_cluster ~index ~shards ~sync ~checkpoint_every ~dir () in
+  let leader = leader_subject c in
   let model = Model.create () in
-  let inserts = ref 0 in
   let points = ref 0 in
   let failures = ref [] in
   let record step msg = failures := (step, msg) :: !failures in
@@ -188,30 +150,30 @@ let convergence ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
         | None -> "follower failed to catch up")
     else
       List.iter (record step)
-        (verify_replica ~label:(Printf.sprintf "quiesce@%d" step) c model ~inserts:!inserts)
+        (Runner.verify
+           ~label:(Printf.sprintf "quiesce@%d" step)
+           (replica_subject (Follower.replica c.cl_follower))
+           model)
   in
   let step = ref 0 in
   (try
      List.iter
        (fun op ->
          if !failures = [] then begin
-           (match op with Trace.Insert _ -> incr inserts | _ -> ());
-           (match send_op c model op with Some m -> record !step m | None -> ());
+           (match Runner.apply model leader op with Error m -> record !step m | Ok () -> ());
            incr step;
            if !step mod quiesce_every = 0 then quiesce !step
          end)
-       ops;
+       (mutations ops);
      if !failures = [] then quiesce !step
    with e -> record !step ("harness: " ^ Printexc.to_string e));
-  (try Client.close c.cl_client with _ -> ());
-  (try Follower.stop c.cl_follower with _ -> ());
-  (try Server.stop c.cl_server with _ -> ());
+  leader.close ();
   { rc_points = !points; rc_failures = List.rev !failures }
 
-(* Delta-debug a diverging stream (K=1 keeps runtime sane): the failing
-   predicate replays the whole cluster per candidate. *)
+(* Delta-debug a diverging stream: the failing predicate replays the
+   whole cluster per candidate. *)
 let shrink ?index ?shards ?sync ?checkpoint_every ?quiesce_every ?(max_runs = 24) ~dir ops =
-  Runner.shrink_ops ~max_runs
+  Runner.shrink_ops ~simplify:Runner.simplify ~max_runs
     ~fails:(fun candidate ->
       let o =
         convergence ?index ?shards ?sync ?checkpoint_every ?quiesce_every ~dir ~ops:candidate ()
@@ -221,108 +183,33 @@ let shrink ?index ?shards ?sync ?checkpoint_every ?quiesce_every ?(max_runs = 24
 
 (* --- failover --- *)
 
-(* Kill the leader at each stride point (after quiescing, so acked =
-   shipped), promote the follower, and verify every acknowledged write
-   -- then drive the remaining ops on the promoted store and re-verify,
-   so promotion leaves a fully functional writer. *)
+(* The leader is the crash: quiesce (acked = shipped), kill it, promote
+   the follower -- then the sweep verifies every acknowledged write and
+   keeps writing on the promoted store, so promotion must leave a fully
+   functional writer. *)
 let failover_sweep ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
     ?(sync = Dsdg_store.Wal.Always) ?(checkpoint_every = 0) ?(torn = true) ?(stride = 8) ~dir
     ~ops () =
-  let ops = mutations ops in
-  let n = List.length ops in
-  let points = ref 0 and failures = ref [] in
-  let point p =
-    incr points;
-    reset_dir dir;
-    let c =
-      start_cluster ~index ~shards ~sync ~checkpoint_every ~dir ()
-    in
-    let model = Model.create () in
-    let inserts = ref 0 in
-    let errs = ref [] in
-    (try
-       List.iteri
-         (fun i op ->
-           if i < p && !errs = [] then begin
-             (match op with Trace.Insert _ -> incr inserts | _ -> ());
-             match send_op c model op with Some m -> errs := [ m ] | None -> ()
-           end)
-         ops;
-       if !errs = [] && not (wait_catchup c) then
-         errs :=
-           [
-             (match Follower.error c.cl_follower with
-             | Some e -> "follower error: " ^ e
-             | None -> "follower failed to catch up before the kill");
-           ];
-       (* the crash: no drain, no farewell *)
-       Server.kill c.cl_server ~torn;
-       (try Client.close c.cl_client with _ -> ());
-       if !errs = [] then begin
-         let promoted = Follower.detach c.cl_follower in
-         let label = Printf.sprintf "promote@%d" p in
-         (match promoted with
-         | Follower.R_single st ->
-           errs := Kill_check.verify ~label (Durable.index st) model ~inserts:!inserts;
-           (* continuation: the promoted replica is the writer now *)
-           if !errs = [] then begin
-             List.iteri
-               (fun i op ->
-                 if i >= p then
-                   match op with
-                   | Trace.Insert text ->
-                     incr inserts;
-                     let got = Durable.insert st text and want = Model.insert model text in
-                     if got <> want then
-                       errs := [ Printf.sprintf "continuation insert %d, model %d" got want ]
-                   | Trace.Delete id ->
-                     let got = Durable.delete st id and want = Model.delete model id in
-                     if got <> want then
-                       errs := [ Printf.sprintf "continuation delete %d: %b/%b" id got want ]
-                   | _ -> ())
-               ops;
-             if !errs = [] then
-               errs :=
-                 Kill_check.verify ~label:(label ^ "+cont") (Durable.index st) model
-                   ~inserts:!inserts
-           end;
-           Durable.close st
-         | Follower.R_sharded sh ->
-           errs := verify_sharded ~label sh model ~inserts:!inserts;
-           if !errs = [] then begin
-             List.iteri
-               (fun i op ->
-                 if i >= p then
-                   match op with
-                   | Trace.Insert text ->
-                     incr inserts;
-                     let got = Sh.insert sh text and want = Model.insert model text in
-                     if got <> want then
-                       errs := [ Printf.sprintf "continuation insert %d, model %d" got want ]
-                   | Trace.Delete id ->
-                     let got = Sh.delete sh id and want = Model.delete model id in
-                     if got <> want then
-                       errs := [ Printf.sprintf "continuation delete %d: %b/%b" id got want ]
-                   | _ -> ())
-               ops;
-             if !errs = [] then
-               errs := verify_sharded ~label:(label ^ "+cont") sh model ~inserts:!inserts
-           end;
-           Sh.close sh)
-       end
-       else begin
-         (try Follower.stop c.cl_follower with _ -> ())
-       end
-     with e -> errs := [ "harness: " ^ Printexc.to_string e ]);
-    List.iter
-      (fun detail ->
-        failures := { Kill_check.kf_point = p; kf_detail = detail } :: !failures)
-      !errs
-  in
-  let p = ref 0 in
-  while !p < n do
-    point !p;
-    p := !p + max 1 stride
-  done;
-  point n;
-  { Kill_check.kc_points = !points; kc_failures = List.rev !failures }
+  Runner.sweep ~stride
+    {
+      Runner.dir;
+      open_ =
+        (fun () ->
+          let c = start_cluster ~index ~shards ~sync ~checkpoint_every ~dir () in
+          (c, leader_subject c));
+      kill =
+        (fun c ~point:_ ->
+          let caught = wait_catchup c in
+          (* the crash: no drain, no farewell *)
+          Server.kill c.cl_server ~torn;
+          (try Client.close c.cl_client with _ -> ());
+          if not caught then begin
+            (try Follower.stop c.cl_follower with _ -> ());
+            failwith
+              (match Follower.error c.cl_follower with
+              | Some e -> "follower error: " ^ e
+              | None -> "follower failed to catch up before the kill")
+          end);
+      reopen = (fun c -> replica_subject (Follower.detach c.cl_follower));
+    }
+    (mutations ops)

@@ -1,27 +1,28 @@
 (** Leader/follower differential checking -- the replication entries of
-    the check matrix.
+    the check matrix (DESIGN.md section 6).
 
     {!convergence} spins up a real cluster in [dir] (leader store +
     {!Server} on an ephemeral TCP port, {!Follower} replica, {!Client}),
-    drives a fuzz mutation stream through the wire while mirroring it
-    in a {!Dsdg_check.Model}, and at quiesce points (every
+    drives a fuzz mutation stream through the wire with
+    {!Dsdg_check.Runner.apply} (the leader, seen through its client, is
+    a {!Dsdg_check.Subject}), and at quiesce points (every
     [quiesce_every] mutations, plus once at the end) waits for the
-    replica to catch up to the leader's stream positions and verifies
-    it against the model -- [Kill_check.verify] for K=1, a sharded
-    analogue (census, membership, full-text extraction, sampled
-    searches over global ids) for K>1.  Sharded runs also trigger a
+    replica to catch up to the leader's stream positions and checks it
+    with {!Dsdg_check.Runner.verify}. A K=1 replica's subject runs the
+    paper invariants, whose cleaning-schedule probe catches a planted
+    [`Skip_top_clean]. Sharded runs also trigger a
     {!Dsdg_shard.Sharded_index.rebalance_hottest} migration at each
     quiesce point so migrate shipping is exercised.
 
-    {!failover_sweep} is the promotion story: at each stride point it
-    replays the prefix through a fresh cluster, quiesces (acked writes
-    under asynchronous shipping are only guaranteed on the leader's
-    disk, so the sweep waits for catch-up before pulling the trigger),
-    kills the leader with {!Server.kill} (optionally planting a torn
-    final WAL record), promotes the follower via {!Follower.detach},
-    verifies every acknowledged write against the model, then drives
-    the remaining operations directly on the promoted store and
-    verifies again -- promotion must yield a fully functional writer.
+    {!failover_sweep} is {!Dsdg_check.Runner.sweep} with the cluster as
+    the crash: replay the prefix through a fresh cluster, quiesce
+    (acked writes under asynchronous shipping are only guaranteed on
+    the leader's disk, so the sweep waits for catch-up before pulling
+    the trigger), kill the leader with {!Server.kill} (optionally
+    planting a torn final WAL record), and promote the follower via
+    {!Follower.detach}. The sweep then verifies every acknowledged
+    write, drives the remaining ops on the promoted store and verifies
+    again -- promotion must yield a fully functional writer.
 
     Checks run under [sync = Always] by default: the acked = durable =
     shipped chain is what makes "verify the replica against everything
@@ -67,10 +68,9 @@ val shrink :
   Dsdg_check.Trace.op list
 
 (** [failover_sweep ~dir ~ops ()] kills the leader at every [stride]-th
-    prefix (plus the empty and full prefixes) and checks promotion;
-    [torn] (default true) plants a torn final record in the dying
-    leader's WAL.  Returns a {!Dsdg_store.Kill_check.outcome} so it
-    reports like the other kill sweeps. *)
+    prefix of the mutations in [ops] (plus the empty and full
+    prefixes) and checks promotion; [torn] (default true) plants a torn
+    final record in the dying leader's WAL. *)
 val failover_sweep :
   ?index:Dsdg_core.Index_config.t ->
   ?shards:int ->
@@ -81,4 +81,4 @@ val failover_sweep :
   dir:string ->
   ops:Dsdg_check.Trace.op list ->
   unit ->
-  Dsdg_store.Kill_check.outcome
+  Dsdg_check.Runner.kill_outcome

@@ -225,18 +225,20 @@ let engine_of_sharded s =
     eng_kill = (fun ~torn -> Sh.kill s ~torn);
   }
 
-(* A replica's engine: queries and stats serve locally, every mutation
-   is refused with a redirect naming the leader, checkpoint is a no-op
-   (the tail thread owns the store's write plane). *)
-let engine_readonly ~describe ~search ~count ~extract ~mem ~stats ~redirect ~close ~kill =
+(* A replica's engine: [current ()] is the engine of the replica store
+   as it is now (a re-seed swaps the handle), every mutation is refused
+   with a redirect naming the leader, checkpoint is a no-op (the tail
+   thread owns the store's write plane). *)
+let engine_readonly ~current ~leader ~stats ~close ~kill =
   {
-    eng_describe = describe;
-    eng_apply_batch = (fun _ -> raise (Redirect redirect));
-    eng_search = search;
-    eng_count = count;
-    eng_extract = extract;
-    eng_mem = mem;
-    eng_stats = stats;
+    eng_describe = Printf.sprintf "replica of %s: %s" leader (current ()).eng_describe;
+    eng_apply_batch =
+      (fun _ -> raise (Redirect (Printf.sprintf "read-only replica; the leader is %s" leader)));
+    eng_search = (fun p -> (current ()).eng_search p);
+    eng_count = (fun p -> (current ()).eng_count p);
+    eng_extract = (fun ~doc ~off ~len -> (current ()).eng_extract ~doc ~off ~len);
+    eng_mem = (fun id -> (current ()).eng_mem id);
+    eng_stats = (fun () -> (current ()).eng_stats () @ stats ());
     eng_repl =
       (fun ~stream:_ ~from:_ -> Rp_error "replicas do not ship streams; poll the leader");
     eng_checkpoint = (fun () -> ());

@@ -62,20 +62,18 @@ val engine_of_sharded : Dsdg_shard.Sharded_index.t -> engine
     its payload, so the wire carries exactly the redirect message. *)
 exception Redirect of string
 
-(** A read-only replica engine ({!Follower} builds one): queries and
-    stats serve locally, every mutation is refused with {!Redirect}
-    [redirect] (name the leader's address in it), [repl] polls are
-    refused (replicas do not ship streams), checkpoint is a no-op --
-    the tail thread owns the store's write plane -- and [close]/[kill]
-    are the caller's teardown hooks. *)
+(** A read-only replica engine ({!Follower} builds one). Queries and
+    stats go to [current ()], the {!engine_of_store} or
+    {!engine_of_sharded} of the replica store as it is at the time of
+    the call, with [stats ()] appended to the stats. Every mutation is
+    refused with {!Redirect} naming [leader], [repl] polls are refused
+    (replicas do not ship streams), checkpoint is a no-op -- the tail
+    thread owns the store's write plane -- and [close]/[kill] are the
+    caller's teardown hooks. *)
 val engine_readonly :
-  describe:string ->
-  search:(string -> (int * int) list) ->
-  count:(string -> int) ->
-  extract:(doc:int -> off:int -> len:int -> string option) ->
-  mem:(int -> bool) ->
+  current:(unit -> engine) ->
+  leader:string ->
   stats:(unit -> (string * int) list) ->
-  redirect:string ->
   close:(unit -> unit) ->
   kill:(torn:bool -> unit) ->
   engine

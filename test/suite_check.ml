@@ -33,10 +33,9 @@ let seq =
     | Some k -> k
     | None -> failwith ("unknown DSDG_SEQ_BACKEND: " ^ s))
 
-(* Runner configs over the fuzz harnesses' default index settings. *)
-let fuzz_index = Runner.default_config.index
-let cfg index = { Runner.default_config with Runner.index }
-let base_config = cfg { fuzz_index with jobs; readers; seq_backend = seq }
+(* Index settings over the fuzz harnesses' defaults. *)
+let fuzz_index = Runner.fuzz_index
+let base_index = { fuzz_index with jobs; readers; seq_backend = seq }
 
 (* On failure, print everything needed to reproduce without rerunning
    the suite: the seed, the saved minimal trace and the replay command. *)
@@ -52,7 +51,7 @@ let fail_stream ~seed ~failure ~shrunk =
     | None -> ("all", "all")
   in
   Alcotest.failf "%strace saved to %s\nreplay: dsdg fuzz --replay %s --variant %s --backend %s"
-    (Runner.report ~seed ~failure ~shrunk ())
+    (Runner.report ~seed ~show:Trace.op_to_string ~failure ~shrunk ())
     path path variant backend
 
 (* The bulk run: each stream drives one variant x backend pair
@@ -64,7 +63,10 @@ let test_fuzz_matrix () =
     let seed = base_seed + i in
     let targets = [ List.nth Runner.all_targets (i mod n_targets) ] in
     let profile = if i mod 3 = 2 then Opgen.churny else Opgen.default in
-    match Runner.run_stream ~config:base_config ~targets ~profile ~seed ~ops:ops_per_stream () with
+    match
+      Runner.run_stream ~profile ~seed ~ops:ops_per_stream
+        (Runner.subjects ~index:base_index targets)
+    with
     | Runner.Pass -> ()
     | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
   done
@@ -75,8 +77,8 @@ let test_fuzz_cross_targets () =
   for i = 0 to 2 do
     let seed = base_seed + 1000 + i in
     match
-      Runner.run_stream ~config:base_config ~targets:Runner.all_targets ~seed
-        ~ops:(2 * ops_per_stream) ()
+      Runner.run_stream ~seed ~ops:(2 * ops_per_stream)
+        (Runner.subjects ~index:base_index Runner.all_targets)
     with
     | Runner.Pass -> ()
     | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
@@ -86,13 +88,13 @@ let test_fuzz_cross_targets () =
    the environment: the differential matrix must hold on both dynamic-
    sequence backends in every run, not only in the dedicated CI leg. *)
 let test_fuzz_spsi_streams () =
-  let config = cfg { base_config.index with seq_backend = Dsdg_delbits.Sums.Spsi } in
+  let index = { base_index with seq_backend = Dsdg_delbits.Sums.Spsi } in
   let n_targets = List.length Runner.all_targets in
   for i = 0 to 8 do
     let seed = base_seed + 2000 + i in
     let targets = [ List.nth Runner.all_targets (i mod n_targets) ] in
     let profile = if i mod 3 = 2 then Opgen.churny else Opgen.default in
-    match Runner.run_stream ~config ~targets ~profile ~seed ~ops:ops_per_stream () with
+    match Runner.run_stream ~profile ~seed ~ops:ops_per_stream (Runner.subjects ~index targets) with
     | Runner.Pass -> ()
     | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
   done
@@ -211,13 +213,15 @@ let test_model_semantics () =
    the schedule oracle trips, the trace shrinks, the minimal trace
    replays to a failure with the fault and runs clean without it. *)
 let test_planted_fault_caught () =
-  let config = cfg { fuzz_index with fault = Some `Skip_top_clean } in
+  let index = { fuzz_index with fault = Some `Skip_top_clean } in
   let targets = Runner.select_targets ~variant:"worst-case" ~backend:"fm" () in
   let rec hunt seed =
     if seed > base_seed + 9 then
       Alcotest.fail "planted skip-top-clean fault never caught in 10 churny streams"
     else
-      match Runner.run_stream ~config ~targets ~profile:Opgen.churny ~seed ~ops:600 () with
+      match
+        Runner.run_stream ~profile:Opgen.churny ~seed ~ops:600 (Runner.subjects ~index targets)
+      with
       | Runner.Pass -> hunt (seed + 1)
       | Runner.Fail { failure = _; shrunk; trace } ->
         Alcotest.(check bool) "shrunk trace nonempty" true (shrunk <> []);
@@ -228,10 +232,10 @@ let test_planted_fault_caught () =
         let reloaded = Trace.load path in
         Sys.remove path;
         Alcotest.(check bool) "minimal trace round-trips" true (reloaded = shrunk);
-        (match Runner.run_trace ~config ~targets reloaded with
+        (match Runner.run_trace (Runner.subjects ~index targets) reloaded with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "replayed minimal trace no longer fails under the fault");
-        (match Runner.run_trace ~targets reloaded with
+        (match Runner.run_trace (Runner.subjects targets) reloaded with
         | Ok () -> ()
         | Error f ->
           Alcotest.failf "minimal trace fails even without the fault: %s" f.Runner.f_message)
@@ -250,7 +254,8 @@ let test_fuzz_t3_streams () =
         let seed = base_seed + 4000 + (100 * i) + j in
         let profile = if j mod 3 = 2 then Opgen.churny else Opgen.default in
         match
-          Runner.run_stream ~config:base_config ~targets ~profile ~seed ~ops:ops_per_stream ()
+          Runner.run_stream ~profile ~seed ~ops:ops_per_stream
+            (Runner.subjects ~index:base_index targets)
         with
         | Runner.Pass -> ()
         | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
@@ -261,13 +266,13 @@ let test_fuzz_t3_streams () =
    domains on, regardless of DSDG_JOBS, so tier-1 always exercises the
    background-rebuild path (round-robin over the matrix). *)
 let test_fuzz_pooled_smoke () =
-  let config = cfg { fuzz_index with jobs = max 1 jobs } in
+  let index = { fuzz_index with jobs = max 1 jobs } in
   let n_targets = List.length Runner.all_targets in
   for i = 0 to 19 do
     let seed = base_seed + 2000 + i in
     let targets = [ List.nth Runner.all_targets (i mod n_targets) ] in
     let profile = if i mod 3 = 2 then Opgen.churny else Opgen.default in
-    match Runner.run_stream ~config ~targets ~profile ~seed ~ops:ops_per_stream () with
+    match Runner.run_stream ~profile ~seed ~ops:ops_per_stream (Runner.subjects ~index targets) with
     | Runner.Pass -> ()
     | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
   done
@@ -276,23 +281,23 @@ let test_fuzz_pooled_smoke () =
    dropped instead of recovered) and demand the full catch -> shrink ->
    replay pipeline works, exactly as for the scheduling fault above. *)
 let test_planted_worker_crash_caught () =
-  let config = cfg { fuzz_index with fault = Some `Worker_crash; jobs = 1 } in
-  let clean_config = cfg { fuzz_index with jobs = 1 } in
+  let index = { fuzz_index with fault = Some `Worker_crash; jobs = 1 } in
+  let clean_index = { fuzz_index with jobs = 1 } in
   let targets = Runner.select_targets ~variant:"worst-case" ~backend:"fm" () in
   let rec hunt seed =
     if seed > base_seed + 9 then
       Alcotest.fail "planted worker-crash fault never caught in 10 streams"
     else
-      match Runner.run_stream ~config ~targets ~seed ~ops:300 () with
+      match Runner.run_stream ~seed ~ops:300 (Runner.subjects ~index targets) with
       | Runner.Pass -> hunt (seed + 1)
       | Runner.Fail { failure = _; shrunk; trace } ->
         Alcotest.(check bool) "shrunk trace nonempty" true (shrunk <> []);
         Alcotest.(check bool) "shrinking did not grow the trace" true
           (List.length shrunk <= List.length trace);
-        (match Runner.run_trace ~config ~targets shrunk with
+        (match Runner.run_trace (Runner.subjects ~index targets) shrunk with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "replayed minimal trace no longer fails under the fault");
-        (match Runner.run_trace ~config:clean_config ~targets shrunk with
+        (match Runner.run_trace (Runner.subjects ~index:clean_index targets) shrunk with
         | Ok () -> ()
         | Error f ->
           Alcotest.failf "minimal trace fails even without the fault: %s" f.Runner.f_message)
@@ -304,13 +309,13 @@ let test_planted_worker_crash_caught () =
    regardless of DSDG_READERS, so tier-1 always differentially checks
    the read plane itself (round-robin over the matrix). *)
 let test_fuzz_readers_smoke () =
-  let config = cfg { fuzz_index with readers = max 1 readers } in
+  let index = { fuzz_index with readers = max 1 readers } in
   let n_targets = List.length Runner.all_targets in
   for i = 0 to 19 do
     let seed = base_seed + 3000 + i in
     let targets = [ List.nth Runner.all_targets (i mod n_targets) ] in
     let profile = if i mod 3 = 2 then Opgen.churny else Opgen.default in
-    match Runner.run_stream ~config ~targets ~profile ~seed ~ops:ops_per_stream () with
+    match Runner.run_stream ~profile ~seed ~ops:ops_per_stream (Runner.subjects ~index targets) with
     | Runner.Pass -> ()
     | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
   done
@@ -321,28 +326,30 @@ let test_fuzz_readers_smoke () =
    invisible without readers -- with readers >= 1 it must be caught,
    shrunk, and deterministically replayable. *)
 let test_planted_stale_epoch_caught () =
-  let config = cfg { fuzz_index with fault = Some `Stale_epoch; readers = 1 } in
-  let clean_config = cfg { fuzz_index with readers = 1 } in
-  let blind_config = cfg { fuzz_index with fault = Some `Stale_epoch } in
+  let index = { fuzz_index with fault = Some `Stale_epoch; readers = 1 } in
+  let clean_index = { fuzz_index with readers = 1 } in
+  let blind_index = { fuzz_index with fault = Some `Stale_epoch } in
   let targets = Runner.select_targets ~variant:"worst-case" ~backend:"fm" () in
   let rec hunt seed =
     if seed > base_seed + 9 then
       Alcotest.fail "planted stale-epoch fault never caught in 10 churny streams"
     else
-      match Runner.run_stream ~config ~targets ~profile:Opgen.churny ~seed ~ops:300 () with
+      match
+        Runner.run_stream ~profile:Opgen.churny ~seed ~ops:300 (Runner.subjects ~index targets)
+      with
       | Runner.Pass -> hunt (seed + 1)
       | Runner.Fail { failure = _; shrunk; trace } ->
         Alcotest.(check bool) "shrunk trace nonempty" true (shrunk <> []);
         Alcotest.(check bool) "shrinking did not grow the trace" true
           (List.length shrunk <= List.length trace);
-        (match Runner.run_trace ~config ~targets shrunk with
+        (match Runner.run_trace (Runner.subjects ~index targets) shrunk with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "replayed minimal trace no longer fails under the fault");
-        (match Runner.run_trace ~config:clean_config ~targets shrunk with
+        (match Runner.run_trace (Runner.subjects ~index:clean_index targets) shrunk with
         | Ok () -> ()
         | Error f ->
           Alcotest.failf "minimal trace fails even without the fault: %s" f.Runner.f_message);
-        (match Runner.run_trace ~config:blind_config ~targets shrunk with
+        (match Runner.run_trace (Runner.subjects ~index:blind_index targets) shrunk with
         | Ok () -> ()
         | Error f ->
           Alcotest.failf
@@ -417,10 +424,10 @@ let test_rel_rop_roundtrip () =
 let test_rel_fuzz_streams () =
   for i = 0 to n_streams - 1 do
     let seed = base_seed + (1000 * i) in
-    match Rel_check.run_stream ~kinds:rel_kinds ~seed ~ops:ops_per_stream () with
-    | Rel_check.Pass -> ()
-    | Rel_check.Fail { failure; shrunk; trace = _ } ->
-      Alcotest.failf "%s" (Rel_check.report ~seed ~failure ~shrunk ())
+    match Rel_check.run_stream ~seed ~ops:ops_per_stream rel_kinds with
+    | Runner.Pass -> ()
+    | Runner.Fail { failure; shrunk; trace = _ } ->
+      Alcotest.failf "%s" (Runner.report ~seed ~show:Rel_check.rop_to_string ~failure ~shrunk ())
   done
 
 (* Plant the lost-remove fault and demand the relation pipeline works
@@ -432,9 +439,9 @@ let test_rel_planted_fault_caught () =
     if seed > base_seed + 9 then
       Alcotest.fail "planted rel-lost-remove fault never caught in 10 streams"
     else
-      match Rel_check.run_stream ~fault ~kinds:rel_kinds ~seed ~ops:200 () with
-      | Rel_check.Pass -> hunt (seed + 1)
-      | Rel_check.Fail { failure = _; trace; shrunk } ->
+      match Rel_check.run_stream ~fault ~seed ~ops:200 rel_kinds with
+      | Runner.Pass -> hunt (seed + 1)
+      | Runner.Fail { failure = _; trace; shrunk } ->
         Alcotest.(check bool) "shrunk trace nonempty" true (shrunk <> []);
         Alcotest.(check bool) "shrinking did not grow the trace" true
           (List.length shrunk <= List.length trace);
@@ -446,16 +453,36 @@ let test_rel_planted_fault_caught () =
         let reloaded = Rel_check.load path in
         Sys.remove path;
         Alcotest.(check bool) "minimal trace round-trips" true (reloaded = shrunk);
-        (match Rel_check.run_ops ~fault ~kinds:rel_kinds reloaded with
+        (match Rel_check.run_ops ~fault rel_kinds reloaded with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "replayed minimal trace no longer fails under the fault");
-        (match Rel_check.run_ops ~kinds:rel_kinds reloaded with
+        (match Rel_check.run_ops rel_kinds reloaded with
         | Ok () -> ()
         | Error f ->
           Alcotest.failf "minimal trace fails even without the fault: %s"
-            f.Rel_check.rf_message)
+            f.Runner.f_message)
   in
   hunt base_seed
+
+(* The recovered-state verifier must see what any of its callers could
+   get wrong: a subject that claims an id nobody was ever given fails,
+   while the honest subject it wraps passes. *)
+let test_verify_catches_phantom () =
+  let model = Model.create () in
+  let s = Subject.of_index ~name:"honest" (DI.create ~index:fuzz_index ()) in
+  Fun.protect ~finally:s.close @@ fun () ->
+  List.iter
+    (fun op ->
+      match Runner.apply model s op with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" (Trace.op_to_string op) m)
+    (Opgen.generate ~seed:(base_seed + 88) ~ops:40 ());
+  Alcotest.(check (list string))
+    "honest subject verifies" [] (Runner.verify ~label:"honest" s model);
+  let next = Model.inserted model in
+  let phantom = { s with Subject.mem = (fun id -> id = next || s.mem id) } in
+  Alcotest.(check bool)
+    "phantom id fails verify" true (Runner.verify ~label:"phantom" phantom model <> [])
 
 let suite =
   [ ("trace round-trip", `Quick, test_trace_roundtrip);
@@ -475,4 +502,5 @@ let suite =
     ("fuzz reader smoke streams", `Slow, test_fuzz_readers_smoke);
     ("fuzz cross-target streams", `Slow, test_fuzz_cross_targets);
     ("fuzz spsi-substrate streams", `Slow, test_fuzz_spsi_streams);
-    ("fuzz matrix streams", `Slow, test_fuzz_matrix) ]
+    ("fuzz matrix streams", `Slow, test_fuzz_matrix);
+    ("verify catches a phantom id", `Quick, test_verify_catches_phantom) ]

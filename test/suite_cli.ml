@@ -29,7 +29,7 @@ let tmp_dir prefix =
 
 let with_dir prefix f =
   let d = tmp_dir prefix in
-  Fun.protect ~finally:(fun () -> Dsdg_store.Kill_check.reset_dir d) (fun () -> f d)
+  Fun.protect ~finally:(fun () -> Dsdg_check.Runner.reset_dir d) (fun () -> f d)
 
 let dev_null_in () = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0
 let dev_null_out () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0
@@ -452,6 +452,32 @@ let test_save_pinned_smoke () =
           check_exit bin ~what:"stats --store --shards" ~expect:0
             [ "stats"; "--store"; Filename.concat dir "shstats"; "--shards"; "2"; "--ops"; "40" ]))
 
+(* The planted scheduling fault end to end through the binary: fuzz
+   catches it (exit 1) and saves a minimal trace, and replaying that
+   trace with the hinted fault fails again. *)
+let test_fuzz_fault_replay () =
+  with_bin (fun bin ->
+      with_dir "dsdg-cli-fuzz-fault" (fun dir ->
+          Unix.mkdir dir 0o755;
+          let shape = [ "--variant"; "worst-case"; "--backend"; "fm" ] in
+          check_exit bin ~what:"planted fault caught (exit 1)" ~expect:1
+            ([ "fuzz"; "--fault"; "skip-top-clean"; "--profile"; "churny"; "--ops"; "600";
+               "--streams"; "10"; "--trace-dir"; dir ]
+            @ shape);
+          let trace =
+            match
+              List.filter
+                (fun f -> Filename.check_suffix f ".trace")
+                (Array.to_list (Sys.readdir dir))
+            with
+            | [ f ] -> Filename.concat dir f
+            | fs -> Alcotest.failf "expected one saved trace, found %d" (List.length fs)
+          in
+          check_exit bin ~what:"replay without the hinted fault is usage (124)" ~expect:124
+            ([ "fuzz"; "--replay"; trace ] @ shape);
+          check_exit bin ~what:"replay with the hinted fault fails (exit 1)" ~expect:1
+            ([ "fuzz"; "--replay"; trace; "--fault"; "skip-top-clean" ] @ shape)))
+
 let suite =
   [
     Alcotest.test_case "exit codes: 0 / 1 / 2 / 124 scheme" `Slow test_exit_codes;
@@ -465,4 +491,5 @@ let suite =
     Alcotest.test_case "serve + load round-trip, SIGTERM drain" `Slow test_serve_load_roundtrip;
     Alcotest.test_case "sharded serve (K=2) + load round-trip, SIGTERM drain" `Slow
       test_sharded_serve_roundtrip;
+    Alcotest.test_case "fuzz --fault: catch, save, replay (exit 1)" `Slow test_fuzz_fault_replay;
   ]

@@ -8,7 +8,7 @@ module Client = Dsdg_serve.Client
 module Follower = Dsdg_serve.Follower
 module Repl_check = Dsdg_serve.Repl_check
 module Durable = Dsdg_store.Durable
-module Kill_check = Dsdg_store.Kill_check
+module Runner = Dsdg_check.Runner
 module Opgen = Dsdg_check.Opgen
 
 let tmp_dir prefix =
@@ -18,7 +18,7 @@ let tmp_dir prefix =
 
 let with_dir prefix f =
   let d = tmp_dir prefix in
-  Fun.protect ~finally:(fun () -> Kill_check.reset_dir d) (fun () -> f d)
+  Fun.protect ~finally:(fun () -> Runner.reset_dir d) (fun () -> f d)
 
 let check_converged what (o : Repl_check.outcome) =
   Alcotest.(check bool) (what ^ ": points exercised") true (o.Repl_check.rc_points > 1);
@@ -26,13 +26,13 @@ let check_converged what (o : Repl_check.outcome) =
     (String.concat "; "
        (List.map (fun (n, d) -> Printf.sprintf "after %d ops: %s" n d) o.Repl_check.rc_failures))
 
-let check_survived what (o : Kill_check.outcome) =
-  Alcotest.(check bool) (what ^ ": points exercised") true (o.Kill_check.kc_points > 1);
+let check_survived what (o : Runner.kill_outcome) =
+  Alcotest.(check bool) (what ^ ": points exercised") true (o.Runner.kc_points > 1);
   Alcotest.(check string) (what ^ ": no lost acked write") ""
     (String.concat "; "
        (List.map
-          (fun f -> Printf.sprintf "point %d: %s" f.Kill_check.kf_point f.Kill_check.kf_detail)
-          o.Kill_check.kc_failures))
+          (fun f -> Printf.sprintf "point %d: %s" f.Runner.kf_point f.Runner.kf_detail)
+          o.Runner.kc_failures))
 
 (* --- convergence: every quiesce point, replica = model --- *)
 

@@ -22,7 +22,7 @@ let tmp_dir prefix =
 
 let with_dir prefix f =
   let d = tmp_dir prefix in
-  Fun.protect ~finally:(fun () -> Dsdg_store.Kill_check.reset_dir d) (fun () -> f d)
+  Fun.protect ~finally:(fun () -> Dsdg_check.Runner.reset_dir d) (fun () -> f d)
 
 let sock_of dir = Filename.concat dir "dsdg.sock"
 

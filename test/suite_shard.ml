@@ -1,8 +1,8 @@
 (* Sharded scale-out suite: the Sharded_index collection contract, the
    shard-aware differential fuzz matrix (one stream fanned over K in
-   {1, 2, 4} and compared against both the naive model and the K=1
-   baseline), durable kill-and-recover and mid-split kill sweeps, and
-   parallel-recovery equivalence.
+   {1, 2, 4} next to the plain index, every answer compared against the
+   naive model), durable kill-and-recover and mid-split kill sweeps,
+   the shared kill-point schedule, and parallel-recovery equivalence.
 
    Budget knobs shared with suite_check: FUZZ_STREAMS, FUZZ_OPS,
    FUZZ_SEED. *)
@@ -11,6 +11,7 @@ open Dsdg_shard
 module SI = Sharded_index
 module Trace = Dsdg_check.Trace
 module Model = Dsdg_check.Model
+module Runner = Dsdg_check.Runner
 module Store = Dsdg_store
 
 let env_int name default =
@@ -27,8 +28,8 @@ let with_tmp_dir f =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "dsdg-suite-shard-%d-%d" (Unix.getpid ()) (Random.bits ()))
   in
-  Store.Kill_check.reset_dir dir;
-  Fun.protect ~finally:(fun () -> Store.Kill_check.reset_dir dir) (fun () -> f dir)
+  Runner.reset_dir dir;
+  Fun.protect ~finally:(fun () -> Runner.reset_dir dir) (fun () -> f dir)
 
 (* --- collection contract --- *)
 
@@ -140,59 +141,52 @@ let fail_stream ~seed ~failure ~shrunk =
   let path = Filename.temp_file "dsdg-shard-fuzz" ".trace" in
   Trace.save ~hint:{ Trace.no_hint with h_shards = Some 4 } path shrunk;
   Alcotest.failf "%strace saved to %s\nreplay: dsdg fuzz --replay %s --shards 4"
-    (Shard_check.report ~seed ~failure ~shrunk ())
+    (Runner.report ~seed ~show:Trace.op_to_string ~failure ~shrunk ())
     path path
 
+(* The plain index of [tg] next to K-shard collections over the same
+   settings, K in {1, 2, 4}. *)
+let shard_subjects ?(index = Runner.fuzz_index) tg =
+  Runner.subjects ~index [ tg ]
+  @ Shard_check.subjects ~index:(Runner.target_index tg index) ~name:tg.Runner.tg_name [ 1; 2; 4 ]
+
 (* The bulk run: every stream is fanned over K in {1, 2, 4} and every
-   answer compared against the model AND the K=1 baseline, with
-   periodic hot-shard rebalance churn inside the checked region.
+   answer compared against the model, next to the plain K=1 index,
+   with periodic hot-shard rebalance churn inside the checked region.
    Round-robin over the variant x backend matrix; every third stream
    delete-heavy. *)
 let test_fuzz_matrix () =
-  let variants =
-    [ Dsdg_core.Dynamic_index.Amortized;
-      Dsdg_core.Dynamic_index.Amortized_loglog;
-      Dsdg_core.Dynamic_index.Worst_case ]
-  in
-  let backends =
-    [ Dsdg_core.Dynamic_index.Fm; Dsdg_core.Dynamic_index.Plain_sa; Dsdg_core.Dynamic_index.Csa ]
-  in
-  let n_pairs = List.length variants * List.length backends in
+  let n_pairs = List.length Runner.all_targets in
   for i = 0 to n_streams - 1 do
     let seed = base_seed + 5000 + i in
-    let pair = i mod n_pairs in
-    let config =
-      {
-        Shard_check.default_config with
-        Shard_check.sc_index =
-          {
-            Shard_check.default_config.sc_index with
-            variant = List.nth variants (pair / List.length backends);
-            backend = List.nth backends (pair mod List.length backends);
-          };
-      }
-    in
+    let tg = List.nth Runner.all_targets (i mod n_pairs) in
     let profile = if i mod 3 = 2 then Dsdg_check.Opgen.churny else Dsdg_check.Opgen.default in
-    match Shard_check.run_stream ~config ~profile ~seed ~ops:ops_per_stream () with
-    | Shard_check.Pass -> ()
-    | Shard_check.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
+    match Runner.run_stream ~profile ~seed ~ops:ops_per_stream (shard_subjects tg) with
+    | Runner.Pass -> ()
+    | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
   done
 
 (* Reader-routed smoke: the scatter-gather path with every per-shard
    query served from that shard's reader pool. *)
 let test_fuzz_readers_smoke () =
-  let config = {
-      Shard_check.default_config with
-      Shard_check.sc_index = { Shard_check.default_config.sc_index with readers = 1 };
-    } in
+  let index = { Runner.fuzz_index with readers = 1 } in
+  let tg = List.hd (Runner.select_targets ~variant:"amortized" ~backend:"fm" ()) in
   for i = 0 to 7 do
     let seed = base_seed + 6000 + i in
-    match Shard_check.run_stream ~config ~seed ~ops:ops_per_stream () with
-    | Shard_check.Pass -> ()
-    | Shard_check.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
+    match Runner.run_stream ~seed ~ops:ops_per_stream (shard_subjects ~index tg) with
+    | Runner.Pass -> ()
+    | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
   done
 
 (* --- durable sweeps --- *)
+
+let check_recovered (outcome : Runner.kill_outcome) ~min_points =
+  Alcotest.(check bool) "points exercised" true (outcome.kc_points > min_points);
+  Alcotest.(check string) "no failures" ""
+    (String.concat "; "
+       (List.map
+          (fun (f : Runner.kill_failure) -> Printf.sprintf "point %d: %s" f.kf_point f.kf_detail)
+          outcome.kc_failures))
 
 (* Crash a K=2 sharded store at every 5th op (completed migrations in
    the meta log on odd points), recover in parallel, verify against the
@@ -200,15 +194,8 @@ let test_fuzz_readers_smoke () =
 let test_kill_sweep () =
   with_tmp_dir (fun dir ->
       let ops = Dsdg_check.Opgen.generate ~seed:(base_seed + 7000) ~ops:60 () in
-      let outcome = Shard_check.kill_sweep ~shards:2 ~stride:5 ~dir ~ops () in
-      Alcotest.(check bool) "points exercised" true (outcome.Store.Kill_check.kc_points > 5);
-      Alcotest.(check string) "no failures" ""
-        (String.concat "; "
-           (List.map
-              (fun f ->
-                Printf.sprintf "point %d: %s" f.Store.Kill_check.kf_point
-                  f.Store.Kill_check.kf_detail)
-              outcome.Store.Kill_check.kc_failures)))
+      check_recovered ~min_points:5
+        (Runner.sweep ~stride:5 (Shard_check.crash ~shards:2 ~dir ()) ops))
 
 (* Kill at every state-machine point of a live migration: recovery must
    re-serve each acknowledged write exactly once, no loss and no
@@ -216,15 +203,26 @@ let test_kill_sweep () =
 let test_split_kill_sweep () =
   with_tmp_dir (fun dir ->
       let ops = Dsdg_check.Opgen.generate ~seed:(base_seed + 7100) ~ops:40 () in
-      let outcome = Shard_check.split_kill_sweep ~shards:3 ~dir ~ops () in
-      Alcotest.(check bool) "points exercised" true (outcome.Store.Kill_check.kc_points > 2);
-      Alcotest.(check string) "no failures" ""
-        (String.concat "; "
-           (List.map
-              (fun f ->
-                Printf.sprintf "point %d: %s" f.Store.Kill_check.kf_point
-                  f.Store.Kill_check.kf_detail)
-              outcome.Store.Kill_check.kc_failures)))
+      check_recovered ~min_points:2 (Shard_check.split_kill_sweep ~shards:3 ~dir ~ops ()))
+
+(* The single-store and sharded sweeps run one kill-point schedule:
+   0, stride, 2*stride, ... and always the last op, even when the stride
+   does not divide the op count, and both leave no store behind. *)
+let test_sweep_schedule () =
+  let ops = Dsdg_check.Opgen.generate ~seed:(base_seed + 7200) ~ops:41 () in
+  List.iter
+    (fun (what, sweep) ->
+      with_tmp_dir (fun dir ->
+          let outcome = sweep dir in
+          Alcotest.(check int)
+            (what ^ ": kill points 0, 8, ..., 40, 41")
+            7 outcome.Runner.kc_points;
+          Alcotest.(check int) (what ^ ": no failures") 0 (List.length outcome.kc_failures);
+          Alcotest.(check bool) (what ^ ": dir removed") false (Sys.file_exists dir)))
+    [
+      ("single", fun dir -> Runner.sweep ~stride:8 (Store.Kill_check.crash ~dir ()) ops);
+      ("K=2", fun dir -> Runner.sweep ~stride:8 (Shard_check.crash ~shards:2 ~dir ()) ops);
+    ]
 
 (* Sequential (recovery_jobs=0) and parallel (recovery_jobs=4) recovery
    of the same crashed K=4 store must agree on everything. *)
@@ -425,4 +423,5 @@ let suite =
     ("kill-and-recover sweep (K=2)", `Slow, test_kill_sweep);
     ("mid-split kill sweep (K=3)", `Slow, test_split_kill_sweep);
     ("fuzz reader-routed smoke", `Slow, test_fuzz_readers_smoke);
-    ("fuzz matrix streams (K in {1,2,4})", `Slow, test_fuzz_matrix) ]
+    ("fuzz matrix streams (K in {1,2,4})", `Slow, test_fuzz_matrix);
+    ("kill sweeps end at the last op and clean up", `Slow, test_sweep_schedule) ]

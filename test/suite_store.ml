@@ -18,7 +18,7 @@ let tmp_dir prefix =
 
 let with_dir prefix f =
   let d = tmp_dir prefix in
-  Fun.protect ~finally:(fun () -> Kill_check.reset_dir d) (fun () -> f d)
+  Fun.protect ~finally:(fun () -> Dsdg_check.Runner.reset_dir d) (fun () -> f d)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
@@ -438,9 +438,10 @@ let test_kill_sweep_matrix () =
           let label = variant_name variant ^ "/" ^ backend_name backend in
           let dir = tmp_dir ("dsdg-kill-" ^ variant_name variant ^ backend_name backend) in
           let ops = Dsdg_check.Opgen.generate ~seed:7 ~ops:24 () in
-          let o = Kill_check.sweep ~index:{ small with variant; backend } ~stride:5 ~dir ~ops () in
-          if o.Kill_check.kc_failures <> [] then
-            Alcotest.failf "%s: %s" label (Kill_check.outcome_to_string o))
+          let crash = Kill_check.crash ~index:{ small with variant; backend } ~dir () in
+          let o = Dsdg_check.Runner.sweep ~stride:5 crash ops in
+          if o.Dsdg_check.Runner.kc_failures <> [] then
+            Alcotest.failf "%s: %s" label (Dsdg_check.Runner.kill_summary o))
         all_backends)
     all_variants
 
@@ -720,7 +721,7 @@ let test_durable_pin_backup () =
   with_dir "dsdg-pinback" (fun dir ->
       let dest = tmp_dir "dsdg-pinback-dest" in
       Fun.protect
-        ~finally:(fun () -> Kill_check.reset_dir dest)
+        ~finally:(fun () -> Dsdg_check.Runner.reset_dir dest)
         (fun () ->
           let d, _ = Durable.open_ ~config:(durable_cfg 3) ~index:small ~dir () in
           let m = Model.create () in
