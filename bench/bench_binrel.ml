@@ -17,20 +17,20 @@ open Dsdg_workload
 module Baseline_rel = struct
   type t = {
     s : Dyn_wavelet.t; (* labels in object order *)
-    n : Dyn_bitvec.t; (* 1^{deg 0} 0 1^{deg 1} 0 ... *)
+    n : Spsi.t; (* 1^{deg 0} 0 1^{deg 1} 0 ... *)
     objects : int;
   }
 
   let create ~objects ~labels =
-    let n = Dyn_bitvec.create () in
+    let n = Spsi.create () in
     for _ = 1 to objects do
-      Dyn_bitvec.push_back n false
+      Spsi.push_back n false
     done;
     { s = Dyn_wavelet.create ~sigma:labels (); n; objects }
 
   let seg t o =
-    let l = if o = 0 then 0 else Dyn_bitvec.rank1 t.n (Dyn_bitvec.select0 t.n (o - 1)) in
-    let r = Dyn_bitvec.rank1 t.n (Dyn_bitvec.select0 t.n o) in
+    let l = if o = 0 then 0 else Spsi.rank1 t.n (Spsi.select0 t.n (o - 1)) in
+    let r = Spsi.rank1 t.n (Spsi.select0 t.n o) in
     (l, r)
 
   let related t o a =
@@ -42,7 +42,7 @@ module Baseline_rel = struct
     else begin
       let _, r = seg t o in
       Dyn_wavelet.insert t.s r a;
-      Dyn_bitvec.insert t.n (Dyn_bitvec.select0 t.n o) true;
+      Spsi.insert t.n (Spsi.select0 t.n o) true;
       true
     end
 
@@ -53,7 +53,7 @@ module Baseline_rel = struct
     else begin
       let j = Dyn_wavelet.select t.s a before in
       Dyn_wavelet.delete t.s j;
-      Dyn_bitvec.delete t.n (Dyn_bitvec.select0 t.n o - 1);
+      Spsi.delete t.n (Spsi.select0 t.n o - 1);
       true
     end
 
@@ -67,7 +67,7 @@ module Baseline_rel = struct
     let total = Dyn_wavelet.count t.s a in
     for k = 0 to total - 1 do
       let pos = Dyn_wavelet.select t.s a k in
-      f (Dyn_bitvec.rank0 t.n (Dyn_bitvec.select1 t.n pos))
+      f (Spsi.rank0 t.n (Spsi.select1 t.n pos))
     done
 
   let count_labels_of_object t o =
@@ -75,7 +75,7 @@ module Baseline_rel = struct
     r - l
 
   let count_objects_of_label t a = Dyn_wavelet.count t.s a
-  let space_bits t = Dyn_wavelet.space_bits t.s + Dyn_bitvec.space_bits t.n
+  let space_bits t = Dyn_wavelet.space_bits t.s + Spsi.space_bits t.n
 end
 
 (* --- backend x scale matrix over web-crawl streams ---

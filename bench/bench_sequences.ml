@@ -5,9 +5,9 @@
    the Transformations, and A.6 shows how to build it.
 
    The second half benches the *dynamic* substrate those engines run on
-   when the collection mutates: the AVL Dyn_bitvec vs the SPSI B-tree
-   (Spsi) on a mixed insert/delete/rank/select stream, per-op-class
-   throughput and bits/symbol emitted as BENCH JSON rows.
+   when the collection mutates: the SPSI B-tree (Spsi) on a mixed
+   insert/delete/rank/select stream, per-op-class throughput and
+   bits/symbol emitted as a BENCH JSON row.
    DSDG_BENCH_QUICK=1 shrinks both halves to CI size. *)
 
 open Dsdg_wavelet
@@ -39,17 +39,17 @@ let impls (a : int array) sigma =
 
 let quick () = Sys.getenv_opt "DSDG_BENCH_QUICK" <> None
 
-(* --- dynamic substrate: AVL Dyn_bitvec vs SPSI B-tree --- *)
+(* --- dynamic substrate: SPSI B-tree --- *)
 
-(* One mixed stream per backend, same seed: grow to [n] bits with
+(* One mixed stream: grow to [n] bits with
    inserts at random positions, interleaving deletes, rank1 and select1
    along the way (roughly 62% insert / 12% delete / 16% rank / 10%
    select).  Each op class gets its own accumulated wall-clock, so the
    row reports ops/s per class out of one realistic interleaving rather
    than four artificially segregated phases. *)
-let dynamic_stream kind n =
+let dynamic_stream n =
   let open Dsdg_dynseq in
-  let bv = Seq_backend.create kind in
+  let bv = Spsi.create () in
   let st = Random.State.make [| 73; n |] in
   let ins_ns = ref 0. and del_ns = ref 0. and rank_ns = ref 0. and sel_ns = ref 0. in
   let ins_n = ref 0 and del_n = ref 0 and rank_n = ref 0 and sel_n = ref 0 in
@@ -61,66 +61,51 @@ let dynamic_stream kind n =
     acc_ns := !acc_ns +. Int64.to_float (Int64.sub t1 t0);
     incr acc_n
   in
-  while Seq_backend.len bv < n do
-    let len = Seq_backend.len bv in
+  while Spsi.len bv < n do
+    let len = Spsi.len bv in
     let r = Random.State.float st 1.0 in
     if r < 0.62 || len < 64 then
       let pos = Random.State.int st (len + 1) in
       let b = Random.State.bool st in
-      timed ins_ns ins_n (fun () -> Seq_backend.insert bv pos b)
+      timed ins_ns ins_n (fun () -> Spsi.insert bv pos b)
     else if r < 0.74 then
       let pos = Random.State.int st len in
-      timed del_ns del_n (fun () -> Seq_backend.delete bv pos)
+      timed del_ns del_n (fun () -> Spsi.delete bv pos)
     else if r < 0.90 then
       let pos = Random.State.int st len in
-      timed rank_ns rank_n (fun () -> sink := !sink + Seq_backend.rank1 bv pos)
+      timed rank_ns rank_n (fun () -> sink := !sink + Spsi.rank1 bv pos)
     else begin
-      let ones = Seq_backend.ones bv in
+      let ones = Spsi.ones bv in
       if ones > 0 then
         let k = Random.State.int st ones in
-        timed sel_ns sel_n (fun () -> sink := !sink + Seq_backend.select1 bv k)
+        timed sel_ns sel_n (fun () -> sink := !sink + Spsi.select1 bv k)
     end
   done;
   ignore (Sys.opaque_identity !sink);
   let ops_s ns cnt = if ns <= 0. then nan else float_of_int cnt /. (ns /. 1e9) in
-  ( Seq_backend.space_bits bv,
-    Seq_backend.len bv,
+  ( Spsi.space_bits bv,
+    Spsi.len bv,
     [ ("insert", ops_s !ins_ns !ins_n, !ins_n);
       ("delete", ops_s !del_ns !del_n, !del_n);
       ("rank", ops_s !rank_ns !rank_n, !rank_n);
       ("select", ops_s !sel_ns !sel_n, !sel_n) ] )
 
 let run_dynamic () =
-  let open Dsdg_dynseq in
   let n = if quick () then 100_000 else 1_000_000 in
-  Printf.printf "
-[sequences/dynamic] mixed stream to n=%d bits per backend
-%!" n;
-  let rows =
-    List.map
-      (fun kind ->
-        let name = Dsdg_delbits.Sums.kind_to_string kind in
-        let space, len, classes = dynamic_stream kind n in
-        let bps = float_of_int space /. float_of_int len in
-        Bench_util.emit_json_row ~bench:"sequences"
-          ([ ("section", Bench_util.S "dynamic");
-             ("backend", Bench_util.S name);
-             ("n", Bench_util.I len);
-             ("bits_per_symbol", Bench_util.F bps) ]
-          @ List.map (fun (op, ops_s, _) -> (op ^ "_ops_s", Bench_util.F ops_s)) classes);
-        name :: List.map (fun (_, ops_s, _) -> Printf.sprintf "%.0f" ops_s) classes
-        @ [ Printf.sprintf "%.2f" bps ])
-      Dsdg_delbits.Sums.all_kinds
-  in
+  Printf.printf "\n[sequences/dynamic] mixed stream to n=%d bits\n%!" n;
+  let space, len, classes = dynamic_stream n in
+  let bps = float_of_int space /. float_of_int len in
+  Bench_util.emit_json_row ~bench:"sequences"
+    ([ ("section", Bench_util.S "dynamic");
+       ("backend", Bench_util.S "spsi");
+       ("n", Bench_util.I len);
+       ("bits_per_symbol", Bench_util.F bps) ]
+    @ List.map (fun (op, ops_s, _) -> (op ^ "_ops_s", Bench_util.F ops_s)) classes);
   Bench_util.print_table
-    ~title:
-      (Printf.sprintf
-         "Dynamic bitvector substrate, %d-bit mixed stream  [expect spsi ahead on rank/select \
-          at <= avl space]"
-         n)
+    ~title:(Printf.sprintf "Dynamic bitvector substrate, %d-bit mixed stream" n)
     ~header:[ "backend"; "insert/s"; "delete/s"; "rank/s"; "select/s"; "bits/sym" ]
-    rows;
-  ignore (Seq_backend.Avl : Seq_backend.kind)
+    [ "spsi" :: List.map (fun (_, ops_s, _) -> Printf.sprintf "%.0f" ops_s) classes
+      @ [ Printf.sprintf "%.2f" bps ] ]
 
 let run () =
   let st = Random.State.make [| 61 |] in

@@ -76,9 +76,8 @@ let profile_of_string = function
   | s -> die_usage "unknown profile: %s" s
 
 (* Relation/graph adjacency backend (wavelet-tree pair list vs k2
-   quadtree), the same kind of runtime seam as --seq-backend: never
-   persisted (stores hold the bare pair set), recorded in relation
-   replay-trace hints as rel=<spec>. *)
+   quadtree), a runtime seam: never persisted (stores hold the bare
+   pair set), recorded in relation replay-trace hints as rel=<spec>. *)
 let rel_kind_of_string = function
   | s -> (
     match Binrel.Rel_backend.kind_of_string s with
@@ -828,12 +827,20 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
   let targets = Runner.select_targets ~variant ~backend () in
   (* a target's name as a directory-name component *)
   let slug tg = String.map (function '/' -> '-' | c -> c) tg.Runner.tg_name in
+  (* a recognized hint key whose value does not parse would otherwise
+     replay under the default setting and "pass" without testing it *)
+  let malformed_hint file field =
+    die_usage "trace %s has a malformed hint %s; fix or remove it" file field
+  in
+  let load_hint file =
+    match Trace.load_hint file with Ok h -> h | Error field -> malformed_hint file field
+  in
   (* A trace records every setting its run used beyond the fuzz
      defaults; replaying it under a different shape (including with the
      flag omitted) would "pass" without testing anything, so a mismatch
      is a usage error. *)
   let enforce_hint file (index : Index_config.t) =
-    let h = Trace.load_hint file in
+    let h = load_hint file in
     (match h.Trace.h_rel with
     | Some want ->
       die_usage
@@ -846,11 +853,14 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
       | Some k when k <> shards -> [ ("shards", string_of_int k, string_of_int shards) ]
       | _ -> []
     in
-    match need_shards @ Index_config.mismatches h.Trace.h_index index with
-    | (flag, want, got) :: _ ->
-      die_usage "trace %s was recorded with --%s %s (this invocation has --%s %s); pass --%s %s"
-        file flag want flag got flag want
-    | [] -> ()
+    match Index_config.mismatches h.Trace.h_index index with
+    | Error field -> malformed_hint file field
+    | Ok mismatches -> (
+      match need_shards @ mismatches with
+      | (flag, want, got) :: _ ->
+        die_usage "trace %s was recorded with --%s %s (this invocation has --%s %s); pass --%s %s"
+          file flag want flag got flag want
+      | [] -> ())
   in
   let stream_ops index =
     match replay with
@@ -920,7 +930,7 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
       (* a relation trace records which backend shape it diverged
          under; replaying it against a different one (or as a document
          trace) would "pass" without testing anything *)
-      (match (Trace.load_hint file).Trace.h_rel with
+      (match (load_hint file).Trace.h_rel with
       | None ->
         die_usage
           "trace %s is not a relation trace (no rel= hint); drop --rel, or replay a trace \
@@ -1161,8 +1171,8 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
    re-ingests a saved pair set) into the chosen adjacency backend, runs
    neighbor scans and BFS traversals, and prints throughput and
    bits/edge. The saved artifact is the bare pair set (Codec relation
-   container): like --seq-backend, the adjacency backend is a runtime
-   choice and is never persisted. *)
+   container): the adjacency backend is a runtime choice and is never
+   persisted. *)
 let graph_cmd nodes edges seed rel_backend tau queries save_path load_path =
   let kind = rel_kind_of_string rel_backend in
   if tau < 1 then die_usage "--tau must be >= 1 (got %d)" tau;
@@ -1308,14 +1318,11 @@ let backend_arg =
 let config_term ?(fixed = []) ~(base : Index_config.t) shape =
   let flag key v term = if List.mem key fixed then Term.const v else term in
   let int_arg name default ?docv doc = Arg.(value & opt int default & info [ name ] ?docv ~doc) in
-  let seq_kinds =
-    List.map (fun k -> (Dsdg_delbits.Sums.kind_to_string k, k)) Dsdg_delbits.Sums.all_kinds
-  in
-  let make (variant, backend) sample tau jobs readers seq_backend retain_epochs =
+  let make (variant, backend) sample tau jobs readers retain_epochs =
     try
       Ok
         (Index_config.validate
-           { base with variant; backend; sample; tau; jobs; readers; seq_backend; retain_epochs })
+           { base with variant; backend; sample; tau; jobs; readers; retain_epochs })
     with Invalid_argument msg -> Error msg
   in
   Term.(
@@ -1328,12 +1335,6 @@ let config_term ?(fixed = []) ~(base : Index_config.t) shape =
       $ flag `Readers base.readers
           (int_arg "readers" base.readers
              "Reader-pool domains serving queries from the latest published snapshot (0 = queries run on the caller's domain).")
-      $ Arg.(
-          value
-          & opt (enum seq_kinds) base.seq_backend
-          & info [ "seq-backend" ] ~docv:"NAME"
-              ~doc:
-                "Dynamic-sequence substrate for every index structure: avl (balanced-tree bitvectors) | spsi (B-tree searchable partial sums with word-packed leaves). A runtime choice, never persisted: a store written under one backend reopens under the other.")
       $ flag `Retain_epochs base.retain_epochs
           (int_arg "retain-epochs" base.retain_epochs ~docv:"N"
              "Keep the $(docv) most recently published views resolvable for point-in-time reads (interactive ~EPOCH ?PAT / ~EPOCH #PAT); 0 retains only the live view. Pinned views survive eviction regardless.")))

@@ -1,10 +1,9 @@
-(* The dynamic-relation seam, mirroring Dsdg_dynseq.Seq_backend: one
-   module type both relation backends satisfy, a runtime [kind] for the
-   CLI flag, and a packed existential so Digraph / Triple_store can
-   hold a backend-chosen relation in an ordinary field.  The kind is a
-   runtime choice, never persisted: snapshots store the live pair set
-   and recovery re-ingests it into whichever backend the reopening
-   process selects. *)
+(* The dynamic-relation seam: one module type both relation backends
+   satisfy, a runtime [kind] for the CLI flag, and a packed existential
+   so Digraph / Triple_store can hold a backend-chosen relation in an
+   ordinary field.  The kind is a runtime choice, never persisted:
+   snapshots store the live pair set and recovery re-ingests it into
+   whichever backend the reopening process selects. *)
 
 type kind = Str | K2
 

@@ -5,10 +5,9 @@
     ({!Dyn_binrel}, wavelet/Reporter sub-structures, amortized
     rebuilds) and the k²-tree adjacency matrix ({!K2_relation}, packed
     quadtree, space-competitive on sparse clustered graphs). The seam
-    mirrors {!Dsdg_dynseq.Seq_backend}: a runtime [kind] selected by
-    the [--rel-backend] CLI flag, a shared module type, and a packed
-    existential for callers that hold a backend-chosen relation in an
-    ordinary field.
+    is a runtime [kind] selected by the [--rel-backend] CLI flag, a
+    shared module type, and a packed existential for callers that hold
+    a backend-chosen relation in an ordinary field.
 
     The kind is a runtime choice, never persisted: snapshots store the
     live pair set and recovery re-ingests it into whichever backend

@@ -93,12 +93,12 @@ let parse_hint_line line =
           match String.split_on_char '=' f with [ k; v ] when v <> "" -> Some (k, v) | _ -> None)
         fields
     in
+    let h_index = List.filter (fun (k, _) -> k <> "shards" && k <> "rel") pairs in
     Some
-      {
-        h_shards = Option.bind (List.assoc_opt "shards" pairs) int_of_string_opt;
-        h_rel = List.assoc_opt "rel" pairs;
-        h_index = List.filter (fun (k, _) -> k <> "shards" && k <> "rel") pairs;
-      }
+      (match List.assoc_opt "shards" pairs with
+      | Some v when int_of_string_opt v = None -> Error ("shards=" ^ v)
+      | shards ->
+        Ok { h_shards = Option.map int_of_string shards; h_rel = List.assoc_opt "rel" pairs; h_index })
   | _ -> None
 
 let save ?(hint = no_hint) path ops =
@@ -116,14 +116,14 @@ let load_hint path =
     (fun () ->
       let rec scan () =
         match input_line ic with
-        | exception End_of_file -> no_hint
+        | exception End_of_file -> Ok no_hint
         | line -> (
           let line = String.trim line in
           if line = "" then scan ()
           else
             match parse_hint_line line with
             | Some h -> h
-            | None -> if line.[0] = '%' then scan () else no_hint)
+            | None -> if line.[0] = '%' then scan () else Ok no_hint)
       in
       scan ())
 

@@ -49,7 +49,7 @@ val op_of_string : string -> op
 val render : op list -> string
 
 (** A replay hint: the shape a recorded failure needs to reproduce.
-    Saved as a ["% requires shards=K tau=3 readers=N seq=spsi"] comment
+    Saved as a ["% requires shards=K tau=3 readers=N"] comment
     header, so hinted traces remain loadable by any reader (comments
     are skipped) while hint-aware replayers ([dsdg fuzz --replay]) can
     refuse to replay under a different shape. An absent field means no
@@ -70,9 +70,11 @@ val no_hint : hint
 val save : ?hint:hint -> string -> op list -> unit
 
 (** The hint header of a saved trace ({!no_hint} for pre-hint traces
-    and traces saved without one). Never raises on parse trouble --
-    unknown keys and malformed headers read as absent fields. *)
-val load_hint : string -> hint
+    and traces saved without one). Unknown keys and fields without a
+    [key=value] shape read as absent; [Error "shards=two"] names a
+    [shards] value that is not an integer. The index fields are checked
+    by {!Dsdg_core.Index_config.of_hint}. *)
+val load_hint : string -> (hint, string) result
 
 (** Raises {!Parse_error} (with the line number and offending field) on
     parse errors, [Sys_error] if unreadable. Blank lines and

@@ -176,7 +176,7 @@ let mk_view ~epoch ~docs ~syms ~census ~search ~count ~extract ~mem ~components 
    components instead of starting empty -- everything else (closure
    wiring, conventions, reader pool) is identical. *)
 let make ?restore_from (config : Index_config.t) : t =
-  let { Index_config.variant; backend; sample; tau; fault; jobs; readers; seq_backend = seq; _ } =
+  let { Index_config.variant; backend; sample; tau; fault; jobs; readers; _ } =
     Index_config.validate config
   in
   let t1_probe census_full level_capacity nf () =
@@ -208,9 +208,9 @@ let make ?restore_from (config : Index_config.t) : t =
     | Fm ->
       let t =
         match restore_from with
-        | None -> T1_fm.create ~schedule ~sample ~tau ~jobs ~seq ()
+        | None -> T1_fm.create ~schedule ~sample ~tau ~jobs ()
         | Some d ->
-          T1_fm.restore ~schedule ~sample ~tau ~jobs ~seq ~next_id:d.dm_next_id ~nf:d.dm_nf
+          T1_fm.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
             ~epoch:d.dm_epoch ~components:d.dm_components ()
       in
       {
@@ -245,9 +245,9 @@ let make ?restore_from (config : Index_config.t) : t =
     | Plain_sa ->
       let t =
         match restore_from with
-        | None -> T1_sa.create ~schedule ~sample ~tau ~jobs ~seq ()
+        | None -> T1_sa.create ~schedule ~sample ~tau ~jobs ()
         | Some d ->
-          T1_sa.restore ~schedule ~sample ~tau ~jobs ~seq ~next_id:d.dm_next_id ~nf:d.dm_nf
+          T1_sa.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
             ~epoch:d.dm_epoch ~components:d.dm_components ()
       in
       {
@@ -282,9 +282,9 @@ let make ?restore_from (config : Index_config.t) : t =
     | Csa ->
       let t =
         match restore_from with
-        | None -> T1_csa.create ~schedule ~sample ~tau ~jobs ~seq ()
+        | None -> T1_csa.create ~schedule ~sample ~tau ~jobs ()
         | Some d ->
-          T1_csa.restore ~schedule ~sample ~tau ~jobs ~seq ~next_id:d.dm_next_id ~nf:d.dm_nf
+          T1_csa.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
             ~epoch:d.dm_epoch ~components:d.dm_components ()
       in
       {
@@ -328,9 +328,9 @@ let make ?restore_from (config : Index_config.t) : t =
     | Fm ->
       let t =
         match restore_from with
-        | None -> T2_fm.create ~sample ~tau ?fault ~jobs ~seq ()
+        | None -> T2_fm.create ~sample ~tau ?fault ~jobs ()
         | Some d ->
-          T2_fm.restore ~sample ~tau ?fault ~jobs ~seq ~next_id:d.dm_next_id ~nf:d.dm_nf
+          T2_fm.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
             ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ()
       in
       {
@@ -367,9 +367,9 @@ let make ?restore_from (config : Index_config.t) : t =
     | Plain_sa ->
       let t =
         match restore_from with
-        | None -> T2_sa.create ~sample ~tau ?fault ~jobs ~seq ()
+        | None -> T2_sa.create ~sample ~tau ?fault ~jobs ()
         | Some d ->
-          T2_sa.restore ~sample ~tau ?fault ~jobs ~seq ~next_id:d.dm_next_id ~nf:d.dm_nf
+          T2_sa.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
             ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ()
       in
       {
@@ -406,9 +406,9 @@ let make ?restore_from (config : Index_config.t) : t =
     | Csa ->
       let t =
         match restore_from with
-        | None -> T2_csa.create ~sample ~tau ?fault ~jobs ~seq ()
+        | None -> T2_csa.create ~sample ~tau ?fault ~jobs ()
         | Some d ->
-          T2_csa.restore ~sample ~tau ?fault ~jobs ~seq ~next_id:d.dm_next_id ~nf:d.dm_nf
+          T2_csa.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
             ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ()
       in
       {

@@ -267,8 +267,8 @@ val checkpoint_body : dump -> view -> dump
 
     The dump's shape ([variant], [backend], [sample], [tau]) wins over
     [index]'s; only the runtime fields ([fault], [jobs], [readers],
-    [seq_backend], [retain_epochs]) are taken from [index], since a
-    dump never records them. O(n) index construction. *)
+    [retain_epochs]) are taken from [index], since a dump never records
+    them. O(n) index construction. *)
 val restore : ?index:Index_config.t -> dump -> t
 
 (** Land every in-flight background job now (each counts as a forced

@@ -1,4 +1,4 @@
-(* The nine settings of one dynamic index; see index_config.mli. *)
+(* The eight settings of one dynamic index; see index_config.mli. *)
 
 type variant = Amortized | Amortized_loglog | Worst_case
 type backend = Fm | Plain_sa | Csa
@@ -11,7 +11,6 @@ type t = {
   fault : Transform2.fault option;
   jobs : int;
   readers : int;
-  seq_backend : Dsdg_delbits.Sums.kind;
   retain_epochs : int;
 }
 
@@ -24,7 +23,6 @@ let default =
     fault = None;
     jobs = 0;
     readers = 0;
-    seq_backend = Dsdg_delbits.Sums.Avl;
     retain_epochs = 0;
   }
 
@@ -46,17 +44,17 @@ let backends = [ ("fm", Fm); ("sa", Plain_sa); ("csa", Csa) ]
 let faults : (string * Transform2.fault) list =
   [ ("skip-top-clean", `Skip_top_clean); ("worker-crash", `Worker_crash); ("stale-epoch", `Stale_epoch) ]
 
-(* One row per hinted field: hint key, command-line flag, rendering,
-   parsing. The hint header, the replay line and the mismatch report
-   all read this table, so they cannot disagree about a field. The
-   shape travels as the replay line's explicit --variant/--backend, and
-   the fuzz harnesses never read a retained view, so neither has a row. *)
-type field = { key : string; flag : string; get : t -> string; set : t -> string -> t option }
+(* One row per hinted field: hint key (which is also the command-line
+   flag), rendering, parsing. The hint header, the replay line and the
+   mismatch report all read this table, so they cannot disagree about a
+   field. The shape travels as the replay line's explicit
+   --variant/--backend, and the fuzz harnesses never read a retained
+   view, so neither has a row. *)
+type field = { key : string; get : t -> string; set : t -> string -> t option }
 
-let field ?flag key (show, parse) get set =
+let field key (show, parse) get set =
   {
     key;
-    flag = Option.value flag ~default:key;
     get = (fun t -> show (get t));
     set = (fun t s -> Option.map (set t) (parse s));
   }
@@ -66,17 +64,12 @@ let int = (string_of_int, int_of_string_opt)
 
 let fields =
   let fault = enum (("none", None) :: List.map (fun (n, f) -> (n, Some f)) faults) in
-  let seq =
-    enum (List.map (fun k -> (Dsdg_delbits.Sums.kind_to_string k, k)) Dsdg_delbits.Sums.all_kinds)
-  in
   [
     field "sample" int (fun t -> t.sample) (fun t sample -> { t with sample });
     field "tau" int (fun t -> t.tau) (fun t tau -> { t with tau });
     field "fault" fault (fun t -> t.fault) (fun t fault -> { t with fault });
     field "jobs" int (fun t -> t.jobs) (fun t jobs -> { t with jobs });
     field "readers" int (fun t -> t.readers) (fun t readers -> { t with readers });
-    field "seq" ~flag:"seq-backend" seq (fun t -> t.seq_backend) (fun t seq_backend ->
-        { t with seq_backend });
   ]
 
 let changed ~base t = List.filter (fun f -> f.get t <> f.get base) fields
@@ -84,15 +77,17 @@ let to_hint ~base t = List.map (fun f -> (f.key, f.get t)) (changed ~base t)
 
 let of_hint ~base pairs =
   List.fold_left
-    (fun t (k, v) ->
-      match List.find_opt (fun f -> f.key = k) fields with
-      | Some f -> Option.value (f.set t v) ~default:t
-      | None -> t)
-    base pairs
+    (fun acc (k, v) ->
+      Result.bind acc (fun t ->
+          match List.find_opt (fun f -> f.key = k) fields with
+          | Some f -> Option.to_result (f.set t v) ~none:(k ^ "=" ^ v)
+          | None -> Ok t))
+    (Ok base) pairs
 
 let mismatches pairs t =
-  let want = of_hint ~base:t pairs in
-  List.map (fun f -> (f.flag, f.get want, f.get t)) (changed ~base:t want)
+  Result.map
+    (fun want -> List.map (fun f -> (f.key, f.get want, f.get t)) (changed ~base:t want))
+    (of_hint ~base:t pairs)
 
 let to_flags ~base t =
-  String.concat "" (List.map (fun f -> Printf.sprintf " --%s %s" f.flag (f.get t)) (changed ~base t))
+  String.concat "" (List.map (fun f -> Printf.sprintf " --%s %s" f.key (f.get t)) (changed ~base t))

@@ -3,14 +3,14 @@
     The paper fixes four construction parameters per index: the
     dynamization schedule, the static backend, the suffix-array
     sampling rate s and the lazy-deletion threshold tau. The engine adds
-    five runtime settings. Every layer that builds an index
+    four runtime settings. Every layer that builds an index
     ([Dynamic_index], the store, the shards, the replicas and their
-    checkers) takes one [t] instead of nine optional arguments.
+    checkers) takes one [t] instead of eight optional arguments.
 
     {b What persists.} A snapshot records the {e shape} fields
     ([variant], [backend], [sample], [tau]); restoring one keeps them
     and takes only the {e runtime} fields ([fault], [jobs], [readers],
-    [seq_backend], [retain_epochs]) from the caller's config. *)
+    [retain_epochs]) from the caller's config. *)
 
 (** Dynamization strategy. *)
 type variant =
@@ -41,12 +41,11 @@ type t = {
       (** background-rebuild worker domains; [0] steps rebuilds
           cooperatively inside updates (deterministic) *)
   readers : int;  (** reader-pool domains serving queries from published views *)
-  seq_backend : Dsdg_delbits.Sums.kind;  (** dynamic-sequence substrate *)
   retain_epochs : int;  (** recently published views kept resolvable for as-of reads *)
 }
 
 (** [Worst_case] over [Fm], s = 8, tau = 8, no fault, no worker or
-    reader domains, the [Avl] substrate, no retained epochs. *)
+    reader domains, no retained epochs. *)
 val default : t
 
 (** [validate t] is [t] when [tau >= 1], [sample >= 1] and [jobs],
@@ -71,22 +70,26 @@ val faults : (string * Transform2.fault) list
 
     A failing fuzz trace records the settings it ran under as
     [key=value] fields of its [% requires ...] header (see
-    [Dsdg_check.Trace.hint]). Keys: [sample tau fault jobs readers
-    seq]; values use the command-line spellings. An absent key means
-    "no requirement". The other fields are not hinted: a replay line
-    names the variant and backend explicitly, and no fuzz harness reads
-    a retained epoch. *)
+    [Dsdg_check.Trace.hint]). Keys: [sample tau fault jobs readers],
+    each also the name of its command-line flag; values use the
+    command-line spellings. An absent key means "no requirement"; an
+    unknown key (such as the retired [seq]) is ignored. The other fields
+    are not hinted: a replay line names the variant and backend
+    explicitly, and no fuzz harness reads a retained epoch. *)
 
 (** The hinted fields of [t] that differ from [base], in key order. *)
 val to_hint : base:t -> t -> (string * string) list
 
-(** [base] with every recognized, well-formed field applied; other
-    fields are ignored. [of_hint ~base (to_hint ~base t) = t]. *)
-val of_hint : base:t -> (string * string) list -> t
+(** [base] with every recognized field applied; unknown keys are
+    ignored. [Error "key=value"] names the first recognized key whose
+    value does not parse. [of_hint ~base (to_hint ~base t) = Ok t]. *)
+val of_hint : base:t -> (string * string) list -> (t, string) result
 
-(** [(flag, wanted, got)] for every recognized field whose value [t]
-    does not have; [flag] is the command-line option without dashes. *)
-val mismatches : (string * string) list -> t -> (string * string * string) list
+(** [(key, wanted, got)] for every recognized field whose value [t]
+    does not have; [key] is also the command-line option without
+    dashes. [Error] as for {!of_hint}. *)
+val mismatches :
+  (string * string) list -> t -> ((string * string * string) list, string) result
 
 (** The command-line options that set the fields [to_hint ~base t]
     lists, e.g. [" --tau 3 --fault skip-top-clean"]. *)

@@ -61,7 +61,7 @@ module Make (I : Static_index.S) = struct
     mutable view_cache : view option; (* invalidated by delete *)
   }
 
-  let build ?tick ?(seq = Sums.Avl) ~sample ~tau (docs : (int * string) array) : t =
+  let build ?tick ~sample ~tau (docs : (int * string) array) : t =
     if tau < 1 then invalid_arg "Semi_static.build: tau < 1";
     let texts = Array.map snd docs in
     let index = I.build ?tick ~sample texts in
@@ -80,7 +80,7 @@ module Make (I : Static_index.S) = struct
       ids;
       slot_of;
       dead = Array.make (Array.length ids) false;
-      alive_rows = Reporter.create_full ~seq m;
+      alive_rows = Reporter.create_full m;
       live_syms = I.total_len index;
       dead_syms = 0;
       tau;
@@ -265,10 +265,10 @@ module Make (I : Static_index.S) = struct
      the census counters and every query answer come back exactly as
      dumped.  (The Reporter is reconstructed, not serialized raw: it is
      a deterministic function of the index and the dead set.) *)
-  let of_dump ?(seq = Sums.Avl) ~sample ~tau (docs : (int * string) array) (dead : bool array) =
+  let of_dump ~sample ~tau (docs : (int * string) array) (dead : bool array) =
     if Array.length dead <> Array.length docs then
       invalid_arg "Semi_static.of_dump: deletion bit vector length mismatch";
-    let t = build ~seq ~sample ~tau docs in
+    let t = build ~sample ~tau docs in
     Array.iteri (fun slot d -> if d then ignore (delete t (fst docs.(slot)))) dead;
     t
 end

@@ -22,11 +22,9 @@ module Make (I : Static_index.S) : sig
 
   (** [build ~sample ~tau docs] indexes [(id, text)] pairs. Raises
       [Invalid_argument] on duplicate ids or [tau < 1]. [tick] is called
-      once per O(1) construction work. [seq] picks the partial-sums
-      backend of the liveness Reporter (default [Sums.Avl]). *)
+      once per O(1) construction work. *)
   val build :
     ?tick:(unit -> unit) ->
-    ?seq:Dsdg_delbits.Sums.kind ->
     sample:int ->
     tau:int ->
     (int * string) array ->
@@ -131,7 +129,6 @@ module Make (I : Static_index.S) : sig
       restoring census counters and query answers exactly. Raises
       [Invalid_argument] if the bit vector length does not match. *)
   val of_dump :
-    ?seq:Dsdg_delbits.Sums.kind ->
     sample:int ->
     tau:int ->
     (int * string) array ->

@@ -97,7 +97,6 @@ module Make (I : Static_index.S) = struct
     schedule : schedule;
     sample : int;
     tau : int;
-    seq : Dsdg_delbits.Sums.kind; (* partial-sums/bitvec substrate for sub-indexes *)
     mutable gst : Gsuffix_tree.t; (* C0 *)
     subs : SS.t option array; (* C_1 .. C_r *)
     locs : (int, location) Hashtbl.t;
@@ -122,8 +121,7 @@ module Make (I : Static_index.S) = struct
     h_purge_dead_frac : Obs.histogram; (* per-mille dead fraction at purge time *)
   }
 
-  let create ?(schedule = geometric ()) ?(sample = 8) ?(tau = 8) ?(jobs = 0)
-      ?(seq = Dsdg_delbits.Sums.Avl) () =
+  let create ?(schedule = geometric ()) ?(sample = 8) ?(tau = 8) ?(jobs = 0) () =
     let obs = Obs.private_scope ("transform1/" ^ I.name) in
     let gst = Gsuffix_tree.create () in
     let view0 =
@@ -141,7 +139,6 @@ module Make (I : Static_index.S) = struct
       schedule;
       sample;
       tau;
-      seq;
       gst;
       published = Atomic.make view0;
       subs = Array.make (max_slots + 1) None;
@@ -203,7 +200,7 @@ module Make (I : Static_index.S) = struct
     let arr = Array.of_list docs in
     Obs.add t.c_symbols_rebuilt
       (Array.fold_left (fun a (_, s) -> a + String.length s + 1) 0 arr);
-    SS.build ~seq:t.seq ~sample:t.sample ~tau:t.tau arr
+    SS.build ~sample:t.sample ~tau:t.tau arr
 
   (* Purge/global-rebuild offload: run the build on a worker domain when
      a pool is attached (the docs list is immutable, so the job is
@@ -315,8 +312,8 @@ module Make (I : Static_index.S) = struct
      the dump was taken, and both the sizes and nf are restored
      verbatim.  The first published view continues the dumped epoch so
      that epoch = completed updates keeps holding across a restart. *)
-  let restore ?schedule ?sample ?tau ?jobs ?seq ~next_id:nid ~nf ~epoch ~components () =
-    let t = create ?schedule ?sample ?tau ?jobs ?seq () in
+  let restore ?schedule ?sample ?tau ?jobs ~next_id:nid ~nf ~epoch ~components () =
+    let t = create ?schedule ?sample ?tau ?jobs () in
     t.nf <- max 256 nf;
     t.next_id <- nid;
     List.iter
@@ -337,7 +334,7 @@ module Make (I : Static_index.S) = struct
             else None
           with
           | Some j when j >= 1 && j <= max_slots && t.subs.(j) = None ->
-            let ss = SS.of_dump ~seq:t.seq ~sample:t.sample ~tau:t.tau docs dead in
+            let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
             if not (SS.is_empty ss) then begin
               t.subs.(j) <- Some ss;
               Array.iteri

@@ -47,7 +47,6 @@ module Make (I : Static_index.S) : sig
     ?sample:int ->
     ?tau:int ->
     ?jobs:int ->
-    ?seq:Dsdg_delbits.Sums.kind ->
     unit ->
     t
 
@@ -181,7 +180,6 @@ module Make (I : Static_index.S) : sig
     ?sample:int ->
     ?tau:int ->
     ?jobs:int ->
-    ?seq:Dsdg_delbits.Sums.kind ->
     next_id:int ->
     nf:int ->
     epoch:int ->

@@ -119,7 +119,6 @@ module Make (I : Static_index.S) = struct
   type t = {
     sample : int;
     tau : int;
-    seq : Dsdg_delbits.Sums.kind;
     epsilon : float;
     work_factor : int;
     mutable gst : Gsuffix_tree.t; (* C0 *)
@@ -159,7 +158,7 @@ module Make (I : Static_index.S) = struct
   }
 
   let create ?(sample = 8) ?(tau = 8) ?(epsilon = 0.5) ?(work_factor = 64) ?fault
-      ?(jobs = 0) ?(seq = Dsdg_delbits.Sums.Avl) () =
+      ?(jobs = 0) () =
     let obs = Obs.private_scope ("transform2/" ^ I.name) in
     let gst = Gsuffix_tree.create () in
     let view0 =
@@ -179,7 +178,6 @@ module Make (I : Static_index.S) = struct
       published = Atomic.make view0;
       sample;
       tau;
-      seq;
       epsilon;
       work_factor;
       gst;
@@ -271,7 +269,7 @@ module Make (I : Static_index.S) = struct
   (* --- job management --- *)
 
   let build_ss t ?tick docs =
-    SS.build ?tick ~seq:t.seq ~sample:t.sample ~tau:t.tau (Array.of_list docs)
+    SS.build ?tick ~sample:t.sample ~tau:t.tau (Array.of_list docs)
 
   let target_name = function
     | `Sub jj -> Printf.sprintf "N%d" jj
@@ -973,9 +971,9 @@ module Make (I : Static_index.S) = struct
      guarantee the deleted-during replay gives a live install.)  The
      first published view continues the dumped epoch, preserving
      epoch = completed updates across a restart. *)
-  let restore ?sample ?tau ?epsilon ?work_factor ?fault ?jobs ?seq ~next_id:nid ~nf
+  let restore ?sample ?tau ?epsilon ?work_factor ?fault ?jobs ~next_id:nid ~nf
       ~del_counter ~epoch ~components () =
-    let t = create ?sample ?tau ?epsilon ?work_factor ?fault ?jobs ?seq () in
+    let t = create ?sample ?tau ?epsilon ?work_factor ?fault ?jobs () in
     t.nf <- max 256 nf;
     t.next_id <- nid;
     t.del_counter <- del_counter;
@@ -1005,14 +1003,14 @@ module Make (I : Static_index.S) = struct
         else
           match (level name "C", level name "T") with
           | Some j, _ when j >= 1 && j <= max_slots && t.subs.(j) = None ->
-            let ss = SS.of_dump ~seq:t.seq ~sample:t.sample ~tau:t.tau docs dead in
+            let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
             if not (SS.is_empty ss) then begin
               t.subs.(j) <- Some ss;
               t.live <- t.live + SS.live_symbols ss;
               t.doc_count <- t.doc_count + SS.doc_count ss
             end
           | _, Some k ->
-            let ss = SS.of_dump ~seq:t.seq ~sample:t.sample ~tau:t.tau docs dead in
+            let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
             if not (SS.is_empty ss) then begin
               t.tops <- (k, ss) :: t.tops;
               t.next_top_key <- max t.next_top_key (k + 1);

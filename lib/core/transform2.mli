@@ -51,7 +51,6 @@ module Make (I : Static_index.S) : sig
     ?work_factor:int ->
     ?fault:fault ->
     ?jobs:int ->
-    ?seq:Dsdg_delbits.Sums.kind ->
     unit ->
     t
 
@@ -203,7 +202,6 @@ module Make (I : Static_index.S) : sig
     ?work_factor:int ->
     ?fault:fault ->
     ?jobs:int ->
-    ?seq:Dsdg_delbits.Sums.kind ->
     next_id:int ->
     nf:int ->
     del_counter:int ->

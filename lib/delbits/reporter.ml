@@ -18,9 +18,8 @@ type t = {
   len : int;
   levels : int array array; (* levels.(0): the words of B; each higher level summarises non-emptiness *)
   mutable ones : int;
-  counts : Sums.t; (* live bits per level-0 word: O(log n) range counting
-                      (Theorem 1) at ~1 bit of overhead per position;
-                      Fenwick- or SPSI-backed per the seq backend *)
+  counts : Fenwick.t; (* live bits per level-0 word: O(log n) range counting
+                          (Theorem 1) at ~1 bit of overhead per position *)
 }
 
 let words_for n = if n = 0 then 1 else (n + w - 1) / w
@@ -38,11 +37,10 @@ let build_levels level0 =
   done;
   Array.of_list (List.rev !levels)
 
-let counts_of_level0 seq level0 =
-  Sums.of_array seq (Array.map Popcount.count level0)
+let counts_of_level0 level0 = Fenwick.of_array (Array.map Popcount.count level0)
 
 (* All bits initially one. *)
-let create_full ?(seq = Sums.Avl) len =
+let create_full len =
   if len < 0 then invalid_arg "Reporter.create_full";
   let nw = words_for len in
   let level0 = Array.make nw 0 in
@@ -51,9 +49,9 @@ let create_full ?(seq = Sums.Avl) len =
   done;
   let rem = len mod w in
   if rem <> 0 || len = 0 then level0.(nw - 1) <- Popcount.low_mask (if len = 0 then 0 else rem);
-  { len; levels = build_levels level0; ones = len; counts = counts_of_level0 seq level0 }
+  { len; levels = build_levels level0; ones = len; counts = counts_of_level0 level0 }
 
-let of_bitvec ?(seq = Sums.Avl) bv =
+let of_bitvec bv =
   let len = Bitvec.length bv in
   let nw = words_for len in
   let level0 = Array.init nw (fun j -> if j < Bitvec.num_words bv then Bitvec.word bv j else 0) in
@@ -63,7 +61,7 @@ let of_bitvec ?(seq = Sums.Avl) bv =
   if rem <> 0 || len = 0 then
     level0.(nw - 1) <- level0.(nw - 1) land Popcount.low_mask (if len = 0 then 0 else rem);
   let ones = Array.fold_left (fun a x -> a + Popcount.count x) 0 level0 in
-  { len; levels = build_levels level0; ones; counts = counts_of_level0 seq level0 }
+  { len; levels = build_levels level0; ones; counts = counts_of_level0 level0 }
 
 let length t = t.len
 let ones t = t.ones
@@ -80,7 +78,7 @@ let zero t i =
   let after = before land lnot (1 lsl (i mod w)) in
   if after <> before then begin
     t.ones <- t.ones - 1;
-    Sums.add t.counts j (-1);
+    Fenwick.add t.counts j (-1);
     arr0.(j) <- after;
     (* propagate emptiness upwards *)
     let rec up level idx =
@@ -155,7 +153,7 @@ let count_range t s e =
     else begin
       let left = Popcount.count (arr0.(ws) lsr (s mod w)) in
       let right = Popcount.count (arr0.(we) land Popcount.low_mask (e - (we * w))) in
-      left + Sums.range t.counts (ws + 1) we + right
+      left + Fenwick.range t.counts (ws + 1) we + right
     end
   end
 
@@ -166,7 +164,7 @@ let copy t =
     len = t.len;
     levels = Array.map Array.copy t.levels;
     ones = t.ones;
-    counts = Sums.copy t.counts;
+    counts = Fenwick.copy t.counts;
   }
 
 let to_list t =
@@ -176,4 +174,4 @@ let to_list t =
 
 let space_bits t =
   Array.fold_left (fun acc arr -> acc + (Array.length arr * w)) (2 * w) t.levels
-  + Sums.space_bits t.counts
+  + Fenwick.space_bits t.counts

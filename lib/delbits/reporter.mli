@@ -9,11 +9,10 @@
 
 type t
 
-(** All bits one. [seq] picks the partial-sums backend for the word
-    counts (default [Sums.Avl], i.e. Fenwick). *)
-val create_full : ?seq:Sums.kind -> int -> t
+(** All bits one. *)
+val create_full : int -> t
 
-val of_bitvec : ?seq:Sums.kind -> Dsdg_bits.Bitvec.t -> t
+val of_bitvec : Dsdg_bits.Bitvec.t -> t
 val length : t -> int
 
 (** Number of surviving one bits. *)

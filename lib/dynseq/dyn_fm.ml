@@ -6,9 +6,8 @@
    Every operation on the BWT costs O(log n log sigma) through the
    dynamic rank/select machinery -- this is precisely the Fredman-Saks
    bottleneck the paper's Transformations avoid.  Used as the comparison
-   baseline for Table 2.  The wavelet tree and the symbol accumulator go
-   through the backend seams (Seq_backend / Sums), so the baseline runs
-   on either the AVL or the SPSI substrate.
+   baseline for Table 2.  The wavelet tree's bitvectors are SPSI
+   B-trees; the symbol counts are a Fenwick tree.
 
    Conventions: separator/sentinel symbol 1 terminates every document
    (pattern characters are code+2 as elsewhere).  Sentinel rows occupy
@@ -33,54 +32,51 @@ let sigma = 258
 let sym_of_char c = Char.code c + 2
 
 type t = {
-  backend : Seq_backend.kind;
   wt : Dyn_wavelet.t; (* the BWT *)
-  alpha : Sums.t; (* symbol counts; C(c) = prefix sums *)
+  alpha : Fenwick.t; (* symbol counts; C(c) = prefix sums *)
   mutable sent_docs : int array; (* slot -> doc id, append-only *)
   mutable sent_len : int; (* slots used *)
-  sent_alive : Seq_backend.bv; (* one bit per slot: doc still present? *)
+  sent_alive : Spsi.t; (* one bit per slot: doc still present? *)
   sent_slot : (int, int) Hashtbl.t; (* doc id -> slot *)
   docs : (int, int) Hashtbl.t; (* doc id -> length *)
 }
 
-let create ?(backend = Seq_backend.Avl) () =
+let create () =
   {
-    backend;
-    wt = Dyn_wavelet.create ~backend ~sigma ();
-    alpha = Sums.create backend sigma;
+    wt = Dyn_wavelet.create ~sigma ();
+    alpha = Fenwick.create sigma;
     sent_docs = Array.make 16 0;
     sent_len = 0;
-    sent_alive = Seq_backend.create backend;
+    sent_alive = Spsi.create ();
     sent_slot = Hashtbl.create 16;
     docs = Hashtbl.create 16;
   }
 
-let backend t = t.backend
 let doc_count t = Hashtbl.length t.docs
 let total_symbols t = Dyn_wavelet.length t.wt
 let mem t id = Hashtbl.mem t.docs id
 
 (* C(c): number of BWT symbols strictly smaller than c. *)
-let c_before t c = Sums.prefix t.alpha c
+let c_before t c = Fenwick.prefix t.alpha c
 
 let wt_insert t pos c =
   Dyn_wavelet.insert t.wt pos c;
-  Sums.add t.alpha c 1
+  Fenwick.add t.alpha c 1
 
 let wt_delete t pos =
   let c = Dyn_wavelet.access t.wt pos in
   Dyn_wavelet.delete t.wt pos;
-  Sums.add t.alpha c (-1);
+  Fenwick.add t.alpha c (-1);
   c
 
 (* Sentinel-row index of a live doc: rank of its slot among live slots. *)
 let sentinel_row t id =
   match Hashtbl.find_opt t.sent_slot id with
   | None -> invalid_arg "Dyn_fm.sentinel_row: unknown doc"
-  | Some slot -> Seq_backend.rank1 t.sent_alive slot
+  | Some slot -> Spsi.rank1 t.sent_alive slot
 
 (* Doc owning sentinel row [k] (k-th live slot). *)
-let doc_of_sentinel t k = t.sent_docs.(Seq_backend.select1 t.sent_alive k)
+let doc_of_sentinel t k = t.sent_docs.(Spsi.select1 t.sent_alive k)
 
 let sentinel_append t id =
   if t.sent_len = Array.length t.sent_docs then begin
@@ -90,14 +86,14 @@ let sentinel_append t id =
   end;
   t.sent_docs.(t.sent_len) <- id;
   Hashtbl.replace t.sent_slot id t.sent_len;
-  Seq_backend.push_back t.sent_alive true;
+  Spsi.push_back t.sent_alive true;
   t.sent_len <- t.sent_len + 1
 
 let sentinel_remove t id =
   match Hashtbl.find_opt t.sent_slot id with
   | None -> ()
   | Some slot ->
-    Seq_backend.set t.sent_alive slot false;
+    Spsi.set t.sent_alive slot false;
     Hashtbl.remove t.sent_slot id
 
 (* Insert document [text] with id [id]: standard backward extension.  The
@@ -146,7 +142,7 @@ let count t p = match range t p with None -> 0 | Some (sp, ep) -> ep - sp
 
 (* First symbol of the suffix in [row]: the c with C(c) <= row < C(c+1) —
    one searchable-partial-sums descent over the symbol counts. *)
-let first_symbol t row = Sums.search t.alpha row
+let first_symbol t row = Fenwick.search t.alpha row
 
 (* One psi step: row of suffix T[j..] -> row of suffix T[j+1..].  This is
    the exact inverse of the LF links the insertion walk created, so it is
@@ -201,25 +197,9 @@ let search t p =
   | None -> []
   | Some (sp, ep) -> List.sort compare (List.init (ep - sp) (fun k -> locate t (sp + k)))
 
-(* Read-plane snapshot: O(sigma + ndocs).  The wavelet snapshot shares
-   or copies bit data per the backend's snapshot semantics; alpha, the
-   sentinel bookkeeping and the doc tables are small and copied
-   outright. *)
-let snapshot t =
-  {
-    backend = t.backend;
-    wt = Dyn_wavelet.snapshot t.wt;
-    alpha = Sums.copy t.alpha;
-    sent_docs = Array.copy t.sent_docs;
-    sent_len = t.sent_len;
-    sent_alive = Seq_backend.snapshot t.sent_alive;
-    sent_slot = Hashtbl.copy t.sent_slot;
-    docs = Hashtbl.copy t.docs;
-  }
-
 let space_bits t =
   let w = Popcount.word_bits in
-  Dyn_wavelet.space_bits t.wt + Sums.space_bits t.alpha
+  Dyn_wavelet.space_bits t.wt + Fenwick.space_bits t.alpha
   + (Array.length t.sent_docs * w)
-  + Seq_backend.space_bits t.sent_alive
+  + Spsi.space_bits t.sent_alive
   + (doc_count t * 4 * w)

@@ -6,12 +6,10 @@
 
 type t
 
-(** [create ?backend ()] — [backend] picks the dynamic-sequence
-    substrate (wavelet-tree bitvectors, symbol accumulator, sentinel
-    liveness); default {!Seq_backend.Avl}. *)
-val create : ?backend:Seq_backend.kind -> unit -> t
+(** An empty index: SPSI bitvectors in the wavelet tree and for the
+    sentinel liveness bits, Fenwick symbol counts. *)
+val create : unit -> t
 
-val backend : t -> Seq_backend.kind
 val doc_count : t -> int
 
 (** Total symbols including one sentinel per document. *)
@@ -38,9 +36,5 @@ val locate : t -> int -> int * int
 
 (** All occurrences, sorted. *)
 val search : t -> string -> (int * int) list
-
-(** [snapshot t] is an O(sigma + docs) frozen copy sharing all BWT bit
-    data; safe to query from any domain while [t] keeps mutating. *)
-val snapshot : t -> t
 
 val space_bits : t -> int

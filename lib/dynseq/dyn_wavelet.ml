@@ -1,16 +1,15 @@
 (* Dynamic wavelet tree over alphabet [0, sigma): access / rank / select /
    insert / delete in O(log n log sigma).  Combined with a dynamic
    bitvector this is the dynamic-rank/select machinery of the baseline
-   indexes the paper improves on.  The per-node bitvectors go through
-   the [Seq_backend] seam, so the whole tree runs on either the AVL or
-   the SPSI substrate. *)
+   indexes the paper improves on.  The per-node bitvectors are SPSI
+   B-trees. *)
 
 open Dsdg_bits
 
 type node =
   | Leaf of int
   | Node of {
-      bv : Seq_backend.bv;
+      bv : Spsi.t;
       lo : int;
       hi : int;
       left : node;
@@ -20,31 +19,29 @@ type node =
 type t = {
   root : node;
   sigma : int;
-  backend : Seq_backend.kind;
   mutable length : int;
 }
 
-let rec make_node backend lo hi =
+let rec make_node lo hi =
   if hi - lo = 1 then Leaf lo
   else begin
     let mid = (lo + hi) / 2 in
     Node
       {
-        bv = Seq_backend.create backend;
+        bv = Spsi.create ();
         lo;
         hi;
-        left = make_node backend lo mid;
-        right = make_node backend mid hi;
+        left = make_node lo mid;
+        right = make_node mid hi;
       }
   end
 
-let create ?(backend = Seq_backend.Avl) ~sigma () =
+let create ~sigma () =
   if sigma < 1 then invalid_arg "Dyn_wavelet.create";
-  { root = make_node backend 0 sigma; sigma; backend; length = 0 }
+  { root = make_node 0 sigma; sigma; length = 0 }
 
 let length t = t.length
 let sigma t = t.sigma
-let backend t = t.backend
 
 let insert t pos sym =
   if pos < 0 || pos > t.length then invalid_arg "Dyn_wavelet.insert: pos";
@@ -55,8 +52,8 @@ let insert t pos sym =
     | Node { bv; lo; hi; left; right } ->
       let mid = (lo + hi) / 2 in
       let bit = sym >= mid in
-      Seq_backend.insert bv pos bit;
-      let child_pos = if bit then Seq_backend.rank1 bv pos else Seq_backend.rank0 bv pos in
+      Spsi.insert bv pos bit;
+      let child_pos = if bit then Spsi.rank1 bv pos else Spsi.rank0 bv pos in
       go (if bit then right else left) child_pos
   in
   go t.root pos;
@@ -68,9 +65,9 @@ let delete t pos =
     match node with
     | Leaf _ -> ()
     | Node { bv; left; right; _ } ->
-      let bit = Seq_backend.get bv pos in
-      let child_pos = if bit then Seq_backend.rank1 bv pos else Seq_backend.rank0 bv pos in
-      Seq_backend.delete bv pos;
+      let bit = Spsi.get bv pos in
+      let child_pos = if bit then Spsi.rank1 bv pos else Spsi.rank0 bv pos in
+      Spsi.delete bv pos;
       go (if bit then right else left) child_pos
   in
   go t.root pos;
@@ -82,8 +79,8 @@ let access t pos =
     match node with
     | Leaf c -> c
     | Node { bv; left; right; _ } ->
-      if Seq_backend.get bv pos then go right (Seq_backend.rank1 bv pos)
-      else go left (Seq_backend.rank0 bv pos)
+      if Spsi.get bv pos then go right (Spsi.rank1 bv pos)
+      else go left (Spsi.rank0 bv pos)
   in
   go t.root pos
 
@@ -98,8 +95,8 @@ let rank t sym pos =
         | Leaf _ -> pos
         | Node { bv; lo; hi; left; right } ->
           let mid = (lo + hi) / 2 in
-          if sym >= mid then go right (Seq_backend.rank1 bv pos)
-          else go left (Seq_backend.rank0 bv pos)
+          if sym >= mid then go right (Spsi.rank1 bv pos)
+          else go left (Spsi.rank0 bv pos)
     in
     go t.root pos
   end
@@ -114,13 +111,13 @@ let select t sym k =
       let mid = (lo + hi) / 2 in
       if sym >= mid then begin
         let pos = go right k in
-        if pos >= Seq_backend.ones bv then raise Not_found;
-        Seq_backend.select1 bv pos
+        if pos >= Spsi.ones bv then raise Not_found;
+        Spsi.select1 bv pos
       end
       else begin
         let pos = go left k in
-        if pos >= Seq_backend.zeros bv then raise Not_found;
-        Seq_backend.select0 bv pos
+        if pos >= Spsi.zeros bv then raise Not_found;
+        Spsi.select0 bv pos
       end
   in
   let pos = go t.root k in
@@ -128,25 +125,12 @@ let select t sym k =
 
 let count t sym = rank t sym t.length
 
-(* Snapshot in O(sigma) node visits: the node shape is fixed at
-   creation, so a frozen copy only needs to capture each node's bitvec
-   (O(1) for the AVL backend, a deep copy for SPSI).  The result is an
-   independent [t] answering every query, safe to share across
-   domains. *)
-let snapshot t =
-  let rec go = function
-    | Leaf _ as l -> l
-    | Node { bv; lo; hi; left; right } ->
-      Node { bv = Seq_backend.snapshot bv; lo; hi; left = go left; right = go right }
-  in
-  { root = go t.root; sigma = t.sigma; backend = t.backend; length = t.length }
-
 let to_array t = Array.init t.length (access t)
 
 let space_bits t =
   let w = Popcount.word_bits in
   let rec go = function
     | Leaf _ -> w
-    | Node { bv; left; right; _ } -> Seq_backend.space_bits bv + go left + go right + (4 * w)
+    | Node { bv; left; right; _ } -> Spsi.space_bits bv + go left + go right + (4 * w)
   in
   go t.root

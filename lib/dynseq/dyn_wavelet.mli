@@ -3,13 +3,12 @@
 
 type t
 
-(** [create ?backend ~sigma ()] — [backend] picks the dynamic-bitvector
-    substrate for every node (default {!Seq_backend.Avl}). *)
-val create : ?backend:Seq_backend.kind -> sigma:int -> unit -> t
+(** [create ~sigma ()] is an empty tree; every node's bitvector is an
+    {!Spsi}. *)
+val create : sigma:int -> unit -> t
 
 val length : t -> int
 val sigma : t -> int
-val backend : t -> Seq_backend.kind
 
 (** [insert t pos sym] inserts [sym] at position [pos]. *)
 val insert : t -> int -> int -> unit
@@ -24,10 +23,6 @@ val rank : t -> int -> int -> int
 val select : t -> int -> int -> int
 
 val count : t -> int -> int
-
-(** [snapshot t] is an O(sigma) frozen copy (per-node O(1) bitvec
-    captures) safe to query from any domain while [t] keeps mutating. *)
-val snapshot : t -> t
 
 val to_array : t -> int array
 val space_bits : t -> int

@@ -18,9 +18,7 @@
    - all leaves sit at the same depth (the tree only grows or shrinks
      at the root), so siblings always share a constructor.
 
-   Mutation is in-place -- [snapshot] deep-copies in O(n / w) words --
-   which trades the AVL backend's O(1) path-copying snapshots for
-   allocation-free updates on the hot path. *)
+   Mutation is in place, so updates allocate nothing on the hot path. *)
 
 open Dsdg_bits
 
@@ -427,18 +425,6 @@ let rec select_bit node b k =
     done;
     !off + select_bit nd.ch.(!i) b !k
 
-let rec copy_node = function
-  | L l -> L { llen = l.llen; data = Array.copy l.data }
-  | N nd ->
-    let c = mk_inode () in
-    c.nc <- nd.nc;
-    Array.blit nd.clen 0 c.clen 0 (fanout + 1);
-    Array.blit nd.cones 0 c.cones 0 (fanout + 1);
-    for i = 0 to nd.nc - 1 do
-      c.ch.(i) <- copy_node nd.ch.(i)
-    done;
-    N c
-
 let rec space_node = function
   | L l -> (Array.length l.data + 2) * w
   | N nd ->
@@ -513,11 +499,6 @@ let select0 t k =
   select_bit t.root 0 k
 
 let push_back t b = insert t t.tlen b
-
-(* Deep copy, O(n / w) words: the B-tree mutates in place, so snapshot
-   isolation costs a full copy (the AVL backend's path-copying snapshots
-   are O(1) instead -- that is the space/update-speed trade). *)
-let snapshot t = { root = copy_node t.root; tlen = t.tlen; tones = t.tones }
 
 let to_bools t = List.init t.tlen (fun i -> get t i)
 

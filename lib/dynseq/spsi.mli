@@ -4,9 +4,8 @@
     A B-tree of high-fanout internal nodes caching (subtree length,
     subtree popcount) in flat arrays, over word-packed leaves of several
     hundred bits — the layout of Prezza's DYNAMIC and Nishimoto's
-    B-tree_plus_alpha. Same semantics as {!Dyn_bitvec} (the AVL
-    baseline), including [Invalid_argument] on out-of-range indices;
-    updates mutate in place, so {!snapshot} deep-copies. *)
+    B-tree_plus_alpha. Every operation raises [Invalid_argument] on an
+    out-of-range index; updates mutate in place. *)
 
 type t
 
@@ -38,11 +37,6 @@ val select0 : t -> int -> int
 
 val push_back : t -> bool -> unit
 val to_bools : t -> bool list
-
-(** Deep copy, O(n/62) words: the B-tree mutates in place, so snapshot
-    isolation costs a full copy (the price of allocation-free updates;
-    the AVL backend snapshots in O(1) instead). *)
-val snapshot : t -> t
 
 (** Leaf payload words, counter arrays and headers, in 62-bit words. *)
 val space_bits : t -> int

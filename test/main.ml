@@ -15,8 +15,8 @@ let () =
       ("epoch", Suite_epoch.suite);
       ("store", Suite_store.suite);
       ("shard", Suite_shard.suite);
+      ("dynseq_spsi", Suite_dynseq.spsi_suite);
       ("dynseq", Suite_dynseq.suite);
-      ("seq_backend", Suite_seq_backend.suite);
       ("binrel", Suite_binrel.suite);
       ("workload", Suite_workload.suite);
       ("serve", Suite_serve.suite);

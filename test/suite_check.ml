@@ -23,19 +23,9 @@ let ops_per_stream = env_int "FUZZ_OPS" 60
 let jobs = env_int "DSDG_JOBS" 0
 let readers = env_int "DSDG_READERS" 0
 
-(* DSDG_SEQ_BACKEND=spsi reruns the whole matrix on the B-tree
-   dynamic-sequence substrate (the CI job does exactly that). *)
-let seq =
-  match Sys.getenv_opt "DSDG_SEQ_BACKEND" with
-  | None -> Dsdg_delbits.Sums.Avl
-  | Some s -> (
-    match Dsdg_delbits.Sums.kind_of_string s with
-    | Some k -> k
-    | None -> failwith ("unknown DSDG_SEQ_BACKEND: " ^ s))
-
 (* Index settings over the fuzz harnesses' defaults. *)
 let fuzz_index = Runner.fuzz_index
-let base_index = { fuzz_index with jobs; readers; seq_backend = seq }
+let base_index = { fuzz_index with jobs; readers }
 
 (* On failure, print everything needed to reproduce without rerunning
    the suite: the seed, the saved minimal trace and the replay command. *)
@@ -84,21 +74,6 @@ let test_fuzz_cross_targets () =
     | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
   done
 
-(* A handful of streams forced onto the SPSI substrate regardless of
-   the environment: the differential matrix must hold on both dynamic-
-   sequence backends in every run, not only in the dedicated CI leg. *)
-let test_fuzz_spsi_streams () =
-  let index = { base_index with seq_backend = Dsdg_delbits.Sums.Spsi } in
-  let n_targets = List.length Runner.all_targets in
-  for i = 0 to 8 do
-    let seed = base_seed + 2000 + i in
-    let targets = [ List.nth Runner.all_targets (i mod n_targets) ] in
-    let profile = if i mod 3 = 2 then Opgen.churny else Opgen.default in
-    match Runner.run_stream ~profile ~seed ~ops:ops_per_stream (Runner.subjects ~index targets) with
-    | Runner.Pass -> ()
-    | Runner.Fail { failure; shrunk; _ } -> fail_stream ~seed ~failure ~shrunk
-  done
-
 (* Every index setting survives the trace-hint header: a config with
    each field moved off the default saves, reloads and parses back to
    itself, and a header written before the config existed still reads. *)
@@ -113,34 +88,38 @@ let test_index_config_hint () =
       fault = Some `Stale_epoch;
       jobs = 2;
       readers = 1;
-      seq_backend = Dsdg_delbits.Sums.Spsi;
     }
   in
   let path = Filename.temp_file "dsdg-config-hint" ".trace" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let fields = C.to_hint ~base moved in
-  Alcotest.(check int) "one field per hinted setting" 6 (List.length fields);
+  Alcotest.(check int) "one field per hinted setting" 5 (List.length fields);
   Alcotest.(check int) "shape and retention are not hinted" 0
     (List.length
        (C.to_hint ~base
           { base with variant = C.Amortized_loglog; backend = C.Csa; retain_epochs = 7 }));
   Trace.save ~hint:{ Trace.no_hint with h_shards = Some 3; h_index = fields } path
     [ Trace.Insert "x" ];
-  let h = Trace.load_hint path in
+  let h = Result.get_ok (Trace.load_hint path) in
   Alcotest.(check (option int)) "shards" (Some 3) h.Trace.h_shards;
-  Alcotest.(check bool) "config round-trips" true (C.of_hint ~base h.Trace.h_index = moved);
+  Alcotest.(check bool) "config round-trips" true (C.of_hint ~base h.Trace.h_index = Ok moved);
   Alcotest.(check int) "a matching config has no mismatches" 0
-    (List.length (C.mismatches h.Trace.h_index moved));
-  Alcotest.(check int) "the default mismatches every field" 6
-    (List.length (C.mismatches h.Trace.h_index base));
+    (List.length (Result.get_ok (C.mismatches h.Trace.h_index moved)));
+  Alcotest.(check int) "the default mismatches every field" 5
+    (List.length (Result.get_ok (C.mismatches h.Trace.h_index base)));
+  Alcotest.(check bool) "a malformed value names its key" true
+    (C.of_hint ~base [ ("sample", "2"); ("tau", "abc") ] = Error "tau=abc");
   Alcotest.(check int) "defaults need no hint" 0 (List.length (C.to_hint ~base base));
+  (* the retired seq= key is ignored like any unknown key *)
   Out_channel.with_open_bin path (fun oc ->
       output_string oc "% requires shards=2 readers=1 seq=spsi\n+ \"x\"\n");
-  let h = Trace.load_hint path in
+  let h = Result.get_ok (Trace.load_hint path) in
   Alcotest.(check (option int)) "old-style shards" (Some 2) h.Trace.h_shards;
-  Alcotest.(check bool) "old-style readers and seq" true
-    (C.of_hint ~base h.Trace.h_index
-    = { base with readers = 1; seq_backend = Dsdg_delbits.Sums.Spsi })
+  Alcotest.(check bool) "old-style readers" true
+    (C.of_hint ~base h.Trace.h_index = Ok { base with readers = 1 });
+  Out_channel.with_open_bin path (fun oc -> output_string oc "% requires shards=two\n");
+  Alcotest.(check bool) "a malformed shards value names its key" true
+    (Trace.load_hint path = Error "shards=two")
 
 (* --- machinery unit tests --- *)
 
@@ -412,7 +391,7 @@ let test_rel_rop_roundtrip () =
   (* file round-trip with the rel= hint header *)
   let path = Filename.temp_file "dsdg-rel-trace" ".trace" in
   Rel_check.save ~spec:(Rel_check.One Dsdg_binrel.Rel_backend.K2) path ops;
-  let hint = Trace.load_hint path in
+  let hint = Result.get_ok (Trace.load_hint path) in
   Alcotest.(check (option string)) "rel hint" (Some "k2") hint.Trace.h_rel;
   let reloaded = Rel_check.load path in
   Sys.remove path;
@@ -448,7 +427,7 @@ let test_rel_planted_fault_caught () =
         Alcotest.(check bool) "shrunk to a handful of ops" true (List.length shrunk <= 4);
         let path = Filename.temp_file "dsdg-rel-fault" ".trace" in
         Rel_check.save ~fault ~spec:Rel_check.Both path shrunk;
-        let hint = Trace.load_hint path in
+        let hint = Result.get_ok (Trace.load_hint path) in
         Alcotest.(check (option string)) "rel hint survives" (Some "both") hint.Trace.h_rel;
         let reloaded = Rel_check.load path in
         Sys.remove path;
@@ -501,6 +480,5 @@ let suite =
     ("fuzz pooled smoke streams", `Slow, test_fuzz_pooled_smoke);
     ("fuzz reader smoke streams", `Slow, test_fuzz_readers_smoke);
     ("fuzz cross-target streams", `Slow, test_fuzz_cross_targets);
-    ("fuzz spsi-substrate streams", `Slow, test_fuzz_spsi_streams);
     ("fuzz matrix streams", `Slow, test_fuzz_matrix);
     ("verify catches a phantom id", `Quick, test_verify_catches_phantom) ]

@@ -34,10 +34,10 @@ let with_dir prefix f =
 let dev_null_in () = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0
 let dev_null_out () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0
 
-(* Run the binary to completion, stdin/stdout/stderr on /dev/null,
-   and return its exit code. *)
-let run_exit bin args =
-  let i = dev_null_in () and o = dev_null_out () and e = dev_null_out () in
+(* Run the binary to completion, stdin/stdout on /dev/null and stderr
+   on [err] (default /dev/null), and return its exit code. *)
+let run_exit ?(err = dev_null_out ()) bin args =
+  let i = dev_null_in () and o = dev_null_out () and e = err in
   let pid = Unix.create_process bin (Array.of_list (bin :: args)) i o e in
   Unix.close i;
   Unix.close o;
@@ -49,6 +49,17 @@ let run_exit bin args =
 
 let check_exit bin ~what ~expect args =
   Alcotest.(check int) what expect (run_exit bin args)
+
+(* [check_exit], and the captured stderr must contain [says]. *)
+let check_exit_says bin ~what ~expect ~says args =
+  let path = Filename.temp_file "dsdg-cli-stderr" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let err = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  Alcotest.(check int) what expect (run_exit ~err bin args);
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let n = String.length says in
+  let rec found i = i + n <= String.length text && (String.sub text i n = says || found (i + 1)) in
+  Alcotest.(check bool) (Printf.sprintf "%s: stderr names %s" what says) true (found 0)
 
 let test_exit_codes () =
   with_bin (fun bin ->
@@ -183,7 +194,9 @@ let test_serve_load_roundtrip () =
 (* Regression: a trace recorded under --shards / --readers / --tau
    carries a `% requires ...` hint; replaying it without those flags
    must be a usage error (124), not a silent run under the wrong
-   configuration. With matching flags the replay runs (and passes). *)
+   configuration. With matching flags the replay runs (and passes). A
+   recognized key whose value does not parse is a usage error naming
+   the key; the retired seq= key is ignored. *)
 let test_replay_hint_enforced () =
   with_bin (fun bin ->
       let module Trace = Dsdg_check.Trace in
@@ -199,11 +212,21 @@ let test_replay_hint_enforced () =
       in
       let readers_only = requiring [ ("readers", "1") ] in
       let spsi_hinted = requiring [ ("seq", "spsi") ] in
+      let avl_hinted = requiring [ ("seq", "avl") ] in
       let tau_hinted = requiring [ ("tau", "3") ] in
+      let tau_malformed = requiring [ ("tau", "abc") ] in
+      let both_malformed =
+        let path = Filename.temp_file "dsdg-cli-hint" ".trace" in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc "% requires tau=abc shards=two\n+ \"x\"\n");
+        path
+      in
       let unhinted = save Trace.no_hint in
       Fun.protect
         ~finally:(fun () ->
-          List.iter Sys.remove [ sharded; readers_only; spsi_hinted; tau_hinted; unhinted ])
+          List.iter Sys.remove
+            [ sharded; readers_only; spsi_hinted; avl_hinted; tau_hinted; tau_malformed;
+              both_malformed; unhinted ])
         (fun () ->
           check_exit bin ~what:"sharded trace without flags is usage (124)" ~expect:124
             [ "fuzz"; "--replay"; sharded ];
@@ -217,14 +240,22 @@ let test_replay_hint_enforced () =
             [ "fuzz"; "--replay"; readers_only ];
           check_exit bin ~what:"reader trace with --readers replays" ~expect:0
             [ "fuzz"; "--replay"; readers_only; "--readers"; "1" ];
-          check_exit bin ~what:"spsi trace without --seq-backend is usage (124)" ~expect:124
+          check_exit bin ~what:"seq=spsi trace replays bare" ~expect:0
             [ "fuzz"; "--replay"; spsi_hinted ];
-          check_exit bin ~what:"spsi trace with --seq-backend spsi replays" ~expect:0
+          check_exit bin ~what:"seq=avl trace replays bare" ~expect:0
+            [ "fuzz"; "--replay"; avl_hinted ];
+          check_exit bin ~what:"--seq-backend is an unknown option (124)" ~expect:124
             [ "fuzz"; "--replay"; spsi_hinted; "--seq-backend"; "spsi" ];
           check_exit bin ~what:"tau trace without --tau is usage (124)" ~expect:124
             [ "fuzz"; "--replay"; tau_hinted ];
           check_exit bin ~what:"tau trace with --tau 3 replays" ~expect:0
             [ "fuzz"; "--replay"; tau_hinted; "--tau"; "3" ];
+          check_exit_says bin ~what:"malformed tau hint is usage (124)" ~expect:124
+            ~says:"tau=abc" [ "fuzz"; "--replay"; tau_malformed ];
+          check_exit_says bin ~what:"malformed tau hint under --tau is usage (124)" ~expect:124
+            ~says:"tau=abc" [ "fuzz"; "--replay"; tau_malformed; "--tau"; "3" ];
+          check_exit_says bin ~what:"malformed shards hint is usage (124)" ~expect:124
+            ~says:"shards=two" [ "fuzz"; "--replay"; both_malformed ];
           check_exit bin ~what:"unhinted trace still replays bare" ~expect:0
             [ "fuzz"; "--replay"; unhinted ];
           check_exit bin ~what:"t3 is an accepted variant alias" ~expect:0

@@ -98,7 +98,6 @@ module type SEMI = sig
   type t
   val build :
     ?tick:(unit -> unit) ->
-    ?seq:Dsdg_delbits.Sums.kind ->
     sample:int ->
     tau:int ->
     (int * string) array ->

@@ -204,60 +204,6 @@ let test_reporter_space_bits () =
   Alcotest.(check bool) "multiple of word_bits" true (bits mod w = 0);
   Alcotest.(check bool) "covers payload" true (bits >= 1000)
 
-(* --- Sums: Fenwick and Spsi_sums behind one seam --- *)
-
-let prop_sums_backends_agree =
-  QCheck.Test.make ~name:"sums: avl(Fenwick) and spsi backends agree" ~count:150
-    QCheck.(pair (int_range 1 300) (list (pair (int_bound 299) (int_range 0 9))))
-    (fun (n, updates) ->
-      let a = Sums.create Sums.Avl n and b = Sums.create Sums.Spsi n in
-      let arr = Array.make n 0 in
-      List.iter
-        (fun (i, d) ->
-          if i < n then begin
-            Sums.add a i d;
-            Sums.add b i d;
-            arr.(i) <- arr.(i) + d
-          end)
-        updates;
-      let ok = ref (Sums.total a = Sums.total b && Sums.length a = Sums.length b) in
-      let acc = ref 0 in
-      for i = 0 to n do
-        if Sums.prefix a i <> !acc || Sums.prefix b i <> !acc then ok := false;
-        if i < n then acc := !acc + arr.(i)
-      done;
-      (* search: for every k < total both must land on the same cell,
-         and the cell must satisfy prefix(c) <= k < prefix(c+1) *)
-      let total = Sums.total a in
-      for k = 0 to min (total - 1) 500 do
-        let ca = Sums.search a k and cb = Sums.search b k in
-        if ca <> cb then ok := false;
-        if not (Sums.prefix a ca <= k && k < Sums.prefix a (ca + 1)) then ok := false
-      done;
-      !ok)
-
-let prop_spsi_sums_copy_isolated =
-  QCheck.Test.make ~name:"spsi_sums: copy isolates the original" ~count:50
-    QCheck.(int_range 1 200)
-    (fun n ->
-      let s = Spsi_sums.create n in
-      for i = 0 to n - 1 do
-        Spsi_sums.add s i (i mod 7)
-      done;
-      let c = Spsi_sums.copy s in
-      for i = 0 to n - 1 do
-        Spsi_sums.add s i 1
-      done;
-      let ok = ref true in
-      for i = 0 to n do
-        let expect = ref 0 in
-        for j = 0 to i - 1 do
-          expect := !expect + (j mod 7)
-        done;
-        if Spsi_sums.prefix c i <> !expect then ok := false
-      done;
-      !ok)
-
 (* --- Incremental --- *)
 
 let test_incremental_steps () =
@@ -350,7 +296,6 @@ let prop_incremental_budget_respected =
 let qsuite =
   List.map Qc.to_alcotest
     [ prop_reporter_vs_naive; prop_reporter_count_range; prop_fenwick;
-      prop_sums_backends_agree; prop_spsi_sums_copy_isolated;
       prop_incremental_budget_respected ]
 
 let suite =
