@@ -11,8 +11,9 @@
      bit vectors, not the derived structures, so the ratio should sit
      near 1), and cold-open time from the snapshot with an empty WAL.
    - Recovery throughput: crash with a WAL-only store (no snapshot,
-     torn final record) and time open_or_recover's full replay, in
-     ops/s -- the number that bounds worst-case restart time. *)
+     torn final record) and time open_or_recover folding the whole log
+     into one bulk build, in WAL records/s -- the number that bounds
+     worst-case restart time. *)
 
 open Dsdg_core
 module Store = Dsdg_store
@@ -126,7 +127,7 @@ let recovery_throughput docs =
       let config = { Store.Durable.default_config with Store.Durable.sync = Store.Wal.Never } in
       let d, _ = Store.Durable.open_ ~config ~dir () in
       Array.iter (fun doc -> ignore (Store.Durable.insert d doc)) docs;
-      (* crash: no checkpoint ever ran, so recovery must replay the
+      (* crash: no checkpoint ever ran, so recovery must fold the
          whole stream, and the final record is torn *)
       Store.Durable.kill d ~torn:true;
       let (d2, info), rec_ns = Bench_util.time_ns (fun () -> Store.Durable.open_ ~config ~dir ()) in

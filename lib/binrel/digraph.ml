@@ -38,7 +38,5 @@ let stats t = Rel_backend.stats t.rel
 let iter_edges t ~f = Rel_backend.iter_pairs t.rel ~f
 let edges t = Rel_backend.pairs_list t.rel
 
-let of_edges ?tau ?backend pairs =
-  let t = create ?tau ?backend () in
-  List.iter (fun (u, v) -> ignore (add_edge t u v)) pairs;
-  t
+let of_edges ?tau ?(backend = Rel_backend.Str) pairs =
+  { rel = Rel_backend.of_pairs ?tau backend pairs }

@@ -68,5 +68,8 @@ val iter_edges : t -> f:(int -> int -> unit) -> unit
 val edges : t -> (int * int) list
 
 (** [of_edges pairs] rebuilds a graph from a persisted edge set
-    (duplicates ignored) — the recovery path of the store codec. *)
+    (duplicates ignored) — the recovery path of the store codec. The
+    edges are built in bulk ({!Rel_backend.of_pairs}): on [Str] as one
+    static structure rather than one merge cascade per edge, with the
+    relation's update counters left at zero. *)
 val of_edges : ?tau:int -> ?backend:Rel_backend.kind -> (int * int) list -> t

@@ -142,21 +142,30 @@ let sub_live t j = match t.subs.(j) with None -> 0 | Some sb -> Static_binrel.li
 
 let build_sub t pairs = Static_binrel.build ~tau:t.tau (Array.of_list pairs)
 
+(* Make [pairs] (distinct) the whole relation: one static structure in
+   the top slot, nf re-snapshotted to their count.  This is the state a
+   global rebuild leaves behind, and the bulk build [of_pairs]. *)
+let install t pairs =
+  t.c0 <- buffer_create ();
+  Array.fill t.subs 0 (Array.length t.subs) None;
+  t.nf <- max 256 (List.length pairs);
+  t.live <- List.length pairs;
+  if pairs <> [] then t.subs.(max_slots) <- Some (build_sub t pairs)
+
 let global_rebuild t ~extra =
   Obs.incr t.c_global_rebuilds;
   let pairs = ref (buffer_pairs t.c0) in
-  for j = 1 to max_slots do
-    (match t.subs.(j) with
-    | None -> ()
-    | Some sb -> pairs := Static_binrel.live_pairs_list sb @ !pairs);
-    t.subs.(j) <- None
-  done;
-  let pairs = match extra with None -> !pairs | Some p -> p :: !pairs in
-  t.c0 <- buffer_create ();
-  t.nf <- max 256 (List.length pairs);
-  t.live <- List.length pairs;
-  if pairs <> [] then t.subs.(max_slots) <- Some (build_sub t pairs);
-  Obs.record t.obs (Obs.Restructure { nf = t.nf; structures = (if pairs = [] then 0 else 1) })
+  Array.iter
+    (function None -> () | Some sb -> pairs := Static_binrel.live_pairs_list sb @ !pairs)
+    t.subs;
+  install t (match extra with None -> !pairs | Some p -> p :: !pairs);
+  Obs.record t.obs (Obs.Restructure { nf = t.nf; structures = (if t.live = 0 then 0 else 1) })
+
+(* Bulk build: construction, not a rebuild, so no counter moves. *)
+let of_pairs ?tau pairs =
+  let t = create ?tau () in
+  install t (List.sort_uniq Static_binrel.compare_pair pairs);
+  t
 
 let related t o a =
   buffer_mem t.c0 o a

@@ -31,6 +31,13 @@ val obs : t -> Dsdg_obs.Obs.scope
 (** Number of live pairs. *)
 val live_pairs : t -> int
 
+(** [of_pairs pairs] is the relation holding [pairs] (duplicates
+    ignored), built in bulk: one static structure in the top slot, the
+    state {!add}'s global rebuild leaves behind, instead of one merge
+    cascade per pair. It is construction, not a rebuild: every {!stats}
+    counter of the result is zero. *)
+val of_pairs : ?tau:int -> (int * int) list -> t
+
 (** [add t o a] relates object [o] to label [a]; [false] if already
     related. *)
 val add : t -> int -> int -> bool

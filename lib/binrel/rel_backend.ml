@@ -20,6 +20,7 @@ module type S = sig
 
   val name : string
   val create : ?tau:int -> unit -> t
+  val of_pairs : ?tau:int -> (int * int) list -> t
   val add : t -> int -> int -> bool
   val remove : t -> int -> int -> bool
   val related : t -> int -> int -> bool
@@ -56,6 +57,13 @@ module K2_backend : S = struct
   include K2_relation
 
   let name = "k2"
+
+  (* no rebuild schedule to bulk-load into: one [add] per pair *)
+  let of_pairs ?tau pairs =
+    let t = create ?tau () in
+    List.iter (fun (o, a) -> ignore (add t o a)) pairs;
+    t
+
   let stats t = { merges = 0; purges = 0; global_rebuilds = 0; grows = (K2_relation.stats t).K2_relation.grows }
 end
 
@@ -70,6 +78,10 @@ type rel = Rel : (module S with type t = 'a) * 'a -> rel
 let create ?tau kind =
   let (module B) = of_kind kind in
   Rel ((module B), B.create ?tau ())
+
+let of_pairs ?tau kind pairs =
+  let (module B) = of_kind kind in
+  Rel ((module B), B.of_pairs ?tau pairs)
 
 let kind_of (Rel ((module B), _)) =
   match kind_of_string B.name with Some k -> k | None -> assert false

@@ -37,6 +37,13 @@ module type S = sig
 
   val name : string
   val create : ?tau:int -> unit -> t
+
+  (** The relation holding a pair set (duplicates ignored), built in
+      bulk where the backend can: [Str] installs it as one static
+      structure (the state a global rebuild produces), [K2] adds pair by
+      pair. *)
+  val of_pairs : ?tau:int -> (int * int) list -> t
+
   val add : t -> int -> int -> bool
   val remove : t -> int -> int -> bool
   val related : t -> int -> int -> bool
@@ -69,6 +76,11 @@ type rel = Rel : (module S with type t = 'a) * 'a -> rel
 (** [create kind] is an empty relation of that backend; [tau] tunes
     the [Str] lazy-deletion schedule and is ignored by [K2]. *)
 val create : ?tau:int -> kind -> rel
+
+(** [of_pairs kind pairs] is {!create} followed by every pair, built
+    in bulk through the backend's [of_pairs] -- the recovery path of a
+    persisted pair set. *)
+val of_pairs : ?tau:int -> kind -> (int * int) list -> rel
 
 (** The kind a packed relation was created with. *)
 val kind_of : rel -> kind

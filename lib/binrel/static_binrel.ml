@@ -32,12 +32,22 @@ type t = {
   tau : int;
 }
 
-let dedup_sorted l =
-  let rec go = function
-    | a :: b :: rest -> if a = b then go (b :: rest) else a :: go (b :: rest)
-    | rest -> rest
-  in
-  go (List.sort compare l)
+(* Sorted distinct ids, with int-specialised comparisons throughout. *)
+let distinct_sorted (ids : int array) =
+  let a = Array.copy ids in
+  Array.sort Int.compare a;
+  let n = Array.length a in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || a.(i) <> a.(i - 1) then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  Array.sub a 0 !k
+
+let compare_pair ((o1, a1) : int * int) ((o2, a2) : int * int) =
+  if o1 <> o2 then Int.compare o1 o2 else Int.compare a1 a2
 
 let find_local (arr : int array) (v : int) : int option =
   let lo = ref 0 and hi = ref (Array.length arr) in
@@ -50,16 +60,17 @@ let find_local (arr : int array) (v : int) : int option =
 let build ?(tick = fun () -> ()) ~tau (pairs : (int * int) array) : t =
   if tau < 1 then invalid_arg "Static_binrel.build: tau";
   let n = Array.length pairs in
-  let objects = Array.of_list (dedup_sorted (Array.to_list (Array.map fst pairs))) in
-  let labels = Array.of_list (dedup_sorted (Array.to_list (Array.map snd pairs))) in
+  let objects = distinct_sorted (Array.map fst pairs) in
+  let labels = distinct_sorted (Array.map snd pairs) in
   let t_objs = Array.length objects in
   let local_obj v = match find_local objects v with Some i -> i | None -> assert false in
   let local_lab v = match find_local labels v with Some i -> i | None -> assert false in
   (* sort pairs by (object, label) and reject duplicates *)
   let sorted = Array.map (fun (o, a) -> (local_obj o, local_lab a)) pairs in
-  Array.sort compare sorted;
+  Array.sort compare_pair sorted;
   for i = 1 to n - 1 do
-    if sorted.(i) = sorted.(i - 1) then invalid_arg "Static_binrel.build: duplicate pair"
+    if compare_pair sorted.(i) sorted.(i - 1) = 0 then
+      invalid_arg "Static_binrel.build: duplicate pair"
   done;
   let s_arr = Array.map snd sorted in
   let sigma_l = Array.length labels in

@@ -9,6 +9,9 @@ type t
 (** Raises [Invalid_argument] on duplicate pairs. *)
 val build : ?tick:(unit -> unit) -> tau:int -> (int * int) array -> t
 
+(** The (object, label) lexicographic order, int-specialised. *)
+val compare_pair : int * int -> int * int -> int
+
 (** Number of pairs not yet lazily deleted. *)
 val live_pairs : t -> int
 

@@ -73,10 +73,13 @@ let fault_of_string = function "rel-lost-remove" -> Some Lost_remove | _ -> None
 
 (* --- differential run --- *)
 
-let run_ops ?fault kinds (ops : rop list) : (unit, rop Runner.failure) result =
+let run_ops ?fault ?(init = []) kinds (ops : rop list) : (unit, rop Runner.failure) result =
   let model = Model.Rel.create () in
+  List.iter (fun (o, a) -> ignore (Model.Rel.add model o a)) init;
   let rels =
-    List.mapi (fun i k -> ((i, Rel_backend.kind_to_string k), Rel_backend.create ~tau:4 k)) kinds
+    List.mapi
+      (fun i k -> ((i, Rel_backend.kind_to_string k), Rel_backend.of_pairs ~tau:4 k init))
+      kinds
   in
   let exception Diverged of rop Runner.failure in
   let fail step (i, name) op fmt =

@@ -60,9 +60,15 @@ val fault_of_string : string -> fault option
 (** Run a trace over fresh instances of every backend in [kinds];
     [Error] carries the first disagreement with the model (answers,
     live-pair census after every op, and pair-set snapshots), with the
-    backend's name as [f_target]. *)
+    backend's name as [f_target]. The instances and the model start
+    from the pairs [init] (default none), the instances built in bulk
+    ({!Dsdg_binrel.Rel_backend.of_pairs}). *)
 val run_ops :
-  ?fault:fault -> Dsdg_binrel.Rel_backend.kind list -> rop list -> (unit, rop Runner.failure) result
+  ?fault:fault ->
+  ?init:(int * int) list ->
+  Dsdg_binrel.Rel_backend.kind list ->
+  rop list ->
+  (unit, rop Runner.failure) result
 
 (** Deterministic bounded stream: a mostly-small id universe with
     occasional far-out ids (exercising k2 matrix growth), weighted

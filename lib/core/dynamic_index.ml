@@ -175,7 +175,7 @@ let mk_view ~epoch ~docs ~syms ~census ~search ~count ~extract ~mem ~components 
    is set, each branch rebuilds the transformation from the dump's
    components instead of starting empty -- everything else (closure
    wiring, conventions, reader pool) is identical. *)
-let make ?restore_from (config : Index_config.t) : t =
+let make ?restore_from ?tail (config : Index_config.t) : t =
   let { Index_config.variant; backend; sample; tau; fault; jobs; readers; _ } =
     Index_config.validate config
   in
@@ -211,7 +211,7 @@ let make ?restore_from (config : Index_config.t) : t =
         | None -> T1_fm.create ~schedule ~sample ~tau ~jobs ()
         | Some d ->
           T1_fm.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~epoch:d.dm_epoch ~components:d.dm_components ()
+            ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
       in
       {
         op_insert = T1_fm.insert t;
@@ -248,7 +248,7 @@ let make ?restore_from (config : Index_config.t) : t =
         | None -> T1_sa.create ~schedule ~sample ~tau ~jobs ()
         | Some d ->
           T1_sa.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~epoch:d.dm_epoch ~components:d.dm_components ()
+            ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
       in
       {
         op_insert = T1_sa.insert t;
@@ -285,7 +285,7 @@ let make ?restore_from (config : Index_config.t) : t =
         | None -> T1_csa.create ~schedule ~sample ~tau ~jobs ()
         | Some d ->
           T1_csa.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~epoch:d.dm_epoch ~components:d.dm_components ()
+            ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
       in
       {
         op_insert = T1_csa.insert t;
@@ -331,7 +331,7 @@ let make ?restore_from (config : Index_config.t) : t =
         | None -> T2_fm.create ~sample ~tau ?fault ~jobs ()
         | Some d ->
           T2_fm.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ()
+            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
       in
       {
         op_insert = T2_fm.insert t;
@@ -370,7 +370,7 @@ let make ?restore_from (config : Index_config.t) : t =
         | None -> T2_sa.create ~sample ~tau ?fault ~jobs ()
         | Some d ->
           T2_sa.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ()
+            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
       in
       {
         op_insert = T2_sa.insert t;
@@ -409,7 +409,7 @@ let make ?restore_from (config : Index_config.t) : t =
         | None -> T2_csa.create ~sample ~tau ?fault ~jobs ()
         | Some d ->
           T2_csa.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ()
+            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
       in
       {
         op_insert = T2_csa.insert t;
@@ -652,9 +652,114 @@ let checkpoint_header t (v : view) : dump =
 
 let checkpoint_body (d : dump) (v : view) : dump = { d with dm_components = v.vw_components () }
 
+let empty_dump (c : Index_config.t) : dump =
+  {
+    dm_variant = c.variant;
+    dm_backend = c.backend;
+    dm_sample = c.sample;
+    dm_tau = c.tau;
+    dm_epoch = 0;
+    dm_next_id = 0;
+    dm_nf = 256;
+    dm_del_counter = 0;
+    dm_components = [];
+  }
+
+type mutation = Insert of string | Delete of int
+
+(* Reduce a WAL tail to its net effect on a dump (DESIGN.md section 10).
+   Ids go to inserts in log order, exactly as [insert] would assign
+   them; a delete cancels a tail insert, sets the deletion bit of a live
+   snapshot document, and is a no-op on a dead or unknown id.  The
+   epoch advances by every successful mutation and the Dietz-Sleator
+   counter by every deleted symbol, as per-op replay would advance
+   them.  Returns the folded dump and, if any mutation succeeded, the
+   surviving inserts in id order. *)
+let fold_tail (d : dump) tail =
+  if tail = [] then (d, None)
+  else begin
+    let comps = Array.of_list d.dm_components in
+    let bits =
+      Array.map
+        (fun (_, docs, dead) ->
+          if Array.length dead = Array.length docs then Array.copy dead
+          else Array.make (Array.length docs) false)
+        comps
+    in
+    let where = Hashtbl.create 1024 in
+    Array.iteri
+      (fun c (_, docs, _) ->
+        Array.iteri
+          (fun i (id, _) -> if not bits.(c).(i) then Hashtbl.replace where id (c, i))
+          docs)
+      comps;
+    let inserted = Hashtbl.create 64 in
+    let next_id = ref d.dm_next_id and applied = ref 0 and deleted_syms = ref 0 in
+    let touched = Array.make (Array.length comps) false in
+    List.iter
+      (function
+        | Insert text ->
+          Hashtbl.replace inserted !next_id text;
+          incr next_id;
+          incr applied
+        | Delete id -> (
+          match Hashtbl.find_opt inserted id with
+          | Some text ->
+            Hashtbl.remove inserted id;
+            incr applied;
+            deleted_syms := !deleted_syms + String.length text + 1
+          | None -> (
+            match Hashtbl.find_opt where id with
+            | None -> ()
+            | Some (c, i) ->
+              Hashtbl.remove where id;
+              bits.(c).(i) <- true;
+              touched.(c) <- true;
+              incr applied;
+              let _, docs, _ = comps.(c) in
+              deleted_syms := !deleted_syms + String.length (snd docs.(i)) + 1)))
+      tail;
+    (* a touched component carries its new bit vector (a buffer's dump
+       has none, so it gains one; restore builds only its live docs)
+       unless the tail pushed it past the 1/tau dead share: then it is
+       rebuilt from its live documents alone *)
+    let components =
+      List.mapi
+        (fun c ((name, docs, _) as comp) ->
+          if not touched.(c) then comp
+          else begin
+            let syms = Array.fold_left (fun a (_, text) -> a + String.length text + 1) 0 in
+            let live =
+              Array.of_list (List.filteri (fun i _ -> not bits.(c).(i)) (Array.to_list docs))
+            in
+            if
+              Semi_static.purge_threshold_exceeded ~dead_syms:(syms docs - syms live)
+                ~total_symbols:(syms docs) ~tau:d.dm_tau
+            then (name, live, Array.make (Array.length live) false)
+            else (name, docs, bits.(c))
+          end)
+        d.dm_components
+    in
+    let inserts =
+      List.filter_map
+        (fun id -> Option.map (fun text -> (id, text)) (Hashtbl.find_opt inserted id))
+        (List.init (!next_id - d.dm_next_id) (fun k -> d.dm_next_id + k))
+    in
+    ( {
+        d with
+        dm_epoch = d.dm_epoch + !applied;
+        dm_next_id = !next_id;
+        dm_del_counter =
+          (d.dm_del_counter + if d.dm_variant = Worst_case then !deleted_syms else 0);
+        dm_components = components;
+      },
+      if !applied = 0 then None else Some inserts )
+  end
+
 (* The dump's shape wins; only the runtime fields come from [index]. *)
-let restore ?(index = Index_config.default) (d : dump) : t =
-  make ~restore_from:d
+let restore ?(index = Index_config.default) ?(tail = []) (d : dump) : t =
+  let d, tail = fold_tail d tail in
+  make ~restore_from:d ?tail
     { index with variant = d.dm_variant; backend = d.dm_backend; sample = d.dm_sample; tau = d.dm_tau }
 
 (* Run [f] against the latest published view -- on one of the reader

@@ -259,17 +259,37 @@ val checkpoint_header : t -> view -> dump
     domain. *)
 val checkpoint_body : dump -> view -> dump
 
+(** A logged mutation, as recovery reads it from the WAL tail. *)
+type mutation = Insert of string | Delete of int
+
+(** The dump of an empty index with [index]'s shape: what recovery
+    restores from when a store holds a WAL but no snapshot. *)
+val empty_dump : Index_config.t -> dump
+
 (** Rebuild an equivalent index from a dump: same document ids, same
     query answers, same schedule state, first published view continuing
     [dm_epoch]. Locked-copy / staging components ([L*], [Temp*]) in the
     dump mark rebuild jobs that died with the process; their live
     documents are folded into fresh top collections.
 
+    [tail] (default [[]]) is the WAL tail logged after the dump, in log
+    order. It is not replayed op by op: it is first reduced to its net
+    effect on the dump -- ids assigned in log order exactly as {!insert}
+    would, a delete of a tail insert cancelling it, a delete of a live
+    dumped document setting its deletion bit (or dropping it from the
+    C0/L0 buffer), a delete of a dead or unknown id doing nothing -- and
+    the survivors are then placed in bulk by the transformation's own
+    rules, with at most one purge per touched component, one restructure
+    or global rebuild, and one top cleaning. The result answers every
+    query, assigns every future id and reports the same epoch as
+    [restore d] followed by {!insert}/{!delete} per record, and passes
+    the same invariant oracles; its internal layout may differ.
+
     The dump's shape ([variant], [backend], [sample], [tau]) wins over
     [index]'s; only the runtime fields ([fault], [jobs], [readers],
     [retain_epochs]) are taken from [index], since a dump never records
-    them. O(n) index construction. *)
-val restore : ?index:Index_config.t -> dump -> t
+    them. O(n + tail) index construction. *)
+val restore : ?index:Index_config.t -> ?tail:mutation list -> dump -> t
 
 (** Land every in-flight background job now (each counts as a forced
     completion); no-op for the amortized variants. *)

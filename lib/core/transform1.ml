@@ -306,52 +306,6 @@ module Make (I : Static_index.S) = struct
 
   let next_id t = t.next_id
 
-  (* Inverse of [view_components]: rebuild every structure where the
-     dump says it lived.  The capacity invariants hold by construction
-     -- each component held at most max_j live symbols under [nf] when
-     the dump was taken, and both the sizes and nf are restored
-     verbatim.  The first published view continues the dumped epoch so
-     that epoch = completed updates keeps holding across a restart. *)
-  let restore ?schedule ?sample ?tau ?jobs ~next_id:nid ~nf ~epoch ~components () =
-    let t = create ?schedule ?sample ?tau ?jobs () in
-    t.nf <- max 256 nf;
-    t.next_id <- nid;
-    List.iter
-      (fun (name, (docs : (int * string) array), (dead : bool array)) ->
-        if name = "C0" then
-          Array.iteri
-            (fun i (id, text) ->
-              if i >= Array.length dead || not dead.(i) then begin
-                Gsuffix_tree.insert t.gst ~doc:id text;
-                Hashtbl.replace t.locs id In_buffer;
-                t.live <- t.live + String.length text + 1
-              end)
-            docs
-        else
-          match
-            if String.length name >= 2 && name.[0] = 'C' then
-              int_of_string_opt (String.sub name 1 (String.length name - 1))
-            else None
-          with
-          | Some j when j >= 1 && j <= max_slots && t.subs.(j) = None ->
-            let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
-            if not (SS.is_empty ss) then begin
-              t.subs.(j) <- Some ss;
-              Array.iteri
-                (fun i (id, _) ->
-                  if not dead.(i) then Hashtbl.replace t.locs id (In_sub j))
-                docs;
-              t.live <- t.live + SS.live_symbols ss
-            end
-          | _ -> invalid_arg ("Transform1.restore: unknown or duplicate component " ^ name))
-      components;
-    publish t ~cause:`Update;
-    let v = Atomic.get t.published in
-    Atomic.set t.published { v with vw_epoch = epoch };
-    Obs.set_gauge t.g_epoch_current epoch;
-    Obs.record t.obs (Obs.Note (Printf.sprintf "restored %d component(s) at epoch %d" (List.length components) epoch));
-    t
-
   (* Move every live document into the top sub-collection and re-snapshot
      nf (the paper's global re-build). *)
   let global_rebuild t ~extra =
@@ -361,7 +315,7 @@ module Make (I : Static_index.S) = struct
       docs := sub_docs t j @ !docs;
       t.subs.(j) <- None
     done;
-    let docs = (match extra with None -> !docs | Some d -> d :: !docs) in
+    let docs = extra @ !docs in
     t.gst <- Gsuffix_tree.create ();
     let total = List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs in
     t.nf <- max 256 total;
@@ -373,32 +327,35 @@ module Make (I : Static_index.S) = struct
     end;
     Obs.record t.obs (Obs.Restructure { nf = t.nf; structures = (if docs = [] then 0 else 1) })
 
-  let insert t (text : string) : int =
-    let t0 = Obs.start () in
-    let id = t.next_id in
-    t.next_id <- t.next_id + 1;
-    let tlen = String.length text + 1 in
+  (* The logarithmic method's placement rule for a batch of new
+     documents totalling [size] symbols: C0 if they fit, else the
+     smallest j with |C0| + .. + |Cj| + size <= max_j (C0..Cj merge with
+     the batch into Cj), else a global rebuild.  [insert] places one
+     document; [restore] places a folded WAL tail's surviving inserts in
+     one step. *)
+  let place t docs size =
     let r = r_of t in
-    if Gsuffix_tree.live_symbols t.gst + tlen <= max_size t 0 then begin
-      Gsuffix_tree.insert t.gst ~doc:id text;
-      Hashtbl.replace t.locs id In_buffer;
-      t.live <- t.live + tlen
+    if Gsuffix_tree.live_symbols t.gst + size <= max_size t 0 then begin
+      List.iter
+        (fun (id, text) ->
+          Gsuffix_tree.insert t.gst ~doc:id text;
+          Hashtbl.replace t.locs id In_buffer)
+        docs;
+      t.live <- t.live + size
     end
     else begin
-      (* smallest j with |C0| + .. + |Cj| + |T| <= max_j *)
       let rec find j acc =
         if j > r then None
         else begin
           let acc = acc + sub_size t j in
-          if acc + tlen <= max_size t j then Some (j, acc) else find (j + 1) acc
+          if acc + size <= max_size t j then Some j else find (j + 1) acc
         end
       in
       match find 1 (Gsuffix_tree.live_symbols t.gst) with
-      | Some (j, _) ->
+      | Some j ->
         Obs.incr t.c_merges;
         Obs.record t.obs (Obs.Merge { from_level = 0; into_level = j; sync = true });
-        let docs = ref [ (id, text) ] in
-        docs := gst_docs t @ !docs;
+        let docs = ref (gst_docs t @ docs) in
         for i = 1 to j do
           docs := sub_docs t i @ !docs;
           t.subs.(i) <- None
@@ -406,10 +363,16 @@ module Make (I : Static_index.S) = struct
         t.gst <- Gsuffix_tree.create ();
         t.subs.(j) <- Some (build_sub t !docs);
         set_locations t !docs (In_sub j);
-        t.live <- t.live + tlen
-      | None -> global_rebuild t ~extra:(Some (id, text))
+        t.live <- t.live + size
+      | None -> global_rebuild t ~extra:docs
     end;
-    if t.live > 2 * t.nf then global_rebuild t ~extra:None;
+    if t.live > 2 * t.nf then global_rebuild t ~extra:[]
+
+  let insert t (text : string) : int =
+    let t0 = Obs.start () in
+    let id = t.next_id in
+    t.next_id <- t.next_id + 1;
+    place t [ (id, text) ] (String.length text + 1);
     publish t ~cause:`Update;
     Obs.incr t.c_inserts;
     Obs.stop t.h_insert_ns t0;
@@ -433,6 +396,76 @@ module Make (I : Static_index.S) = struct
         set_locations t docs (In_sub j)
       end
 
+  (* Inverse of [view_components]: rebuild every structure where the
+     dump says it lived.  The capacity invariants hold by construction
+     -- each component held at most max_j live symbols under [nf] when
+     the dump was taken, and both the sizes and nf are restored
+     verbatim.  The surviving inserts of a folded WAL tail ([tail]) are
+     then placed as one batch, or, if the tail moved the live size out
+     of [nf/2, 2 nf], everything goes into one global rebuild.  The
+     first published view continues the (folded) epoch so that epoch =
+     completed updates keeps holding across a restart. *)
+  let restore ?schedule ?sample ?tau ?jobs ~next_id:nid ~nf ~epoch ~components ?tail () =
+    let t = create ?schedule ?sample ?tau ?jobs () in
+    t.nf <- max 256 nf;
+    t.next_id <- nid;
+    let live_docs (docs : (int * string) array) (dead : bool array) =
+      List.filteri (fun i _ -> i >= Array.length dead || not dead.(i)) (Array.to_list docs)
+    in
+    let syms docs = List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs in
+    (* A folded WAL tail that moves the live size out of [nf/2, 2 nf]
+       means one global rebuild: run it straight from the dump's texts,
+       without first building the components it would tear down. *)
+    let rebuild_now =
+      match tail with
+      | None -> None
+      | Some inserts ->
+        let docs =
+          List.concat_map (fun (_, docs, dead) -> live_docs docs dead) components @ inserts
+        in
+        let total = syms docs in
+        if total > 2 * t.nf || (2 * total < t.nf && t.nf > 256) then Some docs else None
+    in
+    (match rebuild_now with
+    | Some docs -> global_rebuild t ~extra:docs
+    | None -> (
+      List.iter
+        (fun (name, (docs : (int * string) array), (dead : bool array)) ->
+          if name = "C0" then
+            List.iter
+              (fun (id, text) ->
+                Gsuffix_tree.insert t.gst ~doc:id text;
+                Hashtbl.replace t.locs id In_buffer;
+                t.live <- t.live + String.length text + 1)
+              (live_docs docs dead)
+          else
+            match
+              if String.length name >= 2 && name.[0] = 'C' then
+                int_of_string_opt (String.sub name 1 (String.length name - 1))
+              else None
+            with
+            | Some j when j >= 1 && j <= max_slots && t.subs.(j) = None ->
+              let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
+              if not (SS.is_empty ss) then begin
+                t.subs.(j) <- Some ss;
+                Array.iteri
+                  (fun i (id, _) ->
+                    if not dead.(i) then Hashtbl.replace t.locs id (In_sub j))
+                  docs;
+                t.live <- t.live + SS.live_symbols ss
+              end
+            | _ -> invalid_arg ("Transform1.restore: unknown or duplicate component " ^ name))
+        components;
+      match tail with
+      | Some (_ :: _ as inserts) -> place t inserts (syms inserts)
+      | _ -> ()));
+    publish t ~cause:`Update;
+    let v = Atomic.get t.published in
+    Atomic.set t.published { v with vw_epoch = epoch };
+    Obs.set_gauge t.g_epoch_current epoch;
+    Obs.record t.obs (Obs.Note (Printf.sprintf "restored %d component(s) at epoch %d" (List.length components) epoch));
+    t
+
   (* Deleting a nonexistent (or stale-location) document returns false
      and leaves every counter and structure untouched. *)
   let delete t id =
@@ -447,7 +480,7 @@ module Make (I : Static_index.S) = struct
         ignore (Gsuffix_tree.delete t.gst id);
         Hashtbl.remove t.locs id;
         t.live <- t.live - len;
-        if t.live * 2 < t.nf && t.nf > 256 then global_rebuild t ~extra:None;
+        if t.live * 2 < t.nf && t.nf > 256 then global_rebuild t ~extra:[];
         publish t ~cause:`Update;
         Obs.incr t.c_deletes;
         Obs.stop t.h_delete_ns t0;
@@ -463,7 +496,7 @@ module Make (I : Static_index.S) = struct
           Hashtbl.remove t.locs id;
           t.live <- t.live - len;
           if SS.needs_purge ss then purge t j;
-          if t.live * 2 < t.nf && t.nf > 256 then global_rebuild t ~extra:None;
+          if t.live * 2 < t.nf && t.nf > 256 then global_rebuild t ~extra:[];
           publish t ~cause:`Update;
           Obs.incr t.c_deletes;
           Obs.stop t.h_delete_ns t0
@@ -504,7 +537,7 @@ module Make (I : Static_index.S) = struct
      rebuild): afterwards queries probe a single static index plus the
      empty C0.  The library-management analogue of a force-merge. *)
   let consolidate t =
-    global_rebuild t ~extra:None;
+    global_rebuild t ~extra:[];
     publish t ~cause:`Consolidate
 
   (* Live sizes of all sub-collections: the measured counterpart of the

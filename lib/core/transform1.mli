@@ -174,7 +174,15 @@ module Make (I : Static_index.S) : sig
   (** Inverse of {!view_components}: rebuild every structure where the
       dump says it lived, restore [nf] and the id counter, and publish a
       first view continuing [epoch]. Raises [Invalid_argument] on a
-      component name that is not [C0]/[Cj]. O(n) index construction. *)
+      component name that is not [C0]/[Cj]. O(n) index construction.
+
+      [tail] marks a folded WAL tail with at least one successful
+      mutation, whose deletes are already in [components], [next_id]
+      and [epoch]; it lists the tail's surviving inserts in id order.
+      Restore places them as one batch by the insertion rule (C0, else
+      a merge into the smallest level that holds C0..Cj plus the batch,
+      else a global rebuild), then rebuilds globally if the live size
+      left [[nf/2, 2 nf]]. *)
   val restore :
     ?schedule:schedule ->
     ?sample:int ->
@@ -184,6 +192,7 @@ module Make (I : Static_index.S) : sig
     nf:int ->
     epoch:int ->
     components:(string * (int * string) array * bool array) list ->
+    ?tail:(int * string) list ->
     unit ->
     t
 end

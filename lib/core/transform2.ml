@@ -501,14 +501,7 @@ module Make (I : Static_index.S) = struct
 
   (* --- restructuring (nf re-snapshot; synchronous, rare) --- *)
 
-  let all_docs t =
-    let acc = ref [] in
-    iter_structures t
-      ~fss:(fun ss -> acc := SS.live_docs ss @ !acc)
-      ~fgst:(fun g -> acc := gst_docs g @ !acc);
-    (* a document can appear both in a Temp and nowhere else; Temps are the
-       only queryable holders of their doc, so no dedup is needed except
-       defensively *)
+  let dedup docs =
     let seen = Hashtbl.create 64 in
     List.filter
       (fun (id, _) ->
@@ -517,7 +510,17 @@ module Make (I : Static_index.S) = struct
           Hashtbl.replace seen id ();
           true
         end)
-      !acc
+      docs
+
+  let all_docs t =
+    let acc = ref [] in
+    iter_structures t
+      ~fss:(fun ss -> acc := SS.live_docs ss @ !acc)
+      ~fgst:(fun g -> acc := gst_docs g @ !acc);
+    (* a document can appear both in a Temp and nowhere else; Temps are the
+       only queryable holders of their doc, so no dedup is needed except
+       defensively *)
+    dedup !acc
 
   (* Greedy partition into top collections of <= 2 nf/tau symbols each
      (oversized documents get their own); shared by the nf-resnapshot
@@ -551,13 +554,10 @@ module Make (I : Static_index.S) = struct
       docs;
     flush ()
 
-  let restructure t =
+  (* The restructure proper: every live document ([docs]) into fresh
+     dead-free tops under nf re-snapshotted to their size. *)
+  let rebuild_as_tops t docs =
     Obs.incr t.c_restructures;
-    (* finish pending jobs first so no work is lost *)
-    for j = 0 to max_slots + 1 do
-      force_job t j
-    done;
-    let docs = all_docs t in
     t.gst <- Gsuffix_tree.create ();
     t.locked_gst <- None;
     Array.fill t.subs 0 (Array.length t.subs) None;
@@ -572,6 +572,13 @@ module Make (I : Static_index.S) = struct
     t.del_counter <- 0;
     add_docs_as_tops t docs;
     Obs.record t.obs (Obs.Restructure { nf = t.nf; structures = List.length t.tops })
+
+  let restructure t =
+    (* finish pending jobs first so no work is lost *)
+    for j = 0 to max_slots + 1 do
+      force_job t j
+    done;
+    rebuild_as_tops t (all_docs t)
 
   (* --- insertion --- *)
 
@@ -731,6 +738,27 @@ module Make (I : Static_index.S) = struct
      Schedule invariant: the counter stays below twice the period. *)
   let clean_schedule t = (t.del_counter, clean_period t)
 
+  (* Pick the top with the most dead symbols for a cleaning rebuild and
+     account the dispatch; [None] if every top is dead-free. *)
+  let dispatch_clean t =
+    let worst =
+      List.fold_left
+        (fun acc (k, ss) ->
+          match acc with
+          | Some (_, best) when SS.dead_symbols best >= SS.dead_symbols ss -> acc
+          | _ -> if SS.dead_symbols ss > 0 then Some (k, ss) else acc)
+        None t.tops
+    in
+    Option.iter
+      (fun (key, ss) ->
+        Obs.incr t.c_top_cleanings;
+        let dead = SS.dead_symbols ss in
+        let total = SS.live_symbols ss + dead in
+        Obs.observe t.h_purge_dead_frac (if total = 0 then 0 else dead * 1000 / total);
+        Obs.record t.obs (Obs.Top_clean { key; dead }))
+      worst;
+    worst
+
   (* Dietz-Sleator top cleaning: after every delta deleted symbols, rebuild
      the top with the most dead symbols (one background job at a time). *)
   let maybe_clean_tops t =
@@ -744,22 +772,9 @@ module Make (I : Static_index.S) = struct
       force_job t (max_slots + 1);
     if t.del_counter >= delta && t.jobs.(max_slots + 1) = None then begin
       t.del_counter <- 0;
-      let worst =
-        List.fold_left
-          (fun acc (k, ss) ->
-            match acc with
-            | Some (_, best) when SS.dead_symbols best >= SS.dead_symbols ss -> acc
-            | _ -> if SS.dead_symbols ss > 0 then Some (k, ss) else acc)
-          None t.tops
-      in
-      match worst with
+      match dispatch_clean t with
       | None -> ()
       | Some (key, ss) ->
-        Obs.incr t.c_top_cleanings;
-        let dead = SS.dead_symbols ss in
-        let total = SS.live_symbols ss + dead in
-        Obs.observe t.h_purge_dead_frac (if total = 0 then 0 else dead * 1000 / total);
-        Obs.record t.obs (Obs.Top_clean { key; dead });
         let run =
           make_run t ~name:(target_name (`Replace_top key)) (fun tick ->
               build_ss t ~tick (SS.live_docs ~tick ss))
@@ -969,10 +984,11 @@ module Make (I : Static_index.S) = struct
      that job was in flight are already marked dead in the dumped
      deletion bit vector, so the fold cannot resurrect them -- the same
      guarantee the deleted-during replay gives a live install.)  The
-     first published view continues the dumped epoch, preserving
-     epoch = completed updates across a restart. *)
+     surviving inserts of a folded WAL tail ([tail]) are then absorbed
+     in bulk, below.  The first published view continues the (folded)
+     epoch, preserving epoch = completed updates across a restart. *)
   let restore ?sample ?tau ?epsilon ?work_factor ?fault ?jobs ~next_id:nid ~nf
-      ~del_counter ~epoch ~components () =
+      ~del_counter ~epoch ~components ?tail () =
     let t = create ?sample ?tau ?epsilon ?work_factor ?fault ?jobs () in
     t.nf <- max 256 nf;
     t.next_id <- nid;
@@ -983,54 +999,88 @@ module Make (I : Static_index.S) = struct
         int_of_string_opt (String.sub name pl (String.length name - pl))
       else None
     in
-    let leftovers = ref [] in
-    List.iter
-      (fun (name, (docs : (int * string) array), (dead : bool array)) ->
-        let live_docs () =
-          let acc = ref [] in
-          Array.iteri
-            (fun i d -> if i >= Array.length dead || not dead.(i) then acc := d :: !acc)
-            docs;
-          List.rev !acc
+    let live_docs (docs : (int * string) array) (dead : bool array) =
+      let acc = ref [] in
+      Array.iteri (fun i d -> if i >= Array.length dead || not dead.(i) then acc := d :: !acc) docs;
+      List.rev !acc
+    in
+    let syms docs = List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs in
+    (* A folded WAL tail that moves the live size out of [nf/2, 2 nf]
+       means one restructure: run it straight from the dump's texts,
+       without first building the components it would tear down. *)
+    let restructure_now =
+      match tail with
+      | None -> None
+      | Some inserts ->
+        let docs =
+          dedup (List.concat_map (fun (_, docs, dead) -> live_docs docs dead) components @ inserts)
         in
-        if name = "C0" then
-          List.iter
-            (fun (id, text) ->
-              Gsuffix_tree.insert t.gst ~doc:id text;
-              t.live <- t.live + String.length text + 1;
-              t.doc_count <- t.doc_count + 1)
-            (live_docs ())
-        else
-          match (level name "C", level name "T") with
-          | Some j, _ when j >= 1 && j <= max_slots && t.subs.(j) = None ->
-            let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
-            if not (SS.is_empty ss) then begin
-              t.subs.(j) <- Some ss;
-              t.live <- t.live + SS.live_symbols ss;
-              t.doc_count <- t.doc_count + SS.doc_count ss
-            end
-          | _, Some k ->
-            let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
-            if not (SS.is_empty ss) then begin
-              t.tops <- (k, ss) :: t.tops;
-              t.next_top_key <- max t.next_top_key (k + 1);
-              t.live <- t.live + SS.live_symbols ss;
-              t.doc_count <- t.doc_count + SS.doc_count ss
-            end
-          | _ ->
-            if level name "L" = None && level name "Temp" = None then
-              invalid_arg ("Transform2.restore: unknown component " ^ name);
-            leftovers := !leftovers @ live_docs ())
-      components;
-    (* complete the interrupted jobs: their sources fold into fresh tops
-       (defensively deduplicated, as all_docs does for Temps) *)
-    let fresh = List.filter (fun (id, _) -> not (mem t id)) !leftovers in
-    List.iter
-      (fun (_, s) ->
-        t.live <- t.live + String.length s + 1;
-        t.doc_count <- t.doc_count + 1)
-      fresh;
-    add_docs_as_tops t fresh;
+        let total = syms docs in
+        if total > 2 * t.nf || (2 * total < t.nf && t.nf > 256) then Some docs else None
+    in
+    let fresh = ref [] in
+    (match restructure_now with
+    | Some docs ->
+      t.doc_count <- List.length docs;
+      rebuild_as_tops t docs
+    | None ->
+      let leftovers = ref [] in
+      List.iter
+        (fun (name, (docs : (int * string) array), (dead : bool array)) ->
+          if name = "C0" then
+            List.iter
+              (fun (id, text) ->
+                Gsuffix_tree.insert t.gst ~doc:id text;
+                t.live <- t.live + String.length text + 1;
+                t.doc_count <- t.doc_count + 1)
+              (live_docs docs dead)
+          else
+            match (level name "C", level name "T") with
+            | Some j, _ when j >= 1 && j <= max_slots && t.subs.(j) = None ->
+              let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
+              if not (SS.is_empty ss) then begin
+                t.subs.(j) <- Some ss;
+                t.live <- t.live + SS.live_symbols ss;
+                t.doc_count <- t.doc_count + SS.doc_count ss
+              end
+            | _, Some k ->
+              let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
+              if not (SS.is_empty ss) then begin
+                t.tops <- (k, ss) :: t.tops;
+                t.next_top_key <- max t.next_top_key (k + 1);
+                t.live <- t.live + SS.live_symbols ss;
+                t.doc_count <- t.doc_count + SS.doc_count ss
+              end
+            | _ ->
+              if level name "L" = None && level name "Temp" = None then
+                invalid_arg ("Transform2.restore: unknown component " ^ name);
+              leftovers := !leftovers @ live_docs docs dead)
+        components;
+      (* complete the interrupted jobs: their sources fold into fresh tops
+         (defensively deduplicated, as all_docs does for Temps) *)
+      fresh := List.filter (fun (id, _) -> not (mem t id)) !leftovers;
+      t.live <- t.live + syms !fresh;
+      t.doc_count <- t.doc_count + List.length !fresh;
+      add_docs_as_tops t !fresh;
+      match tail with
+      | None -> ()
+      | Some inserts ->
+        (* the surviving inserts of a folded WAL tail as one batch (C0
+           if they fit, else fresh tops), then at most one top cleaning *)
+        let size = syms inserts in
+        t.live <- t.live + size;
+        t.doc_count <- t.doc_count + List.length inserts;
+        if Gsuffix_tree.live_symbols t.gst + size <= max_size t 0 then
+          List.iter (fun (id, text) -> Gsuffix_tree.insert t.gst ~doc:id text) inserts
+        else add_docs_as_tops t inserts;
+        if t.fault <> Some `Skip_top_clean && t.del_counter >= clean_period t then begin
+          t.del_counter <- 0;
+          Option.iter
+            (fun (key, ss) ->
+              let ss' = build_ss t (SS.live_docs ss) in
+              t.tops <- List.map (fun (k, s) -> if k = key then (k, ss') else (k, s)) t.tops)
+            (dispatch_clean t)
+        end);
     publish t ~cause:`Update;
     let v = Atomic.get t.published in
     Atomic.set t.published { v with vw_epoch = epoch };
@@ -1038,7 +1088,7 @@ module Make (I : Static_index.S) = struct
     Obs.record t.obs
       (Obs.Note
          (Printf.sprintf "restored %d component(s) (%d folded doc(s)) at epoch %d"
-            (List.length components) (List.length fresh) epoch));
+            (List.length components) (List.length !fresh) epoch));
     t
 
   (* Updates are the schedule's synchronous critical sections: in pooled

@@ -194,7 +194,15 @@ module Make (I : Static_index.S) : sig
       top collections (the job's work completed eagerly). [nf] and
       [del_counter] restore the schedule state verbatim; the first
       published view continues [epoch]. Raises [Invalid_argument] on an
-      unrecognized component name. O(n) index construction. *)
+      unrecognized component name. O(n) index construction.
+
+      [tail] marks a folded WAL tail with at least one successful
+      mutation, whose deletes are already in [components], [next_id],
+      [del_counter] and [epoch]; it lists the tail's surviving inserts
+      in id order. They go to C0 as one batch if they fit, else into
+      fresh tops. Then one restructure runs if the live size left
+      [[nf/2, 2 nf]]; otherwise, if [del_counter] reached the cleaning
+      period, the top with the most dead symbols is cleaned once. *)
   val restore :
     ?sample:int ->
     ?tau:int ->
@@ -207,6 +215,7 @@ module Make (I : Static_index.S) : sig
     del_counter:int ->
     epoch:int ->
     components:(string * (int * string) array * bool array) list ->
+    ?tail:(int * string) list ->
     unit ->
     t
 end

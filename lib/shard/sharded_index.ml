@@ -270,7 +270,7 @@ let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_conf
   in
   (* open the K shard stores -- in parallel on an executor pool when
      recovery_jobs > 0; each store recovers independently (newest valid
-     snapshot + WAL tail replay) *)
+     snapshot + its WAL tail folded in) *)
   let open_one s =
     Durable.open_ ~config ~index ~dir:(shard_dir dir s) ()
   in

@@ -54,7 +54,8 @@ val index : t -> Dsdg_core.Dynamic_index.t
 val insert : t -> string -> int
 
 (** WAL-append + fsync, then apply; [false] if the document was already
-    dead (the record still lands in the log and replays idempotently). *)
+    dead (the record still lands in the log, and recovery's fold treats
+    it as a no-op again). *)
 val delete : t -> int -> bool
 
 (** Outcome of one mutation of a batch, in batch order. *)
@@ -119,8 +120,9 @@ val backup : t -> pin -> dest:string -> string
 val checkpoint : t -> unit
 
 (** Finish in-flight checkpoints, fsync the WAL, release worker
-    domains, close the index. The store reopens with zero replay work
-    after a {!checkpoint}; otherwise reopening replays the WAL tail. *)
+    domains, close the index. The store reopens with an empty WAL tail
+    after a {!checkpoint}; otherwise reopening folds the WAL tail into
+    the snapshot. *)
 val close : t -> unit
 
 (** Crash simulation for the kill-and-recover harness: abandon the

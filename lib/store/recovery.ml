@@ -1,5 +1,5 @@
-(* Crash recovery: newest valid snapshot + WAL tail replay; state
-   machine documented in recovery.mli and DESIGN.md section 10. *)
+(* Crash recovery: newest valid snapshot + the WAL tail folded into it;
+   state machine documented in recovery.mli and DESIGN.md section 10. *)
 
 module Di = Dsdg_core.Dynamic_index
 module Trace = Dsdg_check.Trace
@@ -41,14 +41,6 @@ let info_to_string i =
 
 let wal_path ~dir = Filename.concat dir "wal.log"
 
-(* Replay applies mutations only: queries in a hand-edited log are
-   legal trace lines but carry no state, so they are skipped. *)
-let apply_op idx (op : Trace.op) =
-  match op with
-  | Trace.Insert text -> ignore (Di.insert idx text)
-  | Trace.Delete id -> ignore (Di.delete idx id)
-  | Trace.Search _ | Trace.Count _ | Trace.Extract _ | Trace.Mem _ | Trace.Drain -> ()
-
 (* Newest snapshot that passes every checksum; corrupt ones are skipped
    and reported, not fatal (the WAL may still cover their window). *)
 let load_newest ~dir =
@@ -63,36 +55,38 @@ let load_newest ~dir =
   in
   go [] (Snapshot.list ~dir)
 
+(* Only mutations carry state: queries in a hand-edited log are legal
+   trace lines, skipped here (but still counted as replayed records). *)
+let mutation : Trace.op -> Di.mutation option = function
+  | Trace.Insert text -> Some (Di.Insert text)
+  | Trace.Delete id -> Some (Di.Delete id)
+  | Trace.Search _ | Trace.Count _ | Trace.Extract _ | Trace.Mem _ | Trace.Drain -> None
+
 let open_or_recover ?(index = Dsdg_core.Index_config.default) ?(read_only = false) ~dir () =
   let index = Dsdg_core.Index_config.validate index in
   let t0 = Obs.start () in
   let loaded, skipped = load_newest ~dir in
-  let idx, snap_path, snap_serial =
+  let dump, snap_path, snap_serial =
     match loaded with
-    | Some (path, dump, wal_serial) ->
-      (Di.restore ~index dump, Some path, wal_serial)
-    | None -> (Di.create ~index (), None, 0)
+    | Some (path, dump, wal_serial) -> (dump, Some path, wal_serial)
+    | None -> (Di.empty_dump index, None, 0)
   in
   let wal = wal_path ~dir in
-  let replayed, truncated, next_serial =
+  let tail, truncated, next_serial =
     if Sys.file_exists wal then begin
       let c = Wal.read wal in
       if c.Wal.wc_serial0 > snap_serial then
         raise (Gap { dir; snapshot_serial = snap_serial; wal_serial0 = c.Wal.wc_serial0 });
       if not read_only then Wal.truncate_torn wal c;
-      let n = ref 0 in
-      List.iter
-        (fun (serial, op) ->
-          if serial >= snap_serial then begin
-            apply_op idx op;
-            incr n
-          end)
-        c.Wal.wc_ops;
-      Obs.add c_recovered_ops !n;
-      (!n, c.Wal.wc_truncated, c.Wal.wc_serial0 + List.length c.Wal.wc_ops)
+      ( List.filter (fun (serial, _) -> serial >= snap_serial) c.Wal.wc_ops,
+        c.Wal.wc_truncated,
+        c.Wal.wc_serial0 + List.length c.Wal.wc_ops )
     end
-    else (0, false, snap_serial)
+    else ([], false, snap_serial)
   in
+  let replayed = List.length tail in
+  Obs.add c_recovered_ops replayed;
+  let idx = Di.restore ~index ~tail:(List.filter_map (fun (_, op) -> mutation op) tail) dump in
   Obs.incr c_recoveries;
   Obs.stop h_recovery_ns t0;
   ( idx,

@@ -1,18 +1,21 @@
-(** Crash recovery: newest valid snapshot + WAL tail replay.
+(** Crash recovery: newest valid snapshot + the WAL tail folded into it.
 
     The recovery state machine (DESIGN.md section 10):
 
     + scan the store directory for snapshots, newest first; load the
       first one that passes every {!Codec} checksum, skipping (and
       reporting) corrupt ones;
-    + rebuild the index from the dump ({!Dsdg_core.Dynamic_index.restore}),
-      or start empty if no snapshot survives;
     + read the WAL; drop a torn final record (truncating it on disk),
       fail loudly on interior corruption
       ({!Dsdg_check.Trace.Parse_error});
-    + replay every WAL mutation with serial [>= ] the snapshot's
-      serial. Replay is idempotent: a logged-but-failed delete fails
-      again, a logged-then-crashed-before-apply mutation is applied now.
+    + rebuild the index once from the dump (or from an empty dump if no
+      snapshot survives) with every WAL mutation of serial [>=] the
+      snapshot's serial folded in
+      ({!Dsdg_core.Dynamic_index.restore}[ ~tail]): the tail is reduced
+      to its net effect and built in bulk, never applied one record at
+      a time. The result equals per-op replay in ids, epoch and every
+      query answer: a logged-but-failed delete is again a no-op, a
+      logged-then-crashed-before-apply mutation takes effect now.
 
     Recovering twice from the same directory yields the same state --
     recovery mutates nothing except the torn-tail truncation, which is
@@ -30,7 +33,12 @@ type info = {
   ri_snapshot : string option;  (** snapshot file recovered from *)
   ri_snapshot_serial : int;  (** its WAL serial ([0] when starting empty) *)
   ri_skipped : (string * string) list;  (** corrupt snapshots skipped: (path, reason) *)
-  ri_replayed : int;  (** WAL records replayed *)
+  ri_replayed : int;
+      (** WAL records at or after the snapshot serial that recovery
+          applied (folded, not replayed one by one; queries in a
+          hand-edited log count too) -- the same count per-op replay
+          reported, so [dsdg] output and [store.replayed_ops] stay
+          comparable *)
   ri_truncated : bool;  (** a torn final WAL record was dropped *)
   ri_next_serial : int;  (** serial the WAL should continue from *)
 }
@@ -40,10 +48,6 @@ val info_to_string : info -> string
 
 (** [wal.log] inside a store directory. *)
 val wal_path : dir:string -> string
-
-(** Apply one replayed mutation to the index; queries in a hand-edited
-    log are ignored. Exposed for the CLI's replay paths. *)
-val apply_op : Dsdg_core.Dynamic_index.t -> Dsdg_check.Trace.op -> unit
 
 (** [open_or_recover ~dir ()] runs the state machine above. The shape
     fields of [index] ([variant], [backend], [sample], [tau]) are used
@@ -56,7 +60,7 @@ val apply_op : Dsdg_core.Dynamic_index.t -> Dsdg_check.Trace.op -> unit
 
     [read_only] (default [false]) guarantees no on-disk mutation: the
     torn-tail truncation is skipped (the torn record is still dropped
-    from replay, and reported via [ri_truncated]). Inspectors
+    from the fold, and reported via [ri_truncated]). Inspectors
     ([dsdg stats --store]) and followers bootstrapping a replica use
     this path so observing a store never rewrites it.
 

@@ -419,6 +419,77 @@ let test_digraph_backend_roundtrip () =
     check_l (Printf.sprintf "pred %d" u) (Digraph.predecessors gs u) (Digraph.predecessors gk u)
   done
 
+(* --- bulk builds --- *)
+
+(* Digraph.of_edges on both backends, duplicates and self-loops
+   included, against the model fed the same pairs one by one. *)
+let test_of_edges_matches_model () =
+  let st = Random.State.make [| 9; 4 |] in
+  let random = List.init 500 (fun _ -> (Random.State.int st 40, Random.State.int st 40)) in
+  let cases =
+    [ ("empty", []);
+      ("self-loops and duplicates", [ (3, 3); (1, 2); (3, 3); (1, 2); (2, 1); (0, 0) ]);
+      ("random", random @ List.filteri (fun i _ -> i mod 3 = 0) random) ]
+  in
+  List.iter
+    (fun (name, pairs) ->
+      let m = Rel.create () in
+      List.iter (fun (u, v) -> ignore (Rel.add m u v)) pairs;
+      List.iter
+        (fun kind ->
+          let label = name ^ "/" ^ Rel_backend.kind_to_string kind in
+          let g = Digraph.of_edges ~tau:4 ~backend:kind pairs in
+          Alcotest.(check bool) (label ^ " backend") true (Digraph.backend g = kind);
+          Alcotest.(check (list (pair int int))) (label ^ " edges") (Rel.pairs m) (Digraph.edges g);
+          check (label ^ " edge count") (Rel.size m) (Digraph.edge_count g);
+          for u = 0 to 40 do
+            check_l (Printf.sprintf "%s succ %d" label u) (Rel.labels_of_object m u) (Digraph.successors g u);
+            check_l (Printf.sprintf "%s pred %d" label u) (Rel.objects_of_label m u)
+              (Digraph.predecessors g u);
+            check (Printf.sprintf "%s out-degree %d" label u) (Rel.count_labels_of_object m u)
+              (Digraph.out_degree g u)
+          done;
+          (* a bulk build is construction, not a rebuild *)
+          let s = Digraph.stats g in
+          check (label ^ " merges") 0 s.Rel_backend.merges;
+          check (label ^ " global rebuilds") 0 s.Rel_backend.global_rebuilds)
+        Rel_backend.all_kinds)
+    cases
+
+(* A bulk-built relation driven by a differential stream that removes
+   most of its pairs (purging the top structure, then rebuilding
+   globally as the live size halves) while adding and querying. *)
+let test_bulk_then_stream () =
+  let module Rc = Dsdg_check.Rel_check in
+  let st = Random.State.make [| 17; 3 |] in
+  let init =
+    List.sort_uniq compare (List.init 600 (fun _ -> (Random.State.int st 60, Random.State.int st 60)))
+  in
+  let ops =
+    List.concat
+      (List.mapi
+         (fun i (o, a) ->
+           let snapshot = if i mod 50 = 0 then [ Rc.Rpairs ] else [] in
+           if i mod 5 = 4 then [ Rc.Radd (o + 100, a); Rc.Rsucc o ]
+           else [ Rc.Rremove (o, a); Rc.Rpred a; Rc.Rrelated (o, a) ] @ snapshot)
+         init)
+    @ [ Rc.Rpairs ]
+  in
+  (match Rc.run_ops ~init Rel_backend.all_kinds ops with
+  | Ok () -> ()
+  | Error f -> Alcotest.failf "step %d on %s: %s" f.Dsdg_check.Runner.f_step f.f_target f.f_message);
+  (* the same stream really purges and rebuilds the Str structures *)
+  let r = Dyn_binrel.of_pairs ~tau:4 init in
+  List.iter
+    (function
+      | Rc.Radd (o, a) -> ignore (Dyn_binrel.add r o a)
+      | Rc.Rremove (o, a) -> ignore (Dyn_binrel.remove r o a)
+      | _ -> ())
+    ops;
+  let s = Dyn_binrel.stats r in
+  Alcotest.(check bool) "purged" true (s.Dyn_binrel.purges > 0);
+  Alcotest.(check bool) "rebuilt globally" true (s.Dyn_binrel.global_rebuilds > 0)
+
 let test_triple_store_k2 () =
   let ts = Triple_store.create ~tau:4 ~rel_backend:Rel_backend.K2 () in
   Alcotest.(check bool) "backend" true (Triple_store.backend ts = Rel_backend.K2);
@@ -536,6 +607,8 @@ let suite =
     ("backend matrix churn", `Quick, test_backend_matrix_churn);
     ("snapshot isolation across backends", `Quick, test_snapshot_isolation_concurrent);
     ("digraph backend roundtrip", `Quick, test_digraph_backend_roundtrip);
+    ("of_edges bulk build matches model", `Quick, test_of_edges_matches_model);
+    ("bulk build then differential stream", `Quick, test_bulk_then_stream);
     ("triple store on k2", `Quick, test_triple_store_k2);
     ("triple store basic", `Quick, test_triples_basic) ]
   @ qsuite

@@ -751,6 +751,158 @@ let test_durable_pin_backup () =
           assert_matches_model ~label:"backup state" (Durable.index b) m ~inserts:8;
           Durable.close b))
 
+(* --- folded recovery = per-op replay --- *)
+
+(* The reference the WAL fold must equal: the newest snapshot restored
+   bare (or an empty index), then every WAL mutation at or after the
+   snapshot serial applied one at a time through the update path. *)
+let replay_reference ~index ~dir =
+  let idx, serial =
+    match Snapshot.list ~dir with
+    | (path, _) :: _ ->
+      let dump, serial = Snapshot.load path in
+      (Di.restore ~index dump, serial)
+    | [] -> (Di.create ~index (), 0)
+  in
+  let wal = Recovery.wal_path ~dir in
+  if Sys.file_exists wal then
+    List.iter
+      (fun (s, (op : Trace.op)) ->
+        if s >= serial then
+          match op with
+          | Trace.Insert text -> ignore (Di.insert idx text)
+          | Trace.Delete id -> ignore (Di.delete idx id)
+          | _ -> ())
+      (Wal.read wal).Wal.wc_ops;
+  idx
+
+(* Log [pre], checkpoint (or not), log [tail], crash; then recover
+   through [Recovery] and through the per-op reference, and require
+   the same epoch, ids, texts, next id and query answers, a clean
+   oracle, and agreement with the model. [c0_doc] names a document the
+   caller expects the snapshot to hold in C0. *)
+let check_fold ~label ~index ?(checkpoint = true) ?(torn = false) ?c0_doc pre tail =
+  with_dir "dsdg-fold" (fun dir ->
+      let config = { (durable_cfg 0) with Durable.sync = Wal.Never } in
+      let d, _ = Durable.open_ ~config ~index ~dir () in
+      let m = Model.create () in
+      let apply (op : Trace.op) =
+        match op with
+        | Trace.Insert s -> Alcotest.(check int) (label ^ ": id") (Model.insert m s) (Durable.insert d s)
+        | Trace.Delete id ->
+          Alcotest.(check bool) (label ^ ": delete") (Model.delete m id) (Durable.delete d id)
+        | _ -> ()
+      in
+      List.iter apply pre;
+      if checkpoint then Durable.checkpoint d;
+      List.iter apply tail;
+      Durable.kill d ~torn;
+      Option.iter
+        (fun id ->
+          let dump, _ = Snapshot.load (fst (List.hd (Snapshot.list ~dir))) in
+          Alcotest.(check bool) (label ^ ": snapshot holds the doc in C0") true
+            (List.exists
+               (fun (name, docs, _) -> name = "C0" && Array.exists (fun (i, _) -> i = id) docs)
+               dump.Di.dm_components))
+        c0_doc;
+      let reference = replay_reference ~index ~dir in
+      let folded, info = Recovery.open_or_recover ~index ~dir () in
+      Alcotest.(check int) (label ^ ": records applied")
+        (List.length (if checkpoint then tail else pre @ tail))
+        info.Recovery.ri_replayed;
+      Alcotest.(check bool) (label ^ ": torn record reported") torn info.Recovery.ri_truncated;
+      Alcotest.(check (list string)) (label ^ ": oracle") []
+        (Dsdg_check.Oracle.check (Dsdg_check.Oracle.create ()) folded);
+      (* Transformation 1 purges eagerly, so at rest no sub-collection is
+         past its purge threshold -- the oracle allows a slack of tau *)
+      if index.variant <> Di.Worst_case then
+        List.iter
+          (fun (name, live, dead) ->
+            if
+              Dsdg_core.Semi_static.purge_threshold_exceeded ~dead_syms:dead
+                ~total_symbols:(live + dead) ~tau:index.tau
+            then Alcotest.failf "%s: %s left past its purge threshold (%d dead, %d live)" label name dead live)
+          (Di.probe folded).Di.pr_census;
+      Alcotest.(check int) (label ^ ": epoch")
+        (Di.view_epoch (Di.view reference))
+        (Di.view_epoch (Di.view folded));
+      assert_matches_model ~label folded m ~inserts:(Model.inserted m);
+      let patterns =
+        "ab" :: "cd" :: "d"
+        :: List.filteri (fun i _ -> i < 8)
+             (List.map (fun (_, text) -> String.sub text 0 (min 3 (String.length text))) (Model.live m))
+      in
+      List.iter
+        (fun p ->
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s: search %S" label p)
+            (Di.search reference p) (Di.search folded p);
+          Alcotest.(check int) (Printf.sprintf "%s: count %S" label p) (Di.count reference p)
+            (Di.count folded p))
+        patterns;
+      let next = Model.insert m "the next document" in
+      Alcotest.(check int) (label ^ ": reference next id") next (Di.insert reference "the next document");
+      Alcotest.(check int) (label ^ ": folded next id") next (Di.insert folded "the next document");
+      Di.close reference;
+      Di.close folded)
+
+let fold_doc st = String.init (3 + Random.State.int st 22) (fun _ -> "abcd".[Random.State.int st 4])
+let fixed_doc i = Printf.sprintf "doc%03d abcdabcd %s" i (String.make (i mod 5) 'b')
+
+(* A random stream: inserts, and deletes aimed at live, dead, recently
+   inserted and never-assigned ids alike. *)
+let fold_ops st ~first_id n =
+  let next = ref first_id in
+  List.init n (fun _ ->
+      if !next = 0 || Random.State.int st 100 < 45 then begin
+        incr next;
+        Trace.Insert (fold_doc st)
+      end
+      else
+        Trace.Delete
+          (match Random.State.int st 4 with
+          | 0 -> max 0 (!next - 1 - Random.State.int st 4)
+          | 1 -> !next + Random.State.int st 3
+          | _ -> Random.State.int st !next))
+
+let inserts ops = List.length (List.filter (function Trace.Insert _ -> true | _ -> false) ops)
+
+let test_fold_equals_replay variant backend () =
+  let index = { small with variant; backend } in
+  let label = variant_name variant ^ "/" ^ backend_name backend in
+  let check = check_fold ~index in
+  let pre = List.init 12 (fun i -> Trace.Insert (fixed_doc i)) @ [ Trace.Delete 3 ] in
+  check ~label:(label ^ " empty tail") pre [];
+  check ~label:(label ^ " wal, no snapshot") ~checkpoint:false pre
+    [ Trace.Insert "x"; Trace.Delete 12; Trace.Delete 5 ];
+  check ~label:(label ^ " delete of a tail insert") pre
+    [ Trace.Insert "short lived"; Trace.Insert "kept"; Trace.Delete 12 ];
+  check ~label:(label ^ " double delete") pre
+    [ Trace.Delete 0; Trace.Delete 0; Trace.Insert "y"; Trace.Delete 12; Trace.Delete 12; Trace.Delete 3 ];
+  check ~label:(label ^ " never-assigned id") pre
+    [ Trace.Delete 999; Trace.Delete 13; Trace.Insert "z"; Trace.Delete 14 ];
+  (* of two tiny last inserts, the second lands in C0 even if the first
+     triggered a merge that emptied it *)
+  check ~label:(label ^ " delete of a C0 doc") ~c0_doc:13
+    (pre @ [ Trace.Insert "q"; Trace.Insert "r" ])
+    [ Trace.Delete 13; Trace.Insert "w" ];
+  check ~label:(label ^ " torn final record") ~torn:true pre
+    [ Trace.Insert "before the tear"; Trace.Delete 1 ];
+  check ~label:(label ^ " live above 2 nf")
+    (List.init 4 (fun i -> Trace.Insert (fixed_doc i)))
+    (List.init 60 (fun i -> Trace.Insert (fixed_doc (100 + i))) @ [ Trace.Delete 2 ]);
+  check ~label:(label ^ " live below nf/2")
+    (List.init 80 (fun i -> Trace.Insert (fixed_doc i)))
+    (Trace.Insert "survivor" :: List.init 76 (fun i -> Trace.Delete i));
+  for seed = 1 to 4 do
+    let st = Random.State.make [| seed; Hashtbl.hash label |] in
+    let pre = fold_ops st ~first_id:0 (10 + Random.State.int st 40) in
+    let tail = fold_ops st ~first_id:(inserts pre) (5 + Random.State.int st 60) in
+    check
+      ~label:(Printf.sprintf "%s random seed %d" label seed)
+      ~checkpoint:(seed <> 4) ~torn:(seed mod 2 = 0) pre tail
+  done
+
 let suite =
   [
     Alcotest.test_case "codec primitives round-trip" `Quick test_codec_primitives;
@@ -787,3 +939,13 @@ let suite =
     Alcotest.test_case "pinned-view backup opens at the pinned state" `Quick
       test_durable_pin_backup;
   ]
+  @ List.concat_map
+      (fun variant ->
+        List.map
+          (fun backend ->
+            Alcotest.test_case
+              (Printf.sprintf "folded recovery = per-op replay %s/%s" (variant_name variant)
+                 (backend_name backend))
+              `Quick (test_fold_equals_replay variant backend))
+          all_backends)
+      all_variants
