@@ -36,7 +36,7 @@ let lag_cell ~rate ~ops =
   let sock = Filename.concat dir "leader.sock" in
   Unix.mkdir dir 0o755;
   let store, _ = Durable.open_ ~dir:leader_dir () in
-  let srv = Server.start ~store (`Unix sock) in
+  let srv = Server.start (Durable.subject store) (`Unix sock) in
   let fol = Follower.start ~leader:(`Unix sock) ~dir:replica_dir () in
   let c = Client.connect (`Unix sock) in
   let st = Text_gen.rng (4242 + rate) in

@@ -30,7 +30,7 @@ let cell ~clients ~max_batch ~ops =
     Durable.open_ ~config:{ Durable.default_config with sync = Dsdg_store.Wal.Always } ~dir ()
   in
   let config = { Server.default_config with max_batch } in
-  let srv = Server.start ~config ~store (`Unix sock) in
+  let srv = Server.start ~config (Durable.subject store) (`Unix sock) in
   let f0 = store_fsyncs () in
   let r = Load_gen.run ~mix (`Unix sock) ~clients ~ops ~seed:(1000 + clients + max_batch) in
   let fsyncs = store_fsyncs () - f0 in

@@ -58,6 +58,8 @@ open Cmdliner
 module Store = Dsdg_store
 module Serve = Dsdg_serve
 module Shard = Dsdg_shard
+module Sh = Dsdg_shard.Sharded_index
+module Subject = Dsdg_check.Subject
 module Binrel = Dsdg_binrel
 
 (* Usage errors that only surface once the command runs (a bad enum
@@ -103,128 +105,151 @@ let with_store_errors ~dir f =
       dir wal_serial0 snapshot_serial;
     exit 2
 
+let addr_name = function `Unix path -> path | `Tcp (h, p) -> Printf.sprintf "%s:%d" h p
+
 let store_config ~sync ~checkpoint_every ~jobs =
   match Store.Wal.sync_of_string sync with
   | Error msg -> die_usage "--sync: %s" msg
   | Ok s ->
-    {
-      Store.Durable.default_config with
-      Store.Durable.sync = s;
-      checkpoint_every;
-      checkpoint_jobs = (if jobs > 0 then 1 else 0);
-    }
+    { Store.Durable.sync = s; checkpoint_every; checkpoint_jobs = (if jobs > 0 then 1 else 0) }
 
-(* A sharded store directory records its K in shard.meta: refuse to
-   open it with a different --shards, and refuse to shard a directory
-   that already holds a plain single-index store. Both are invocation
-   errors (124), not data corruption. *)
-let check_shard_layout ~dir ~shards =
-  (match Shard.Sharded_index.store_shards ~dir with
-  | Some k when k <> shards ->
-    die_usage "store at %s is sharded with K=%d; pass --shards %d" dir k shards
-  | _ -> ());
-  if shards > 1 && Sys.file_exists (Store.Recovery.wal_path ~dir) then
-    die_usage "store at %s is a plain single-index store; it cannot be opened with --shards %d"
-      dir shards
+(* --- the one place a collection is opened --- *)
 
-(* Open a sharded store, recovering the K shards in parallel on a
-   small executor pool, and report per-shard recovery. *)
-let open_sharded ~config ~index ~shards ~dir =
-  check_shard_layout ~dir ~shards;
-  let sh, infos =
-    Shard.Sharded_index.open_store ~config ~index
-      ~recovery_jobs:(if shards > 1 then min shards 4 else 0)
-      ~shards ~dir ()
-  in
-  Array.iteri
-    (fun s info -> Printf.printf "shard %d: %s\n" s (Store.Recovery.info_to_string info))
-    infos;
-  sh
-
-let print_stats idx =
-  Printf.printf "documents : %d\n" (Dynamic_index.doc_count idx);
-  Printf.printf "symbols   : %d\n" (Dynamic_index.total_symbols idx);
-  Printf.printf "space     : %d bits (%.2f bits/symbol)\n" (Dynamic_index.space_bits idx)
-    (if Dynamic_index.total_symbols idx = 0 then 0.
-     else float_of_int (Dynamic_index.space_bits idx) /. float_of_int (Dynamic_index.total_symbols idx));
-  Printf.printf "engine    : %s\n" (Dynamic_index.describe idx)
-
-(* The interactive loop works against closures so one body serves a
-   plain index, a durable store, or a sharded collection. *)
-type repl_ops = {
-  r_insert : string -> int;
-  r_delete : int -> bool;
-  r_search : string -> (int * int) list;
-  r_count : string -> int;
-  r_extract : doc:int -> off:int -> len:int -> string option;
-  r_stats : unit -> unit;
-  (* as-of queries against a retained epoch (~E ?PAT / ~E #PAT);
-     None = this surface has no epoch retention to query *)
-  r_asof : (epoch:int -> query:string -> unit) option;
+(* A collection, plus what only its backing can show: stats lines
+   after the documents/symbols census, as-of queries (a single index
+   only; a sharded epoch is a vector), a pinned backup (a single-index
+   store only), and the private observability scopes to render. *)
+type opened = {
+  coll : Subject.t;
+  trailer : unit -> unit;
+  asof : (epoch:int -> query:string -> unit) option;
+  pin : dest:string -> unit -> string;
+      (* freeze the state now; the thunk backs it up into [dest],
+         releases the pin and describes what it wrote *)
+  scopes : Dsdg_obs.Obs.scope list;
 }
 
-let repl_of_index ?insert:ins ?delete:del idx =
-  (* with a reader pool the interactive queries exercise the read plane:
-     served from a reader domain against the latest published epoch *)
-  let pooled = Dynamic_index.readers idx > 0 in
-  {
-    (* mutations go through the durable store when one is wired in, so an
-       interactive session is WAL-logged like any other client *)
-    r_insert = (match ins with Some f -> f | None -> Dynamic_index.insert idx);
-    r_delete = (match del with Some f -> f | None -> Dynamic_index.delete idx);
-    r_search =
-      (fun arg ->
-        if pooled then Dynamic_index.query idx (fun v -> Dynamic_index.view_search v arg)
-        else Dynamic_index.search idx arg);
-    r_count =
-      (fun arg ->
-        if pooled then Dynamic_index.query idx (fun v -> Dynamic_index.view_count v arg)
-        else Dynamic_index.count idx arg);
-    r_extract = (fun ~doc ~off ~len -> Dynamic_index.extract idx ~doc ~off ~len);
-    r_stats = (fun () -> print_stats idx);
-    r_asof =
-      Some
-        (fun ~epoch ~query ->
-          match Dynamic_index.view_at idx ~epoch with
-          | None ->
-            Printf.printf "epoch %d is not retained (retained: %s); open with --retain-epochs N\n%!"
-              epoch
-              (String.concat ", "
-                 (List.map string_of_int (Dynamic_index.retained idx)))
-          | Some v ->
-            let arg = String.sub query 1 (String.length query - 1) in
-            (match query.[0] with
-            | ('?' | '#') when arg = "" ->
-              Printf.printf "empty pattern (matches everywhere); give at least one symbol\n%!"
-            | '?' ->
-              let hits = Dynamic_index.view_search v arg in
-              List.iter (fun (d, o) -> Printf.printf "doc %d off %d\n" d o) hits;
-              Printf.printf "%d occurrence(s) as of epoch %d\n%!" (List.length hits) epoch
-            | '#' -> Printf.printf "%d\n%!" (Dynamic_index.view_count v arg)
-            | _ -> Printf.printf "usage: ~EPOCH ?PAT or ~EPOCH #PAT\n%!"));
-  }
+let no_backup ~dest:_ () = die_usage "pinned backups need a single-index store"
 
-let print_sharded_stats sh =
-  Printf.printf "documents : %d\n" (Shard.Sharded_index.doc_count sh);
-  Printf.printf "symbols   : %d\n" (Shard.Sharded_index.total_symbols sh);
-  Printf.printf "engine    : %s\n" (Shard.Sharded_index.describe sh)
+let single_index idx coll ~pin ~store_line =
+  let asof ~epoch ~query =
+    match Dynamic_index.view_at idx ~epoch with
+    | None ->
+      Printf.printf "epoch %d is not retained (retained: %s); open with --retain-epochs N\n%!" epoch
+        (String.concat ", " (List.map string_of_int (Dynamic_index.retained idx)))
+    | Some v -> (
+      let arg = String.sub query 1 (String.length query - 1) in
+      match query.[0] with
+      | ('?' | '#') when arg = "" ->
+        Printf.printf "empty pattern (matches everywhere); give at least one symbol\n%!"
+      | '?' ->
+        let hits = Dynamic_index.view_search v arg in
+        List.iter (fun (d, o) -> Printf.printf "doc %d off %d\n" d o) hits;
+        Printf.printf "%d occurrence(s) as of epoch %d\n%!" (List.length hits) epoch
+      | '#' -> Printf.printf "%d\n%!" (Dynamic_index.view_count v arg)
+      | _ -> Printf.printf "usage: ~EPOCH ?PAT or ~EPOCH #PAT\n%!")
+  in
+  let trailer () =
+    let syms = Dynamic_index.total_symbols idx and bits = Dynamic_index.space_bits idx in
+    Printf.printf "space     : %d bits (%.2f bits/symbol)\n" bits
+      (if syms = 0 then 0. else float_of_int bits /. float_of_int syms);
+    Printf.printf "engine    : %s\n" (Dynamic_index.describe idx);
+    store_line ()
+  in
+  { coll; trailer; asof = Some asof; pin; scopes = [ Dynamic_index.obs_scope idx ] }
 
-let repl_of_sharded sh =
-  {
-    r_insert = Shard.Sharded_index.insert sh;
-    r_delete = Shard.Sharded_index.delete sh;
-    r_search = Shard.Sharded_index.search sh;
-    r_count = Shard.Sharded_index.count sh;
-    r_extract = (fun ~doc ~off ~len -> Shard.Sharded_index.extract sh ~doc ~off ~len);
-    r_stats = (fun () -> print_sharded_stats sh);
-    (* sharded as-of needs a composite epoch-vector token, not one
-       scalar; no interactive syntax for that (yet) *)
-    r_asof = None;
-  }
+let sharded ~name ~store sh =
+  let ints a = String.concat "; " (Array.to_list (Array.map string_of_int a)) in
+  let trailer () =
+    Printf.printf "engine    : %s\n" (Sh.describe sh);
+    (* the composite epoch (its last component is the mapping version)
+       and, with a store, the per-shard replication coordinates *)
+    Printf.printf "epochs    : [%s]\n" (ints (Sh.epoch_vector sh));
+    if store then begin
+      Printf.printf "wal       : [%s] (per-shard serials)\n" (ints (Sh.wal_serials sh));
+      Printf.printf "meta      : %d placement record(s)\n" (Sh.meta_records sh)
+    end
+  in
+  { coll = Sh.subject ~name sh; trailer; asof = None; pin = no_backup; scopes = [] }
 
-let repl r =
-  let do_insert = r.r_insert and do_delete = r.r_delete in
-  let do_search = r.r_search and do_count = r.r_count in
+(* The one function that opens a collection, and the only place
+   outside fuzz where the shard count picks a backing. In memory K is
+   the --shards flag's. A store directory's layout is read ([`Read]: K
+   from its shard.meta, else 1) or checked against the --shards flag
+   ([`Flag k]) or a single index ([`Single]); a mismatch is a usage
+   error (124) raised before anything in the directory is touched. *)
+let open_collection ~(index : Index_config.t) ~config ~layout store =
+  let k =
+    match store with
+    | None -> ( match layout with `Flag k -> k | `Read | `Single -> 1)
+    | Some dir -> (
+      let plain =
+        Sys.file_exists (Store.Recovery.wal_path ~dir) || Store.Snapshot.list ~dir <> []
+      in
+      match (Sh.store_shards ~dir, layout) with
+      | Some k, `Read -> k
+      | Some k, `Flag want when k = want -> k
+      | Some k, `Flag _ -> die_usage "store at %s is sharded with K=%d; pass --shards %d" dir k k
+      | Some k, `Single ->
+        die_usage "store at %s is sharded with K=%d; this command writes single-index stores only"
+          dir k
+      | None, `Flag k when k > 1 && plain ->
+        die_usage "store at %s is a plain single-index store; it cannot be opened with --shards %d"
+          dir k
+      | None, `Flag k -> k
+      | None, (`Read | `Single) -> 1)
+  in
+  match (store, k) with
+  | None, 1 ->
+    let idx = Dynamic_index.create ~index () in
+    single_index idx
+      (Subject.of_index ~name:"an in-memory index" idx)
+      ~pin:no_backup ~store_line:ignore
+  | None, k ->
+    sharded ~store:false ~name:(Printf.sprintf "%d in-memory shards" k)
+      (Sh.create ~index ~shards:k ())
+  | Some dir, 1 ->
+    let d, info = Store.Durable.open_ ~config ~index ~dir () in
+    print_endline (Store.Recovery.info_to_string info);
+    let pin ~dest =
+      let p = Store.Durable.pin d in
+      fun () ->
+        let path = Store.Durable.backup d p ~dest in
+        Store.Durable.unpin d p;
+        Printf.sprintf "epoch %d, WAL serial %d -> %s" (Store.Durable.pin_epoch p)
+          (Store.Durable.pin_serial p) path
+    in
+    single_index (Store.Durable.index d)
+      (Store.Durable.subject ~name:dir d)
+      ~pin
+      ~store_line:(fun () ->
+        Printf.printf "store     : %s (next WAL serial %d)\n" dir (Store.Durable.wal_serial d))
+  | Some dir, k ->
+    (* recover the K shard stores in parallel on a small executor pool *)
+    let sh, infos = Sh.open_store ~config ~index ~recovery_jobs:(min k 4) ~shards:k ~dir () in
+    Array.iteri
+      (fun s info -> Printf.printf "shard %d: %s\n" s (Store.Recovery.info_to_string info))
+      infos;
+    Printf.printf "sharded: %d shard stores under %s, scatter-gather queries\n%!" k dir;
+    sharded ~name:(Printf.sprintf "%d shard stores under %s" k dir) ~store:true sh
+
+(* Open, run [f], close -- store errors reported as data errors (2). *)
+let with_collection ~index ~config ~layout store f =
+  let run () =
+    let o = open_collection ~index ~config ~layout store in
+    Fun.protect ~finally:o.coll.close (fun () -> f o)
+  in
+  match store with Some dir -> with_store_errors ~dir run | None -> run ()
+
+let print_stats o =
+  Printf.printf "documents : %d\n" (o.coll.doc_count ());
+  Printf.printf "symbols   : %d\n" (o.coll.total_symbols ());
+  o.trailer ()
+
+(* The interactive loop over any collection. *)
+let repl o =
+  let c = o.coll in
+  let usage u = Printf.printf "usage: %s\n%!" u in
   (try
      while true do
        let line = input_line stdin in
@@ -236,26 +261,25 @@ let repl r =
               instead of dying on Invalid_argument *)
            Printf.printf "empty pattern (matches everywhere); give at least one symbol\n%!"
          | '?' ->
-           let hits = do_search arg in
+           let hits = c.search arg in
            List.iter (fun (d, o) -> Printf.printf "doc %d off %d\n" d o) hits;
            Printf.printf "%d occurrence(s)\n%!" (List.length hits)
-         | '#' -> Printf.printf "%d\n%!" (do_count arg)
-         | '+' -> Printf.printf "doc %d\n%!" (do_insert arg)
-         | '-' ->
-           let ok = do_delete (int_of_string (String.trim arg)) in
-           Printf.printf "%s\n%!" (if ok then "deleted" else "no such document")
+         | '#' -> Printf.printf "%d\n%!" (c.count arg)
+         | '+' -> Printf.printf "doc %d\n%!" (Subject.insert c arg)
+         | '-' -> (
+           match int_of_string_opt (String.trim arg) with
+           | Some id ->
+             Printf.printf "%s\n%!" (if Subject.delete c id then "deleted" else "no such document")
+           | None -> usage "-ID")
          | '=' -> (
-           match String.split_on_char ' ' (String.trim arg) with
-           | [ id; off; len ] -> (
-             match
-               r.r_extract ~doc:(int_of_string id) ~off:(int_of_string off)
-                 ~len:(int_of_string len)
-             with
+           match List.map int_of_string_opt (String.split_on_char ' ' (String.trim arg)) with
+           | [ Some doc; Some off; Some len ] -> (
+             match c.extract ~doc ~off ~len with
              | Some s -> Printf.printf "%S\n%!" s
              | None -> Printf.printf "out of range or deleted\n%!")
-           | _ -> Printf.printf "usage: =ID OFF LEN\n%!")
+           | _ -> usage "=ID OFF LEN")
          | '~' -> (
-           match r.r_asof with
+           match o.asof with
            | None -> Printf.printf "as-of queries are not available on this surface\n%!"
            | Some asof -> (
              let arg = String.trim arg in
@@ -265,14 +289,14 @@ let repl r =
                let q = String.trim (String.sub arg (i + 1) (String.length arg - i - 1)) in
                match int_of_string_opt e with
                | Some epoch when epoch >= 0 && q <> "" -> asof ~epoch ~query:q
-               | _ -> Printf.printf "usage: ~EPOCH ?PAT or ~EPOCH #PAT\n%!")
-             | None -> Printf.printf "usage: ~EPOCH ?PAT or ~EPOCH #PAT\n%!"))
+               | _ -> usage "~EPOCH ?PAT or ~EPOCH #PAT")
+             | None -> usage "~EPOCH ?PAT or ~EPOCH #PAT"))
          | '.' -> raise Exit
          | _ -> Printf.printf "commands: ?PAT #PAT +TEXT -ID =ID OFF LEN ~EPOCH ?PAT .\n%!"
        end
      done
    with End_of_file | Exit -> ());
-  r.r_stats ()
+  print_stats o
 
 let index_files ~insert ~whole files =
   List.iter
@@ -294,100 +318,42 @@ let index_files ~insert ~whole files =
     files
 
 let index_cmd files whole (index : Index_config.t) shards store sync checkpoint_every =
-  if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
-  match (store, shards) with
-  | None, 1 ->
-    let idx = Dynamic_index.create ~index () in
-    index_files ~insert:(Dynamic_index.insert idx) ~whole files;
-    Printf.printf "indexed %d document(s) from %d file(s)\n%!" (Dynamic_index.doc_count idx)
-      (List.length files);
-    Fun.protect ~finally:(fun () -> Dynamic_index.close idx) (fun () -> repl (repl_of_index idx))
-  | None, _ ->
-    let sh = Shard.Sharded_index.create ~index ~shards () in
-    index_files ~insert:(Shard.Sharded_index.insert sh) ~whole files;
-    Printf.printf "indexed %d document(s) from %d file(s) across %d shard(s)\n%!"
-      (Shard.Sharded_index.doc_count sh)
-      (List.length files) shards;
-    Fun.protect
-      ~finally:(fun () -> Shard.Sharded_index.close sh)
-      (fun () -> repl (repl_of_sharded sh))
-  | Some dir, 1 ->
-    with_store_errors ~dir (fun () ->
-        check_shard_layout ~dir ~shards;
-        let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
-        let d, info = Store.Durable.open_ ~config ~index ~dir () in
-        print_endline (Store.Recovery.info_to_string info);
-        index_files ~insert:(Store.Durable.insert d) ~whole files;
-        Printf.printf "indexed %d document(s) from %d file(s) into %s (next WAL serial %d)\n%!"
-          (Dynamic_index.doc_count (Store.Durable.index d))
-          (List.length files) dir
-          (Store.Durable.wal_serial d);
-        Fun.protect
-          ~finally:(fun () -> Store.Durable.close d)
-          (fun () ->
-            repl
-              (repl_of_index ~insert:(Store.Durable.insert d) ~delete:(Store.Durable.delete d)
-                 (Store.Durable.index d))))
-  | Some dir, _ ->
-    with_store_errors ~dir (fun () ->
-        let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
-        let sh = open_sharded ~config ~index ~shards ~dir in
-        index_files ~insert:(Shard.Sharded_index.insert sh) ~whole files;
-        Printf.printf "indexed %d document(s) from %d file(s) into %s across %d shard(s)\n%!"
-          (Shard.Sharded_index.doc_count sh)
-          (List.length files) dir shards;
-        Fun.protect
-          ~finally:(fun () -> Shard.Sharded_index.close sh)
-          (fun () -> repl (repl_of_sharded sh)))
+  let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
+  with_collection ~index ~config ~layout:(`Flag shards) store (fun o ->
+      index_files ~insert:(Subject.insert o.coll) ~whole files;
+      Printf.printf "indexed %d document(s) from %d file(s) into %s\n%!" (o.coll.doc_count ())
+        (List.length files) o.coll.name;
+      repl o)
 
-(* dsdg save: index files into a store directory, then checkpoint, so
-   the next open (dsdg load, or any --store run) starts from the
-   snapshot with zero WAL replay. Reuses prior state in the directory
-   if there is any -- `save` onto an existing store appends. *)
+(* dsdg save: index files into a single-index store directory, then
+   checkpoint, so the next open starts from the snapshot with zero WAL
+   replay. Reuses prior state in the directory if there is any --
+   `save` onto an existing store appends. *)
 let save_cmd dir files whole (index : Index_config.t) sync pinned =
-  with_store_errors ~dir (fun () ->
-      let config = store_config ~sync ~checkpoint_every:0 ~jobs:index.jobs in
-      let d, info = Store.Durable.open_ ~config ~index ~dir () in
-      if info.Store.Recovery.ri_snapshot <> None || info.Store.Recovery.ri_replayed > 0 then
-        print_endline (Store.Recovery.info_to_string info);
+  let config = store_config ~sync ~checkpoint_every:0 ~jobs:index.jobs in
+  with_collection ~index ~config ~layout:`Single (Some dir) (fun o ->
       (* --pinned: freeze the pre-index state NOW; the pin keeps that
          view (and its WAL-serial correspondence) alive across the
          inserts and the checkpoint below, then backs it up -- a
          consistent backup of "the store as it was before this save" *)
-      let pin = Option.map (fun _ -> Store.Durable.pin d) pinned in
-      index_files ~insert:(Store.Durable.insert d) ~whole files;
-      Store.Durable.checkpoint d;
-      (match (pinned, pin) with
-      | Some dest, Some p ->
-        let path = Store.Durable.backup d p ~dest in
-        Printf.printf "pinned backup: pre-save state (epoch %d, WAL serial %d) -> %s\n"
-          (Store.Durable.pin_epoch p) (Store.Durable.pin_serial p) path;
-        Store.Durable.unpin d p
-      | _ -> ());
-      let docs = Dynamic_index.doc_count (Store.Durable.index d) in
-      let serial = Store.Durable.wal_serial d in
-      Store.Durable.close d;
+      let backup = Option.map (fun dest -> o.pin ~dest) pinned in
+      index_files ~insert:(Subject.insert o.coll) ~whole files;
+      o.coll.checkpoint ();
+      Option.iter (fun b -> Printf.printf "pinned backup: pre-save state (%s)\n" (b ())) backup;
+      let docs = o.coll.doc_count () in
       match Store.Snapshot.list ~dir with
-      | (path, _) :: _ ->
+      | (path, serial) :: _ ->
         Printf.printf "saved %d document(s): %s (%d bytes, WAL serial %d)\n" docs path
           (Unix.stat path).Unix.st_size serial
-      | [] -> Printf.printf "saved %d document(s) into %s (WAL serial %d)\n" docs dir serial)
+      | [] -> Printf.printf "saved %d document(s) into %s\n" docs dir)
 
-(* dsdg open: crash recovery (newest valid snapshot + WAL tail replay)
-   followed by the interactive query loop; mutations made in the loop
-   keep flowing through the WAL. *)
+(* dsdg open: crash recovery (newest valid snapshot + WAL tail fold;
+   K shard stores when the directory is sharded) followed by the
+   interactive query loop; mutations made in the loop keep flowing
+   through the WAL. *)
 let open_cmd dir (index : Index_config.t) sync checkpoint_every =
-  with_store_errors ~dir (fun () ->
-      check_shard_layout ~dir ~shards:1;
-      let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
-      let d, info = Store.Durable.open_ ~config ~index ~dir () in
-      print_endline (Store.Recovery.info_to_string info);
-      Fun.protect
-        ~finally:(fun () -> Store.Durable.close d)
-        (fun () ->
-          repl
-            (repl_of_index ~insert:(Store.Durable.insert d) ~delete:(Store.Durable.delete d)
-               (Store.Durable.index d))))
+  let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
+  with_collection ~index ~config ~layout:`Read (Some dir) repl
 
 (* dsdg serve: the service plane. Recover the store, bind the socket,
    then park the main thread until SIGTERM/SIGINT (or a quit of the
@@ -396,7 +362,6 @@ let open_cmd dir (index : Index_config.t) sync checkpoint_every =
    0 -- the next open replays nothing. *)
 let serve_cmd dir socket host port (index : Index_config.t) shards sync checkpoint_every max_batch
     max_frame max_conns timeout =
-  if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
   if max_batch < 1 then die_usage "--max-batch must be >= 1 (got %d)" max_batch;
   if max_frame < 16 then die_usage "--max-frame must be >= 16 bytes (got %d)" max_frame;
   if max_conns < 1 then die_usage "--max-conns must be >= 1 (got %d)" max_conns;
@@ -404,50 +369,24 @@ let serve_cmd dir socket host port (index : Index_config.t) shards sync checkpoi
   let listen =
     match socket with Some path -> `Unix path | None -> `Tcp (host, port)
   in
+  let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
   with_store_errors ~dir (fun () ->
-      let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
-      (* the engine the server fronts: a plain durable store, or K
-         shard stores behind one scatter-gather collection (the writer
-         thread then fans each batch across the shard WALs, one group
-         commit each) *)
-      let engine, close_engine =
-        if shards = 1 then begin
-          check_shard_layout ~dir ~shards;
-          let store, info = Store.Durable.open_ ~config ~index ~dir () in
-          print_endline (Store.Recovery.info_to_string info);
-          (Serve.Server.engine_of_store store, fun () -> Store.Durable.close store)
-        end
-        else begin
-          let sh = open_sharded ~config ~index ~shards ~dir in
-          (Serve.Server.engine_of_sharded sh, fun () -> Shard.Sharded_index.close sh)
-        end
-      in
-      let sconfig =
-        {
-          Serve.Server.max_frame;
-          max_batch;
-          max_conns;
-          read_timeout = timeout;
-          write_timeout = timeout;
-        }
-      in
+      (* the server owns the collection from here on: a plain durable
+         store, or K shard stores behind one scatter-gather collection
+         (the writer thread then fans each batch across the shard WALs,
+         one group commit each) *)
+      let o = open_collection ~index ~config ~layout:(`Flag shards) (Some dir) in
       let srv =
-        try Serve.Server.start_engine ~config:sconfig ~engine listen
+        try Serve.Server.start ~config:{ max_frame; max_batch; max_conns; timeout } o.coll listen
         with Unix.Unix_error (e, _, _) ->
-          close_engine ();
-          Printf.eprintf "dsdg: cannot bind %s: %s\n"
-            (match listen with
-            | `Unix p -> p
-            | `Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
-            (Unix.error_message e);
+          o.coll.close ();
+          Printf.eprintf "dsdg: cannot bind %s: %s\n" (addr_name listen) (Unix.error_message e);
           exit 1
       in
       (match (listen, Serve.Server.port srv) with
       | `Unix path, _ -> Printf.printf "listening on unix socket %s\n%!" path
       | `Tcp (h, _), Some p -> Printf.printf "listening on %s:%d\n%!" h p
       | `Tcp (h, p), None -> Printf.printf "listening on %s:%d\n%!" h p);
-      if shards > 1 then
-        Printf.printf "sharded: %d shard stores under %s, scatter-gather queries\n%!" shards dir;
       Printf.printf "group commit: up to %d writes per fsync (--sync %s)\n%!" max_batch sync;
       List.iter
         (fun s ->
@@ -497,7 +436,6 @@ let bench_json_row ~bench fields =
 
 let loadgen_cmd socket host port clients ops seed timeout shards w_insert w_delete w_search
     w_count w_extract =
-  if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
   if clients < 1 then die_usage "--clients must be >= 1 (got %d)" clients;
   if ops < 1 then die_usage "--ops must be >= 1 (got %d)" ops;
   if timeout < 0. then die_usage "--timeout must be >= 0 seconds";
@@ -519,7 +457,7 @@ let loadgen_cmd socket host port clients ops seed timeout shards w_insert w_dele
     try Serve.Load_gen.run ~mix ~timeout addr ~clients ~ops ~seed
     with Unix.Unix_error (e, _, _) ->
       Printf.eprintf "dsdg: cannot reach %s: %s\n"
-        (match addr with `Unix p -> p | `Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
+        (addr_name addr)
         (Unix.error_message e);
       exit 1
   in
@@ -578,17 +516,16 @@ let follow_cmd from_addr from_socket dir socket host port (index : Index_config.
           exit 1
       in
       Printf.printf "following %s into %s%s\n%!"
-        (match leader with `Unix p -> p | `Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
+        (addr_name leader)
         dir
-        (match Serve.Follower.replica f with
-        | Serve.Follower.R_single _ -> ""
-        | Serve.Follower.R_sharded sh ->
-          Printf.sprintf " (sharded, K=%d)" (Shard.Sharded_index.shards sh));
+        (match List.assoc_opt "shards" ((Serve.Follower.replica f).stats ()) with
+        | Some k -> Printf.sprintf " (sharded, K=%d)" k
+        | None -> "");
+      let serve listen = Some (Serve.Server.start (Serve.Follower.read_only f) listen) in
       let srv =
         match (socket, port) with
-        | Some path, _ -> Some (Serve.Server.start_engine ~engine:(Serve.Follower.engine f) (`Unix path))
-        | None, Some p ->
-          Some (Serve.Server.start_engine ~engine:(Serve.Follower.engine f) (`Tcp (host, p)))
+        | Some path, _ -> serve (`Unix path)
+        | None, Some p -> serve (`Tcp (host, p))
         | None, None -> None
       in
       (match (srv, socket) with
@@ -602,7 +539,7 @@ let follow_cmd from_addr from_socket dir socket host port (index : Index_config.
         (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set stop true)))
         [ Sys.sigterm; Sys.sigint ];
       let teardown () =
-        (* stopping a server built on Follower.engine stops the
+        (* stopping a server over Follower.read_only stops the
            follower and closes the replica store *)
         match srv with Some s -> Serve.Server.stop s | None -> Serve.Follower.stop f
       in
@@ -634,156 +571,68 @@ let follow_cmd from_addr from_socket dir socket host port (index : Index_config.
 let demo_cmd ops =
   let open Dsdg_workload in
   let st = Text_gen.rng 7 in
-  let idx = Dynamic_index.create () in
+  with_collection ~index:Index_config.default ~config:Store.Durable.default_config ~layout:`Read
+    None
+  @@ fun o ->
   let live = ref [] in
   for _ = 1 to ops do
     if Random.State.float st 1.0 < 0.7 || !live = [] then
-      live := Dynamic_index.insert idx (Text_gen.english_like st ~len:(30 + Random.State.int st 100)) :: !live
+      live := Subject.insert o.coll (Text_gen.english_like st ~len:(30 + Random.State.int st 100)) :: !live
     else begin
       match !live with
       | id :: rest ->
-        ignore (Dynamic_index.delete idx id);
+        ignore (Subject.delete o.coll id);
         live := rest
       | [] -> ()
     end
   done;
-  List.iter
-    (fun w -> Printf.printf "count %-8S = %d\n" w (Dynamic_index.count idx w))
-    [ "data"; "index"; "query" ];
-  print_stats idx
+  List.iter (fun w -> Printf.printf "count %-8S = %d\n" w (o.coll.count w)) [ "data"; "index"; "query" ];
+  print_stats o
 
 (* Scripted churn workload + full observability dump: the living
    counterpart of DESIGN.md's "Observability" section. With --store the
    workload runs through the durable store, so the dump also shows the
-   store scope: WAL appends/fsyncs, checkpoint latency, snapshot bytes. *)
-(* The sharded variant of the stats workload: same churn, routed
-   through a Sharded_index (in memory, or over K shard stores with
-   --store), then the observability dump -- the "shard" scope shows
-   scatter/gather and migration counters next to each shard's own
-   core/store scopes. *)
-let stats_sharded ~ops ~(index : Index_config.t) ~no_obs ~shards ~store ~sync ~checkpoint_every =
+   store scope: WAL appends/fsyncs, checkpoint latency, snapshot bytes;
+   with --shards the "shard" scope shows scatter/gather next to each
+   shard's own core/store scopes. *)
+let churn ~ops o =
   let open Dsdg_workload in
-  let open Dsdg_obs in
-  if no_obs then Obs.set_enabled false;
-  let sh =
-    match store with
-    | None -> Shard.Sharded_index.create ~index ~shards ()
-    | Some dir ->
-      with_store_errors ~dir (fun () ->
-          let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
-          open_sharded ~config ~index ~shards ~dir)
-  in
+  let c = o.coll in
   let st = Text_gen.rng 42 in
   let live = ref [] in
   let searches = ref 0 and hits = ref 0 in
   for i = 1 to ops do
     let r = Random.State.float st 1.0 in
     if r < 0.55 || !live = [] then
-      live := Shard.Sharded_index.insert sh (Text_gen.english_like st ~len:(30 + Random.State.int st 120)) :: !live
-    else if r < 0.8 then begin
-      match !live with
-      | id :: rest ->
-        ignore (Shard.Sharded_index.delete sh id);
-        if i mod 17 = 0 then ignore (Shard.Sharded_index.delete sh id);
-        live := rest
-      | [] -> ()
-    end
-    else begin
-      incr searches;
-      let p = if i mod 2 = 0 then "data" else "query" in
-      hits := !hits + Shard.Sharded_index.count sh p
-    end;
-    (* stir documents between shards mid-workload so migration shows
-       up in the dump *)
-    if i mod 251 = 0 then ignore (Shard.Sharded_index.rebalance_hottest sh)
-  done;
-  Printf.printf "workload  : %d ops (%d searches, %d pattern hits) across %d shard(s)\n" ops
-    !searches !hits shards;
-  print_sharded_stats sh;
-  Printf.printf "epochs    : [%s]\n"
-    (String.concat "; "
-       (Array.to_list (Array.map string_of_int (Shard.Sharded_index.epoch_vector sh))));
-  (* store mode: the replication coordinates -- per-shard WAL serials
-     next to the composite epoch vector (the last epoch component is
-     the mapping version) *)
-  if Shard.Sharded_index.backing_stores sh <> None then begin
-    Printf.printf "wal       : [%s] (per-shard serials)\n"
-      (String.concat "; "
-         (Array.to_list (Array.map string_of_int (Shard.Sharded_index.wal_serials sh))));
-    Printf.printf "meta      : %d placement record(s)\n" (Shard.Sharded_index.meta_records sh)
-  end;
-  print_newline ();
-  Shard.Sharded_index.close sh;
-  if no_obs then print_endline "observability disabled (--no-obs): no counters recorded"
-  else List.iter (fun s -> print_string (Obs.render s)) (Obs.registered ())
-
-let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_every =
-  if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
-  if shards > 1 then stats_sharded ~ops ~index ~no_obs ~shards ~store ~sync ~checkpoint_every
-  else
-  let open Dsdg_workload in
-  let open Dsdg_obs in
-  if no_obs then Obs.set_enabled false;
-  let durable =
-    match store with
-    | None -> None
-    | Some dir ->
-      Some
-        (with_store_errors ~dir (fun () ->
-             let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
-             fst (Store.Durable.open_ ~config ~index ~dir ())))
-  in
-  let idx =
-    match durable with
-    | Some d -> Store.Durable.index d
-    | None -> Dynamic_index.create ~index ()
-  in
-  let ins, del =
-    match durable with
-    | Some d -> (Store.Durable.insert d, Store.Durable.delete d)
-    | None -> (Dynamic_index.insert idx, Dynamic_index.delete idx)
-  in
-  let st = Text_gen.rng 42 in
-  let live = ref [] in
-  let searches = ref 0 and hits = ref 0 in
-  for i = 1 to ops do
-    let r = Random.State.float st 1.0 in
-    if r < 0.55 || !live = [] then
-      live := ins (Text_gen.english_like st ~len:(30 + Random.State.int st 120)) :: !live
+      live := Subject.insert c (Text_gen.english_like st ~len:(30 + Random.State.int st 120)) :: !live
     else if r < 0.8 then begin
       (* delete a random live doc; occasionally retry a dead id to
          exercise the failed-delete path *)
       match !live with
       | id :: rest ->
-        ignore (del id);
-        if i mod 17 = 0 then ignore (del id);
+        ignore (Subject.delete c id);
+        if i mod 17 = 0 then ignore (Subject.delete c id);
         live := rest
       | [] -> ()
     end
     else begin
       incr searches;
-      let p = if i mod 2 = 0 then "data" else "query" in
-      let c =
-        if index.readers > 0 then Dynamic_index.query idx (fun v -> Dynamic_index.view_count v p)
-        else Dynamic_index.count idx p
-      in
-      hits := !hits + c
+      hits := !hits + c.count (if i mod 2 = 0 then "data" else "query")
     end
   done;
   Printf.printf "workload  : %d ops (%d searches, %d pattern hits)\n" ops !searches !hits;
-  print_stats idx;
-  let syms = Dynamic_index.total_symbols idx in
-  if syms > 0 then begin
-    (* Entropy budget: reconstruct the live text through the index itself
-       and compare measured bits/symbol with H0 and H2. *)
-    let buf = Buffer.create syms in
+  print_stats o;
+  if c.total_symbols () > 0 then begin
+    (* Entropy budget: reconstruct the live text through the collection
+       itself and compare measured bits/symbol with H0 and H2. *)
+    let buf = Buffer.create (c.total_symbols ()) in
     List.iter
       (fun id ->
         (* documents have unknown length: binary-search down from a
            generous cap until extract accepts the range *)
         let rec grab len =
           if len >= 1 then
-            match Dynamic_index.extract idx ~doc:id ~off:0 ~len with
+            match c.extract ~doc:id ~off:0 ~len with
             | Some s -> Buffer.add_string buf s
             | None -> grab (len / 2)
         in
@@ -796,21 +645,23 @@ let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_e
         (Entropy.h0 text) (Entropy.hk ~k:2 text)
     end
   end;
-  print_newline ();
-  (* join worker domains before rendering so the executor counters
-     (exec_submitted/completed/..., queue depth, wall/handoff latency)
-     are final; they live in the same scope as the transformation's *)
-  (match durable with
-  | Some d ->
-    Printf.printf "store     : %s (next WAL serial %d)\n" (Store.Durable.dir d)
-      (Store.Durable.wal_serial d);
-    Store.Durable.close d
-  | None -> Dynamic_index.close idx);
+  print_newline ()
+
+let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_every =
+  let open Dsdg_obs in
+  if no_obs then Obs.set_enabled false;
+  let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
+  (* the collection closes before the dump, joining its worker domains,
+     so the executor counters (exec_submitted/completed/..., queue
+     depth, wall/handoff latency) are final; they live in the same
+     scope as the transformation's *)
+  let scopes =
+    with_collection ~index ~config ~layout:(`Flag shards) store (fun o ->
+        churn ~ops o;
+        o.scopes)
+  in
   if no_obs then print_endline "observability disabled (--no-obs): no counters recorded"
-  else begin
-    print_string (Obs.render (Dynamic_index.obs_scope idx));
-    List.iter (fun s -> print_string (Obs.render s)) (Obs.registered ())
-  end
+  else List.iter (fun s -> print_string (Obs.render s)) (scopes @ Obs.registered ())
 
 (* Differential fuzzing: the CLI face of Dsdg_check (DESIGN.md section 6).
    A failing stream is shrunk to a minimal trace, saved, and the replay
@@ -822,7 +673,6 @@ let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_e
 let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault profile replay
     trace_dir shards store sync checkpoint_every kill_stride follow rel rel_backend =
   let open Dsdg_check in
-  if shards < 1 then die_usage "--shards must be >= 1 (got %d)" shards;
   let base = Runner.fuzz_index in
   let targets = Runner.select_targets ~variant ~backend () in
   (* a target's name as a directory-name component *)
@@ -1279,7 +1129,15 @@ let whole_arg = Arg.(value & flag & info [ "whole" ] ~doc:"Index whole files ins
 let tau_arg default = Arg.(value & opt int default & info [ "tau" ] ~doc:"Lazy-deletion threshold tau.")
 let ops_arg = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"Demo operations.")
 let shards_arg =
-  Arg.(value & opt int 1
+  let positive =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some k when k >= 1 -> Ok k
+          | _ -> Error (Printf.sprintf "expected a shard count >= 1, got %s" s)),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt positive 1
        & info [ "shards" ] ~docv:"K"
            ~doc:"Hash-partition documents across $(docv) index shards (each with its own writer path, executor jobs, reader pool and, with --store, durable sub-store); queries scatter-gather across the shard views. For fuzz, fans the op stream over shard counts {1, 2, $(docv)} and differentially compares against the model and the K=1 index (with --store: sharded kill + mid-split kill sweeps). For load, annotates the BENCH row with the dialed server's shard count.")
 

@@ -82,12 +82,12 @@ let expect model op : Subject.t -> unit =
   | Trace.Insert text ->
     let want = Model.insert model text in
     fun s ->
-      let got = s.insert text in
+      let got = Subject.insert s text in
       if got <> want then mismatch "insert returned id %d, model %d" got want
   | Trace.Delete id ->
     let want = Model.delete model id in
     fun s ->
-      let got = s.delete id in
+      let got = Subject.delete s id in
       if got <> want then mismatch "delete %d returned %b, model %b" id got want
   | Trace.Search p ->
     let want = capture (fun () -> Model.search model p) in

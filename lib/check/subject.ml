@@ -1,11 +1,17 @@
-(* Subjects under differential test; see subject.mli. *)
+(* The collection record every front end drives; see subject.mli. *)
 
 module Di = Dsdg_core.Dynamic_index
 
+type batch_result = Br_inserted of int | Br_deleted of bool
+
+type repl_reply =
+  | Rp_recs of { recs : (int * string) list; bound : int; epoch : int }
+  | Rp_snapshot of { path : string; serial : int; bound : int; epoch : int }
+  | Rp_error of string
+
 type t = {
   name : string;
-  insert : string -> int;
-  delete : int -> bool;
+  apply_batch : Trace.op list -> batch_result list;
   search : string -> (int * int) list;
   count : string -> int;
   extract : doc:int -> off:int -> len:int -> string option;
@@ -13,17 +19,31 @@ type t = {
   drain : unit -> unit;
   doc_count : unit -> int;
   total_symbols : unit -> int;
+  stats : unit -> (string * int) list;
+  repl : stream:string -> from:int -> repl_reply;
   check : unit -> string list;
   events : unit -> string list;
+  checkpoint : unit -> unit;
   close : unit -> unit;
+  kill : torn:bool -> unit;
 }
 
-let of_index ~name idx =
-  let pooled = Di.readers idx > 0 in
-  let q direct on_view = if pooled then Di.query idx on_view else direct () in
+let insert s text =
+  match s.apply_batch [ Trace.Insert text ] with
+  | [ Br_inserted id ] -> id
+  | _ -> failwith (s.name ^ ": insert did not report an id")
+
+let delete s id =
+  match s.apply_batch [ Trace.Delete id ] with
+  | [ Br_deleted ok ] -> ok
+  | _ -> failwith (s.name ^ ": delete did not report an outcome")
+
+let of_index ?views ~name idx =
+  let views = match views with Some v -> v | None -> Di.readers idx > 0 in
+  let q direct on_view = if views then Di.query idx on_view else direct () in
   let oracle = Oracle.create () in
   let census () =
-    if not pooled then []
+    if not views then []
     else
       (* the published view must agree with the write plane the moment
          the writer is quiescent *)
@@ -34,8 +54,11 @@ let of_index ~name idx =
   in
   {
     name;
-    insert = Di.insert idx;
-    delete = Di.delete idx;
+    apply_batch =
+      List.map (function
+        | Trace.Insert text -> Br_inserted (Di.insert idx text)
+        | Trace.Delete id -> Br_deleted (Di.delete idx id)
+        | op -> invalid_arg (Printf.sprintf "%S is not a mutation" (Trace.op_to_string op)));
     search = (fun p -> q (fun () -> Di.search idx p) (fun v -> Di.view_search v p));
     count = (fun p -> q (fun () -> Di.count idx p) (fun v -> Di.view_count v p));
     extract =
@@ -45,6 +68,15 @@ let of_index ~name idx =
     drain = (fun () -> Di.drain idx);
     doc_count = (fun () -> Di.doc_count idx);
     total_symbols = (fun () -> Di.total_symbols idx);
+    stats =
+      (fun () ->
+        let v = Di.view idx in
+        [
+          ("docs", Di.view_doc_count v);
+          ("symbols", Di.view_total_symbols v);
+          ("epoch", Di.view_epoch v);
+        ]);
+    repl = (fun ~stream:_ ~from:_ -> Rp_error "an in-memory index has no replication streams");
     check =
       (fun () ->
         census ()
@@ -53,5 +85,7 @@ let of_index ~name idx =
         | [] -> []
         | broken -> [ "invariant violation: " ^ String.concat " | " broken ]);
     events = (fun () -> Di.events idx);
+    checkpoint = ignore;
     close = (fun () -> Di.close idx);
+    kill = (fun ~torn:_ -> Di.close idx);
   }

@@ -1,16 +1,34 @@
-(** A document collection under differential test.
+(** A document collection: the one surface every front end drives.
 
-    {!Runner} drives subjects and compares every answer with {!Model};
-    it never sees what is behind the closures. A plain
+    The paper's problem is one collection under insert, delete,
+    search/count and extract. Whatever backs it -- a plain
     {!Dsdg_core.Dynamic_index} ({!of_index}), a durable store, a
-    sharded collection, a client talking to a served leader and a
-    promoted replica are all subjects, so one runner, one verifier and
-    one kill sweep cover them all. *)
+    sharded collection, a client talking to a served leader or a
+    read-only replica -- is this record of closures, built by one
+    constructor per backing. The server, {!Runner} and its sweeps, the
+    follower, the replication checker and every CLI subcommand drive
+    it without knowing what is behind it.
+
+    Query plane: a constructor whose subject a server can front reads
+    published views ({!Dsdg_core.Dynamic_index.query}), because
+    connection threads query while the writer thread mutates. *)
+
+(** Outcome of one mutation of a batch, in batch order. *)
+type batch_result = Br_inserted of int | Br_deleted of bool
+
+(** Answer to one replication poll: records up to the stream's durable
+    shipping bound, a snapshot bootstrap when the asked-for position
+    was compacted away, or a refusal. *)
+type repl_reply =
+  | Rp_recs of { recs : (int * string) list; bound : int; epoch : int }
+  | Rp_snapshot of { path : string; serial : int; bound : int; epoch : int }
+  | Rp_error of string
 
 type t = {
-  name : string;  (** names the subject in failure reports *)
-  insert : string -> int;
-  delete : int -> bool;
+  name : string;  (** names the collection in reports and failure messages *)
+  apply_batch : Trace.op list -> batch_result list;
+      (** the write path: [Insert]/[Delete] ops only, applied in order
+          (a durable backing group-commits the batch first) *)
   search : string -> (int * int) list;
       (** [search], [count] raise [Invalid_argument] on the empty
           pattern, like {!Model.search} *)
@@ -20,18 +38,34 @@ type t = {
   drain : unit -> unit;
   doc_count : unit -> int;
   total_symbols : unit -> int;
+  stats : unit -> (string * int) list;
+      (** [docs], [symbols] and [epoch] of the published state, plus
+          backing-specific gauges (a sharded collection adds [shards]) *)
+  repl : stream:string -> from:int -> repl_reply;  (** serve one replication poll *)
   check : unit -> string list;
-      (** run after every op: paper invariants and the published
-          view's census; [[]] means healthy *)
+      (** paper invariants and the published view's census; [[]] means
+          healthy *)
   events : unit -> string list;  (** recent structural events, newest first *)
+  checkpoint : unit -> unit;  (** snapshot now; a no-op without a store *)
   close : unit -> unit;
+  kill : torn:bool -> unit;
+      (** crash: abandon the backing without shutdown work ([torn]
+          plants a half-written final WAL record); a plain close without
+          a store *)
 }
 
-(** [of_index ~name idx]: queries run on the latest published view
-    through {!Dsdg_core.Dynamic_index.query} when [idx] owns readers,
-    so the read plane itself is checked (a stale epoch publication
-    becomes a model disagreement); directly otherwise. [check] compares
-    the view's census with the write plane when [idx] owns readers, and
-    runs the {!Oracle} invariants. [close] is
-    {!Dsdg_core.Dynamic_index.close}. *)
-val of_index : name:string -> Dsdg_core.Dynamic_index.t -> t
+(** [apply_batch] of one insert; returns the new document id. *)
+val insert : t -> string -> int
+
+(** [apply_batch] of one delete; [false] if the id was not live. *)
+val delete : t -> int -> bool
+
+(** [of_index ~name idx]. Queries run on the latest published view
+    through {!Dsdg_core.Dynamic_index.query} when [views] holds
+    (default: when [idx] owns readers), so the read plane itself is
+    checked (a stale epoch publication becomes a model disagreement);
+    directly otherwise. [check] compares the view's census with the
+    write plane when queries read views, and runs the {!Oracle}
+    invariants. There are no replication streams; [checkpoint] does
+    nothing and [close]/[kill] are {!Dsdg_core.Dynamic_index.close}. *)
+val of_index : ?views:bool -> name:string -> Dsdg_core.Dynamic_index.t -> t

@@ -7,6 +7,7 @@ module Durable = Dsdg_store.Durable
 module Recovery = Dsdg_store.Recovery
 module Snapshot = Dsdg_store.Snapshot
 module Sh = Dsdg_shard.Sharded_index
+module Subject = Dsdg_check.Subject
 open Dsdg_obs
 
 (* Replay-side half of the shared "repl" scope (the leader's shipping
@@ -18,6 +19,8 @@ let c_snap_boots = Obs.counter obs "snapshot_bootstraps"
 let g_lag_serials = Obs.gauge obs "lag_serials"
 let g_lag_epochs = Obs.gauge obs "lag_epochs"
 
+(* The local replica store.  Private to the tail loop: the two
+   leader shapes speak different replication protocols. *)
 type replica = R_single of Durable.t | R_sharded of Sh.t
 
 type lag = {
@@ -34,6 +37,7 @@ type t = {
   f_poll : float;
   f_stop : bool Atomic.t;
   mutable f_replica : replica;  (* replaced only by the tail thread (re-seed) *)
+  mutable f_coll : Subject.t;  (* the replica as a collection; swapped with it *)
   (* reopen the single-store replica with the original open parameters
      (None for sharded replicas: those re-seed from pinned backups) *)
   f_reopen : (unit -> Durable.t) option;
@@ -97,7 +101,11 @@ let parse_shipped line =
 
 let current_watermark = function
   | R_single st -> [| Durable.wal_serial st |]
-  | R_sharded sh -> Array.append (Sh.wal_serials sh) [| Sh.meta_records sh |]
+  | R_sharded sh -> Sh.stream_positions sh
+
+let coll_of = function
+  | R_single st -> Durable.subject ~name:"replica" st
+  | R_sharded sh -> Sh.subject ~name:"replica" sh
 
 let check_continuity ~stream ~expect recs =
   List.iteri
@@ -107,6 +115,14 @@ let check_continuity ~stream ~expect recs =
           (Printf.sprintf "stream %s: expected serial %d, leader shipped %d" stream (expect + i)
              serial))
     recs
+
+(* Install a snapshot shipped by the leader as the directory's newest;
+   recovery then starts at its serial. *)
+let install_snapshot ~dir ~serial ~bytes =
+  Snapshot.ensure_dir dir;
+  let path = Snapshot.path_for ~dir ~wal_serial:serial in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+  Obs.incr c_snap_boots
 
 (* The replica fell behind the leader's checkpoint compaction: the gap
    is gone from the leader's WAL, but the reply carried a full snapshot
@@ -128,13 +144,11 @@ let reseed_single t st ~serial ~bytes =
     (fun (p, _) -> try Sys.remove p with Sys_error _ -> ())
     (Dsdg_store.Wal.archives wal);
   if Sys.file_exists wal then Sys.remove wal;
-  Snapshot.ensure_dir dir;
-  let path = Snapshot.path_for ~dir ~wal_serial:serial in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
-  Obs.incr c_snap_boots;
+  install_snapshot ~dir ~serial ~bytes;
   let st' = reopen () in
   Mutex.lock t.f_mu;
   t.f_replica <- R_single st';
+  t.f_coll <- coll_of t.f_replica;
   Mutex.unlock t.f_mu;
   Atomic.set t.f_watermark (current_watermark (R_single st'))
 
@@ -310,11 +324,7 @@ let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_att
           if fresh_dir dir then begin
             let rb = Client.repl cl ~stream:"wal" ~from:0 in
             match rb.Client.rb_snap with
-            | Some (serial, bytes) ->
-              Snapshot.ensure_dir dir;
-              let path = Snapshot.path_for ~dir ~wal_serial:serial in
-              Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
-              Obs.incr c_snap_boots
+            | Some (serial, bytes) -> install_snapshot ~dir ~serial ~bytes
             | None -> ()
           end;
           (R_single (reopen ()), Some reopen)
@@ -333,6 +343,7 @@ let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_att
       f_poll = Float.max 0.001 poll;
       f_stop = Atomic.make false;
       f_replica = replica;
+      f_coll = coll_of replica;
       f_reopen = reopen_opt;
       f_squeues =
         (match replica with
@@ -353,14 +364,14 @@ let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_att
 
 let dir t = t.f_dir
 
-(* Current replica handle; a single-store follower may swap it when it
-   re-seeds after falling behind leader compaction, so read it fresh
+(* The replica as a collection; a single-store follower swaps it when
+   it re-seeds after falling behind leader compaction, so read it fresh
    rather than caching it across polls. *)
 let replica t =
   Mutex.lock t.f_mu;
-  let r = t.f_replica in
+  let c = t.f_coll in
   Mutex.unlock t.f_mu;
-  r
+  c
 
 let watermark t = Atomic.get t.f_watermark
 
@@ -379,34 +390,51 @@ let join_tail t =
 
 let detach t =
   join_tail t;
-  t.f_replica
+  t.f_coll
 
 let stop t =
   join_tail t;
-  match t.f_replica with R_single st -> Durable.close st | R_sharded sh -> Sh.close sh
+  t.f_coll.close ()
 
 let kill t ~torn =
   join_tail t;
-  match t.f_replica with R_single st -> Durable.kill st ~torn | R_sharded sh -> Sh.kill sh ~torn
+  t.f_coll.kill ~torn
 
 (* --- serving the replica --- *)
 
-let engine t =
-  (* re-resolve the replica on every call: a re-seed swaps the store
-     handle out from under a serving engine *)
-  let current () =
-    match replica t with
-    | R_single st -> Server.engine_of_store st
-    | R_sharded sh -> Server.engine_of_sharded sh
-  in
-  Server.engine_readonly ~current ~leader:t.f_leader_name
-    ~stats:(fun () ->
-      let l = lag t in
-      [
-        ("lag_serials", l.lg_serials);
-        ("lag_epochs", l.lg_epochs);
-        ("replayed", l.lg_applied);
-        ("connected", if l.lg_connected then 1 else 0);
-      ])
-    ~close:(fun () -> stop t)
-    ~kill:(fun ~torn -> kill t ~torn)
+(* Every call re-resolves the replica: a re-seed swaps the store handle
+   out from under a serving replica. *)
+let read_only t =
+  let cur () = replica t in
+  let leader = t.f_leader_name in
+  {
+    Subject.name = "replica of " ^ leader;
+    apply_batch =
+      (fun _ ->
+        raise (Server.Redirect (Printf.sprintf "read-only replica; the leader is %s" leader)));
+    search = (fun p -> (cur ()).search p);
+    count = (fun p -> (cur ()).count p);
+    extract = (fun ~doc ~off ~len -> (cur ()).extract ~doc ~off ~len);
+    mem = (fun id -> (cur ()).mem id);
+    drain = ignore;
+    doc_count = (fun () -> (cur ()).doc_count ());
+    total_symbols = (fun () -> (cur ()).total_symbols ());
+    stats =
+      (fun () ->
+        let l = lag t in
+        (cur ()).stats ()
+        @ [
+            ("lag_serials", l.lg_serials);
+            ("lag_epochs", l.lg_epochs);
+            ("replayed", l.lg_applied);
+            ("connected", if l.lg_connected then 1 else 0);
+          ]);
+    repl =
+      (fun ~stream:_ ~from:_ -> Subject.Rp_error "replicas do not ship streams; poll the leader");
+    check = (fun () -> (cur ()).check ());
+    events = (fun () -> (cur ()).events ());
+    (* the tail thread owns the store's write plane *)
+    checkpoint = ignore;
+    close = (fun () -> stop t);
+    kill = (fun ~torn -> kill t ~torn);
+  }

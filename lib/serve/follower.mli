@@ -20,7 +20,7 @@
     same path handles a replica that later falls behind the leader's
     checkpoint compaction: the tail thread re-seeds in place (close,
     wipe, install the shipped snapshot, reopen) and keeps tailing --
-    which also means the {!replica} handle can change over a
+    which also means the {!replica} record can change over a
     follower's lifetime; re-read it rather than caching it.  A
     sharded replica is seeded either empty (replaying every stream from
     position 0) or from a pinned backup ({!Dsdg_shard.Sharded_index.backup})
@@ -48,9 +48,6 @@
     [snapshot_bootstraps], and [lag_serials]/[lag_epochs] gauges. *)
 
 type t
-
-(** The local replica store behind a follower. *)
-type replica = R_single of Dsdg_store.Durable.t | R_sharded of Dsdg_shard.Sharded_index.t
 
 (** A replication-lag reading (all monotonic except the gauges). *)
 type lag = {
@@ -81,19 +78,22 @@ val start :
 
 val dir : t -> string
 
-(** The live replica handle.  Reading through it (views, queries) is
-    safe from any thread; do not write -- the tail thread is the
-    single writer.  A single-store follower swaps the handle when it
-    re-seeds after falling behind compaction, so re-read this rather
-    than caching the result. *)
-val replica : t -> replica
+(** The local replica store as a collection
+    ({!Dsdg_store.Durable.subject} or
+    {!Dsdg_shard.Sharded_index.subject}, named ["replica"]).  Its
+    queries read published views and are safe from any thread; do not
+    write -- the tail thread is the single writer.  A single-store
+    follower swaps the store when it re-seeds after falling behind
+    compaction, so re-read this rather than caching the result. *)
+val replica : t -> Dsdg_check.Subject.t
 
 (** Current lag reading, updated once per poll cycle. *)
 val lag : t -> lag
 
 (** Stream positions fully applied {e and published} to the replica's
-    read plane: shard serials then the meta position for a sharded
-    replica, a 1-element vector for a single store.  Unlike the
+    read plane: {!Dsdg_shard.Sharded_index.stream_positions} (shard
+    serials, then the meta events bound to a shard record) for a
+    sharded replica, a 1-element vector for a single store.  Unlike the
     replica store's own WAL serials -- which advance when a shipped
     batch is logged, before its index apply finishes -- this moves
     only at cycle boundaries, so equality with the leader's positions
@@ -104,10 +104,11 @@ val watermark : t -> int array
 (** The fatal divergence that stopped the tail loop, if any. *)
 val error : t -> string option
 
-(** Stop tailing and hand over the still-open replica -- the promotion
-    path: verify it, serve it, or close it yourself.  The tail thread
-    is joined; the follower must not be reused afterwards. *)
-val detach : t -> replica
+(** Stop tailing and hand over the still-open replica as a writable
+    collection -- the promotion path: verify it, serve it, or close it
+    yourself.  The tail thread is joined; the follower must not be
+    reused afterwards. *)
+val detach : t -> Dsdg_check.Subject.t
 
 (** Stop tailing and close the replica store cleanly. *)
 val stop : t -> unit
@@ -116,9 +117,13 @@ val stop : t -> unit
     -- the follower half of the failover kill sweeps. *)
 val kill : t -> torn:bool -> unit
 
-(** A read-only {!Server} engine over the replica: queries and stats
-    (including the lag fields [lag_serials]/[lag_epochs]/[replayed]/
-    [connected]) serve locally; mutations are refused with a
-    {!Server.Redirect} naming the leader.  [Server.stop] on a server
-    running this engine stops the follower and closes the replica. *)
-val engine : t -> Server.engine
+(** The replica as a read-only collection for {!Server.start}: queries
+    and stats (including the lag fields [lag_serials]/[lag_epochs]/
+    [replayed]/[connected]) serve locally from the current {!replica};
+    mutations are refused with a {!Server.Redirect} naming the leader,
+    [repl] polls are refused (replicas do not ship streams) and
+    [checkpoint] is a no-op -- the tail thread owns the store's write
+    plane.  [close] is {!stop} and [kill] is {!kill}, so [Server.stop]
+    on a server running it stops the follower and closes the
+    replica. *)
+val read_only : t -> Dsdg_check.Subject.t

@@ -4,41 +4,42 @@
 module Trace = Dsdg_check.Trace
 module Model = Dsdg_check.Model
 module Runner = Dsdg_check.Runner
+module Subject = Dsdg_check.Subject
 module Durable = Dsdg_store.Durable
-module Kill_check = Dsdg_store.Kill_check
 module Sh = Dsdg_shard.Sharded_index
-module Shard_check = Dsdg_shard.Shard_check
 
 (* --- harness plumbing --- *)
 
 type cluster = {
   cl_server : Server.t;
-  cl_leader : [ `Single of Durable.t | `Sharded of Sh.t ];
+  cl_positions : unit -> int array;  (* the leader's stream positions *)
+  cl_stir : unit -> unit;  (* migrate documents between leader shards *)
   cl_follower : Follower.t;
   cl_client : Client.t;
 }
 
-let leader_config ~sync ~checkpoint_every =
-  { Durable.default_config with Durable.sync; checkpoint_every }
+(* Open the leader store -- the one place the shard count matters: the
+   collection the server fronts, its stream positions (to compare with
+   the follower's watermark), and a migration to exercise migrate
+   shipping (nothing to move at K=1). *)
+let open_leader ~config ~index ~shards ~dir =
+  if shards <= 1 then
+    let st, _ = Durable.open_ ~config ~index ~dir () in
+    (Durable.subject ~name:"leader" st, (fun () -> [| Durable.wal_serial st |]), ignore)
+  else
+    let sh, _ = Sh.open_store ~config ~index ~shards ~dir () in
+    ( Sh.subject ~name:"leader" sh,
+      (fun () -> Sh.stream_positions sh),
+      fun () -> ignore (Sh.rebalance_hottest sh) )
 
-(* Spin up leader server + follower + client on an ephemeral TCP port.
-   The leader handle stays visible so quiesce detection can compare
-   serials directly instead of guessing from op counts. *)
+(* Spin up leader server + follower + client on an ephemeral TCP port. *)
 let start_cluster ~(index : Dsdg_core.Index_config.t) ~shards ~sync ~checkpoint_every ~dir () =
   let lead_dir = Filename.concat dir "leader" and repl_dir = Filename.concat dir "replica" in
-  let config = leader_config ~sync ~checkpoint_every in
-  let lead_index = { index with fault = None } in
-  let leader, engine =
-    if shards <= 1 then begin
-      let st, _ = Durable.open_ ~config ~index:lead_index ~dir:lead_dir () in
-      (`Single st, Server.engine_of_store st)
-    end
-    else begin
-      let sh, _ = Sh.open_store ~config ~index:lead_index ~shards ~dir:lead_dir () in
-      (`Sharded sh, Server.engine_of_sharded sh)
-    end
+  let config = { Durable.default_config with Durable.sync; checkpoint_every } in
+  let leader, positions, stir =
+    open_leader ~config ~index:{ index with fault = None } ~shards ~dir:lead_dir
   in
-  let server = Server.start_engine ~engine (`Tcp ("127.0.0.1", 0)) in
+  let server = Server.start leader (`Tcp ("127.0.0.1", 0)) in
   let port = match Server.port server with Some p -> p | None -> assert false in
   let addr = `Tcp ("127.0.0.1", port) in
   (* a planted fault lands in the REPLICA's index: the leader's WAL
@@ -49,22 +50,16 @@ let start_cluster ~(index : Dsdg_core.Index_config.t) ~shards ~sync ~checkpoint_
     Follower.start ~config:Durable.default_config ~index ~poll:0.002 ~leader:addr ~dir:repl_dir ()
   in
   let client = Client.connect addr in
-  { cl_server = server; cl_leader = leader; cl_follower = follower; cl_client = client }
+  { cl_server = server; cl_positions = positions; cl_stir = stir; cl_follower = follower;
+    cl_client = client }
 
 (* Caught up = every leader stream position is fully applied AND
    published on the replica (the follower's watermark, not the replica
    store's raw WAL serials -- those advance before the index apply
    finishes, so comparing them would let verification race a batch
-   apply) and no placement is waiting for its shard record. *)
-let caught_up c =
-  let wm = Follower.watermark c.cl_follower in
-  match c.cl_leader with
-  | `Single lead -> wm = [| Durable.wal_serial lead |]
-  | `Sharded lead ->
-    wm = Array.append (Sh.wal_serials lead) [| Sh.meta_records lead |]
-    && (match Follower.replica c.cl_follower with
-       | Follower.R_sharded repl -> Array.for_all (( = ) 0) (Sh.replica_pending repl)
-       | Follower.R_single _ -> false)
+   apply; a sharded watermark counts only placements bound to their
+   shard record). *)
+let caught_up c = Follower.watermark c.cl_follower = c.cl_positions ()
 
 let wait_catchup ?(timeout = 30.) c =
   let t0 = Unix.gettimeofday () in
@@ -84,15 +79,18 @@ let stop_cluster c =
   (try Follower.stop c.cl_follower with _ -> ());
   try Server.stop c.cl_server with _ -> ()
 
-(* The leader as seen by its client: every op goes over the wire, and
-   closing the subject tears the whole cluster down. *)
+(* The client-side leader: every op goes over the wire, and closing
+   (or killing) the record tears the whole cluster down. *)
 let leader_subject c =
   let cl = c.cl_client in
   let stat key () = List.assoc key (Client.stats cl) in
   {
-    Dsdg_check.Subject.name = "leader";
-    insert = Client.insert cl;
-    delete = Client.delete cl;
+    Subject.name = "leader";
+    apply_batch =
+      List.map (function
+        | Trace.Insert text -> Subject.Br_inserted (Client.insert cl text)
+        | Trace.Delete id -> Subject.Br_deleted (Client.delete cl id)
+        | op -> invalid_arg (Printf.sprintf "%S is not a mutation" (Trace.op_to_string op)));
     search = Client.search cl;
     count = Client.count cl;
     extract = (fun ~doc ~off ~len -> Client.extract cl ~doc ~off ~len);
@@ -100,17 +98,18 @@ let leader_subject c =
     drain = ignore;
     doc_count = stat "docs";
     total_symbols = stat "symbols";
+    stats = (fun () -> Client.stats cl);
+    repl = (fun ~stream:_ ~from:_ -> Subject.Rp_error "poll the leader's server directly");
     check = (fun () -> []);
     events = (fun () -> []);
+    checkpoint = ignore;
     close = (fun () -> stop_cluster c);
+    (* the leader's crash: no drain, no farewell; the follower lives on *)
+    kill =
+      (fun ~torn ->
+        Server.kill c.cl_server ~torn;
+        try Client.close c.cl_client with _ -> ());
   }
-
-(* A replica store: its [check] runs the paper invariants, including
-   the Dietz-Sleator cleaning schedule -- the probe that catches a
-   replayed [`Skip_top_clean] fault, which never corrupts answers. *)
-let replica_subject = function
-  | Follower.R_single st -> Kill_check.subject ~name:"replica" st
-  | Follower.R_sharded sh -> Shard_check.subject ~name:"replica" sh
 
 let mutations ops =
   List.filter (function Trace.Insert _ | Trace.Delete _ -> true | _ -> false) ops
@@ -140,9 +139,7 @@ let convergence ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
     incr points;
     (* exercise migration shipping: the client is idle here, so the
        test thread is the only writer and may rebalance directly *)
-    (match c.cl_leader with
-    | `Sharded sh when step > 0 && !failures = [] -> ignore (Sh.rebalance_hottest sh)
-    | _ -> ());
+    if step > 0 && !failures = [] then c.cl_stir ();
     if not (wait_catchup c) then
       record step
         (match Follower.error c.cl_follower with
@@ -152,7 +149,7 @@ let convergence ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
       List.iter (record step)
         (Runner.verify
            ~label:(Printf.sprintf "quiesce@%d" step)
-           (replica_subject (Follower.replica c.cl_follower))
+           (Follower.replica c.cl_follower)
            model)
   in
   let step = ref 0 in
@@ -200,9 +197,7 @@ let failover_sweep ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
       kill =
         (fun c ~point:_ ->
           let caught = wait_catchup c in
-          (* the crash: no drain, no farewell *)
-          Server.kill c.cl_server ~torn;
-          (try Client.close c.cl_client with _ -> ());
+          (leader_subject c).kill ~torn;
           if not caught then begin
             (try Follower.stop c.cl_follower with _ -> ());
             failwith
@@ -210,6 +205,6 @@ let failover_sweep ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
               | Some e -> "follower error: " ^ e
               | None -> "follower failed to catch up before the kill")
           end);
-      reopen = (fun c -> replica_subject (Follower.detach c.cl_follower));
+      reopen = (fun c -> Follower.detach c.cl_follower);
     }
     (mutations ops)

@@ -8,9 +8,10 @@
     a {!Dsdg_check.Subject}), and at quiesce points (every
     [quiesce_every] mutations, plus once at the end) waits for the
     replica to catch up to the leader's stream positions and checks it
-    with {!Dsdg_check.Runner.verify}. A K=1 replica's subject runs the
-    paper invariants, whose cleaning-schedule probe catches a planted
-    [`Skip_top_clean]. Sharded runs also trigger a
+    with {!Dsdg_check.Runner.verify}. The replica ({!Follower.replica})
+    runs the paper invariants on its index, or on every shard index of
+    a sharded replica, and their cleaning-schedule probe catches a
+    planted [`Skip_top_clean]. Sharded runs also trigger a
     {!Dsdg_shard.Sharded_index.rebalance_hottest} migration at each
     quiesce point so migrate shipping is exercised.
 

@@ -2,18 +2,15 @@
    in server.mli and DESIGN.md section 11.
 
    Threading discipline: the accept loop and each connection run on
-   their own (lightweight) threads; the store is mutated ONLY by the
-   single writer thread, so the engine keeps its single-writer
-   contract while queries go through the epoch-published read plane
-   from any thread. Connection threads communicate with the writer
+   their own (lightweight) threads; the collection is mutated ONLY by
+   the single writer thread, so it keeps its single-writer contract
+   while queries go through the epoch-published read plane from any
+   thread. Connection threads communicate with the writer
    through a bounded queue of per-request mailboxes (mutex + condvar
    each), and with the accept loop through the connection registry. *)
 
 module Trace = Dsdg_check.Trace
-module Di = Dsdg_core.Dynamic_index
-module Durable = Dsdg_store.Durable
-module Wal = Dsdg_store.Wal
-module Snapshot = Dsdg_store.Snapshot
+module Subject = Dsdg_check.Subject
 open Dsdg_obs
 
 let obs = Obs.scope "serve"
@@ -38,16 +35,9 @@ let c_frames_shipped = Obs.counter obs_repl "frames_shipped"
 let c_snap_ships = Obs.counter obs_repl "snapshots_shipped"
 let c_repl_polls = Obs.counter obs_repl "polls_answered"
 
-type config = {
-  max_frame : int;
-  max_batch : int;
-  max_conns : int;
-  read_timeout : float;
-  write_timeout : float;
-}
+type config = { max_frame : int; max_batch : int; max_conns : int; timeout : float }
 
-let default_config =
-  { max_frame = 1 lsl 20; max_batch = 256; max_conns = 1024; read_timeout = 30.; write_timeout = 30. }
+let default_config = { max_frame = 1 lsl 20; max_batch = 256; max_conns = 1024; timeout = 30. }
 
 type listen = [ `Unix of string | `Tcp of string * int ]
 
@@ -58,206 +48,18 @@ exception Redirect of string
 let () =
   Printexc.register_printer (function Redirect reason -> Some reason | _ -> None)
 
-(* What the server needs from a collection: the group-commit batch
-   apply, view-plane queries, a stats snapshot, and lifecycle. One
-   record instead of a functor so a server can front a plain durable
-   store or a sharded one (or anything else) without the socket/thread
-   machinery knowing. *)
-(* Answer to one replication poll: records up to the stream's durable
-   shipping bound, a snapshot bootstrap when the asked-for position was
-   compacted away, or a refusal. *)
-type repl_reply =
-  | Rp_recs of { recs : (int * string) list; bound : int; epoch : int }
-  | Rp_snapshot of { path : string; serial : int; bound : int; epoch : int }
-  | Rp_error of string
-
-type engine = {
-  eng_describe : string;
-  eng_apply_batch : Trace.op list -> Durable.batch_result list;
-  eng_search : string -> (int * int) list;
-  eng_count : string -> int;
-  eng_extract : doc:int -> off:int -> len:int -> string option;
-  eng_mem : int -> bool;
-  eng_stats : unit -> (string * int) list;
-  eng_repl : stream:string -> from:int -> repl_reply;
-  eng_checkpoint : unit -> unit;
-  eng_close : unit -> unit;
-  eng_kill : torn:bool -> unit;
-}
-
-(* Ship WAL records [from, bound) by tailing the live log file.  A
-   fresh bounded cursor per poll keeps this robust against concurrent
-   compaction (rotation detection is the cursor's job); the log is
-   compacted at every checkpoint so the re-read stays proportional to
-   the WAL tail, not history.  [Tail_gap] means [from] predates the
-   log: first try the bounded {!Wal.archives} ring compaction left
-   behind -- the segment covering [from] still holds the records, so a
-   lagging follower catches up by ordinary record shipping -- and only
-   when [from] predates the archives too fall back to the newest
-   snapshot, whose serial the follower resumes from. *)
-let wal_repl ~wal_path ~dir ~bound ~epoch ~from =
-  if from >= bound then Rp_recs { recs = []; bound; epoch }
-  else
-    match
-      let c = Wal.tail ~from wal_path in
-      Fun.protect ~finally:(fun () -> Wal.tail_close c) (fun () -> Wal.tail_poll ~limit:bound c)
-    with
-    | recs ->
-      Rp_recs { recs = List.map (fun (s, op) -> (s, Trace.op_to_string op)) recs; bound; epoch }
-    | exception Wal.Tail_gap _ -> (
-      (* an archive segment is an ordinary (immutable) log file, so the
-         same cursor machinery reads it; one poll serves what the
-         segment holds and the follower's next poll advances into the
-         next segment or the live log *)
-      let archived =
-        try
-          match List.find_opt (fun (_, e) -> e > from) (Wal.archives wal_path) with
-          | None -> []
-          | Some (path, _) ->
-            let c = Wal.tail ~from path in
-            Fun.protect
-              ~finally:(fun () -> Wal.tail_close c)
-              (fun () -> Wal.tail_poll ~limit:bound c)
-        with Wal.Tail_gap _ -> []
-      in
-      match archived with
-      | _ :: _ as recs ->
-        Rp_recs { recs = List.map (fun (s, op) -> (s, Trace.op_to_string op)) recs; bound; epoch }
-      | [] -> (
-        match Snapshot.list ~dir with
-        | (path, serial) :: _ when serial > from -> Rp_snapshot { path; serial; bound; epoch }
-        | _ ->
-          Rp_error
-            (Printf.sprintf "stream position %d was compacted away and no snapshot covers it" from)
-        ))
-
-let engine_of_store store =
-  let idx = Durable.index store in
-  {
-    eng_describe = Di.describe idx;
-    eng_apply_batch = (fun ops -> Durable.apply_batch store ops);
-    eng_search = (fun p -> Di.query idx (fun v -> Di.view_search v p));
-    eng_count = (fun p -> Di.query idx (fun v -> Di.view_count v p));
-    eng_extract =
-      (fun ~doc ~off ~len -> Di.query idx (fun v -> Di.view_extract v ~doc ~off ~len));
-    eng_mem = (fun id -> Di.query idx (fun v -> Di.view_mem v id));
-    eng_stats =
-      (fun () ->
-        let v = Di.view idx in
-        [
-          ("docs", Di.view_doc_count v);
-          ("symbols", Di.view_total_symbols v);
-          ("epoch", Di.view_epoch v);
-        ]);
-    eng_repl =
-      (fun ~stream ~from ->
-        if stream <> "wal" then Rp_error (Printf.sprintf "unknown stream %S" stream)
-        else
-          wal_repl ~wal_path:(Durable.wal_path store) ~dir:(Durable.dir store)
-            ~bound:(Durable.durable_serial store)
-            ~epoch:(Di.view_epoch (Di.view idx))
-            ~from);
-    eng_checkpoint = (fun () -> Durable.checkpoint store);
-    eng_close = (fun () -> Durable.close store);
-    eng_kill = (fun ~torn -> Durable.kill store ~torn);
-  }
-
-let engine_of_sharded s =
-  let module Sh = Dsdg_shard.Sharded_index in
-  {
-    eng_describe = Sh.describe s;
-    eng_apply_batch = (fun ops -> Sh.apply_batch s ops);
-    eng_search = (fun p -> Sh.search s p);
-    eng_count = (fun p -> Sh.count s p);
-    eng_extract = (fun ~doc ~off ~len -> Sh.extract s ~doc ~off ~len);
-    eng_mem = (fun id -> Sh.mem s id);
-    eng_stats =
-      (fun () ->
-        let ev = Sh.epoch_vector s in
-        [
-          ("docs", Sh.doc_count s);
-          ("symbols", Sh.total_symbols s);
-          ("epoch", Array.fold_left ( + ) 0 ev);
-          ("shards", Sh.shards s);
-        ]);
-    eng_repl =
-      (fun ~stream ~from ->
-        match Sh.backing_stores s with
-        | None -> Rp_error "an in-memory index has no replication streams"
-        | Some stores ->
-          if stream = "meta" then begin
-            (* [meta_records] is the shipping bound: events are fsynced
-               at append under any policy but Never, mirroring the WAL
-               durable bound's Never degradation *)
-            let bound = Sh.meta_records s in
-            let lines = Sh.meta_lines_from s ~from in
-            let recs =
-              List.filteri (fun i _ -> from + i < bound) lines
-              |> List.mapi (fun i l -> (from + i, l))
-            in
-            Rp_recs { recs; bound; epoch = (Sh.epoch_vector s).(Sh.shards s) }
-          end
-          else
-            match
-              if String.length stream > 3 && String.sub stream 0 3 = "wal" then
-                int_of_string_opt (String.sub stream 3 (String.length stream - 3))
-              else None
-            with
-            | Some k when k >= 0 && k < Sh.shards s -> (
-              let st = stores.(k) in
-              match
-                wal_repl ~wal_path:(Durable.wal_path st) ~dir:(Durable.dir st)
-                  ~bound:(Durable.durable_serial st)
-                  ~epoch:(Sh.epoch_vector s).(k)
-                  ~from
-              with
-              | Rp_snapshot _ ->
-                (* per-shard snapshots are not mutually consistent with
-                   a meta prefix; only a pinned backup is *)
-                Rp_error
-                  (Printf.sprintf
-                     "shard %d compacted past position %d; seed the replica from a pinned backup"
-                     k from)
-              | reply -> reply)
-            | _ -> Rp_error (Printf.sprintf "unknown stream %S" stream));
-    eng_checkpoint = (fun () -> Sh.checkpoint s);
-    eng_close = (fun () -> Sh.close s);
-    eng_kill = (fun ~torn -> Sh.kill s ~torn);
-  }
-
-(* A replica's engine: [current ()] is the engine of the replica store
-   as it is now (a re-seed swaps the handle), every mutation is refused
-   with a redirect naming the leader, checkpoint is a no-op (the tail
-   thread owns the store's write plane). *)
-let engine_readonly ~current ~leader ~stats ~close ~kill =
-  {
-    eng_describe = Printf.sprintf "replica of %s: %s" leader (current ()).eng_describe;
-    eng_apply_batch =
-      (fun _ -> raise (Redirect (Printf.sprintf "read-only replica; the leader is %s" leader)));
-    eng_search = (fun p -> (current ()).eng_search p);
-    eng_count = (fun p -> (current ()).eng_count p);
-    eng_extract = (fun ~doc ~off ~len -> (current ()).eng_extract ~doc ~off ~len);
-    eng_mem = (fun id -> (current ()).eng_mem id);
-    eng_stats = (fun () -> (current ()).eng_stats () @ stats ());
-    eng_repl =
-      (fun ~stream:_ ~from:_ -> Rp_error "replicas do not ship streams; poll the leader");
-    eng_checkpoint = (fun () -> ());
-    eng_close = close;
-    eng_kill = kill;
-  }
-
 (* One write request parked in the batching queue: the connection
    thread sleeps on the mailbox until the writer commits its batch. *)
 type wreq = {
   w_op : Trace.op;
   w_mu : Mutex.t;
   w_cv : Condition.t;
-  mutable w_result : (Durable.batch_result, exn) result option;
+  mutable w_result : (Subject.batch_result, exn) result option;
 }
 
 type t = {
   cfg : config;
-  engine : engine;
+  coll : Subject.t;
   listen_fd : Unix.file_descr;
   sock_path : string option;
   tcp_port : int option;
@@ -322,7 +124,7 @@ let writer_loop t () =
           (* one group commit for the whole batch (per shard, one WAL
              append + one fsync each); a failure fails every request of
              the batch -- none of them was acknowledged *)
-          try List.map Result.ok (t.engine.eng_apply_batch (List.map (fun w -> w.w_op) batch))
+          try List.map Result.ok (t.coll.apply_batch (List.map (fun w -> w.w_op) batch))
           with e -> List.map (fun _ -> Error e) batch
         in
         Obs.stop h_flush_ns t0;
@@ -361,7 +163,7 @@ let commit_write t op =
 
 let stats_response t =
   Protocol.Stats_of
-    (t.engine.eng_stats ()
+    (t.coll.stats ()
     @ [
         ("served", Atomic.get t.served);
         ("conns", Obs.gauge_value g_conns);
@@ -373,14 +175,14 @@ let stats_response t =
    at most 4x, so 32 KiB chunks stay far under the 1 MiB frame bound). *)
 let repl_frames t ~stream ~from =
   Obs.incr c_repl_polls;
-  match t.engine.eng_repl ~stream ~from with
-  | Rp_error reason -> `Reply (Protocol.Err reason)
-  | Rp_recs { recs; bound; epoch } ->
+  match t.coll.repl ~stream ~from with
+  | Subject.Rp_error reason -> `Reply (Protocol.Err reason)
+  | Subject.Rp_recs { recs; bound; epoch } ->
     Obs.add c_frames_shipped (List.length recs);
     `Multi
       (List.map (fun (serial, body) -> Protocol.Rec (serial, body)) recs
       @ [ Protocol.Hb { bound; epoch } ])
-  | Rp_snapshot { path; serial; bound; epoch } -> (
+  | Subject.Rp_snapshot { path; serial; bound; epoch } -> (
     match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error reason -> `Reply (Protocol.Err reason)
     | raw ->
@@ -409,20 +211,20 @@ let respond t (req : Protocol.request) =
   | Protocol.Op ((Trace.Insert _ | Trace.Delete _) as op) -> (
     Obs.incr c_writes;
     match commit_write t op with
-    | Ok (Durable.Br_inserted id) -> `Reply (Protocol.Id id)
-    | Ok (Durable.Br_deleted ok) -> `Reply (Protocol.Bool ok)
+    | Ok (Subject.Br_inserted id) -> `Reply (Protocol.Id id)
+    | Ok (Subject.Br_deleted ok) -> `Reply (Protocol.Bool ok)
     | Error e -> `Reply (Protocol.Err (Printexc.to_string e)))
   | Protocol.Op op -> (
     Obs.incr c_queries;
     try
       match op with
-      | Trace.Search p -> `Reply (Protocol.Hits (t.engine.eng_search p))
-      | Trace.Count p -> `Reply (Protocol.Int (t.engine.eng_count p))
+      | Trace.Search p -> `Reply (Protocol.Hits (t.coll.search p))
+      | Trace.Count p -> `Reply (Protocol.Int (t.coll.count p))
       | Trace.Extract { doc; off; len } -> (
-        match t.engine.eng_extract ~doc ~off ~len with
+        match t.coll.extract ~doc ~off ~len with
         | Some s -> `Reply (Protocol.Text s)
         | None -> `Reply Protocol.No_text)
-      | Trace.Mem id -> `Reply (Protocol.Bool (t.engine.eng_mem id))
+      | Trace.Mem id -> `Reply (Protocol.Bool (t.coll.mem id))
       | Trace.Drain -> `Reply (Protocol.Err "drain is not a service operation")
       | Trace.Insert _ | Trace.Delete _ -> assert false
     with Invalid_argument reason -> `Reply (Protocol.Err reason))
@@ -500,12 +302,11 @@ let accept_loop t () =
           (* listener closed under us, or transient (EMFILE): back off *)
           if Atomic.get t.stopping then continue := false else Thread.yield ()
         | fd, _ ->
-          if t.cfg.read_timeout > 0. then
-            (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.read_timeout
-             with Unix.Unix_error _ -> ());
-          if t.cfg.write_timeout > 0. then
-            (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.write_timeout
-             with Unix.Unix_error _ -> ());
+          if t.cfg.timeout > 0. then
+            List.iter
+              (fun opt ->
+                try Unix.setsockopt_float fd opt t.cfg.timeout with Unix.Unix_error _ -> ())
+              [ Unix.SO_RCVTIMEO; Unix.SO_SNDTIMEO ];
           Mutex.lock t.c_mu;
           let n = Hashtbl.length t.conns in
           if n >= t.cfg.max_conns then begin
@@ -531,7 +332,7 @@ let ignore_sigpipe () =
   if not Sys.win32 then
     try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
-let start_engine ?(config = default_config) ~engine listen =
+let start ?(config = default_config) coll listen =
   if config.max_frame < 16 then invalid_arg "Server.start: max_frame < 16";
   if config.max_batch < 1 then invalid_arg "Server.start: max_batch < 1";
   if config.max_conns < 1 then invalid_arg "Server.start: max_conns < 1";
@@ -564,7 +365,7 @@ let start_engine ?(config = default_config) ~engine listen =
   let t =
     {
       cfg = config;
-      engine;
+      coll;
       listen_fd;
       sock_path;
       tcp_port;
@@ -592,7 +393,8 @@ let start_engine ?(config = default_config) ~engine listen =
   t.accept_thread <- Some (Thread.create (accept_loop t) ());
   t
 
-let start ?config ~store listen = start_engine ?config ~engine:(engine_of_store store) listen
+let start_engine ?config ~engine listen = start ?config engine listen
+let engine_of_sharded sh = Dsdg_shard.Sharded_index.subject sh
 
 let request_stop t =
   if not (Atomic.exchange t.stopping true) then
@@ -636,33 +438,27 @@ let teardown t =
   (try Unix.close t.stop_rd with Unix.Unix_error _ -> ());
   try Unix.close t.stop_wr with Unix.Unix_error _ -> ()
 
+(* The first of [stop]/[kill] to run claims the shutdown. *)
+let claim t =
+  Mutex.lock t.c_mu;
+  let first = not t.shut in
+  t.shut <- true;
+  Mutex.unlock t.c_mu;
+  first
+
 let stop t =
-  let first =
-    Mutex.lock t.c_mu;
-    let f = not t.shut in
-    t.shut <- true;
-    Mutex.unlock t.c_mu;
-    f
-  in
-  if first then begin
+  if claim t then begin
     teardown t;
     (* publish + checkpoint: the next open replays nothing *)
-    t.engine.eng_checkpoint ();
-    t.engine.eng_close ()
+    t.coll.checkpoint ();
+    t.coll.close ()
   end
 
 let kill t ~torn =
-  let first =
-    Mutex.lock t.c_mu;
-    let f = not t.shut in
-    t.shut <- true;
-    Mutex.unlock t.c_mu;
-    f
-  in
-  if first then begin
+  if claim t then begin
     (* unacknowledged writes die with the crash: the writer fails them
        without touching the WAL *)
     Atomic.set t.discard true;
     teardown t;
-    t.engine.eng_kill ~torn
+    t.coll.kill ~torn
   end

@@ -1,5 +1,6 @@
-(** The network service plane: a socket server in front of a durable
-    {!Dsdg_core.Dynamic_index}.
+(** The network service plane: a socket server in front of one
+    collection ({!Dsdg_check.Subject.t}: a durable store, a sharded
+    store, a read-only replica).
 
     One thread per connection parses {!Protocol} frames. Queries run
     against the latest epoch-published view -- dispatched to the
@@ -7,12 +8,13 @@
     wait-free inline otherwise -- so they never contend with writes.
     Mutations are funneled through a batching queue to a single writer
     thread that drains up to [max_batch] pending requests at a time and
-    commits them as a group: one {!Dsdg_store.Wal.append_batch} (one
-    fsync under [Always]) covers the whole batch before any client sees
-    an acknowledgment, amortizing the dominant fsync cost across
+    commits them as a group through the collection's [apply_batch]:
+    for a durable store one {!Dsdg_store.Wal.append_batch} (one fsync
+    under [Always]) covers the whole batch before any client sees an
+    acknowledgment, amortizing the dominant fsync cost across
     concurrent writers without weakening durability.
 
-    Robustness: per-connection read/write timeouts ([SO_RCVTIMEO] /
+    Robustness: a per-connection socket timeout ([SO_RCVTIMEO] and
     [SO_SNDTIMEO]), a frame-size bound, a connection cap, and a bound
     on the write queue (backpressure: a connection thread blocks in
     [enqueue] until the writer drains). A malformed or overlong frame
@@ -31,8 +33,9 @@ type config = {
   max_frame : int;  (** request/response frame size bound, bytes (default 1 MiB) *)
   max_batch : int;  (** writes per group commit; [1] = per-op fsync (default 256) *)
   max_conns : int;  (** concurrent connections before accepts are rejected (default 1024) *)
-  read_timeout : float;  (** seconds a connection may sit idle mid-read; [0.] = forever *)
-  write_timeout : float;  (** seconds a response write may block; [0.] = forever *)
+  timeout : float;
+      (** seconds a connection may sit idle mid-read, and a response
+          write may block; [0.] = forever (default 30) *)
 }
 
 val default_config : config
@@ -43,51 +46,24 @@ type listen = [ `Unix of string | `Tcp of string * int ]
 
 type t
 
-(** What the server fronts: batch apply for the writer thread,
-    view-plane queries, a stats snapshot, lifecycle. Build one with
-    {!engine_of_store} or {!engine_of_sharded}. *)
-type engine
-
-(** A plain single-index durable store. *)
-val engine_of_store : Dsdg_store.Durable.t -> engine
-
-(** A sharded store: the writer thread fans each drained batch across
-    the shard WALs through {!Dsdg_shard.Sharded_index.apply_batch} --
-    placements group-committed to the meta log first, then one WAL
-    append + fsync per shard -- and queries scatter-gather across the
-    shard views. *)
-val engine_of_sharded : Dsdg_shard.Sharded_index.t -> engine
-
-(** Raised by a read-only engine's write path; registered to print as
-    its payload, so the wire carries exactly the redirect message. *)
+(** Raised by a read-only replica's write path ({!Follower.read_only});
+    registered to print as its payload, so the wire carries exactly the
+    redirect message. *)
 exception Redirect of string
 
-(** A read-only replica engine ({!Follower} builds one). Queries and
-    stats go to [current ()], the {!engine_of_store} or
-    {!engine_of_sharded} of the replica store as it is at the time of
-    the call, with [stats ()] appended to the stats. Every mutation is
-    refused with {!Redirect} naming [leader], [repl] polls are refused
-    (replicas do not ship streams), checkpoint is a no-op -- the tail
-    thread owns the store's write plane -- and [close]/[kill] are the
-    caller's teardown hooks. *)
-val engine_readonly :
-  current:(unit -> engine) ->
-  leader:string ->
-  stats:(unit -> (string * int) list) ->
-  close:(unit -> unit) ->
-  kill:(torn:bool -> unit) ->
-  engine
-
-(** [start ~config ~store listen] binds, spawns the accept loop and the
+(** [start ~config coll listen] binds, spawns the accept loop and the
     group-commit writer, and returns immediately. The server owns
-    [store] from here on: {!stop} checkpoints and closes it. Raises
-    [Unix.Unix_error] if the address cannot be bound. *)
-val start : ?config:config -> store:Dsdg_store.Durable.t -> listen -> t
+    [coll] from here on: {!stop} checkpoints and closes it, {!kill}
+    kills it. Raises [Unix.Unix_error] if the address cannot be
+    bound. *)
+val start : ?config:config -> Dsdg_check.Subject.t -> listen -> t
 
-(** Generalized {!start} over any {!engine} (sharded stores via
-    {!engine_of_sharded}); [start ~store] is
-    [start_engine ~engine:(engine_of_store store)]. *)
-val start_engine : ?config:config -> engine:engine -> listen -> t
+(** [start_engine ~engine] is [start engine], and [engine_of_sharded]
+    is {!Dsdg_shard.Sharded_index.subject}; both names are kept for
+    existing callers. *)
+val start_engine : ?config:config -> engine:Dsdg_check.Subject.t -> listen -> t
+
+val engine_of_sharded : Dsdg_shard.Sharded_index.t -> Dsdg_check.Subject.t
 
 (** The bound TCP port ([None] for Unix-socket servers). *)
 val port : t -> int option
@@ -104,12 +80,12 @@ val wait : t -> unit
 (** Graceful drain, synchronous: {!request_stop}, close the listener,
     stop reading from open connections, join every connection thread,
     flush the write queue through a final group commit, checkpoint the
-    store and close it. Idempotent. *)
+    collection and close it. Idempotent. *)
 val stop : t -> unit
 
 (** Crash simulation for the kill-and-recover harness: abandon the
-    sockets and the store with no drain, no checkpoint, no final fsync
-    ({!Dsdg_store.Durable.kill}); [torn] plants a half-written final
+    sockets and the collection with no drain, no checkpoint, no final
+    fsync (its [kill]); [torn] plants a half-written final
     WAL record. Every mutation acknowledged to a client before the
     kill must survive {!Dsdg_store.Recovery.open_or_recover} -- the
     group-commit guarantee the server-path kill test pins down. *)

@@ -6,42 +6,30 @@ module Runner = Dsdg_check.Runner
 module Kill_check = Dsdg_store.Kill_check
 module S = Sharded_index
 
-let subject ?rebalance_every ~name t =
-  let ops = ref 0 in
+(* Every [n]-th [check] (the runner calls it after each op) first
+   migrates the hottest shard's documents, so migration happens between
+   checked ops. *)
+let stirred ~every ~name t =
+  let s = S.subject ~name t and ops = ref 0 in
   {
-    Dsdg_check.Subject.name;
-    insert = S.insert t;
-    delete = S.delete t;
-    search = (fun p -> S.search t p);
-    count = (fun p -> S.count t p);
-    extract = (fun ~doc ~off ~len -> S.extract t ~doc ~off ~len);
-    mem = (fun id -> S.mem t id);
-    drain = (fun () -> S.drain t);
-    doc_count = (fun () -> S.doc_count t);
-    total_symbols = (fun () -> S.total_symbols t);
+    s with
     check =
       (fun () ->
         incr ops;
-        (match rebalance_every with
-        | Some n when !ops mod n = 0 -> ignore (S.rebalance_hottest t)
-        | _ -> ());
-        []);
-    events = (fun () -> []);
-    close = (fun () -> S.close t);
+        if !ops mod every = 0 then ignore (S.rebalance_hottest t);
+        s.check ());
   }
 
 let subjects ~index ~name counts =
   List.map
     (fun k () ->
-      subject ~rebalance_every:41
-        ~name:(Printf.sprintf "%s K=%d" name k)
-        (S.create ~index ~shards:k ()))
+      stirred ~every:41 ~name:(Printf.sprintf "%s K=%d" name k) (S.create ~index ~shards:k ()))
     counts
 
 let crash ?index ?(config = Kill_check.default_config) ?(torn = true) ~shards ~dir () =
   let open_ ~recovery_jobs =
     let t, _ = S.open_store ~config ?index ~recovery_jobs ~shards ~dir () in
-    (t, subject ~name:(Printf.sprintf "sharded K=%d" shards) t)
+    (t, S.subject ~name:(Printf.sprintf "sharded K=%d" shards) t)
   in
   {
     Runner.dir;
@@ -77,7 +65,7 @@ let split_kill_sweep ?index ?(config = Kill_check.default_config) ?(torn = false
        Runner.reset_dir dir;
        let model = Model.create () in
        let t, _ = S.open_store ~config ?index ~shards ~dir () in
-       run model (subject ~name:"split" t) ops;
+       run model (S.subject ~name:"split" t) ops;
        let upper = Model.inserted model in
        let src = ref 0 and best = ref (-1) in
        for s = 0 to shards - 1 do
@@ -103,7 +91,7 @@ let split_kill_sweep ?index ?(config = Kill_check.default_config) ?(torn = false
         with Killed -> ());
        S.kill t ~torn;
        let t, _ = S.open_store ~config ?index ~recovery_jobs:2 ~shards ~dir () in
-       let s = subject ~name:"split" t in
+       let s = S.subject ~name:"split" t in
        Fun.protect ~finally:s.close @@ fun () ->
        List.iter (fail k) (Runner.verify ~label:"split recovery" s model);
        (* acked-write continuity: the next global id must continue the

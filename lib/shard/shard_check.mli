@@ -10,14 +10,10 @@
     the recovered shards re-serve every acknowledged write exactly
     once: no loss, no duplication across shards. *)
 
-(** [subject ~name t]. With [rebalance_every = n], every [n]-th
-    [check] (the runner calls it after each op) first migrates the
-    hottest shard's documents, so migration happens between checked
-    ops. *)
-val subject : ?rebalance_every:int -> name:string -> Sharded_index.t -> Dsdg_check.Subject.t
-
-(** One in-memory {!Sharded_index} subject per shard count, named
-    ["<name> K=<k>"], built with [index] and stirred every 41 ops. *)
+(** One in-memory {!Sharded_index.subject} per shard count, named
+    ["<name> K=<k>"] and built with [index]. Every 41st [check] (the
+    runner calls it after each op) first migrates the hottest shard's
+    documents, so migration happens between checked ops. *)
 val subjects :
   index:Dsdg_core.Index_config.t -> name:string -> int list -> (unit -> Dsdg_check.Subject.t) list
 

@@ -4,6 +4,7 @@
 module Di = Dsdg_core.Dynamic_index
 module Trace = Dsdg_check.Trace
 module Durable = Dsdg_store.Durable
+module Subject = Dsdg_check.Subject
 module Exec = Dsdg_exec.Executor
 open Dsdg_obs
 
@@ -216,31 +217,33 @@ let set_l2g m s v =
   a.(s) <- v;
   a
 
-let mk_retention ~shards (index : Dsdg_core.Index_config.t) =
-  let retain = index.retain_epochs in
-  (retain, retain * shards)
+(* A sharded index over [idxs] with nothing pinned or queued; the
+   mapping ring retains [retain_epochs * K] versions. *)
+let make (index : Dsdg_core.Index_config.t) ~idxs ~backing ~mapping ~ins_total =
+  let k = Array.length idxs in
+  {
+    k;
+    idxs;
+    backing;
+    mapping = Atomic.make mapping;
+    readers = index.readers;
+    ins_total;
+    closed = false;
+    poisoned = false;
+    retain = index.retain_epochs;
+    map_cap = index.retain_epochs * k;
+    map_ring = Atomic.make [];
+    pinned_maps = Atomic.make [];
+    pin_next = Atomic.make 0;
+    repl_pending = Array.init k (fun _ -> Queue.create ());
+  }
 
 let create ?(index = Dsdg_core.Index_config.default) ~shards () =
   if shards < 1 then invalid_arg "Sharded_index.create: shards must be >= 1";
   let index = Dsdg_core.Index_config.validate index in
-  let idxs = Array.init shards (fun _ -> Di.create ~index ()) in
-  let retain, map_cap = mk_retention ~shards index in
-  {
-    k = shards;
-    idxs;
-    backing = Mem;
-    mapping = Atomic.make (mapping0 shards);
-    readers = index.readers;
-    ins_total = Array.make shards 0;
-    closed = false;
-    poisoned = false;
-    retain;
-    map_cap;
-    map_ring = Atomic.make [];
-    pinned_maps = Atomic.make [];
-    pin_next = Atomic.make 0;
-    repl_pending = Array.init shards (fun _ -> Queue.create ());
-  }
+  make index
+    ~idxs:(Array.init shards (fun _ -> Di.create ~index ()))
+    ~backing:Mem ~mapping:(mapping0 shards) ~ins_total:(Array.make shards 0)
 
 let shard_dir dir s = Filename.concat dir (Printf.sprintf "shard-%d" s)
 
@@ -260,6 +263,10 @@ let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_conf
   Dsdg_store.Snapshot.ensure_dir dir;
   let fsync = config.Durable.sync <> Dsdg_store.Wal.Never in
   let path = meta_file ~dir in
+  if
+    (not (Sys.file_exists path))
+    && (Sys.file_exists (Dsdg_store.Recovery.wal_path ~dir) || Dsdg_store.Snapshot.list ~dir <> [])
+  then invalid_arg (Printf.sprintf "Sharded_index.open_store: %s holds a plain single-index store" dir);
   let k, events, meta =
     if Sys.file_exists path then begin
       let k, events = meta_read path in
@@ -375,77 +382,12 @@ let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_conf
   done;
   if !changed || !fixups > 0 then meta_rewrite meta k (List.rev !surviving)
   else meta.mt_records <- List.length events;
-  let retain, map_cap = mk_retention ~shards:k index in
   let t =
-    {
-      k;
-      idxs;
-      backing = Store { stores; meta };
-      mapping =
-        Atomic.make
-          { m_g2p = !g2p; m_l2g = l2g; m_next_global = !next_g; m_version = 0 };
-      readers = index.readers;
-      ins_total = totals;
-      closed = false;
-      poisoned = false;
-      retain;
-      map_cap;
-      map_ring = Atomic.make [];
-      pinned_maps = Atomic.make [];
-      pin_next = Atomic.make 0;
-      repl_pending = Array.init k (fun _ -> Queue.create ());
-    }
+    make index ~idxs ~backing:(Store { stores; meta }) ~ins_total:totals
+      ~mapping:{ m_g2p = !g2p; m_l2g = l2g; m_next_global = !next_g; m_version = 0 }
   in
   Obs.stop h_recovery_ns t0;
   (t, infos)
-
-(* --- mutations --- *)
-
-let insert t text =
-  check_open t;
-  let m = Atomic.get t.mapping in
-  let g = m.m_next_global in
-  let s = route t.k g in
-  (match t.backing with
-  | Store { meta; _ } -> meta_append meta [ Ev_insert (g, s) ]
-  | Mem -> ());
-  let l =
-    match t.backing with
-    | Store { stores; _ } -> Durable.insert stores.(s) text
-    | Mem -> Di.insert t.idxs.(s) text
-  in
-  t.ins_total.(s) <- t.ins_total.(s) + 1;
-  publish t
-    {
-      m_g2p = Imap.add g { pl_shard = s; pl_local = l } m.m_g2p;
-      m_l2g = set_l2g m s (Imap.add l g m.m_l2g.(s));
-      m_next_global = g + 1;
-      m_version = m.m_version + 1;
-    };
-  Obs.incr c_inserts;
-  g
-
-let delete t id =
-  check_open t;
-  let m = Atomic.get t.mapping in
-  match Imap.find_opt id m.m_g2p with
-  | None -> false
-  | Some { pl_shard = s; pl_local = l } ->
-    let ok =
-      match t.backing with
-      | Store { stores; _ } -> Durable.delete stores.(s) l
-      | Mem -> Di.delete t.idxs.(s) l
-    in
-    if ok then begin
-      publish t
-        {
-          m with
-          m_l2g = set_l2g m s (Imap.remove l m.m_l2g.(s));
-          m_version = m.m_version + 1;
-        };
-      Obs.incr c_deletes
-    end;
-    ok
 
 (* --- queries: scatter across shard views, gather by translation --- *)
 
@@ -560,10 +502,29 @@ let describe t =
 
 let drain t = Array.iter Di.drain t.idxs
 
-(* --- batched mutations (the serve write path) --- *)
+(* --- mutations: one batched write path --- *)
+
+(* Placements and migrations reach the meta log before any shard write
+   (store mode), one fsync for the group. *)
+let log_meta t evs =
+  match t.backing with Store { meta; _ } when evs <> [] -> meta_append meta evs | _ -> ()
+
+(* Apply a sub-batch of shard-local mutations to shard [s]: one group
+   commit of its store, or the index directly in memory. *)
+let shard_apply t s ops =
+  match t.backing with
+  | Store { stores; _ } -> Durable.apply_batch stores.(s) ops
+  | Mem ->
+    let idx = t.idxs.(s) in
+    List.map
+      (function
+        | Trace.Insert text -> Subject.Br_inserted (Di.insert idx text)
+        | Trace.Delete l -> Subject.Br_deleted (Di.delete idx l)
+        | _ -> assert false)
+      ops
 
 (* How one op of a batch resolves. *)
-type plan = P_shard of int (* consume the next result of shard s *) | P_dead_delete
+type plan = P_insert of int * int (* shard, global id *) | P_delete of int | P_dead_delete
 
 let apply_batch t ops =
   check_open t;
@@ -575,114 +536,87 @@ let apply_batch t ops =
           (Printf.sprintf "Sharded_index.apply_batch: %S is not a mutation"
              (Trace.op_to_string op)))
     ops;
-  match t.backing with
-  | Mem ->
+  (* plan the whole batch against a working copy of the mapping, so a
+     delete later in the batch sees inserts earlier in it *)
+  let m0 = Atomic.get t.mapping in
+  let g2p = ref m0.m_g2p in
+  let l2g = Array.copy m0.m_l2g in
+  let next_g = ref m0.m_next_global in
+  let queued = Array.make t.k 0 in
+  let per_shard = Array.make t.k [] in
+  let metas = ref [] in
+  let plan =
     List.map
-      (function
-        | Trace.Insert text -> Durable.Br_inserted (insert t text)
-        | Trace.Delete id -> Durable.Br_deleted (delete t id)
+      (fun op ->
+        match op with
+        | Trace.Insert _ ->
+          let g = !next_g in
+          next_g := g + 1;
+          let s = route t.k g in
+          let l = t.ins_total.(s) + queued.(s) in
+          queued.(s) <- queued.(s) + 1;
+          g2p := Imap.add g { pl_shard = s; pl_local = l } !g2p;
+          l2g.(s) <- Imap.add l g l2g.(s);
+          metas := Ev_insert (g, s) :: !metas;
+          per_shard.(s) <- op :: per_shard.(s);
+          P_insert (s, g)
+        | Trace.Delete id -> (
+          match Imap.find_opt id !g2p with
+          | None -> P_dead_delete
+          | Some { pl_shard = s; pl_local = l } ->
+            l2g.(s) <- Imap.remove l l2g.(s);
+            (* the shard speaks local ids: apply (and log) the
+               translated delete, not the global one *)
+            per_shard.(s) <- Trace.Delete l :: per_shard.(s);
+            P_delete s)
         | _ -> assert false)
       ops
-  | Store { stores; meta } ->
-    (* plan the whole batch against a working copy of the mapping, so
-       a delete later in the batch sees inserts earlier in it *)
-    let m0 = Atomic.get t.mapping in
-    let g2p = ref m0.m_g2p in
-    let l2g = Array.copy m0.m_l2g in
-    let next_g = ref m0.m_next_global in
-    let queued = Array.make t.k 0 in
-    let per_shard = Array.make t.k [] in
-    let metas = ref [] in
-    let globals = ref [] in
-    let plan =
-      List.map
-        (fun op ->
-          match op with
-          | Trace.Insert _ ->
-            let g = !next_g in
-            next_g := g + 1;
-            let s = route t.k g in
-            let l = t.ins_total.(s) + queued.(s) in
-            queued.(s) <- queued.(s) + 1;
-            g2p := Imap.add g { pl_shard = s; pl_local = l } !g2p;
-            l2g.(s) <- Imap.add l g l2g.(s);
-            metas := Ev_insert (g, s) :: !metas;
-            globals := g :: !globals;
-            per_shard.(s) <- op :: per_shard.(s);
-            P_shard s
-          | Trace.Delete id -> (
-            match Imap.find_opt id !g2p with
-            | None -> P_dead_delete
-            | Some { pl_shard = s; pl_local = l } ->
-              l2g.(s) <- Imap.remove l l2g.(s);
-              (* the shard store (and its WAL) speaks local ids: log the
-                 translated delete, not the global one *)
-              per_shard.(s) <- Trace.Delete l :: per_shard.(s);
-              P_shard s)
-          | _ -> assert false)
-        ops
-    in
-    ignore !globals;
-    (* log-ahead, group committed: all placements reach the meta log
-       (one fsync) before any shard WAL write; then one WAL append +
-       one fsync per shard *)
-    if !metas <> [] then meta_append meta (List.rev !metas);
-    let results = Array.make t.k [] in
-    (try
-       Array.iteri
-         (fun s ops_rev ->
-           if ops_rev <> [] then
-             results.(s) <- Durable.apply_batch stores.(s) (List.rev ops_rev))
-         per_shard
-     with e ->
-       t.poisoned <- true;
-       raise e);
-    (* stitch shard results back into op order; inserts report global ids *)
-    let cursors = results in
-    let out =
-      List.map2
-        (fun op pl ->
-          match (op, pl) with
-          | _, P_dead_delete -> Durable.Br_deleted false
-          | Trace.Insert _, P_shard s -> (
-            match cursors.(s) with
-            | Durable.Br_inserted _ :: rest ->
-              cursors.(s) <- rest;
-              Durable.Br_inserted 0 (* patched below *)
-            | _ ->
-              t.poisoned <- true;
-              failwith "Sharded_index.apply_batch: shard result misalignment")
-          | Trace.Delete _, P_shard s -> (
-            match cursors.(s) with
-            | (Durable.Br_deleted _ as r) :: rest ->
-              cursors.(s) <- rest;
-              r
-            | _ ->
-              t.poisoned <- true;
-              failwith "Sharded_index.apply_batch: shard result misalignment")
-          | _ -> assert false)
-        ops plan
-    in
-    (* second pass: fill in the global ids for inserts, in order *)
-    let g = ref m0.m_next_global in
-    let out =
-      List.map2
-        (fun op r ->
-          match (op, r) with
-          | Trace.Insert _, Durable.Br_inserted _ ->
-            let id = !g in
-            incr g;
-            Obs.incr c_inserts;
-            Durable.Br_inserted id
-          | _, r ->
-            (match r with Durable.Br_deleted true -> Obs.incr c_deletes | _ -> ());
-            r)
-        ops out
-    in
-    Array.iteri (fun s q -> t.ins_total.(s) <- t.ins_total.(s) + q) queued;
-    publish t
-      { m_g2p = !g2p; m_l2g = l2g; m_next_global = !next_g; m_version = m0.m_version + 1 };
-    out
+  in
+  (* log-ahead, group committed: all placements reach the meta log
+     (one fsync) before any shard write; then one group commit per
+     shard *)
+  log_meta t (List.rev !metas);
+  let results = Array.make t.k [] in
+  (try
+     Array.iteri
+       (fun s ops_rev -> if ops_rev <> [] then results.(s) <- shard_apply t s (List.rev ops_rev))
+       per_shard
+   with e ->
+     t.poisoned <- true;
+     raise e);
+  (* stitch shard results back into op order; inserts report global ids *)
+  let next s =
+    match results.(s) with
+    | r :: rest ->
+      results.(s) <- rest;
+      r
+    | [] ->
+      t.poisoned <- true;
+      failwith "Sharded_index.apply_batch: shard result misalignment"
+  in
+  let out =
+    List.map
+      (function
+        | P_dead_delete -> Subject.Br_deleted false
+        | P_insert (s, g) ->
+          ignore (next s);
+          Obs.incr c_inserts;
+          Subject.Br_inserted g
+        | P_delete s ->
+          let r = next s in
+          if r = Subject.Br_deleted true then Obs.incr c_deletes;
+          r)
+      plan
+  in
+  Array.iteri (fun s q -> t.ins_total.(s) <- t.ins_total.(s) + q) queued;
+  publish t { m_g2p = !g2p; m_l2g = l2g; m_next_global = !next_g; m_version = m0.m_version + 1 };
+  out
+
+let insert t text =
+  match apply_batch t [ Trace.Insert text ] with [ Subject.Br_inserted g ] -> g | _ -> assert false
+
+let delete t id =
+  match apply_batch t [ Trace.Delete id ] with [ Subject.Br_deleted ok ] -> ok | _ -> assert false
 
 (* --- consistency probes --- *)
 
@@ -701,10 +635,6 @@ let wal_serials t =
   | Mem -> Array.make t.k 0
   | Store { stores; _ } -> Array.map Durable.wal_serial stores
 
-let durable_serials t =
-  match t.backing with
-  | Mem -> Array.make t.k 0
-  | Store { stores; _ } -> Array.map Durable.durable_serial stores
 
 (* --- pinned epoch-vector backups --- *)
 
@@ -767,9 +697,6 @@ let backup t p ~dest =
 
 let backing_stores t =
   match t.backing with Mem -> None | Store { stores; _ } -> Some stores
-
-let meta_log_path t =
-  match t.backing with Mem -> None | Store { meta; _ } -> Some meta.mt_path
 
 let meta_records t = match t.backing with Mem -> 0 | Store { meta; _ } -> meta.mt_records
 
@@ -888,9 +815,13 @@ let replica_op t ~shard op =
       invalid_arg
         (Printf.sprintf "Sharded_index.replica_op: %S is not a mutation" (Trace.op_to_string op)))
 
-(* Placements shipped but not yet bound by a shard record, per shard --
-   zero everywhere at a replication quiesce point. *)
-let replica_pending t = Array.map Queue.length t.repl_pending
+(* Every stream's next position: the shard WAL serials, then the meta
+   events already bound to a shard record -- on a replica a placement
+   still waiting for its record does not count, so equal positions
+   leader/replica mean nothing is in flight. *)
+let stream_positions t =
+  let unbound = Array.fold_left (fun n q -> n + Queue.length q) 0 t.repl_pending in
+  Array.append (wal_serials t) [| meta_records t - unbound |]
 
 (* --- rebalancing --- *)
 
@@ -935,15 +866,13 @@ let rebalance ?(hook = fun _ -> ()) t ~src ~dst ~docs =
         | Some text ->
           pt ();
           (* 1. intent record, durable before any shard write *)
-          (match t.backing with
-          | Store { meta; _ } -> meta_append meta [ Ev_migrate (g, src, dst) ]
-          | Mem -> ());
+          log_meta t [ Ev_migrate (g, src, dst) ];
           pt ();
           (* 2. the destination copy, through the WAL *)
           let l' =
-            match t.backing with
-            | Store { stores; _ } -> Durable.insert stores.(dst) text
-            | Mem -> Di.insert t.idxs.(dst) text
+            match shard_apply t dst [ Trace.Insert text ] with
+            | [ Subject.Br_inserted l' ] -> l'
+            | _ -> assert false
           in
           t.ins_total.(dst) <- t.ins_total.(dst) + 1;
           pt ();
@@ -960,10 +889,7 @@ let rebalance ?(hook = fun _ -> ()) t ~src ~dst ~docs =
               m_version = m.m_version + 1;
             };
           (* 4. retire the source copy, through the WAL *)
-          ignore
-            (match t.backing with
-            | Store { stores; _ } -> Durable.delete stores.(src) pl_local
-            | Mem -> Di.delete t.idxs.(src) pl_local);
+          ignore (shard_apply t src [ Trace.Delete pl_local ]);
           pt ();
           incr moved;
           Obs.incr c_migrations)
@@ -1015,3 +941,71 @@ let kill t ~torn =
       Array.iter (fun st -> Durable.kill st ~torn) stores;
       close_out_noerr meta.mt_oc
   end
+
+(* --- the sharded collection as a subject --- *)
+
+(* One replication poll: the meta stream, or shard k's WAL as ["walk"].
+   [meta_records] is the meta stream's shipping bound: events are
+   fsynced at append under any policy but Never, mirroring the WAL
+   durable bound's Never degradation. *)
+let repl t ~stream ~from =
+  match t.backing with
+  | Mem -> Subject.Rp_error "an in-memory index has no replication streams"
+  | Store { stores; meta } -> (
+    if stream = "meta" then
+      let bound = meta.mt_records in
+      let recs =
+        List.filteri (fun i _ -> from + i < bound) (meta_lines_from t ~from)
+        |> List.mapi (fun i l -> (from + i, l))
+      in
+      Subject.Rp_recs { recs; bound; epoch = (Atomic.get t.mapping).m_version }
+    else
+      match
+        if String.length stream > 3 && String.sub stream 0 3 = "wal" then
+          int_of_string_opt (String.sub stream 3 (String.length stream - 3))
+        else None
+      with
+      | Some k when k >= 0 && k < t.k -> (
+        match Durable.ship stores.(k) ~from with
+        | Subject.Rp_snapshot _ ->
+          (* per-shard snapshots are not mutually consistent with a meta
+             prefix; only a pinned backup is *)
+          Subject.Rp_error
+            (Printf.sprintf
+               "shard %d compacted past position %d; seed the replica from a pinned backup" k from)
+        | reply -> reply)
+      | _ -> Subject.Rp_error (Printf.sprintf "unknown stream %S" stream))
+
+let subject ?name t =
+  (* per-shard census and paper invariants, one oracle per shard *)
+  let checks = Array.map (fun idx -> (Subject.of_index ~views:true ~name:"" idx).check) t.idxs in
+  {
+    Subject.name = (match name with Some n -> n | None -> describe t);
+    apply_batch = apply_batch t;
+    search = (fun p -> search t p);
+    count = (fun p -> count t p);
+    extract = (fun ~doc ~off ~len -> extract t ~doc ~off ~len);
+    mem = (fun id -> mem t id);
+    drain = (fun () -> drain t);
+    doc_count = (fun () -> doc_count t);
+    total_symbols = (fun () -> total_symbols t);
+    stats =
+      (fun () ->
+        [
+          ("docs", doc_count t);
+          ("symbols", total_symbols t);
+          ("epoch", Array.fold_left ( + ) 0 (epoch_vector t));
+          ("shards", t.k);
+        ]);
+    repl = repl t;
+    check =
+      (fun () ->
+        List.concat
+          (List.mapi
+             (fun s check -> List.map (Printf.sprintf "shard %d: %s" s) (check ()))
+             (Array.to_list checks)));
+    events = (fun () -> []);
+    checkpoint = (fun () -> checkpoint t);
+    close = (fun () -> close t);
+    kill = (fun ~torn -> kill t ~torn);
+  }

@@ -93,7 +93,8 @@ val open_store :
     Returns per-shard recovery reports in shard order.
 
     Raises {!Shard_mismatch} when [dir] holds a store created with a
-    different shard count, and [Dsdg_store.Codec.Corrupt] when the meta
+    different shard count, [Invalid_argument] when [dir] holds a plain
+    single-index store, and [Dsdg_store.Codec.Corrupt] when the meta
     log is corrupt beyond its final (torn) record. *)
 
 val store_shards : dir:string -> int option
@@ -105,12 +106,6 @@ val store_shards : dir:string -> int option
 
 val shards : t -> int
 (** The shard count K. *)
-
-val insert : t -> string -> int
-(** Insert a document; returns its {e global} id (sequential from 0). *)
-
-val delete : t -> int -> bool
-(** Delete a global id; [false] if it was never live or already dead. *)
 
 val mem : ?epoch_vector:int array -> t -> int -> bool
 
@@ -132,15 +127,24 @@ val doc_count : t -> int
 val total_symbols : t -> int
 val describe : t -> string
 
-val apply_batch : t -> Dsdg_check.Trace.op list -> Dsdg_store.Durable.batch_result list
-(** Group commit across shards (store mode): placements for the whole
-    batch are appended to the meta log first (one fsync), then each
-    shard's sub-batch goes through [Durable.apply_batch] (one WAL
-    append + one fsync per {e shard}), preserving in-shard op order.
-    Results come back in the original op order, with insert results
-    carrying global ids.  In-memory mode applies the batch directly.
-    Only [Insert]/[Delete] ops are mutations; anything else raises
-    [Invalid_argument]. *)
+val apply_batch : t -> Dsdg_check.Trace.op list -> Dsdg_check.Subject.batch_result list
+(** The one write path.  The batch is planned against the mapping
+    (inserts get the next global ids and their shards, deletes are
+    translated to shard-local ids), then each shard's sub-batch is
+    applied in op order: in store mode the placements for the whole
+    batch are appended to the meta log first (one fsync) and each
+    sub-batch goes through [Durable.apply_batch] (one WAL append + one
+    fsync per {e shard}); in memory it goes to the shard index
+    directly.  Results come back in the original op order, with insert
+    results carrying global ids (sequential from 0); a delete of an id
+    that is not live reports [false].  Only [Insert]/[Delete] ops are
+    mutations; anything else raises [Invalid_argument]. *)
+
+val insert : t -> string -> int
+(** One-op {!apply_batch}: the new document's global id. *)
+
+val delete : t -> int -> bool
+(** One-op {!apply_batch}. *)
 
 val drain : t -> unit
 (** Land in-flight background jobs on every shard. *)
@@ -158,10 +162,6 @@ val epoch_vector : t -> int array
 
 val wal_serials : t -> int array
 (** Next WAL serial per shard (store mode; all zeros in memory). *)
-
-val durable_serials : t -> int array
-(** Stable WAL prefix bound per shard ([Durable.durable_serial]) -- the
-    per-shard replication shipping bounds.  All zeros in memory. *)
 
 (** {1 Pinned epoch-vector backups}
 
@@ -202,17 +202,9 @@ val backup : t -> pin -> dest:string -> string
 val backing_stores : t -> Dsdg_store.Durable.t array option
 (** The K durable stores (store mode), in shard order. *)
 
-val meta_log_path : t -> string option
-(** The live [shard.meta] path (store mode). *)
-
 val meta_records : t -> int
 (** Events currently in the meta log -- the meta stream's shipping
     bound (events are fsynced at append under any policy but [Never]). *)
-
-val meta_lines_from : t -> from:int -> string list
-(** Leader-side meta tail: events [from, ...) as wire lines ([I g s] /
-    [M g src dst]).  Positional reads are stable while serving (the
-    meta log is only rewritten by recovery). *)
 
 val replica_meta : t -> string -> unit
 (** Follower: apply one shipped meta line -- append it to the local
@@ -239,9 +231,12 @@ val replica_op : t -> shard:int -> Dsdg_check.Trace.op -> bool
     drains.  Raises [Failure] on structural corruption (a placement
     whose destination disagrees with the stream it arrived on). *)
 
-val replica_pending : t -> int array
-(** Shipped-but-unbound placements per shard; all zeros at a
-    replication quiesce point. *)
+val stream_positions : t -> int array
+(** The next position of every replication stream: the K shard WAL
+    serials, then the meta events bound to an applied shard record.  On
+    a leader that is every meta event; on a replica a shipped placement
+    still waiting for its shard record does not count, so equal
+    positions on leader and replica mean nothing is in flight. *)
 
 (** {1 Rebalancing} *)
 
@@ -281,3 +276,15 @@ val kill : t -> torn:bool -> unit
 (** Crash simulation: abandon every shard store with no final fsync
     ([Durable.kill]); [torn] additionally plants a half-written final
     record in each shard WAL.  No-op in memory beyond closing. *)
+
+(** {1 The collection record} *)
+
+val subject : ?name:string -> t -> Dsdg_check.Subject.t
+(** The sharded collection as a {!Dsdg_check.Subject} ([name] defaults
+    to {!describe}).  Queries scatter-gather across the published shard
+    views, so a server may front it.  [stats] adds [shards] and reports
+    the summed epoch vector as [epoch].  [repl] ships the ["meta"]
+    stream and each shard's WAL as ["wal<s>"] (store mode; a shard
+    position compacted away is an error, since only a pinned backup
+    seeds a sharded replica).  [check] runs the view census and the
+    paper invariants ({!Dsdg_check.Oracle}) on every shard index. *)

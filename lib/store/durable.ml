@@ -5,6 +5,7 @@
 module Di = Dsdg_core.Dynamic_index
 module Trace = Dsdg_check.Trace
 module Exec = Dsdg_exec.Executor
+module Subject = Dsdg_check.Subject
 open Dsdg_obs
 
 let obs = Obs.scope "store"
@@ -14,16 +15,17 @@ let c_checkpoint_failures = Obs.counter obs "checkpoint_failures"
 let h_checkpoint_ns = Obs.histogram obs "checkpoint_ns"
 let h_install_ns = Obs.histogram obs "checkpoint_install_ns"
 
-type config = {
-  sync : Wal.sync;
-  checkpoint_every : int;
-  checkpoint_jobs : int;
-  keep_snapshots : int;
-  wal_archives : int;
-}
+type config = { sync : Wal.sync; checkpoint_every : int; checkpoint_jobs : int }
 
-let default_config =
-  { sync = Wal.Always; checkpoint_every = 0; checkpoint_jobs = 0; keep_snapshots = 2; wal_archives = 4 }
+let default_config = { sync = Wal.Always; checkpoint_every = 0; checkpoint_jobs = 0 }
+
+(* Snapshots kept after a new one installs, and compacted WAL segments
+   kept as archives so a lagging replica can still be shipped
+   pre-checkpoint records. *)
+let keep_snapshots = 2
+let wal_archives = 4
+
+type batch_result = Subject.batch_result = Br_inserted of int | Br_deleted of bool
 
 (* One in-flight background checkpoint: the worker serializes the view
    into [p_tmp]; the writer buffers every mutation logged since the
@@ -55,6 +57,11 @@ let wal_path t = Wal.path t.wal
 let sync_wal t = Wal.sync t.wal
 
 let open_ ?(config = default_config) ?index ~dir () =
+  (* a sharded root holds only its meta log and shard-i sub-stores; a
+     plain store written next to them would make the directory
+     unopenable either way *)
+  if Sys.file_exists (Filename.concat dir "shard.meta") then
+    invalid_arg (Printf.sprintf "Durable.open_: %s holds a sharded store" dir);
   let idx, info = Recovery.open_or_recover ?index ~dir () in
   Snapshot.ensure_dir dir;
   let wal_file = Recovery.wal_path ~dir in
@@ -71,7 +78,7 @@ let open_ ?(config = default_config) ?index ~dir () =
   ( {
       dir;
       idx;
-      cfg = { config with keep_snapshots = max 1 config.keep_snapshots };
+      cfg = config;
       exec;
       wal;
       pending = None;
@@ -89,13 +96,13 @@ let open_ ?(config = default_config) ?index ~dir () =
 let install t ~tmp ~serial ~tail =
   let t0 = Obs.start () in
   Unix.rename tmp (Snapshot.path_for ~dir:t.dir ~wal_serial:serial);
-  Snapshot.prune ~dir:t.dir ~keep:t.cfg.keep_snapshots;
+  Snapshot.prune ~dir:t.dir ~keep:keep_snapshots;
   let old = t.wal in
   t.wal <-
-    Wal.rewrite ~sync:t.cfg.sync ~archive:(t.cfg.wal_archives > 0) (Wal.path t.wal)
+    Wal.rewrite ~sync:t.cfg.sync ~archive:true (Wal.path t.wal)
       ~serial0:serial (List.rev tail);
   Wal.abandon old;
-  Wal.prune_archives (Wal.path t.wal) ~keep:t.cfg.wal_archives;
+  Wal.prune_archives (Wal.path t.wal) ~keep:wal_archives;
   Obs.incr c_checkpoints;
   Obs.stop h_install_ns t0
 
@@ -133,13 +140,13 @@ let checkpoint_now t =
   let serial = Wal.next_serial t.wal in
   let dump = Di.checkpoint_body (Di.checkpoint_header t.idx v) v in
   ignore (Snapshot.save ~dir:t.dir ~wal_serial:serial dump);
-  Snapshot.prune ~dir:t.dir ~keep:t.cfg.keep_snapshots;
+  Snapshot.prune ~dir:t.dir ~keep:keep_snapshots;
   let old = t.wal in
   t.wal <-
-    Wal.rewrite ~sync:t.cfg.sync ~archive:(t.cfg.wal_archives > 0) (Wal.path t.wal)
+    Wal.rewrite ~sync:t.cfg.sync ~archive:true (Wal.path t.wal)
       ~serial0:serial [];
   Wal.abandon old;
-  Wal.prune_archives (Wal.path t.wal) ~keep:t.cfg.wal_archives;
+  Wal.prune_archives (Wal.path t.wal) ~keep:wal_archives;
   t.updates_since_checkpoint <- 0;
   Obs.incr c_checkpoints;
   Obs.stop h_checkpoint_ns t0
@@ -178,27 +185,6 @@ let after_update t op =
 
 let check_open t = if t.closed then invalid_arg "Durable: store is closed"
 
-(* Log-ahead: the record reaches the WAL (and, under [Always], the
-   disk) before the index mutates, so no observable update can be lost
-   -- at worst a logged mutation is re-applied by recovery. *)
-let insert t text =
-  check_open t;
-  let op = Trace.Insert text in
-  ignore (Wal.append t.wal op);
-  let id = Di.insert t.idx text in
-  after_update t op;
-  id
-
-let delete t id =
-  check_open t;
-  let op = Trace.Delete id in
-  ignore (Wal.append t.wal op);
-  let ok = Di.delete t.idx id in
-  after_update t op;
-  ok
-
-type batch_result = Br_inserted of int | Br_deleted of bool
-
 (* Group commit: the whole batch is logged (and fsynced once, per the
    policy) before any of it is applied, so a batch acknowledged to a
    client is durable as a unit -- a crash either replays all of it or
@@ -224,6 +210,12 @@ let apply_batch t ops =
       after_update t op;
       r)
     ops
+
+let insert t text =
+  match apply_batch t [ Trace.Insert text ] with [ Br_inserted id ] -> id | _ -> assert false
+
+let delete t id =
+  match apply_batch t [ Trace.Delete id ] with [ Br_deleted ok ] -> ok | _ -> assert false
 
 let checkpoint t =
   check_open t;
@@ -281,3 +273,62 @@ let kill t ~torn =
     (match t.exec with Some ex -> Exec.shutdown ex | None -> ());
     Di.close t.idx
   end
+
+(* --- the store as a collection --- *)
+
+(* Ship WAL records [from, durable_serial) by tailing the live log file.
+   A fresh bounded cursor per poll keeps this robust against concurrent
+   compaction (rotation detection is the cursor's job); the log is
+   compacted at every checkpoint so the re-read stays proportional to
+   the WAL tail, not history.  [Tail_gap] means [from] predates the
+   log: first try the bounded {!Wal.archives} ring compaction left
+   behind -- the segment covering [from] still holds the records, so a
+   lagging follower catches up by ordinary record shipping -- and only
+   when [from] predates the archives too fall back to the newest
+   snapshot, whose serial the follower resumes from. *)
+let ship t ~from =
+  let bound = durable_serial t and epoch = Di.view_epoch (Di.view t.idx) in
+  let read path =
+    let c = Wal.tail ~from path in
+    Fun.protect ~finally:(fun () -> Wal.tail_close c) (fun () -> Wal.tail_poll ~limit:bound c)
+  in
+  let recs rs =
+    Subject.Rp_recs { recs = List.map (fun (s, op) -> (s, Trace.op_to_string op)) rs; bound; epoch }
+  in
+  if from >= bound then recs []
+  else
+    match read (wal_path t) with
+    | rs -> recs rs
+    | exception Wal.Tail_gap _ -> (
+      (* an archive segment is an ordinary (immutable) log file, so the
+         same cursor machinery reads it; one poll serves what the
+         segment holds and the follower's next poll advances into the
+         next segment or the live log *)
+      let archived =
+        match List.find_opt (fun (_, e) -> e > from) (Wal.archives (wal_path t)) with
+        | None -> []
+        | Some (path, _) -> ( try read path with Wal.Tail_gap _ -> [])
+      in
+      match archived with
+      | _ :: _ -> recs archived
+      | [] -> (
+        match Snapshot.list ~dir:t.dir with
+        | (path, serial) :: _ when serial > from ->
+          Subject.Rp_snapshot { path; serial; bound; epoch }
+        | _ ->
+          Subject.Rp_error
+            (Printf.sprintf "stream position %d was compacted away and no snapshot covers it"
+               from)))
+
+let subject ?(name = "durable") t =
+  {
+    (Subject.of_index ~views:true ~name t.idx) with
+    apply_batch = apply_batch t;
+    repl =
+      (fun ~stream ~from ->
+        if stream = "wal" then ship t ~from
+        else Subject.Rp_error (Printf.sprintf "unknown stream %S" stream));
+    checkpoint = (fun () -> checkpoint t);
+    close = (fun () -> close t);
+    kill = (fun ~torn -> kill t ~torn);
+  }

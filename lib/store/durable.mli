@@ -1,10 +1,9 @@
 (** A {!Dsdg_core.Dynamic_index} with durability: write-ahead logging
     of every mutation, periodic checkpoints, crash recovery on open.
 
-    Log-ahead contract: {!insert} and {!delete} append the mutation to
-    the WAL (and fsync, per the {!Wal.sync} policy) {e before} applying
-    it, so any update whose effect was ever observable is on stable
-    storage. Queries go straight to the index and are never logged.
+    Log-ahead contract: {!apply_batch} appends a batch to the WAL (and
+    fsyncs, per the {!Wal.sync} policy) {e before} applying it, so any
+    update whose effect was ever observable is on stable storage. Queries go straight to the index and are never logged.
 
     Checkpointing: every [checkpoint_every] updates the index state is
     snapshotted and the WAL is compacted to the records since. With
@@ -20,22 +19,21 @@ type config = {
   sync : Wal.sync;  (** WAL fsync policy (default [Always]) *)
   checkpoint_every : int;  (** updates between checkpoints; [0] = only explicit {!checkpoint} *)
   checkpoint_jobs : int;  (** worker domains for checkpoint serialization; [0] = synchronous *)
-  keep_snapshots : int;  (** snapshots retained after a new one installs (>= 1) *)
-  wal_archives : int;
-      (** compacted WAL segments kept as {!Wal.archives} so lagging
-          replicas can still be shipped pre-checkpoint records; [0]
-          disables archiving (default 4) *)
 }
 
 (** [Always] fsync, checkpoint only on demand, synchronous
-    serialization, one retained snapshot. *)
+    serialization. Every store keeps two snapshots after a new one
+    installs and four compacted WAL segments as {!Wal.archives}, so
+    lagging replicas can still be shipped pre-checkpoint records. *)
 val default_config : config
 
 type t
 
 (** Open a store directory, running crash recovery if it has prior
     state (see {!Recovery.open_or_recover} for which [index] fields a
-    snapshot overrides, and for exceptions). Creates the directory and a fresh WAL as needed. *)
+    snapshot overrides, and for exceptions). Creates the directory and
+    a fresh WAL as needed. Raises [Invalid_argument] when [dir] is the
+    root of a sharded store (it holds [shard.meta]). *)
 val open_ :
   ?config:config ->
   ?index:Dsdg_core.Index_config.t ->
@@ -47,19 +45,11 @@ val open_ :
 val dir : t -> string
 
 (** The wrapped index, for queries (search/count/extract/views/stats).
-    Mutating it directly bypasses the WAL -- use {!insert}/{!delete}. *)
+    Mutating it directly bypasses the WAL -- use {!apply_batch}. *)
 val index : t -> Dsdg_core.Dynamic_index.t
 
-(** WAL-append + fsync, then apply; returns the new document id. *)
-val insert : t -> string -> int
-
-(** WAL-append + fsync, then apply; [false] if the document was already
-    dead (the record still lands in the log, and recovery's fold treats
-    it as a no-op again). *)
-val delete : t -> int -> bool
-
-(** Outcome of one mutation of a batch, in batch order. *)
-type batch_result = Br_inserted of int | Br_deleted of bool
+(** Outcome of one mutation of a batch (the collection record's type). *)
+type batch_result = Dsdg_check.Subject.batch_result = Br_inserted of int | Br_deleted of bool
 
 (** [apply_batch t ops] is the group-commit write path: the whole batch
     is WAL-appended and the fsync policy runs {e once}
@@ -67,8 +57,15 @@ type batch_result = Br_inserted of int | Br_deleted of bool
     [Always] an arbitrarily large batch costs a single fsync and every
     acknowledged mutation is durable. Only [Insert]/[Delete] ops are
     legal; anything else raises [Invalid_argument] before the log is
-    touched. [apply_batch t [op]] is equivalent to {!insert}/{!delete}. *)
+    touched. A delete of a dead id still lands in the log, and
+    recovery's fold treats it as a no-op again. *)
 val apply_batch : t -> Dsdg_check.Trace.op list -> batch_result list
+
+(** One-op {!apply_batch}: the new document id. *)
+val insert : t -> string -> int
+
+(** One-op {!apply_batch}: [false] if the document was not live. *)
+val delete : t -> int -> bool
 
 (** Serial the next mutation will be logged under. *)
 val wal_serial : t -> int
@@ -132,3 +129,20 @@ val close : t -> unit
     would not extend) but no store file is touched beyond the torn
     bytes. The [t] is unusable afterwards; reopen with {!open_}. *)
 val kill : t -> torn:bool -> unit
+
+(** {1 The store as a collection} *)
+
+(** [ship t ~from] answers one replication poll of the store's WAL
+    stream: the records from serial [from] up to {!durable_serial};
+    from the {!Wal.archives} when compaction moved [from] out of the
+    live log; the newest snapshot when [from] predates the archives
+    too; otherwise an error. The reply carries the published view's
+    epoch. *)
+val ship : t -> from:int -> Dsdg_check.Subject.repl_reply
+
+(** The store as a {!Dsdg_check.Subject}: {!apply_batch} writes,
+    queries and [stats] read published views (a server's connection
+    threads run them next to its writer), [repl] ships the ["wal"]
+    stream, and [checkpoint]/[close]/[kill] are the store's. [check]
+    runs the view census and the paper invariants. *)
+val subject : ?name:string -> t -> Dsdg_check.Subject.t

@@ -1,16 +1,12 @@
-(** Durable stores as differential subjects, and the crash that the
-    kill-and-recover sweep ({!Dsdg_check.Runner.sweep}) drives.
+(** The crash that the kill-and-recover sweep
+    ({!Dsdg_check.Runner.sweep}) drives on a durable store.
 
     For each kill point [k] along an op stream the sweep runs the first
     [k] ops through a {!Durable} store, crashes it ({!Durable.kill},
     optionally with the planted torn-write fault), recovers from the
-    directory and verifies the recovered index against the model. It
-    then replays the remaining ops on both and verifies again. *)
-
-(** {!Dsdg_check.Subject.of_index} over the store's index, with
-    inserts and deletes logged through the store and [close] closing
-    it. *)
-val subject : ?name:string -> Durable.t -> Dsdg_check.Subject.t
+    directory and verifies the recovered store ({!Durable.subject})
+    against the model. It then replays the remaining ops on both and
+    verifies again. *)
 
 (** The sweeps' store settings: fsync-always and a checkpoint every 7
     updates, so a sweep crosses snapshot installs as well as pure WAL

@@ -483,6 +483,106 @@ let test_save_pinned_smoke () =
           check_exit bin ~what:"stats --store --shards" ~expect:0
             [ "stats"; "--store"; Filename.concat dir "shstats"; "--shards"; "2"; "--ops"; "40" ]))
 
+(* Run the binary with [input] on stdin; return its exit code and
+   stdout lines. *)
+let run_lines bin ~input args =
+  let inp = Filename.temp_file "dsdg-cli-in" ".txt"
+  and out = Filename.temp_file "dsdg-cli-out" ".txt" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ inp; out ]) @@ fun () ->
+  Out_channel.with_open_bin inp (fun oc -> Out_channel.output_string oc input);
+  let i = Unix.openfile inp [ Unix.O_RDONLY ] 0
+  and o = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0
+  and e = dev_null_out () in
+  let pid = Unix.create_process bin (Array.of_list (bin :: args)) i o e in
+  List.iter Unix.close [ i; o; e ];
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | _ -> Alcotest.failf "dsdg %s died on a signal" (String.concat " " args)
+  in
+  (code, String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all))
+
+let starts p l = String.length l >= String.length p && String.sub l 0 (String.length p) = p
+
+(* The answer lines of an interactive session: after the "indexed"
+   header, before the stats trailer. *)
+let answers lines =
+  let rec drop = function [] -> [] | l :: rest -> if starts "indexed " l then rest else drop rest in
+  let rec take = function
+    | [] -> []
+    | l :: rest -> if starts "documents :" l then [] else l :: take rest
+  in
+  take (drop lines)
+
+(* One interactive script, malformed ids included, through `dsdg index`
+   four ways -- in memory and over a store, at K=1 and K=2: every
+   backing is the same collection, so every answer line is identical. *)
+let test_repl_four_backings () =
+  with_bin (fun bin ->
+      with_dir "dsdg-cli-repl" (fun dir ->
+          Unix.mkdir dir 0o755;
+          let file = Filename.concat dir "docs.txt" in
+          Out_channel.with_open_bin file (fun oc ->
+              Out_channel.output_string oc "banana bandana\ncabana\nananas split\n");
+          let script =
+            "+anagram banana\n?ana\n#an\n-1\n-1\n-abc\n=0 1 4\n=x 0 1\n=0 1\n=9 0 2\n?\n#zz\n.\n"
+          in
+          let run name args =
+            let code, lines = run_lines bin ~input:script ("index" :: file :: args) in
+            Alcotest.(check int) (name ^ " exits 0") 0 code;
+            answers lines
+          in
+          let store k =
+            [ "--store"; Filename.concat dir (Printf.sprintf "s%d" k); "--shards"; string_of_int k ]
+          in
+          let mem1 = run "memory K=1" [] in
+          Alcotest.(check bool) "malformed delete gets the usage line" true
+            (List.mem "usage: -ID" mem1);
+          Alcotest.(check bool) "malformed extract gets the usage line" true
+            (List.mem "usage: =ID OFF LEN" mem1);
+          Alcotest.(check bool) "the extract answers" true (List.mem "\"anan\"" mem1);
+          List.iter
+            (fun (name, args) ->
+              Alcotest.(check (list string))
+                (name ^ " answers = memory K=1 answers")
+                mem1 (run name args))
+            [ ("memory K=2", [ "--shards"; "2" ]); ("store K=1", store 1); ("store K=2", store 2) ]))
+
+(* A store directory is opened in one place: a sharded directory
+   refuses the single-index `save` and a K=1 `stats` (124) and stays
+   byte-identical; `open` reads K from it; a wrong --shards names the
+   K on disk. *)
+let test_store_layout () =
+  with_bin (fun bin ->
+      with_dir "dsdg-cli-layout" (fun dir ->
+          Unix.mkdir dir 0o755;
+          let file = Filename.concat dir "docs.txt" in
+          Out_channel.with_open_bin file (fun oc ->
+              Out_channel.output_string oc "alpha beta\ngamma\n");
+          let store = Filename.concat dir "k2" in
+          check_exit bin ~what:"index a K=2 store" ~expect:0
+            [ "index"; "--shards"; "2"; "--store"; store; file ];
+          let rec files d =
+            Sys.readdir d |> Array.to_list |> List.sort compare
+            |> List.concat_map (fun f ->
+                   let p = Filename.concat d f in
+                   if Sys.is_directory p then files p
+                   else [ (p, In_channel.with_open_bin p In_channel.input_all) ])
+          in
+          let before = files store in
+          check_exit_says bin ~what:"save onto a K=2 store is usage (124)" ~expect:124 ~says:"K=2"
+            [ "save"; store; file ];
+          check_exit_says bin ~what:"K=1 stats onto a K=2 store is usage (124)" ~expect:124
+            ~says:"K=2" [ "stats"; "--store"; store; "--ops"; "20" ];
+          check_exit_says bin ~what:"wrong --shards names the K on disk (124)" ~expect:124
+            ~says:"pass --shards 2" [ "index"; "--shards"; "3"; "--store"; store; file ];
+          Alcotest.(check bool) "refused commands left the store byte-identical" true
+            (before = files store);
+          let code, lines = run_lines bin ~input:"?alpha\n#a\n.\n" [ "open"; store ] in
+          Alcotest.(check int) "open reads K from the store (exit 0)" 0 code;
+          Alcotest.(check bool) "open serves the sharded store" true
+            (List.mem "1 occurrence(s)" lines && List.exists (starts "sharded: 2 shard stores") lines)))
+
 (* The planted scheduling fault end to end through the binary: fuzz
    catches it (exit 1) and saves a minimal trace, and replaying that
    trace with the hinted fault fails again. *)
@@ -523,4 +623,7 @@ let suite =
     Alcotest.test_case "sharded serve (K=2) + load round-trip, SIGTERM drain" `Slow
       test_sharded_serve_roundtrip;
     Alcotest.test_case "fuzz --fault: catch, save, replay (exit 1)" `Slow test_fuzz_fault_replay;
+    Alcotest.test_case "interactive loop: one script, four backings" `Slow test_repl_four_backings;
+    Alcotest.test_case "store layout: sharded dir refuses save/stats, open reads K" `Slow
+      test_store_layout;
   ]

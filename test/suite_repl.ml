@@ -60,13 +60,16 @@ let test_convergence_past_compaction () =
 
 (* --- the oracle's self-test: a planted replica fault MUST be caught --- *)
 
-let test_planted_fault_caught () =
+(* The fault never corrupts answers, only the cleaning schedule, so the
+   replica's paper invariants must catch it: on the single index, and
+   on every shard index of a K=2 replica. *)
+let test_planted_fault_caught ~shards () =
   with_dir "dsdg-repl-fault" (fun dir ->
       let ops = Opgen.generate ~profile:Opgen.churny ~seed:5 ~ops:600 () in
       let o =
         Repl_check.convergence
-          ~index:{ Dsdg_core.Index_config.default with fault = Some `Skip_top_clean } ~quiesce_every:100
-          ~dir ~ops ()
+          ~index:{ Dsdg_core.Index_config.default with fault = Some `Skip_top_clean } ~shards
+          ~quiesce_every:100 ~dir ~ops ()
       in
       Alcotest.(check bool) "planted fault detected" true (o.Repl_check.rc_failures <> []);
       let detail = String.concat "; " (List.map snd o.Repl_check.rc_failures) in
@@ -101,7 +104,7 @@ let test_follower_serves_reads_redirects_writes () =
       let fsock = Filename.concat dir "replica.sock" in
       Unix.mkdir dir 0o755;
       let store, _ = Durable.open_ ~dir:leader_dir () in
-      let leader = Server.start ~store (`Unix lsock) in
+      let leader = Server.start (Durable.subject store) (`Unix lsock) in
       Fun.protect
         ~finally:(fun () -> Server.stop leader)
         (fun () ->
@@ -109,7 +112,7 @@ let test_follower_serves_reads_redirects_writes () =
           let id = Client.insert lc "banana stand" in
           ignore (Client.insert lc "cabana");
           let fol = Follower.start ~leader:(`Unix lsock) ~dir:replica_dir () in
-          let fsrv = Server.start_engine ~engine:(Follower.engine fol) (`Unix fsock) in
+          let fsrv = Server.start (Follower.read_only fol) (`Unix fsock) in
           Fun.protect
             ~finally:(fun () -> Server.stop fsrv)
             (fun () ->
@@ -157,7 +160,9 @@ let suite =
     Alcotest.test_case "convergence: replica outruns compaction (archives/snapshot)" `Quick
       test_convergence_past_compaction;
     Alcotest.test_case "planted replica fault is caught (oracle self-test)" `Slow
-      test_planted_fault_caught;
+      (test_planted_fault_caught ~shards:1);
+    Alcotest.test_case "planted K=2 replica fault is caught per shard" `Slow
+      (test_planted_fault_caught ~shards:2);
     Alcotest.test_case "failover: K=1 promoted follower keeps acked writes" `Quick
       test_failover_single;
     Alcotest.test_case "failover: K=2 promoted follower keeps acked writes" `Quick

@@ -32,7 +32,7 @@ let start_server ?config ?(sync = Dsdg_store.Wal.Always) dir =
   let store, _info =
     Durable.open_ ~config:{ Durable.default_config with sync } ~dir ()
   in
-  Server.start ?config ~store (`Unix (sock_of dir))
+  Server.start ?config (Durable.subject store) (`Unix (sock_of dir))
 
 let with_server ?config ?sync dir f =
   let srv = start_server ?config ?sync dir in

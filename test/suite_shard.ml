@@ -261,7 +261,8 @@ let test_parallel_recovery_equivalence () =
       Alcotest.(check int) "all live docs found" 45 (List.length hits))
 
 (* A store remembers its K: reopening with a different count is a
-   Shard_mismatch, and store_shards reads it back without opening. *)
+   Shard_mismatch, and store_shards reads it back without opening. A
+   plain store is never opened over a sharded root, nor the reverse. *)
 let test_shard_mismatch () =
   with_tmp_dir (fun dir ->
       let sh, _ = SI.open_store ~shards:2 ~dir () in
@@ -270,7 +271,21 @@ let test_shard_mismatch () =
       Alcotest.(check (option int)) "store_shards" (Some 2) (SI.store_shards ~dir);
       Alcotest.check_raises "reopen with wrong K"
         (SI.Shard_mismatch { dir; on_disk = 2; requested = 3 }) (fun () ->
-          ignore (SI.open_store ~shards:3 ~dir ())))
+          ignore (SI.open_store ~shards:3 ~dir ()));
+      Alcotest.(check bool) "a plain store refuses the sharded root" true
+        (match Store.Durable.open_ ~dir () with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      Alcotest.(check bool) "no plain WAL was written" false
+        (Sys.file_exists (Store.Recovery.wal_path ~dir)));
+  with_tmp_dir (fun dir ->
+      let d, _ = Store.Durable.open_ ~dir () in
+      Store.Durable.close d;
+      Alcotest.(check bool) "a sharded store refuses a plain root" true
+        (match SI.open_store ~shards:1 ~dir () with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      Alcotest.(check (option int)) "no meta log was written" None (SI.store_shards ~dir))
 
 (* apply_batch through the sharded store: results in op order, insert
    results carrying global ids, and the landed state byte-identical to

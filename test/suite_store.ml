@@ -333,7 +333,7 @@ let test_trace_load_located_error () =
 (* --- durable store + recovery --- *)
 
 let durable_cfg every =
-  { Durable.sync = Wal.Always; checkpoint_every = every; checkpoint_jobs = 0; keep_snapshots = 2; wal_archives = 4 }
+  { Durable.sync = Wal.Always; checkpoint_every = every; checkpoint_jobs = 0 }
 
 let test_durable_reopen () =
   with_dir "dsdg-durable" (fun dir ->
@@ -408,7 +408,7 @@ let test_recovery_idempotent () =
 let test_background_checkpoint () =
   with_dir "dsdg-ckpt-bg" (fun dir ->
       let config =
-        { Durable.sync = Wal.Every 4; checkpoint_every = 6; checkpoint_jobs = 1; keep_snapshots = 2; wal_archives = 4 }
+        { Durable.sync = Wal.Every 4; checkpoint_every = 6; checkpoint_jobs = 1 }
       in
       let d, _ = Durable.open_ ~config ~index:small ~dir () in
       let m = Model.create () in
@@ -647,8 +647,7 @@ let test_wal_tail_torn_final_writer_alive () =
    lists segments ascending, and pruning drops the oldest first. *)
 let test_wal_archive_roundtrip () =
   with_dir "dsdg-wal-arch" (fun dir ->
-      let cfg = { (durable_cfg 3) with Durable.wal_archives = 8 } in
-      let d, _ = Durable.open_ ~config:cfg ~index:small ~dir () in
+      let d, _ = Durable.open_ ~config:(durable_cfg 3) ~index:small ~dir () in
       for i = 0 to 10 do
         ignore (Durable.insert d (Printf.sprintf "archived doc %d" i))
       done;
