@@ -81,15 +81,39 @@ end
 (* --- backend x scale matrix over web-crawl streams ---
 
    The Section 5 graph workload: a crawl-ordered edge stream with
-   Zipf-skewed targets ({!Graph_gen.web_crawl}) ingested into both
-   relation backends behind the {!Rel_backend} seam.  Full mode runs
-   str and k2 at 10^6 edges (the space acceptance point: k2 must come
-   in strictly below str in bits/edge) and pushes k2 alone to 10^7;
+   Zipf-skewed targets ({!Graph_gen.web_crawl}) ingested into the
+   string relation ({!Dyn_binrel}, "str") and the k2-tree comparator
+   ({!K2_relation}, "k2", Brisaboa et al.).  Full mode runs str and k2
+   at 10^6 edges (the space acceptance point: k2 must come in strictly
+   below str in bits/edge) and pushes k2 alone to 10^7;
    DSDG_BENCH_QUICK=1 shrinks everything to CI size.  Every row also
    lands in the BENCH JSON stream. *)
 
 let quick () = Sys.getenv_opt "DSDG_BENCH_QUICK" <> None
-let backend_name = function Rel_backend.Str -> "str" | Rel_backend.K2 -> "k2"
+
+(* The operations a crawl cell times, over either relation; edge u -> v
+   is object u related to label v. *)
+type crawl_rel = {
+  name : string;
+  add : int -> int -> bool;
+  remove : int -> int -> bool;
+  iter_succ : int -> f:(int -> unit) -> unit;
+  iter_pred : int -> f:(int -> unit) -> unit;
+  space_bits : unit -> int;
+  live : unit -> int;
+}
+
+let str_rel () =
+  let r = Dyn_binrel.create () in
+  { name = "str"; add = Dyn_binrel.add r; remove = Dyn_binrel.remove r;
+    iter_succ = Dyn_binrel.labels_of_object r; iter_pred = Dyn_binrel.objects_of_label r;
+    space_bits = (fun () -> Dyn_binrel.space_bits r); live = (fun () -> Dyn_binrel.live_pairs r) }
+
+let k2_rel () =
+  let r = K2_relation.create () in
+  { name = "k2"; add = K2_relation.add r; remove = K2_relation.remove r;
+    iter_succ = K2_relation.labels_of_object r; iter_pred = K2_relation.objects_of_label r;
+    space_bits = (fun () -> K2_relation.space_bits r); live = (fun () -> K2_relation.live_pairs r) }
 
 (* Breadth-first traversal from [src], capped at [cap] node visits so
    a full-mode k2 run stays minutes, not hours; returns visits made. *)
@@ -102,7 +126,7 @@ let bfs_bounded g ~src ~cap =
   while (not (Queue.is_empty q)) && !visits < cap do
     let u = Queue.pop q in
     incr visits;
-    Digraph.iter_successors g u ~f:(fun v ->
+    g.iter_succ u ~f:(fun v ->
         if not (Hashtbl.mem seen v) then begin
           Hashtbl.replace seen v ();
           Queue.push v q
@@ -110,17 +134,17 @@ let bfs_bounded g ~src ~cap =
   done;
   !visits
 
-(* One matrix cell: build the crawl graph on [backend], measure insert
-   and delete throughput, successor+predecessor scan rate, bounded-BFS
-   rate, and bits/edge; returns the printed table row. *)
-let crawl_cell ~backend ~nodes ~edges =
+(* One matrix cell: build the crawl graph in a fresh [make ()], measure
+   insert and delete throughput, successor+predecessor scan rate,
+   bounded-BFS rate, and bits/edge; returns the printed table row. *)
+let crawl_cell ~make ~nodes ~edges =
   let st = Random.State.make [| 47; edges; nodes |] in
   let stream = Graph_gen.web_crawl st ~nodes ~edges in
   let n_edges = Array.length stream in
-  let g = Digraph.create ~backend () in
+  let g = make () in
   let _, build_ns =
     Bench_util.time_ns (fun () ->
-        Array.iter (fun (u, v) -> ignore (Digraph.add_edge g u v)) stream)
+        Array.iter (fun (u, v) -> ignore (g.add u v)) stream)
   in
   let insert_s = float_of_int n_edges /. (build_ns /. 1e9) in
   (* delete throughput: remove a stride sample, then restore it *)
@@ -134,9 +158,9 @@ let crawl_cell ~backend ~nodes ~edges =
   let batch = Array.of_list !batch in
   let _, del_ns =
     Bench_util.time_ns (fun () ->
-        Array.iter (fun (u, v) -> ignore (Digraph.remove_edge g u v)) batch)
+        Array.iter (fun (u, v) -> ignore (g.remove u v)) batch)
   in
-  Array.iter (fun (u, v) -> ignore (Digraph.add_edge g u v)) batch;
+  Array.iter (fun (u, v) -> ignore (g.add u v)) batch;
   let delete_s = float_of_int (Array.length batch) /. (del_ns /. 1e9) in
   (* degree-biased neighbor scans, both directions *)
   let sources = Graph_gen.neighbor_queries st ~edges:stream ~count:(if quick () then 50 else 200) in
@@ -145,8 +169,8 @@ let crawl_cell ~backend ~nodes ~edges =
     Bench_util.time_ns (fun () ->
         Array.iter
           (fun u ->
-            Digraph.iter_successors g u ~f:(fun _ -> incr touched);
-            Digraph.iter_predecessors g u ~f:(fun _ -> incr touched))
+            g.iter_succ u ~f:(fun _ -> incr touched);
+            g.iter_pred u ~f:(fun _ -> incr touched))
           sources)
   in
   let scan_s = float_of_int !touched /. (scan_ns /. 1e9) in
@@ -159,10 +183,10 @@ let crawl_cell ~backend ~nodes ~edges =
         Array.iter (fun s -> visits := !visits + bfs_bounded g ~src:s ~cap) bfs_srcs)
   in
   let bfs_s = float_of_int !visits /. (bfs_ns /. 1e9) in
-  let bpe = float_of_int (Digraph.space_bits g) /. float_of_int (Digraph.edge_count g) in
+  let bpe = float_of_int (g.space_bits ()) /. float_of_int (g.live ()) in
   Bench_util.(emit_json_row ~bench:"binrel/webcrawl")
     Bench_util.
-      [ ("backend", S (backend_name backend));
+      [ ("backend", S g.name);
       ("nodes", I nodes);
       ("edges", I n_edges);
       ("insert_ops_s", F insert_s);
@@ -172,7 +196,7 @@ let crawl_cell ~backend ~nodes ~edges =
         ("bits_per_edge", F bpe)
       ];
   ( bpe,
-    [ backend_name backend;
+    [ g.name;
       string_of_int nodes;
       string_of_int n_edges;
       Printf.sprintf "%.0f" insert_s;
@@ -183,13 +207,13 @@ let crawl_cell ~backend ~nodes ~edges =
 
 let run_crawl_matrix () =
   let cells =
-    if quick () then [ (Rel_backend.Str, 4_000, 20_000); (Rel_backend.K2, 4_000, 20_000) ]
+    if quick () then [ (str_rel, 4_000, 20_000); (k2_rel, 4_000, 20_000) ]
     else
-      [ (Rel_backend.Str, 100_000, 1_000_000);
-        (Rel_backend.K2, 100_000, 1_000_000);
-        (Rel_backend.K2, 1_000_000, 10_000_000) ]
+      [ (str_rel, 100_000, 1_000_000);
+        (k2_rel, 100_000, 1_000_000);
+        (k2_rel, 1_000_000, 10_000_000) ]
   in
-  let rows = List.map (fun (b, n, e) -> crawl_cell ~backend:b ~nodes:n ~edges:e) cells in
+  let rows = List.map (fun (make, n, e) -> crawl_cell ~make ~nodes:n ~edges:e) cells in
   Bench_util.print_table
     ~title:
       "Web-crawl matrix: backend x scale [expect k2 bits/edge < str bits/edge at the shared scale]"

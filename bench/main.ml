@@ -52,7 +52,6 @@ let experiments =
     ("table1", Table1.run);
     ("backends", Bench_backends.run);
     ("sequences", Bench_sequences.run);
-    ("cst", Bench_cst.run);
     ("table2", Table2.run);
     ("table3", Table3.run);
     ("table4", Table4.run);

@@ -77,15 +77,6 @@ let profile_of_string = function
   | "churny" -> Dsdg_check.Opgen.churny
   | s -> die_usage "unknown profile: %s" s
 
-(* Relation/graph adjacency backend (wavelet-tree pair list vs k2
-   quadtree), a runtime seam: never persisted (stores hold the bare
-   pair set), recorded in relation replay-trace hints as rel=<spec>. *)
-let rel_kind_of_string = function
-  | s -> (
-    match Binrel.Rel_backend.kind_of_string s with
-    | Some k -> k
-    | None -> die_usage "unknown --rel-backend: %s (expected str | k2)" s)
-
 (* Store-mode error envelope: a corrupt snapshot, an interior-corrupt
    WAL or a snapshot/WAL serial gap is a problem with the files on
    disk, not a crash -- report where, and exit 2 like a parse error. *)
@@ -671,7 +662,7 @@ let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_e
    tearing the final WAL record) at every stride-th op, recover, and
    diff the recovered index against the model. *)
 let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault profile replay
-    trace_dir shards store sync checkpoint_every kill_stride follow rel rel_backend =
+    trace_dir shards store sync checkpoint_every kill_stride follow rel =
   let open Dsdg_check in
   let base = Runner.fuzz_index in
   let targets = Runner.select_targets ~variant ~backend () in
@@ -691,13 +682,8 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
      is a usage error. *)
   let enforce_hint file (index : Index_config.t) =
     let h = load_hint file in
-    (match h.Trace.h_rel with
-    | Some want ->
-      die_usage
-        "trace %s is a relation trace (recorded with --rel --rel-backend %s); replay it with \
-         dsdg fuzz --rel --rel-backend %s --replay %s"
-        file want want file
-    | None -> ());
+    if h.Trace.h_rel then
+      die_usage "trace %s is a relation trace; replay it with dsdg fuzz --rel --replay %s" file file;
     let need_shards =
       match h.Trace.h_shards with
       | Some k when k <> shards -> [ ("shards", string_of_int k, string_of_int shards) ]
@@ -734,19 +720,11 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
   in
   match store with
   | _ when rel ->
-    (* relation-backend differential mode: streams of relation ops
-       fanned over the adjacency backends (str wavelet-tree pair list,
-       k2 quadtree, or both) and cross-checked against the naive
-       pair-set model after every op *)
+    (* relation differential mode: streams of relation ops driving the
+       dynamic relation, cross-checked against the naive pair-set model
+       after every op *)
     if store <> None || follow then
       die_usage "--rel is an in-memory differential mode; it does not combine with --store or --follow";
-    let spec =
-      match Rel_check.spec_of_string rel_backend with
-      | Some s -> s
-      | None -> die_usage "unknown --rel-backend: %s (expected str | k2 | both)" rel_backend
-    in
-    let kinds = Rel_check.kinds_of_spec spec in
-    let knames = String.concat "," (List.map Binrel.Rel_backend.kind_to_string kinds) in
     let fault_v =
       match fault with
       | "none" -> None
@@ -767,54 +745,42 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
             | Some s -> Printf.sprintf "dsdg-fuzz-rel-seed%d.trace" s
             | None -> "dsdg-fuzz-rel-replay.trace")
         in
-        Rel_check.save ?fault:fault_v ~spec path shrunk;
-        Printf.printf
-          "minimal trace saved to %s\nreplay: dsdg fuzz --rel --replay %s --rel-backend %s%s\n"
-          path path
-          (Rel_check.spec_to_string spec)
+        Rel_check.save ?fault:fault_v path shrunk;
+        Printf.printf "minimal trace saved to %s\nreplay: dsdg fuzz --rel --replay %s%s\n" path path
           (match fault_v with Some f -> " --fault " ^ Rel_check.fault_to_string f | None -> "");
         exit 1
     in
     (match replay with
     | Some file ->
-      (* a relation trace records which backend shape it diverged
-         under; replaying it against a different one (or as a document
-         trace) would "pass" without testing anything *)
-      (match (load_hint file).Trace.h_rel with
-      | None ->
+      (* a document trace replayed as relation ops would "pass" without
+         testing anything *)
+      if not (load_hint file).Trace.h_rel then
         die_usage
           "trace %s is not a relation trace (no rel= hint); drop --rel, or replay a trace \
            saved by dsdg fuzz --rel"
-          file
-      | Some want when want <> Rel_check.spec_to_string spec ->
-        die_usage
-          "trace %s was recorded with --rel-backend %s (this invocation has --rel-backend %s); \
-           pass --rel-backend %s"
-          file want rel_backend want
-      | Some _ -> ());
+          file;
       let trace =
         try Rel_check.load file
         with Trace.Parse_error e ->
           prerr_endline (Trace.parse_error_message ~file e);
           exit 2
       in
-      Printf.printf "replaying %d relation op(s) over {%s}\n%!" (List.length trace) knames;
-      conclude ~seed_used:None (Rel_check.check ?fault:fault_v kinds trace);
-      Printf.printf "replay OK: every backend agrees with the pair-set model after every op\n"
+      Printf.printf "replaying %d relation op(s)\n%!" (List.length trace);
+      conclude ~seed_used:None (Rel_check.check ?fault:fault_v trace);
+      Printf.printf "replay OK: the relation agrees with the pair-set model after every op\n"
     | None ->
-      Printf.printf "rel fuzzing %d stream(s) x %d ops over {%s}%s\n%!" streams ops knames
+      Printf.printf "rel fuzzing %d stream(s) x %d ops%s\n%!" streams ops
         (match fault_v with
         | Some f -> Printf.sprintf " with planted fault %s" (Rel_check.fault_to_string f)
         | None -> "");
       for s = 0 to streams - 1 do
         let stream_seed = seed + s in
         conclude ~seed_used:(Some stream_seed)
-          (Rel_check.run_stream ?fault:fault_v ~seed:stream_seed ~ops kinds);
+          (Rel_check.run_stream ?fault:fault_v ~seed:stream_seed ~ops ());
         if streams > 1 then Printf.printf "stream seed=%d: ok\n%!" stream_seed
       done;
-      Printf.printf
-        "rel fuzz OK: %d stream(s) x %d ops, backends {%s} byte-identical to the pair-set model\n"
-        streams ops knames)
+      Printf.printf "rel fuzz OK: %d stream(s) x %d ops, byte-identical to the pair-set model\n"
+        streams ops)
   | _ when follow ->
     (* leader/follower differential mode: a real cluster per target --
        leader store + server on an ephemeral port, WAL-shipped replica,
@@ -1018,13 +984,10 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
 
 (* Graph workload driver: the CLI face of the compressed dynamic graph
    (DESIGN.md section 15). Builds a web-crawl-shaped edge stream (or
-   re-ingests a saved pair set) into the chosen adjacency backend, runs
-   neighbor scans and BFS traversals, and prints throughput and
-   bits/edge. The saved artifact is the bare pair set (Codec relation
-   container): the adjacency backend is a runtime choice and is never
-   persisted. *)
-let graph_cmd nodes edges seed rel_backend tau queries save_path load_path =
-  let kind = rel_kind_of_string rel_backend in
+   re-ingests a saved pair set) into a Digraph, runs neighbor scans and
+   BFS traversals, and prints throughput and bits/edge. The saved
+   artifact is the bare pair set (Codec relation container). *)
+let graph_cmd nodes edges seed tau queries save_path load_path =
   if tau < 1 then die_usage "--tau must be >= 1 (got %d)" tau;
   if queries < 0 then die_usage "--queries must be >= 0 (got %d)" queries;
   let module G = Binrel.Digraph in
@@ -1041,21 +1004,20 @@ let graph_cmd nodes edges seed rel_backend tau queries save_path load_path =
           exit 2
       in
       let t0 = now () in
-      let g = G.of_edges ~tau ~backend:kind pairs in
+      let g = G.of_edges ~tau pairs in
       Printf.printf "loaded %d edge(s) from %s\n" (G.edge_count g) file;
       (Array.of_list pairs, g, now () -. t0)
     | None ->
       if nodes < 2 then die_usage "--nodes must be >= 2 (got %d)" nodes;
       if edges < 1 then die_usage "--edges must be >= 1 (got %d)" edges;
       let stream = Gen.web_crawl st ~nodes ~edges in
-      let g = G.create ~tau ~backend:kind () in
+      let g = G.create ~tau () in
       let t0 = now () in
       Array.iter (fun (u, v) -> ignore (G.add_edge g u v)) stream;
       (stream, g, now () -. t0)
   in
   let live = G.edge_count g in
-  Printf.printf "backend %s: %d live edge(s), built in %.2fs (%.0f inserts/s)\n" rel_backend live
-    build_s
+  Printf.printf "%d live edge(s), built in %.2fs (%.0f inserts/s)\n" live build_s
     (float_of_int (Array.length stream) /. (build_s +. 1e-9));
   if Array.length stream = 0 then die_usage "empty graph: nothing to query";
   (* neighbor scans: out-degree-biased sources, forward and reverse *)
@@ -1112,16 +1074,13 @@ let graph_cmd nodes edges seed rel_backend tau queries save_path load_path =
     (float_of_int !churned /. (churn_s +. 1e-9));
   let bits = G.space_bits g in
   let s = G.stats g in
-  Printf.printf "space: %d bits total, %.1f bits/edge (merges %d, purges %d, rebuilds %d, grows %d)\n"
-    bits
+  Printf.printf "space: %d bits total, %.1f bits/edge (merges %d, purges %d, rebuilds %d)\n" bits
     (float_of_int bits /. float_of_int (max 1 live))
-    s.Binrel.Rel_backend.merges s.Binrel.Rel_backend.purges s.Binrel.Rel_backend.global_rebuilds
-    s.Binrel.Rel_backend.grows;
+    s.Binrel.Dyn_binrel.merges s.purges s.global_rebuilds;
   match save_path with
   | Some path ->
     Store.Codec.write_relation path (G.edges g);
-    Printf.printf "saved %d edge(s) to %s (pair set only; reopen with either --rel-backend)\n"
-      live path
+    Printf.printf "saved %d edge(s) to %s (pair set only)\n" live path
   | None -> ()
 
 let files_arg = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE")
@@ -1389,42 +1348,34 @@ let graph_queries_arg =
        & info [ "queries" ] ~docv:"N"
            ~doc:"Neighbor-scan sources to draw (BFS runs $(docv)/10 traversals).")
 
-let graph_rel_backend_arg =
-  Arg.(value & opt string "k2"
-       & info [ "rel-backend" ] ~docv:"NAME"
-           ~doc:"Adjacency backend: str (wavelet-tree pair list) | k2 (quadtree over the \
-                 adjacency matrix). A runtime choice, never persisted: a pair set saved under \
-                 one backend reopens under the other.")
-
 let graph_save_arg =
   Arg.(value & opt (some string) None
        & info [ "save" ] ~docv:"FILE"
            ~doc:"After the workload, save the live pair set into $(docv) (Codec relation \
-                 container, backend-agnostic).")
+                 container).")
 
 let graph_load_arg =
   Arg.(value & opt (some file) None
        & info [ "load" ] ~docv:"FILE"
-           ~doc:"Re-ingest a pair set saved with --save into the chosen backend instead of \
-                 generating a crawl.")
+           ~doc:"Re-ingest a pair set saved with --save instead of generating a crawl.")
 
 let graph_t =
   Cmd.v
     (Cmd.info "graph"
-       ~doc:"Build a web-crawl graph in a compressed adjacency backend and run scan/BFS workloads"
+       ~doc:"Build a web-crawl graph in the compressed dynamic graph and run scan/BFS workloads"
        ~man:
          [
            `S Manpage.s_description;
            `P
              "Generate a web-crawl-shaped stream of distinct directed edges (Zipf-skewed \
-              in-degrees over a growing frontier), insert it into the adjacency backend named \
-              by $(b,--rel-backend), then measure neighbor scans (successor + predecessor \
+              in-degrees over a growing frontier), insert it into a dynamic compressed graph \
+              (Theorem 3), then measure neighbor scans (successor + predecessor \
               enumeration from out-degree-biased sources), BFS traversals, and delete/re-insert \
               churn, finishing with the structure's measured bits/edge. $(b,--save) persists \
-              the bare pair set; $(b,--load) re-ingests one into either backend.";
+              the bare pair set; $(b,--load) re-ingests one.";
          ])
     Term.(
-      const graph_cmd $ graph_nodes_arg $ graph_edges_arg $ load_seed_arg $ graph_rel_backend_arg
+      const graph_cmd $ graph_nodes_arg $ graph_edges_arg $ load_seed_arg
       $ tau_arg Index_config.default.tau $ graph_queries_arg $ graph_save_arg $ graph_load_arg)
 
 let no_obs_arg =
@@ -1481,18 +1432,12 @@ let fuzz_follow_arg =
 let fuzz_rel_arg =
   Arg.(value & flag
        & info [ "rel" ]
-           ~doc:"Relation-backend differential mode: generate streams of relation operations \
-                 (add/remove/related/successor/predecessor/pair-set snapshots), fan each over \
-                 the adjacency backends named by --rel-backend, and cross-check every answer \
-                 against the naive pair-set model after every op. Failing streams shrink to \
+           ~doc:"Relation differential mode: generate streams of relation operations \
+                 (add/remove/related/successor/predecessor/pair-set snapshots), drive the \
+                 dynamic relation with each, and cross-check every answer against the naive \
+                 pair-set model after every op. Failing streams shrink to \
                  minimal replayable traces with a rel= hint. --fault rel-lost-remove plants a \
                  defect to prove the oracle has teeth.")
-
-let fuzz_rel_backend_arg =
-  Arg.(value & opt string "both"
-       & info [ "rel-backend" ] ~docv:"SPEC"
-           ~doc:"Adjacency backend(s) under test with --rel: str | k2 | both. Also the value \
-                 recorded in (and enforced from) the rel= hint of saved relation traces.")
 
 let fuzz_t =
   Cmd.v
@@ -1501,7 +1446,7 @@ let fuzz_t =
       const fuzz_cmd $ fuzz_seed_arg $ fuzz_ops_arg $ fuzz_streams_arg $ fuzz_variant_arg
       $ fuzz_backend_arg $ fuzz_config_t $ fuzz_fault_arg $ fuzz_profile_arg $ fuzz_replay_arg
       $ fuzz_trace_dir_arg $ shards_arg $ store_arg $ sync_arg $ checkpoint_every_arg
-      $ fuzz_kill_stride_arg $ fuzz_follow_arg $ fuzz_rel_arg $ fuzz_rel_backend_arg)
+      $ fuzz_kill_stride_arg $ fuzz_follow_arg $ fuzz_rel_arg)
 
 let () =
   let doc = "dynamic compressed document collection index (Munro-Nekrich-Vitter, PODS 2015)" in

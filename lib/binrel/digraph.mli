@@ -1,19 +1,13 @@
 (** Dynamic directed graph (Theorem 3): a binary relation on the node
-    set; edge u -> v is "object u related to label v". The relation
-    itself is backend-chosen through {!Rel_backend} — the string-based
-    hierarchy ([Str], the default) or the k²-tree adjacency matrix
-    ([K2]) — with identical query answers either way. *)
+    set; edge u -> v is "object u related to label v", held in one
+    {!Dyn_binrel}. *)
 
 type t
 
-(** [create ()] is the empty graph. [tau] tunes the [Str] backend's
-    lazy-deletion schedule (ignored by [K2]); [backend] (default
-    [Str]) picks the relation representation for the graph's whole
-    lifetime. *)
-val create : ?tau:int -> ?backend:Rel_backend.kind -> unit -> t
-
-(** The backend this graph was created with. *)
-val backend : t -> Rel_backend.kind
+(** [create ()] is the empty graph. [tau] tunes the relation's
+    lazy-deletion schedule (see {!Dyn_binrel.create}, which rejects
+    [tau < 1]). *)
+val create : ?tau:int -> unit -> t
 
 (** [add_edge t u v]; [false] if the edge exists. *)
 val add_edge : t -> int -> int -> bool
@@ -45,21 +39,17 @@ val out_degree : t -> int -> int
 (** In-degree of [v]. *)
 val in_degree : t -> int -> int
 
-(** Measured resident size in bits; comparable across backends. *)
+(** Measured resident size in bits (see {!Dyn_binrel.space_bits}). *)
 val space_bits : t -> int
 
-(** Update counters of the underlying relation; fields foreign to the
-    chosen backend read zero (see {!Rel_backend.stats}). *)
-val stats : t -> Rel_backend.stats
+(** Update counters of the underlying relation. *)
+val stats : t -> Dyn_binrel.stats
 
 (** {1 Persistence}
 
-    A graph's snapshot unit is its edge set — for {e every} backend:
-    both representations are deterministic functions of the live pairs
-    and are rebuilt on reinsertion ({!Rel_backend.iter_pairs}). The
-    backend kind itself is a runtime choice and is deliberately not
-    persisted: pairs recovered from a snapshot may be re-ingested into
-    either backend. *)
+    A graph's snapshot unit is its edge set: the relation's layout is
+    an amortization artifact, rebuilt on reinsertion
+    ({!Dyn_binrel.iter_pairs}). *)
 
 (** Every live edge [u -> v], in no particular order. *)
 val iter_edges : t -> f:(int -> int -> unit) -> unit
@@ -69,7 +59,7 @@ val edges : t -> (int * int) list
 
 (** [of_edges pairs] rebuilds a graph from a persisted edge set
     (duplicates ignored) — the recovery path of the store codec. The
-    edges are built in bulk ({!Rel_backend.of_pairs}): on [Str] as one
-    static structure rather than one merge cascade per edge, with the
+    edges are built in bulk ({!Dyn_binrel.of_pairs}) as one static
+    structure rather than one merge cascade per edge, with the
     relation's update counters left at zero. *)
-val of_edges : ?tau:int -> ?backend:Rel_backend.kind -> (int * int) list -> t
+val of_edges : ?tau:int -> (int * int) list -> t

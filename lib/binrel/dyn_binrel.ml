@@ -88,6 +88,8 @@ type t = {
 let max_slots = 8
 
 let create ?(tau = 8) () =
+  (* checked here, not at the first merge that builds a sub-structure *)
+  if tau < 1 then invalid_arg "Dyn_binrel.create: tau";
   let obs = Obs.private_scope "binrel" in
   {
     tau;

@@ -17,7 +17,8 @@ type stats = {
 }
 
 (** [create ()] is the empty relation; [tau] tunes the lazy-deletion
-    purge threshold 1/tau (default 4). *)
+    purge threshold 1/tau (default 8). Raises [Invalid_argument] if
+    [tau < 1]. *)
 val create : ?tau:int -> unit -> t
 
 (** Counter snapshot (see {!stats}). *)
@@ -35,7 +36,8 @@ val live_pairs : t -> int
     ignored), built in bulk: one static structure in the top slot, the
     state {!add}'s global rebuild leaves behind, instead of one merge
     cascade per pair. It is construction, not a rebuild: every {!stats}
-    counter of the result is zero. *)
+    counter of the result is zero. Raises [Invalid_argument] if
+    [tau < 1]. *)
 val of_pairs : ?tau:int -> (int * int) list -> t
 
 (** [add t o a] relates object [o] to label [a]; [false] if already
@@ -67,7 +69,7 @@ val count_labels_of_object : t -> int -> int
 val count_objects_of_label : t -> int -> int
 
 (** Measured resident size in bits, all directory constants included;
-    comparable with {!K2_relation.space_bits}. *)
+    comparable with {!K2_relation.space_bits}, the bench comparator. *)
 val space_bits : t -> int
 
 (** {1 Persistence}

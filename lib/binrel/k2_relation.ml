@@ -185,8 +185,7 @@ type t = {
 
 (* [tau] is accepted for signature uniformity with {!Dyn_binrel} but
    unused: there is no lazy-deletion schedule to tune. *)
-let create ?tau () =
-  ignore tau;
+let create () =
   let obs = Obs.private_scope "k2rel" in
   {
     side = leaf_side;

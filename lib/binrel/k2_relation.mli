@@ -2,8 +2,9 @@
     recursive 16-ary quadtree (4×4 subsquares per level) over the
     node×node boolean matrix with packed child bitmaps and adaptive
     64×64 leaves — sparse leaves hold packed sorted cell offsets,
-    dense leaves a 4096-bit bitmap — the space-competitive alternative
-    to {!Dyn_binrel} behind the {!Rel_backend} seam.
+    dense leaves a 4096-bit bitmap. It is the space comparator for
+    {!Dyn_binrel} in the [binrel] bench (the Brisaboa et al.
+    comparison); no engine path links it.
 
     Empty subsquares are unrepresented; every update touches one
     root-to-leaf path (O(log side) nodes, no amortized rebuilds); the
@@ -16,10 +17,8 @@ type t
     (the k²-tree analogue of {!Dyn_binrel}'s global rebuilds). *)
 type stats = { grows : int }
 
-(** [create ()] is the empty relation over a 64×64 universe. [tau] is
-    accepted for signature uniformity with {!Dyn_binrel.create} and
-    ignored — there is no lazy-deletion schedule to tune. *)
-val create : ?tau:int -> unit -> t
+(** [create ()] is the empty relation over a 64×64 universe. *)
+val create : unit -> t
 
 (** Counter snapshot (see {!stats}). *)
 val stats : t -> stats

@@ -15,31 +15,28 @@
 
 type t = {
   graphs : (int, Digraph.t) Hashtbl.t; (* predicate -> subject->object edges *)
-  sp : Rel_backend.rel; (* subject related to predicate *)
-  op : Rel_backend.rel; (* object related to predicate *)
+  sp : Dyn_binrel.t; (* subject related to predicate *)
+  op : Dyn_binrel.t; (* object related to predicate *)
   tau : int;
-  backend : Rel_backend.kind;
   mutable triples : int;
 }
 
-let create ?(tau = 8) ?(rel_backend = Rel_backend.Str) () =
+let create ?(tau = 8) () =
   {
     graphs = Hashtbl.create 16;
-    sp = Rel_backend.create ~tau rel_backend;
-    op = Rel_backend.create ~tau rel_backend;
+    sp = Dyn_binrel.create ~tau ();
+    op = Dyn_binrel.create ~tau ();
     tau;
-    backend = rel_backend;
     triples = 0;
   }
 
 let triple_count t = t.triples
-let backend t = t.backend
 
 let graph_of t p =
   match Hashtbl.find_opt t.graphs p with
   | Some g -> g
   | None ->
-    let g = Digraph.create ~tau:t.tau ~backend:t.backend () in
+    let g = Digraph.create ~tau:t.tau () in
     Hashtbl.replace t.graphs p g;
     g
 
@@ -52,8 +49,8 @@ let add t ~s ~p ~o =
   if not (Digraph.add_edge g s o) then false
   else begin
     t.triples <- t.triples + 1;
-    ignore (Rel_backend.add t.sp s p);
-    ignore (Rel_backend.add t.op o p);
+    ignore (Dyn_binrel.add t.sp s p);
+    ignore (Dyn_binrel.add t.op o p);
     true
   end
 
@@ -66,15 +63,15 @@ let remove t ~s ~p ~o =
     if not (Digraph.remove_edge g s o) then false
     else begin
       t.triples <- t.triples - 1;
-      if Digraph.out_degree g s = 0 then ignore (Rel_backend.remove t.sp s p);
-      if Digraph.in_degree g o = 0 then ignore (Rel_backend.remove t.op o p);
+      if Digraph.out_degree g s = 0 then ignore (Dyn_binrel.remove t.sp s p);
+      if Digraph.in_degree g o = 0 then ignore (Dyn_binrel.remove t.op o p);
       true
     end
 
 (* Predicates under which [s] occurs as a subject. *)
-let predicates_of_subject t s = Rel_backend.labels_of_object_list t.sp s
+let predicates_of_subject t s = Dyn_binrel.labels_of_object_list t.sp s
 
-let predicates_of_object t o = Rel_backend.labels_of_object_list t.op o
+let predicates_of_object t o = Dyn_binrel.labels_of_object_list t.op o
 
 (* All triples with subject [s]. *)
 let triples_with_subject t s =
@@ -127,4 +124,4 @@ let count_with_predicate t p =
 
 let space_bits t =
   Hashtbl.fold (fun _ g acc -> acc + Digraph.space_bits g) t.graphs 0
-  + Rel_backend.space_bits t.sp + Rel_backend.space_bits t.op
+  + Dyn_binrel.space_bits t.sp + Dyn_binrel.space_bits t.op

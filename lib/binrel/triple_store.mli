@@ -6,14 +6,10 @@
 
 type t
 
-(** [create ()] is the empty store. [tau] tunes the [Str] backend's
-    lazy-deletion schedule; [rel_backend] (default [Str]) picks the
-    {!Rel_backend} representation used by every per-predicate graph
-    and both predicate-link relations. *)
-val create : ?tau:int -> ?rel_backend:Rel_backend.kind -> unit -> t
-
-(** The relation backend this store was created with. *)
-val backend : t -> Rel_backend.kind
+(** [create ()] is the empty store. [tau] tunes the lazy-deletion
+    schedule of every per-predicate graph and both predicate-link
+    relations (see {!Dyn_binrel.create}, which rejects [tau < 1]). *)
+val create : ?tau:int -> unit -> t
 
 (** Number of live triples. *)
 val triple_count : t -> int

@@ -1,8 +1,8 @@
-(* Differential checking for the relation backends: fan one stream of
-   relation operations over the Rel_backend matrix (str, k2, or both),
-   cross-check every answer against the naive Model.Rel, and
-   delta-debug failing streams down to minimal replayable traces with
-   the same stream driver (Runner.drive) as the document fuzzer. *)
+(* Differential checking for the dynamic relation: drive one Dyn_binrel
+   with a stream of relation operations, cross-check every answer
+   against the naive Model.Rel, and delta-debug failing streams down to
+   minimal replayable traces with the same stream driver (Runner.drive)
+   as the document fuzzer. *)
 
 open Dsdg_binrel
 
@@ -45,18 +45,6 @@ let rop_of_string line =
   | Ok op -> op
   | Error reason -> invalid_arg (Printf.sprintf "Rel_check.rop_of_string: %S (%s)" line reason)
 
-(* --- backend selection --- *)
-
-type spec = One of Rel_backend.kind | Both
-
-let spec_to_string = function One k -> Rel_backend.kind_to_string k | Both -> "both"
-
-let spec_of_string = function
-  | "both" | "all" -> Some Both
-  | s -> Option.map (fun k -> One k) (Rel_backend.kind_of_string s)
-
-let kinds_of_spec = function One k -> [ k ] | Both -> Rel_backend.all_kinds
-
 (* --- planted faults --- *)
 
 (* A deliberate defect in the harness's application of ops, so the
@@ -73,114 +61,72 @@ let fault_of_string = function "rel-lost-remove" -> Some Lost_remove | _ -> None
 
 (* --- differential run --- *)
 
-let run_ops ?fault ?(init = []) kinds (ops : rop list) : (unit, rop Runner.failure) result =
+let subject = "dyn_binrel"
+
+let run_ops ?fault ?(init = []) (ops : rop list) : (unit, rop Runner.failure) result =
   let model = Model.Rel.create () in
   List.iter (fun (o, a) -> ignore (Model.Rel.add model o a)) init;
-  let rels =
-    List.mapi
-      (fun i k -> ((i, Rel_backend.kind_to_string k), Rel_backend.of_pairs ~tau:4 k init))
-      kinds
-  in
+  let r = Dyn_binrel.of_pairs ~tau:4 init in
   let exception Diverged of rop Runner.failure in
-  let fail step (i, name) op fmt =
-    Printf.ksprintf
-      (fun m ->
-        raise
-          (Diverged
-             { Runner.f_step = step; f_target = name; f_subject = i; f_op = op; f_message = m;
-               f_events = [] }))
-      fmt
-  in
-  let check_list step who op what expected got =
-    if expected <> got then
-      fail step who op "%s: model [%s] vs %s [%s]" what
-        (String.concat ";" (List.map string_of_int expected))
-        (snd who)
-        (String.concat ";" (List.map string_of_int got))
+  let apply step op =
+    let fail fmt =
+      Printf.ksprintf
+        (fun m ->
+          raise
+            (Diverged
+               { Runner.f_step = step; f_target = subject; f_subject = 0; f_op = op;
+                 f_message = m; f_events = [] }))
+        fmt
+    in
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    let bool what want got = if got <> want then fail "%s: model %b vs %b" what want got in
+    let int what want got = if got <> want then fail "%s: model %d vs %d" what want got in
+    let list what want got =
+      if got <> want then fail "%s: model [%s] vs %s [%s]" what (ints want) subject (ints got)
+    in
+    (match op with
+    | Radd (o, a) ->
+      bool (Printf.sprintf "add %d %d" o a) (Model.Rel.add model o a) (Dyn_binrel.add r o a)
+    | Rremove (o, a) ->
+      let want = Model.Rel.remove model o a in
+      let dropped = fault = Some Lost_remove && (o + a) mod 3 = 0 in
+      bool (Printf.sprintf "remove %d %d" o a) want
+        (if dropped then false else Dyn_binrel.remove r o a)
+    | Rrelated (o, a) ->
+      bool (Printf.sprintf "related %d %d" o a) (Model.Rel.related model o a)
+        (Dyn_binrel.related r o a)
+    | Rsucc o ->
+      let want = Model.Rel.labels_of_object model o in
+      list (Printf.sprintf "labels_of_object %d" o) want (Dyn_binrel.labels_of_object_list r o);
+      int (Printf.sprintf "count_labels_of_object %d" o) (List.length want)
+        (Dyn_binrel.count_labels_of_object r o)
+    | Rpred a ->
+      let want = Model.Rel.objects_of_label model a in
+      list (Printf.sprintf "objects_of_label %d" a) want (Dyn_binrel.objects_of_label_list r a);
+      int (Printf.sprintf "count_objects_of_label %d" a) (List.length want)
+        (Dyn_binrel.count_objects_of_label r a)
+    | Rpairs ->
+      let want = Model.Rel.pairs model in
+      let got = Dyn_binrel.pairs_list r in
+      if got <> want then
+        fail "pair-set snapshot: model %d pairs vs %s %d pairs%s" (List.length want) subject
+          (List.length got)
+          (match List.find_opt (fun p -> not (List.mem p got)) want with
+          | Some (o, a) -> Printf.sprintf " (first missing: %d,%d)" o a
+          | None -> ""));
+    (* live-pair census after every op: cheap and catches drift early *)
+    int "live_pairs" (Model.Rel.size model) (Dyn_binrel.live_pairs r)
   in
   try
-    List.iteri
-      (fun i op ->
-        let step = i + 1 in
-        (match op with
-        | Radd (o, a) ->
-          let want = Model.Rel.add model o a in
-          List.iter
-            (fun (who, r) ->
-              let got = Rel_backend.add r o a in
-              if got <> want then fail step who op "add %d %d: model %b vs %b" o a want got)
-            rels
-        | Rremove (o, a) ->
-          let want = Model.Rel.remove model o a in
-          let dropped = fault = Some Lost_remove && (o + a) mod 3 = 0 in
-          List.iter
-            (fun (who, r) ->
-              let got = if dropped then false else Rel_backend.remove r o a in
-              if got <> want then fail step who op "remove %d %d: model %b vs %b" o a want got)
-            rels
-        | Rrelated (o, a) ->
-          let want = Model.Rel.related model o a in
-          List.iter
-            (fun (who, r) ->
-              let got = Rel_backend.related r o a in
-              if got <> want then fail step who op "related %d %d: model %b vs %b" o a want got)
-            rels
-        | Rsucc o ->
-          let want = Model.Rel.labels_of_object model o in
-          List.iter
-            (fun (who, r) ->
-              check_list step who op
-                (Printf.sprintf "labels_of_object %d" o)
-                want
-                (Rel_backend.labels_of_object_list r o);
-              let c = Rel_backend.count_labels_of_object r o in
-              if c <> List.length want then
-                fail step who op "count_labels_of_object %d: model %d vs %d" o
-                  (List.length want) c)
-            rels
-        | Rpred a ->
-          let want = Model.Rel.objects_of_label model a in
-          List.iter
-            (fun (who, r) ->
-              check_list step who op
-                (Printf.sprintf "objects_of_label %d" a)
-                want
-                (Rel_backend.objects_of_label_list r a);
-              let c = Rel_backend.count_objects_of_label r a in
-              if c <> List.length want then
-                fail step who op "count_objects_of_label %d: model %d vs %d" a
-                  (List.length want) c)
-            rels
-        | Rpairs ->
-          let want = Model.Rel.pairs model in
-          List.iter
-            (fun (who, r) ->
-              let got = Rel_backend.pairs_list r in
-              if got <> want then
-                fail step who op "pair-set snapshot: model %d pairs vs %s %d pairs%s"
-                  (List.length want) (snd who) (List.length got)
-                  (match
-                     List.find_opt (fun p -> not (List.mem p got)) want
-                   with
-                  | Some (o, a) -> Printf.sprintf " (first missing: %d,%d)" o a
-                  | None -> ""))
-            rels);
-        (* live-pair census after every op: cheap and catches drift early *)
-        let want = Model.Rel.size model in
-        List.iter
-          (fun (who, r) ->
-            let got = Rel_backend.live_pairs r in
-            if got <> want then fail step who op "live_pairs: model %d vs %d" want got)
-          rels)
-      ops;
+    List.iteri (fun i op -> apply (i + 1) op) ops;
     Ok ()
   with Diverged f -> Error f
 
 (* --- stream generation --- *)
 
-(* Bounded universe with occasional far-out ids, so k2 exercises its
-   matrix-growth path and str its alphabet spread; weighted toward
-   updates with queries and snapshots interleaved. *)
+(* Bounded universe with occasional far-out ids, so the relation's
+   static structures see a spread alphabet; weighted toward updates with
+   queries and snapshots interleaved. *)
 let gen_ops ~seed ~ops =
   let st = Random.State.make [| seed; 0xbe1 |] in
   let id () =
@@ -199,25 +145,26 @@ let gen_ops ~seed ~ops =
 
 (* Relation ops carry no payload worth halving: chunk removal does the
    work. *)
-let check ?fault kinds trace =
-  Runner.drive ~run:(run_ops ?fault) ~simplify:(fun _ -> None) kinds trace
-let run_stream ?fault ~seed ~ops kinds = check ?fault kinds (gen_ops ~seed ~ops)
+let check ?fault trace =
+  Runner.drive ~run:(fun _ ops -> run_ops ?fault ops) ~simplify:(fun _ -> None) [ () ] trace
+
+let run_stream ?fault ~seed ~ops () = check ?fault (gen_ops ~seed ~ops)
 
 (* --- persistence (same header convention as Trace) --- *)
 
-let save ?fault ~spec path ops =
+let save ?fault path ops =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (Printf.sprintf "%% requires rel=%s\n" (spec_to_string spec));
+      output_string oc "% requires rel=str\n";
       (match fault with
       | Some f -> output_string oc (Printf.sprintf "%% fault %s\n" (fault_to_string f))
       | None -> ());
       List.iter (fun op -> output_string oc (rop_to_string op ^ "\n")) ops)
 
 (* Relation traces reuse Trace's hint header, so [Trace.load_hint]
-   reads the [rel=] requirement back. *)
+   reads the [rel=] marker back. *)
 let load path =
   let ic = open_in path in
   Fun.protect

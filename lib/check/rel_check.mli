@@ -1,10 +1,10 @@
-(** Differential checking for the relation backends: one stream of
-    relation operations fanned over the {!Dsdg_binrel.Rel_backend}
-    matrix and cross-checked answer-by-answer against the naive
-    {!Model.Rel}, with failing streams delta-debugged to minimal
-    replayable traces through the same stream driver ({!Runner.drive})
-    as the document fuzzer. Failures and reports are the runner's:
-    print one with [Runner.report ~show:rop_to_string]. *)
+(** Differential checking for the dynamic relation: one stream of
+    relation operations drives a {!Dsdg_binrel.Dyn_binrel} and is
+    cross-checked answer-by-answer against the naive {!Model.Rel}, with
+    failing streams delta-debugged to minimal replayable traces through
+    the same stream driver ({!Runner.drive}) as the document fuzzer.
+    Failures and reports are the runner's: print one with
+    [Runner.report ~show:rop_to_string]. *)
 
 (** One relation operation. The textual format is line-based, in the
     {!Trace} mold: ["> o a"] (add), ["< o a"] (remove), ["~ o a"]
@@ -29,20 +29,6 @@ val parse_rop : string -> (rop, string) result
 (** Raises [Invalid_argument] on garbage. *)
 val rop_of_string : string -> rop
 
-(** Which backends a stream fans over. *)
-type spec = One of Dsdg_binrel.Rel_backend.kind | Both
-
-(** ["str"], ["k2"] or ["both"] — the CLI flag spelling, and the value
-    of the [rel=] trace-hint key. *)
-val spec_to_string : spec -> string
-
-(** Inverse of {!spec_to_string} (accepts ["all"] for [Both]); [None]
-    on unknown names. *)
-val spec_of_string : string -> spec option
-
-(** The backend kinds a spec denotes. *)
-val kinds_of_spec : spec -> Dsdg_binrel.Rel_backend.kind list
-
 (** A deliberate harness defect for catch/shrink/replay self-tests
     (the relation-side analogue of [Transform2.fault]): [Lost_remove]
     silently drops removes of pairs with [(o + a) mod 3 = 0] from the
@@ -57,37 +43,29 @@ val fault_to_string : fault -> string
 (** Inverse of {!fault_to_string}. *)
 val fault_of_string : string -> fault option
 
-(** Run a trace over fresh instances of every backend in [kinds];
-    [Error] carries the first disagreement with the model (answers,
-    live-pair census after every op, and pair-set snapshots), with the
-    backend's name as [f_target]. The instances and the model start
-    from the pairs [init] (default none), the instances built in bulk
-    ({!Dsdg_binrel.Rel_backend.of_pairs}). *)
+(** Run a trace over a fresh relation; [Error] carries the first
+    disagreement with the model (answers, live-pair census after every
+    op, and pair-set snapshots). The relation and the model start from
+    the pairs [init] (default none), the relation built in bulk
+    ({!Dsdg_binrel.Dyn_binrel.of_pairs}). *)
 val run_ops :
-  ?fault:fault ->
-  ?init:(int * int) list ->
-  Dsdg_binrel.Rel_backend.kind list ->
-  rop list ->
-  (unit, rop Runner.failure) result
+  ?fault:fault -> ?init:(int * int) list -> rop list -> (unit, rop Runner.failure) result
 
 (** Deterministic bounded stream: a mostly-small id universe with
-    occasional far-out ids (exercising k2 matrix growth), weighted
-    toward updates with queries and snapshots interleaved. *)
+    occasional far-out ids, weighted toward updates with queries and
+    snapshots interleaved. *)
 val gen_ops : seed:int -> ops:int -> rop list
 
-(** {!Runner.drive} over {!run_ops}: run, and on failure shrink
-    against the disagreeing backend. *)
-val check :
-  ?fault:fault -> Dsdg_binrel.Rel_backend.kind list -> rop list -> rop Runner.outcome
+(** {!Runner.drive} over {!run_ops}: run, and on failure shrink. *)
+val check : ?fault:fault -> rop list -> rop Runner.outcome
 
 (** {!check} on the stream {!gen_ops} makes from [seed]. *)
-val run_stream :
-  ?fault:fault -> seed:int -> ops:int -> Dsdg_binrel.Rel_backend.kind list -> rop Runner.outcome
+val run_stream : ?fault:fault -> seed:int -> ops:int -> unit -> rop Runner.outcome
 
-(** Save a relation trace with a ["% requires rel=<spec>"] hint header
-    (readable back via {!Trace.load_hint}), so replays can refuse a
-    different backend shape. *)
-val save : ?fault:fault -> spec:spec -> string -> rop list -> unit
+(** Save a relation trace under a ["% requires rel=str"] header, the
+    marker {!Trace.load_hint} reads as [h_rel], so a replayer can tell a
+    relation trace from a document trace. *)
+val save : ?fault:fault -> string -> rop list -> unit
 
 (** Load a relation trace; raises {!Trace.Parse_error} with the line
     number and offending field on garbage. *)

@@ -68,14 +68,19 @@ let render ops =
 
 (* Replay hints ride in '%'-comment headers: old traces (no header)
    and old readers (comments skipped) both keep working. *)
-type hint = { h_shards : int option; h_rel : string option; h_index : (string * string) list }
+type hint = { h_shards : int option; h_rel : bool; h_index : (string * string) list }
 
-let no_hint = { h_shards = None; h_rel = None; h_index = [] }
+let no_hint = { h_shards = None; h_rel = false; h_index = [] }
 
+(* A relation trace is marked [rel=str], the string relation it ran
+   against; readers check only that the key is there, so traces written
+   with an older backend value ([rel=k2], [rel=both]) replay bare. *)
 let hint_line hint =
   let opt name = function None -> [] | Some v -> [ (name, v) ] in
   match
-    opt "shards" (Option.map string_of_int hint.h_shards) @ hint.h_index @ opt "rel" hint.h_rel
+    opt "shards" (Option.map string_of_int hint.h_shards)
+    @ hint.h_index
+    @ if hint.h_rel then [ ("rel", "str") ] else []
   with
   | [] -> None
   | fields ->
@@ -98,7 +103,7 @@ let parse_hint_line line =
       (match List.assoc_opt "shards" pairs with
       | Some v when int_of_string_opt v = None -> Error ("shards=" ^ v)
       | shards ->
-        Ok { h_shards = Option.map int_of_string shards; h_rel = List.assoc_opt "rel" pairs; h_index })
+        Ok { h_shards = Option.map int_of_string shards; h_rel = List.mem_assoc "rel" pairs; h_index })
   | _ -> None
 
 let save ?(hint = no_hint) path ops =

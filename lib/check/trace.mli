@@ -56,9 +56,9 @@ val render : op list -> string
     requirement. *)
 type hint = {
   h_shards : int option;
-  h_rel : string option;
-      (** relation backend spec of a relation-stream trace ("str"/"k2"/
-          "both"); absent on document traces *)
+  h_rel : bool;
+      (** a relation-stream trace: saved as [rel=str]; any [rel=] value
+          reads as [true] (older traces wrote [k2] or [both]) *)
   h_index : (string * string) list;
       (** every other [key=value] field: the index settings the run
           used, as written by {!Dsdg_core.Index_config.to_hint} *)

@@ -23,5 +23,4 @@ let () =
       ("repl", Suite_repl.suite);
       ("cli", Suite_cli.suite);
       ("api", Suite_api.suite);
-      ("rrr", Suite_rrr.suite);
-      ("bp", Suite_bp.suite) ]
+      ("rrr", Suite_rrr.suite) ]

@@ -234,9 +234,59 @@ let prop_graph_vs_shared_model =
       done;
       !ok && Digraph.edge_count g = Rel.size m)
 
-(* --- backend conformance matrix: str vs k2 vs the naive model --- *)
+(* --- conformance: the string relation and the k2 comparator vs the
+   naive model --- *)
 
-let each_backend f = List.iter f Rel_backend.all_kinds
+(* One relation's operations as closures, so one test drives both. *)
+type rel_ops = {
+  name : string;
+  add : int -> int -> bool;
+  remove : int -> int -> bool;
+  related : int -> int -> bool;
+  succ : int -> int list;
+  pred : int -> int list;
+  out_deg : int -> int;
+  in_deg : int -> int;
+  live : unit -> int;
+  pairs : unit -> (int * int) list;
+}
+
+let str_ops () =
+  let r = Dyn_binrel.create ~tau:4 () in
+  { name = "str"; add = Dyn_binrel.add r; remove = Dyn_binrel.remove r;
+    related = Dyn_binrel.related r; succ = Dyn_binrel.labels_of_object_list r;
+    pred = Dyn_binrel.objects_of_label_list r; out_deg = Dyn_binrel.count_labels_of_object r;
+    in_deg = Dyn_binrel.count_objects_of_label r; live = (fun () -> Dyn_binrel.live_pairs r);
+    pairs = (fun () -> Dyn_binrel.pairs_list r) }
+
+let k2_ops () =
+  let r = K2_relation.create () in
+  { name = "k2"; add = K2_relation.add r; remove = K2_relation.remove r;
+    related = K2_relation.related r; succ = K2_relation.labels_of_object_list r;
+    pred = K2_relation.objects_of_label_list r; out_deg = K2_relation.count_labels_of_object r;
+    in_deg = K2_relation.count_objects_of_label r; live = (fun () -> K2_relation.live_pairs r);
+    pairs = (fun () -> K2_relation.pairs_list r) }
+
+let each_rel f = List.iter (fun make -> f (make ())) [ str_ops; k2_ops ]
+
+(* A relation rejects a lazy-deletion threshold below 1 when it is
+   made, not at the first merge partway through a stream. *)
+let test_tau_below_one_rejected () =
+  let rejects what f =
+    Alcotest.(check bool) (what ^ " raises Invalid_argument") true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "Dyn_binrel.create ~tau:0" (fun () -> ignore (Dyn_binrel.create ~tau:0 ()));
+  rejects "Dyn_binrel.of_pairs ~tau:0" (fun () -> ignore (Dyn_binrel.of_pairs ~tau:0 [ (1, 2) ]));
+  rejects "Digraph.create ~tau:0" (fun () -> ignore (Digraph.create ~tau:0 ()));
+  rejects "Digraph.of_edges ~tau:(-1)" (fun () -> ignore (Digraph.of_edges ~tau:(-1) []));
+  rejects "Triple_store.create ~tau:0" (fun () -> ignore (Triple_store.create ~tau:0 ()));
+  (* tau = 1 is the smallest legal threshold and survives merges *)
+  let g = Digraph.create ~tau:1 () in
+  for u = 0 to 99 do
+    ignore (Digraph.add_edge g u (u + 1))
+  done;
+  check "tau=1 edges" 100 (Digraph.edge_count g)
 
 (* k2 quadrant boundaries: coordinates straddling leaf (8) and quadrant
    (powers of two) edges, inserted, queried and removed, against the
@@ -342,43 +392,36 @@ let test_k2_adaptive_leaf () =
   Alcotest.(check (list (pair int int))) "pair set after drain" (Rel.pairs m)
     (K2_relation.pairs_list r)
 
-(* the same scripted churn through the seam, every backend vs model *)
+(* the same scripted churn through both relations vs the model *)
 let test_backend_matrix_churn () =
-  each_backend (fun kind ->
-      let name = Rel_backend.kind_to_string kind in
-      let r = Rel_backend.create ~tau:4 kind in
+  each_rel (fun r ->
       let m = Rel.create () in
       let st = Random.State.make [| 7; 31 |] in
       for _ = 1 to 600 do
         let o = Random.State.int st 40 and a = Random.State.int st 40 in
         if Random.State.float st 1.0 < 0.6 then begin
-          if Rel_backend.add r o a <> Rel.add m o a then Alcotest.failf "%s: add" name
+          if r.add o a <> Rel.add m o a then Alcotest.failf "%s: add" r.name
         end
-        else if Rel_backend.remove r o a <> Rel.remove m o a then Alcotest.failf "%s: remove" name
+        else if r.remove o a <> Rel.remove m o a then Alcotest.failf "%s: remove" r.name
       done;
-      check (name ^ " live") (Rel.size m) (Rel_backend.live_pairs r);
+      check (r.name ^ " live") (Rel.size m) (r.live ());
       for x = 0 to 39 do
-        if Rel_backend.labels_of_object_list r x <> Rel.labels_of_object m x then
-          Alcotest.failf "%s: labels of %d" name x;
-        if Rel_backend.objects_of_label_list r x <> Rel.objects_of_label m x then
-          Alcotest.failf "%s: objects of %d" name x;
-        if Rel_backend.count_labels_of_object r x <> Rel.count_labels_of_object m x then
-          Alcotest.failf "%s: count labels of %d" name x
+        if r.succ x <> Rel.labels_of_object m x then Alcotest.failf "%s: labels of %d" r.name x;
+        if r.pred x <> Rel.objects_of_label m x then Alcotest.failf "%s: objects of %d" r.name x;
+        if r.out_deg x <> Rel.count_labels_of_object m x then
+          Alcotest.failf "%s: count labels of %d" r.name x
       done;
-      Alcotest.(check (list (pair int int))) (name ^ " pair set") (Rel.pairs m)
-        (Rel_backend.pairs_list r))
+      Alcotest.(check (list (pair int int))) (r.name ^ " pair set") (Rel.pairs m) (r.pairs ()))
 
-(* snapshot isolation: the edge list captured from a graph is immutable
-   data, unaffected by writer churn -- checked from a concurrent reader
-   domain while the writer keeps mutating. *)
+(* snapshot isolation: the pair list captured from a relation is
+   immutable data, unaffected by writer churn -- checked from a
+   concurrent reader domain while the writer keeps mutating. *)
 let test_snapshot_isolation_concurrent () =
-  each_backend (fun kind ->
-      let name = Rel_backend.kind_to_string kind in
-      let g = Digraph.create ~tau:4 ~backend:kind () in
+  each_rel (fun r ->
       for u = 0 to 19 do
-        ignore (Digraph.add_edge g u ((u + 3) mod 20))
+        ignore (r.add u ((u + 3) mod 20))
       done;
-      let snapshot = Digraph.edges g in
+      let snapshot = r.pairs () in
       let reader =
         Domain.spawn (fun () ->
             let ok = ref true in
@@ -389,40 +432,38 @@ let test_snapshot_isolation_concurrent () =
             !ok)
       in
       for u = 0 to 19 do
-        ignore (Digraph.remove_edge g u ((u + 3) mod 20));
-        ignore (Digraph.add_edge g u ((u + 7) mod 20))
+        ignore (r.remove u ((u + 3) mod 20));
+        ignore (r.add u ((u + 7) mod 20))
       done;
-      Alcotest.(check bool) (name ^ " reader saw a stable snapshot") true (Domain.join reader);
-      Alcotest.(check bool) (name ^ " snapshot differs from new state") true
-        (snapshot <> Digraph.edges g))
+      Alcotest.(check bool) (r.name ^ " reader saw a stable snapshot") true (Domain.join reader);
+      Alcotest.(check bool) (r.name ^ " snapshot differs from new state") true
+        (snapshot <> r.pairs ()))
 
-(* graph-level backend equivalence incl. the of_edges recovery path *)
+(* a Digraph and the k2 comparator fed the same edges agree, and the
+   graph's edge set survives the of_edges recovery path *)
 let test_digraph_backend_roundtrip () =
   let st = Random.State.make [| 5; 77 |] in
   let edges = Array.init 300 (fun _ -> (Random.State.int st 50, Random.State.int st 50)) in
-  let mk kind =
-    let g = Digraph.create ~backend:kind () in
-    Array.iter (fun (u, v) -> ignore (Digraph.add_edge g u v)) edges;
-    g
-  in
-  let gs = mk Rel_backend.Str and gk = mk Rel_backend.K2 in
-  Alcotest.(check (list (pair int int))) "edge sets agree" (Digraph.edges gs) (Digraph.edges gk);
-  check "counts agree" (Digraph.edge_count gs) (Digraph.edge_count gk);
-  Alcotest.(check bool) "backends recorded" true
-    (Digraph.backend gs = Rel_backend.Str && Digraph.backend gk = Rel_backend.K2);
-  (* persisted pairs re-ingest into either backend *)
-  let re = Digraph.of_edges ~backend:Rel_backend.K2 (Digraph.edges gs) in
-  Alcotest.(check (list (pair int int))) "of_edges roundtrip" (Digraph.edges gs)
+  let g = Digraph.create () and k = K2_relation.create () in
+  Array.iter (fun (u, v) -> ignore (Digraph.add_edge g u v); ignore (K2_relation.add k u v)) edges;
+  Alcotest.(check (list (pair int int))) "edge sets agree" (Digraph.edges g)
+    (K2_relation.pairs_list k);
+  check "counts agree" (Digraph.edge_count g) (K2_relation.live_pairs k);
+  let re = Digraph.of_edges (Digraph.edges g) in
+  Alcotest.(check (list (pair int int))) "of_edges roundtrip" (Digraph.edges g)
     (Digraph.edges re);
   for u = 0 to 49 do
-    check_l (Printf.sprintf "succ %d" u) (Digraph.successors gs u) (Digraph.successors gk u);
-    check_l (Printf.sprintf "pred %d" u) (Digraph.predecessors gs u) (Digraph.predecessors gk u)
+    check_l (Printf.sprintf "succ %d" u) (K2_relation.labels_of_object_list k u)
+      (Digraph.successors g u);
+    check_l (Printf.sprintf "pred %d" u) (K2_relation.objects_of_label_list k u)
+      (Digraph.predecessors g u);
+    check_l (Printf.sprintf "re succ %d" u) (Digraph.successors g u) (Digraph.successors re u)
   done
 
 (* --- bulk builds --- *)
 
-(* Digraph.of_edges on both backends, duplicates and self-loops
-   included, against the model fed the same pairs one by one. *)
+(* Digraph.of_edges, duplicates and self-loops included, against the
+   model fed the same pairs one by one. *)
 let test_of_edges_matches_model () =
   let st = Random.State.make [| 9; 4 |] in
   let random = List.init 500 (fun _ -> (Random.State.int st 40, Random.State.int st 40)) in
@@ -435,25 +476,20 @@ let test_of_edges_matches_model () =
     (fun (name, pairs) ->
       let m = Rel.create () in
       List.iter (fun (u, v) -> ignore (Rel.add m u v)) pairs;
-      List.iter
-        (fun kind ->
-          let label = name ^ "/" ^ Rel_backend.kind_to_string kind in
-          let g = Digraph.of_edges ~tau:4 ~backend:kind pairs in
-          Alcotest.(check bool) (label ^ " backend") true (Digraph.backend g = kind);
-          Alcotest.(check (list (pair int int))) (label ^ " edges") (Rel.pairs m) (Digraph.edges g);
-          check (label ^ " edge count") (Rel.size m) (Digraph.edge_count g);
-          for u = 0 to 40 do
-            check_l (Printf.sprintf "%s succ %d" label u) (Rel.labels_of_object m u) (Digraph.successors g u);
-            check_l (Printf.sprintf "%s pred %d" label u) (Rel.objects_of_label m u)
-              (Digraph.predecessors g u);
-            check (Printf.sprintf "%s out-degree %d" label u) (Rel.count_labels_of_object m u)
-              (Digraph.out_degree g u)
-          done;
-          (* a bulk build is construction, not a rebuild *)
-          let s = Digraph.stats g in
-          check (label ^ " merges") 0 s.Rel_backend.merges;
-          check (label ^ " global rebuilds") 0 s.Rel_backend.global_rebuilds)
-        Rel_backend.all_kinds)
+      let g = Digraph.of_edges ~tau:4 pairs in
+      Alcotest.(check (list (pair int int))) (name ^ " edges") (Rel.pairs m) (Digraph.edges g);
+      check (name ^ " edge count") (Rel.size m) (Digraph.edge_count g);
+      for u = 0 to 40 do
+        check_l (Printf.sprintf "%s succ %d" name u) (Rel.labels_of_object m u) (Digraph.successors g u);
+        check_l (Printf.sprintf "%s pred %d" name u) (Rel.objects_of_label m u)
+          (Digraph.predecessors g u);
+        check (Printf.sprintf "%s out-degree %d" name u) (Rel.count_labels_of_object m u)
+          (Digraph.out_degree g u)
+      done;
+      (* a bulk build is construction, not a rebuild *)
+      let s = Digraph.stats g in
+      check (name ^ " merges") 0 s.Dyn_binrel.merges;
+      check (name ^ " global rebuilds") 0 s.global_rebuilds)
     cases
 
 (* A bulk-built relation driven by a differential stream that removes
@@ -475,10 +511,10 @@ let test_bulk_then_stream () =
          init)
     @ [ Rc.Rpairs ]
   in
-  (match Rc.run_ops ~init Rel_backend.all_kinds ops with
+  (match Rc.run_ops ~init ops with
   | Ok () -> ()
   | Error f -> Alcotest.failf "step %d on %s: %s" f.Dsdg_check.Runner.f_step f.f_target f.f_message);
-  (* the same stream really purges and rebuilds the Str structures *)
+  (* the same stream really purges and rebuilds the relation *)
   let r = Dyn_binrel.of_pairs ~tau:4 init in
   List.iter
     (function
@@ -490,45 +526,47 @@ let test_bulk_then_stream () =
   Alcotest.(check bool) "purged" true (s.Dyn_binrel.purges > 0);
   Alcotest.(check bool) "rebuilt globally" true (s.Dyn_binrel.global_rebuilds > 0)
 
-let test_triple_store_k2 () =
-  let ts = Triple_store.create ~tau:4 ~rel_backend:Rel_backend.K2 () in
-  Alcotest.(check bool) "backend" true (Triple_store.backend ts = Rel_backend.K2);
-  Alcotest.(check bool) "add" true (Triple_store.add ts ~s:1 ~p:10 ~o:2);
-  ignore (Triple_store.add ts ~s:1 ~p:10 ~o:3);
-  ignore (Triple_store.add ts ~s:4 ~p:11 ~o:2);
-  Alcotest.(check (list (triple int int int))) "subject 1"
-    [ (1, 10, 2); (1, 10, 3) ]
-    (List.sort compare (Triple_store.triples_with_subject ts 1));
-  check "count object 2" 2 (Triple_store.count_with_object ts 2);
-  Alcotest.(check bool) "remove" true (Triple_store.remove ts ~s:1 ~p:10 ~o:2);
-  check "count" 2 (Triple_store.triple_count ts)
-
-(* QCheck: both backends reproduce the model's pair set byte-for-byte
-   on random streams, including far-out ids (k2 growth). *)
+(* QCheck: both relations reproduce the model on random streams,
+   including far-out ids (k2 growth): the pair set, and for every id the
+   stream touched, both neighbour lists, both counts and [related]. *)
 let prop_backend_pairset_agreement =
   QCheck.Test.make ~name:"rel backends agree on pair sets under churn" ~count:50
     QCheck.(pair (int_bound 10000) (int_range 60 300))
     (fun (seed, ops) ->
       let st = Random.State.make [| seed; 61 |] in
-      let rels = List.map (fun k -> Rel_backend.create ~tau:4 k) Rel_backend.all_kinds in
+      let rels = [ str_ops (); k2_ops () ] in
       let m = Rel.create () in
+      let touched = Hashtbl.create 32 in
       let ok = ref true in
+      let agree f = List.iter (fun r -> if not (f r) then ok := false) rels in
       for _ = 1 to ops do
         let id () =
           if Random.State.int st 30 = 0 then Random.State.int st 500 else Random.State.int st 18
         in
         let o = id () and a = id () in
+        Hashtbl.replace touched o ();
+        Hashtbl.replace touched a ();
         if Random.State.float st 1.0 < 0.6 then begin
           let want = Rel.add m o a in
-          List.iter (fun r -> if Rel_backend.add r o a <> want then ok := false) rels
+          agree (fun r -> r.add o a = want)
         end
         else begin
           let want = Rel.remove m o a in
-          List.iter (fun r -> if Rel_backend.remove r o a <> want then ok := false) rels
+          agree (fun r -> r.remove o a = want)
         end
       done;
       let pairs = Rel.pairs m in
-      List.iter (fun r -> if Rel_backend.pairs_list r <> pairs then ok := false) rels;
+      agree (fun r -> r.pairs () = pairs && r.live () = Rel.size m);
+      let ids = Hashtbl.fold (fun x () acc -> x :: acc) touched [] in
+      List.iter
+        (fun x ->
+          agree (fun r ->
+              r.succ x = Rel.labels_of_object m x
+              && r.pred x = Rel.objects_of_label m x
+              && r.out_deg x = Rel.count_labels_of_object m x
+              && r.in_deg x = Rel.count_objects_of_label m x
+              && List.for_all (fun y -> r.related x y = Rel.related m x y) ids))
+        ids;
       !ok)
 
 (* --- Triple_store --- *)
@@ -604,11 +642,11 @@ let suite =
     ("k2 quadrant boundaries", `Quick, test_k2_quadrant_boundaries);
     ("k2 universe growth", `Quick, test_k2_universe_growth);
     ("k2 adaptive leaf", `Quick, test_k2_adaptive_leaf);
+    ("tau < 1 rejected at create", `Quick, test_tau_below_one_rejected);
     ("backend matrix churn", `Quick, test_backend_matrix_churn);
     ("snapshot isolation across backends", `Quick, test_snapshot_isolation_concurrent);
     ("digraph backend roundtrip", `Quick, test_digraph_backend_roundtrip);
     ("of_edges bulk build matches model", `Quick, test_of_edges_matches_model);
     ("bulk build then differential stream", `Quick, test_bulk_then_stream);
-    ("triple store on k2", `Quick, test_triple_store_k2);
     ("triple store basic", `Quick, test_triples_basic) ]
   @ qsuite

@@ -371,9 +371,7 @@ let test_sync_vs_pooled_equivalence () =
       Alcotest.(check int) (ctx "total_symbols") (DI.total_symbols a) (DI.total_symbols b))
     ops
 
-(* --- relation-backend differential streams (Rel_check) --- *)
-
-let rel_kinds = Rel_check.kinds_of_spec Rel_check.Both
+(* --- relation differential streams (Rel_check) --- *)
 
 let test_rel_rop_roundtrip () =
   let ops =
@@ -388,22 +386,31 @@ let test_rel_rop_roundtrip () =
   List.iter
     (fun bad -> Alcotest.(check bool) bad true (Result.is_error (Rel_check.parse_rop bad)))
     [ ""; "> 1"; "< x y"; "* 3"; "? 1 2" ];
-  (* file round-trip with the rel= hint header *)
+  (* file round-trip with the rel= marker header *)
   let path = Filename.temp_file "dsdg-rel-trace" ".trace" in
-  Rel_check.save ~spec:(Rel_check.One Dsdg_binrel.Rel_backend.K2) path ops;
+  Rel_check.save path ops;
   let hint = Result.get_ok (Trace.load_hint path) in
-  Alcotest.(check (option string)) "rel hint" (Some "k2") hint.Trace.h_rel;
+  Alcotest.(check bool) "rel marker" true hint.Trace.h_rel;
   let reloaded = Rel_check.load path in
   Sys.remove path;
-  Alcotest.(check bool) "ops round-trip" true (reloaded = ops)
+  Alcotest.(check bool) "ops round-trip" true (reloaded = ops);
+  (* any rel= value marks a relation trace: older traces named a backend *)
+  List.iter
+    (fun (header, is_rel) ->
+      let path = Filename.temp_file "dsdg-rel-old" ".trace" in
+      Out_channel.with_open_text path (fun oc -> output_string oc (header ^ "\n> 1 2\n"));
+      let hint = Result.get_ok (Trace.load_hint path) in
+      Sys.remove path;
+      Alcotest.(check bool) header is_rel hint.Trace.h_rel)
+    [ ("% requires rel=k2", true); ("% requires rel=both", true); ("% requires tau=3", false) ]
 
-(* The acceptance sweep: bounded relation streams fanned over BOTH
-   backends, every answer byte-identical to the model (FUZZ_STREAMS
-   of them -- 200 by default). *)
+(* The acceptance sweep: bounded relation streams, every answer
+   byte-identical to the model (FUZZ_STREAMS of them -- 200 by
+   default). *)
 let test_rel_fuzz_streams () =
   for i = 0 to n_streams - 1 do
     let seed = base_seed + (1000 * i) in
-    match Rel_check.run_stream ~seed ~ops:ops_per_stream rel_kinds with
+    match Rel_check.run_stream ~seed ~ops:ops_per_stream () with
     | Runner.Pass -> ()
     | Runner.Fail { failure; shrunk; trace = _ } ->
       Alcotest.failf "%s" (Runner.report ~seed ~show:Rel_check.rop_to_string ~failure ~shrunk ())
@@ -418,7 +425,7 @@ let test_rel_planted_fault_caught () =
     if seed > base_seed + 9 then
       Alcotest.fail "planted rel-lost-remove fault never caught in 10 streams"
     else
-      match Rel_check.run_stream ~fault ~seed ~ops:200 rel_kinds with
+      match Rel_check.run_stream ~fault ~seed ~ops:200 () with
       | Runner.Pass -> hunt (seed + 1)
       | Runner.Fail { failure = _; trace; shrunk } ->
         Alcotest.(check bool) "shrunk trace nonempty" true (shrunk <> []);
@@ -426,16 +433,16 @@ let test_rel_planted_fault_caught () =
           (List.length shrunk <= List.length trace);
         Alcotest.(check bool) "shrunk to a handful of ops" true (List.length shrunk <= 4);
         let path = Filename.temp_file "dsdg-rel-fault" ".trace" in
-        Rel_check.save ~fault ~spec:Rel_check.Both path shrunk;
+        Rel_check.save ~fault path shrunk;
         let hint = Result.get_ok (Trace.load_hint path) in
-        Alcotest.(check (option string)) "rel hint survives" (Some "both") hint.Trace.h_rel;
+        Alcotest.(check bool) "rel marker survives" true hint.Trace.h_rel;
         let reloaded = Rel_check.load path in
         Sys.remove path;
         Alcotest.(check bool) "minimal trace round-trips" true (reloaded = shrunk);
-        (match Rel_check.run_ops ~fault rel_kinds reloaded with
+        (match Rel_check.run_ops ~fault reloaded with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "replayed minimal trace no longer fails under the fault");
-        (match Rel_check.run_ops rel_kinds reloaded with
+        (match Rel_check.run_ops reloaded with
         | Ok () -> ()
         | Error f ->
           Alcotest.failf "minimal trace fails even without the fault: %s"
@@ -474,7 +481,7 @@ let suite =
     ("planted fault caught & shrunk", `Slow, test_planted_fault_caught);
     ("planted worker-crash caught & shrunk", `Slow, test_planted_worker_crash_caught);
     ("planted stale-epoch caught & shrunk", `Slow, test_planted_stale_epoch_caught);
-    ("rel fuzz streams (both backends)", `Slow, test_rel_fuzz_streams);
+    ("rel fuzz streams", `Slow, test_rel_fuzz_streams);
     ("rel planted fault caught & shrunk", `Slow, test_rel_planted_fault_caught);
     ("fuzz t3 (loglog) streams", `Slow, test_fuzz_t3_streams);
     ("fuzz pooled smoke streams", `Slow, test_fuzz_pooled_smoke);

@@ -261,33 +261,43 @@ let test_replay_hint_enforced () =
           check_exit bin ~what:"t3 is an accepted variant alias" ~expect:0
             [ "fuzz"; "--replay"; unhinted; "--variant"; "t3"; "--backend"; "fm" ]))
 
-(* The relation plane: `dsdg graph` exit codes plus a cross-backend
-   snapshot round-trip, and `fuzz --rel` with its trace hints -- a rel
-   trace names its backend spec, refuses to replay under a different
-   one (124), and never replays through the document-fuzzer path. *)
+(* The relation plane: `dsdg graph` exit codes plus a snapshot
+   round-trip, and `fuzz --rel` with its trace marker -- a rel trace
+   (whatever backend an older one named in its rel= hint) replays under
+   --rel and never through the document-fuzzer path, and a document
+   trace never replays under --rel. *)
 let test_graph_rel_cli () =
   with_bin (fun bin ->
       let snap = Filename.temp_file "dsdg-cli-graph" ".rel" in
       let junk = Filename.temp_file "dsdg-cli-junk" ".rel" in
       let module Rel_check = Dsdg_check.Rel_check in
-      let k2_trace = Filename.temp_file "dsdg-cli-rel" ".trace" in
-      Rel_check.save ~spec:(Rel_check.One Dsdg_binrel.Rel_backend.K2) k2_trace
+      let rel_trace = Filename.temp_file "dsdg-cli-rel" ".trace" in
+      Rel_check.save rel_trace
         [ Rel_check.Radd (3, 5); Rel_check.Rrelated (3, 5); Rel_check.Rpairs ];
+      (* traces as older releases wrote them, naming a relation backend *)
+      let old_trace value =
+        let path = Filename.temp_file ("dsdg-cli-rel-" ^ value) ".trace" in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc
+              (Printf.sprintf "%% requires rel=%s\n> 3 5\n< 3 5\n$ 3\n*\n" value));
+        path
+      in
+      let k2_trace = old_trace "k2" and both_trace = old_trace "both" in
       let doc_trace = Filename.temp_file "dsdg-cli-doc" ".trace" in
       Dsdg_check.Trace.save ~hint:Dsdg_check.Trace.no_hint doc_trace
         [ Dsdg_check.Trace.Insert "plain document ab" ];
       Fun.protect
         ~finally:(fun () ->
           List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
-            [ snap; junk; k2_trace; doc_trace ])
+            [ snap; junk; rel_trace; k2_trace; both_trace; doc_trace ])
         (fun () ->
           (* graph subcommand *)
-          check_exit bin ~what:"graph k2 exits 0 and saves" ~expect:0
+          check_exit bin ~what:"graph exits 0 and saves" ~expect:0
             [ "graph"; "--nodes"; "300"; "--edges"; "1500"; "--queries"; "20"; "--save"; snap ];
-          check_exit bin ~what:"graph str reloads the k2 snapshot" ~expect:0
-            [ "graph"; "--rel-backend"; "str"; "--load"; snap; "--queries"; "10" ];
-          check_exit bin ~what:"unknown graph backend is usage (124)" ~expect:124
-            [ "graph"; "--rel-backend"; "csr" ];
+          check_exit bin ~what:"graph reloads the snapshot" ~expect:0
+            [ "graph"; "--load"; snap; "--queries"; "10" ];
+          check_exit bin ~what:"graph --rel-backend is an unknown option (124)" ~expect:124
+            [ "graph"; "--rel-backend"; "str"; "--load"; snap ];
           check_exit bin ~what:"graph rejects nodes < 2 (124)" ~expect:124
             [ "graph"; "--nodes"; "1" ];
           Out_channel.with_open_bin junk (fun oc -> Out_channel.output_string oc "not a rel\n");
@@ -296,19 +306,21 @@ let test_graph_rel_cli () =
           (* fuzz --rel *)
           check_exit bin ~what:"clean rel fuzz exits 0" ~expect:0
             [ "fuzz"; "--rel"; "--ops"; "60"; "--seed"; "5" ];
-          check_exit bin ~what:"rel fuzz on one backend exits 0" ~expect:0
+          check_exit bin ~what:"fuzz --rel-backend is an unknown option (124)" ~expect:124
             [ "fuzz"; "--rel"; "--rel-backend"; "k2"; "--ops"; "40" ];
-          check_exit bin ~what:"unknown rel backend is usage (124)" ~expect:124
-            [ "fuzz"; "--rel"; "--rel-backend"; "bogus" ];
           check_exit bin ~what:"--rel with --follow is usage (124)" ~expect:124
             [ "fuzz"; "--rel"; "--follow"; "/nonexistent" ];
-          (* hint enforcement, both directions *)
+          (* the rel= marker, both directions *)
+          check_exit bin ~what:"rel trace replays" ~expect:0
+            [ "fuzz"; "--rel"; "--replay"; rel_trace ];
+          check_exit bin ~what:"old rel=k2 trace replays bare" ~expect:0
+            [ "fuzz"; "--rel"; "--replay"; k2_trace ];
+          check_exit bin ~what:"old rel=both trace replays bare" ~expect:0
+            [ "fuzz"; "--rel"; "--replay"; both_trace ];
           check_exit bin ~what:"rel trace through document path is usage (124)" ~expect:124
+            [ "fuzz"; "--replay"; rel_trace ];
+          check_exit bin ~what:"old rel=k2 trace through document path is usage (124)" ~expect:124
             [ "fuzz"; "--replay"; k2_trace ];
-          check_exit bin ~what:"rel trace under the wrong backend is usage (124)" ~expect:124
-            [ "fuzz"; "--rel"; "--rel-backend"; "str"; "--replay"; k2_trace ];
-          check_exit bin ~what:"rel trace with matching backend replays" ~expect:0
-            [ "fuzz"; "--rel"; "--rel-backend"; "k2"; "--replay"; k2_trace ];
           check_exit bin ~what:"document trace through --rel is usage (124)" ~expect:124
             [ "fuzz"; "--rel"; "--replay"; doc_trace ]))
 

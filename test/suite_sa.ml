@@ -1,4 +1,4 @@
-(* Tests for dsdg_sa: SA-IS vs naive, BWT roundtrip, LCP. *)
+(* Tests for dsdg_sa: SA-IS vs naive, BWT roundtrip. *)
 
 open Dsdg_sa
 
@@ -100,24 +100,10 @@ let prop_bwt_is_permutation_of_text =
       let sorted x = List.sort compare (Array.to_list x) in
       sorted b = sorted (Array.append [| 0 |] (Array.map (fun x -> x + 1) s)))
 
-let test_lcp_known () =
-  let s = ints_of_string "banana" in
-  let sa = Sais.suffix_array s in
-  (* suffixes: a ana anana banana na nana -> lcp 0 1 3 0 0 2 *)
-  check_arr "banana lcp" [| 0; 1; 3; 0; 0; 2 |] (Lcp.of_sa s sa)
-
-let prop_lcp =
-  QCheck.Test.make ~name:"kasai lcp agrees with naive" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 200) (int_bound 4))
-    (fun l ->
-      let s = Array.of_list l in
-      let sa = Sais.suffix_array s in
-      Lcp.of_sa s sa = Lcp.naive s sa)
-
 let qsuite =
   List.map Qc.to_alcotest
     [ prop_sais; prop_sais_is_permutation; prop_bwt_roundtrip;
-      prop_bwt_is_permutation_of_text; prop_lcp ]
+      prop_bwt_is_permutation_of_text ]
 
 let suite =
   [ ("sais banana", `Quick, test_sais_known);
@@ -127,6 +113,5 @@ let suite =
     ("sais large random", `Quick, test_sais_large_random);
     ("sais tick", `Quick, test_sais_tick);
     ("bwt banana", `Quick, test_bwt_known);
-    ("bwt roundtrip", `Quick, test_bwt_roundtrip);
-    ("lcp banana", `Quick, test_lcp_known) ]
+    ("bwt roundtrip", `Quick, test_bwt_roundtrip) ]
   @ qsuite
