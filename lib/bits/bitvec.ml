@@ -64,6 +64,7 @@ let count t = Array.fold_left (fun acc x -> acc + Popcount.count x) 0 t.data
 let num_words t = Array.length t.data
 
 let word t j = t.data.(j)
+let words t = t.data
 
 (* Valid-bit mask of word [j] (the last word may be partial). *)
 let word_mask t j =

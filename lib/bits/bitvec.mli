@@ -45,6 +45,10 @@ val num_words : t -> int
 (** [word t j] is the [j]-th backing word (62 valid bits). *)
 val word : t -> int -> int
 
+(** The backing words themselves, shared: read-only once a directory
+    is built over them. Bits past [length] are zero. *)
+val words : t -> int array
+
 (** Valid-bit mask of word [j]; the last word may be partial. *)
 val word_mask : t -> int -> int
 

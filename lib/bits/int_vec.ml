@@ -64,4 +64,4 @@ let of_array_auto a =
 
 let to_array t = Array.init t.len (get t)
 
-let space_bits t = (Array.length t.data * w) + (3 * 63)
+let space_bits t = (Array.length t.data * w) + (5 * 63)

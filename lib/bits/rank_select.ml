@@ -2,7 +2,14 @@
 
    Layout: superblocks of [sb_words] words; [super.(k)] is the number of
    1-bits strictly before superblock [k].  rank scans at most [sb_words]
-   words; select binary-searches superblocks then scans. *)
+   words; select binary-searches superblocks then scans.  A vector that
+   fits in one superblock gets no directory at all ([super = [||]]):
+   every count starts from 0 there, so the scan alone answers.
+
+   The [*_in] functions work on the bare word array and directory, so a
+   structure with many small bit vectors (the nodes of a wavelet tree)
+   can keep both in its own record instead of two extra blocks per
+   vector. *)
 
 let w = Popcount.word_bits
 let sb_words = 8
@@ -14,57 +21,65 @@ type t = {
   ones : int;
 }
 
-let build bv =
-  let nw = Bitvec.num_words bv in
-  let nsb = (nw + sb_words - 1) / sb_words in
-  let super = Array.make (nsb + 1) 0 in
-  let acc = ref 0 in
-  for j = 0 to nw - 1 do
-    if j mod sb_words = 0 then super.(j / sb_words) <- !acc;
-    acc := !acc + Popcount.count (Bitvec.word bv j)
-  done;
-  super.(nsb) <- !acc;
-  { bv; super; ones = !acc }
+let directory words =
+  let nw = Array.length words in
+  if nw <= sb_words then [||]
+  else begin
+    let nsb = (nw + sb_words - 1) / sb_words in
+    let super = Array.make (nsb + 1) 0 in
+    let acc = ref 0 in
+    for j = 0 to nw - 1 do
+      if j mod sb_words = 0 then super.(j / sb_words) <- !acc;
+      acc := !acc + Popcount.count words.(j)
+    done;
+    super.(nsb) <- !acc;
+    super
+  end
 
-let of_bitvec = build
-let length t = Bitvec.length t.bv
-let ones t = t.ones
-let zeros t = Bitvec.length t.bv - t.ones
-let get t i = Bitvec.get t.bv i
-let bitvec t = t.bv
+(* 1-bits before superblock [sb]. *)
+let[@inline] before super sb = if sb = 0 then 0 else Array.unsafe_get super sb
 
-(* Number of 1-bits in positions [0, i). *)
-let rank1 t i =
-  if i < 0 || i > Bitvec.length t.bv then invalid_arg "Rank_select.rank1";
+(* Number of 1-bits in positions [0, i); [i] at most the vector length. *)
+let rank1_in words super i =
   if i = 0 then 0
   else begin
     let word = (i - 1) / w in
     let sb = word / sb_words in
-    let acc = ref t.super.(sb) in
+    let acc = ref (before super sb) in
     for j = sb * sb_words to word - 1 do
-      acc := !acc + Popcount.count (Bitvec.word t.bv j)
+      acc := !acc + Popcount.count (Array.unsafe_get words j)
     done;
     let rem = i - (word * w) in
-    !acc + Popcount.count (Bitvec.word t.bv word land Popcount.low_mask rem)
+    !acc + Popcount.count (Array.unsafe_get words word land Popcount.low_mask rem)
   end
 
-let rank0 t i = i - rank1 t i
+(* [2 * rank1 i + bit i] for [i] below the vector length, from the one
+   word that holds bit [i]. *)
+let rank_bit_in words super i =
+  let word = i / w in
+  let sb = word / sb_words in
+  let acc = ref (before super sb) in
+  for j = sb * sb_words to word - 1 do
+    acc := !acc + Popcount.count (Array.unsafe_get words j)
+  done;
+  let x = Array.unsafe_get words word and off = i mod w in
+  ((!acc + Popcount.count (x land Popcount.low_mask off)) lsl 1) lor ((x lsr off) land 1)
 
-(* Position of the [k]-th (0-based) 1-bit.  Requires [0 <= k < ones]. *)
-let select1 t k =
-  if k < 0 || k >= t.ones then invalid_arg "Rank_select.select1";
-  (* binary search: largest sb with super.(sb) <= k *)
-  let lo = ref 0 and hi = ref (Array.length t.super - 1) in
+(* Position of the [k]-th (0-based) 1-bit.  Requires [0 <= k < ones].
+   The binary search finds the last superblock with at most [k] ones
+   before it; with no directory it is superblock 0. *)
+let select1_in words super k =
+  let lo = ref 0 and hi = ref (Array.length super - 1) in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
-    if t.super.(mid) <= k then lo := mid else hi := mid
+    if Array.unsafe_get super mid <= k then lo := mid else hi := mid
   done;
   let sb = !lo in
-  let acc = ref t.super.(sb) in
-  let nw = Bitvec.num_words t.bv in
+  let acc = ref (before super sb) in
+  let nw = Array.length words in
   let j = ref (sb * sb_words) in
   let rec find () =
-    let c = Popcount.count (Bitvec.word t.bv !j) in
+    let c = Popcount.count words.(!j) in
     if !acc + c > k then ()
     else begin
       acc := !acc + c;
@@ -74,31 +89,27 @@ let select1 t k =
     end
   in
   find ();
-  (!j * w) + Popcount.select (Bitvec.word t.bv !j) (k - !acc)
+  (!j * w) + Popcount.select words.(!j) (k - !acc)
 
-(* Position of the [k]-th (0-based) 0-bit. *)
-let select0 t k =
-  let nzeros = zeros t in
-  if k < 0 || k >= nzeros then invalid_arg "Rank_select.select0";
-  let zeros_before_sb sb =
-    let bits = min (sb * sb_bits) (Bitvec.length t.bv) in
-    bits - t.super.(sb)
-  in
-  let lo = ref 0 and hi = ref (Array.length t.super - 1) in
+(* Position of the [k]-th (0-based) 0-bit of a [len]-bit vector.
+   Requires [0 <= k < zeros]. *)
+let select0_in words super ~len k =
+  let zeros_before sb = min (sb * sb_bits) len - before super sb in
+  let lo = ref 0 and hi = ref (Array.length super - 1) in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
-    if zeros_before_sb mid <= k then lo := mid else hi := mid
+    if zeros_before mid <= k then lo := mid else hi := mid
   done;
   let sb = !lo in
-  let acc = ref (zeros_before_sb sb) in
-  let nw = Bitvec.num_words t.bv in
-  let j = ref (sb * sb_words) in
-  let word_zeros j =
-    let mask = Bitvec.word_mask t.bv j in
-    Popcount.count (mask land lnot (Bitvec.word t.bv j))
+  let acc = ref (zeros_before sb) in
+  let nw = Array.length words in
+  let inverted j =
+    let mask = if j < nw - 1 then Popcount.low_mask w else Popcount.low_mask (len - (j * w)) in
+    mask land lnot words.(j)
   in
+  let j = ref (sb * sb_words) in
   let rec find () =
-    let c = word_zeros !j in
+    let c = Popcount.count (inverted !j) in
     if !acc + c > k then ()
     else begin
       acc := !acc + c;
@@ -108,8 +119,30 @@ let select0 t k =
     end
   in
   find ();
-  let inv = Bitvec.word_mask t.bv !j land lnot (Bitvec.word t.bv !j) in
-  (!j * w) + Popcount.select inv (k - !acc)
+  (!j * w) + Popcount.select (inverted !j) (k - !acc)
 
-let space_bits t =
-  Bitvec.space_bits t.bv + (Array.length t.super * 63) + (2 * 63)
+let directory_bits super = if Array.length super = 0 then 0 else (Array.length super + 1) * 63
+
+let build bv = { bv; super = directory (Bitvec.words bv); ones = Bitvec.count bv }
+let of_bitvec = build
+let length t = Bitvec.length t.bv
+let ones t = t.ones
+let zeros t = Bitvec.length t.bv - t.ones
+let get t i = Bitvec.get t.bv i
+let bitvec t = t.bv
+
+let rank1 t i =
+  if i < 0 || i > Bitvec.length t.bv then invalid_arg "Rank_select.rank1";
+  rank1_in (Bitvec.words t.bv) t.super i
+
+let rank0 t i = i - rank1 t i
+
+let select1 t k =
+  if k < 0 || k >= t.ones then invalid_arg "Rank_select.select1";
+  select1_in (Bitvec.words t.bv) t.super k
+
+let select0 t k =
+  if k < 0 || k >= zeros t then invalid_arg "Rank_select.select0";
+  select0_in (Bitvec.words t.bv) t.super ~len:(Bitvec.length t.bv) k
+
+let space_bits t = Bitvec.space_bits t.bv + directory_bits t.super + (4 * 63)

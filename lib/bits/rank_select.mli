@@ -35,3 +35,28 @@ val select1 : t -> int -> int
 val select0 : t -> int -> int
 
 val space_bits : t -> int
+
+(** {1 Bare directories}
+
+    The same operations over a bit vector's word array ({!Bitvec.words})
+    and its directory, for structures that embed both in their own
+    records. [super] is [directory words], which is empty for vectors
+    of at most one superblock; no bounds are checked. *)
+
+val directory : int array -> int array
+
+(** Bits of a directory, for [space_bits]. *)
+val directory_bits : int array -> int
+
+(** Ones in [[0, i)], [0 <= i <= length]. *)
+val rank1_in : int array -> int array -> int -> int
+
+(** [2 * rank1 i + bit i] for [0 <= i < length], from one word probe:
+    the wavelet-tree descent step. *)
+val rank_bit_in : int array -> int array -> int -> int
+
+(** Position of the [k]-th one, [0 <= k < ones]. *)
+val select1_in : int array -> int array -> int -> int
+
+(** Position of the [k]-th zero of a [len]-bit vector, [0 <= k < zeros]. *)
+val select0_in : int array -> int array -> len:int -> int -> int

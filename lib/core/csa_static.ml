@@ -14,9 +14,9 @@ open Dsdg_bits
 open Dsdg_fm
 open Dsdg_sa
 
-let sep = 1
-let sym_of_char c = Char.code c + 2
-let char_of_sym s = Char.chr (s - 2)
+let sep = Doc_map.sep
+let sym_of_char = Doc_map.sym_of_char
+let char_of_sym = Doc_map.char_of_sym
 let sigma = 258
 
 type t = {
@@ -206,6 +206,30 @@ let extract t ~doc ~off ~len =
     row := psi t !row
   done;
   Bytes.unsafe_to_string buf
+
+(* Every document by one forward Psi walk over the whole text.  The
+   first-symbol and Psi columns are decoded into plain arrays block by
+   block first, so the walk itself is two array reads per symbol. *)
+let docs t =
+  let n = total_len t in
+  let first = Array.make t.m 0 and next = Array.make t.m 0 in
+  Array.iteri
+    (fun c -> function
+      | None -> ()
+      | Some ef ->
+        let lo = t.c_before.(c) in
+        for k = 0 to Elias_fano.length ef - 1 do
+          first.(lo + k) <- c;
+          next.(lo + k) <- Elias_fano.get ef k
+        done)
+    t.psi_blocks;
+  let text = Array.make n 0 in
+  let row = ref (Int_vec.get t.isa 0) in
+  for p = 0 to n - 1 do
+    text.(p) <- first.(!row);
+    row := next.(!row)
+  done;
+  Doc_map.split t.docs text
 
 let iter_doc_rows t doc ~f =
   let st = Doc_map.doc_start t.docs doc in

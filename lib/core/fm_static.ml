@@ -15,5 +15,6 @@ let row_count = Fm_index.row_count
 let range = Fm_index.range
 let locate = Fm_index.locate
 let extract = Fm_index.extract
+let docs = Fm_index.docs
 let iter_doc_rows = Fm_index.iter_doc_rows
 let space_bits = Fm_index.space_bits

@@ -19,7 +19,7 @@ type t = {
 
 let name = "sa"
 
-let sym_of_char c = Char.code c + 2
+let sym_of_char = Doc_map.sym_of_char
 
 let build ?(tick = fun () -> ()) ~sample (doc_strs : string array) : t =
   ignore sample;
@@ -30,7 +30,7 @@ let build ?(tick = fun () -> ()) ~sample (doc_strs : string array) : t =
     (fun d str ->
       let st = Doc_map.doc_start docs d in
       String.iteri (fun i ch -> conc.(st + i) <- sym_of_char ch) str;
-      conc.(st + String.length str) <- 1;
+      conc.(st + String.length str) <- Doc_map.sep;
       tick ())
     doc_strs;
   let conc = if n = 0 then [||] else Array.sub conc 0 n in
@@ -87,7 +87,9 @@ let extract t ~doc ~off ~len =
   let dl = doc_len t doc in
   if off < 0 || len < 0 || off + len > dl then invalid_arg "Sa_static.extract: out of document";
   let st = Doc_map.doc_start t.docs doc in
-  String.init len (fun i -> Char.chr (t.conc.(st + off + i) - 2))
+  String.init len (fun i -> Doc_map.char_of_sym t.conc.(st + off + i))
+
+let docs t = Doc_map.split t.docs t.conc
 
 let iter_doc_rows t doc ~f =
   let st = Doc_map.doc_start t.docs doc in

@@ -171,10 +171,17 @@ module Make (I : Static_index.S) = struct
       t.ids;
     List.rev !acc
 
+  (* The id maps and the dead flags are charged their heap footprint:
+     [slot_of] is its record (4 fields and a header), the bucket array
+     and a 3-field cons cell with header per binding; [ids] and [dead]
+     are one word per document plus a header. *)
+  let hashtbl_words h =
+    let s = Hashtbl.stats h in
+    5 + (1 + s.Hashtbl.num_buckets) + (4 * s.Hashtbl.num_bindings)
+
   let space_bits t =
     I.space_bits t.index + Reporter.space_bits t.alive_rows
-    + (Array.length t.ids * 2 * 63)
-    + (Array.length t.dead * 8)
+    + ((2 + Array.length t.ids + Array.length t.dead + hashtbl_words t.slot_of) * 63)
     + (4 * 63)
 
   let index t = t.index
@@ -248,14 +255,8 @@ module Make (I : Static_index.S) = struct
      view, so [view_dump] may run on a checkpoint worker domain while
      the write plane keeps flipping dead bits in the live structure. *)
   let dump_of ~index ~ids ~(dead : bool array) =
-    let docs =
-      Array.mapi
-        (fun slot id ->
-          let len = I.doc_len index slot in
-          (id, I.extract index ~doc:slot ~off:0 ~len))
-        ids
-    in
-    (docs, Array.copy dead)
+    let texts = I.docs index in
+    (Array.mapi (fun slot id -> (id, texts.(slot))) ids, Array.copy dead)
 
   let dump t = dump_of ~index:t.index ~ids:t.ids ~dead:t.dead
   let view_dump v = dump_of ~index:v.v_index ~ids:v.v_ids ~dead:v.v_dead

@@ -43,6 +43,11 @@ module type S = sig
   (** Extraction of a document substring. O(textract). *)
   val extract : t -> doc:int -> off:int -> len:int -> string
 
+  (** Every resident document, in slot order, by one bulk inversion of
+      the whole index: O(n) for every backend, far below [n] calls to
+      [extract]. Dumps and checkpoints read components this way. *)
+  val docs : t -> string array
+
   (** Rows of every suffix of a document (including its separator), used
       to implement lazy deletion: O(|doc| + tSA) total. *)
   val iter_doc_rows : t -> int -> f:(int -> unit) -> unit

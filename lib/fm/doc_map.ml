@@ -5,6 +5,13 @@
    [d] owns global positions [starts.(d), starts.(d+1) - 1) and position
    [starts.(d+1) - 1] is its separator. *)
 
+(* The symbol mapping every static index uses: 0 is the sentinel, 1 the
+   document separator and character c is code c + 2, so patterns never
+   match across a separator. *)
+let sep = 1
+let sym_of_char c = Char.code c + 2
+let char_of_sym s = Char.chr (s - 2)
+
 type t = {
   starts : int array; (* length = doc_count + 1; starts.(doc_count) = n *)
 }
@@ -34,4 +41,11 @@ let locate t p =
   done;
   (!lo, p - t.starts.(!lo))
 
-let space_bits t = Array.length t.starts * 63
+(* Cut a concatenation of mapped symbols back into its documents;
+   separators are skipped. *)
+let split t (text : int array) =
+  Array.init (doc_count t) (fun d ->
+      let st = t.starts.(d) in
+      String.init (doc_len t d) (fun i -> char_of_sym text.(st + i)))
+
+let space_bits t = (Array.length t.starts + 3) * 63

@@ -18,16 +18,16 @@ open Dsdg_bits
 open Dsdg_sa
 open Dsdg_wavelet
 
-let sep = 1
-let sym_of_char c = Char.code c + 2
-let char_of_sym s = Char.chr (s - 2)
+let sep = Doc_map.sep
+let sym_of_char = Doc_map.sym_of_char
+let char_of_sym = Doc_map.char_of_sym
 let sigma = 258
 
 type t = {
   docs : Doc_map.t;
   m : int; (* number of BWT rows = total_len + 1 (sentinel) *)
   bwt : Huffman_wavelet.t;
-  c_before : int array; (* c_before.(c) = #symbols < c in the BWT *)
+  c_before : Int_vec.t; (* c_before.(c) = #symbols < c in the BWT *)
   sample : int; (* sampling rate s *)
   marked : Rank_select.t; (* rows whose suffix position is ≡ 0 (mod s) *)
   sample_vals : Int_vec.t; (* position / s for marked rows, in row order *)
@@ -53,7 +53,7 @@ let build ?(tick = no_tick) ~sample (doc_strs : string array) : t =
   let sa = Sais.raw ~tick conc sigma in
   let bwt_arr = Bwt.of_sa conc sa in
   let bwt = Huffman_wavelet.build ~tick ~sigma bwt_arr in
-  let c_before = Bwt.counts_before bwt_arr sigma in
+  let c_before = Int_vec.of_array ~width:(Int_vec.width_for m) (Bwt.counts_before bwt_arr sigma) in
   (* SA sampling *)
   let mark_bv = Bitvec.create m in
   let n_samples = ref 0 in
@@ -101,10 +101,11 @@ let doc_len t d = Doc_map.doc_len t.docs d
 let row_count t = t.m
 let sample_rate t = t.sample
 
-(* LF-mapping: row of suffix p -> row of suffix p-1 (mod). *)
-let[@inline] lf t row =
-  let c = Huffman_wavelet.access t.bwt row in
-  t.c_before.(c) + Huffman_wavelet.rank t.bwt c row
+(* LF-mapping: row of suffix p -> row of suffix p-1 (mod), in one
+   wavelet descent. *)
+let lf t row =
+  let c, r = Huffman_wavelet.access_rank t.bwt row in
+  Int_vec.get t.c_before c + r
 
 (* Backward search.  Returns the half-open SA row range of suffixes
    starting with [p], or None. *)
@@ -116,8 +117,9 @@ let range t (p : string) : (int * int) option =
   let ok = ref true in
   while !ok && !i >= 0 do
     let c = sym_of_char p.[!i] in
-    sp := t.c_before.(c) + Huffman_wavelet.rank t.bwt c !sp;
-    ep := t.c_before.(c) + Huffman_wavelet.rank t.bwt c !ep;
+    let before = Int_vec.get t.c_before c in
+    sp := before + Huffman_wavelet.rank t.bwt c !sp;
+    ep := before + Huffman_wavelet.rank t.bwt c !ep;
     if !sp >= !ep then ok := false;
     decr i
   done;
@@ -162,29 +164,29 @@ let row_of_position t pos =
   done;
   !row
 
-(* Extract conc[g, g+len) as raw symbols by walking LF backwards from the
-   nearest ISA anchor past the end: O(len + s) wavelet operations. *)
-let extract_symbols t g len =
-  let n = total_len t in
-  if g < 0 || len < 0 || g + len > n then invalid_arg "Fm_index.extract";
-  let e = g + len in
-  let anchor = min n (((e + t.sample - 1) / t.sample) * t.sample) in
-  let row = ref (if anchor = n then 0 else Int_vec.get t.isa (anchor / t.sample)) in
-  let out = Array.make len 0 in
-  (* bwt[row of suffix p] = conc[p-1]; walk p = anchor downto g+1 *)
-  for p = anchor downto g + 1 do
-    let c = Huffman_wavelet.access t.bwt !row in
-    if p - 1 < e then out.(p - 1 - g) <- c;
-    row := lf t !row
-  done;
-  out
-
+(* Extract a document substring conc[g, g+len) by walking LF backwards
+   from the nearest ISA anchor past its end: O(len + s) wavelet
+   descents, one per step. *)
 let extract t ~doc ~off ~len =
   let dl = doc_len t doc in
   if off < 0 || len < 0 || off + len > dl then invalid_arg "Fm_index.extract: out of document";
   let g = Doc_map.doc_start t.docs doc + off in
-  let syms = extract_symbols t g len in
-  String.init len (fun i -> char_of_sym syms.(i))
+  let e = g + len in
+  let anchor = min (total_len t) (((e + t.sample - 1) / t.sample) * t.sample) in
+  let row = ref (row_of_position t anchor) in
+  let out = Bytes.create len in
+  (* bwt[row of suffix p] = conc[p-1]; walk p = anchor downto g+1 *)
+  for p = anchor downto g + 1 do
+    let c, r = Huffman_wavelet.access_rank t.bwt !row in
+    if p - 1 < e then Bytes.unsafe_set out (p - 1 - g) (char_of_sym c);
+    row := Int_vec.get t.c_before c + r
+  done;
+  Bytes.unsafe_to_string out
+
+(* Every document, by one bulk inversion: decode the BWT into a plain
+   array, then invert it with one counting pass and one LF walk.
+   O(n (H0 + 1)) sequential bit work plus O(n), no wavelet rank. *)
+let docs t = Doc_map.split t.docs (Bwt.invert (Huffman_wavelet.to_array t.bwt))
 
 (* Row of the suffix starting at (doc, off): tSA = O(s). *)
 let suffix_row t ~doc ~off = row_of_position t (Doc_map.doc_start t.docs doc + off)
@@ -204,6 +206,6 @@ let iter_doc_rows t doc ~f =
   done
 
 let space_bits t =
-  Huffman_wavelet.space_bits t.bwt + (Array.length t.c_before * 63)
+  Huffman_wavelet.space_bits t.bwt + Int_vec.space_bits t.c_before
   + Rank_select.space_bits t.marked + Int_vec.space_bits t.sample_vals
   + Int_vec.space_bits t.isa + Doc_map.space_bits t.docs + (4 * 63)

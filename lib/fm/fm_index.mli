@@ -44,6 +44,12 @@ val search : t -> string -> f:(doc:int -> off:int -> unit) -> unit
     O(len + sample) wavelet operations. *)
 val extract : t -> doc:int -> off:int -> len:int -> string
 
+(** Every document, in order, by one bulk inversion of the BWT: a
+    bottom-up wavelet decode into a plain array, one counting pass for
+    LF and one walk from the sentinel row. O(n (H0 + 1)) sequential bit
+    work, no wavelet rank; a few O(n)-word scratch arrays. *)
+val docs : t -> string array
+
 (** Row of the suffix starting at [(doc, off)]; tSA = O(sample). *)
 val suffix_row : t -> doc:int -> off:int -> int
 

@@ -39,28 +39,32 @@ let counts_before (bwt : int array) (sigma : int) : int array =
   done;
   before
 
-(* Invert a BWT produced by [transform]; returns the original array [s].
-   Quadratic-free: uses an occurrence-count walk (O(n) time, O(n) space). *)
-let inverse (bwt : int array) : int array =
+(* The single inversion routine.  [bwt] is the BWT of a text ending in a
+   unique smallest sentinel 0, so row 0 is the sentinel suffix; the
+   result is that text without its sentinel.  LF comes from one counting
+   pass -- row i's LF is the count of smaller symbols plus the
+   occurrences of bwt.(i) before i -- and one walk backwards from row 0
+   reads the text right to left.  O(n) time and two O(n) arrays. *)
+let invert (bwt : int array) : int array =
   let n = Array.length bwt in
   if n = 0 then [||]
   else begin
     let sigma = 1 + Array.fold_left max 0 bwt in
-    let before = counts_before bwt sigma in
-    (* occ.(i) = number of occurrences of bwt.(i) in bwt[0..i-1] *)
-    let occ = Array.make n 0 in
-    let seen = Array.make sigma 0 in
+    let next = counts_before bwt sigma in
+    let lf = Array.make n 0 in
     for i = 0 to n - 1 do
-      occ.(i) <- seen.(bwt.(i));
-      seen.(bwt.(i)) <- seen.(bwt.(i)) + 1
+      let c = Array.unsafe_get bwt i in
+      Array.unsafe_set lf i (Array.unsafe_get next c);
+      Array.unsafe_set next c (Array.unsafe_get next c + 1)
     done;
-    let lf i = before.(bwt.(i)) + occ.(i) in
-    (* Row 0 is the sentinel suffix; walk backwards recovering symbols. *)
     let out = Array.make (n - 1) 0 in
     let row = ref 0 in
     for k = n - 2 downto 0 do
-      out.(k) <- bwt.(!row) - 1;
-      row := lf !row
+      Array.unsafe_set out k (Array.unsafe_get bwt !row);
+      row := Array.unsafe_get lf !row
     done;
     out
   end
+
+(* Invert a BWT produced by [transform]; returns the original array [s]. *)
+let inverse (bwt : int array) : int array = Array.map (fun c -> c - 1) (invert bwt)

@@ -16,5 +16,10 @@ val transform : ?tick:(unit -> unit) -> int array -> int array
     strictly smaller symbols in [bwt] (the C array of FM-indexes). *)
 val counts_before : int array -> int -> int array
 
+(** [invert bwt] is the text (sentinel dropped) whose BWT is [bwt], for
+    any text ending in a unique smallest sentinel 0: one counting pass
+    for LF, one walk from the sentinel row. O(n). *)
+val invert : int array -> int array
+
 (** Invert a BWT produced by {!transform}. O(n). *)
 val inverse : int array -> int array

@@ -6,19 +6,33 @@
 
 open Dsdg_bits
 
+(* A node keeps its bit vector's words, rank directory and one count in
+   its own record: one heap block per node plus the two arrays.  Its
+   length is not stored -- the root's is [len], and a node's children
+   have [len - ones] and [ones] symbols. *)
 type node =
   | Leaf of int
   | Node of {
-      bv : Rank_select.t;
+      words : int array; (* the node's bit vector (Bitvec words) *)
+      super : int array; (* its Rank_select directory *)
+      ones : int;
       left : node;
       right : node;
     }
 
+(* The code table is sized to the symbols that occur, not to [sigma]:
+   [slot] maps a symbol to 1 + its index in [codes] (0 = absent), in
+   the fewest bits that can name every present symbol, and [codes]
+   holds one packed [(bits lsl 6) lor len] word per present symbol.
+   A Huffman code of length L needs a sequence of at least Fib(L + 1)
+   symbols, so codes stay within the 56 bits the packing leaves them
+   for any sequence of fewer than ~10^11 symbols. *)
 type t = {
   root : node option; (* None iff the sequence is empty *)
   len : int;
   sigma : int;
-  codes : Huffman.code array;
+  slot : Int_vec.t;
+  codes : int array;
 }
 
 let length t = t.len
@@ -64,7 +78,8 @@ let rec build_node (seq : int array) (codes : Huffman.code array) depth tick =
       if !ri = 0 then Leaf c0
       else build_node (Array.sub right_seq 0 !ri) codes (depth + 1) tick
     in
-    Node { bv = Rank_select.build bv; left; right }
+    let words = Bitvec.words bv in
+    Node { words; super = Rank_select.directory words; ones = n - !nleft; left; right }
   end
 
 let build ?(tick = fun () -> ()) ~sigma (seq : int array) =
@@ -75,73 +90,132 @@ let build ?(tick = fun () -> ()) ~sigma (seq : int array) =
   Array.iter (fun c -> freqs.(c) <- freqs.(c) + 1) seq;
   let codes = Huffman.codes ~sigma freqs in
   let root = if Array.length seq = 0 then None else Some (build_node seq codes 0 tick) in
-  { root; len = Array.length seq; sigma; codes }
+  let present = Array.fold_left (fun a f -> if f > 0 then a + 1 else a) 0 freqs in
+  let slot = Int_vec.create ~width:(Int_vec.width_for present) sigma in
+  let packed = Array.make present 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun c f ->
+      if f > 0 then begin
+        let code = codes.(c) in
+        packed.(!k) <- (code.Huffman.bits lsl 6) lor code.Huffman.len;
+        incr k;
+        Int_vec.set slot c !k
+      end)
+    freqs;
+  { root; len = Array.length seq; sigma; slot; codes = packed }
 
-let access t i =
+(* Packed code of [c]; 0 (length 0) for symbols that do not occur. *)
+let code t c =
+  if c < 0 || c >= t.sigma then 0
+  else
+    let k = Int_vec.get t.slot c in
+    if k = 0 then 0 else Array.unsafe_get t.codes (k - 1)
+
+let[@inline] code_bit code depth = (code lsr (6 + (code land 63) - 1 - depth)) land 1
+
+(* The access descent visits, at every level, exactly the positions
+   [rank c i] visits for the symbol it finds, so the position it reaches
+   in the leaf is that rank: one traversal answers both. *)
+let access_rank t i =
   if i < 0 || i >= t.len then invalid_arg "Huffman_wavelet.access";
   let rec go node i =
     match node with
-    | Leaf c -> c
-    | Node { bv; left; right } ->
-      if Rank_select.get bv i then go right (Rank_select.rank1 bv i)
-      else go left (Rank_select.rank0 bv i)
+    | Leaf c -> (c, i)
+    | Node { words; super; left; right; _ } ->
+      let rb = Rank_select.rank_bit_in words super i in
+      if rb land 1 = 1 then go right (rb lsr 1) else go left (i - (rb lsr 1))
   in
   match t.root with
   | None -> invalid_arg "Huffman_wavelet.access: empty"
   | Some root -> go root i
 
+let access t i = fst (access_rank t i)
+
 let rank t c i =
   if i < 0 || i > t.len then invalid_arg "Huffman_wavelet.rank";
-  if c < 0 || c >= t.sigma || t.codes.(c).Huffman.len = 0 then 0
+  let code = code t c in
+  if code = 0 then 0
   else begin
-    let code = t.codes.(c) in
     let rec go node depth i =
       if i = 0 then 0
       else
         match node with
         | Leaf _ -> i
-        | Node { bv; left; right } ->
-          let bit = (code.Huffman.bits lsr (code.Huffman.len - 1 - depth)) land 1 in
-          if bit = 1 then go right (depth + 1) (Rank_select.rank1 bv i)
-          else go left (depth + 1) (Rank_select.rank0 bv i)
+        | Node { words; super; left; right; _ } ->
+          let r1 = Rank_select.rank1_in words super i in
+          if code_bit code depth = 1 then go right (depth + 1) r1 else go left (depth + 1) (i - r1)
     in
     match t.root with None -> 0 | Some root -> go root 0 i
   end
 
 let select t c k =
   if k < 0 then invalid_arg "Huffman_wavelet.select";
-  if c < 0 || c >= t.sigma || t.codes.(c).Huffman.len = 0 then raise Not_found;
-  let code = t.codes.(c) in
-  let rec go node depth k =
+  let code = code t c in
+  if code = 0 then raise Not_found;
+  let rec go node depth len k =
     match node with
     | Leaf _ -> k
-    | Node { bv; left; right } ->
-      let bit = (code.Huffman.bits lsr (code.Huffman.len - 1 - depth)) land 1 in
-      if bit = 1 then begin
-        let pos = go right (depth + 1) k in
-        if pos >= Rank_select.ones bv then raise Not_found;
-        Rank_select.select1 bv pos
+    | Node { words; super; ones; left; right } ->
+      if code_bit code depth = 1 then begin
+        let pos = go right (depth + 1) ones k in
+        if pos >= ones then raise Not_found;
+        Rank_select.select1_in words super pos
       end
       else begin
-        let pos = go left (depth + 1) k in
-        if pos >= Rank_select.zeros bv then raise Not_found;
-        Rank_select.select0 bv pos
+        let pos = go left (depth + 1) (len - ones) k in
+        if pos >= len - ones then raise Not_found;
+        Rank_select.select0_in words super ~len pos
       end
   in
   match t.root with
   | None -> raise Not_found
   | Some root ->
-    let pos = go root 0 k in
+    let pos = go root 0 t.len k in
     if pos >= t.len then raise Not_found else pos
 
 let count t c = rank t c t.len
 let rank_range t c l r = rank t c r - rank t c l
 
+(* Counted as the heap holds it: a leaf is a 2-word block, a node a
+   6-word block plus its word array and directory. *)
 let space_bits t =
   let rec go = function
-    | Leaf _ -> 63
-    | Node { bv; left; right } -> Rank_select.space_bits bv + go left + go right + (3 * 63)
+    | Leaf _ -> 2 * 63
+    | Node { words; super; left; right; _ } ->
+      (Array.length words * Popcount.word_bits) + Rank_select.directory_bits super + (7 * 63)
+      + go left + go right
   in
-  (match t.root with None -> 0 | Some r -> go r) + (Array.length t.codes * 2 * 63) + (3 * 63)
+  (match t.root with None -> 0 | Some r -> go r)
+  + Int_vec.space_bits t.slot
+  + ((Array.length t.codes + 1) * 63)
+  + (8 * 63)
 
-let to_array t = Array.init t.len (access t)
+(* Bulk decode, bottom-up: a node's sequence interleaves its children's
+   sequences in the order its bit vector gives, so one sequential pass
+   over each bit vector rebuilds the whole sequence with no rank. *)
+let to_array t =
+  let w = Popcount.word_bits in
+  let rec decode node n =
+    match node with
+    | Leaf c -> Array.make n c
+    | Node { words; ones; left; right; _ } ->
+      let l = decode left (n - ones) and r = decode right ones in
+      let out = Array.make n 0 in
+      let li = ref 0 and ri = ref 0 in
+      for j = 0 to Array.length words - 1 do
+        let word = Array.unsafe_get words j and base = j * w in
+        for k = 0 to min w (n - base) - 1 do
+          if (word lsr k) land 1 = 1 then begin
+            Array.unsafe_set out (base + k) (Array.unsafe_get r !ri);
+            incr ri
+          end
+          else begin
+            Array.unsafe_set out (base + k) (Array.unsafe_get l !li);
+            incr li
+          end
+        done
+      done;
+      out
+  in
+  match t.root with None -> [||] | Some root -> decode root t.len

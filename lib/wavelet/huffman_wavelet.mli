@@ -11,6 +11,10 @@ val length : t -> int
 val sigma : t -> int
 val access : t -> int -> int
 
+(** [access_rank t i] is [(c, rank t c i)] for [c = access t i], from
+    one root-to-leaf descent instead of two. The FM-index LF step. *)
+val access_rank : t -> int -> int * int
+
 (** [rank t c i]: occurrences of [c] in [[0, i)]; 0 for symbols that do
     not occur in the sequence. *)
 val rank : t -> int -> int -> int
@@ -22,4 +26,7 @@ val select : t -> int -> int -> int
 val rank_range : t -> int -> int -> int -> int
 val count : t -> int -> int
 val space_bits : t -> int
+
+(** The whole sequence, decoded bottom-up with one sequential pass per
+    bit vector and no rank: O(n (H0 + 1)) bit operations. *)
 val to_array : t -> int array

@@ -362,6 +362,110 @@ let test_extract_len0_convention () =
       chk "unassigned len=0" None ~doc:12345 ~off:0)
     all_pairs
 
+(* --- bulk inversion: [docs] and [dump] equal per-document [extract] --- *)
+
+module type STATIC = sig
+  type t
+  val build : ?tick:(unit -> unit) -> sample:int -> string array -> t
+  val doc_len : t -> int -> int
+  val extract : t -> doc:int -> off:int -> len:int -> string
+  val docs : t -> string array
+end
+
+let statics : (string * (module STATIC)) list =
+  [ ("fm", (module Fm_static)); ("sa", (module Sa_static)); ("csa", (module Csa_static)) ]
+
+let per_symbol (type a) (module I : STATIC with type t = a) (idx : a) n =
+  Array.init n (fun d -> I.extract idx ~doc:d ~off:0 ~len:(I.doc_len idx d))
+
+(* Collections with no documents, empty and 1-symbol documents, and
+   one-letter alphabets (a Huffman tree of one symbol is the degenerate
+   [Branch (Sym c, Sym c)]). *)
+let gen_collection =
+  QCheck.(
+    pair (int_range 1 4)
+      (pair (int_range 1 5) (list_of_size Gen.(0 -- 12) (string_gen_of_size Gen.(0 -- 9) Gen.(char_range 'a' 'd')))))
+
+let prop_docs_equal_extract =
+  QCheck.Test.make ~name:"docs = per-document extract (fm, sa, csa)" ~count:200 gen_collection
+    (fun (letters, (sample, docs_l)) ->
+      let fold c = Char.chr (97 + ((Char.code c - 97) mod letters)) in
+      let docs = Array.of_list (List.map (String.map fold) docs_l) in
+      List.for_all
+        (fun (_, (module I : STATIC)) ->
+          let idx = I.build ~sample docs in
+          let bulk = I.docs idx in
+          bulk = per_symbol (module I) idx (Array.length docs) && bulk = docs)
+        statics)
+
+let test_docs_edge_cases () =
+  List.iter
+    (fun (name, (module I : STATIC)) ->
+      List.iter
+        (fun docs ->
+          let idx = I.build ~sample:3 docs in
+          Alcotest.(check (array string)) (name ^ " docs") docs (I.docs idx);
+          Alcotest.(check (array string))
+            (name ^ " per-symbol") docs
+            (per_symbol (module I) idx (Array.length docs)))
+        [ [||]; [| "" |]; [| ""; "" |]; [| "a" |]; [| "z"; ""; "z" |]; [| "aaaa"; "aa" |];
+          [| String.make 300 'q' |]; [| "mississippi"; ""; "m"; "issi" |] ])
+    statics
+
+(* [dump] keeps dead documents in slot order, with their texts. *)
+let dump_case (type a i) name (module S : SEMI with type t = a) (dump : a -> _) (index : a -> i)
+    (module I : STATIC with type t = i) =
+  let docs = Array.init 40 (fun i -> (100 + i, String.init (i mod 7) (fun k -> "abcab".[(i + k) mod 5]))) in
+  let dead = Array.init 40 (fun i -> i mod 3 = 1) in
+  let ss = S.build ~sample:4 ~tau:4 docs in
+  Array.iteri (fun i d -> if d then ignore (S.delete ss (fst docs.(i)))) dead;
+  let texts, bits = dump ss in
+  Alcotest.(check (array (pair int string))) (name ^ " dump docs") docs texts;
+  Alcotest.(check (array bool)) (name ^ " dump dead") dead bits;
+  Alcotest.(check (array string))
+    (name ^ " per-symbol") (Array.map snd texts)
+    (per_symbol (module I) (index ss) (Array.length docs))
+
+let test_dump_after_deletes () =
+  dump_case "fm" (module SS_fm) SS_fm.dump SS_fm.index (module Fm_static);
+  dump_case "sa" (module SS_sa) SS_sa.dump SS_sa.index (module Sa_static);
+  dump_case "csa" (module SS_csa) SS_csa.dump SS_csa.index (module Csa_static)
+
+(* [live_docs] charges one tick per live symbol plus separator: the
+   rebuild schedule is measured in these ticks. *)
+let test_live_docs_ticks () =
+  let docs = Array.init 30 (fun i -> (i, String.make (i mod 5) 'x')) in
+  let ss = SS_fm.build ~sample:4 ~tau:4 docs in
+  List.iter (fun id -> ignore (SS_fm.delete ss id)) [ 0; 3; 7; 8; 22 ];
+  let ticks = ref 0 in
+  let live = SS_fm.live_docs ~tick:(fun () -> incr ticks) ss in
+  check "live docs" 25 (List.length live);
+  check "ticks = sum (len + 1)"
+    (List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 live)
+    !ticks
+
+(* [space_bits] must match the heap the structure really holds, within
+   10 %, from one document to hundreds. *)
+let test_space_bits_vs_heap () =
+  let st = Random.State.make [| 23 |] in
+  let doc () = String.init 100 (fun _ -> Char.chr (97 + Random.State.int st 20)) in
+  List.iter
+    (fun n ->
+      let docs = Array.init n (fun i -> (i, doc ())) in
+      let within name reported value =
+        let heap = Obj.reachable_words (Obj.repr value) * 64 in
+        let ratio = float_of_int reported /. float_of_int heap in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, %d docs: space_bits %d vs heap %d bits (%.2f)" name n reported heap ratio)
+          true
+          (ratio >= 0.9 && ratio <= 1.1)
+      in
+      let fm = Fm_static.build ~sample:8 (Array.map snd docs) in
+      within "fm" (Fm_static.space_bits fm) fm;
+      let ss = SS_fm.build ~sample:8 ~tau:8 docs in
+      within "semi_static" (SS_fm.space_bits ss) ss)
+    [ 1; 5; 53; 400 ]
+
 let qsuite =
   List.map Qc.to_alcotest [ prop_sa_static_vs_fm; prop_csa_vs_fm; prop_t1_vs_model ]
 
@@ -383,3 +487,8 @@ let suite =
     ("empty pattern rejected everywhere", `Quick, test_empty_pattern_rejected_everywhere);
     ("extract len=0 convention", `Quick, test_extract_len0_convention) ]
   @ qsuite
+  @ [ ("docs edge cases", `Quick, test_docs_edge_cases);
+      ("dump after deletes", `Quick, test_dump_after_deletes);
+      ("live_docs ticks", `Quick, test_live_docs_ticks);
+      ("space_bits vs heap", `Quick, test_space_bits_vs_heap);
+      Qc.to_alcotest prop_docs_equal_extract ]

@@ -263,6 +263,43 @@ let test_extract_from_locked_copy () =
   done;
   Alcotest.(check bool) "locked copies were actually observed" true (!checked_mid_rebuild > 0)
 
+
+(* The rebuild schedule is a function of the update stream alone: a
+   seeded delete+insert stream (jobs = 0) must produce the same census
+   after every update, and the same scheduling counters, as the
+   reference values below.  A change to how components are read or
+   built that moves when a job starts or lands changes the hash. *)
+let schedule_lock_stream () =
+  let t = T2.create ~sample:8 ~tau:8 () in
+  let st = Random.State.make [| 0x5c4e |] in
+  let doc () = String.init 100 (fun _ -> Char.chr (97 + Random.State.int st 20)) in
+  let live = Array.init 400 (fun _ -> T2.insert t (doc ())) in
+  let h = ref (Digest.string "") in
+  let step () =
+    let census =
+      List.map (fun (name, l, d) -> Printf.sprintf "%s:%d:%d" name l d) (T2.census t)
+    in
+    h := Digest.string (Digest.to_hex !h ^ String.concat "," census)
+  in
+  for _ = 1 to 2500 do
+    let k = Random.State.int st (Array.length live) in
+    ignore (T2.delete t live.(k));
+    step ();
+    live.(k) <- T2.insert t (doc ());
+    step ()
+  done;
+  let s = T2.stats t in
+  ( Digest.to_hex !h,
+    [ s.Transform2.jobs_started; s.jobs_completed; s.forced; s.restructures; s.top_cleanings;
+      s.sync_merges ] )
+
+let test_schedule_lock () =
+  let hash, counts = schedule_lock_stream () in
+  Alcotest.(check string) "census hash after every update" "7a2e4f1b8d4e50b625f3b69f89eb0336" hash;
+  Alcotest.(check (list int))
+    "started, completed, forced, restructures, top cleanings, sync merges"
+    [ 1692; 1691; 26; 6; 448; 108 ] counts
+
 let qsuite = List.map Qc.to_alcotest [ prop_t2_vs_model ]
 
 let suite =
@@ -279,3 +316,4 @@ let suite =
     ("extract from locked copy mid-rebuild", `Quick, test_extract_from_locked_copy);
     ("soak 2500 ops", `Slow, test_soak) ]
   @ qsuite
+  @ [ ("schedule lock", `Quick, test_schedule_lock) ]

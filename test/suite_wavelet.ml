@@ -222,6 +222,41 @@ let prop_ap_matches_hwt =
       done;
       !ok)
 
+(* Lengths past one rank superblock (496 bits), so the embedded
+   directories are exercised too; one-letter alphabets and empty
+   sequences included. *)
+let gen_long_seq = QCheck.(pair (int_range 1 40) (list_of_size Gen.(0 -- 2500) (int_bound 39)))
+
+let prop_hwt_access_rank =
+  QCheck.Test.make ~name:"hwt access_rank = (access, rank), to_array = access" ~count:60
+    gen_long_seq (fun (sigma, l) ->
+      let a = Array.of_list (List.map (fun x -> x mod sigma) l) in
+      let wt = Huffman_wavelet.build ~sigma a in
+      let ok = ref (Huffman_wavelet.to_array wt = Array.init (Array.length a) (Huffman_wavelet.access wt)) in
+      let seen = Array.make sigma 0 in
+      Array.iteri
+        (fun i c ->
+          if Huffman_wavelet.access_rank wt i <> (c, Huffman_wavelet.rank wt c i) then ok := false;
+          if Huffman_wavelet.rank wt c i <> seen.(c) then ok := false;
+          if Huffman_wavelet.select wt c seen.(c) <> i then ok := false;
+          seen.(c) <- seen.(c) + 1)
+        a;
+      !ok)
+
+let test_hwt_bulk_edges () =
+  let same a =
+    let wt = Huffman_wavelet.build ~sigma:5 a in
+    Alcotest.(check (array int)) "to_array" a (Huffman_wavelet.to_array wt);
+    Array.iteri
+      (fun i c ->
+        Alcotest.(check (pair int int)) "access_rank" (c, naive_rank a c i) (Huffman_wavelet.access_rank wt i))
+      a
+  in
+  same [||];
+  same [| 3 |];
+  same (Array.make 1000 4);
+  same (Array.init 1000 (fun i -> if i = 500 then 0 else 2))
+
 let qsuite =
   List.map Qc.to_alcotest
     [ prop_wt; prop_hwt; prop_ap; prop_ap_matches_hwt; prop_select_rank_inverse;
@@ -242,3 +277,4 @@ let suite =
     ("ap skewed", `Quick, test_ap_skewed);
     ("ap missing symbols", `Quick, test_ap_missing_symbols) ]
   @ qsuite
+  @ [ ("hwt bulk decode edges", `Quick, test_hwt_bulk_edges); Qc.to_alcotest prop_hwt_access_rank ]
