@@ -19,7 +19,7 @@ let ablation_tau () =
   let rows =
     List.map
       (fun tau ->
-        let t = T1.create ~sample:8 ~tau () in
+        let t = T1.create { Index_config.default with variant = Amortized; tau } in
         let docs = mk_stream 91 in
         let ids = List.map (T1.insert t) docs in
         (* delete 40% *)
@@ -47,7 +47,7 @@ let ablation_s () =
   let rows =
     List.map
       (fun sample ->
-        let t = T2.create ~sample ~tau:8 () in
+        let t = T2.create { Index_config.default with sample } in
         Array.iter (fun d -> ignore (T2.insert t d)) docs;
         let occ = T2.count t pat in
         let report_ns =
@@ -71,9 +71,9 @@ let ablation_t3 () =
   Printf.printf "\n[ablation t3] geometric (T1) vs doubling (T3 / Appendix A.4) schedules\n";
   let rows =
     List.map
-      (fun (name, schedule) ->
+      (fun (name, variant) ->
         let st = Text_gen.rng 95 in
-        let t = T1.create ~schedule ~sample:8 ~tau:8 () in
+        let t = T1.create { Index_config.default with variant } in
         let _, ins_ns =
           Bench_util.time_ns (fun () ->
               for _ = 1 to 3000 do
@@ -92,8 +92,8 @@ let ablation_t3 () =
         [ name; Bench_util.ns_str (ins_ns /. float_of_int (T1.total_symbols t));
           string_of_int s.Transform1.merges; string_of_int (List.length (T1.census t));
           string_of_int s.Transform1.symbols_rebuilt; Bench_util.ns_str q ])
-      [ ("geometric (Transformation 1)", Transform1.geometric ());
-        ("doubling (Transformation 3)", Transform1.doubling ()) ]
+      [ ("geometric (Transformation 1)", Index_config.Amortized);
+        ("doubling (Transformation 3)", Amortized_loglog) ]
   in
   Bench_util.print_table
     ~title:"Ablation A3: schedule comparison  [expect T3 fewer rebuilt symbols, more sub-collections]"
@@ -111,7 +111,7 @@ let ablation_work_factor () =
     List.map
       (fun wf ->
         let st = Text_gen.rng 97 in
-        let t = T2.create ~sample:8 ~tau:8 ~work_factor:wf () in
+        let t = T2.create ~work_factor:wf Index_config.default in
         let live = ref [] and nlive = ref 0 in
         for _ = 1 to 2500 do
           if Random.State.float st 1.0 < 0.7 || !nlive = 0 then begin
@@ -196,7 +196,7 @@ let ablation_obs_overhead () =
   Printf.printf "\n[ablation obs] observability layer overhead on a churn workload\n";
   let churn () =
     let st = Text_gen.rng 131 in
-    let t = T2.create ~sample:8 ~tau:8 () in
+    let t = T2.create Index_config.default in
     let live = ref [] and nlive = ref 0 in
     for _ = 1 to 1500 do
       if Random.State.float st 1.0 < 0.7 || !nlive = 0 then begin

@@ -10,7 +10,7 @@ module T2 = Transform2.Make (Fm_static)
 (* Figure 1: geometric sub-collections C0..Cr under an insert stream. *)
 let fig1 () =
   let st = Text_gen.rng 31 in
-  let t = T1.create ~sample:8 ~tau:8 () in
+  let t = T1.create { Index_config.default with variant = Amortized } in
   Printf.printf "\n[fig1] Transformation 1 sub-collection sizes over an insertion stream\n";
   let rows = ref [] in
   for i = 1 to 4000 do
@@ -18,7 +18,7 @@ let fig1 () =
     if i mod 800 = 0 then begin
       let census = T1.census t in
       let cells =
-        List.map (fun (name, size) -> Printf.sprintf "%s=%d" name size) census
+        List.map (fun (name, size, _) -> Printf.sprintf "%s=%d" name size) census
       in
       rows := [ string_of_int i; String.concat "  " cells ] :: !rows
     end
@@ -35,7 +35,7 @@ let fig1 () =
 (* Figure 2: Transformation 2's structure census under mixed churn. *)
 let fig2 () =
   let st = Text_gen.rng 33 in
-  let t = T2.create ~sample:8 ~tau:8 () in
+  let t = T2.create Index_config.default in
   Printf.printf "\n[fig2] Transformation 2 structures under mixed insert/delete churn\n";
   let live = ref [] and nlive = ref 0 in
   let rows = ref [] in
@@ -86,7 +86,7 @@ let fig2 () =
 let fig3 () =
   let st = Text_gen.rng 35 in
   (* small work factor so a background build spans many updates *)
-  let t = T2.create ~sample:8 ~tau:8 ~work_factor:8 () in
+  let t = T2.create ~work_factor:8 Index_config.default in
   for _ = 1 to 600 do
     ignore (T2.insert t (Text_gen.english_like st ~len:(30 + Random.State.int st 50)))
   done;

@@ -17,7 +17,7 @@ let micro () =
   let docs = Text_gen.corpus st ~count:100 ~avg_len:300 ~kind:(`Markov (8, 0.6)) in
   let fm = Dsdg_fm.Fm_index.build ~sample:8 docs in
   let module T2 = Transform2.Make (Fm_static) in
-  let t2 = T2.create ~sample:8 ~tau:8 () in
+  let t2 = T2.create Index_config.default in
   Array.iter (fun d -> ignore (T2.insert t2 d)) docs;
   let base = Dsdg_dynseq.Dyn_fm.create () in
   Array.iteri (fun i d -> Dsdg_dynseq.Dyn_fm.insert base ~doc:i d) docs;
@@ -34,7 +34,7 @@ let micro () =
         (Staged.stage (fun () -> Dsdg_dynseq.Dyn_fm.count base pat));
       Test.make ~name:"table3/plain-sa-backend-count"
         (let module T2s = Transform2.Make (Sa_static) in
-         let t2s = T2s.create ~sample:8 ~tau:8 () in
+         let t2s = T2s.create Index_config.default in
          Array.iter (fun d -> ignore (T2s.insert t2s d)) docs;
          Staged.stage (fun () -> T2s.count t2s pat));
       Test.make ~name:"table4/count-with-liveness" (Staged.stage (fun () -> T2.count t2 pat));

@@ -29,8 +29,8 @@ type subject = {
 }
 
 let subjects () =
-  let t1 = T1.create ~sample:8 ~tau:8 () in
-  let t2 = T2.create ~sample:8 ~tau:8 () in
+  let t1 = T1.create { Index_config.default with variant = Amortized } in
+  let t2 = T2.create Index_config.default in
   let base = Dyn_fm.create () in
   let base_next = ref 0 in
   [
@@ -143,7 +143,7 @@ let run () =
               | Some p -> p
               | None -> Text_gen.miss_pattern ~len:6)
         in
-        let t1 = T1.create ~sample:8 ~tau:8 () in
+        let t1 = T1.create { Index_config.default with variant = Amortized } in
         Array.iter (fun d -> ignore (T1.insert t1 d)) docs;
         T1.consolidate t1;
         let base = Dyn_fm.create () in

@@ -22,8 +22,8 @@ let run () =
   let docs = Text_gen.corpus st ~count:300 ~avg_len:400 ~kind:(`Markov (8, 0.6)) in
   let n = Array.fold_left (fun a d -> a + String.length d + 1) 0 docs in
   Printf.printf "\n[table3] corpus: %d docs, %d symbols\n" (Array.length docs) n;
-  let t_fm = T2_fm.create ~sample:8 ~tau:8 () in
-  let t_sa = T2_sa.create ~sample:8 ~tau:8 () in
+  let t_fm = T2_fm.create Index_config.default in
+  let t_sa = T2_sa.create Index_config.default in
   Array.iter (fun d -> ignore (T2_fm.insert t_fm d)) docs;
   Array.iter (fun d -> ignore (T2_sa.insert t_sa d)) docs;
   let pats plen =

@@ -15,7 +15,7 @@ let run () =
   (* low-entropy corpus so short patterns have many occurrences *)
   let docs = Text_gen.corpus st ~count:200 ~avg_len:500 ~kind:(`Uniform 4) in
   let n = Array.fold_left (fun a d -> a + String.length d + 1) 0 docs in
-  let t = T1.create ~sample:8 ~tau:8 () in
+  let t = T1.create { Index_config.default with variant = Amortized } in
   Array.iter (fun d -> ignore (T1.insert t d)) docs;
   (* delete a slice so the liveness machinery is actually exercised *)
   for id = 0 to Array.length docs - 1 do

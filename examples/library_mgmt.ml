@@ -13,7 +13,7 @@ module T2 = Transform2.Make (Fm_static)
 
 let () =
   let st = Text_gen.rng 11 in
-  let t = T2.create ~sample:4 ~tau:8 () in
+  let t = T2.create { Index_config.default with sample = 4 } in
   let live_ids = ref [] in
   let nlive = ref 0 in
 

@@ -49,7 +49,7 @@ let rop_of_string line =
 
 (* A deliberate defect in the harness's application of ops, so the
    checker can prove it catches, shrinks and replays real divergences
-   (the relation-side analogue of Transform2.fault): [Lost_remove]
+   (the relation-side analogue of Index_config.fault): [Lost_remove]
    silently drops removes of pairs with [(o + a) mod 3 = 0] from the
    structures under test while the model still applies them.  The
    predicate depends only on the op payload, never on stream position,

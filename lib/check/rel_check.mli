@@ -30,7 +30,7 @@ val parse_rop : string -> (rop, string) result
 val rop_of_string : string -> rop
 
 (** A deliberate harness defect for catch/shrink/replay self-tests
-    (the relation-side analogue of [Transform2.fault]): [Lost_remove]
+    (the relation-side analogue of [Index_config.fault]): [Lost_remove]
     silently drops removes of pairs with [(o + a) mod 3 = 0] from the
     structures under test while the model still applies them. The
     predicate depends only on the op payload, so shrunk traces keep

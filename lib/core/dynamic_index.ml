@@ -11,22 +11,65 @@
 type variant = Index_config.variant = Amortized | Amortized_loglog | Worst_case
 type backend = Index_config.backend = Fm | Plain_sa | Csa
 
-(* Read-only structural snapshot for the invariant oracles in Dsdg_check:
-   the per-structure census (with dead counts), the schedule's level
-   capacities, the current nf snapshot and, for Transformation 2, the
-   background-job counters. *)
-type probe = {
-  pr_census : (string * int * int) list; (* name, live, dead *)
-  pr_capacity : int -> int; (* level j -> schedule capacity under current nf *)
+type probe = Dynamization.probe = {
+  pr_census : (string * int * int) list;
+  pr_capacity : int -> int;
   pr_nf : int;
   pr_tau : int;
-  pr_pending_jobs : int; (* background jobs in flight (always 0 for T1/T3) *)
-  pr_jobs : (int * int * int) option; (* T2 only: started, completed, forced *)
+  pr_pending_jobs : int;
+  pr_jobs : (int * int * int) option;
   pr_clean : (int * int) option;
-      (* T2 only: (deleted symbols since the last top-cleaning dispatch,
-         period delta); the Dietz-Sleator schedule keeps the counter
-         below twice the period *)
 }
+
+type dump = Dynamization.dump = {
+  dm_variant : variant;
+  dm_backend : backend;
+  dm_sample : int;
+  dm_tau : int;
+  dm_epoch : int;
+  dm_next_id : int;
+  dm_nf : int;
+  dm_del_counter : int;
+  dm_components : (string * (int * string) array * bool array) list;
+}
+
+(* The query half of an index, served by the write plane and by every
+   published view alike. *)
+type queries = {
+  search : string -> f:(doc:int -> off:int -> unit) -> unit;
+  count : string -> int;
+  extract : doc:int -> off:int -> len:int -> string option;
+  mem : int -> bool;
+}
+
+(* API conventions enforced uniformly across every variant x backend and
+   both planes (the backends disagree on these edge cases, which is
+   exactly the kind of drift the differential checker exists to catch):
+
+   - the empty pattern is rejected with [Invalid_argument]: under the
+     paper's occurrence definition [""] would match at every position of
+     every live document (live symbols + one sentinel per document), a
+     degenerate query no backend answers in sublinear time -- and the
+     three static indexes each rejected it with a *different* message;
+   - [extract ~len:0] is [Some ""] for a live document and [None] for a
+     dead/absent one, regardless of [off] and of which sub-collection
+     (including a locked [L_j] mid-rebuild) owns the document. *)
+let conventions q =
+  let pattern p = if p = "" then invalid_arg "Dynamic_index: empty pattern" in
+  {
+    q with
+    search =
+      (fun p ~f ->
+        pattern p;
+        q.search p ~f);
+    count =
+      (fun p ->
+        pattern p;
+        q.count p);
+    extract =
+      (fun ~doc ~off ~len ->
+        if len = 0 then (if q.mem doc then Some "" else None) else q.extract ~doc ~off ~len);
+  }
 
 (* Read-plane snapshot, uniform across every variant x backend: the
    underlying transformation's typed view captured in closures.  A view
@@ -37,44 +80,22 @@ type view = {
   vw_doc_count : int;
   vw_total_symbols : int;
   vw_census : (string * int * int) list;
-  vw_search : string -> f:(doc:int -> off:int -> unit) -> unit;
-  vw_count : string -> int;
-  vw_extract : doc:int -> off:int -> len:int -> string option;
-  vw_mem : int -> bool;
+  vw_queries : queries;
   vw_components : unit -> (string * (int * string) array * bool array) list;
       (* persistence: per-structure resident docs + deletion bit vectors,
          extracted lazily (O(n)) from the frozen structures -- safe to
          call on a checkpoint worker domain *)
 }
 
-(* The logical state of one published epoch -- everything [Dsdg_store]
-   serializes.  Derived structures (suffix arrays, BWTs, wavelet trees,
-   Reporters) are deliberately absent: they are deterministic functions
-   of the components, rebuilt on [restore]. *)
-type dump = {
-  dm_variant : variant;
-  dm_backend : backend;
-  dm_sample : int;
-  dm_tau : int;
-  dm_epoch : int;
-  dm_next_id : int;
-  dm_nf : int;
-  dm_del_counter : int; (* Dietz-Sleator cleaning counter; 0 for T1/T3 *)
-  dm_components : (string * (int * string) array * bool array) list;
-}
-
 type ops = {
   op_insert : string -> int;
   op_delete : int -> bool;
-  op_mem : int -> bool;
-  op_search : string -> f:(doc:int -> off:int -> unit) -> unit;
-  op_count : string -> int;
-  op_extract : doc:int -> off:int -> len:int -> string option;
+  op_queries : queries;
   op_doc_count : unit -> int;
   op_total_symbols : unit -> int;
   op_space_bits : unit -> int;
-  op_describe : unit -> string;
-  op_obs : unit -> Dsdg_obs.Obs.scope;
+  op_describe : string;
+  op_obs : Dsdg_obs.Obs.scope;
   op_events : unit -> string list;
   op_probe : unit -> probe;
   op_next_id : unit -> int; (* persistence: the next id the index would assign *)
@@ -111,344 +132,73 @@ type t = {
   pin_next : int Atomic.t;
 }
 
-module T1_fm = Transform1.Make (Fm_static)
-module T1_sa = Transform1.Make (Sa_static)
-module T1_csa = Transform1.Make (Csa_static)
-module T2_fm = Transform2.Make (Fm_static)
-module T2_sa = Transform2.Make (Sa_static)
-module T2_csa = Transform2.Make (Csa_static)
+(* The engine of every variant x backend pair, and the only place a
+   transformation is named. Transformation 1's functor serves both
+   amortized variants (it reads the schedule from the config's variant);
+   Transformation 2 runs at its default work factor. *)
+let engines : ((variant * backend) * (module Dynamization.S)) list =
+  List.concat_map
+    (fun (backend, (module I : Static_index.S)) ->
+      let t1 = (module Transform1.Make (I) : Dynamization.S) in
+      let module T2 = Transform2.Make (I) in
+      [
+        ((Amortized, backend), t1);
+        ((Amortized_loglog, backend), t1);
+        ((Worst_case, backend), (module struct include T2 let create c = create c end));
+      ])
+    [ (Fm, (module Fm_static : Static_index.S)); (Plain_sa, (module Sa_static)); (Csa, (module Csa_static)) ]
 
-
-(* API conventions enforced uniformly across every variant x backend
-   (the backends disagree on these edge cases, which is exactly the kind
-   of drift the differential checker exists to catch):
-
-   - the empty pattern is rejected with [Invalid_argument]: under the
-     paper's occurrence definition [""] would match at every position of
-     every live document (live symbols + one sentinel per document), a
-     degenerate query no backend answers in sublinear time -- and the
-     three static indexes each rejected it with a *different* message;
-   - [extract ~len:0] is [Some ""] for a live document and [None] for a
-     dead/absent one, regardless of [off] and of which sub-collection
-     (including a locked [L_j] mid-rebuild) owns the document. *)
-let enforce_conventions ops =
-  {
-    ops with
-    op_search =
-      (fun p ~f ->
-        if p = "" then invalid_arg "Dynamic_index: empty pattern";
-        ops.op_search p ~f);
-    op_count =
-      (fun p ->
-        if p = "" then invalid_arg "Dynamic_index: empty pattern";
-        ops.op_count p);
-    op_extract =
-      (fun ~doc ~off ~len ->
-        if len = 0 then (if ops.op_mem doc then Some "" else None)
-        else ops.op_extract ~doc ~off ~len);
-  }
-
-(* Views get the same conventions as the write-plane ops: a query must
-   behave identically whichever plane answers it. *)
-let mk_view ~epoch ~docs ~syms ~census ~search ~count ~extract ~mem ~components =
-  {
-    vw_epoch = epoch;
-    vw_doc_count = docs;
-    vw_total_symbols = syms;
-    vw_census = census;
-    vw_components = components;
-    vw_search =
-      (fun p ~f ->
-        if p = "" then invalid_arg "Dynamic_index: empty pattern";
-        search p ~f);
-    vw_count =
-      (fun p ->
-        if p = "" then invalid_arg "Dynamic_index: empty pattern";
-        count p);
-    vw_extract =
-      (fun ~doc ~off ~len ->
-        if len = 0 then (if mem doc then Some "" else None) else extract ~doc ~off ~len);
-    vw_mem = mem;
-  }
-
-(* Shared constructor behind [create] and [restore]: when [restore_from]
-   is set, each branch rebuilds the transformation from the dump's
-   components instead of starting empty -- everything else (closure
-   wiring, conventions, reader pool) is identical. *)
+(* Shared constructor behind [create] and [restore]: with [restore_from]
+   the engine rebuilds from the dump's components instead of starting
+   empty; everything else (closure wiring, conventions, reader pool) is
+   identical. *)
 let make ?restore_from ?tail (config : Index_config.t) : t =
-  let { Index_config.variant; backend; sample; tau; fault; jobs; readers; _ } =
-    Index_config.validate config
-  in
-  let t1_probe census_full level_capacity nf () =
+  let config = Index_config.validate config in
+  let (module E) = List.assoc (config.variant, config.backend) engines in
+  let e = match restore_from with None -> E.create config | Some d -> E.restore config ?tail d in
+  let view () =
+    let v = E.view e in
     {
-      pr_census = census_full ();
-      pr_capacity = level_capacity;
-      pr_nf = nf ();
-      pr_tau = tau;
-      pr_pending_jobs = 0;
-      pr_jobs = None;
-      pr_clean = None;
+      vw_epoch = E.view_epoch v;
+      vw_doc_count = E.view_doc_count v;
+      vw_total_symbols = E.view_total_symbols v;
+      vw_census = E.view_census v;
+      vw_queries =
+        conventions
+          {
+            search = E.view_search v;
+            count = E.view_count v;
+            extract = E.view_extract v;
+            mem = E.view_mem v;
+          };
+      vw_components = (fun () -> E.view_components v);
     }
-  in
-  let t2_probe census level_capacity nf pending stats clean () =
-    let s : Transform2.stats = stats () in
-    {
-      pr_census = census ();
-      pr_capacity = level_capacity;
-      pr_nf = nf ();
-      pr_tau = tau;
-      pr_pending_jobs = pending ();
-      pr_jobs =
-        Some (s.Transform2.jobs_started, s.Transform2.jobs_completed, s.Transform2.forced);
-      pr_clean = Some (clean ());
-    }
-  in
-  let t1 schedule name =
-    match backend with
-    | Fm ->
-      let t =
-        match restore_from with
-        | None -> T1_fm.create ~schedule ~sample ~tau ~jobs ()
-        | Some d ->
-          T1_fm.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
-      in
-      {
-        op_insert = T1_fm.insert t;
-        op_delete = T1_fm.delete t;
-        op_mem = T1_fm.mem t;
-        op_search = (fun p ~f -> T1_fm.search t p ~f);
-        op_count = T1_fm.count t;
-        op_extract = (fun ~doc ~off ~len -> T1_fm.extract t ~doc ~off ~len);
-        op_doc_count = (fun () -> T1_fm.doc_count t);
-        op_total_symbols = (fun () -> T1_fm.total_symbols t);
-        op_space_bits = (fun () -> T1_fm.space_bits t);
-        op_describe = (fun () -> name ^ "/fm");
-        op_obs = (fun () -> T1_fm.obs t);
-        op_events = (fun () -> T1_fm.events t);
-        op_probe =
-          t1_probe (fun () -> T1_fm.census_full t) (T1_fm.level_capacity t) (fun () -> T1_fm.nf t);
-        op_next_id = (fun () -> T1_fm.next_id t);
-        op_view =
-          (fun () ->
-            let v = T1_fm.view t in
-            mk_view ~epoch:(T1_fm.view_epoch v) ~docs:(T1_fm.view_doc_count v)
-              ~syms:(T1_fm.view_total_symbols v) ~census:(T1_fm.view_census v)
-              ~search:(fun p ~f -> T1_fm.view_search v p ~f)
-              ~count:(T1_fm.view_count v)
-              ~extract:(fun ~doc ~off ~len -> T1_fm.view_extract v ~doc ~off ~len)
-              ~mem:(T1_fm.view_mem v)
-              ~components:(fun () -> T1_fm.view_components v));
-        op_drain = (fun () -> ());
-        op_close = (fun () -> T1_fm.close t);
-      }
-    | Plain_sa ->
-      let t =
-        match restore_from with
-        | None -> T1_sa.create ~schedule ~sample ~tau ~jobs ()
-        | Some d ->
-          T1_sa.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
-      in
-      {
-        op_insert = T1_sa.insert t;
-        op_delete = T1_sa.delete t;
-        op_mem = T1_sa.mem t;
-        op_search = (fun p ~f -> T1_sa.search t p ~f);
-        op_count = T1_sa.count t;
-        op_extract = (fun ~doc ~off ~len -> T1_sa.extract t ~doc ~off ~len);
-        op_doc_count = (fun () -> T1_sa.doc_count t);
-        op_total_symbols = (fun () -> T1_sa.total_symbols t);
-        op_space_bits = (fun () -> T1_sa.space_bits t);
-        op_describe = (fun () -> name ^ "/sa");
-        op_obs = (fun () -> T1_sa.obs t);
-        op_events = (fun () -> T1_sa.events t);
-        op_probe =
-          t1_probe (fun () -> T1_sa.census_full t) (T1_sa.level_capacity t) (fun () -> T1_sa.nf t);
-        op_next_id = (fun () -> T1_sa.next_id t);
-        op_view =
-          (fun () ->
-            let v = T1_sa.view t in
-            mk_view ~epoch:(T1_sa.view_epoch v) ~docs:(T1_sa.view_doc_count v)
-              ~syms:(T1_sa.view_total_symbols v) ~census:(T1_sa.view_census v)
-              ~search:(fun p ~f -> T1_sa.view_search v p ~f)
-              ~count:(T1_sa.view_count v)
-              ~extract:(fun ~doc ~off ~len -> T1_sa.view_extract v ~doc ~off ~len)
-              ~mem:(T1_sa.view_mem v)
-              ~components:(fun () -> T1_sa.view_components v));
-        op_drain = (fun () -> ());
-        op_close = (fun () -> T1_sa.close t);
-      }
-    | Csa ->
-      let t =
-        match restore_from with
-        | None -> T1_csa.create ~schedule ~sample ~tau ~jobs ()
-        | Some d ->
-          T1_csa.restore ~schedule ~sample ~tau ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
-      in
-      {
-        op_insert = T1_csa.insert t;
-        op_delete = T1_csa.delete t;
-        op_mem = T1_csa.mem t;
-        op_search = (fun p ~f -> T1_csa.search t p ~f);
-        op_count = T1_csa.count t;
-        op_extract = (fun ~doc ~off ~len -> T1_csa.extract t ~doc ~off ~len);
-        op_doc_count = (fun () -> T1_csa.doc_count t);
-        op_total_symbols = (fun () -> T1_csa.total_symbols t);
-        op_space_bits = (fun () -> T1_csa.space_bits t);
-        op_describe = (fun () -> name ^ "/csa");
-        op_obs = (fun () -> T1_csa.obs t);
-        op_events = (fun () -> T1_csa.events t);
-        op_probe =
-          t1_probe (fun () -> T1_csa.census_full t) (T1_csa.level_capacity t)
-            (fun () -> T1_csa.nf t);
-        op_next_id = (fun () -> T1_csa.next_id t);
-        op_view =
-          (fun () ->
-            let v = T1_csa.view t in
-            mk_view ~epoch:(T1_csa.view_epoch v) ~docs:(T1_csa.view_doc_count v)
-              ~syms:(T1_csa.view_total_symbols v) ~census:(T1_csa.view_census v)
-              ~search:(fun p ~f -> T1_csa.view_search v p ~f)
-              ~count:(T1_csa.view_count v)
-              ~extract:(fun ~doc ~off ~len -> T1_csa.view_extract v ~doc ~off ~len)
-              ~mem:(T1_csa.view_mem v)
-              ~components:(fun () -> T1_csa.view_components v));
-        op_drain = (fun () -> ());
-        op_close = (fun () -> T1_csa.close t);
-      }
   in
   let ops =
-    enforce_conventions
-    @@ match variant with
-  | Amortized -> t1 (Transform1.geometric ()) "transform1"
-  | Amortized_loglog -> t1 (Transform1.doubling ()) "transform3"
-  | Worst_case -> (
-    match backend with
-    | Fm ->
-      let t =
-        match restore_from with
-        | None -> T2_fm.create ~sample ~tau ?fault ~jobs ()
-        | Some d ->
-          T2_fm.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
-      in
-      {
-        op_insert = T2_fm.insert t;
-        op_delete = T2_fm.delete t;
-        op_mem = T2_fm.mem t;
-        op_search = (fun p ~f -> T2_fm.search t p ~f);
-        op_count = T2_fm.count t;
-        op_extract = (fun ~doc ~off ~len -> T2_fm.extract t ~doc ~off ~len);
-        op_doc_count = (fun () -> T2_fm.doc_count t);
-        op_total_symbols = (fun () -> T2_fm.total_symbols t);
-        op_space_bits = (fun () -> T2_fm.space_bits t);
-        op_describe = (fun () -> "transform2/fm");
-        op_obs = (fun () -> T2_fm.obs t);
-        op_events = (fun () -> T2_fm.events t);
-        op_probe =
-          t2_probe (fun () -> T2_fm.census t) (T2_fm.level_capacity t) (fun () -> T2_fm.nf t)
-            (fun () -> T2_fm.pending_jobs t) (fun () -> T2_fm.stats t)
-            (fun () -> T2_fm.clean_schedule t);
-        op_next_id = (fun () -> T2_fm.next_id t);
-        op_view =
-          (fun () ->
-            let v = T2_fm.view t in
-            mk_view ~epoch:(T2_fm.view_epoch v) ~docs:(T2_fm.view_doc_count v)
-              ~syms:(T2_fm.view_total_symbols v) ~census:(T2_fm.view_census v)
-              ~search:(fun p ~f -> T2_fm.view_search v p ~f)
-              ~count:(T2_fm.view_count v)
-              ~extract:(fun ~doc ~off ~len -> T2_fm.view_extract v ~doc ~off ~len)
-              ~mem:(T2_fm.view_mem v)
-              ~components:(fun () -> T2_fm.view_components v));
-        op_drain = (fun () -> T2_fm.drain t);
-        op_close = (fun () -> T2_fm.close t);
-      }
-    | Plain_sa ->
-      let t =
-        match restore_from with
-        | None -> T2_sa.create ~sample ~tau ?fault ~jobs ()
-        | Some d ->
-          T2_sa.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
-      in
-      {
-        op_insert = T2_sa.insert t;
-        op_delete = T2_sa.delete t;
-        op_mem = T2_sa.mem t;
-        op_search = (fun p ~f -> T2_sa.search t p ~f);
-        op_count = T2_sa.count t;
-        op_extract = (fun ~doc ~off ~len -> T2_sa.extract t ~doc ~off ~len);
-        op_doc_count = (fun () -> T2_sa.doc_count t);
-        op_total_symbols = (fun () -> T2_sa.total_symbols t);
-        op_space_bits = (fun () -> T2_sa.space_bits t);
-        op_describe = (fun () -> "transform2/sa");
-        op_obs = (fun () -> T2_sa.obs t);
-        op_events = (fun () -> T2_sa.events t);
-        op_probe =
-          t2_probe (fun () -> T2_sa.census t) (T2_sa.level_capacity t) (fun () -> T2_sa.nf t)
-            (fun () -> T2_sa.pending_jobs t) (fun () -> T2_sa.stats t)
-            (fun () -> T2_sa.clean_schedule t);
-        op_next_id = (fun () -> T2_sa.next_id t);
-        op_view =
-          (fun () ->
-            let v = T2_sa.view t in
-            mk_view ~epoch:(T2_sa.view_epoch v) ~docs:(T2_sa.view_doc_count v)
-              ~syms:(T2_sa.view_total_symbols v) ~census:(T2_sa.view_census v)
-              ~search:(fun p ~f -> T2_sa.view_search v p ~f)
-              ~count:(T2_sa.view_count v)
-              ~extract:(fun ~doc ~off ~len -> T2_sa.view_extract v ~doc ~off ~len)
-              ~mem:(T2_sa.view_mem v)
-              ~components:(fun () -> T2_sa.view_components v));
-        op_drain = (fun () -> T2_sa.drain t);
-        op_close = (fun () -> T2_sa.close t);
-      }
-    | Csa ->
-      let t =
-        match restore_from with
-        | None -> T2_csa.create ~sample ~tau ?fault ~jobs ()
-        | Some d ->
-          T2_csa.restore ~sample ~tau ?fault ~jobs ~next_id:d.dm_next_id ~nf:d.dm_nf
-            ~del_counter:d.dm_del_counter ~epoch:d.dm_epoch ~components:d.dm_components ?tail ()
-      in
-      {
-        op_insert = T2_csa.insert t;
-        op_delete = T2_csa.delete t;
-        op_mem = T2_csa.mem t;
-        op_search = (fun p ~f -> T2_csa.search t p ~f);
-        op_count = T2_csa.count t;
-        op_extract = (fun ~doc ~off ~len -> T2_csa.extract t ~doc ~off ~len);
-        op_doc_count = (fun () -> T2_csa.doc_count t);
-        op_total_symbols = (fun () -> T2_csa.total_symbols t);
-        op_space_bits = (fun () -> T2_csa.space_bits t);
-        op_describe = (fun () -> "transform2/csa");
-        op_obs = (fun () -> T2_csa.obs t);
-        op_events = (fun () -> T2_csa.events t);
-        op_probe =
-          t2_probe (fun () -> T2_csa.census t) (T2_csa.level_capacity t) (fun () -> T2_csa.nf t)
-            (fun () -> T2_csa.pending_jobs t) (fun () -> T2_csa.stats t)
-            (fun () -> T2_csa.clean_schedule t);
-        op_next_id = (fun () -> T2_csa.next_id t);
-        op_view =
-          (fun () ->
-            let v = T2_csa.view t in
-            mk_view ~epoch:(T2_csa.view_epoch v) ~docs:(T2_csa.view_doc_count v)
-              ~syms:(T2_csa.view_total_symbols v) ~census:(T2_csa.view_census v)
-              ~search:(fun p ~f -> T2_csa.view_search v p ~f)
-              ~count:(T2_csa.view_count v)
-              ~extract:(fun ~doc ~off ~len -> T2_csa.view_extract v ~doc ~off ~len)
-              ~mem:(T2_csa.view_mem v)
-              ~components:(fun () -> T2_csa.view_components v));
-        op_drain = (fun () -> T2_csa.drain t);
-        op_close = (fun () -> T2_csa.close t);
-      })
+    {
+      op_insert = E.insert e;
+      op_delete = E.delete e;
+      op_queries =
+        conventions { search = E.search e; count = E.count e; extract = E.extract e; mem = E.mem e };
+      op_doc_count = (fun () -> E.doc_count e);
+      op_total_symbols = (fun () -> E.total_symbols e);
+      op_space_bits = (fun () -> E.space_bits e);
+      op_describe = E.describe e;
+      op_obs = E.obs e;
+      op_events = (fun () -> E.events e);
+      op_probe = (fun () -> E.probe e);
+      op_next_id = (fun () -> E.next_id e);
+      op_view = view;
+      op_drain = (fun () -> E.drain e);
+      op_close = (fun () -> E.close e);
+    }
   in
   let readers =
-    if readers > 0 then
+    if config.readers > 0 then
       Some
         (Exec.create
-           ~obs:(Dsdg_obs.Obs.private_scope (ops.op_describe () ^ "/readers"))
-           ~workers:readers ())
+           ~obs:(Dsdg_obs.Obs.private_scope (ops.op_describe ^ "/readers"))
+           ~workers:config.readers ())
     else None
   in
   {
@@ -500,25 +250,25 @@ let delete t id =
   retain_note t;
   ok
 
-let mem t id = t.ops.op_mem id
-
-(* All (doc, off) occurrences, sorted. *)
-let search t p =
+(* All (doc, off) occurrences of [p] through [q], sorted. *)
+let sorted_matches q p =
   let acc = ref [] in
-  t.ops.op_search p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
+  q.search p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
   List.sort compare !acc
 
-let iter_matches t p ~f = t.ops.op_search p ~f
-let count t p = t.ops.op_count p
-let extract t ~doc ~off ~len = t.ops.op_extract ~doc ~off ~len
+let mem t id = t.ops.op_queries.mem id
+let search t p = sorted_matches t.ops.op_queries p
+let iter_matches t p ~f = t.ops.op_queries.search p ~f
+let count t p = t.ops.op_queries.count p
+let extract t ~doc ~off ~len = t.ops.op_queries.extract ~doc ~off ~len
 let doc_count t = t.ops.op_doc_count ()
 let total_symbols t = t.ops.op_total_symbols ()
 let space_bits t = t.ops.op_space_bits ()
-let describe t = t.ops.op_describe ()
+let describe t = t.ops.op_describe
 
 (* The underlying transformation's observability scope (counters,
    histograms, event ring) and its rendered recent-event log. *)
-let obs_scope t = t.ops.op_obs ()
+let obs_scope t = t.ops.op_obs
 let events t = t.ops.op_events ()
 let probe t = t.ops.op_probe ()
 
@@ -532,16 +282,11 @@ let view_epoch v = v.vw_epoch
 let view_doc_count v = v.vw_doc_count
 let view_total_symbols v = v.vw_total_symbols
 let view_census v = v.vw_census
-let view_mem v id = v.vw_mem id
-let view_iter_matches v p ~f = v.vw_search p ~f
-
-let view_search v p =
-  let acc = ref [] in
-  v.vw_search p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-  List.sort compare !acc
-
-let view_count v p = v.vw_count p
-let view_extract v ~doc ~off ~len = v.vw_extract ~doc ~off ~len
+let view_mem v id = v.vw_queries.mem id
+let view_iter_matches v p ~f = v.vw_queries.search p ~f
+let view_search v p = sorted_matches v.vw_queries p
+let view_count v p = v.vw_queries.count p
+let view_extract v ~doc ~off ~len = v.vw_queries.extract ~doc ~off ~len
 
 (* --- epoch retention and pinning --- *)
 
@@ -612,26 +357,6 @@ let dump_scalars t =
     p.pr_nf,
     match p.pr_clean with Some (c, _) -> c | None -> 0 )
 
-(* Full synchronous dump: land in-flight jobs first so the snapshot is
-   canonical (C0/Cj/Tk only), then capture the published view plus the
-   writer scalars.  Background checkpoints skip the drain and dump the
-   raw view instead -- restore folds any L/Temp components it finds. *)
-let dump t : dump =
-  t.ops.op_drain ();
-  let v = t.ops.op_view () in
-  let next_id, nf, del_counter = dump_scalars t in
-  {
-    dm_variant = t.config.variant;
-    dm_backend = t.config.backend;
-    dm_sample = t.config.sample;
-    dm_tau = t.config.tau;
-    dm_epoch = v.vw_epoch;
-    dm_next_id = next_id;
-    dm_nf = nf;
-    dm_del_counter = del_counter;
-    dm_components = v.vw_components ();
-  }
-
 (* Two-phase capture for background checkpoints: [checkpoint_header] is
    O(1) and must run on the writer domain (it reads writer-mutable
    scalars); [checkpoint_body] is the O(n) document extraction over the
@@ -651,6 +376,15 @@ let checkpoint_header t (v : view) : dump =
   }
 
 let checkpoint_body (d : dump) (v : view) : dump = { d with dm_components = v.vw_components () }
+
+(* Full synchronous dump: land in-flight jobs first so the snapshot is
+   canonical (C0/Cj/Tk only), then capture the published view plus the
+   writer scalars.  Background checkpoints skip the drain and dump the
+   raw view instead -- restore folds any L/Temp components it finds. *)
+let dump t : dump =
+  t.ops.op_drain ();
+  let v = t.ops.op_view () in
+  checkpoint_body (checkpoint_header t v) v
 
 let empty_dump (c : Index_config.t) : dump =
   {

@@ -35,7 +35,9 @@ val insert : t -> string -> int
 (** [delete t id]; [false] if no such live document. *)
 val delete : t -> int -> bool
 
-(** Whether [id] names a live document. O(1). *)
+(** Whether [id] names a live document: one hash lookup for the
+    amortized variants; [Worst_case] walks every structure (and, with
+    [jobs >= 1], donates a bounded slice to the background workers). *)
 val mem : t -> int -> bool
 
 (** All (document, offset) occurrences, sorted. Raises
@@ -81,27 +83,16 @@ val obs_scope : t -> Dsdg_obs.Obs.scope
 val events : t -> string list
 
 (** Read-only structural snapshot for invariant checking (consumed by
-    the differential-checking oracles in [Dsdg_check.Oracle]). *)
-type probe = {
+    the differential-checking oracles in [Dsdg_check.Oracle]); the
+    fields are documented at {!Dynamization.probe}. *)
+type probe = Dynamization.probe = {
   pr_census : (string * int * int) list;
-      (** per-structure [(name, live, dead)] symbol counts; names follow
-          the paper's Figure 2: ["C0"], ["C3"], ["L2"], ["Temp4"],
-          ["T7"]. *)
   pr_capacity : int -> int;
-      (** level [j] -> the schedule's max size under the current [nf]
-          snapshot ([2 nf / log^2 nf * log^(eps j) nf] for the geometric
-          schedule). *)
-  pr_nf : int;  (** the current global size snapshot nf *)
-  pr_tau : int;  (** lazy-deletion threshold the instance was built with *)
+  pr_nf : int;
+  pr_tau : int;
   pr_pending_jobs : int;
-      (** background construction jobs in flight; always [0] for the
-          amortized variants. *)
   pr_jobs : (int * int * int) option;
-      (** [Worst_case] only: [(jobs_started, jobs_completed, forced)]. *)
   pr_clean : (int * int) option;
-      (** [Worst_case] only: [(deleted symbols since the last
-          Dietz-Sleator top-cleaning dispatch, period delta)]. The
-          schedule keeps the counter below twice the period. *)
 }
 
 (** Capture the current structural state as a {!probe}. *)
@@ -219,20 +210,18 @@ val pinned_count : t -> int
     are deterministic functions of the components and are rebuilt by
     {!restore}. See DESIGN.md section 10. *)
 
-type dump = {
+(** The dump of one epoch; the fields are documented at
+    {!Dynamization.dump}. *)
+type dump = Dynamization.dump = {
   dm_variant : variant;
   dm_backend : backend;
   dm_sample : int;
   dm_tau : int;
-  dm_epoch : int;  (** completed updates at capture time *)
-  dm_next_id : int;  (** next document id the index would assign *)
-  dm_nf : int;  (** global size snapshot nf (schedule state) *)
+  dm_epoch : int;
+  dm_next_id : int;
+  dm_nf : int;
   dm_del_counter : int;
-      (** Dietz-Sleator cleaning counter ([Worst_case] only; [0]
-          otherwise) *)
   dm_components : (string * (int * string) array * bool array) list;
-      (** per-structure (census name, resident docs, deletion bit
-          vector) *)
 }
 
 (** Full synchronous dump: drains in-flight background jobs first (so

@@ -3,12 +3,17 @@
 type variant = Amortized | Amortized_loglog | Worst_case
 type backend = Fm | Plain_sa | Csa
 
+(* Deliberate scheduling defects, injectable for differential-checker
+   self-tests (Dsdg_check): a harness that cannot catch a planted bug
+   proves nothing.  Transformation 2 reads them; see index_config.mli. *)
+type fault = [ `Skip_top_clean | `Worker_crash | `Stale_epoch ]
+
 type t = {
   variant : variant;
   backend : backend;
   sample : int;
   tau : int;
-  fault : Transform2.fault option;
+  fault : fault option;
   jobs : int;
   readers : int;
   retain_epochs : int;
@@ -41,7 +46,7 @@ let validate t =
 let variants = [ ("amortized", Amortized); ("loglog", Amortized_loglog); ("worst-case", Worst_case) ]
 let backends = [ ("fm", Fm); ("sa", Plain_sa); ("csa", Csa) ]
 
-let faults : (string * Transform2.fault) list =
+let faults : (string * fault) list =
   [ ("skip-top-clean", `Skip_top_clean); ("worker-crash", `Worker_crash); ("stale-epoch", `Stale_epoch) ]
 
 (* One row per hinted field: hint key (which is also the command-line

@@ -4,8 +4,9 @@
     dynamization schedule, the static backend, the suffix-array
     sampling rate s and the lazy-deletion threshold tau. The engine adds
     four runtime settings. Every layer that builds an index
-    ([Dynamic_index], the store, the shards, the replicas and their
-    checkers) takes one [t] instead of eight optional arguments.
+    (the two transformations, [Dynamic_index], the store, the shards,
+    the replicas and their checkers) takes one [t] instead of eight
+    optional arguments.
 
     {b What persists.} A snapshot records the {e shape} fields
     ([variant], [backend], [sample], [tau]); restoring one keeps them
@@ -28,15 +29,26 @@ type backend =
   | Plain_sa  (** Plain suffix array: Table 3's fast/large class. *)
   | Csa  (** Sadakane-style psi-based CSA: Table 1's row [39]. *)
 
+(** Deliberate scheduling defects of Transformation 2, injectable so the
+    differential checkers can prove they catch real bugs.
+    [`Skip_top_clean] disables the Dietz-Sleator top cleaning, so
+    deleted symbols pile up in the top collections and Lemma 1's
+    dead-fraction bound eventually breaks. [`Worker_crash] (pooled mode,
+    [jobs >= 1]) makes every worker job raise on its first tick and
+    breaks the crash recovery: the job is discarded instead of rebuilt,
+    so the documents of its locked source (and any Temp riding on it)
+    are lost. [`Stale_epoch] makes successful deletes skip the epoch
+    publication: the write plane stays correct while published views
+    keep serving deleted documents, which only a concurrent-reader
+    oracle can catch. *)
+type fault = [ `Skip_top_clean | `Worker_crash | `Stale_epoch ]
+
 type t = {
   variant : variant;  (** persisted *)
   backend : backend;  (** persisted *)
   sample : int;  (** suffix-array sampling rate s (locate cost vs space); persisted *)
   tau : int;  (** dead fraction 1/tau tolerated before a purge; persisted *)
-  fault : Transform2.fault option;
-      (** a deliberate scheduling defect ({!Transform2.fault}) so the
-          differential checkers can prove they catch real bugs; affects
-          [Worst_case] indexes only *)
+  fault : fault option;  (** a planted defect; affects [Worst_case] indexes only *)
   jobs : int;
       (** background-rebuild worker domains; [0] steps rebuilds
           cooperatively inside updates (deterministic) *)
@@ -64,7 +76,7 @@ val variants : (string * variant) list
 val backends : (string * backend) list
 
 (** ["skip-top-clean"], ["worker-crash"], ["stale-epoch"]. *)
-val faults : (string * Transform2.fault) list
+val faults : (string * fault) list
 
 (** {1 Trace-hint header}
 

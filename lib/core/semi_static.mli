@@ -42,7 +42,7 @@ module Make (I : Static_index.S) : sig
   (** [live_symbols + dead_symbols] -- the built size. O(1). *)
   val total_symbols : t -> int
 
-  (** Live documents. O(1). *)
+  (** Live documents. O(resident documents): folds the dead flags. *)
   val doc_count : t -> int
 
   (** Whether dead symbols exceed the n/tau threshold. *)
@@ -95,7 +95,8 @@ module Make (I : Static_index.S) : sig
   (** Like [dead_symbols], frozen at snapshot time. *)
   val view_dead_symbols : view -> int
 
-  (** Like [doc_count], frozen at snapshot time. *)
+  (** Like [doc_count], frozen at snapshot time; also
+      O(resident documents). *)
   val view_doc_count : view -> int
 
   (** Like [search], against the snapshot's dead set. *)

@@ -13,9 +13,10 @@
    is dead.  A global rebuild re-snapshots nf when the live size doubles
    or halves.
 
-   The schedule is pluggable: [geometric] gives the paper's
-   Transformation 1 (O(1) sub-collections, O(u log^eps n) insertion);
-   [doubling] gives Transformation 3 from Appendix A.4 (O(log log n)
+   The index config's variant picks the schedule: [Amortized] gives
+   [geometric], the paper's Transformation 1 (O(1) sub-collections,
+   O(u log^eps n) insertion, eps = 1/2); [Amortized_loglog] gives
+   [doubling], Transformation 3 from Appendix A.4 (O(log log n)
    sub-collections, O(u log log n) insertion).
 
    Merge/purge/rebuild accounting goes through the shared Dsdg_obs.Obs
@@ -32,7 +33,9 @@ type schedule = {
 
 let log2 x = log x /. log 2.
 
-let geometric ?(epsilon = 0.5) () =
+let epsilon = 0.5
+
+let geometric =
   let r = int_of_float (ceil (2. /. epsilon)) + 1 in
   {
     schedule_name = Printf.sprintf "geometric(eps=%.2f)" epsilon;
@@ -45,7 +48,7 @@ let geometric ?(epsilon = 0.5) () =
         max 64 (int_of_float (base *. (lg ** (epsilon *. float_of_int j)))));
   }
 
-let doubling () =
+let doubling =
   {
     schedule_name = "doubling";
     slots =
@@ -88,13 +91,13 @@ module Make (I : Static_index.S) = struct
     vw_epoch : int;
     vw_gst : Gsuffix_tree.view;
     vw_subs : (int * SS.view) list; (* level j, ascending *)
-    vw_nf : int;
     vw_live : int;
     vw_docs : int;
   }
 
   type t = {
     schedule : schedule;
+    name : string; (* "transform1/<backend>" or "transform3/<backend>" *)
     sample : int;
     tau : int;
     mutable gst : Gsuffix_tree.t; (* C0 *)
@@ -121,7 +124,10 @@ module Make (I : Static_index.S) = struct
     h_purge_dead_frac : Obs.histogram; (* per-mille dead fraction at purge time *)
   }
 
-  let create ?(schedule = geometric ()) ?(sample = 8) ?(tau = 8) ?(jobs = 0) () =
+  let create ({ variant; sample; tau; jobs; _ } : Index_config.t) =
+    let schedule, transform =
+      if variant = Index_config.Amortized_loglog then (doubling, "transform3") else (geometric, "transform1")
+    in
     let obs = Obs.private_scope ("transform1/" ^ I.name) in
     let gst = Gsuffix_tree.create () in
     let view0 =
@@ -129,7 +135,6 @@ module Make (I : Static_index.S) = struct
         vw_epoch = 0;
         vw_gst = Gsuffix_tree.snapshot gst;
         vw_subs = [];
-        vw_nf = 256;
         vw_live = 0;
         vw_docs = 0;
       }
@@ -137,6 +142,7 @@ module Make (I : Static_index.S) = struct
     {
       exec = (if jobs > 0 then Some (Exec.create ~obs ~workers:jobs ()) else None);
       schedule;
+      name = transform ^ "/" ^ I.name;
       sample;
       tau;
       gst;
@@ -185,6 +191,7 @@ module Make (I : Static_index.S) = struct
   let doc_count t = Hashtbl.length t.locs
   let total_symbols t = t.live
   let schedule_name t = t.schedule.schedule_name
+  let describe t = t.name
 
   (* Gather all live documents of slot [j] (None -> []). *)
   let sub_docs t j =
@@ -237,7 +244,6 @@ module Make (I : Static_index.S) = struct
         vw_epoch = epoch;
         vw_gst = Gsuffix_tree.snapshot t.gst;
         vw_subs = !subs;
-        vw_nf = t.nf;
         vw_live = t.live;
         vw_docs = Hashtbl.length t.locs;
       }
@@ -251,18 +257,12 @@ module Make (I : Static_index.S) = struct
 
   let view t = Atomic.get t.published
   let view_epoch v = v.vw_epoch
-  let view_nf v = v.vw_nf
   let view_doc_count v = v.vw_docs
   let view_total_symbols v = v.vw_live
 
   let view_search v p ~f =
     Gsuffix_tree.view_search v.vw_gst p ~f;
     List.iter (fun (_, sv) -> SS.view_search sv p ~f) v.vw_subs
-
-  let view_matches v p =
-    let acc = ref [] in
-    view_search v p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-    List.sort compare !acc
 
   let view_count v p =
     Gsuffix_tree.view_count v.vw_gst p
@@ -405,10 +405,11 @@ module Make (I : Static_index.S) = struct
      of [nf/2, 2 nf], everything goes into one global rebuild.  The
      first published view continues the (folded) epoch so that epoch =
      completed updates keeps holding across a restart. *)
-  let restore ?schedule ?sample ?tau ?jobs ~next_id:nid ~nf ~epoch ~components ?tail () =
-    let t = create ?schedule ?sample ?tau ?jobs () in
-    t.nf <- max 256 nf;
-    t.next_id <- nid;
+  let restore config ?tail
+      ({ dm_next_id; dm_nf; dm_epoch = epoch; dm_components = components; _ } : Dynamization.dump) =
+    let t = create config in
+    t.nf <- max 256 dm_nf;
+    t.next_id <- dm_next_id;
     let live_docs (docs : (int * string) array) (dead : bool array) =
       List.filteri (fun i _ -> i >= Array.length dead || not dead.(i)) (Array.to_list docs)
     in
@@ -540,19 +541,9 @@ module Make (I : Static_index.S) = struct
     global_rebuild t ~extra:[];
     publish t ~cause:`Consolidate
 
-  (* Live sizes of all sub-collections: the measured counterpart of the
-     paper's Figure 1. *)
+  (* Live and dead sizes of all sub-collections: the measured
+     counterpart of the paper's Figure 1. *)
   let census t =
-    let acc = ref [ ("C0", Gsuffix_tree.live_symbols t.gst) ] in
-    for j = 1 to max_slots do
-      match t.subs.(j) with
-      | None -> ()
-      | Some ss -> acc := (Printf.sprintf "C%d" j, SS.live_symbols ss) :: !acc
-    done;
-    List.rev !acc
-
-  (* [census] plus dead-symbol counts, for the invariant oracles. *)
-  let census_full t =
     let acc =
       ref [ ("C0", Gsuffix_tree.live_symbols t.gst, Gsuffix_tree.dead_symbols t.gst) ]
     in
@@ -568,6 +559,20 @@ module Make (I : Static_index.S) = struct
       Array.fold_left (fun a -> function None -> a | Some ss -> a + SS.space_bits ss) 0 t.subs
     in
     Gsuffix_tree.space_bits t.gst + sub_space + (Hashtbl.length t.locs * 3 * 63)
+
+  let probe t : Dynamization.probe =
+    {
+      pr_census = census t;
+      pr_capacity = level_capacity t;
+      pr_nf = t.nf;
+      pr_tau = t.tau;
+      pr_pending_jobs = 0;
+      pr_jobs = None;
+      pr_clean = None;
+    }
+
+  (* Rebuilds are synchronous: nothing is ever in flight. *)
+  let drain _ = ()
 
   (* Stop and join the worker domains (no-op without a pool); the index
      stays usable, rebuilds simply run inline afterwards. *)

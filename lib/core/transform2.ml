@@ -41,23 +41,6 @@ open Dsdg_gst
 open Dsdg_incr
 open Dsdg_obs
 
-(* Deliberate scheduling defects, injectable for differential-checker
-   self-tests (Dsdg_check): a harness that cannot catch a planted bug
-   proves nothing.  [`Skip_top_clean] disables the Dietz-Sleator top
-   cleaning so deleted symbols accumulate in top collections and the
-   Lemma 1 dead-fraction bound is eventually violated.  [`Worker_crash]
-   (pooled mode only, [jobs >= 1]) makes every executor job raise on its
-   first tick AND breaks the crash recovery: instead of the synchronous
-   in-place fallback rebuild the owner silently discards the job, so the
-   documents of the locked source (and any Temp riding on the job) are
-   lost -- the model comparison and the census oracle must catch it.
-   [`Stale_epoch] breaks the read plane only: successful deletes skip
-   the epoch publication, so the write plane stays correct (direct
-   queries see the deletion) while published views keep resurrecting
-   deleted documents -- only a concurrent-reader oracle comparing views
-   against the per-epoch model can catch it. *)
-type fault = [ `Skip_top_clean | `Worker_crash | `Stale_epoch ]
-
 (* Read-only snapshot of the scheduling counters (all maintained in the
    instance's Obs scope; see [obs]). *)
 type stats = {
@@ -76,6 +59,10 @@ module Make (I : Static_index.S) = struct
   module Exec = Dsdg_exec.Executor
 
   let max_slots = 64
+
+  (* The geometric schedule's exponent: max_j grows by log^eps nf per
+     level (Section 3 uses Transformation 1's sizes). *)
+  let epsilon = 0.5
 
   (* Per-query cap on the processor time donated to pooled workers (in
      job work units; see [donate]).  Small enough that a single query's
@@ -110,16 +97,13 @@ module Make (I : Static_index.S) = struct
     vw_epoch : int;
     vw_gsts : (string * Gsuffix_tree.view) list; (* C0 and, if locked, L0 *)
     vw_sss : (string * SS.view) list; (* C_j, L_j, Temp_j, T_k *)
-    vw_nf : int;
     vw_live : int;
     vw_docs : int;
-    vw_pending : int; (* background jobs in flight at publish time *)
   }
 
   type t = {
     sample : int;
     tau : int;
-    epsilon : float;
     work_factor : int;
     mutable gst : Gsuffix_tree.t; (* C0 *)
     mutable locked_gst : Gsuffix_tree.t option; (* L0 *)
@@ -134,7 +118,7 @@ module Make (I : Static_index.S) = struct
     mutable live : int;
     mutable doc_count : int;
     mutable del_counter : int; (* deleted symbols since last top-clean dispatch *)
-    fault : fault option;
+    fault : Index_config.fault option;
     exec : Exec.t option; (* None = Sync mode: jobs stepped cooperatively *)
     published : view Atomic.t; (* the read plane: latest epoch *)
     obs : Obs.scope;
@@ -157,8 +141,7 @@ module Make (I : Static_index.S) = struct
     h_purge_dead_frac : Obs.histogram; (* per-mille dead fraction at purge/clean time *)
   }
 
-  let create ?(sample = 8) ?(tau = 8) ?(epsilon = 0.5) ?(work_factor = 64) ?fault
-      ?(jobs = 0) () =
+  let create ?(work_factor = 64) ({ sample; tau; fault; jobs; _ } : Index_config.t) =
     let obs = Obs.private_scope ("transform2/" ^ I.name) in
     let gst = Gsuffix_tree.create () in
     let view0 =
@@ -166,10 +149,8 @@ module Make (I : Static_index.S) = struct
         vw_epoch = 0;
         vw_gsts = [ ("C0", Gsuffix_tree.snapshot gst) ];
         vw_sss = [];
-        vw_nf = 256;
         vw_live = 0;
         vw_docs = 0;
-        vw_pending = 0;
       }
     in
     {
@@ -178,7 +159,6 @@ module Make (I : Static_index.S) = struct
       published = Atomic.make view0;
       sample;
       tau;
-      epsilon;
       work_factor;
       gst;
       locked_gst = None;
@@ -228,10 +208,9 @@ module Make (I : Static_index.S) = struct
       crash_fallbacks = Obs.value t.c_crash_fallbacks;
     }
 
-  let jobs_mode t = match t.exec with None -> `Sync | Some e -> Exec.mode e
-
   let doc_count t = t.doc_count
   let total_symbols t = t.live
+  let describe _ = "transform2/" ^ I.name
 
   (* Read-only introspection for the differential checker (Dsdg_check). *)
   let nf t = t.nf
@@ -240,7 +219,7 @@ module Make (I : Static_index.S) = struct
     let nff = float_of_int (max t.nf 256) in
     let lg = max 2. (log nff /. log 2.) in
     let base = 2. *. nff /. (lg *. lg) in
-    max 64 (int_of_float (base *. (lg ** (t.epsilon *. float_of_int j))))
+    max 64 (int_of_float (base *. (lg ** (epsilon *. float_of_int j))))
 
   (* r: first level whose capacity reaches the top-collection grain nf/tau. *)
   let r_of t =
@@ -875,20 +854,14 @@ module Make (I : Static_index.S) = struct
       (match t.locked.(j) with None -> () | Some ss -> add (Printf.sprintf "L%d" j) ss);
       match t.subs.(j) with None -> () | Some ss -> add (Printf.sprintf "C%d" j) ss
     done;
-    let pending = ref 0 in
-    for j = 0 to max_slots + 1 do
-      if t.jobs.(j) <> None then incr pending
-    done;
     let epoch = (Atomic.get t.published).vw_epoch + 1 in
     let v =
       {
         vw_epoch = epoch;
         vw_gsts = !gsts;
         vw_sss = !sss;
-        vw_nf = t.nf;
         vw_live = t.live;
         vw_docs = t.doc_count;
-        vw_pending = !pending;
       }
     in
     Atomic.set t.published v;
@@ -901,19 +874,12 @@ module Make (I : Static_index.S) = struct
 
   let view t = Atomic.get t.published
   let view_epoch v = v.vw_epoch
-  let view_nf v = v.vw_nf
   let view_doc_count v = v.vw_docs
   let view_total_symbols v = v.vw_live
-  let view_pending_jobs v = v.vw_pending
 
   let view_search v p ~f =
     List.iter (fun (_, g) -> Gsuffix_tree.view_search g p ~f) v.vw_gsts;
     List.iter (fun (_, sv) -> SS.view_search sv p ~f) v.vw_sss
-
-  let view_matches v p =
-    let acc = ref [] in
-    view_search v p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-    List.sort compare !acc
 
   let view_count v p =
     List.fold_left (fun a (_, g) -> a + Gsuffix_tree.view_count g p) 0 v.vw_gsts
@@ -987,12 +953,13 @@ module Make (I : Static_index.S) = struct
      surviving inserts of a folded WAL tail ([tail]) are then absorbed
      in bulk, below.  The first published view continues the (folded)
      epoch, preserving epoch = completed updates across a restart. *)
-  let restore ?sample ?tau ?epsilon ?work_factor ?fault ?jobs ~next_id:nid ~nf
-      ~del_counter ~epoch ~components ?tail () =
-    let t = create ?sample ?tau ?epsilon ?work_factor ?fault ?jobs () in
-    t.nf <- max 256 nf;
-    t.next_id <- nid;
-    t.del_counter <- del_counter;
+  let restore config ?tail
+      ({ dm_next_id; dm_nf; dm_del_counter; dm_epoch = epoch; dm_components = components; _ } :
+        Dynamization.dump) =
+    let t = create config in
+    t.nf <- max 256 dm_nf;
+    t.next_id <- dm_next_id;
+    t.del_counter <- dm_del_counter;
     let level name prefix =
       let pl = String.length prefix in
       if String.length name > pl && String.sub name 0 pl = prefix then
@@ -1191,4 +1158,16 @@ module Make (I : Static_index.S) = struct
       ~fss:(fun ss -> total := !total + SS.space_bits ss)
       ~fgst:(fun g -> total := !total + Gsuffix_tree.space_bits g);
     !total
+
+  let probe t : Dynamization.probe =
+    let s = stats t in
+    {
+      pr_census = census t;
+      pr_capacity = level_capacity t;
+      pr_nf = t.nf;
+      pr_tau = t.tau;
+      pr_pending_jobs = pending_jobs t;
+      pr_jobs = Some (s.jobs_started, s.jobs_completed, s.forced);
+      pr_clean = Some (clean_schedule t);
+    }
 end

@@ -5,14 +5,14 @@ open Dsdg_core
 
 let check = Alcotest.(check int)
 
+(* Every variant x backend pair, named by its transformation number
+   ("t1/fm", ..., "t2/csa"); [describe] must spell out the same pair. *)
 let all_configs =
-  [ (Dynamic_index.Amortized, Dynamic_index.Fm, "t1/fm");
-    (Dynamic_index.Amortized, Dynamic_index.Plain_sa, "t1/sa");
-    (Dynamic_index.Amortized_loglog, Dynamic_index.Fm, "t3/fm");
-    (Dynamic_index.Worst_case, Dynamic_index.Fm, "t2/fm");
-    (Dynamic_index.Worst_case, Dynamic_index.Plain_sa, "t2/sa");
-    (Dynamic_index.Amortized, Dynamic_index.Csa, "t1/csa");
-    (Dynamic_index.Worst_case, Dynamic_index.Csa, "t2/csa") ]
+  List.concat_map
+    (fun (_, variant) ->
+      let n = match variant with Dynamic_index.Amortized -> "1" | Amortized_loglog -> "3" | Worst_case -> "2" in
+      List.map (fun (b, backend) -> (variant, backend, "t" ^ n ^ "/" ^ b)) Index_config.backends)
+    Index_config.variants
 
 let naive_search (docs : (int * string) list) (p : string) : (int * int) list =
   let res = ref [] in
@@ -27,7 +27,8 @@ let naive_search (docs : (int * string) list) (p : string) : (int * int) list =
 
 let battery (variant, backend, name) () =
   let idx = Dynamic_index.create ~index:{ Index_config.default with variant; backend; sample = 2; tau = 4 } () in
-  Alcotest.(check bool) (name ^ " describe nonempty") true (String.length (Dynamic_index.describe idx) > 0);
+  Alcotest.(check string) (name ^ " describe") ("transform" ^ String.sub name 1 (String.length name - 1))
+    (Dynamic_index.describe idx);
   let st = Random.State.make [| 1234 |] in
   let model = Hashtbl.create 32 in
   for step = 1 to 80 do

@@ -149,15 +149,18 @@ let test_semi_static_csa = semi_static_battery (module SS_csa) "csa"
 
 module T1 = Transform1.Make (Fm_static)
 
+let t1_config ?(variant = Index_config.Amortized) ~sample ~tau () =
+  { Index_config.default with variant; sample; tau }
+
 let rand_doc st =
   let n = Random.State.int st 40 in
   String.init n (fun _ -> Char.chr (97 + Random.State.int st 3))
 
 (* Drive a Transform1 instance and a naive model through a random op
    stream, checking search/count/extract agreement along the way. *)
-let churn_battery ?schedule ~ops ~seed name () =
+let churn_battery ?variant ~ops ~seed name () =
   let st = Random.State.make [| seed |] in
-  let t = T1.create ?schedule ~sample:2 ~tau:4 () in
+  let t = T1.create (t1_config ?variant ~sample:2 ~tau:4 ()) in
   let model : (int, string) Hashtbl.t = Hashtbl.create 64 in
   let patterns = [ "a"; "ab"; "ba"; "abc"; "ca"; "bb" ] in
   let verify step =
@@ -198,10 +201,10 @@ let churn_battery ?schedule ~ops ~seed name () =
   check (name ^ " doc_count") (Hashtbl.length model) (T1.doc_count t)
 
 let test_t1_geometric = churn_battery ~ops:120 ~seed:3 "t1-geo"
-let test_t1_doubling = churn_battery ~schedule:(Transform1.doubling ()) ~ops:120 ~seed:4 "t1-dbl"
+let test_t1_doubling = churn_battery ~variant:Amortized_loglog ~ops:120 ~seed:4 "t1-dbl"
 
 let test_t1_insert_only_growth () =
-  let t = T1.create ~sample:4 ~tau:8 () in
+  let t = T1.create (t1_config ~sample:4 ~tau:8 ()) in
   for i = 0 to 199 do
     ignore (T1.insert t (Printf.sprintf "document-%d-padding-padding" i))
   done;
@@ -213,7 +216,7 @@ let test_t1_insert_only_growth () =
   Alcotest.(check bool) "merges happened" true (stats.Transform1.merges > 0)
 
 let test_t1_delete_everything () =
-  let t = T1.create ~sample:2 ~tau:4 () in
+  let t = T1.create (t1_config ~sample:2 ~tau:4 ()) in
   let ids = List.init 50 (fun i -> T1.insert t (Printf.sprintf "text number %d" i)) in
   List.iter (fun id -> Alcotest.(check bool) "del" true (T1.delete t id)) ids;
   check "empty" 0 (T1.doc_count t);
@@ -221,7 +224,7 @@ let test_t1_delete_everything () =
   Alcotest.(check bool) "delete missing" false (T1.delete t 999)
 
 let test_t1_large_doc_goes_high () =
-  let t = T1.create ~sample:4 ~tau:8 () in
+  let t = T1.create (t1_config ~sample:4 ~tau:8 ()) in
   ignore (T1.insert t (String.make 5000 'x'));
   check "count x" 5000 (T1.count t "x");
   ignore (T1.insert t "small");
@@ -232,7 +235,7 @@ let prop_t1_vs_model =
     QCheck.(pair (int_bound 1000) (int_range 20 60))
     (fun (seed, ops) ->
       let st = Random.State.make [| seed; 77 |] in
-      let t = T1.create ~sample:2 ~tau:4 () in
+      let t = T1.create (t1_config ~sample:2 ~tau:4 ()) in
       let model = Hashtbl.create 32 in
       let ok = ref true in
       for _ = 1 to ops do
@@ -257,7 +260,7 @@ let prop_t1_vs_model =
 (* Regression: counts must already be consistent on the very operation
    that triggered an eager purge, not only once the dust settles. *)
 let test_t1_count_right_after_purge () =
-  let t = T1.create ~sample:2 ~tau:4 () in
+  let t = T1.create (t1_config ~sample:2 ~tau:4 ()) in
   let model = Hashtbl.create 64 in
   for i = 0 to 119 do
     let text = Printf.sprintf "purge fodder %d ab" i in

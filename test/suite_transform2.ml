@@ -6,6 +6,8 @@ open Dsdg_core
 
 module T2 = Transform2.Make (Fm_static)
 
+let config ~sample ~tau = { Index_config.default with sample; tau }
+
 let check = Alcotest.(check int)
 
 (* naive search over live (id, text) pairs, shared with the fuzzer *)
@@ -16,7 +18,7 @@ let rand_doc st max_len =
   String.init n (fun _ -> Char.chr (97 + Random.State.int st 3))
 
 let test_insert_search () =
-  let t = T2.create ~sample:2 ~tau:4 () in
+  let t = T2.create (config ~sample:2 ~tau:4) in
   let model = Hashtbl.create 16 in
   for i = 0 to 59 do
     let text = Printf.sprintf "payload %d abc" i in
@@ -32,7 +34,7 @@ let test_insert_search () =
     [ "payload"; "abc"; "5"; "1 abc"; "zz" ]
 
 let test_background_jobs_run () =
-  let t = T2.create ~sample:2 ~tau:4 ~work_factor:4 () in
+  let t = T2.create ~work_factor:4 (config ~sample:2 ~tau:4) in
   for i = 0 to 299 do
     ignore (T2.insert t (Printf.sprintf "document number %d with some padding text" i))
   done;
@@ -44,7 +46,7 @@ let test_background_jobs_run () =
   Alcotest.(check bool) "events" true (List.length (T2.events t) > 0)
 
 let test_oversized_doc_becomes_top () =
-  let t = T2.create ~sample:4 ~tau:4 () in
+  let t = T2.create (config ~sample:4 ~tau:4) in
   (* make nf large enough to matter, then add a huge doc *)
   for i = 0 to 49 do
     ignore (T2.insert t (Printf.sprintf "filler doc %d" i))
@@ -59,7 +61,7 @@ let test_oversized_doc_becomes_top () =
 let test_delete_with_pending_jobs () =
   (* documents deleted while a background rebuild is in flight must not
      resurrect when the job lands *)
-  let t = T2.create ~sample:2 ~tau:4 ~work_factor:1 () in
+  let t = T2.create ~work_factor:1 (config ~sample:2 ~tau:4) in
   let ids = ref [] in
   for i = 0 to 199 do
     ids := T2.insert t (Printf.sprintf "churn document %d" i) :: !ids
@@ -85,7 +87,7 @@ let test_delete_with_pending_jobs () =
 
 let churn ~ops ~seed ~max_len () =
   let st = Random.State.make [| seed |] in
-  let t = T2.create ~sample:2 ~tau:4 ~work_factor:4 () in
+  let t = T2.create ~work_factor:4 (config ~sample:2 ~tau:4) in
   let model = Hashtbl.create 64 in
   let patterns = [ "a"; "ab"; "ba"; "ca"; "bb" ] in
   let verify step =
@@ -126,14 +128,14 @@ let test_churn_small = churn ~ops:150 ~seed:5 ~max_len:30
 let test_churn_bigger_docs = churn ~ops:80 ~seed:6 ~max_len:200
 
 let test_delete_everything () =
-  let t = T2.create ~sample:2 ~tau:4 () in
+  let t = T2.create (config ~sample:2 ~tau:4) in
   let ids = List.init 80 (fun i -> T2.insert t (Printf.sprintf "erase me %d" i)) in
   List.iter (fun id -> Alcotest.(check bool) "del" true (T2.delete t id)) ids;
   check "empty" 0 (T2.doc_count t);
   check "no matches" 0 (T2.count t "erase")
 
 let test_census_shape () =
-  let t = T2.create ~sample:4 ~tau:4 () in
+  let t = T2.create (config ~sample:4 ~tau:4) in
   for i = 0 to 499 do
     ignore (T2.insert t (Printf.sprintf "census doc %d with padding" i))
   done;
@@ -148,7 +150,7 @@ let prop_t2_vs_model =
     QCheck.(pair (int_bound 1000) (int_range 30 70))
     (fun (seed, ops) ->
       let st = Random.State.make [| seed; 99 |] in
-      let t = T2.create ~sample:2 ~tau:4 ~work_factor:2 () in
+      let t = T2.create ~work_factor:2 (config ~sample:2 ~tau:4) in
       let model = Hashtbl.create 32 in
       for _ = 1 to ops do
         if Random.State.float st 1.0 < 0.65 || Hashtbl.length model = 0 then begin
@@ -170,7 +172,7 @@ let prop_t2_vs_model =
    lock/install cycles, top cleanings and at least one restructure *)
 let test_soak () =
   let st = Random.State.make [| 2025 |] in
-  let t = T2.create ~sample:4 ~tau:8 ~work_factor:32 () in
+  let t = T2.create ~work_factor:32 (config ~sample:4 ~tau:8) in
   let model = Hashtbl.create 256 in
   for step = 1 to 2500 do
     if Random.State.float st 1.0 < 0.62 || Hashtbl.length model = 0 then begin
@@ -203,7 +205,7 @@ let test_soak () =
    max_job_step: with a starvation-level work budget nearly every lock
    forces its job synchronously. *)
 let test_forced_accounting () =
-  let t = T2.create ~sample:2 ~tau:4 ~work_factor:1 () in
+  let t = T2.create ~work_factor:1 (config ~sample:2 ~tau:4) in
   let i = ref 0 in
   while (T2.stats t).Transform2.forced = 0 && !i < 2000 do
     ignore (T2.insert t (Printf.sprintf "forced accounting doc %d with some filler" !i));
@@ -220,7 +222,7 @@ let test_forced_accounting () =
 (* A failed delete (unknown or already-deleted id) must not mutate any
    counter or structure state. *)
 let test_failed_delete_no_mutation () =
-  let t = T2.create ~sample:2 ~tau:4 () in
+  let t = T2.create (config ~sample:2 ~tau:4) in
   let ids = List.init 30 (fun i -> T2.insert t (Printf.sprintf "hold doc %d" i)) in
   let victim = List.nth ids 3 in
   Alcotest.(check bool) "first delete" true (T2.delete t victim);
@@ -236,7 +238,7 @@ let test_failed_delete_no_mutation () =
 (* Regression: a document that currently lives in a locked copy L_j
    (its rebuild job still in flight) must remain fully extractable. *)
 let test_extract_from_locked_copy () =
-  let t = T2.create ~sample:2 ~tau:4 ~work_factor:1 () in
+  let t = T2.create ~work_factor:1 (config ~sample:2 ~tau:4) in
   let model = Hashtbl.create 64 in
   let checked_mid_rebuild = ref 0 in
   for i = 0 to 249 do
@@ -270,7 +272,7 @@ let test_extract_from_locked_copy () =
    reference values below.  A change to how components are read or
    built that moves when a job starts or lands changes the hash. *)
 let schedule_lock_stream () =
-  let t = T2.create ~sample:8 ~tau:8 () in
+  let t = T2.create (config ~sample:8 ~tau:8) in
   let st = Random.State.make [| 0x5c4e |] in
   let doc () = String.init 100 (fun _ -> Char.chr (97 + Random.State.int st 20)) in
   let live = Array.init 400 (fun _ -> T2.insert t (doc ())) in

@@ -14,6 +14,10 @@ open Dsdg_core
 
 module T1 = Transform1.Make (Fm_static)
 
+(* Transformation 1's functor runs the doubling schedule for the
+   [Amortized_loglog] variant. *)
+let doubling = { Index_config.default with variant = Amortized_loglog; sample = 2; tau = 4 }
+
 let check = Alcotest.(check int)
 let naive_search = Dsdg_check.Model.occurrences
 
@@ -31,17 +35,17 @@ let slot_budget nf =
 
 (* Sub-collections in the census: every entry except the C0 buffer. *)
 let sub_collections t =
-  List.length (List.filter (fun (name, _) -> name <> "C0") (T1.census t))
+  List.length (List.filter (fun (name, _, _) -> name <> "C0") (T1.census t))
 
 let test_schedule_name () =
-  let t = T1.create ~schedule:(Transform1.doubling ()) ~sample:2 ~tau:4 () in
+  let t = T1.create doubling in
   Alcotest.(check string) "schedule_name" "doubling" (T1.schedule_name t)
 
 (* Monotone insert stream: the census must respect the O(log log n)
    slot budget at every step, not just at the end. *)
 let test_census_bound_throughout () =
   let st = Random.State.make [| 301 |] in
-  let t = T1.create ~schedule:(Transform1.doubling ()) ~sample:2 ~tau:4 () in
+  let t = T1.create doubling in
   let worst = ref 0 in
   for i = 1 to 1200 do
     ignore (T1.insert t (rand_doc st 60));
@@ -65,7 +69,7 @@ let test_census_bound_throughout () =
 (* Level capacities must actually double (modulo the 64-symbol floor):
    the defining property of the schedule. *)
 let test_level_capacity_doubles () =
-  let t = T1.create ~schedule:(Transform1.doubling ()) ~sample:2 ~tau:4 () in
+  let t = T1.create doubling in
   for i = 0 to 399 do
     ignore (T1.insert t (Printf.sprintf "capacity probe %d padding padding" i))
   done;
@@ -83,7 +87,7 @@ let test_level_capacity_doubles () =
    schedule must not change a single answer. *)
 let test_churn_vs_model () =
   let st = Random.State.make [| 302 |] in
-  let t = T1.create ~schedule:(Transform1.doubling ()) ~sample:2 ~tau:4 () in
+  let t = T1.create doubling in
   let model = Hashtbl.create 64 in
   let patterns = [ "a"; "ab"; "ba"; "ca"; "bb" ] in
   let verify step =
@@ -124,8 +128,7 @@ let test_churn_vs_model () =
    every query identically -- the schedule is an amortization choice,
    never a semantic one. *)
 let test_doubling_vs_geometric_equivalence () =
-  let mk schedule = T1.create ~schedule ~sample:2 ~tau:4 () in
-  let a = mk (Transform1.geometric ()) and b = mk (Transform1.doubling ()) in
+  let a = T1.create { doubling with variant = Amortized } and b = T1.create doubling in
   let ops = Dsdg_check.Opgen.generate ~seed:303 ~ops:250 () in
   let module Trace = Dsdg_check.Trace in
   let cap f = try Ok (f ()) with Invalid_argument _ -> Error `Rejected in
@@ -156,7 +159,7 @@ let test_doubling_vs_geometric_equivalence () =
    per-symbol merge count the schedule exists to deliver. *)
 let test_rebuild_work_bounded () =
   let st = Random.State.make [| 304 |] in
-  let t = T1.create ~schedule:(Transform1.doubling ()) ~sample:2 ~tau:4 () in
+  let t = T1.create doubling in
   for _ = 1 to 1500 do
     ignore (T1.insert t (rand_doc st 50))
   done;
