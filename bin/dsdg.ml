@@ -106,6 +106,14 @@ let store_config ~sync ~checkpoint_every ~jobs =
 
 (* --- the one place a collection is opened --- *)
 
+(* Every domain a collection would start, checked before any starts: an
+   over-budget setting is a usage error, not a failure half way through
+   spawning a pool. *)
+let domain_budget ~indexes ~checkpoint_jobs ~recovery_jobs index =
+  match Index_config.validate_collection ~indexes ~checkpoint_jobs ~recovery_jobs index with
+  | _ -> ()
+  | exception Invalid_argument msg -> die_usage "%s" msg
+
 (* A collection, plus what only its backing can show: stats lines
    after the documents/symbols census, as-of queries (a single index
    only; a sharded epoch is a vector), a pinned backup (a single-index
@@ -170,6 +178,7 @@ let sharded ~name ~store sh =
    ([`Flag k]) or a single index ([`Single]); a mismatch is a usage
    error (124) raised before anything in the directory is touched. *)
 let open_collection ~(index : Index_config.t) ~config ~layout store =
+  let recovery_jobs k = if store <> None && k > 1 then min k 4 else 0 in
   let k =
     match store with
     | None -> ( match layout with `Flag k -> k | `Read | `Single -> 1)
@@ -190,6 +199,9 @@ let open_collection ~(index : Index_config.t) ~config ~layout store =
       | None, `Flag k -> k
       | None, (`Read | `Single) -> 1)
   in
+  domain_budget ~indexes:k ~recovery_jobs:(recovery_jobs k)
+    ~checkpoint_jobs:(if store = None then 0 else config.Store.Durable.checkpoint_jobs)
+    index;
   match (store, k) with
   | None, 1 ->
     let idx = Dynamic_index.create ~index () in
@@ -217,7 +229,7 @@ let open_collection ~(index : Index_config.t) ~config ~layout store =
         Printf.printf "store     : %s (next WAL serial %d)\n" dir (Store.Durable.wal_serial d))
   | Some dir, k ->
     (* recover the K shard stores in parallel on a small executor pool *)
-    let sh, infos = Sh.open_store ~config ~index ~recovery_jobs:(min k 4) ~shards:k ~dir () in
+    let sh, infos = Sh.open_store ~config ~index ~recovery_jobs:(recovery_jobs k) ~shards:k ~dir () in
     Array.iteri
       (fun s info -> Printf.printf "shard %d: %s\n" s (Store.Recovery.info_to_string info))
       infos;
@@ -871,12 +883,14 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
       | s ->
         die_usage "--store kill-and-recover mode supports --fault none | torn-write, not %s" s
     in
-    let sweep_ops = stream_ops index in
     let config =
       store_config ~sync
         ~checkpoint_every:(if checkpoint_every > 0 then checkpoint_every else 7)
         ~jobs:index.jobs
     in
+    domain_budget ~indexes:shards ~checkpoint_jobs:config.checkpoint_jobs
+      ~recovery_jobs:(if shards > 1 then 2 else 0) index;
+    let sweep_ops = stream_ops index in
     let n = List.length sweep_ops in
     let stride = if kill_stride > 0 then kill_stride else max 1 (n / 16) in
     Printf.printf
@@ -929,6 +943,10 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
     (* with --shards K every target is joined by sharded collections over
        the same settings, K in {1, 2, K} *)
     let counts = if shards > 1 then List.sort_uniq compare [ 1; min 2 shards; shards ] else [] in
+    (* every subject of a stream is open at once *)
+    domain_budget
+      ~indexes:(List.length targets * List.fold_left ( + ) 1 counts)
+      ~checkpoint_jobs:0 ~recovery_jobs:0 index;
     let subjects =
       List.concat_map
         (fun tg ->

@@ -33,15 +33,6 @@ type dump = Dynamization.dump = {
   dm_components : (string * (int * string) array * bool array) list;
 }
 
-(* The query half of an index, served by the write plane and by every
-   published view alike. *)
-type queries = {
-  search : string -> f:(doc:int -> off:int -> unit) -> unit;
-  count : string -> int;
-  extract : doc:int -> off:int -> len:int -> string option;
-  mem : int -> bool;
-}
-
 (* API conventions enforced uniformly across every variant x backend and
    both planes (the backends disagree on these edge cases, which is
    exactly the kind of drift the differential checker exists to catch):
@@ -54,43 +45,23 @@ type queries = {
    - [extract ~len:0] is [Some ""] for a live document and [None] for a
      dead/absent one, regardless of [off] and of which sub-collection
      (including a locked [L_j] mid-rebuild) owns the document. *)
-let conventions q =
-  let pattern p = if p = "" then invalid_arg "Dynamic_index: empty pattern" in
-  {
-    q with
-    search =
-      (fun p ~f ->
-        pattern p;
-        q.search p ~f);
-    count =
-      (fun p ->
-        pattern p;
-        q.count p);
-    extract =
-      (fun ~doc ~off ~len ->
-        if len = 0 then (if q.mem doc then Some "" else None) else q.extract ~doc ~off ~len);
-  }
+let pattern p = if p = "" then invalid_arg "Dynamic_index: empty pattern"
 
-(* Read-plane snapshot, uniform across every variant x backend: the
-   underlying transformation's typed view captured in closures.  A view
-   is immutable end to end, so it can be queried from any domain (the
-   reader pool, or raw [Domain.spawn]) without synchronization. *)
-type view = {
-  vw_epoch : int;
-  vw_doc_count : int;
-  vw_total_symbols : int;
-  vw_census : (string * int * int) list;
-  vw_queries : queries;
-  vw_components : unit -> (string * (int * string) array * bool array) list;
-      (* persistence: per-structure resident docs + deletion bit vectors,
-         extracted lazily (O(n)) from the frozen structures -- safe to
-         call on a checkpoint worker domain *)
-}
+let cut ~mem ~extract ~doc ~off ~len =
+  if len = 0 then if mem doc then Some "" else None else extract ~doc ~off ~len
+
+(* A published view is the engine's [Epoch_view.t] itself: immutable end
+   to end, so any domain (the reader pool, or raw [Domain.spawn]) may
+   query it without synchronization. *)
+type view = Epoch_view.t
 
 type ops = {
   op_insert : string -> int;
   op_delete : int -> bool;
-  op_queries : queries;
+  op_search : string -> f:(doc:int -> off:int -> unit) -> unit;
+  op_count : string -> int;
+  op_extract : doc:int -> off:int -> len:int -> string option;
+  op_mem : int -> bool;
   op_doc_count : unit -> int;
   op_total_symbols : unit -> int;
   op_space_bits : unit -> int;
@@ -156,30 +127,14 @@ let make ?restore_from ?tail (config : Index_config.t) : t =
   let config = Index_config.validate config in
   let (module E) = List.assoc (config.variant, config.backend) engines in
   let e = match restore_from with None -> E.create config | Some d -> E.restore config ?tail d in
-  let view () =
-    let v = E.view e in
-    {
-      vw_epoch = E.view_epoch v;
-      vw_doc_count = E.view_doc_count v;
-      vw_total_symbols = E.view_total_symbols v;
-      vw_census = E.view_census v;
-      vw_queries =
-        conventions
-          {
-            search = E.view_search v;
-            count = E.view_count v;
-            extract = E.view_extract v;
-            mem = E.view_mem v;
-          };
-      vw_components = (fun () -> E.view_components v);
-    }
-  in
   let ops =
     {
       op_insert = E.insert e;
       op_delete = E.delete e;
-      op_queries =
-        conventions { search = E.search e; count = E.count e; extract = E.extract e; mem = E.mem e };
+      op_search = E.search e;
+      op_count = E.count e;
+      op_extract = E.extract e;
+      op_mem = E.mem e;
       op_doc_count = (fun () -> E.doc_count e);
       op_total_symbols = (fun () -> E.total_symbols e);
       op_space_bits = (fun () -> E.space_bits e);
@@ -188,7 +143,7 @@ let make ?restore_from ?tail (config : Index_config.t) : t =
       op_events = (fun () -> E.events e);
       op_probe = (fun () -> E.probe e);
       op_next_id = (fun () -> E.next_id e);
-      op_view = view;
+      op_view = (fun () -> E.view e);
       op_drain = (fun () -> E.drain e);
       op_close = (fun () -> E.close e);
     }
@@ -222,7 +177,7 @@ let retain_note t =
   if retain > 0 then begin
     let v = t.ops.op_view () in
     match Atomic.get t.ring with
-    | w :: _ when w.vw_epoch >= v.vw_epoch -> ()
+    | w :: _ when w.Epoch_view.epoch >= v.Epoch_view.epoch -> ()
     | ring ->
       let rec keep n = function
         | [] -> []
@@ -250,17 +205,25 @@ let delete t id =
   retain_note t;
   ok
 
-(* All (doc, off) occurrences of [p] through [q], sorted. *)
-let sorted_matches q p =
+(* All (doc, off) occurrences that [iter] streams, sorted. *)
+let sorted_matches iter =
   let acc = ref [] in
-  q.search p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
+  iter ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
   List.sort compare !acc
 
-let mem t id = t.ops.op_queries.mem id
-let search t p = sorted_matches t.ops.op_queries p
-let iter_matches t p ~f = t.ops.op_queries.search p ~f
-let count t p = t.ops.op_queries.count p
-let extract t ~doc ~off ~len = t.ops.op_queries.extract ~doc ~off ~len
+let mem t id = t.ops.op_mem id
+
+let iter_matches t p ~f =
+  pattern p;
+  t.ops.op_search p ~f
+
+let search t p = sorted_matches (iter_matches t p)
+
+let count t p =
+  pattern p;
+  t.ops.op_count p
+
+let extract t = cut ~mem:t.ops.op_mem ~extract:t.ops.op_extract
 let doc_count t = t.ops.op_doc_count ()
 let total_symbols t = t.ops.op_total_symbols ()
 let space_bits t = t.ops.op_space_bits ()
@@ -274,19 +237,26 @@ let probe t = t.ops.op_probe ()
 
 (* --- read plane --- *)
 
-(* The latest published epoch: one Atomic.get plus closure allocation.
-   The returned view is immutable and never changes -- re-fetch to see
-   later updates. *)
+(* The latest published epoch: one Atomic.get.  The returned view is
+   immutable and never changes -- re-fetch to see later updates. *)
 let view t = t.ops.op_view ()
-let view_epoch v = v.vw_epoch
-let view_doc_count v = v.vw_doc_count
-let view_total_symbols v = v.vw_total_symbols
-let view_census v = v.vw_census
-let view_mem v id = v.vw_queries.mem id
-let view_iter_matches v p ~f = v.vw_queries.search p ~f
-let view_search v p = sorted_matches v.vw_queries p
-let view_count v p = v.vw_queries.count p
-let view_extract v ~doc ~off ~len = v.vw_queries.extract ~doc ~off ~len
+let view_epoch (v : view) = v.epoch
+let view_doc_count (v : view) = v.docs
+let view_total_symbols (v : view) = v.symbols
+let view_census = Epoch_view.census
+let view_mem = Epoch_view.mem
+
+let view_iter_matches v p ~f =
+  pattern p;
+  Epoch_view.search v p ~f
+
+let view_search v p = sorted_matches (view_iter_matches v p)
+
+let view_count v p =
+  pattern p;
+  Epoch_view.count v p
+
+let view_extract v = cut ~mem:(Epoch_view.mem v) ~extract:(Epoch_view.extract v)
 
 (* --- epoch retention and pinning --- *)
 
@@ -297,25 +267,25 @@ let retain_epochs t = t.config.retain_epochs
    immutable data. *)
 let view_at t ~epoch =
   let v = t.ops.op_view () in
-  if v.vw_epoch = epoch then Some v
+  if view_epoch v = epoch then Some v
   else
-    match List.find_opt (fun w -> w.vw_epoch = epoch) (Atomic.get t.ring) with
+    match List.find_opt (fun w -> view_epoch w = epoch) (Atomic.get t.ring) with
     | Some _ as hit -> hit
     | None -> (
-      match List.find_opt (fun (_, w) -> w.vw_epoch = epoch) (Atomic.get t.pins) with
+      match List.find_opt (fun (_, w) -> view_epoch w = epoch) (Atomic.get t.pins) with
       | Some (_, w) -> Some w
       | None -> None)
 
 let retained t =
   let v = t.ops.op_view () in
-  let ring = List.map (fun w -> w.vw_epoch) (Atomic.get t.ring) in
-  let pinned = List.map (fun (_, w) -> w.vw_epoch) (Atomic.get t.pins) in
-  List.sort_uniq compare ((v.vw_epoch :: ring) @ pinned)
+  let ring = List.map view_epoch (Atomic.get t.ring) in
+  let pinned = List.map (fun (_, w) -> view_epoch w) (Atomic.get t.pins) in
+  List.sort_uniq compare ((view_epoch v :: ring) @ pinned)
 
 type pin = { pn_token : int; pn_view : view }
 
 let pin_view p = p.pn_view
-let pin_epoch p = p.pn_view.vw_epoch
+let pin_epoch p = view_epoch p.pn_view
 
 let pin ?epoch t =
   let v =
@@ -346,7 +316,7 @@ let readers t =
 
 (* --- persistence (Dsdg_store) --- *)
 
-let view_components v = v.vw_components ()
+let view_components = Epoch_view.components
 
 (* Writer-side mutable scalars a checkpoint must capture synchronously
    (on the writer, at the trigger update) before handing the immutable
@@ -368,14 +338,14 @@ let checkpoint_header t (v : view) : dump =
     dm_backend = t.config.backend;
     dm_sample = t.config.sample;
     dm_tau = t.config.tau;
-    dm_epoch = v.vw_epoch;
+    dm_epoch = view_epoch v;
     dm_next_id = next_id;
     dm_nf = nf;
     dm_del_counter = del_counter;
     dm_components = [];
   }
 
-let checkpoint_body (d : dump) (v : view) : dump = { d with dm_components = v.vw_components () }
+let checkpoint_body (d : dump) (v : view) : dump = { d with dm_components = Epoch_view.components v }
 
 (* Full synchronous dump: land in-flight jobs first so the snapshot is
    canonical (C0/Cj/Tk only), then capture the published view plus the
@@ -504,19 +474,18 @@ let restore ?(index = Index_config.default) ?(tail = []) (d : dump) : t =
    retention ring / pin table instead, so the query answers as of that
    point in time.  Exceptions from [f] are re-raised on the caller. *)
 let query ?epoch t f =
-  match epoch with
-  | None -> (
-    match t.readers with
-    | None -> f (view t)
-    | Some ex -> Exec.run ex ~name:"query" (fun _tick -> f (view t)))
-  | Some e -> (
-    match view_at t ~epoch:e with
-    | None ->
-      invalid_arg (Printf.sprintf "Dynamic_index.query: epoch %d is not retained or pinned" e)
-    | Some v -> (
-      match t.readers with
-      | None -> f v
-      | Some ex -> Exec.run ex ~name:"query" (fun _tick -> f v)))
+  let fetch =
+    match epoch with
+    | None -> fun () -> view t
+    | Some e -> (
+      match view_at t ~epoch:e with
+      | Some v -> fun () -> v
+      | None ->
+        invalid_arg (Printf.sprintf "Dynamic_index.query: epoch %d is not retained or pinned" e))
+  in
+  match t.readers with
+  | None -> f (fetch ())
+  | Some ex -> Exec.run ex ~name:"query" (fun _tick -> f (fetch ()))
 
 (* Land every in-flight background job now (a forced completion of each;
    no-op for the amortized variants, whose rebuilds are synchronous). *)

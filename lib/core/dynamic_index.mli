@@ -102,13 +102,15 @@ val probe : t -> probe
 
     Every successful update publishes an immutable snapshot of the whole
     index through an atomic epoch pointer. [view t] fetches the latest
-    one -- a single [Atomic.get] -- and the snapshot can then be queried
-    from any domain, without synchronization, while the writer keeps
-    mutating. See DESIGN.md section 9. *)
+    one -- a single [Atomic.get], no allocation -- and the snapshot can
+    then be queried from any domain, without synchronization, while the
+    writer keeps mutating. See DESIGN.md section 9. *)
 
-(** An immutable point-in-time snapshot of the index. Queries on a view
-    follow the same conventions as their write-plane counterparts
-    (empty-pattern rejection, [len = 0] extraction). *)
+(** An immutable point-in-time snapshot of the index: the engine's
+    published {!Epoch_view.t}, the same type under every variant and
+    backend. Queries on a view follow the same conventions as their
+    write-plane counterparts (empty-pattern rejection, [len = 0]
+    extraction). *)
 type view
 
 (** The latest published snapshot: one [Atomic.get], wait-free. *)
@@ -125,8 +127,9 @@ val view_doc_count : view -> int
 (** Live symbols (one separator per document) at publish time. *)
 val view_total_symbols : view -> int
 
-(** Per-structure [(name, live, dead)] symbol counts frozen at publish
-    time (same names as {!probe}'s census). *)
+(** Per-structure [(name, live, dead)] symbol counts at publish time,
+    built on demand from the view's components; the same names, in the
+    same order, as {!probe}'s census of that state. *)
 val view_census : view -> (string * int * int) list
 
 (** Liveness at publish time, like {!mem}. *)

@@ -4,10 +4,11 @@
     share, so [Dynamic_index] wires any variant over any backend through
     one module type.
 
-    Every completed update publishes an immutable [view] through an
+    Every completed update publishes one {!Epoch_view.t} through an
     atomic epoch pointer, so queries can run on other domains against
     the latest snapshot while the single writer keeps mutating (see
-    DESIGN.md section 9). *)
+    DESIGN.md section 9). The read plane is not per transformation:
+    each one lists its frozen structures and {!Epoch_view} answers. *)
 
 (** Read-only structural snapshot for the invariant oracles in
     [Dsdg_check]. *)
@@ -54,13 +55,25 @@ type dump = {
           vector) *)
 }
 
+(** {1 Reading a dump} (shared by both [restore]s) *)
+
+(** Symbols of [docs], one separator per document. *)
+let syms docs = List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs
+
+(** The live documents of one dumped component, in slot order; a buffer
+    dumps no bit vector (every document live). *)
+let live_docs (docs : (int * string) array) (dead : bool array) =
+  List.filteri (fun i _ -> i >= Array.length dead || not dead.(i)) (Array.to_list docs)
+
+(** Whether [docs] (every live document after a folded WAL tail) lies
+    outside [[nf/2, 2 nf]]: the case in which [restore] goes straight to
+    one global rebuild. *)
+let out_of_range ~nf docs =
+  let total = syms docs in
+  total > 2 * nf || (2 * total < nf && nf > 256)
+
 module type S = sig
   type t
-
-  (** Immutable read-plane snapshot of every queryable structure under
-      its census name, plus the census scalars. Safe to query from any
-      domain. *)
-  type view
 
   (** An empty index with [config]'s [variant] (Transformation 1 picks
       its schedule from it), [sample], [tau], [fault] and [jobs]; the
@@ -68,7 +81,7 @@ module type S = sig
       runs rebuild constructions off the update path. *)
   val create : Index_config.t -> t
 
-  (** Inverse of {!view_components}: rebuild every structure where the
+  (** Inverse of {!Epoch_view.components}: rebuild every structure where the
       dump says it lived, restore [nf], the id counter and the cleaning
       counter, and publish a first view continuing [dm_epoch]. Raises
       [Invalid_argument] on a component name the transformation does
@@ -150,43 +163,9 @@ module type S = sig
       pool). The index stays usable; rebuilds then run inline. *)
   val close : t -> unit
 
-  (** {1 Read plane}
-
-      [view t] is wait-free: one [Atomic.get]. The writer publishes a
-      fresh view (epoch + 1) after every successful update, so with a
-      single-threaded writer the epoch equals the number of completed
-      updates. *)
-
-  val view : t -> view
-
-  (** Completed updates when the view was published. *)
-  val view_epoch : view -> int
-
-  (** Like [doc_count], frozen at publish time. *)
-  val view_doc_count : view -> int
-
-  (** Like [total_symbols], frozen at publish time. *)
-  val view_total_symbols : view -> int
-
-  (** Like [search], against the snapshot. *)
-  val view_search : view -> string -> f:(doc:int -> off:int -> unit) -> unit
-
-  (** Like [count], against the snapshot. *)
-  val view_count : view -> string -> int
-
-  (** Like [mem], against the snapshot. *)
-  val view_mem : view -> int -> bool
-
-  (** Like [extract], against the snapshot. *)
-  val view_extract : view -> doc:int -> off:int -> len:int -> string option
-
-  (** Like [census], frozen at publish time. *)
-  val view_census : view -> (string * int * int) list
-
-  (** Snapshot units of a published epoch under their census names:
-      the buffers as frozen live documents (empty deletion bit vectors),
-      every semi-static structure as resident documents + deletion bit
-      vector. Immutable inputs only: safe to call (and serialize from)
-      a checkpoint worker domain. *)
-  val view_components : view -> (string * (int * string) array * bool array) list
+  (** The latest published epoch ({!Epoch_view}): one [Atomic.get].
+      The writer publishes a fresh view (epoch + 1) after every
+      successful update, so with a single-threaded writer the epoch
+      equals the number of completed updates. *)
+  val view : t -> Epoch_view.t
 end

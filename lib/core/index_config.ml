@@ -31,7 +31,12 @@ let default =
     retain_epochs = 0;
   }
 
-let validate t =
+(* The OCaml 5 runtime runs at most 128 domains at once, the main one
+   included: a fixed limit in 5.1, the default of OCAMLRUNPARAM's [d]
+   in 5.2.  Past it, [Domain.spawn] fails half way through a pool. *)
+let max_domains = 128
+
+let validate_collection ~indexes ~checkpoint_jobs ~recovery_jobs t =
   let need name v least =
     if v < least then
       invalid_arg (Printf.sprintf "Index_config: %s must be >= %d (got %d)" name least v)
@@ -41,7 +46,18 @@ let validate t =
   need "jobs" t.jobs 0;
   need "readers" t.readers 0;
   need "retain_epochs" t.retain_epochs 0;
+  let each = t.jobs + t.readers + checkpoint_jobs in
+  (* compared by division, so a huge index count cannot overflow *)
+  if recovery_jobs >= max_domains || (each > 0 && indexes > (max_domains - 1 - recovery_jobs) / each)
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Index_config: %d index(es) x (jobs %d + readers %d + checkpoint %d) + recovery %d worker \
+          domains exceed the OCaml runtime's limit of %d domains, the main one included"
+         indexes t.jobs t.readers checkpoint_jobs recovery_jobs max_domains);
   t
+
+let validate = validate_collection ~indexes:1 ~checkpoint_jobs:0 ~recovery_jobs:0
 
 let variants = [ ("amortized", Amortized); ("loglog", Amortized_loglog); ("worst-case", Worst_case) ]
 let backends = [ ("fm", Fm); ("sa", Plain_sa); ("csa", Csa) ]

@@ -60,11 +60,25 @@ type t = {
     reader domains, no retained epochs. *)
 val default : t
 
-(** [validate t] is [t] when [tau >= 1], [sample >= 1] and [jobs],
-    [readers], [retain_epochs >= 0]; otherwise it raises
-    [Invalid_argument] naming the first bad field. Every index
-    constructor calls it. *)
+(** [validate t] is [t] when [tau >= 1], [sample >= 1], [jobs],
+    [readers], [retain_epochs >= 0] and [jobs + readers] worker domains
+    fit beside the main one under {!max_domains}; otherwise it raises
+    [Invalid_argument] naming the first bad field or the limit. Every
+    index constructor calls it. *)
 val validate : t -> t
+
+(** [128]: the domains the OCaml 5 runtime runs at once, the main one
+    included (fixed in 5.1; the default of [OCAMLRUNPARAM]'s [d] in
+    5.2). *)
+val max_domains : int
+
+(** {!validate} for a collection of [indexes] indexes with [t]'s
+    settings, each with [checkpoint_jobs] checkpoint workers (a durable
+    store), opened by [recovery_jobs] recovery workers: all of those
+    domains must fit under {!max_domains}. Checked before any domain
+    starts, so an over-budget setting fails whole instead of half way
+    through spawning a pool. *)
+val validate_collection : indexes:int -> checkpoint_jobs:int -> recovery_jobs:int -> t -> t
 
 (** {1 Names} *)
 

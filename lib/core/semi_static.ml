@@ -33,22 +33,6 @@ let c_counts = Obs.counter obs "counts"
 let h_build_syms = Obs.histogram obs "build_syms"
 
 module Make (I : Static_index.S) = struct
-  (* Read-plane view: everything immutable.  The static index, the id
-     maps and [slot_of] never change after build and are shared by
-     reference; the deletion state ([dead], the Reporter and the census
-     counters) is copied at snapshot time, so a published view answers
-     queries -- including the census -- consistently while the write
-     plane keeps flipping dead bits. *)
-  type view = {
-    v_index : I.t;
-    v_ids : int array;
-    v_slot_of : (int, int) Hashtbl.t; (* read-only after build *)
-    v_dead : bool array;
-    v_alive : Reporter.t;
-    v_live_syms : int;
-    v_dead_syms : int;
-  }
-
   type t = {
     index : I.t;
     ids : int array; (* slot -> external doc id *)
@@ -58,7 +42,7 @@ module Make (I : Static_index.S) = struct
     mutable live_syms : int;
     mutable dead_syms : int;
     tau : int;
-    mutable view_cache : view option; (* invalidated by delete *)
+    mutable view_cache : Epoch_view.component option; (* invalidated by delete *)
   }
 
   let build ?tick ~sample ~tau (docs : (int * string) array) : t =
@@ -147,11 +131,6 @@ module Make (I : Static_index.S) = struct
     | None -> None
     | Some slot -> if t.dead.(slot) then None else Some (I.doc_len t.index slot)
 
-  let live_ids t =
-    let acc = ref [] in
-    Array.iteri (fun slot id -> if not t.dead.(slot) then acc := id :: !acc) t.ids;
-    !acc
-
   (* Live documents with their contents, re-extracted from the index
      itself (the dynamic structures never retain plaintext for compressed
      sub-collections).  [tick] is charged once per extracted symbol so
@@ -186,80 +165,44 @@ module Make (I : Static_index.S) = struct
 
   let index t = t.index
 
-  (* --- read-plane snapshots --- *)
-
-  (* Cached between deletes: only [delete] mutates a built instance, so
-     a snapshot after k deletes since the last one costs one Reporter +
-     dead-array copy, amortized against those deletes. *)
-  let snapshot t =
-    match t.view_cache with
-    | Some v -> v
-    | None ->
-      let v =
-        {
-          v_index = t.index;
-          v_ids = t.ids;
-          v_slot_of = t.slot_of;
-          v_dead = Array.copy t.dead;
-          v_alive = Reporter.copy t.alive_rows;
-          v_live_syms = t.live_syms;
-          v_dead_syms = t.dead_syms;
-        }
-      in
-      t.view_cache <- Some v;
-      v
-
-  let view_mem v id =
-    match Hashtbl.find_opt v.v_slot_of id with
-    | None -> false
-    | Some slot -> not v.v_dead.(slot)
-
-  let view_live_symbols v = v.v_live_syms
-  let view_dead_symbols v = v.v_dead_syms
-
-  let view_doc_count v =
-    Hashtbl.length v.v_slot_of - Array.fold_left (fun a d -> if d then a + 1 else a) 0 v.v_dead
-
-  let view_search v p ~f =
-    Obs.incr c_searches;
-    match I.range v.v_index p with
-    | None -> ()
-    | Some (sp, ep) ->
-      Reporter.report v.v_alive sp ep (fun row ->
-          let slot, off = I.locate v.v_index row in
-          f ~doc:v.v_ids.(slot) ~off)
-
-  let view_count v p =
-    Obs.incr c_counts;
-    match I.range v.v_index p with
-    | None -> 0
-    | Some (sp, ep) -> Reporter.count_range v.v_alive sp ep
-
-  let view_extract v ~doc ~off ~len =
-    match Hashtbl.find_opt v.v_slot_of doc with
-    | None -> None
-    | Some slot ->
-      if v.v_dead.(slot) || off < 0 || len < 0 || off + len > I.doc_len v.v_index slot then None
-      else Some (I.extract v.v_index ~doc:slot ~off ~len)
-
-  let view_doc_len v id =
-    match Hashtbl.find_opt v.v_slot_of id with
-    | None -> None
-    | Some slot -> if v.v_dead.(slot) then None else Some (I.doc_len v.v_index slot)
-
   (* --- persistence (Dsdg_store) --- *)
 
   (* The snapshot unit: every resident document (live and dead, in slot
      order, contents re-extracted from the static index) plus the
-     deletion bit vector.  Everything read here is immutable inside a
-     view, so [view_dump] may run on a checkpoint worker domain while
-     the write plane keeps flipping dead bits in the live structure. *)
-  let dump_of ~index ~ids ~(dead : bool array) =
-    let texts = I.docs index in
-    (Array.mapi (fun slot id -> (id, texts.(slot))) ids, Array.copy dead)
+     deletion bit vector. *)
+  let dump t =
+    let texts = I.docs t.index in
+    (Array.mapi (fun slot id -> (id, texts.(slot))) t.ids, Array.copy t.dead)
 
-  let dump t = dump_of ~index:t.index ~ids:t.ids ~dead:t.dead
-  let view_dump v = dump_of ~index:v.v_index ~ids:v.v_ids ~dead:v.v_dead
+  (* --- read plane --- *)
+
+  (* Cached between deletes: only [delete] mutates a built instance, so
+     a snapshot after k deletes since the last one costs one Reporter +
+     dead-array copy, amortized against those deletes.  The frozen copy
+     shares the static index and the id maps (never changed after
+     build) and owns its deletion state; nothing ever deletes from it,
+     so the write-plane queries answer for the snapshot on any domain
+     while the original keeps flipping dead bits. *)
+  let snapshot t =
+    match t.view_cache with
+    | Some c -> c
+    | None ->
+      let f =
+        { t with dead = Array.copy t.dead; alive_rows = Reporter.copy t.alive_rows; view_cache = None }
+      in
+      let c =
+        {
+          Epoch_view.live = f.live_syms;
+          dead = f.dead_syms;
+          search = search f;
+          count = count f;
+          mem = mem f;
+          extract = extract f;
+          dump = (fun () -> dump f);
+        }
+      in
+      t.view_cache <- Some c;
+      c
 
   (* Inverse of [dump]: rebuild the static index over all resident
      documents, then replay the deletion bit vector so the Reporter,

@@ -14,12 +14,6 @@ val purge_threshold_exceeded : dead_syms:int -> total_symbols:int -> tau:int -> 
 module Make (I : Static_index.S) : sig
   type t
 
-  (** Immutable read-plane snapshot: the static index and id maps shared
-      by reference, the deletion state (dead flags, Reporter, census
-      counters) copied at snapshot time. Safe to query from any domain
-      while the write plane keeps deleting. *)
-  type view
-
   (** [build ~sample ~tau docs] indexes [(id, text)] pairs. Raises
       [Invalid_argument] on duplicate ids or [tau < 1]. [tick] is called
       once per O(1) construction work. *)
@@ -67,9 +61,6 @@ module Make (I : Static_index.S) : sig
   (** Length of a live document; [None] if dead or absent. *)
   val doc_len : t -> int -> int option
 
-  (** Ids of the live documents, ascending. *)
-  val live_ids : t -> int list
-
   (** Live documents with contents re-extracted from the index; [tick]
       is charged once per extracted symbol. *)
   val live_docs : ?tick:(unit -> unit) -> t -> (int * string) list
@@ -82,34 +73,11 @@ module Make (I : Static_index.S) : sig
 
   (** {1 Read plane} *)
 
-  (** Cached between deletes; a miss costs one Reporter + dead-array
-      copy, amortized against the deletes that invalidated it. *)
-  val snapshot : t -> view
-
-  (** Liveness at snapshot time, like [mem]. *)
-  val view_mem : view -> int -> bool
-
-  (** Like [live_symbols], frozen at snapshot time. *)
-  val view_live_symbols : view -> int
-
-  (** Like [dead_symbols], frozen at snapshot time. *)
-  val view_dead_symbols : view -> int
-
-  (** Like [doc_count], frozen at snapshot time; also
-      O(resident documents). *)
-  val view_doc_count : view -> int
-
-  (** Like [search], against the snapshot's dead set. *)
-  val view_search : view -> string -> f:(doc:int -> off:int -> unit) -> unit
-
-  (** Like [count], against the snapshot's Reporter. *)
-  val view_count : view -> string -> int
-
-  (** Like [extract], against the snapshot's dead set. *)
-  val view_extract : view -> doc:int -> off:int -> len:int -> string option
-
-  (** Like [doc_len], against the snapshot's dead set. *)
-  val view_doc_len : view -> int -> int option
+  (** The frozen structure as a read-plane component, safe to query
+      from any domain while the write plane keeps deleting. Cached
+      between deletes; a miss costs one Reporter + dead-array copy,
+      amortized against the deletes that invalidated it. *)
+  val snapshot : t -> Epoch_view.component
 
   (** {1 Persistence}
 
@@ -121,10 +89,6 @@ module Make (I : Static_index.S) : sig
 
   (** O(n) extraction; mutates nothing. *)
   val dump : t -> (int * string) array * bool array
-
-  (** Same, from an immutable view -- safe on a checkpoint worker domain
-      while the write plane keeps deleting. *)
-  val view_dump : view -> (int * string) array * bool array
 
   (** Inverse of {!dump}: rebuild, then replay the deletion bit vector,
       restoring census counters and query answers exactly. Raises

@@ -82,19 +82,6 @@ module Make (I : Static_index.S) = struct
      the live prefix in use is [1 .. slots nf]. *)
   let max_slots = 64
 
-  (* Read-plane snapshot: the C0 buffer frozen as a Gsuffix_tree.view,
-     every sub-collection as an SS.view, plus the census scalars.  A
-     view is immutable end to end, so readers on any domain query it
-     without synchronization; the writer publishes a fresh one (epoch
-     +1) after every completed update via one [Atomic.set]. *)
-  type view = {
-    vw_epoch : int;
-    vw_gst : Gsuffix_tree.view;
-    vw_subs : (int * SS.view) list; (* level j, ascending *)
-    vw_live : int;
-    vw_docs : int;
-  }
-
   type t = {
     schedule : schedule;
     name : string; (* "transform1/<backend>" or "transform3/<backend>" *)
@@ -107,11 +94,8 @@ module Make (I : Static_index.S) = struct
     mutable nf : int;
     mutable live : int; (* live symbols including separators *)
     exec : Exec.t option; (* purge/global-rebuild offload; None = all inline *)
-    published : view Atomic.t; (* the read plane: latest epoch *)
+    published : Epoch_view.publisher; (* the read plane *)
     obs : Obs.scope;
-    c_epoch_published : Obs.counter;
-    g_epoch_current : Obs.gauge;
-    h_epoch_publish_ns : Obs.histogram;
     c_merges : Obs.counter;
     c_purges : Obs.counter;
     c_global_rebuilds : Obs.counter;
@@ -129,24 +113,14 @@ module Make (I : Static_index.S) = struct
       if variant = Index_config.Amortized_loglog then (doubling, "transform3") else (geometric, "transform1")
     in
     let obs = Obs.private_scope ("transform1/" ^ I.name) in
-    let gst = Gsuffix_tree.create () in
-    let view0 =
-      {
-        vw_epoch = 0;
-        vw_gst = Gsuffix_tree.snapshot gst;
-        vw_subs = [];
-        vw_live = 0;
-        vw_docs = 0;
-      }
-    in
     {
       exec = (if jobs > 0 then Some (Exec.create ~obs ~workers:jobs ()) else None);
       schedule;
       name = transform ^ "/" ^ I.name;
       sample;
       tau;
-      gst;
-      published = Atomic.make view0;
+      gst = Gsuffix_tree.create ();
+      published = Epoch_view.publisher obs;
       subs = Array.make (max_slots + 1) None;
       locs = Hashtbl.create 64;
       next_id = 0;
@@ -163,9 +137,6 @@ module Make (I : Static_index.S) = struct
       h_insert_ns = Obs.histogram obs "insert_ns";
       h_delete_ns = Obs.histogram obs "delete_ns";
       h_purge_dead_frac = Obs.histogram obs "purge_dead_permille";
-      c_epoch_published = Obs.counter obs "exec_epoch_published";
-      g_epoch_current = Obs.gauge obs "exec_epoch_current";
-      h_epoch_publish_ns = Obs.histogram obs "exec_epoch_publish_ns";
     }
 
   let obs t = t.obs
@@ -228,81 +199,19 @@ module Make (I : Static_index.S) = struct
 
   (* --- read plane --- *)
 
-  (* Build and publish the next epoch.  Structure snapshots are cached
-     inside the GST / each SS, so an update that touched only C0 pays
-     one buffer copy here and reuses every sub-collection's cached view;
-     the single [Atomic.set] is the linearization point readers see. *)
+  (* Publish the next epoch: C0 and every sub-collection, each frozen
+     once per mutation (the GST / SS caches), in census order. *)
   let publish t ~cause =
-    let t0 = Obs.start () in
-    let subs = ref [] in
-    for j = max_slots downto 1 do
-      match t.subs.(j) with None -> () | Some ss -> subs := (j, SS.snapshot ss) :: !subs
-    done;
-    let epoch = (Atomic.get t.published).vw_epoch + 1 in
-    let v =
-      {
-        vw_epoch = epoch;
-        vw_gst = Gsuffix_tree.snapshot t.gst;
-        vw_subs = !subs;
-        vw_live = t.live;
-        vw_docs = Hashtbl.length t.locs;
-      }
-    in
-    Atomic.set t.published v;
-    Obs.incr t.c_epoch_published;
-    Obs.set_gauge t.g_epoch_current epoch;
-    Obs.stop t.h_epoch_publish_ns t0;
-    if cause <> `Update then
-      Obs.record t.obs (Obs.Epoch_publish { epoch; cause = "consolidate" })
+    Epoch_view.publish t.published ~cause ~docs:(Hashtbl.length t.locs) ~symbols:t.live (fun () ->
+        let subs = ref [] in
+        for j = max_slots downto 1 do
+          match t.subs.(j) with
+          | None -> ()
+          | Some ss -> subs := (Epoch_view.c_name j, SS.snapshot ss) :: !subs
+        done;
+        ("C0", Epoch_view.buffer t.published ~slot:0 t.gst) :: !subs)
 
-  let view t = Atomic.get t.published
-  let view_epoch v = v.vw_epoch
-  let view_doc_count v = v.vw_docs
-  let view_total_symbols v = v.vw_live
-
-  let view_search v p ~f =
-    Gsuffix_tree.view_search v.vw_gst p ~f;
-    List.iter (fun (_, sv) -> SS.view_search sv p ~f) v.vw_subs
-
-  let view_count v p =
-    Gsuffix_tree.view_count v.vw_gst p
-    + List.fold_left (fun a (_, sv) -> a + SS.view_count sv p) 0 v.vw_subs
-
-  let view_mem v doc =
-    Gsuffix_tree.view_mem v.vw_gst doc
-    || List.exists (fun (_, sv) -> SS.view_mem sv doc) v.vw_subs
-
-  let view_extract v ~doc ~off ~len =
-    match Gsuffix_tree.view_get_doc v.vw_gst doc with
-    | Some s ->
-      if off < 0 || len < 0 || off + len > String.length s then None
-      else Some (String.sub s off len)
-    | None ->
-      List.fold_left
-        (fun acc (_, sv) ->
-          if acc = None && SS.view_mem sv doc then SS.view_extract sv ~doc ~off ~len else acc)
-        None v.vw_subs
-
-  let view_census v =
-    ("C0", Gsuffix_tree.view_live_symbols v.vw_gst, Gsuffix_tree.view_dead_symbols v.vw_gst)
-    :: List.map
-         (fun (j, sv) ->
-           (Printf.sprintf "C%d" j, SS.view_live_symbols sv, SS.view_dead_symbols sv))
-         v.vw_subs
-
-  (* --- persistence (Dsdg_store) --- *)
-
-  (* The snapshot units of a published epoch, under their census names:
-     C0 as its frozen live documents, every sub-collection as resident
-     documents + deletion bit vector.  Everything here is immutable, so
-     a checkpoint job may serialize it on a worker domain. *)
-  let view_components v =
-    ("C0", Array.of_list (Gsuffix_tree.view_docs v.vw_gst), [||])
-    :: List.map
-         (fun (j, sv) ->
-           let docs, dead = SS.view_dump sv in
-           (Printf.sprintf "C%d" j, docs, dead))
-         v.vw_subs
+  let view t = Epoch_view.latest t.published
 
   let next_id t = t.next_id
 
@@ -396,7 +305,7 @@ module Make (I : Static_index.S) = struct
         set_locations t docs (In_sub j)
       end
 
-  (* Inverse of [view_components]: rebuild every structure where the
+  (* Inverse of [Epoch_view.components]: rebuild every structure where the
      dump says it lived.  The capacity invariants hold by construction
      -- each component held at most max_j live symbols under [nf] when
      the dump was taken, and both the sizes and nf are restored
@@ -410,10 +319,6 @@ module Make (I : Static_index.S) = struct
     let t = create config in
     t.nf <- max 256 dm_nf;
     t.next_id <- dm_next_id;
-    let live_docs (docs : (int * string) array) (dead : bool array) =
-      List.filteri (fun i _ -> i >= Array.length dead || not dead.(i)) (Array.to_list docs)
-    in
-    let syms docs = List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs in
     (* A folded WAL tail that moves the live size out of [nf/2, 2 nf]
        means one global rebuild: run it straight from the dump's texts,
        without first building the components it would tear down. *)
@@ -422,10 +327,9 @@ module Make (I : Static_index.S) = struct
       | None -> None
       | Some inserts ->
         let docs =
-          List.concat_map (fun (_, docs, dead) -> live_docs docs dead) components @ inserts
+          List.concat_map (fun (_, docs, dead) -> Dynamization.live_docs docs dead) components @ inserts
         in
-        let total = syms docs in
-        if total > 2 * t.nf || (2 * total < t.nf && t.nf > 256) then Some docs else None
+        if Dynamization.out_of_range ~nf:t.nf docs then Some docs else None
     in
     (match rebuild_now with
     | Some docs -> global_rebuild t ~extra:docs
@@ -438,13 +342,9 @@ module Make (I : Static_index.S) = struct
                 Gsuffix_tree.insert t.gst ~doc:id text;
                 Hashtbl.replace t.locs id In_buffer;
                 t.live <- t.live + String.length text + 1)
-              (live_docs docs dead)
+              (Dynamization.live_docs docs dead)
           else
-            match
-              if String.length name >= 2 && name.[0] = 'C' then
-                int_of_string_opt (String.sub name 1 (String.length name - 1))
-              else None
-            with
+            match Epoch_view.level name "C" with
             | Some j when j >= 1 && j <= max_slots && t.subs.(j) = None ->
               let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
               if not (SS.is_empty ss) then begin
@@ -458,12 +358,9 @@ module Make (I : Static_index.S) = struct
             | _ -> invalid_arg ("Transform1.restore: unknown or duplicate component " ^ name))
         components;
       match tail with
-      | Some (_ :: _ as inserts) -> place t inserts (syms inserts)
+      | Some (_ :: _ as inserts) -> place t inserts (Dynamization.syms inserts)
       | _ -> ()));
-    publish t ~cause:`Update;
-    let v = Atomic.get t.published in
-    Atomic.set t.published { v with vw_epoch = epoch };
-    Obs.set_gauge t.g_epoch_current epoch;
+    publish t ~cause:(`Restored epoch);
     Obs.record t.obs (Obs.Note (Printf.sprintf "restored %d component(s) at epoch %d" (List.length components) epoch));
     t
 

@@ -88,19 +88,6 @@ module Make (I : Static_index.S) = struct
     mutable deleted_during : int list;
   }
 
-  (* Read-plane snapshot: every queryable structure frozen under its
-     census name -- the C0/L0 buffers as GST views, the C_j / L_j /
-     Temp_j / T_k semi-static structures as SS views -- plus the census
-     scalars and scheduling gauges.  Immutable end to end; readers on
-     any domain query it without synchronization. *)
-  type view = {
-    vw_epoch : int;
-    vw_gsts : (string * Gsuffix_tree.view) list; (* C0 and, if locked, L0 *)
-    vw_sss : (string * SS.view) list; (* C_j, L_j, Temp_j, T_k *)
-    vw_live : int;
-    vw_docs : int;
-  }
-
   type t = {
     sample : int;
     tau : int;
@@ -120,11 +107,8 @@ module Make (I : Static_index.S) = struct
     mutable del_counter : int; (* deleted symbols since last top-clean dispatch *)
     fault : Index_config.fault option;
     exec : Exec.t option; (* None = Sync mode: jobs stepped cooperatively *)
-    published : view Atomic.t; (* the read plane: latest epoch *)
+    published : Epoch_view.publisher; (* the read plane *)
     obs : Obs.scope;
-    c_epoch_published : Obs.counter;
-    g_epoch_current : Obs.gauge;
-    h_epoch_publish_ns : Obs.histogram;
     c_jobs_started : Obs.counter;
     c_jobs_completed : Obs.counter;
     c_forced : Obs.counter;
@@ -143,24 +127,14 @@ module Make (I : Static_index.S) = struct
 
   let create ?(work_factor = 64) ({ sample; tau; fault; jobs; _ } : Index_config.t) =
     let obs = Obs.private_scope ("transform2/" ^ I.name) in
-    let gst = Gsuffix_tree.create () in
-    let view0 =
-      {
-        vw_epoch = 0;
-        vw_gsts = [ ("C0", Gsuffix_tree.snapshot gst) ];
-        vw_sss = [];
-        vw_live = 0;
-        vw_docs = 0;
-      }
-    in
     {
       fault;
       exec = (if jobs > 0 then Some (Exec.create ~obs ~workers:jobs ()) else None);
-      published = Atomic.make view0;
+      published = Epoch_view.publisher obs;
       sample;
       tau;
       work_factor;
-      gst;
+      gst = Gsuffix_tree.create ();
       locked_gst = None;
       subs = Array.make (max_slots + 2) None;
       locked = Array.make (max_slots + 2) None;
@@ -188,9 +162,6 @@ module Make (I : Static_index.S) = struct
       h_delete_ns = Obs.histogram obs "delete_ns";
       h_merge_ns = Obs.histogram obs "sync_merge_ns";
       h_purge_dead_frac = Obs.histogram obs "purge_dead_permille";
-      c_epoch_published = Obs.counter obs "exec_epoch_published";
-      g_epoch_current = Obs.gauge obs "exec_epoch_current";
-      h_epoch_publish_ns = Obs.histogram obs "exec_epoch_publish_ns";
     }
 
   let obs t = t.obs
@@ -833,112 +804,29 @@ module Make (I : Static_index.S) = struct
 
   (* --- read plane --- *)
 
-  (* Build and publish the next epoch: freeze every queryable structure
-     under its census name.  Structure snapshots are cached inside the
-     GST / each SS, so only the structures the update actually touched
-     pay a copy; the single [Atomic.set] is the linearization point
-     readers see.  Published once per successful update (plus once by
-     [drain] if it landed jobs), so with a single-threaded writer the
-     epoch equals the number of completed updates. *)
+  (* Publish the next epoch: every queryable structure, each frozen once
+     per mutation (the GST / SS caches), in census order.  Published once
+     per successful update (plus once by [drain] if it landed jobs), so
+     with a single-threaded writer the epoch equals the number of
+     completed updates. *)
   let publish t ~cause =
-    let t0 = Obs.start () in
-    let gsts = ref [ ("C0", Gsuffix_tree.snapshot t.gst) ] in
-    (match t.locked_gst with
-    | None -> ()
-    | Some g -> gsts := !gsts @ [ ("L0", Gsuffix_tree.snapshot g) ]);
-    let sss = ref [] in
-    let add name ss = sss := (name, SS.snapshot ss) :: !sss in
-    List.iter (fun (k, ss) -> add (Printf.sprintf "T%d" k) ss) t.tops;
-    for j = max_slots + 1 downto 1 do
-      (match t.temps.(j) with None -> () | Some ss -> add (Printf.sprintf "Temp%d" j) ss);
-      (match t.locked.(j) with None -> () | Some ss -> add (Printf.sprintf "L%d" j) ss);
-      match t.subs.(j) with None -> () | Some ss -> add (Printf.sprintf "C%d" j) ss
-    done;
-    let epoch = (Atomic.get t.published).vw_epoch + 1 in
-    let v =
-      {
-        vw_epoch = epoch;
-        vw_gsts = !gsts;
-        vw_sss = !sss;
-        vw_live = t.live;
-        vw_docs = t.doc_count;
-      }
-    in
-    Atomic.set t.published v;
-    Obs.incr t.c_epoch_published;
-    Obs.set_gauge t.g_epoch_current epoch;
-    Obs.stop t.h_epoch_publish_ns t0;
-    match cause with
-    | `Update -> ()
-    | `Drain -> Obs.record t.obs (Obs.Epoch_publish { epoch; cause = "drain" })
+    Epoch_view.publish t.published ~cause ~docs:t.doc_count ~symbols:t.live (fun () ->
+        let acc = ref [] in
+        let add name ss = acc := (name, SS.snapshot ss) :: !acc in
+        List.fold_right (fun (k, ss) () -> add (Epoch_view.t_name k) ss) t.tops ();
+        for j = max_slots + 1 downto 1 do
+          Option.iter (add (Epoch_view.temp_name j)) t.temps.(j);
+          Option.iter (add (Epoch_view.l_name j)) t.locked.(j);
+          Option.iter (add (Epoch_view.c_name j)) t.subs.(j)
+        done;
+        Option.iter (fun g -> acc := ("L0", Epoch_view.buffer t.published ~slot:1 g) :: !acc) t.locked_gst;
+        ("C0", Epoch_view.buffer t.published ~slot:0 t.gst) :: !acc)
 
-  let view t = Atomic.get t.published
-  let view_epoch v = v.vw_epoch
-  let view_doc_count v = v.vw_docs
-  let view_total_symbols v = v.vw_live
-
-  let view_search v p ~f =
-    List.iter (fun (_, g) -> Gsuffix_tree.view_search g p ~f) v.vw_gsts;
-    List.iter (fun (_, sv) -> SS.view_search sv p ~f) v.vw_sss
-
-  let view_count v p =
-    List.fold_left (fun a (_, g) -> a + Gsuffix_tree.view_count g p) 0 v.vw_gsts
-    + List.fold_left (fun a (_, sv) -> a + SS.view_count sv p) 0 v.vw_sss
-
-  let view_mem v doc =
-    List.exists (fun (_, g) -> Gsuffix_tree.view_mem g doc) v.vw_gsts
-    || List.exists (fun (_, sv) -> SS.view_mem sv doc) v.vw_sss
-
-  let view_extract v ~doc ~off ~len =
-    let from_gst =
-      List.fold_left
-        (fun acc (_, g) ->
-          if acc <> None then acc
-          else
-            match Gsuffix_tree.view_get_doc g doc with
-            | Some s when off >= 0 && len >= 0 && off + len <= String.length s ->
-              Some (String.sub s off len)
-            | _ -> acc)
-        None v.vw_gsts
-    in
-    if from_gst <> None then from_gst
-    else
-      List.fold_left
-        (fun acc (_, sv) ->
-          if acc = None && SS.view_mem sv doc then SS.view_extract sv ~doc ~off ~len else acc)
-        None v.vw_sss
-
-  (* Per-structure (name, live, dead) symbol counts frozen at publish
-     time: the view-side counterpart of [census]. *)
-  let view_census v =
-    List.map
-      (fun (name, g) ->
-        (name, Gsuffix_tree.view_live_symbols g, Gsuffix_tree.view_dead_symbols g))
-      v.vw_gsts
-    @ List.map
-        (fun (name, sv) -> (name, SS.view_live_symbols sv, SS.view_dead_symbols sv))
-        v.vw_sss
-
-  (* --- persistence (Dsdg_store) --- *)
-
-  (* The snapshot units of a published epoch, under their census names:
-     the C0/L0 buffers as frozen live documents, every semi-static
-     structure (C_j, L_j, Temp_j, T_k) as resident documents + deletion
-     bit vector.  Everything here is immutable, so a checkpoint job may
-     serialize it on a worker domain while the writer keeps mutating. *)
-  let view_components v =
-    List.map
-      (fun (name, g) -> (name, Array.of_list (Gsuffix_tree.view_docs g), [||]))
-      v.vw_gsts
-    @ List.map
-        (fun (name, sv) ->
-          let docs, dead = SS.view_dump sv in
-          (name, docs, dead))
-        v.vw_sss
+  let view t = Epoch_view.latest t.published
 
   let next_id t = t.next_id
 
-  (* Inverse of [view_components].  Canonical structures (C0, C_j, T_k)
+  (* Inverse of [Epoch_view.components].  Canonical structures (C0, C_j, T_k)
      are rebuilt exactly where the dump says they lived -- their sizes
      were legal under [nf] pre-crash and both are restored verbatim, so
      the capacity and buffer-bound invariants hold by construction.  A
@@ -960,18 +848,6 @@ module Make (I : Static_index.S) = struct
     t.nf <- max 256 dm_nf;
     t.next_id <- dm_next_id;
     t.del_counter <- dm_del_counter;
-    let level name prefix =
-      let pl = String.length prefix in
-      if String.length name > pl && String.sub name 0 pl = prefix then
-        int_of_string_opt (String.sub name pl (String.length name - pl))
-      else None
-    in
-    let live_docs (docs : (int * string) array) (dead : bool array) =
-      let acc = ref [] in
-      Array.iteri (fun i d -> if i >= Array.length dead || not dead.(i) then acc := d :: !acc) docs;
-      List.rev !acc
-    in
-    let syms docs = List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs in
     (* A folded WAL tail that moves the live size out of [nf/2, 2 nf]
        means one restructure: run it straight from the dump's texts,
        without first building the components it would tear down. *)
@@ -980,10 +856,11 @@ module Make (I : Static_index.S) = struct
       | None -> None
       | Some inserts ->
         let docs =
-          dedup (List.concat_map (fun (_, docs, dead) -> live_docs docs dead) components @ inserts)
+          dedup
+            (List.concat_map (fun (_, docs, dead) -> Dynamization.live_docs docs dead) components
+            @ inserts)
         in
-        let total = syms docs in
-        if total > 2 * t.nf || (2 * total < t.nf && t.nf > 256) then Some docs else None
+        if Dynamization.out_of_range ~nf:t.nf docs then Some docs else None
     in
     let fresh = ref [] in
     (match restructure_now with
@@ -1000,9 +877,9 @@ module Make (I : Static_index.S) = struct
                 Gsuffix_tree.insert t.gst ~doc:id text;
                 t.live <- t.live + String.length text + 1;
                 t.doc_count <- t.doc_count + 1)
-              (live_docs docs dead)
+              (Dynamization.live_docs docs dead)
           else
-            match (level name "C", level name "T") with
+            match (Epoch_view.level name "C", Epoch_view.level name "T") with
             | Some j, _ when j >= 1 && j <= max_slots && t.subs.(j) = None ->
               let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
               if not (SS.is_empty ss) then begin
@@ -1013,20 +890,21 @@ module Make (I : Static_index.S) = struct
             | _, Some k ->
               let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
               if not (SS.is_empty ss) then begin
-                t.tops <- (k, ss) :: t.tops;
+                (* keep the dump's order, which is the census order *)
+                t.tops <- t.tops @ [ (k, ss) ];
                 t.next_top_key <- max t.next_top_key (k + 1);
                 t.live <- t.live + SS.live_symbols ss;
                 t.doc_count <- t.doc_count + SS.doc_count ss
               end
             | _ ->
-              if level name "L" = None && level name "Temp" = None then
+              if Epoch_view.level name "L" = None && Epoch_view.level name "Temp" = None then
                 invalid_arg ("Transform2.restore: unknown component " ^ name);
-              leftovers := !leftovers @ live_docs docs dead)
+              leftovers := !leftovers @ Dynamization.live_docs docs dead)
         components;
       (* complete the interrupted jobs: their sources fold into fresh tops
          (defensively deduplicated, as all_docs does for Temps) *)
       fresh := List.filter (fun (id, _) -> not (mem t id)) !leftovers;
-      t.live <- t.live + syms !fresh;
+      t.live <- t.live + Dynamization.syms !fresh;
       t.doc_count <- t.doc_count + List.length !fresh;
       add_docs_as_tops t !fresh;
       match tail with
@@ -1034,7 +912,7 @@ module Make (I : Static_index.S) = struct
       | Some inserts ->
         (* the surviving inserts of a folded WAL tail as one batch (C0
            if they fit, else fresh tops), then at most one top cleaning *)
-        let size = syms inserts in
+        let size = Dynamization.syms inserts in
         t.live <- t.live + size;
         t.doc_count <- t.doc_count + List.length inserts;
         if Gsuffix_tree.live_symbols t.gst + size <= max_size t 0 then
@@ -1048,10 +926,7 @@ module Make (I : Static_index.S) = struct
               t.tops <- List.map (fun (k, s) -> if k = key then (k, ss') else (k, s)) t.tops)
             (dispatch_clean t)
         end);
-    publish t ~cause:`Update;
-    let v = Atomic.get t.published in
-    Atomic.set t.published { v with vw_epoch = epoch };
-    Obs.set_gauge t.g_epoch_current epoch;
+    publish t ~cause:(`Restored epoch);
     Obs.record t.obs
       (Obs.Note
          (Printf.sprintf "restored %d component(s) (%d folded doc(s)) at epoch %d"

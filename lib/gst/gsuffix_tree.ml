@@ -317,8 +317,6 @@ let snapshot t =
     t.view_cache <- Some v;
     v
 
-let view_doc_count v = Array.length v.v_docs
-
 (* The frozen live documents, sorted by id: the C0 snapshot unit the
    persistence layer serializes (Dsdg_store). *)
 let view_docs v = Array.to_list v.v_docs
@@ -345,11 +343,6 @@ let view_count v p =
   let c = ref 0 in
   view_search v p ~f:(fun ~doc:_ ~off:_ -> incr c);
   !c
-
-let view_occurrences v p =
-  let acc = ref [] in
-  view_search v p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-  List.rev !acc
 
 (* Rough accounting: nodes dominate (hashtable + fields); count ~16 words
    per node plus the raw document bytes. *)

@@ -49,7 +49,6 @@ val occurrences : t -> string -> (int * int) list
 type view
 
 val snapshot : t -> view
-val view_doc_count : view -> int
 val view_live_symbols : view -> int
 val view_dead_symbols : view -> int
 val view_mem : view -> int -> bool
@@ -63,8 +62,5 @@ val view_docs : view -> (int * string) list
 val view_search : view -> string -> f:(doc:int -> off:int -> unit) -> unit
 
 val view_count : view -> string -> int
-
-(** Sorted by (doc, offset). *)
-val view_occurrences : view -> string -> (int * int) list
 
 val space_bits : t -> int

@@ -175,7 +175,6 @@ type t = {
   idxs : Di.t array;
   backing : backing;
   mapping : mapping Atomic.t;
-  readers : int;
   ins_total : int array;  (* inserts ever per shard (local next id); writer-owned *)
   mutable closed : bool;
   mutable poisoned : bool;  (* a shard failed mid-batch; refuse further writes *)
@@ -226,7 +225,6 @@ let make (index : Dsdg_core.Index_config.t) ~idxs ~backing ~mapping ~ins_total =
     idxs;
     backing;
     mapping = Atomic.make mapping;
-    readers = index.readers;
     ins_total;
     closed = false;
     poisoned = false;
@@ -240,7 +238,10 @@ let make (index : Dsdg_core.Index_config.t) ~idxs ~backing ~mapping ~ins_total =
 
 let create ?(index = Dsdg_core.Index_config.default) ~shards () =
   if shards < 1 then invalid_arg "Sharded_index.create: shards must be >= 1";
-  let index = Dsdg_core.Index_config.validate index in
+  let index =
+    Dsdg_core.Index_config.validate_collection ~indexes:shards ~checkpoint_jobs:0 ~recovery_jobs:0
+      index
+  in
   make index
     ~idxs:(Array.init shards (fun _ -> Di.create ~index ()))
     ~backing:Mem ~mapping:(mapping0 shards) ~ins_total:(Array.make shards 0)
@@ -258,7 +259,10 @@ let store_shards ~dir =
 let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_config.default)
     ?(recovery_jobs = 0) ~shards ~dir () =
   if shards < 1 then invalid_arg "Sharded_index.open_store: shards must be >= 1";
-  let index = Dsdg_core.Index_config.validate index in
+  let index =
+    Dsdg_core.Index_config.validate_collection ~indexes:shards
+      ~checkpoint_jobs:config.Durable.checkpoint_jobs ~recovery_jobs index
+  in
   let t0 = Obs.start () in
   Dsdg_store.Snapshot.ensure_dir dir;
   let fsync = config.Durable.sync <> Dsdg_store.Wal.Never in
@@ -391,8 +395,6 @@ let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_conf
 
 (* --- queries: scatter across shard views, gather by translation --- *)
 
-let q_view t s f = if t.readers > 0 then Di.query t.idxs.(s) f else f (Di.view t.idxs.(s))
-
 (* Resolve a composite epoch_vector (per-shard epochs + mapping
    version, the shape {!epoch_vector} reports) into the frozen mapping
    and the K frozen shard views -- the live state, the retention rings,
@@ -437,7 +439,7 @@ let resolve_at t ev =
    dictates: the reader pool / live view when [at] is [None], the
    frozen view otherwise. *)
 let q_at t at s f =
-  match at with None -> q_view t s f | Some (_, views) -> f (views : Di.view array).(s)
+  match at with None -> Di.query t.idxs.(s) f | Some (_, views) -> f (views : Di.view array).(s)
 
 let mapping_at t at = match at with None -> Atomic.get t.mapping | Some (m, _) -> m
 

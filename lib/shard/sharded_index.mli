@@ -74,7 +74,9 @@ val create : ?index:Dsdg_core.Index_config.t -> shards:int -> unit -> t
     {!epoch_vector}s stay resolvable for as-of queries (the mapping
     version advances once per update vs roughly [1/K] per shard epoch,
     so the mapping ring holds [retain_epochs * K] entries).  Raises
-    [Invalid_argument] when [shards < 1] or [index] is invalid. *)
+    [Invalid_argument] when [shards < 1], [index] is invalid, or the K
+    shards' [jobs + readers] domains exceed
+    {!Dsdg_core.Index_config.max_domains} (checked before any starts). *)
 
 val open_store :
   ?config:Dsdg_store.Durable.config ->
@@ -94,7 +96,8 @@ val open_store :
 
     Raises {!Shard_mismatch} when [dir] holds a store created with a
     different shard count, [Invalid_argument] when [dir] holds a plain
-    single-index store, and [Dsdg_store.Codec.Corrupt] when the meta
+    single-index store or when [recovery_jobs] plus K shards' worker and
+    checkpoint domains exceed {!Dsdg_core.Index_config.max_domains}, and [Dsdg_store.Codec.Corrupt] when the meta
     log is corrupt beyond its final (torn) record. *)
 
 val store_shards : dir:string -> int option

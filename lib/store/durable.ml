@@ -62,7 +62,12 @@ let open_ ?(config = default_config) ?index ~dir () =
      unopenable either way *)
   if Sys.file_exists (Filename.concat dir "shard.meta") then
     invalid_arg (Printf.sprintf "Durable.open_: %s holds a sharded store" dir);
-  let idx, info = Recovery.open_or_recover ?index ~dir () in
+  let index =
+    Dsdg_core.Index_config.validate_collection ~indexes:1 ~checkpoint_jobs:config.checkpoint_jobs
+      ~recovery_jobs:0
+      (Option.value index ~default:Dsdg_core.Index_config.default)
+  in
+  let idx, info = Recovery.open_or_recover ~index ~dir () in
   Snapshot.ensure_dir dir;
   let wal_file = Recovery.wal_path ~dir in
   let wal =

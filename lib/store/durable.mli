@@ -33,7 +33,9 @@ type t
     state (see {!Recovery.open_or_recover} for which [index] fields a
     snapshot overrides, and for exceptions). Creates the directory and
     a fresh WAL as needed. Raises [Invalid_argument] when [dir] is the
-    root of a sharded store (it holds [shard.meta]). *)
+    root of a sharded store (it holds [shard.meta]), or, before any
+    domain starts, when the index's worker domains plus
+    [checkpoint_jobs] exceed {!Dsdg_core.Index_config.max_domains}. *)
 val open_ :
   ?config:config ->
   ?index:Dsdg_core.Index_config.t ->

@@ -621,6 +621,22 @@ let test_fuzz_fault_replay () =
           check_exit bin ~what:"replay with the hinted fault fails (exit 1)" ~expect:1
             ([ "fuzz"; "--replay"; trace; "--fault"; "skip-top-clean" ] @ shape)))
 
+(* Worker settings past the runtime's domain limit are usage errors,
+   raised before any domain starts or any store directory is made. *)
+let test_domain_budget_usage () =
+  with_bin (fun bin ->
+      let never_created = tmp_dir "dsdg-cli-budget" in
+      let says = "128" in
+      check_exit_says bin ~what:"stats --jobs 1000 is usage (124)" ~expect:124 ~says
+        [ "stats"; "--ops"; "10"; "--jobs"; "1000" ];
+      check_exit_says bin ~what:"8 shards x 16 jobs is usage (124)" ~expect:124 ~says
+        [ "stats"; "--ops"; "10"; "--shards"; "8"; "--jobs"; "16" ];
+      check_exit_says bin ~what:"8 shard stores x (15 jobs + checkpoint) is usage (124)" ~expect:124
+        ~says [ "stats"; "--ops"; "10"; "--shards"; "8"; "--jobs"; "15"; "--store"; never_created ];
+      check_exit_says bin ~what:"9 fuzz targets x 15 jobs is usage (124)" ~expect:124 ~says
+        [ "fuzz"; "--ops"; "10"; "--jobs"; "15" ];
+      Alcotest.(check bool) "no store made" false (Sys.file_exists never_created))
+
 let suite =
   [
     Alcotest.test_case "exit codes: 0 / 1 / 2 / 124 scheme" `Slow test_exit_codes;
@@ -638,4 +654,6 @@ let suite =
     Alcotest.test_case "interactive loop: one script, four backings" `Slow test_repl_four_backings;
     Alcotest.test_case "store layout: sharded dir refuses save/stats, open reads K" `Slow
       test_store_layout;
+    Alcotest.test_case "domain budget: over-limit workers are usage (124)" `Slow
+      test_domain_budget_usage;
   ]

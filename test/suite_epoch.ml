@@ -154,6 +154,89 @@ let test_query_epoch_invalid () =
   Alcotest.(check int) "ring slot" 2 (Di.query ~epoch:2 idx Di.view_doc_count);
   Alcotest.(check int) "live" 3 (Di.query ~epoch:3 idx Di.view_doc_count)
 
+(* --- one read plane: the view against the writer, every pair --- *)
+
+module Trace = Dsdg_check.Trace
+
+let pairs =
+  List.concat_map
+    (fun (v, variant) -> List.map (fun (b, backend) -> (v ^ "/" ^ b, variant, backend)) Index_config.backends)
+    Index_config.variants
+
+(* A churny stream at jobs = 0 through every variant x backend pair:
+   after every op the latest view's census is the writer's census,
+   names and order included, and Transformation 2's views show locked
+   copies or staging areas mid-job and top collections. *)
+let test_view_census_is_writer_census () =
+  let ops = Dsdg_check.Opgen.generate ~profile:Dsdg_check.Opgen.churny ~seed:7 ~ops:600 () in
+  List.iter
+    (fun (name, variant, backend) ->
+      let idx = Di.create ~index:{ Index_config.default with variant; backend; sample = 2; tau = 4 } () in
+      let seen = Hashtbl.create 16 in
+      List.iteri
+        (fun step op ->
+          (match (op : Trace.op) with
+          | Insert s -> ignore (Di.insert idx s)
+          | Delete id -> ignore (Di.delete idx id)
+          | Drain -> Di.drain idx
+          | Search _ | Count _ | Extract _ | Mem _ -> ());
+          let census = Di.view_census (Di.view idx) in
+          List.iter
+            (fun (n, _, _) ->
+              List.iter
+                (fun prefix -> if Epoch_view.level n prefix <> None then Hashtbl.replace seen prefix ())
+                [ "L"; "Temp"; "T" ])
+            census;
+          Alcotest.(check (list (triple string int int)))
+            (Printf.sprintf "%s op %d: view census = census" name (step + 1))
+            (Di.probe idx).Di.pr_census census)
+        ops;
+      if variant = Di.Worst_case then
+        Alcotest.(check (list bool))
+          (name ^ ": views showed L or Temp mid-job, and T")
+          [ true; true ]
+          [ Hashtbl.mem seen "L" || Hashtbl.mem seen "Temp"; Hashtbl.mem seen "T" ])
+    pairs
+
+(* A view's components restore to an index with the view's answers,
+   taken mid-stream (Transformation 2's L/Temp components included). *)
+let test_view_components_round_trip () =
+  let ops = Dsdg_check.Opgen.generate ~profile:Dsdg_check.Opgen.churny ~seed:11 ~ops:400 () in
+  let pats = [ "a"; "ab"; "ba"; "abc"; "cc" ] in
+  List.iter
+    (fun (name, variant, backend) ->
+      let index = { Index_config.default with variant; backend; sample = 2; tau = 4 } in
+      let idx = Di.create ~index () in
+      let texts = Hashtbl.create 64 in
+      List.iteri
+        (fun step op ->
+          (match (op : Trace.op) with
+          | Insert s -> Hashtbl.replace texts (Di.insert idx s) s
+          | Delete id -> ignore (Di.delete idx id)
+          | _ -> ());
+          if step mod 40 = 39 then begin
+            let v = Di.view idx in
+            let restored = Di.restore ~index (Di.checkpoint_body (Di.checkpoint_header idx v) v) in
+            let label what = Printf.sprintf "%s op %d: %s" name (step + 1) what in
+            Alcotest.(check int) (label "epoch") (Di.view_epoch v) (Di.view_epoch (Di.view restored));
+            Alcotest.(check int) (label "docs") (Di.view_doc_count v) (Di.doc_count restored);
+            Alcotest.(check int) (label "symbols") (Di.view_total_symbols v) (Di.total_symbols restored);
+            List.iter
+              (fun p ->
+                Alcotest.(check (list (pair int int))) (label p) (Di.view_search v p) (Di.search restored p);
+                Alcotest.(check int) (label ("#" ^ p)) (Di.view_count v p) (Di.count restored p))
+              pats;
+            Hashtbl.iter
+              (fun d text ->
+                let len = String.length text in
+                Alcotest.(check (pair bool (option string))) (label (Printf.sprintf "doc %d" d))
+                  (Di.view_mem v d, Di.view_extract v ~doc:d ~off:0 ~len)
+                  (Di.mem restored d, Di.extract restored ~doc:d ~off:0 ~len))
+              texts
+          end)
+        ops)
+    pairs
+
 let suite =
   [ Alcotest.test_case "retention ring bounds + view_at hit/miss" `Quick test_retention_ring;
     Alcotest.test_case "retain_epochs 0 retains nothing" `Quick test_retain_nothing;
@@ -161,4 +244,8 @@ let suite =
       test_query_epoch_matches_prefix_replay;
     Alcotest.test_case "pin survives ring eviction" `Quick test_pin_survives_eviction;
     Alcotest.test_case "pin a retained (non-live) epoch" `Quick test_pin_retained_epoch;
-    Alcotest.test_case "query ~epoch on a missed epoch raises" `Quick test_query_epoch_invalid ]
+    Alcotest.test_case "query ~epoch on a missed epoch raises" `Quick test_query_epoch_invalid;
+    Alcotest.test_case "view census = writer census after every op, 9 pairs" `Quick
+      test_view_census_is_writer_census;
+    Alcotest.test_case "view components round-trip through restore, 9 pairs" `Quick
+      test_view_components_round_trip ]

@@ -423,6 +423,39 @@ let test_reader_pool_query () =
   let c' = Dynamic_index.query idx (fun v -> Dynamic_index.view_count v "abc") in
   Alcotest.(check int) "post-close query falls back inline" c c'
 
+(* Over-budget worker settings are refused before any domain starts:
+   domain ids are handed out in spawn order, so a probe domain spawned
+   before and after the refused calls gets consecutive ids exactly when
+   none started in between. *)
+let test_domain_budget_refused_before_spawn () =
+  let module Ic = Dsdg_core.Index_config in
+  let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      let says = "limit of 128 domains" in
+      let n = String.length says in
+      let rec found i = i + n <= String.length msg && (String.sub msg i n = says || found (i + 1)) in
+      Alcotest.(check bool) (what ^ " names the limit") true (found 0)
+  in
+  let before = probe () in
+  let jobs = { Ic.default with jobs = 1000 } in
+  refused "validate jobs=1000" (fun () -> Ic.validate jobs);
+  refused "create jobs=1000" (fun () -> Dsdg_core.Dynamic_index.create ~index:jobs ());
+  refused "127 jobs + 1 reader" (fun () -> Ic.validate { Ic.default with jobs = 127; readers = 1 });
+  refused "8 shards x 16 jobs" (fun () ->
+      Dsdg_shard.Sharded_index.create ~index:{ Ic.default with jobs = 16 } ~shards:8 ());
+  refused "recovery + 2 stores x (jobs + checkpoint)" (fun () ->
+      Ic.validate_collection ~indexes:2 ~checkpoint_jobs:1 ~recovery_jobs:4
+        { Ic.default with jobs = 61 });
+  Alcotest.(check int) "no domain started" (before + 1) (probe ());
+  (* the budget is exact: 127 workers beside the main domain are legal *)
+  ignore (Ic.validate { Ic.default with jobs = 127 });
+  ignore
+    (Ic.validate_collection ~indexes:2 ~checkpoint_jobs:1 ~recovery_jobs:3
+       { Ic.default with jobs = 61 })
+
 let suite =
   [ ("sync pool runs inline", `Quick, test_sync_inline);
     ("pooled submit/await round-trip", `Quick, test_pool_roundtrip);
@@ -441,4 +474,5 @@ let suite =
     ("obs: two-domain hammer loses nothing", `Quick, test_obs_two_domain_hammer);
     ("read plane: concurrent readers, per-epoch oracle", `Quick,
      test_concurrent_readers_per_epoch_oracle);
-    ("read plane: reader-pool query", `Quick, test_reader_pool_query) ]
+    ("read plane: reader-pool query", `Quick, test_reader_pool_query);
+    ("domain budget refused before any spawn", `Quick, test_domain_budget_refused_before_spawn) ]
