@@ -62,7 +62,8 @@ let fig2 () =
           Printf.sprintf "%d" (total (kind "C"));
           Printf.sprintf "%d" (total (kind "L"));
           Printf.sprintf "%d" (total (kind "Temp"));
-          Printf.sprintf "%d in %d tops" (total (kind "T")) (List.length (kind "T"));
+          (let tops = List.filter (fun e -> not (List.memq e (kind "Temp"))) (kind "T") in
+           Printf.sprintf "%d in %d tops" (total tops) (List.length tops));
           Printf.sprintf "%.1f%%" (100. *. float_of_int (dead census) /. float_of_int (max 1 (total census + dead census)));
           string_of_int (T2.pending_jobs t) ]
         :: !rows

@@ -73,7 +73,13 @@ let check o idx =
     if counter > 2 * period then
       fail
         "Dietz-Sleator cleaning fell behind: %d symbols deleted since the last top-cleaning dispatch > 2 * delta = %d"
-        counter (2 * period));
+        counter (2 * period);
+    (* top-count bound (DESIGN.md section 2, "Bounded top collections"):
+       a top built below the grain absorbs the small tops, so at most
+       2 tau + 2 top collections are resident *)
+    let tops = List.length (List.filter (fun (name, _, _) -> classify name = Top) p.pr_census) in
+    if tops > (2 * p.pr_tau) + 2 then
+      fail "too many top collections: %d tops > 2 tau + 2 = %d" tops ((2 * p.pr_tau) + 2));
   (* census live total must equal the collection's own account *)
   let census_live = List.fold_left (fun a (_, l, _) -> a + l) 0 p.pr_census in
   let total = Dynamic_index.total_symbols idx in

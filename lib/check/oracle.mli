@@ -14,6 +14,14 @@
       symbols, so the deleted-symbols counter never reaches twice the
       period (a per-top dead bound would be wrong: a top legitimately
       carries all its dead while its rebuild job is in flight);
+    - {b top-count bound} (Transformation 2; an engineering addition,
+      DESIGN.md section 2, "Bounded top collections"): at most
+      2 tau + 2 top collections. Live symbols stay within 2 nf, so at
+      most 2 tau tops can hold the grain nf/tau. A top built below the
+      grain (a cleaning, a new top from C_r, a restore fold) also takes
+      the smallest idle tops, up to 2 grain live symbols, so tops below
+      the grain are absorbed as fast as churn makes them. Without the
+      merge, stationary churn leaves dozens of near-empty tops;
     - {b job accounting} (Transformation 2 scheduling): pending jobs =
       started - completed, forced <= completed <= started, and all
       three counters are monotone over time;

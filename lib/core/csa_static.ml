@@ -209,8 +209,9 @@ let extract t ~doc ~off ~len =
 
 (* Every document by one forward Psi walk over the whole text.  The
    first-symbol and Psi columns are decoded into plain arrays block by
-   block first, so the walk itself is two array reads per symbol. *)
-let docs t =
+   block first, so the walk itself is two array reads per symbol.
+   [tick] is charged once per decoded row and once per step of the walk. *)
+let docs ?(tick = fun () -> ()) t =
   let n = total_len t in
   let first = Array.make t.m 0 and next = Array.make t.m 0 in
   Array.iteri
@@ -219,6 +220,7 @@ let docs t =
       | Some ef ->
         let lo = t.c_before.(c) in
         for k = 0 to Elias_fano.length ef - 1 do
+          tick ();
           first.(lo + k) <- c;
           next.(lo + k) <- Elias_fano.get ef k
         done)
@@ -226,10 +228,11 @@ let docs t =
   let text = Array.make n 0 in
   let row = ref (Int_vec.get t.isa 0) in
   for p = 0 to n - 1 do
+    tick ();
     text.(p) <- first.(!row);
     row := next.(!row)
   done;
-  Doc_map.split t.docs text
+  Doc_map.split ~tick t.docs text
 
 let iter_doc_rows t doc ~f =
   let st = Doc_map.doc_start t.docs doc in

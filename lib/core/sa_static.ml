@@ -89,7 +89,7 @@ let extract t ~doc ~off ~len =
   let st = Doc_map.doc_start t.docs doc in
   String.init len (fun i -> Doc_map.char_of_sym t.conc.(st + off + i))
 
-let docs t = Doc_map.split t.docs t.conc
+let docs ?tick t = Doc_map.split ?tick t.docs t.conc
 
 let iter_doc_rows t doc ~f =
   let st = Doc_map.doc_start t.docs doc in

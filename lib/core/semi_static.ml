@@ -131,24 +131,19 @@ module Make (I : Static_index.S) = struct
     | None -> None
     | Some slot -> if t.dead.(slot) then None else Some (I.doc_len t.index slot)
 
-  (* Live documents with their contents, re-extracted from the index
-     itself (the dynamic structures never retain plaintext for compressed
-     sub-collections).  [tick] is charged once per extracted symbol so
-     this can run inside an Incremental job. *)
-  let live_docs ?(tick = fun () -> ()) t : (int * string) list =
+  (* Live documents with their contents, read back from the index itself
+     (the dynamic structures never retain plaintext for compressed
+     sub-collections) by one bulk inversion: every resident document is
+     decoded, live and dead, and the dead ones are dropped.  [tick] is
+     charged O(1) times per decoded symbol, so this can run inside an
+     Incremental job. *)
+  let live_docs ?tick t : (int * string) list =
+    let texts = I.docs ?tick t.index in
     let acc = ref [] in
-    Array.iteri
-      (fun slot id ->
-        if not t.dead.(slot) then begin
-          let len = I.doc_len t.index slot in
-          let text = I.extract t.index ~doc:slot ~off:0 ~len in
-          for _ = 0 to len do
-            tick ()
-          done;
-          acc := (id, text) :: !acc
-        end)
-      t.ids;
-    List.rev !acc
+    for slot = Array.length t.ids - 1 downto 0 do
+      if not t.dead.(slot) then acc := (t.ids.(slot), texts.(slot)) :: !acc
+    done;
+    !acc
 
   (* The id maps and the dead flags are charged their heap footprint:
      [slot_of] is its record (4 fields and a header), the bucket array

@@ -61,8 +61,10 @@ module Make (I : Static_index.S) : sig
   (** Length of a live document; [None] if dead or absent. *)
   val doc_len : t -> int -> int option
 
-  (** Live documents with contents re-extracted from the index; [tick]
-      is charged once per extracted symbol. *)
+  (** Live documents, in slot order, read back from the index by one
+      bulk inversion ({!Static_index.S.docs}) that decodes every resident
+      document, live and dead; [tick] is charged O(1) times per decoded
+      symbol. *)
   val live_docs : ?tick:(unit -> unit) -> t -> (int * string) list
 
   (** Measured bits: static index + Reporter + deletion bookkeeping. *)

@@ -33,8 +33,9 @@ module type S = sig
   (* Extraction of a document substring. O(textract). *)
   val extract : t -> doc:int -> off:int -> len:int -> string
 
-  (* Every resident document, in slot order, by one bulk inversion. *)
-  val docs : t -> string array
+  (* Every resident document, in slot order, by one bulk inversion;
+     [tick] is called O(1) times per decoded symbol. *)
+  val docs : ?tick:(unit -> unit) -> t -> string array
 
   (* Rows of every suffix of a document (including its separator), used to
      implement lazy deletion: O(|doc| + tSA) total. *)

@@ -45,8 +45,10 @@ module type S = sig
 
   (** Every resident document, in slot order, by one bulk inversion of
       the whole index: O(n) for every backend, far below [n] calls to
-      [extract]. Dumps and checkpoints read components this way. *)
-  val docs : t -> string array
+      [extract]. Dumps, checkpoints and rebuild jobs read components this
+      way. [tick] is called O(1) times per decoded symbol, live and dead,
+      so the decode can run inside an Incremental job. *)
+  val docs : ?tick:(unit -> unit) -> t -> string array
 
   (** Rows of every suffix of a document (including its separator), used
       to implement lazy deletion: O(|doc| + tSA) total. *)

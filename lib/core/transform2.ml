@@ -21,7 +21,11 @@
      target of insertions once finished), cleaned by the Dietz-Sleator
      schedule: after every delta = nf/(2 tau log tau) deleted symbols, the
      top with the most dead symbols is rebuilt in the background (Lemma 1
-     bounds every top's dead fraction by O(1/tau));
+     bounds every top's dead fraction by O(1/tau)).  A top built below
+     the grain nf/tau also absorbs the smallest other tops (the merge
+     rule, [merge_partners]), which keeps the number of tops within
+     2 tau + 2 under churn -- an engineering addition (DESIGN.md,
+     "Bounded top collections");
    - oversized documents (|T| >= nf/tau) get their own top collection.
 
    Deviations (documented in DESIGN.md): the L'_r staging collection is
@@ -60,6 +64,13 @@ module Make (I : Static_index.S) = struct
 
   let max_slots = 64
 
+  (* Job slots past the levels: [top_slot] builds a new top (a C_r flush
+     or a purge of C_r), [clean_slot] runs the Dietz-Sleator cleaning.
+     Each has its own slot, so flushing C_r never has to land a cleaning
+     that is still in flight. *)
+  let top_slot = max_slots + 1
+  let clean_slot = max_slots + 2
+
   (* The geometric schedule's exponent: max_j grows by log^eps nf per
      level (Section 3 uses Transformation 1's sizes). *)
   let epsilon = 0.5
@@ -83,7 +94,10 @@ module Make (I : Static_index.S) = struct
 
   type job = {
     run : job_run;
-    target : [ `Sub of int | `Top | `Replace_top of int ];
+    target : [ `Sub of int | `Top of int list | `Replace_top of int * int list ];
+        (* [`Top merged]: a new top, absorbing the small tops [merged];
+           [`Replace_top (key, merged)]: the cleaned top [key] and the
+           small tops [merged], rebuilt as one top [key] *)
     frees_locked : int option; (* level whose L_j this job consumes; -1 = L0 *)
     mutable deleted_during : int list;
   }
@@ -139,7 +153,7 @@ module Make (I : Static_index.S) = struct
       subs = Array.make (max_slots + 2) None;
       locked = Array.make (max_slots + 2) None;
       temps = Array.make (max_slots + 2) None;
-      jobs = Array.make (max_slots + 2) None;
+      jobs = Array.make (clean_slot + 1) None;
       tops = [];
       next_top_key = 0;
       next_id = 0;
@@ -223,8 +237,49 @@ module Make (I : Static_index.S) = struct
 
   let target_name = function
     | `Sub jj -> Printf.sprintf "N%d" jj
-    | `Top -> "new top"
-    | `Replace_top key -> Printf.sprintf "rebuilt T%d" key
+    | `Top [] -> "new top"
+    | `Top merged ->
+      Printf.sprintf "new top merging %s" (String.concat "," (List.map (Printf.sprintf "T%d") merged))
+    | `Replace_top (key, []) -> Printf.sprintf "rebuilt T%d" key
+    | `Replace_top (key, merged) ->
+      Printf.sprintf "rebuilt T%d merging %s" key
+        (String.concat "," (List.map (Printf.sprintf "T%d") merged))
+
+  let drop_tops t keys = t.tops <- List.filter (fun (k, _) -> not (List.mem k keys)) t.tops
+
+  (* Keys of the tops an in-flight job is rebuilding: no second job may
+     take them. *)
+  let busy_tops t =
+    Array.fold_left
+      (fun acc -> function
+        | Some { target = `Replace_top (k, merged); _ } -> (k :: merged) @ acc
+        | Some { target = `Top merged; _ } -> merged @ acc
+        | _ -> acc)
+      [] t.jobs
+
+  (* The merge rule (DESIGN.md, "Bounded top collections").  A top about
+     to be built with [live] symbols below the grain nf/tau also takes the
+     smallest idle tops (not in [except], not busy), smallest first, while
+     the total stays within 2 grain live symbols.  A top built below the grain
+     therefore absorbs every small top that fits, so small tops cannot
+     pile up under churn.  Every top build goes through here: cleanings,
+     new tops from C_r, and restore's folds. *)
+  let merge_partners ?(except = []) t ~live =
+    let grain = top_grain t in
+    if live >= grain then []
+    else begin
+      let busy = busy_tops t in
+      let idle = List.filter (fun (k, _) -> not (List.mem k except || List.mem k busy)) t.tops in
+      let rec take total = function
+        | (k, ss) :: rest when total + SS.live_symbols ss <= 2 * grain ->
+          (k, ss) :: take (total + SS.live_symbols ss) rest
+        | _ -> []
+      in
+      take live
+        (List.stable_sort (fun (_, a) (_, b) -> compare (SS.live_symbols a) (SS.live_symbols b)) idle)
+    end
+
+  let docs_of_tops ?tick tops = List.concat_map (fun (_, ss) -> SS.live_docs ?tick ss) tops
 
   (* Wrap a build closure as a job in the current mode.  The planted
      [`Worker_crash] fault sabotages only the worker-side copy (raises
@@ -253,15 +308,16 @@ module Make (I : Static_index.S) = struct
     | `Sub jj ->
       t.subs.(jj) <- (if SS.is_empty ss then None else Some ss);
       t.temps.(jj) <- None
-    | `Top ->
+    | `Top merged ->
       t.temps.(j) <- None;
+      drop_tops t merged;
       if not (SS.is_empty ss) then begin
         let key = t.next_top_key in
         t.next_top_key <- key + 1;
         t.tops <- (key, ss) :: t.tops
       end
-    | `Replace_top key ->
-      t.tops <- List.filter (fun (k, _) -> k <> key) t.tops;
+    | `Replace_top (key, merged) ->
+      drop_tops t (key :: merged);
       if not (SS.is_empty ss) then t.tops <- (key, ss) :: t.tops);
     Obs.record t.obs
       (Obs.Install { slot = j; target = target_name job.target; live = SS.live_symbols ss });
@@ -274,7 +330,7 @@ module Make (I : Static_index.S) = struct
      a gap because the locked sources stayed queryable the whole time.
      Under the planted [`Worker_crash] fault the recovery is deliberately
      broken: the job is discarded wholesale (locked source, Temp and --
-     for a cleaning job -- the top being rebuilt all dropped), which
+     for a cleaning job -- every top being rebuilt all dropped), which
      loses documents and must trip the differential checker. *)
   let crash_recover t j job builder =
     if t.fault = Some `Worker_crash then begin
@@ -284,8 +340,10 @@ module Make (I : Static_index.S) = struct
       | None -> ());
       (match job.target with
       | `Sub jj -> t.temps.(jj) <- None
-      | `Top -> t.temps.(max_slots + 1) <- None
-      | `Replace_top key -> t.tops <- List.filter (fun (k, _) -> k <> key) t.tops);
+      | `Top merged ->
+        t.temps.(top_slot) <- None;
+        drop_tops t merged
+      | `Replace_top (key, merged) -> drop_tops t (key :: merged));
       Obs.record t.obs (Obs.Note (Printf.sprintf "worker crash: job %d dropped" j));
       t.jobs.(j) <- None;
       Obs.incr t.c_jobs_completed
@@ -338,7 +396,7 @@ module Make (I : Static_index.S) = struct
      fault would otherwise be timing-dependent. *)
   let pump t work =
     let budget = max 1 (t.work_factor * work) in
-    for j = 0 to max_slots + 1 do
+    for j = 0 to clean_slot do
       match t.jobs.(j) with
       | None -> ()
       | Some job -> (
@@ -368,7 +426,7 @@ module Make (I : Static_index.S) = struct
     done
 
   let register_deletion_with_jobs t id =
-    for j = 0 to max_slots + 1 do
+    for j = 0 to clean_slot do
       match t.jobs.(j) with
       | None -> ()
       | Some job -> job.deleted_during <- id :: job.deleted_during
@@ -483,7 +541,9 @@ module Make (I : Static_index.S) = struct
       if !chunk <> [] then begin
         let key = t.next_top_key in
         t.next_top_key <- key + 1;
-        t.tops <- (key, build_ss t !chunk) :: t.tops;
+        let merged = merge_partners t ~live:!chunk_size in
+        drop_tops t (List.map fst merged);
+        t.tops <- (key, build_ss t (!chunk @ docs_of_tops merged)) :: t.tops;
         chunk := [];
         chunk_size := 0
       end
@@ -525,7 +585,7 @@ module Make (I : Static_index.S) = struct
 
   let restructure t =
     (* finish pending jobs first so no work is lost *)
-    for j = 0 to max_slots + 1 do
+    for j = 0 to clean_slot do
       force_job t j
     done;
     rebuild_as_tops t (all_docs t)
@@ -535,10 +595,8 @@ module Make (I : Static_index.S) = struct
   (* Lock level j (C_j becomes L_j, C_j empties) and start the background
      job building the new C_{j+1} (or a new top if j = r). *)
   let lock_and_start t j ~extra_doc ~target =
-    (match t.jobs.(match target with `Sub jj -> jj | `Top -> max_slots + 1 | `Replace_top _ -> assert false) with
-    | Some _ -> assert false
-    | None -> ());
-    let job_slot = match target with `Sub jj -> jj | `Top -> max_slots + 1 | `Replace_top _ -> assert false in
+    let job_slot = match target with `Sub jj -> jj | `Top -> top_slot in
+    assert (t.jobs.(job_slot) = None);
     (* snapshot sources *)
     let locked_source, frees_locked =
       if j = 0 then begin
@@ -554,10 +612,18 @@ module Make (I : Static_index.S) = struct
         (`Ss ss, Some j)
       end
     in
-    let absorbed =
+    (* the new C_{j+1} absorbs the old one; a new top below the grain
+       absorbs small tops instead ([merge_partners]) *)
+    let absorbed, merged, target =
       match target with
-      | `Sub jj -> t.subs.(jj) (* the old C_{j+1}, rebuilt into the new one *)
-      | _ -> None
+      | `Sub jj -> (t.subs.(jj), [], `Sub jj)
+      | `Top ->
+        let live =
+          (match locked_source with `Ss (Some ss) -> SS.live_symbols ss | _ -> 0)
+          + match extra_doc with None -> 0 | Some (_, text) -> String.length text + 1
+        in
+        let merged = merge_partners t ~live in
+        (None, merged, `Top (List.map fst merged))
     in
     (* the new document is queryable through Temp while the job runs *)
     (match extra_doc with
@@ -586,7 +652,7 @@ module Make (I : Static_index.S) = struct
       in
       let docs1 = match absorbed with None -> [] | Some ss -> SS.live_docs ~tick ss in
       let extra = match extra_doc with None -> [] | Some d -> [ d ] in
-      build_ss t ~tick (docs0 @ docs1 @ extra)
+      build_ss t ~tick (docs0 @ docs1 @ docs_of_tops ~tick merged @ extra)
     in
     let run = make_run t ~name:(target_name target) body in
     start_job t job_slot { run; target; frees_locked; deleted_during = [] }
@@ -635,7 +701,7 @@ module Make (I : Static_index.S) = struct
             (* L_j still alive: its job targets j+1; finish it *)
             force_job t (j + 1);
             (* if still locked the job lives elsewhere (top slot) *)
-            force_job t (max_slots + 1)
+            force_job t top_slot
           end;
           if size_of j + size_of (j + 1) + tlen > max_size t (j + 1) then place ()
           else if tlen >= max_size t j / 2 then begin
@@ -653,8 +719,8 @@ module Make (I : Static_index.S) = struct
         | None ->
           (* everything full: C_r (plus T) becomes a new top *)
           force_job t r;
-          force_job t (max_slots + 1);
-          if t.locked.(r) <> None then force_job t (max_slots + 1);
+          force_job t top_slot;
+          if t.locked.(r) <> None then force_job t top_slot;
           if find 0 <> None then place ()
           else lock_and_start t r ~extra_doc:(Some (id, text)) ~target:`Top
       in
@@ -688,15 +754,16 @@ module Make (I : Static_index.S) = struct
      Schedule invariant: the counter stays below twice the period. *)
   let clean_schedule t = (t.del_counter, clean_period t)
 
-  (* Pick the top with the most dead symbols for a cleaning rebuild and
-     account the dispatch; [None] if every top is dead-free. *)
+  (* Pick the idle top with the most dead symbols for a cleaning rebuild
+     and account the dispatch; [None] if every idle top is dead-free. *)
   let dispatch_clean t =
+    let busy = busy_tops t in
     let worst =
       List.fold_left
         (fun acc (k, ss) ->
           match acc with
           | Some (_, best) when SS.dead_symbols best >= SS.dead_symbols ss -> acc
-          | _ -> if SS.dead_symbols ss > 0 then Some (k, ss) else acc)
+          | _ -> if SS.dead_symbols ss > 0 && not (List.mem k busy) then Some (k, ss) else acc)
         None t.tops
     in
     Option.iter
@@ -709,8 +776,18 @@ module Make (I : Static_index.S) = struct
       worst;
     worst
 
+  (* The tops one cleaning rebuilds: the top [dispatch_clean] picks and,
+     if it holds fewer live symbols than the grain, its [merge_partners].
+     Both the background cleaning and restore's synchronous one rebuild
+     this set, as one top under the picked top's key. *)
+  let clean_set t =
+    Option.map
+      (fun (key, ss) -> ((key, ss), merge_partners ~except:[ key ] t ~live:(SS.live_symbols ss)))
+      (dispatch_clean t)
+
   (* Dietz-Sleator top cleaning: after every delta deleted symbols, rebuild
-     the top with the most dead symbols (one background job at a time). *)
+     the top with the most dead symbols, with the small tops it merges
+     ([clean_set]), in the cleaning slot (one cleaning at a time). *)
   let maybe_clean_tops t =
     if t.fault = Some `Skip_top_clean then ()
     else begin
@@ -718,19 +795,18 @@ module Make (I : Static_index.S) = struct
     (* if the previous cleaning is still in flight after a full second
        period of deletions, land it now -- otherwise the schedule (and the
        dead-space bound that rests on it) can fall arbitrarily behind *)
-    if t.del_counter >= 2 * delta && t.jobs.(max_slots + 1) <> None then
-      force_job t (max_slots + 1);
-    if t.del_counter >= delta && t.jobs.(max_slots + 1) = None then begin
+    if t.del_counter >= 2 * delta && t.jobs.(clean_slot) <> None then force_job t clean_slot;
+    if t.del_counter >= delta && t.jobs.(clean_slot) = None then begin
       t.del_counter <- 0;
-      match dispatch_clean t with
+      match clean_set t with
       | None -> ()
-      | Some (key, ss) ->
+      | Some (((key, _) as picked), merged) ->
+        let target = `Replace_top (key, List.map fst merged) in
         let run =
-          make_run t ~name:(target_name (`Replace_top key)) (fun tick ->
-              build_ss t ~tick (SS.live_docs ~tick ss))
+          make_run t ~name:(target_name target) (fun tick ->
+              build_ss t ~tick (docs_of_tops ~tick (picked :: merged)))
         in
-        start_job t (max_slots + 1)
-          { run; target = `Replace_top key; frees_locked = None; deleted_during = [] }
+        start_job t clean_slot { run; target; frees_locked = None; deleted_during = [] }
     end
     end
 
@@ -785,7 +861,7 @@ module Make (I : Static_index.S) = struct
               else if SS.live_symbols ss + sub_live t (j + 1) <= max_size t (j + 1) then `Sub (j + 1)
               else `Sub j
             in
-            let slot = match target with `Sub jj -> jj | _ -> max_slots + 1 in
+            let slot = match target with `Sub jj -> jj | _ -> top_slot in
             if t.jobs.(slot) = None && t.jobs.(j) = None then begin
               let dead = SS.dead_symbols ss in
               let total = SS.live_symbols ss + dead in
@@ -921,10 +997,11 @@ module Make (I : Static_index.S) = struct
         if t.fault <> Some `Skip_top_clean && t.del_counter >= clean_period t then begin
           t.del_counter <- 0;
           Option.iter
-            (fun (key, ss) ->
-              let ss' = build_ss t (SS.live_docs ss) in
+            (fun (((key, _) as picked), merged) ->
+              let ss' = build_ss t (docs_of_tops (picked :: merged)) in
+              drop_tops t (List.map fst merged);
               t.tops <- List.map (fun (k, s) -> if k = key then (k, ss') else (k, s)) t.tops)
-            (dispatch_clean t)
+            (clean_set t)
         end);
     publish t ~cause:(`Restored epoch);
     Obs.record t.obs
@@ -1002,7 +1079,7 @@ module Make (I : Static_index.S) = struct
 
   let pending_jobs t =
     let c = ref 0 in
-    for j = 0 to max_slots + 1 do
+    for j = 0 to clean_slot do
       if t.jobs.(j) <> None then incr c
     done;
     !c
@@ -1013,7 +1090,7 @@ module Make (I : Static_index.S) = struct
      epoch = completed-updates invariant. *)
   let drain t =
     let pending = pending_jobs t in
-    for j = 0 to max_slots + 1 do
+    for j = 0 to clean_slot do
       force_job t j
     done;
     if pending > 0 then publish t ~cause:`Drain

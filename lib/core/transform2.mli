@@ -6,7 +6,9 @@
     sub-collections (cooperative Incremental jobs when [jobs = 0],
     domain-pool workers when [jobs >= 1]), single-document Temp indexes
     so new text is queryable immediately, and top collections cleaned by
-    the Dietz-Sleator schedule. The config's [fault] plants one of the
+    the Dietz-Sleator schedule. A top built below the grain nf/tau
+    absorbs the smallest other tops, so at most 2 tau + 2 tops are
+    resident. The config's [fault] plants one of the
     scheduling defects of {!Index_config.fault}.
 
     Queries, [mem] included, walk every structure (C0/L0, C_j, L_j,

@@ -42,10 +42,14 @@ let locate t p =
   (!lo, p - t.starts.(!lo))
 
 (* Cut a concatenation of mapped symbols back into its documents;
-   separators are skipped. *)
-let split t (text : int array) =
+   separators are skipped.  [tick] is charged once per symbol,
+   separators included. *)
+let split ?(tick = fun () -> ()) t (text : int array) =
   Array.init (doc_count t) (fun d ->
+      tick ();
       let st = t.starts.(d) in
-      String.init (doc_len t d) (fun i -> char_of_sym text.(st + i)))
+      String.init (doc_len t d) (fun i ->
+          tick ();
+          char_of_sym text.(st + i)))
 
 let space_bits t = (Array.length t.starts + 3) * 63

@@ -29,7 +29,8 @@ val locate : t -> int -> int * int
 
 (** [split t text] is every document of the concatenation [text], in
     order. [text] holds mapped symbols ({!sym_of_char}) and is at least
-    [total_len t] long; separators are skipped. *)
-val split : t -> int array -> string array
+    [total_len t] long; separators are skipped. [tick] is called once
+    per symbol, separators included. *)
+val split : ?tick:(unit -> unit) -> t -> int array -> string array
 
 val space_bits : t -> int

@@ -54,35 +54,27 @@ let build ?(tick = no_tick) ~sample (doc_strs : string array) : t =
   let bwt_arr = Bwt.of_sa conc sa in
   let bwt = Huffman_wavelet.build ~tick ~sigma bwt_arr in
   let c_before = Int_vec.of_array ~width:(Int_vec.width_for m) (Bwt.counts_before bwt_arr sigma) in
-  (* SA sampling *)
+  (* SA sampling, in one pass over the suffix array: a row whose suffix
+     starts at a multiple of s before the sentinel is marked, and its
+     position / s kept in row order (there are ceil(n / s) of them);
+     isa.(i) is the row of the suffix at i*s, for i*s <= n (the sentinel
+     suffix at n is row 0). *)
   let mark_bv = Bitvec.create m in
-  let n_samples = ref 0 in
-  Array.iteri
-    (fun row pos ->
-      if pos < n && pos mod sample = 0 then begin
-        Bitvec.set mark_bv row;
-        incr n_samples
-      end)
-    sa;
   let sample_width = max 1 (Int_vec.width_for (max 1 (n / sample))) in
-  let sample_vals = Int_vec.create ~width:sample_width !n_samples in
+  let sample_vals = Int_vec.create ~width:sample_width ((n + sample - 1) / sample) in
+  let isa = Int_vec.create ~width:(max 1 (Int_vec.width_for m)) ((n / sample) + 1) in
   let k = ref 0 in
-  Array.iter
-    (fun pos ->
-      tick ();
-      if pos < n && pos mod sample = 0 then begin
-        Int_vec.set sample_vals !k (pos / sample);
-        incr k
-      end)
-    sa;
-  (* ISA sampling: isa.(i) = row of suffix at i*sample, for i*sample <= n.
-     The suffix at position n is the sentinel row, always 0, stored last. *)
-  let n_isa = (n / sample) + 1 in
-  let isa = Int_vec.create ~width:(max 1 (Int_vec.width_for m)) n_isa in
   Array.iteri
     (fun row pos ->
       tick ();
-      if pos mod sample = 0 && pos / sample < n_isa then Int_vec.set isa (pos / sample) row)
+      if pos mod sample = 0 then begin
+        if pos < n then begin
+          Bitvec.set mark_bv row;
+          Int_vec.set sample_vals !k (pos / sample);
+          incr k
+        end;
+        Int_vec.set isa (pos / sample) row
+      end)
     sa;
   {
     docs;
@@ -186,7 +178,7 @@ let extract t ~doc ~off ~len =
 (* Every document, by one bulk inversion: decode the BWT into a plain
    array, then invert it with one counting pass and one LF walk.
    O(n (H0 + 1)) sequential bit work plus O(n), no wavelet rank. *)
-let docs t = Doc_map.split t.docs (Bwt.invert (Huffman_wavelet.to_array t.bwt))
+let docs ?tick t = Doc_map.split ?tick t.docs (Bwt.invert ?tick (Huffman_wavelet.to_array ?tick t.bwt))
 
 (* Row of the suffix starting at (doc, off): tSA = O(s). *)
 let suffix_row t ~doc ~off = row_of_position t (Doc_map.doc_start t.docs doc + off)

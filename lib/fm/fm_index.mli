@@ -47,8 +47,10 @@ val extract : t -> doc:int -> off:int -> len:int -> string
 (** Every document, in order, by one bulk inversion of the BWT: a
     bottom-up wavelet decode into a plain array, one counting pass for
     LF and one walk from the sentinel row. O(n (H0 + 1)) sequential bit
-    work, no wavelet rank; a few O(n)-word scratch arrays. *)
-val docs : t -> string array
+    work, no wavelet rank; a few O(n)-word scratch arrays. [tick] is
+    called once per word of each wavelet node, once per row in each of
+    the two inversion passes and once per symbol of the split. *)
+val docs : ?tick:(unit -> unit) -> t -> string array
 
 (** Row of the suffix starting at [(doc, off)]; tSA = O(sample). *)
 val suffix_row : t -> doc:int -> off:int -> int

@@ -44,8 +44,9 @@ let counts_before (bwt : int array) (sigma : int) : int array =
    result is that text without its sentinel.  LF comes from one counting
    pass -- row i's LF is the count of smaller symbols plus the
    occurrences of bwt.(i) before i -- and one walk backwards from row 0
-   reads the text right to left.  O(n) time and two O(n) arrays. *)
-let invert (bwt : int array) : int array =
+   reads the text right to left.  O(n) time and two O(n) arrays; [tick]
+   is charged once per row in each of the two passes. *)
+let invert ?(tick = fun () -> ()) (bwt : int array) : int array =
   let n = Array.length bwt in
   if n = 0 then [||]
   else begin
@@ -53,6 +54,7 @@ let invert (bwt : int array) : int array =
     let next = counts_before bwt sigma in
     let lf = Array.make n 0 in
     for i = 0 to n - 1 do
+      tick ();
       let c = Array.unsafe_get bwt i in
       Array.unsafe_set lf i (Array.unsafe_get next c);
       Array.unsafe_set next c (Array.unsafe_get next c + 1)
@@ -60,6 +62,7 @@ let invert (bwt : int array) : int array =
     let out = Array.make (n - 1) 0 in
     let row = ref 0 in
     for k = n - 2 downto 0 do
+      tick ();
       Array.unsafe_set out k (Array.unsafe_get bwt !row);
       row := Array.unsafe_get lf !row
     done;

@@ -18,8 +18,9 @@ val counts_before : int array -> int -> int array
 
 (** [invert bwt] is the text (sentinel dropped) whose BWT is [bwt], for
     any text ending in a unique smallest sentinel 0: one counting pass
-    for LF, one walk from the sentinel row. O(n). *)
-val invert : int array -> int array
+    for LF, one walk from the sentinel row. O(n). [tick] is called once
+    per row in each pass. *)
+val invert : ?tick:(unit -> unit) -> int array -> int array
 
 (** Invert a BWT produced by {!transform}. O(n). *)
 val inverse : int array -> int array

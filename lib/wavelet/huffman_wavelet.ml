@@ -38,48 +38,50 @@ type t = {
 let length t = t.len
 let sigma t = t.sigma
 
-let rec build_node (seq : int array) (codes : Huffman.code array) depth tick =
-  let n = Array.length seq in
-  (* all symbols in [seq] share the same code prefix of length [depth] *)
-  let c0 = seq.(0) in
+(* Build the node over [seq.(lo) .. seq.(lo + n - 1)], whose symbols all
+   share the code prefix of length [depth].  One pass packs the node's
+   bit words and partitions the range stably in place: a 0-bit symbol
+   moves down within [seq], a 1-bit symbol goes to [scratch], and the
+   1-bit run is copied back after the 0-bit run, so the children are
+   the two halves of the same range.  Each symbol is stored to both
+   places and only its side's count advances: the bits of a BWT are
+   close to random, and a mispredicted branch per symbol costs more
+   than the spare store (a stray store lands where a later symbol or
+   the copy-back overwrites it).  [scratch] is shared by every node (it
+   is free again before either child is built). *)
+let rec build_node seq scratch lo n (codes : Huffman.code array) depth tick =
+  let c0 = seq.(lo) in
   if codes.(c0).len = depth then Leaf c0
   else begin
-    let bit_of c =
-      let code = codes.(c) in
-      (code.Huffman.bits lsr (code.Huffman.len - 1 - depth)) land 1
-    in
-    let bv = Bitvec.create n in
-    let nleft = ref 0 in
-    for i = 0 to n - 1 do
-      tick ();
-      if bit_of seq.(i) = 1 then Bitvec.set bv i else incr nleft
+    let w = Popcount.word_bits in
+    let words = Array.make ((n + w - 1) / w) 0 in
+    let nleft = ref 0 and nright = ref 0 in
+    for j = 0 to Array.length words - 1 do
+      let base = j * w in
+      let word = ref 0 in
+      for k = 0 to min w (n - base) - 1 do
+        tick ();
+        let c = Array.unsafe_get seq (lo + base + k) in
+        let code = Array.unsafe_get codes c in
+        let b = (code.Huffman.bits lsr (code.Huffman.len - 1 - depth)) land 1 in
+        word := !word lor (b lsl k);
+        Array.unsafe_set scratch !nright c;
+        Array.unsafe_set seq (lo + !nleft) c;
+        nright := !nright + b;
+        nleft := !nleft + 1 - b
+      done;
+      Array.unsafe_set words j !word
     done;
-    let left_seq = Array.make (max 1 !nleft) 0 in
-    let right_seq = Array.make (max 1 (n - !nleft)) 0 in
-    let li = ref 0 and ri = ref 0 in
-    for i = 0 to n - 1 do
-      if bit_of seq.(i) = 1 then begin
-        right_seq.(!ri) <- seq.(i);
-        incr ri
-      end
-      else begin
-        left_seq.(!li) <- seq.(i);
-        incr li
-      end
-    done;
+    Array.blit scratch 0 seq (lo + !nleft) !nright;
     (* A Huffman tree has no unary nodes, so both sides are non-empty --
        except for the degenerate single-symbol alphabet where the code is
        Branch(Sym c, Sym c) and one side may be empty.  Guard for that. *)
-    let left =
-      if !li = 0 then Leaf c0
-      else build_node (Array.sub left_seq 0 !li) codes (depth + 1) tick
-    in
+    let left = if !nleft = 0 then Leaf c0 else build_node seq scratch lo !nleft codes (depth + 1) tick in
     let right =
-      if !ri = 0 then Leaf c0
-      else build_node (Array.sub right_seq 0 !ri) codes (depth + 1) tick
+      if !nright = 0 then Leaf c0
+      else build_node seq scratch (lo + !nleft) !nright codes (depth + 1) tick
     in
-    let words = Bitvec.words bv in
-    Node { words; super = Rank_select.directory words; ones = n - !nleft; left; right }
+    Node { words; super = Rank_select.directory words; ones = !nright; left; right }
   end
 
 let build ?(tick = fun () -> ()) ~sigma (seq : int array) =
@@ -89,7 +91,10 @@ let build ?(tick = fun () -> ()) ~sigma (seq : int array) =
   let freqs = Array.make sigma 0 in
   Array.iter (fun c -> freqs.(c) <- freqs.(c) + 1) seq;
   let codes = Huffman.codes ~sigma freqs in
-  let root = if Array.length seq = 0 then None else Some (build_node seq codes 0 tick) in
+  let n = Array.length seq in
+  let root =
+    if n = 0 then None else Some (build_node (Array.copy seq) (Array.make n 0) 0 n codes 0 tick)
+  in
   let present = Array.fold_left (fun a f -> if f > 0 then a + 1 else a) 0 freqs in
   let slot = Int_vec.create ~width:(Int_vec.width_for present) sigma in
   let packed = Array.make present 0 in
@@ -193,8 +198,9 @@ let space_bits t =
 
 (* Bulk decode, bottom-up: a node's sequence interleaves its children's
    sequences in the order its bit vector gives, so one sequential pass
-   over each bit vector rebuilds the whole sequence with no rank. *)
-let to_array t =
+   over each bit vector rebuilds the whole sequence with no rank.
+   [tick] is charged once per word of every node's bit vector. *)
+let to_array ?(tick = fun () -> ()) t =
   let w = Popcount.word_bits in
   let rec decode node n =
     match node with
@@ -204,6 +210,7 @@ let to_array t =
       let out = Array.make n 0 in
       let li = ref 0 and ri = ref 0 in
       for j = 0 to Array.length words - 1 do
+        tick ();
         let word = Array.unsafe_get words j and base = j * w in
         for k = 0 to min w (n - base) - 1 do
           if (word lsr k) land 1 = 1 then begin
@@ -219,3 +226,10 @@ let to_array t =
       out
   in
   match t.root with None -> [||] | Some root -> decode root t.len
+
+let nodes t =
+  let rec go acc = function
+    | Leaf _ -> acc
+    | Node { words; super; ones; left; right } -> go (go ((words, super, ones) :: acc) left) right
+  in
+  match t.root with None -> [] | Some r -> List.rev (go [] r)

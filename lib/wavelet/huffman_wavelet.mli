@@ -28,5 +28,11 @@ val count : t -> int -> int
 val space_bits : t -> int
 
 (** The whole sequence, decoded bottom-up with one sequential pass per
-    bit vector and no rank: O(n (H0 + 1)) bit operations. *)
-val to_array : t -> int array
+    bit vector and no rank: O(n (H0 + 1)) bit operations. [tick] is
+    called once per word of every node's bit vector. *)
+val to_array : ?tick:(unit -> unit) -> t -> int array
+
+(** Every internal node's bit-vector words, rank directory and count of
+    1-bits, in pre-order (left child before right). Exposed so a test can
+    hold {!build} to a per-bit reference construction. *)
+val nodes : t -> (int array * int array * int) list

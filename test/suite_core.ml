@@ -372,7 +372,7 @@ module type STATIC = sig
   val build : ?tick:(unit -> unit) -> sample:int -> string array -> t
   val doc_len : t -> int -> int
   val extract : t -> doc:int -> off:int -> len:int -> string
-  val docs : t -> string array
+  val docs : ?tick:(unit -> unit) -> t -> string array
 end
 
 let statics : (string * (module STATIC)) list =
@@ -434,18 +434,32 @@ let test_dump_after_deletes () =
   dump_case "sa" (module SS_sa) SS_sa.dump SS_sa.index (module Sa_static);
   dump_case "csa" (module SS_csa) SS_csa.dump SS_csa.index (module Csa_static)
 
-(* [live_docs] charges one tick per live symbol plus separator: the
-   rebuild schedule is measured in these ticks. *)
+(* [live_docs] decodes the whole component by one bulk inversion, so it
+   charges O(1) ticks per decoded symbol, live and dead alike: between
+   one and four per symbol (separators and the sentinel included),
+   whatever the number of dead documents. *)
 let test_live_docs_ticks () =
   let docs = Array.init 30 (fun i -> (i, String.make (i mod 5) 'x')) in
-  let ss = SS_fm.build ~sample:4 ~tau:4 docs in
-  List.iter (fun id -> ignore (SS_fm.delete ss id)) [ 0; 3; 7; 8; 22 ];
-  let ticks = ref 0 in
-  let live = SS_fm.live_docs ~tick:(fun () -> incr ticks) ss in
-  check "live docs" 25 (List.length live);
-  check "ticks = sum (len + 1)"
-    (List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 live)
-    !ticks
+  let decoded = Array.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs in
+  let case (type a) name (module M : SEMI with type t = a) (ss : a) =
+    let ticks_of () =
+      let ticks = ref 0 in
+      let live = M.live_docs ~tick:(fun () -> incr ticks) ss in
+      (List.length live, !ticks)
+    in
+    let _, ticks_all_live = ticks_of () in
+    List.iter (fun id -> ignore (M.delete ss id)) [ 0; 3; 7; 8; 22 ];
+    let live, ticks = ticks_of () in
+    check (name ^ " live docs") 25 live;
+    check (name ^ " ticks do not depend on the dead") ticks_all_live ticks;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d ticks within [%d, %d]" name ticks decoded (4 * (decoded + 1)))
+      true
+      (ticks >= decoded && ticks <= 4 * (decoded + 1))
+  in
+  case "fm" (module SS_fm) (SS_fm.build ~sample:4 ~tau:4 docs);
+  case "sa" (module SS_sa) (SS_sa.build ~sample:4 ~tau:4 docs);
+  case "csa" (module SS_csa) (SS_csa.build ~sample:4 ~tau:4 docs)
 
 (* [space_bits] must match the heap the structure really holds, within
    10 %, from one document to hundreds. *)

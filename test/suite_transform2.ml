@@ -297,10 +297,178 @@ let schedule_lock_stream () =
 
 let test_schedule_lock () =
   let hash, counts = schedule_lock_stream () in
-  Alcotest.(check string) "census hash after every update" "7a2e4f1b8d4e50b625f3b69f89eb0336" hash;
+  Alcotest.(check string) "census hash after every update" "3c98ef79c7c272ab64170917cc37e641" hash;
   Alcotest.(check (list int))
     "started, completed, forced, restructures, top cleanings, sync merges"
-    [ 1692; 1691; 26; 6; 448; 108 ] counts
+    [ 1625; 1624; 7; 6; 381; 108 ] counts
+
+(* --- bounded top collections: cleanings merge small tops --- *)
+
+module Di = Dynamic_index
+
+(* perfbench's churn shape: documents of 100 symbols over 20 letters *)
+let churn_doc st = String.init 100 (fun _ -> Char.chr (97 + Random.State.int st 20))
+
+let model_docs model = Hashtbl.fold (fun d s acc -> (d, s) :: acc) model []
+
+(* Every live document comes back exactly once: the counts agree, each
+   document is present with its text, and pattern counts (which would
+   double a duplicated document) match the model. *)
+let check_against_model label idx model =
+  let live = model_docs model in
+  check (label ^ ": doc_count") (List.length live) (Di.doc_count idx);
+  check (label ^ ": total_symbols")
+    (List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 live)
+    (Di.total_symbols idx);
+  List.iter
+    (fun (d, s) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s: doc %d" label d)
+        (Some s)
+        (Di.extract idx ~doc:d ~off:0 ~len:(String.length s)))
+    live;
+  List.iter
+    (fun p -> check (Printf.sprintf "%s: count %s" label p) (List.length (naive_search live p)) (Di.count idx p))
+    [ "ab"; "ca"; "tsr"; "q" ]
+
+(* Stationary churn at jobs = 0: delete a random live document, insert a
+   fresh one.  Without the merge rule the layout drifts to dozens of
+   near-empty tops; with it the Oracle's top-count bound (2 tau + 2)
+   holds at every check.  Fuzz streams are too short to drift. *)
+let test_long_churn_top_bound () =
+  let idx = Di.create ~index:{ Index_config.default with sample = 8; tau = 8 } () in
+  let oracle = Dsdg_check.Oracle.create () in
+  let st = Random.State.make [| 0x70b5 |] in
+  let model = Hashtbl.create 1024 in
+  let live =
+    Array.init 800 (fun _ ->
+        let s = churn_doc st in
+        let id = Di.insert idx s in
+        Hashtbl.replace model id s;
+        id)
+  in
+  let ops = ref 0 in
+  let tick () =
+    incr ops;
+    if !ops mod 50 = 0 then
+      Alcotest.(check (list string))
+        (Printf.sprintf "oracle after op %d" !ops)
+        [] (Dsdg_check.Oracle.check oracle idx)
+  in
+  for _ = 1 to 4000 do
+    let k = Random.State.int st (Array.length live) in
+    Alcotest.(check bool) "delete" true (Di.delete idx live.(k));
+    Hashtbl.remove model live.(k);
+    tick ();
+    let s = churn_doc st in
+    live.(k) <- Di.insert idx s;
+    Hashtbl.replace model live.(k) s;
+    tick ()
+  done;
+  let tops =
+    List.length (List.filter (fun (n, _, _) -> n.[0] = 'T' && n.[1] <> 'e') (Di.probe idx).pr_census)
+  in
+  Alcotest.(check bool) (Printf.sprintf "%d tops <= 2 tau + 2" tops) true (tops <= 18);
+  check_against_model "after churn" idx model
+
+(* The newest event about a cleaning says whether a merged one is in
+   flight: its start names the merged tops, its install lands it. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let merged_cleaning_in_flight events =
+  match List.find_opt (fun e -> contains e "rebuilt T") events with
+  | Some e -> String.starts_with ~prefix:"job start:" e && contains e "merging"
+  | None -> false
+
+(* A dump taken while a merged cleaning is in flight restores every live
+   document exactly once, with the same query answers: the tops being
+   merged stay in place (and in the dump) until the job installs. *)
+let test_restore_mid_merged_cleaning () =
+  let index = { Index_config.default with sample = 8; tau = 4 } in
+  let idx = Di.create ~index () in
+  let st = Random.State.make [| 0xd0c5 |] in
+  let model = Hashtbl.create 512 in
+  let live =
+    Array.init 300 (fun _ ->
+        let s = churn_doc st in
+        let id = Di.insert idx s in
+        Hashtbl.replace model id s;
+        id)
+  in
+  let restored = ref 0 and step = ref 0 in
+  while !restored < 3 && !step < 6000 do
+    incr step;
+    let k = Random.State.int st (Array.length live) in
+    ignore (Di.delete idx live.(k));
+    Hashtbl.remove model live.(k);
+    if merged_cleaning_in_flight (Di.events idx) then begin
+      incr restored;
+      let label = Printf.sprintf "restore %d (step %d)" !restored !step in
+      let back = Di.restore ~index (Di.dump idx) in
+      check_against_model label back model;
+      Alcotest.(check (list string)) (label ^ ": oracle") [] (Dsdg_check.Oracle.check (Dsdg_check.Oracle.create ()) back)
+    end;
+    let s = churn_doc st in
+    live.(k) <- Di.insert idx s;
+    Hashtbl.replace model live.(k) s
+  done;
+  Alcotest.(check bool) "merged cleanings were caught in flight" true (!restored = 3)
+
+(* A static index whose bulk decode fails on every worker domain: each
+   pooled rebuild dies, and the owner rebuilds it in place from the
+   same closure (the crash fallback). *)
+module Flaky = struct
+  include Fm_static
+
+  let owner = Domain.self ()
+
+  let docs ?tick t =
+    if Domain.self () <> owner then failwith "flaky worker decode";
+    Fm_static.docs ?tick t
+end
+
+module T2_flaky = Transform2.Make (Flaky)
+
+(* Merged cleanings at jobs = 1 whose worker dies land through the crash
+   fallback without losing a document. *)
+let test_merged_cleaning_crash_fallback () =
+  let t = T2_flaky.create { Index_config.default with sample = 8; tau = 4; jobs = 1 } in
+  let st = Random.State.make [| 0xfa11 |] in
+  let model = Hashtbl.create 512 in
+  let live =
+    Array.init 300 (fun _ ->
+        let s = churn_doc st in
+        let id = T2_flaky.insert t s in
+        Hashtbl.replace model id s;
+        id)
+  in
+  let merged = ref 0 in
+  for _ = 1 to 1500 do
+    let k = Random.State.int st (Array.length live) in
+    ignore (T2_flaky.delete t live.(k));
+    Hashtbl.remove model live.(k);
+    if merged_cleaning_in_flight (T2_flaky.events t) then incr merged;
+    let s = churn_doc st in
+    live.(k) <- T2_flaky.insert t s;
+    Hashtbl.replace model live.(k) s
+  done;
+  T2_flaky.close t;
+  let s = T2_flaky.stats t in
+  Alcotest.(check bool) "merged cleanings ran" true (!merged > 0);
+  Alcotest.(check bool) "workers crashed into the fallback" true (s.Transform2.crash_fallbacks > 0);
+  let docs = model_docs model in
+  check "doc_count" (List.length docs) (T2_flaky.doc_count t);
+  List.iter
+    (fun (d, text) ->
+      Alcotest.(check (option string)) (Printf.sprintf "doc %d" d) (Some text)
+        (T2_flaky.extract t ~doc:d ~off:0 ~len:(String.length text)))
+    docs;
+  List.iter
+    (fun p -> check ("count " ^ p) (List.length (naive_search docs p)) (T2_flaky.count t p))
+    [ "ab"; "ca"; "tsr" ]
 
 let qsuite = List.map Qc.to_alcotest [ prop_t2_vs_model ]
 
@@ -318,4 +486,7 @@ let suite =
     ("extract from locked copy mid-rebuild", `Quick, test_extract_from_locked_copy);
     ("soak 2500 ops", `Slow, test_soak) ]
   @ qsuite
-  @ [ ("schedule lock", `Quick, test_schedule_lock) ]
+  @ [ ("schedule lock", `Quick, test_schedule_lock);
+      ("long churn keeps the top bound", `Quick, test_long_churn_top_bound);
+      ("restore mid merged cleaning", `Quick, test_restore_mid_merged_cleaning);
+      ("merged cleaning crash fallback", `Quick, test_merged_cleaning_crash_fallback) ]

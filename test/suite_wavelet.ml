@@ -257,6 +257,58 @@ let test_hwt_bulk_edges () =
   same (Array.make 1000 4);
   same (Array.init 1000 (fun i -> if i = 500 then 0 else 2))
 
+(* [Huffman_wavelet.build] packs each node word at a time and partitions
+   in place; it must give exactly the nodes of the plain per-bit
+   construction: the same words, directories and one-counts, in
+   pre-order. *)
+let reference_nodes ~sigma a =
+  if Array.length a = 0 then []
+  else begin
+    let freqs = Array.make sigma 0 in
+    Array.iter (fun c -> freqs.(c) <- freqs.(c) + 1) a;
+    let codes = Huffman.codes ~sigma freqs in
+    let bit depth c = (codes.(c).Huffman.bits lsr (codes.(c).Huffman.len - 1 - depth)) land 1 in
+    let rec go depth seq acc =
+      if Array.length seq = 0 || codes.(seq.(0)).Huffman.len = depth then acc
+      else begin
+        let bv = Dsdg_bits.Bitvec.create (Array.length seq) in
+        Array.iteri (fun i c -> if bit depth c = 1 then Dsdg_bits.Bitvec.set bv i) seq;
+        let words = Dsdg_bits.Bitvec.words bv in
+        let side b = Array.of_list (List.filter (fun c -> bit depth c = b) (Array.to_list seq)) in
+        let acc = (words, Dsdg_bits.Rank_select.directory words, Dsdg_bits.Bitvec.count bv) :: acc in
+        go (depth + 1) (side 1) (go (depth + 1) (side 0) acc)
+      end
+    in
+    List.rev (go 0 a [])
+  end
+
+let same_nodes ~sigma a = Huffman_wavelet.nodes (Huffman_wavelet.build ~sigma a) = reference_nodes ~sigma a
+
+(* random (uniform), skewed (one dominant symbol) and one-symbol
+   sequences, long enough to need rank directories *)
+let prop_hwt_build_equiv =
+  QCheck.Test.make ~name:"hwt build = per-bit reference (words, directories, ones)" ~count:80
+    QCheck.(pair (int_range 0 2) (pair (int_range 1 300) (list_of_size Gen.(0 -- 3000) (int_bound 299))))
+    (fun (kind, (sigma, l)) ->
+      let a =
+        Array.of_list
+          (List.map
+             (fun x ->
+               match kind with
+               | 0 -> x mod sigma
+               | 1 -> if x mod 11 = 0 then x mod sigma else 0
+               | _ -> 0)
+             l)
+      in
+      same_nodes ~sigma:(if kind = 2 then 1 else sigma) a)
+
+let test_hwt_build_equiv_edges () =
+  List.iter
+    (fun (name, sigma, a) -> Alcotest.(check bool) name true (same_nodes ~sigma a))
+    [ ("empty", 1, [||]); ("one symbol", 1, [| 0 |]); ("sigma 1", 1, Array.make 1000 0);
+      ("one letter of five", 5, Array.make 1000 4);
+      ("one outlier", 3, Array.init 2000 (fun i -> if i = 1234 then 2 else 1)) ]
+
 let qsuite =
   List.map Qc.to_alcotest
     [ prop_wt; prop_hwt; prop_ap; prop_ap_matches_hwt; prop_select_rank_inverse;
@@ -277,4 +329,6 @@ let suite =
     ("ap skewed", `Quick, test_ap_skewed);
     ("ap missing symbols", `Quick, test_ap_missing_symbols) ]
   @ qsuite
-  @ [ ("hwt bulk decode edges", `Quick, test_hwt_bulk_edges); Qc.to_alcotest prop_hwt_access_rank ]
+  @ [ ("hwt bulk decode edges", `Quick, test_hwt_bulk_edges); Qc.to_alcotest prop_hwt_access_rank;
+      ("hwt build = reference, edges", `Quick, test_hwt_build_equiv_edges);
+      Qc.to_alcotest prop_hwt_build_equiv ]
