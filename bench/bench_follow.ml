@@ -35,8 +35,8 @@ let lag_cell ~rate ~ops =
   let replica_dir = Filename.concat dir "replica" in
   let sock = Filename.concat dir "leader.sock" in
   Unix.mkdir dir 0o755;
-  let store, _ = Durable.open_ ~dir:leader_dir () in
-  let srv = Server.start (Durable.subject store) (`Unix sock) in
+  let store, _ = SI.open_store ~shards:1 ~dir:leader_dir () in
+  let srv = Server.start (SI.subject store) (`Unix sock) in
   let fol = Follower.start ~leader:(`Unix sock) ~dir:replica_dir () in
   let c = Client.connect (`Unix sock) in
   let st = Text_gen.rng (4242 + rate) in
@@ -62,7 +62,7 @@ let lag_cell ~rate ~ops =
   let drive_s = Unix.gettimeofday () -. t0 in
   (* catch-up: how long until the replica has applied everything *)
   let t1 = Unix.gettimeofday () in
-  let target = Durable.wal_serial store in
+  let target = (SI.wal_serials store).(0) in
   while (Follower.watermark fol).(0) < target do
     Thread.delay 0.001
   done;

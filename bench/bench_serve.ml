@@ -27,10 +27,11 @@ let cell ~clients ~max_batch ~ops =
   let dir = tmp_dir "dsdg-bench-serve" in
   let sock = dir ^ ".sock" in
   let store, _info =
-    Durable.open_ ~config:{ Durable.default_config with sync = Dsdg_store.Wal.Always } ~dir ()
+    Dsdg_shard.Sharded_index.open_store
+      ~config:{ Durable.default_config with sync = Dsdg_store.Wal.Always } ~shards:1 ~dir ()
   in
   let config = { Server.default_config with max_batch } in
-  let srv = Server.start ~config (Durable.subject store) (`Unix sock) in
+  let srv = Server.start ~config (Dsdg_shard.Sharded_index.subject store) (`Unix sock) in
   let f0 = store_fsyncs () in
   let r = Load_gen.run ~mix (`Unix sock) ~clients ~ops ~seed:(1000 + clients + max_batch) in
   let fsyncs = store_fsyncs () - f0 in

@@ -114,127 +114,49 @@ let domain_budget ~indexes ~checkpoint_jobs ~recovery_jobs index =
   | _ -> ()
   | exception Invalid_argument msg -> die_usage "%s" msg
 
-(* A collection, plus what only its backing can show: stats lines
-   after the documents/symbols census, as-of queries (a single index
-   only; a sharded epoch is a vector), a pinned backup (a single-index
-   store only), and the private observability scopes to render. *)
-type opened = {
-  coll : Subject.t;
-  trailer : unit -> unit;
-  asof : (epoch:int -> query:string -> unit) option;
-  pin : dest:string -> unit -> string;
-      (* freeze the state now; the thunk backs it up into [dest],
-         releases the pin and describes what it wrote *)
-  scopes : Dsdg_obs.Obs.scope list;
-}
+(* An opened collection: K in-memory shards or the store in a
+   directory, and the subject every command drives. *)
+type opened = { sh : Sh.t; coll : Subject.t; store : string option }
 
-let no_backup ~dest:_ () = die_usage "pinned backups need a single-index store"
-
-let single_index idx coll ~pin ~store_line =
-  let asof ~epoch ~query =
-    match Dynamic_index.view_at idx ~epoch with
-    | None ->
-      Printf.printf "epoch %d is not retained (retained: %s); open with --retain-epochs N\n%!" epoch
-        (String.concat ", " (List.map string_of_int (Dynamic_index.retained idx)))
-    | Some v -> (
-      let arg = String.sub query 1 (String.length query - 1) in
-      match query.[0] with
-      | ('?' | '#') when arg = "" ->
-        Printf.printf "empty pattern (matches everywhere); give at least one symbol\n%!"
-      | '?' ->
-        let hits = Dynamic_index.view_search v arg in
-        List.iter (fun (d, o) -> Printf.printf "doc %d off %d\n" d o) hits;
-        Printf.printf "%d occurrence(s) as of epoch %d\n%!" (List.length hits) epoch
-      | '#' -> Printf.printf "%d\n%!" (Dynamic_index.view_count v arg)
-      | _ -> Printf.printf "usage: ~EPOCH ?PAT or ~EPOCH #PAT\n%!")
-  in
-  let trailer () =
-    let syms = Dynamic_index.total_symbols idx and bits = Dynamic_index.space_bits idx in
-    Printf.printf "space     : %d bits (%.2f bits/symbol)\n" bits
-      (if syms = 0 then 0. else float_of_int bits /. float_of_int syms);
-    Printf.printf "engine    : %s\n" (Dynamic_index.describe idx);
-    store_line ()
-  in
-  { coll; trailer; asof = Some asof; pin; scopes = [ Dynamic_index.obs_scope idx ] }
-
-let sharded ~name ~store sh =
-  let ints a = String.concat "; " (Array.to_list (Array.map string_of_int a)) in
-  let trailer () =
-    Printf.printf "engine    : %s\n" (Sh.describe sh);
-    (* the composite epoch (its last component is the mapping version)
-       and, with a store, the per-shard replication coordinates *)
-    Printf.printf "epochs    : [%s]\n" (ints (Sh.epoch_vector sh));
-    if store then begin
-      Printf.printf "wal       : [%s] (per-shard serials)\n" (ints (Sh.wal_serials sh));
-      Printf.printf "meta      : %d placement record(s)\n" (Sh.meta_records sh)
-    end
-  in
-  { coll = Sh.subject ~name sh; trailer; asof = None; pin = no_backup; scopes = [] }
-
-(* The one function that opens a collection, and the only place
-   outside fuzz where the shard count picks a backing. In memory K is
-   the --shards flag's. A store directory's layout is read ([`Read]: K
-   from its shard.meta, else 1) or checked against the --shards flag
-   ([`Flag k]) or a single index ([`Single]); a mismatch is a usage
-   error (124) raised before anything in the directory is touched. *)
+(* The one function that opens a collection. K is the --shards flag's
+   ([`Flag k]) or, for a store, read from the directory ([`Read]; 1
+   when it is fresh); a flag that disagrees with the directory is a
+   usage error (124) raised before anything in it is touched. *)
 let open_collection ~(index : Index_config.t) ~config ~layout store =
-  let recovery_jobs k = if store <> None && k > 1 then min k 4 else 0 in
+  let on_disk = Option.bind store (fun dir -> Sh.store_shards ~dir) in
   let k =
-    match store with
-    | None -> ( match layout with `Flag k -> k | `Read | `Single -> 1)
-    | Some dir -> (
-      let plain =
-        Sys.file_exists (Store.Recovery.wal_path ~dir) || Store.Snapshot.list ~dir <> []
-      in
-      match (Sh.store_shards ~dir, layout) with
-      | Some k, `Read -> k
-      | Some k, `Flag want when k = want -> k
-      | Some k, `Flag _ -> die_usage "store at %s is sharded with K=%d; pass --shards %d" dir k k
-      | Some k, `Single ->
-        die_usage "store at %s is sharded with K=%d; this command writes single-index stores only"
-          dir k
-      | None, `Flag k when k > 1 && plain ->
-        die_usage "store at %s is a plain single-index store; it cannot be opened with --shards %d"
-          dir k
-      | None, `Flag k -> k
-      | None, (`Read | `Single) -> 1)
+    match (layout, on_disk) with
+    | `Flag k, Some d when d <> k ->
+      die_usage "store at %s holds K=%d; pass --shards %d" (Option.get store) d d
+    | `Flag k, _ -> k
+    | `Read, d -> Option.value d ~default:1
   in
-  domain_budget ~indexes:k ~recovery_jobs:(recovery_jobs k)
+  let recovery_jobs = if store <> None && k > 1 then min k 4 else 0 in
+  domain_budget ~indexes:k ~recovery_jobs
     ~checkpoint_jobs:(if store = None then 0 else config.Store.Durable.checkpoint_jobs)
     index;
-  match (store, k) with
-  | None, 1 ->
-    let idx = Dynamic_index.create ~index () in
-    single_index idx
-      (Subject.of_index ~name:"an in-memory index" idx)
-      ~pin:no_backup ~store_line:ignore
-  | None, k ->
-    sharded ~store:false ~name:(Printf.sprintf "%d in-memory shards" k)
-      (Sh.create ~index ~shards:k ())
-  | Some dir, 1 ->
-    let d, info = Store.Durable.open_ ~config ~index ~dir () in
-    print_endline (Store.Recovery.info_to_string info);
-    let pin ~dest =
-      let p = Store.Durable.pin d in
-      fun () ->
-        let path = Store.Durable.backup d p ~dest in
-        Store.Durable.unpin d p;
-        Printf.sprintf "epoch %d, WAL serial %d -> %s" (Store.Durable.pin_epoch p)
-          (Store.Durable.pin_serial p) path
+  match store with
+  | None ->
+    let sh = Sh.create ~index ~shards:k () in
+    let name = if k = 1 then "an in-memory index" else Printf.sprintf "%d in-memory shards" k in
+    { sh; coll = Sh.subject ~name sh; store }
+  | Some dir ->
+    (* K > 1 recovers the shard stores in parallel on a small executor pool *)
+    let sh, infos = Sh.open_store ~config ~index ~recovery_jobs ~shards:k ~dir () in
+    let name =
+      if k = 1 then begin
+        print_endline (Store.Recovery.info_to_string infos.(0));
+        dir
+      end
+      else begin
+        Array.iteri
+          (fun s info -> Printf.printf "shard %d: %s\n" s (Store.Recovery.info_to_string info))
+          infos;
+        Printf.printf "sharded: %d shard stores under %s, scatter-gather queries\n%!" k dir;
+        Printf.sprintf "%d shard stores under %s" k dir
+      end
     in
-    single_index (Store.Durable.index d)
-      (Store.Durable.subject ~name:dir d)
-      ~pin
-      ~store_line:(fun () ->
-        Printf.printf "store     : %s (next WAL serial %d)\n" dir (Store.Durable.wal_serial d))
-  | Some dir, k ->
-    (* recover the K shard stores in parallel on a small executor pool *)
-    let sh, infos = Sh.open_store ~config ~index ~recovery_jobs:(recovery_jobs k) ~shards:k ~dir () in
-    Array.iteri
-      (fun s info -> Printf.printf "shard %d: %s\n" s (Store.Recovery.info_to_string info))
-      infos;
-    Printf.printf "sharded: %d shard stores under %s, scatter-gather queries\n%!" k dir;
-    sharded ~name:(Printf.sprintf "%d shard stores under %s" k dir) ~store:true sh
+    { sh; coll = Sh.subject ~name sh; store }
 
 (* Open, run [f], close -- store errors reported as data errors (2). *)
 let with_collection ~index ~config ~layout store f =
@@ -244,10 +166,38 @@ let with_collection ~index ~config ~layout store f =
   in
   match store with Some dir -> with_store_errors ~dir run | None -> run ()
 
+let vector a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+(* The census, then space and engine, the composite epoch an as-of
+   query names, and with a store its replication coordinates. *)
 let print_stats o =
+  let syms = o.coll.total_symbols () in
+  let bits = Array.fold_left (fun b i -> b + Dynamic_index.space_bits i) 0 (Sh.indexes o.sh) in
   Printf.printf "documents : %d\n" (o.coll.doc_count ());
-  Printf.printf "symbols   : %d\n" (o.coll.total_symbols ());
-  o.trailer ()
+  Printf.printf "symbols   : %d\n" syms;
+  Printf.printf "space     : %d bits (%.2f bits/symbol)\n" bits
+    (if syms = 0 then 0. else float_of_int bits /. float_of_int syms);
+  Printf.printf "engine    : %s\n" (Sh.describe o.sh);
+  Printf.printf "epochs    : %s (shard views, then the mapping)\n" (vector (Sh.epoch_vector o.sh));
+  Option.iter
+    (fun dir ->
+      Printf.printf "store     : %s (next WAL serial %s)\n" dir (vector (Sh.wal_serials o.sh));
+      if Sh.shards o.sh > 1 then
+        Printf.printf "meta      : %d placement record(s)\n" (Sh.meta_records o.sh))
+    o.store
+
+(* ~E0,...,EK ?PAT / #PAT: answer as of a composite epoch. *)
+let asof o ~epoch_vector query =
+  let arg = String.sub query 1 (String.length query - 1) in
+  match query.[0] with
+  | ('?' | '#') when arg = "" ->
+    Printf.printf "empty pattern (matches everywhere); give at least one symbol\n%!"
+  | '?' ->
+    let hits = Sh.search ~epoch_vector o.sh arg in
+    List.iter (fun (d, o) -> Printf.printf "doc %d off %d\n" d o) hits;
+    Printf.printf "%d occurrence(s) as of %s\n%!" (List.length hits) (vector epoch_vector)
+  | '#' -> Printf.printf "%d\n%!" (Sh.count ~epoch_vector o.sh arg)
+  | _ -> Printf.printf "usage: ~E0,...,EK ?PAT or ~E0,...,EK #PAT\n%!"
 
 (* The interactive loop over any collection. *)
 let repl o =
@@ -282,20 +232,22 @@ let repl o =
              | None -> Printf.printf "out of range or deleted\n%!")
            | _ -> usage "=ID OFF LEN")
          | '~' -> (
-           match o.asof with
-           | None -> Printf.printf "as-of queries are not available on this surface\n%!"
-           | Some asof -> (
-             let arg = String.trim arg in
-             match String.index_opt arg ' ' with
-             | Some i -> (
-               let e = String.sub arg 0 i in
-               let q = String.trim (String.sub arg (i + 1) (String.length arg - i - 1)) in
-               match int_of_string_opt e with
-               | Some epoch when epoch >= 0 && q <> "" -> asof ~epoch ~query:q
-               | _ -> usage "~EPOCH ?PAT or ~EPOCH #PAT")
-             | None -> usage "~EPOCH ?PAT or ~EPOCH #PAT"))
+           let arg = String.trim arg in
+           let usage () = usage "~E0,...,EK ?PAT or ~E0,...,EK #PAT" in
+           match String.index_opt arg ' ' with
+           | None -> usage ()
+           | Some i -> (
+             let q = String.trim (String.sub arg (i + 1) (String.length arg - i - 1)) in
+             match
+               List.map int_of_string_opt (String.split_on_char ',' (String.sub arg 0 i))
+             with
+             | ev when q <> "" && not (List.mem None ev) -> (
+               let epoch_vector = Array.of_list (List.filter_map Fun.id ev) in
+               (* a vector of the wrong length, or no longer retained *)
+               try asof o ~epoch_vector q with Invalid_argument msg -> Printf.printf "%s\n%!" msg)
+             | _ -> usage ()))
          | '.' -> raise Exit
-         | _ -> Printf.printf "commands: ?PAT #PAT +TEXT -ID =ID OFF LEN ~EPOCH ?PAT .\n%!"
+         | _ -> Printf.printf "commands: ?PAT #PAT +TEXT -ID =ID OFF LEN ~E0,...,EK ?PAT .\n%!"
        end
      done
    with End_of_file | Exit -> ());
@@ -328,21 +280,28 @@ let index_cmd files whole (index : Index_config.t) shards store sync checkpoint_
         (List.length files) o.coll.name;
       repl o)
 
-(* dsdg save: index files into a single-index store directory, then
-   checkpoint, so the next open starts from the snapshot with zero WAL
-   replay. Reuses prior state in the directory if there is any --
-   `save` onto an existing store appends. *)
+(* dsdg save: index files into a store directory (K read from it; 1
+   when fresh), then checkpoint, so the next open starts from the
+   snapshots with zero WAL replay. Reuses prior state in the directory
+   if there is any -- `save` onto an existing store appends. *)
 let save_cmd dir files whole (index : Index_config.t) sync pinned =
   let config = store_config ~sync ~checkpoint_every:0 ~jobs:index.jobs in
-  with_collection ~index ~config ~layout:`Single (Some dir) (fun o ->
+  with_collection ~index ~config ~layout:`Read (Some dir) (fun o ->
       (* --pinned: freeze the pre-index state NOW; the pin keeps that
-         view (and its WAL-serial correspondence) alive across the
-         inserts and the checkpoint below, then backs it up -- a
-         consistent backup of "the store as it was before this save" *)
-      let backup = Option.map (fun dest -> o.pin ~dest) pinned in
+         composite epoch (and its WAL-serial correspondence) alive
+         across the inserts and the checkpoint below, then backs it up
+         -- a consistent backup of "the store as it was before this
+         save" *)
+      let pin = Option.map (fun dest -> (dest, Sh.pin o.sh)) pinned in
       index_files ~insert:(Subject.insert o.coll) ~whole files;
       o.coll.checkpoint ();
-      Option.iter (fun b -> Printf.printf "pinned backup: pre-save state (%s)\n" (b ())) backup;
+      Option.iter
+        (fun (dest, p) ->
+          let path = Sh.backup o.sh p ~dest in
+          Sh.unpin o.sh p;
+          Printf.printf "pinned backup: pre-save state (epochs %s -> %s)\n"
+            (vector (Sh.pin_epoch_vector p)) path)
+        pin;
       let docs = o.coll.doc_count () in
       match Store.Snapshot.list ~dir with
       | (path, serial) :: _ ->
@@ -374,10 +333,9 @@ let serve_cmd dir socket host port (index : Index_config.t) shards sync checkpoi
   in
   let config = store_config ~sync ~checkpoint_every ~jobs:index.jobs in
   with_store_errors ~dir (fun () ->
-      (* the server owns the collection from here on: a plain durable
-         store, or K shard stores behind one scatter-gather collection
-         (the writer thread then fans each batch across the shard WALs,
-         one group commit each) *)
+      (* the server owns the collection from here on: K shard stores
+         behind one scatter-gather collection (the writer thread fans
+         each batch across the shard WALs, one group commit each) *)
       let o = open_collection ~index ~config ~layout:(`Flag shards) (Some dir) in
       let srv =
         try Serve.Server.start ~config:{ max_frame; max_batch; max_conns; timeout } o.coll listen
@@ -487,9 +445,10 @@ let loadgen_cmd socket host port clients ops seed timeout shards w_insert w_dele
   if r.Serve.Load_gen.ops = 0 || r.Serve.Load_gen.errors > 0 then exit 1
 
 (* dsdg follow: a WAL-shipped read replica of a running dsdg serve.
-   Bootstraps --store DIR from the leader (snapshot over the wire if
-   the leader compacted; sharded replicas start empty or from a pinned
-   backup copied into DIR), then tails the replication streams.  With
+   Opens --store DIR with the leader's K and tails the replication
+   streams (at K=1 a snapshot over the wire re-seeds a replica the
+   leader compacted past; K>1 replicas start empty or from a pinned
+   backup copied into DIR).  With
    --socket/--port the replica also serves the full query grammar
    locally; mutations get a redirect error naming the leader.  SIGTERM
    stops tailing and closes the replica store cleanly -- the directory
@@ -522,8 +481,8 @@ let follow_cmd from_addr from_socket dir socket host port (index : Index_config.
         (addr_name leader)
         dir
         (match List.assoc_opt "shards" ((Serve.Follower.replica f).stats ()) with
-        | Some k -> Printf.sprintf " (sharded, K=%d)" k
-        | None -> "");
+        | Some k when k > 1 -> Printf.sprintf " (sharded, K=%d)" k
+        | _ -> "");
       let serve listen = Some (Serve.Server.start (Serve.Follower.read_only f) listen) in
       let srv =
         match (socket, port) with
@@ -661,7 +620,7 @@ let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_e
   let scopes =
     with_collection ~index ~config ~layout:(`Flag shards) store (fun o ->
         churn ~ops o;
-        o.scopes)
+        Array.to_list (Array.map Dynamic_index.obs_scope (Sh.indexes o.sh)))
   in
   if no_obs then print_endline "observability disabled (--no-obs): no counters recorded"
   else List.iter (fun s -> print_string (Obs.render s)) (scopes @ Obs.registered ())
@@ -670,7 +629,7 @@ let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_e
    A failing stream is shrunk to a minimal trace, saved, and the replay
    one-liner printed -- a CI failure reproduces with a single command.
    With --store DIR the same op streams instead drive the
-   kill-and-recover sweep of Dsdg_store.Kill_check: crash (optionally
+   kill-and-recover sweep of Shard_check.crash: crash (optionally
    tearing the final WAL record) at every stride-th op, recover, and
    diff the recovered index against the model. *)
 let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault profile replay
@@ -847,13 +806,17 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
               (* a planted fault diverges by design; the shrinker
                  replays without it, so there is nothing to minimize *)
               if k = 1 && index.fault = None then begin
-                let shrunk = Serve.Repl_check.shrink ~index:ix ~sync:sync_v ~dir:scratch sweep_ops in
+                let shrunk =
+                  Serve.Repl_check.shrink ~index:ix ~sync:sync_v ~checkpoint_every ~dir:scratch
+                    sweep_ops
+                in
                 let path, flags = save_trace ~name:"dsdg-fuzz-follow.trace" index shrunk in
                 let v, b = Scanf.sscanf tg.Runner.tg_name "%[^/]/%s" (fun v b -> (v, b)) in
                 Printf.printf
                   "minimal diverging trace (%d ops) saved to %s\nreplay: dsdg fuzz --follow \
-                   --replay %s --store %s --variant %s --backend %s%s\n"
-                  (List.length shrunk) path path dir v b flags
+                   --replay %s --store %s --variant %s --backend %s --sync %s \
+                   --checkpoint-every %d%s\n"
+                  (List.length shrunk) path path dir v b sync checkpoint_every flags
               end
             end
             (* a planted fault makes failover pointless (the replica
@@ -909,20 +872,14 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
           if o.Runner.kc_failures <> [] then failed := true
         in
         let sub what = Filename.concat dir (what ^ slug tg) in
-        if shards > 1 then begin
-          show "kill"
-            (Runner.sweep ~stride
-               (Shard.Shard_check.crash ~index ~config ~torn ~shards ~dir:(sub "shardkill-") ())
-               sweep_ops);
+        show "kill"
+          (Runner.sweep ~stride
+             (Shard.Shard_check.crash ~index ~config ~torn ~shards ~dir:(sub "kill-") ())
+             sweep_ops);
+        if shards > 1 then
           show "split"
             (Shard.Shard_check.split_kill_sweep ~index ~config ~torn ~shards
-               ~dir:(sub "shardsplit-") ~ops:sweep_ops ())
-        end
-        else
-          show "kill"
-            (Runner.sweep ~stride
-               (Store.Kill_check.crash ~index ~config ~torn ~dir:(sub "kill-") ())
-               sweep_ops))
+               ~dir:(sub "split-") ~ops:sweep_ops ()))
       targets;
     if !failed then exit 1;
     Printf.printf "kill-and-recover OK: every crash point re-served all acked writes\n"
@@ -1279,7 +1236,7 @@ let from_socket_arg =
 let follow_store_arg =
   Arg.(required & opt (some string) None
        & info [ "store" ] ~docv:"DIR"
-           ~doc:"Replica store directory: bootstrapped from the leader if fresh (single stores get the newest snapshot over the wire; sharded replicas start empty or from a pinned backup copied here), then kept in sync by WAL tailing.")
+           ~doc:"Replica store directory, of the leader's shard count: kept in sync by WAL tailing. At K=1 a replica the leader compacted past (a fresh one included) is re-seeded with the leader's newest snapshot over the wire; at K>1 it starts empty or from a pinned backup copied here.")
 
 let follow_port_arg =
   Arg.(value & opt (some int) None

@@ -21,6 +21,7 @@ type t = {
   total_symbols : unit -> int;
   stats : unit -> (string * int) list;
   repl : stream:string -> from:int -> repl_reply;
+  flush : unit -> unit;
   check : unit -> string list;
   events : unit -> string list;
   checkpoint : unit -> unit;
@@ -77,6 +78,7 @@ let of_index ?views ~name idx =
           ("epoch", Di.view_epoch v);
         ]);
     repl = (fun ~stream:_ ~from:_ -> Rp_error "an in-memory index has no replication streams");
+    flush = ignore;
     check =
       (fun () ->
         census ()

@@ -2,9 +2,9 @@
 
     The paper's problem is one collection under insert, delete,
     search/count and extract. Whatever backs it -- a plain
-    {!Dsdg_core.Dynamic_index} ({!of_index}), a durable store, a
-    sharded collection, a client talking to a served leader or a
-    read-only replica -- is this record of closures, built by one
+    {!Dsdg_core.Dynamic_index} ({!of_index}), a store of K >= 1
+    shards, a client talking to a served leader or a read-only
+    replica -- is this record of closures, built by one
     constructor per backing. The server, {!Runner} and its sweeps, the
     follower, the replication checker and every CLI subcommand drive
     it without knowing what is behind it.
@@ -42,6 +42,9 @@ type t = {
       (** [docs], [symbols] and [epoch] of the published state, plus
           backing-specific gauges (a sharded collection adds [shards]) *)
   repl : stream:string -> from:int -> repl_reply;  (** serve one replication poll *)
+  flush : unit -> unit;
+      (** make every logged write durable now (a server's idle hook
+          under a lazy sync policy); a no-op without a store *)
   check : unit -> string list;
       (** paper invariants and the published view's census; [[]] means
           healthy *)
@@ -66,6 +69,7 @@ val delete : t -> int -> bool
     checked (a stale epoch publication becomes a model disagreement);
     directly otherwise. [check] compares the view's census with the
     write plane when queries read views, and runs the {!Oracle}
-    invariants. There are no replication streams; [checkpoint] does
-    nothing and [close]/[kill] are {!Dsdg_core.Dynamic_index.close}. *)
+    invariants. There are no replication streams; [flush] and
+    [checkpoint] do nothing and [close]/[kill] are
+    {!Dsdg_core.Dynamic_index.close}. *)
 val of_index : ?views:bool -> name:string -> Dsdg_core.Dynamic_index.t -> t

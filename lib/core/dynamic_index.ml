@@ -160,7 +160,8 @@ let make ?restore_from ?tail (config : Index_config.t) : t =
     ops;
     readers;
     config;
-    ring = Atomic.make [];
+    (* the view it starts from is retained like every later one *)
+    ring = Atomic.make (if config.retain_epochs > 0 then [ ops.op_view () ] else []);
     pins = Atomic.make [];
     pin_next = Atomic.make 0;
   }

@@ -2,10 +2,7 @@
    Contracts documented in follower.mli and DESIGN.md section 14. *)
 
 module Trace = Dsdg_check.Trace
-module Di = Dsdg_core.Dynamic_index
 module Durable = Dsdg_store.Durable
-module Recovery = Dsdg_store.Recovery
-module Snapshot = Dsdg_store.Snapshot
 module Sh = Dsdg_shard.Sharded_index
 module Subject = Dsdg_check.Subject
 open Dsdg_obs
@@ -19,13 +16,9 @@ let c_snap_boots = Obs.counter obs "snapshot_bootstraps"
 let g_lag_serials = Obs.gauge obs "lag_serials"
 let g_lag_epochs = Obs.gauge obs "lag_epochs"
 
-(* The local replica store.  Private to the tail loop: the two
-   leader shapes speak different replication protocols. *)
-type replica = R_single of Durable.t | R_sharded of Sh.t
-
 type lag = {
   lg_serials : int;  (** stream records shipped by the leader but not yet applied *)
-  lg_epochs : int;  (** leader composite epoch minus replica composite epoch *)
+  lg_epochs : int;  (** leader shard epochs minus replica shard epochs (summed) *)
   lg_applied : int;  (** records replayed over this follower's lifetime *)
   lg_connected : bool;
 }
@@ -36,13 +29,10 @@ type t = {
   f_dir : string;
   f_poll : float;
   f_stop : bool Atomic.t;
-  mutable f_replica : replica;  (* replaced only by the tail thread (re-seed) *)
-  mutable f_coll : Subject.t;  (* the replica as a collection; swapped with it *)
-  (* reopen the single-store replica with the original open parameters
-     (None for sharded replicas: those re-seed from pinned backups) *)
-  f_reopen : (unit -> Durable.t) option;
-  (* sharded only: shipped-but-unapplied records per shard, queued when
-     a record's cross-shard prerequisite has not arrived yet *)
+  f_replica : Sh.t;  (* the local replica store; the tail thread is its only writer *)
+  f_coll : Subject.t;  (* the replica as a collection *)
+  (* shipped-but-unapplied records per shard, queued when a record's
+     cross-shard prerequisite has not arrived yet *)
   f_squeues : Trace.op Queue.t array;
   (* stream positions fully applied AND published to the read plane
      (set by the tail thread after each cycle; the store's own WAL
@@ -99,14 +89,6 @@ let parse_shipped line =
   | Ok op -> op
   | Error reason -> failwith (Printf.sprintf "unparseable shipped record %S: %s" line reason)
 
-let current_watermark = function
-  | R_single st -> [| Durable.wal_serial st |]
-  | R_sharded sh -> Sh.stream_positions sh
-
-let coll_of = function
-  | R_single st -> Durable.subject ~name:"replica" st
-  | R_sharded sh -> Sh.subject ~name:"replica" sh
-
 let check_continuity ~stream ~expect recs =
   List.iteri
     (fun i (serial, _) ->
@@ -116,73 +98,10 @@ let check_continuity ~stream ~expect recs =
              serial))
     recs
 
-(* Install a snapshot shipped by the leader as the directory's newest;
-   recovery then starts at its serial. *)
-let install_snapshot ~dir ~serial ~bytes =
-  Snapshot.ensure_dir dir;
-  let path = Snapshot.path_for ~dir ~wal_serial:serial in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
-  Obs.incr c_snap_boots
-
-(* The replica fell behind the leader's checkpoint compaction: the gap
-   is gone from the leader's WAL, but the reply carried a full snapshot
-   covering it.  Rebuild the replica from that snapshot -- close, wipe
-   the local WAL + snapshots, install the shipped one, reopen -- and
-   resume tailing from its serial.  Exactly the fresh-bootstrap path,
-   applied mid-life. *)
-let reseed_single t st ~serial ~bytes =
-  let reopen =
-    match t.f_reopen with Some r -> r | None -> assert false (* single stores only *)
-  in
-  Durable.close st;
-  let dir = t.f_dir in
-  List.iter
-    (fun (p, _) -> try Sys.remove p with Sys_error _ -> ())
-    (Snapshot.list ~dir);
-  let wal = Recovery.wal_path ~dir in
-  List.iter
-    (fun (p, _) -> try Sys.remove p with Sys_error _ -> ())
-    (Dsdg_store.Wal.archives wal);
-  if Sys.file_exists wal then Sys.remove wal;
-  install_snapshot ~dir ~serial ~bytes;
-  let st' = reopen () in
-  Mutex.lock t.f_mu;
-  t.f_replica <- R_single st';
-  t.f_coll <- coll_of t.f_replica;
-  Mutex.unlock t.f_mu;
-  Atomic.set t.f_watermark (current_watermark (R_single st'))
-
-(* One poll of a single-store leader: fetch the WAL tail from the local
-   serial, apply it as one group-committed batch.  Returns the number
-   of records applied. *)
-let cycle_single t st cl =
-  let from = Durable.wal_serial st in
-  let rb = Client.repl cl ~stream:"wal" ~from in
-  match rb.Client.rb_snap with
-  | Some (serial, bytes) ->
-    reseed_single t st ~serial ~bytes;
-    1 (* progress: next cycle resumes from the snapshot's serial *)
-  | None ->
-  check_continuity ~stream:"wal" ~expect:from rb.Client.rb_recs;
-  Obs.set_gauge g_lag_serials (rb.Client.rb_bound - from);
-  Atomic.set t.f_lag_serials (rb.Client.rb_bound - from);
-  let ops = List.map (fun (_, line) -> parse_shipped line) rb.Client.rb_recs in
-  let n = List.length ops in
-  if n > 0 then begin
-    ignore (Durable.apply_batch st ops);
-    Obs.add c_replayed n;
-    ignore (Atomic.fetch_and_add t.f_applied n)
-  end;
-  let local_epoch = Di.view_epoch (Di.view (Durable.index st)) in
-  Atomic.set t.f_lag_epochs (rb.Client.rb_epoch - local_epoch);
-  Obs.set_gauge g_lag_epochs (max 0 (rb.Client.rb_epoch - local_epoch));
-  Atomic.set t.f_watermark [| Durable.wal_serial st |];
-  n
-
-(* One poll of a sharded leader.  Order matters: the shard streams are
-   polled (and buffered) BEFORE the meta stream, so every shard record
-   collected here became durable before the meta bound we then read --
-   its placement event is inside the meta batch.
+(* One poll cycle.  Order matters: the shard streams are polled (and
+   buffered) BEFORE the meta stream, so every shard record collected
+   here became durable before the meta bound we then read -- its
+   placement event is inside the meta batch.  K = 1 has no meta stream.
 
    Applying is a fixpoint over per-shard queues, not a single pass:
    each shard's records replay strictly in serial order, but a record
@@ -192,75 +111,79 @@ let cycle_single t st cl =
    queue head until progress elsewhere unblocks it.  Prerequisites
    follow the leader's temporal order, so the dependency graph is
    acyclic and the drain cannot livelock; what the fixpoint leaves
-   queued is replayed by a later cycle once the missing records ship. *)
-let cycle_sharded t sh cl =
+   queued is replayed by a later cycle once the missing records ship.
+
+   A snapshot reply means the leader compacted past the replica's
+   position: the replica re-seeds from it in place (K = 1 only; see
+   {!Sh.replica_snapshot}) and the next cycle resumes at its serial. *)
+let cycle t cl =
+  let sh = t.f_replica in
   let k = Sh.shards sh in
-  let stores =
-    match Sh.backing_stores sh with
-    | Some s -> s
-    | None -> failwith "sharded replica has no backing stores"
-  in
+  let stores = Option.get (Sh.backing_stores sh) in
   (* next wanted serial = applied position + records already queued *)
   let shard_from =
     Array.init k (fun s -> Durable.wal_serial stores.(s) + Queue.length t.f_squeues.(s))
   in
   let shard_rb =
-    Array.init k (fun s ->
-        let rb = Client.repl cl ~stream:(Printf.sprintf "wal%d" s) ~from:shard_from.(s) in
-        if rb.Client.rb_snap <> None then
-          failwith "replica fell behind leader compaction; re-seed it from a pinned backup";
-        check_continuity ~stream:(Printf.sprintf "wal%d" s) ~expect:shard_from.(s)
-          rb.Client.rb_recs;
-        rb)
+    Array.init k (fun s -> Client.repl cl ~stream:(Printf.sprintf "wal%d" s) ~from:shard_from.(s))
   in
-  let meta_from = Sh.meta_records sh in
-  let meta_rb = Client.repl cl ~stream:"meta" ~from:meta_from in
-  check_continuity ~stream:"meta" ~expect:meta_from meta_rb.Client.rb_recs;
-  (* lag before applying: shipped-but-unapplied records this instant *)
-  let pending =
-    Array.fold_left ( + ) 0
-      (Array.mapi (fun s rb -> rb.Client.rb_bound - Durable.wal_serial stores.(s)) shard_rb)
-  in
-  Atomic.set t.f_lag_serials pending;
-  Obs.set_gauge g_lag_serials pending;
-  (* placements first, then drain the record queues to a fixpoint *)
-  List.iter (fun (_, line) -> Sh.replica_meta sh line) meta_rb.Client.rb_recs;
-  Array.iteri
-    (fun s rb ->
-      List.iter (fun (_, line) -> Queue.add (parse_shipped line) t.f_squeues.(s)) rb.Client.rb_recs)
-    shard_rb;
-  let n = ref (List.length meta_rb.Client.rb_recs) in
-  let progress = ref true in
-  while !progress do
-    progress := false;
+  match Array.find_map (fun rb -> rb.Client.rb_snap) shard_rb with
+  | Some (serial, bytes) ->
+    Sh.replica_snapshot sh ~serial ~bytes;
+    Obs.incr c_snap_boots;
+    Atomic.set t.f_watermark (Sh.stream_positions sh);
+    1
+  | None ->
     Array.iteri
-      (fun s q ->
-        let blocked = ref false in
-        while (not !blocked) && not (Queue.is_empty q) do
-          if Sh.replica_op sh ~shard:s (Queue.peek q) then begin
-            ignore (Queue.pop q);
-            incr n;
-            progress := true
-          end
-          else blocked := true
-        done)
-      t.f_squeues
-  done;
-  if !n > 0 then begin
-    Obs.add c_replayed !n;
-    ignore (Atomic.fetch_and_add t.f_applied !n)
-  end;
-  let leader_epoch =
-    Array.fold_left (fun acc rb -> acc + rb.Client.rb_epoch) meta_rb.Client.rb_epoch shard_rb
-  in
-  let local_epoch = Array.fold_left ( + ) 0 (Sh.epoch_vector sh) in
-  Atomic.set t.f_lag_epochs (leader_epoch - local_epoch);
-  Obs.set_gauge g_lag_epochs (max 0 (leader_epoch - local_epoch));
-  Atomic.set t.f_watermark (current_watermark (R_sharded sh));
-  !n
-
-let cycle t cl =
-  match t.f_replica with R_single st -> cycle_single t st cl | R_sharded sh -> cycle_sharded t sh cl
+      (fun s rb ->
+        check_continuity ~stream:(Printf.sprintf "wal%d" s) ~expect:shard_from.(s)
+          rb.Client.rb_recs)
+      shard_rb;
+    let meta_recs =
+      if k = 1 then []
+      else begin
+        let from = Sh.meta_records sh in
+        let rb = Client.repl cl ~stream:"meta" ~from in
+        check_continuity ~stream:"meta" ~expect:from rb.Client.rb_recs;
+        rb.Client.rb_recs
+      end
+    in
+    (* lag before applying: shipped-but-unapplied records this instant *)
+    let pending =
+      Array.fold_left ( + ) 0
+        (Array.mapi (fun s rb -> rb.Client.rb_bound - Durable.wal_serial stores.(s)) shard_rb)
+    in
+    Atomic.set t.f_lag_serials pending;
+    Obs.set_gauge g_lag_serials pending;
+    (* placements first, then drain the record queues to a fixpoint *)
+    List.iter (fun (_, line) -> Sh.replica_meta sh line) meta_recs;
+    Array.iteri
+      (fun s rb ->
+        List.iter (fun (_, line) -> Queue.add (parse_shipped line) t.f_squeues.(s)) rb.Client.rb_recs)
+      shard_rb;
+    let n = ref (List.length meta_recs) in
+    let progress = ref true in
+    while !progress do
+      progress := false;
+      Array.iteri
+        (fun s q ->
+          let applied = Sh.replica_ops sh ~shard:s q in
+          n := !n + applied;
+          if applied > 0 then progress := true)
+        t.f_squeues
+    done;
+    if !n > 0 then begin
+      Obs.add c_replayed !n;
+      ignore (Atomic.fetch_and_add t.f_applied !n)
+    end;
+    (* shard epochs only: the leader's mapping version advances once per
+       batch, the replica's once per replayed record *)
+    let leader_epoch = Array.fold_left (fun acc rb -> acc + rb.Client.rb_epoch) 0 shard_rb in
+    let local_epoch = Array.fold_left ( + ) 0 (Array.sub (Sh.epoch_vector sh) 0 k) in
+    Atomic.set t.f_lag_epochs (leader_epoch - local_epoch);
+    Obs.set_gauge g_lag_epochs (max 0 (leader_epoch - local_epoch));
+    Atomic.set t.f_watermark (Sh.stream_positions sh);
+    !n
 
 (* --- the tail loop --- *)
 
@@ -295,10 +218,6 @@ let loop t () =
 
 (* --- bootstrap + lifecycle --- *)
 
-let fresh_dir dir =
-  (not (Sys.file_exists dir))
-  || ((not (Sys.file_exists (Recovery.wal_path ~dir))) && Snapshot.list ~dir = [])
-
 let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_attempts = 25)
     ~leader ~dir () =
   let cl =
@@ -306,35 +225,16 @@ let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_att
     | Some cl -> cl
     | None -> failwith (Printf.sprintf "cannot reach leader at %s" (leader_name leader))
   in
-  let reopen () = fst (Durable.open_ ~config ?index ~dir ()) in
-  let replica, reopen_opt =
+  let shards =
     Fun.protect
       ~finally:(fun () -> Client.close cl)
-      (fun () ->
-        let shards =
-          match List.assoc_opt "shards" (Client.stats cl) with
-          | Some k when k > 1 -> Some k
-          | _ -> None
-        in
-        match shards with
-        | None ->
-          (* single store.  A fresh replica asks from 0; if the leader
-             already compacted, the reply is a snapshot bootstrap:
-             install it and let recovery start at its serial. *)
-          if fresh_dir dir then begin
-            let rb = Client.repl cl ~stream:"wal" ~from:0 in
-            match rb.Client.rb_snap with
-            | Some (serial, bytes) -> install_snapshot ~dir ~serial ~bytes
-            | None -> ()
-          end;
-          (R_single (reopen ()), Some reopen)
-        | Some k ->
-          (* sharded: open (or create) the replica layout; a directory
-             seeded from a pinned backup recovers to the pinned prefix
-             and the streams resume from the recovered serials *)
-          let sh, _infos = Sh.open_store ~config ?index ~shards:k ~dir () in
-          (R_sharded sh, None))
+      (fun () -> Option.value (List.assoc_opt "shards" (Client.stats cl)) ~default:1)
   in
+  (* open (or create) the replica layout; a directory seeded from a
+     pinned backup recovers to the pinned prefix and the streams resume
+     from the recovered serials.  A fresh K = 1 replica whose leader
+     already compacted is seeded by the first cycle's snapshot reply. *)
+  let sh, _infos = Sh.open_store ~config ?index ~shards ~dir () in
   let t =
     {
       f_leader = leader;
@@ -342,14 +242,10 @@ let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_att
       f_dir = dir;
       f_poll = Float.max 0.001 poll;
       f_stop = Atomic.make false;
-      f_replica = replica;
-      f_coll = coll_of replica;
-      f_reopen = reopen_opt;
-      f_squeues =
-        (match replica with
-        | R_single _ -> [||]
-        | R_sharded sh -> Array.init (Sh.shards sh) (fun _ -> Queue.create ()));
-      f_watermark = Atomic.make (current_watermark replica);
+      f_replica = sh;
+      f_coll = Sh.subject ~name:"replica" sh;
+      f_squeues = Array.init shards (fun _ -> Queue.create ());
+      f_watermark = Atomic.make (Sh.stream_positions sh);
       f_applied = Atomic.make 0;
       f_lag_serials = Atomic.make 0;
       f_lag_epochs = Atomic.make 0;
@@ -364,14 +260,7 @@ let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_att
 
 let dir t = t.f_dir
 
-(* The replica as a collection; a single-store follower swaps it when
-   it re-seeds after falling behind leader compaction, so read it fresh
-   rather than caching it across polls. *)
-let replica t =
-  Mutex.lock t.f_mu;
-  let c = t.f_coll in
-  Mutex.unlock t.f_mu;
-  c
+let replica t = t.f_coll
 
 let watermark t = Atomic.get t.f_watermark
 
@@ -402,27 +291,19 @@ let kill t ~torn =
 
 (* --- serving the replica --- *)
 
-(* Every call re-resolves the replica: a re-seed swaps the store handle
-   out from under a serving replica. *)
 let read_only t =
-  let cur () = replica t in
   let leader = t.f_leader_name in
   {
+    t.f_coll with
     Subject.name = "replica of " ^ leader;
     apply_batch =
       (fun _ ->
         raise (Server.Redirect (Printf.sprintf "read-only replica; the leader is %s" leader)));
-    search = (fun p -> (cur ()).search p);
-    count = (fun p -> (cur ()).count p);
-    extract = (fun ~doc ~off ~len -> (cur ()).extract ~doc ~off ~len);
-    mem = (fun id -> (cur ()).mem id);
     drain = ignore;
-    doc_count = (fun () -> (cur ()).doc_count ());
-    total_symbols = (fun () -> (cur ()).total_symbols ());
     stats =
       (fun () ->
         let l = lag t in
-        (cur ()).stats ()
+        t.f_coll.stats ()
         @ [
             ("lag_serials", l.lg_serials);
             ("lag_epochs", l.lg_epochs);
@@ -431,9 +312,8 @@ let read_only t =
           ]);
     repl =
       (fun ~stream:_ ~from:_ -> Subject.Rp_error "replicas do not ship streams; poll the leader");
-    check = (fun () -> (cur ()).check ());
-    events = (fun () -> (cur ()).events ());
     (* the tail thread owns the store's write plane *)
+    flush = ignore;
     checkpoint = ignore;
     close = (fun () -> stop t);
     kill = (fun ~torn -> kill t ~torn);

@@ -1,8 +1,8 @@
 (** WAL-shipped read replica of a serving leader.
 
-    {!start} dials a leader running the service plane, discovers its
-    shape from [stats] (a [shards] field marks a sharded leader),
-    bootstraps a local replica directory, and spawns a tail thread that
+    {!start} dials a leader running the service plane, reads its shard
+    count K from [stats], opens a local replica store of the same K
+    ({!Dsdg_shard.Sharded_index}), and spawns a tail thread that
     polls the leader's replication streams ({!Protocol.Repl}) and
     replays shipped records through the replica's {e own} durable
     write path -- identical WAL serials leader/follower, so the replica
@@ -14,31 +14,30 @@
     group-commit fsync -- a follower can never observe a write the
     leader has not acknowledged as durable.
 
-    Bootstrap: a fresh single-store replica that asks for position [0]
-    after the leader compacted receives the leader's newest snapshot
-    file (chunked over the wire) and resumes from its serial.  The
-    same path handles a replica that later falls behind the leader's
-    checkpoint compaction: the tail thread re-seeds in place (close,
-    wipe, install the shipped snapshot, reopen) and keeps tailing --
-    which also means the {!replica} record can change over a
-    follower's lifetime; re-read it rather than caching it.  A
-    sharded replica is seeded either empty (replaying every stream from
-    position 0) or from a pinned backup ({!Dsdg_shard.Sharded_index.backup})
-    copied into [dir] -- per-shard mid-stream snapshots are refused by
-    the leader because only a pin freezes all K shards and the meta log
-    at one boundary.
+    Bootstrap: at K = 1 the leader keeps no placement log, so a replica
+    asking for a position the leader compacted away receives the
+    leader's newest snapshot file (chunked over the wire), re-seeds in
+    place ({!Dsdg_shard.Sharded_index.replica_snapshot}: close, wipe,
+    install, reopen) and keeps tailing from its serial -- a fresh
+    replica and one that fell behind alike.  A K > 1 replica is seeded
+    either empty (replaying every stream from position 0) or from a
+    pinned backup ({!Dsdg_shard.Sharded_index.backup}) copied into
+    [dir]: per-shard mid-stream snapshots are refused by the leader
+    because only a pin freezes all K shards and the meta log at one
+    boundary.
 
-    Sharded replay discipline: each poll cycle fetches the K shard
-    streams {e before} the meta stream, so every collected shard record
+    Replay discipline: each poll cycle fetches the K shard streams
+    {e before} the meta stream (K > 1), so every collected shard record
     has its placement event inside the meta batch (the leader appends
     meta first); the cycle then applies placements and drains per-shard
     record queues to a fixpoint -- a record whose cross-shard
     prerequisite has not arrived (a migration copy preceding its
     original insert on another stream) parks at its queue head until
     progress elsewhere, or a later poll, unblocks it (see
-    {!Dsdg_shard.Sharded_index.replica_op}).
+    {!Dsdg_shard.Sharded_index.replica_ops}; at K = 1 a poll's records
+    land as one group commit).
 
-    A fatal divergence (a sharded replica's compacted-away position,
+    A fatal divergence (a K > 1 replica's compacted-away position,
     serial discontinuity, unparseable record) stops the tail loop and
     is reported by {!error}; transport failures trigger reconnection
     with exponential backoff (0.2s doubling to 5s).
@@ -52,7 +51,7 @@ type t
 (** A replication-lag reading (all monotonic except the gauges). *)
 type lag = {
   lg_serials : int;  (** records shipped by the leader but not yet applied *)
-  lg_epochs : int;  (** leader composite epoch minus replica composite epoch *)
+  lg_epochs : int;  (** leader shard epochs minus replica shard epochs (summed) *)
   lg_applied : int;  (** records replayed over this follower's lifetime *)
   lg_connected : bool;
 }
@@ -62,8 +61,8 @@ type lag = {
     unreachable), bootstraps the replica under [dir], and spawns the
     tail thread.  [poll] (default 20ms) is the idle delay between
     empty polls; [config] and [index] mirror
-    {!Dsdg_store.Durable.open_} and apply to the local replica (every
-    shard of a sharded one) -- including [index.fault], which plants a
+    {!Dsdg_shard.Sharded_index.open_store} and apply to every shard of
+    the local replica -- including [index.fault], which plants a
     defect in the {e replica's} index; the replication checkers use it
     to prove divergence detection works. *)
 val start :
@@ -79,12 +78,9 @@ val start :
 val dir : t -> string
 
 (** The local replica store as a collection
-    ({!Dsdg_store.Durable.subject} or
-    {!Dsdg_shard.Sharded_index.subject}, named ["replica"]).  Its
+    ({!Dsdg_shard.Sharded_index.subject}, named ["replica"]).  Its
     queries read published views and are safe from any thread; do not
-    write -- the tail thread is the single writer.  A single-store
-    follower swaps the store when it re-seeds after falling behind
-    compaction, so re-read this rather than caching the result. *)
+    write -- the tail thread is the single writer. *)
 val replica : t -> Dsdg_check.Subject.t
 
 (** Current lag reading, updated once per poll cycle. *)
@@ -92,8 +88,7 @@ val lag : t -> lag
 
 (** Stream positions fully applied {e and published} to the replica's
     read plane: {!Dsdg_shard.Sharded_index.stream_positions} (shard
-    serials, then the meta events bound to a shard record) for a
-    sharded replica, a 1-element vector for a single store.  Unlike the
+    serials, then the meta events bound to a shard record).  Unlike the
     replica store's own WAL serials -- which advance when a shipped
     batch is logged, before its index apply finishes -- this moves
     only at cycle boundaries, so equality with the leader's positions
@@ -113,7 +108,7 @@ val detach : t -> Dsdg_check.Subject.t
 (** Stop tailing and close the replica store cleanly. *)
 val stop : t -> unit
 
-(** Stop tailing and crash the replica store ({!Dsdg_store.Durable.kill})
+(** Stop tailing and crash the replica store ({!Dsdg_shard.Sharded_index.kill})
     -- the follower half of the failover kill sweeps. *)
 val kill : t -> torn:bool -> unit
 

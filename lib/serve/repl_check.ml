@@ -11,35 +11,20 @@ module Sh = Dsdg_shard.Sharded_index
 (* --- harness plumbing --- *)
 
 type cluster = {
+  cl_leader : Sh.t;  (* the leader's store, which the server fronts *)
   cl_server : Server.t;
-  cl_positions : unit -> int array;  (* the leader's stream positions *)
-  cl_stir : unit -> unit;  (* migrate documents between leader shards *)
   cl_follower : Follower.t;
   cl_client : Client.t;
 }
-
-(* Open the leader store -- the one place the shard count matters: the
-   collection the server fronts, its stream positions (to compare with
-   the follower's watermark), and a migration to exercise migrate
-   shipping (nothing to move at K=1). *)
-let open_leader ~config ~index ~shards ~dir =
-  if shards <= 1 then
-    let st, _ = Durable.open_ ~config ~index ~dir () in
-    (Durable.subject ~name:"leader" st, (fun () -> [| Durable.wal_serial st |]), ignore)
-  else
-    let sh, _ = Sh.open_store ~config ~index ~shards ~dir () in
-    ( Sh.subject ~name:"leader" sh,
-      (fun () -> Sh.stream_positions sh),
-      fun () -> ignore (Sh.rebalance_hottest sh) )
 
 (* Spin up leader server + follower + client on an ephemeral TCP port. *)
 let start_cluster ~(index : Dsdg_core.Index_config.t) ~shards ~sync ~checkpoint_every ~dir () =
   let lead_dir = Filename.concat dir "leader" and repl_dir = Filename.concat dir "replica" in
   let config = { Durable.default_config with Durable.sync; checkpoint_every } in
-  let leader, positions, stir =
-    open_leader ~config ~index:{ index with fault = None } ~shards ~dir:lead_dir
+  let leader, _ =
+    Sh.open_store ~config ~index:{ index with fault = None } ~shards ~dir:lead_dir ()
   in
-  let server = Server.start leader (`Tcp ("127.0.0.1", 0)) in
+  let server = Server.start (Sh.subject ~name:"leader" leader) (`Tcp ("127.0.0.1", 0)) in
   let port = match Server.port server with Some p -> p | None -> assert false in
   let addr = `Tcp ("127.0.0.1", port) in
   (* a planted fault lands in the REPLICA's index: the leader's WAL
@@ -50,8 +35,7 @@ let start_cluster ~(index : Dsdg_core.Index_config.t) ~shards ~sync ~checkpoint_
     Follower.start ~config:Durable.default_config ~index ~poll:0.002 ~leader:addr ~dir:repl_dir ()
   in
   let client = Client.connect addr in
-  { cl_server = server; cl_positions = positions; cl_stir = stir; cl_follower = follower;
-    cl_client = client }
+  { cl_leader = leader; cl_server = server; cl_follower = follower; cl_client = client }
 
 (* Caught up = every leader stream position is fully applied AND
    published on the replica (the follower's watermark, not the replica
@@ -59,7 +43,7 @@ let start_cluster ~(index : Dsdg_core.Index_config.t) ~shards ~sync ~checkpoint_
    finishes, so comparing them would let verification race a batch
    apply; a sharded watermark counts only placements bound to their
    shard record). *)
-let caught_up c = Follower.watermark c.cl_follower = c.cl_positions ()
+let caught_up c = Follower.watermark c.cl_follower = Sh.stream_positions c.cl_leader
 
 let wait_catchup ?(timeout = 30.) c =
   let t0 = Unix.gettimeofday () in
@@ -100,6 +84,7 @@ let leader_subject c =
     total_symbols = stat "symbols";
     stats = (fun () -> Client.stats cl);
     repl = (fun ~stream:_ ~from:_ -> Subject.Rp_error "poll the leader's server directly");
+    flush = ignore;
     check = (fun () -> []);
     events = (fun () -> []);
     checkpoint = ignore;
@@ -137,9 +122,10 @@ let convergence ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
   let record step msg = failures := (step, msg) :: !failures in
   let quiesce step =
     incr points;
-    (* exercise migration shipping: the client is idle here, so the
-       test thread is the only writer and may rebalance directly *)
-    if step > 0 && !failures = [] then c.cl_stir ();
+    (* exercise migration shipping (nothing moves at K=1): the client
+       is idle here, so the test thread is the only writer and may
+       rebalance directly *)
+    if step > 0 && !failures = [] then ignore (Sh.rebalance_hottest c.cl_leader);
     if not (wait_catchup c) then
       record step
         (match Follower.error c.cl_follower with

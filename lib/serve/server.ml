@@ -67,6 +67,7 @@ type t = {
   stop_wr : Unix.file_descr;
   stopping : bool Atomic.t;  (* drain requested: no new connections *)
   discard : bool Atomic.t;  (* crash simulation: fail writes, do not apply *)
+  flush_wanted : bool Atomic.t;  (* a replication poll asked for the acked tail *)
   mutable shut : bool;  (* stop/kill ran to completion (under c_mu) *)
   (* write queue *)
   q_mu : Mutex.t;
@@ -96,12 +97,24 @@ let deliver w r =
   Condition.broadcast w.w_cv;
   Mutex.unlock w.w_mu
 
+(* The idle flush: a replication poll asks for it ([request_flush]),
+   and the writer, once its queue is empty, makes what it logged
+   durable, so under a lazy sync policy an acked tail still reaches
+   the shipping bound by a later poll.  Without followers [--sync N]
+   keeps its amortized fsyncs.  A crash simulation skips the flush, and
+   a failed one leaves the tail to the next batch's sync. *)
 let writer_loop t () =
   let continue = ref true in
   while !continue do
     Mutex.lock t.q_mu;
     while Queue.is_empty t.wq && not t.writer_stop do
-      Condition.wait t.q_nonempty t.q_mu
+      if Atomic.get t.flush_wanted && not (Atomic.get t.discard) then begin
+        Atomic.set t.flush_wanted false;
+        Mutex.unlock t.q_mu;
+        (try t.coll.flush () with Unix.Unix_error _ | Sys_error _ -> ());
+        Mutex.lock t.q_mu
+      end
+      else Condition.wait t.q_nonempty t.q_mu
     done;
     if Queue.is_empty t.wq then begin
       (* writer_stop and fully drained *)
@@ -170,11 +183,21 @@ let stats_response t =
         ("batches", Obs.value c_batches);
       ])
 
+(* Wake the writer for an idle flush (taking [q_mu], so a writer about
+   to wait cannot miss the signal). *)
+let request_flush t =
+  if not (Atomic.exchange t.flush_wanted true) then begin
+    Mutex.lock t.q_mu;
+    Condition.signal t.q_nonempty;
+    Mutex.unlock t.q_mu
+  end
+
 (* Serve one replication poll as a bounded frame batch, [hb]-terminated.
    Snapshot files ship in bounded [%S]-escaped chunks (escaping expands
    at most 4x, so 32 KiB chunks stay far under the 1 MiB frame bound). *)
 let repl_frames t ~stream ~from =
   Obs.incr c_repl_polls;
+  request_flush t;
   match t.coll.repl ~stream ~from with
   | Subject.Rp_error reason -> `Reply (Protocol.Err reason)
   | Subject.Rp_recs { recs; bound; epoch } ->
@@ -373,6 +396,7 @@ let start ?(config = default_config) coll listen =
       stop_wr;
       stopping = Atomic.make false;
       discard = Atomic.make false;
+      flush_wanted = Atomic.make false;
       shut = false;
       q_mu = Mutex.create ();
       q_nonempty = Condition.create ();

@@ -1,6 +1,6 @@
 (** The network service plane: a socket server in front of one
-    collection ({!Dsdg_check.Subject.t}: a durable store, a sharded
-    store, a read-only replica).
+    collection ({!Dsdg_check.Subject.t}: a store of K >= 1 shards, a
+    read-only replica).
 
     One thread per connection parses {!Protocol} frames. Queries run
     against the latest epoch-published view -- dispatched to the
@@ -12,7 +12,11 @@
     for a durable store one {!Dsdg_store.Wal.append_batch} (one fsync
     under [Always]) covers the whole batch before any client sees an
     acknowledgment, amortizing the dominant fsync cost across
-    concurrent writers without weakening durability.
+    concurrent writers without weakening durability.  A replication
+    poll asks the writer to call the collection's [flush] once its
+    queue is empty, so under a lazy [--sync N] policy an idle leader's
+    acked tail still becomes durable and ships on a later poll; with
+    no follower polling, [--sync N] keeps its amortized fsyncs.
 
     Robustness: a per-connection socket timeout ([SO_RCVTIMEO] and
     [SO_SNDTIMEO]), a frame-size bound, a connection cap, and a bound

@@ -1,9 +1,9 @@
-(* Sharded collections as differential subjects; see shard_check.mli. *)
+(* Sharded collections as differential subjects and crashes; see
+   shard_check.mli. *)
 
 module Trace = Dsdg_check.Trace
-module Model = Dsdg_check.Model
 module Runner = Dsdg_check.Runner
-module Kill_check = Dsdg_store.Kill_check
+module Durable = Dsdg_store.Durable
 module S = Sharded_index
 
 (* Every [n]-th [check] (the runner calls it after each op) first
@@ -26,7 +26,11 @@ let subjects ~index ~name counts =
       stirred ~every:41 ~name:(Printf.sprintf "%s K=%d" name k) (S.create ~index ~shards:k ()))
     counts
 
-let crash ?index ?(config = Kill_check.default_config) ?(torn = true) ~shards ~dir () =
+let default_config = { Durable.sync = Dsdg_store.Wal.Always; checkpoint_every = 7; checkpoint_jobs = 0 }
+
+(* A store under [dir] whose [kill] runs [before_kill] first; reopening
+   recovers K > 1 shards in parallel on 2 executor workers. *)
+let store ?index ~config ~torn ~shards ~dir before_kill =
   let open_ ~recovery_jobs =
     let t, _ = S.open_store ~config ?index ~recovery_jobs ~shards ~dir () in
     (t, S.subject ~name:(Printf.sprintf "sharded K=%d" shards) t)
@@ -36,74 +40,56 @@ let crash ?index ?(config = Kill_check.default_config) ?(torn = true) ~shards ~d
     open_ = (fun () -> open_ ~recovery_jobs:0);
     kill =
       (fun t ~point ->
-        if point mod 2 = 1 then ignore (S.rebalance_hottest t);
+        before_kill t point;
         S.kill t ~torn);
     reopen = (fun _ -> snd (open_ ~recovery_jobs:(if shards > 1 then 2 else 0)));
   }
 
+let crash ?index ?(config = default_config) ?(torn = true) ~shards ~dir () =
+  store ?index ~config ~torn ~shards ~dir (fun t point ->
+      if point mod 2 = 1 then ignore (S.rebalance_hottest t))
+
+(* The split: every live document of the fullest shard (the lowest on
+   a tie) moves to the next shard, in id order. *)
+let split_plan t =
+  let k = S.shards t in
+  let live = Array.make k [] in
+  let rec scan id =
+    match S.shard_of t id with
+    | None -> ()
+    | Some s ->
+      if S.mem t id then live.(s) <- id :: live.(s);
+      scan (id + 1)
+  in
+  scan 0;
+  let src = ref 0 in
+  Array.iteri (fun s l -> if List.length l > List.length live.(!src) then src := s) live;
+  (!src, (!src + 1) mod k, List.rev live.(!src))
+
 exception Killed
 
-let split_kill_sweep ?index ?(config = Kill_check.default_config) ?(torn = false) ~shards ~dir ~ops
-    () =
+let split_kill_sweep ?index ?(config = default_config) ?(torn = false) ~shards ~dir ~ops () =
   if shards < 2 then invalid_arg "Shard_check.split_kill_sweep: needs shards >= 2";
-  let failures = ref [] in
-  let fail k detail = failures := { Runner.kf_point = k; kf_detail = detail } :: !failures in
-  let points = ref 0 in
-  let finished = ref false in
-  let kill_at = ref 0 in
-  let run model s ops =
-    List.iter
-      (fun op -> match Runner.apply model s op with Ok () -> () | Error m -> failwith m)
-      ops
+  (* the split's kill points: four per document moved (before and after
+     the meta intent record, after the destination insert, after the
+     source delete), then one after the whole split *)
+  let docs =
+    let t = S.create ?index ~shards () in
+    Fun.protect ~finally:(fun () -> S.close t) @@ fun () ->
+    let mutation = function Trace.Insert _ | Trace.Delete _ -> true | _ -> false in
+    ignore (S.apply_batch t (List.filter mutation ops));
+    let _, _, docs = split_plan t in
+    List.length docs
   in
-  (* rebuild store + model from scratch for every kill point; migrate
-     every live doc of the fullest shard and kill at kill point k *)
-  while not !finished do
-    let k = !kill_at in
-    incr points;
-    (try
-       Runner.reset_dir dir;
-       let model = Model.create () in
-       let t, _ = S.open_store ~config ?index ~shards ~dir () in
-       run model (S.subject ~name:"split" t) ops;
-       let upper = Model.inserted model in
-       let src = ref 0 and best = ref (-1) in
-       for s = 0 to shards - 1 do
-         let live = ref 0 in
-         for id = 0 to upper do
-           if S.mem t id && S.shard_of t id = Some s then incr live
-         done;
-         if !live > !best then begin
-           best := !live;
-           src := s
-         end
-       done;
-       let dst = (!src + 1) mod shards in
-       let docs = ref [] in
-       for id = upper downto 0 do
-         if S.mem t id && S.shard_of t id = Some !src then docs := id :: !docs
-       done;
-       (try
-          ignore
-            (S.rebalance t ~hook:(fun step -> if step = k then raise Killed) ~src:!src ~dst
-               ~docs:!docs);
-          finished := true
-        with Killed -> ());
-       S.kill t ~torn;
-       let t, _ = S.open_store ~config ?index ~recovery_jobs:2 ~shards ~dir () in
-       let s = S.subject ~name:"split" t in
-       Fun.protect ~finally:s.close @@ fun () ->
-       List.iter (fail k) (Runner.verify ~label:"split recovery" s model);
-       (* acked-write continuity: the next global id must continue the
-          sequence, and the new document must be immediately servable *)
-       run model s [ Trace.Insert "post-split"; Trace.Search "post-spl" ];
-       List.iter (fail k) (Runner.verify ~label:"split continuation" s model)
-     with e ->
-       fail k (Printexc.to_string e);
-       (* an exception before the unkilled run completes must not loop
-          forever: treat repeated failure at the same point as fatal *)
-       if List.length !failures > 4 then finished := true);
-    incr kill_at
-  done;
-  Runner.reset_dir dir;
-  { Runner.kc_points = !points; kc_failures = List.rev !failures }
+  let crash =
+    store ?index ~config ~torn ~shards ~dir (fun t point ->
+        let src, dst, docs = split_plan t in
+        try ignore (S.rebalance t ~hook:(fun step -> if step = point then raise Killed) ~src ~dst ~docs)
+        with Killed -> ())
+  in
+  (* acked-write continuity: after every recovery the next global id
+     must continue the sequence and be served at once *)
+  Runner.sweep
+    ~inside:(List.length ops, 4 * docs)
+    crash
+    (ops @ [ Trace.Insert "post-split"; Trace.Search "post-spl" ])

@@ -59,6 +59,15 @@ type mapping = {
 let mapping0 k =
   { m_g2p = Imap.empty; m_l2g = Array.make k Imap.empty; m_next_global = 0; m_version = 0 }
 
+(* Where global id [g] lives, given a mapping's [g2p] and next id.  At
+   K = 1 every insert lands on shard 0 under global id = local id and
+   nothing migrates, so the mapping keeps no tables (only the next id):
+   the placement is the id itself. *)
+let placement ~k g2p next_g g =
+  if k > 1 then Imap.find_opt g g2p
+  else if g >= 0 && g < next_g then Some { pl_shard = 0; pl_local = g }
+  else None
+
 (* --- the placement meta log (store mode) --- *)
 
 type ev = Ev_insert of int * int | Ev_migrate of int * int * int
@@ -80,7 +89,11 @@ type meta = {
   mt_path : string;
   mutable mt_oc : out_channel;
   mt_fsync : bool;
-  mutable mt_records : int; (* events in the file (durable once fsynced) *)
+  (* the file's events in order, kept in memory so a replication poll
+     reads its tail without re-reading the file; entries below
+     [mt_records] are published (durable once fsynced) *)
+  mutable mt_log : ev array;
+  mt_records : int Atomic.t;
 }
 
 let meta_file ~dir = Filename.concat dir "shard.meta"
@@ -131,24 +144,35 @@ let meta_read path =
       in
       (k, events))
 
-let meta_open_append ~fsync path =
+let meta_open_append ~fsync path events =
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  { mt_path = path; mt_oc = oc; mt_fsync = fsync; mt_records = 0 }
+  let log = Array.of_list events in
+  { mt_path = path; mt_oc = oc; mt_fsync = fsync; mt_log = log;
+    mt_records = Atomic.make (Array.length log) }
 
 let meta_create ~fsync path k =
-  let mt = meta_open_append ~fsync path in
+  let mt = meta_open_append ~fsync path [] in
   output_string mt.mt_oc (header k ^ "\n");
   flush mt.mt_oc;
   if fsync then Unix.fsync (Unix.descr_of_out_channel mt.mt_oc);
   mt
 
 (* Append events with at most one fsync for the whole group -- the
-   meta-log half of the sharded group commit. *)
+   meta-log half of the sharded group commit -- then publish them to
+   replication polls (the slots are written before the count). *)
 let meta_append mt evs =
   List.iter (fun ev -> output_string mt.mt_oc (ev_to_line ev ^ "\n")) evs;
   flush mt.mt_oc;
   if mt.mt_fsync then Unix.fsync (Unix.descr_of_out_channel mt.mt_oc);
-  mt.mt_records <- mt.mt_records + List.length evs
+  let n0 = Atomic.get mt.mt_records in
+  let n = n0 + List.length evs in
+  if n > Array.length mt.mt_log then begin
+    let log = Array.make (max 16 (2 * n)) (Ev_insert (0, 0)) in
+    Array.blit mt.mt_log 0 log 0 n0;
+    mt.mt_log <- log
+  end;
+  List.iteri (fun i ev -> mt.mt_log.(n0 + i) <- ev) evs;
+  Atomic.set mt.mt_records n
 
 (* Compact the log to exactly the surviving events (recovery dropped an
    unacknowledged tail or adopted orphans): tmp + rename, the same
@@ -163,12 +187,24 @@ let meta_rewrite mt k evs =
   if mt.mt_fsync then Unix.fsync (Unix.descr_of_out_channel oc);
   close_out oc;
   Unix.rename tmp mt.mt_path;
-  mt.mt_oc <- (meta_open_append ~fsync:mt.mt_fsync mt.mt_path).mt_oc;
-  mt.mt_records <- List.length evs
+  let fresh = meta_open_append ~fsync:mt.mt_fsync mt.mt_path evs in
+  mt.mt_oc <- fresh.mt_oc;
+  mt.mt_log <- fresh.mt_log;
+  Atomic.set mt.mt_records (Atomic.get fresh.mt_records)
 
 (* --- the sharded index --- *)
 
-type backing = Mem | Store of { stores : Durable.t array; meta : meta }
+(* A store's open parameters stay with it: a follower's snapshot
+   re-seed reopens shard 0 with them.  K = 1 keeps no meta log. *)
+type backing =
+  | Mem
+  | Store of {
+      dir : string;
+      stores : Durable.t array;
+      meta : meta option;
+      config : Durable.config;
+      index : Dsdg_core.Index_config.t;
+    }
 
 type t = {
   k : int;
@@ -230,7 +266,8 @@ let make (index : Dsdg_core.Index_config.t) ~idxs ~backing ~mapping ~ins_total =
     poisoned = false;
     retain = index.retain_epochs;
     map_cap = index.retain_epochs * k;
-    map_ring = Atomic.make [];
+    (* the mapping it starts from is retained like every later one *)
+    map_ring = Atomic.make (if index.retain_epochs > 0 then [ mapping ] else []);
     pinned_maps = Atomic.make [];
     pin_next = Atomic.make 0;
     repl_pending = Array.init k (fun _ -> Queue.create ());
@@ -246,73 +283,33 @@ let create ?(index = Dsdg_core.Index_config.default) ~shards () =
     ~idxs:(Array.init shards (fun _ -> Di.create ~index ()))
     ~backing:Mem ~mapping:(mapping0 shards) ~ins_total:(Array.make shards 0)
 
-let shard_dir dir s = Filename.concat dir (Printf.sprintf "shard-%d" s)
+(* K = 1 keeps the single-store layout: the shard's store is the
+   directory itself. *)
+let shard_dir ~k dir s =
+  if k = 1 then dir else Filename.concat dir (Printf.sprintf "shard-%d" s)
 
 let store_shards ~dir =
-  let path = meta_file ~dir in
-  if not (Sys.file_exists path) then None
-  else
-    match In_channel.with_open_bin path In_channel.input_line with
-    | None -> None
-    | Some line -> parse_header line
+  match In_channel.with_open_bin (meta_file ~dir) In_channel.input_line with
+  | Some line -> parse_header line
+  | None -> None
+  | exception Sys_error _ ->
+    if
+      Sys.file_exists (Dsdg_store.Recovery.wal_path ~dir) || Dsdg_store.Snapshot.list ~dir <> []
+    then Some 1
+    else None
 
-let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_config.default)
-    ?(recovery_jobs = 0) ~shards ~dir () =
-  if shards < 1 then invalid_arg "Sharded_index.open_store: shards must be >= 1";
-  let index =
-    Dsdg_core.Index_config.validate_collection ~indexes:shards
-      ~checkpoint_jobs:config.Durable.checkpoint_jobs ~recovery_jobs index
-  in
-  let t0 = Obs.start () in
-  Dsdg_store.Snapshot.ensure_dir dir;
-  let fsync = config.Durable.sync <> Dsdg_store.Wal.Never in
-  let path = meta_file ~dir in
-  if
-    (not (Sys.file_exists path))
-    && (Sys.file_exists (Dsdg_store.Recovery.wal_path ~dir) || Dsdg_store.Snapshot.list ~dir <> [])
-  then invalid_arg (Printf.sprintf "Sharded_index.open_store: %s holds a plain single-index store" dir);
-  let k, events, meta =
-    if Sys.file_exists path then begin
-      let k, events = meta_read path in
-      if k <> shards then raise (Shard_mismatch { dir; on_disk = k; requested = shards });
-      (k, events, meta_open_append ~fsync path)
-    end
-    else (shards, [], meta_create ~fsync path shards)
-  in
-  (* open the K shard stores -- in parallel on an executor pool when
-     recovery_jobs > 0; each store recovers independently (newest valid
-     snapshot + its WAL tail folded in) *)
-  let open_one s =
-    Durable.open_ ~config ~index ~dir:(shard_dir dir s) ()
-  in
-  let pairs =
-    if recovery_jobs > 0 then begin
-      let ex = Exec.create ~obs:(Obs.private_scope "shard/recovery") ~workers:recovery_jobs () in
-      let handles = Array.init k (fun s -> Exec.submit ex ~name:"shard-open" (fun _ -> open_one s)) in
-      let out =
-        Array.map
-          (fun h ->
-            match Exec.await ex h with
-            | `Done r -> Some r
-            | `Failed e ->
-              Exec.shutdown ex;
-              raise e
-            | `Cancelled -> None)
-          handles
-      in
-      Exec.shutdown ex;
-      Array.map (function Some r -> r | None -> failwith "shard open cancelled") out
-    end
-    else Array.init k open_one
-  in
-  let stores = Array.map fst pairs in
-  let infos = Array.map snd pairs in
+(* Replay the meta log against the recovered shard insert counts:
+   consume insert events in order per shard; events beyond a shard's
+   durable inserts are an unacknowledged crash tail and are dropped,
+   shard inserts beyond the meta log (possible only under --sync never)
+   are adopted as orphans with fresh global ids.  K = 1 logs no
+   placements and its mapping keeps no tables ([placement]): its next
+   id is the shard's insert count.  Returns the mapping, the
+   per-shard insert totals, the surviving events and whether the log
+   must be rewritten to them. *)
+let reconcile ~path stores events =
+  let k = Array.length stores in
   let idxs = Array.map Durable.index stores in
-  (* replay the meta log against the recovered shard insert counts:
-     consume insert events in order per shard; events beyond a shard's
-     durable inserts are an unacknowledged crash tail and are dropped,
-     shard inserts beyond the meta log (possible only under --sync
-     never) are adopted as orphans with fresh global ids *)
   let totals =
     Array.map
       (fun idx ->
@@ -326,7 +323,6 @@ let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_conf
   let next_g = ref 0 in
   let surviving = ref [] in
   let changed = ref false in
-  let fixups = ref 0 in
   List.iter
     (fun ev ->
       match ev with
@@ -363,35 +359,90 @@ let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_conf
                exactly once *)
             if Di.mem idxs.(src) pl_local then begin
               ignore (Durable.delete stores.(src) pl_local);
-              incr fixups;
+              changed := true;
               Obs.incr c_fixups
             end
           end
           else changed := true (* destination insert never landed; doc stays at src *)))
     events;
-  (* orphans: shard WAL records with no meta record (meta lost its
-     tail under --sync never); adopt them with fresh global ids *)
-  for s = 0 to k - 1 do
-    while consumed.(s) < totals.(s) do
-      let l = consumed.(s) in
-      consumed.(s) <- l + 1;
-      let g = !next_g in
-      next_g := g + 1;
-      g2p := Imap.add g { pl_shard = s; pl_local = l } !g2p;
-      if Di.mem idxs.(s) l then l2g.(s) <- Imap.add l g l2g.(s);
-      surviving := Ev_insert (g, s) :: !surviving;
-      changed := true;
-      Obs.incr c_orphans
-    done
-  done;
-  if !changed || !fixups > 0 then meta_rewrite meta k (List.rev !surviving)
-  else meta.mt_records <- List.length events;
+  if k = 1 then next_g := totals.(0)
+  else
+    for s = 0 to k - 1 do
+      while consumed.(s) < totals.(s) do
+        let l = consumed.(s) in
+        consumed.(s) <- l + 1;
+        let g = !next_g in
+        next_g := g + 1;
+        g2p := Imap.add g { pl_shard = s; pl_local = l } !g2p;
+        if Di.mem idxs.(s) l then l2g.(s) <- Imap.add l g l2g.(s);
+        surviving := Ev_insert (g, s) :: !surviving;
+        changed := true;
+        Obs.incr c_orphans
+      done
+    done;
+  ( { m_g2p = !g2p; m_l2g = l2g; m_next_global = !next_g; m_version = 0 },
+    totals,
+    List.rev !surviving,
+    !changed )
+
+let open_store ?(config = Durable.default_config) ?(index = Dsdg_core.Index_config.default)
+    ?(recovery_jobs = 0) ~shards ~dir () =
+  if shards < 1 then invalid_arg "Sharded_index.open_store: shards must be >= 1";
+  let index =
+    Dsdg_core.Index_config.validate_collection ~indexes:shards
+      ~checkpoint_jobs:config.Durable.checkpoint_jobs ~recovery_jobs index
+  in
+  (match store_shards ~dir with
+  | Some k when k <> shards -> raise (Shard_mismatch { dir; on_disk = k; requested = shards })
+  | _ -> ());
+  let t0 = Obs.start () in
+  Dsdg_store.Snapshot.ensure_dir dir;
+  let fsync = config.Durable.sync <> Dsdg_store.Wal.Never in
+  let path = meta_file ~dir in
+  let k = shards in
+  let events, meta =
+    if k = 1 then ([], None)
+    else if Sys.file_exists path then
+      let _, events = meta_read path in
+      (events, Some (meta_open_append ~fsync path events))
+    else ([], Some (meta_create ~fsync path k))
+  in
+  (* open the K shard stores -- in parallel on an executor pool when
+     recovery_jobs > 0; each store recovers independently (newest valid
+     snapshot + its WAL tail folded in) *)
+  let open_one s =
+    Durable.open_ ~config ~index ~dir:(shard_dir ~k dir s) ()
+  in
+  let pairs =
+    if recovery_jobs > 0 then begin
+      let ex = Exec.create ~obs:(Obs.private_scope "shard/recovery") ~workers:recovery_jobs () in
+      let handles = Array.init k (fun s -> Exec.submit ex ~name:"shard-open" (fun _ -> open_one s)) in
+      let out =
+        Array.map
+          (fun h ->
+            match Exec.await ex h with
+            | `Done r -> Some r
+            | `Failed e ->
+              Exec.shutdown ex;
+              raise e
+            | `Cancelled -> None)
+          handles
+      in
+      Exec.shutdown ex;
+      Array.map (function Some r -> r | None -> failwith "shard open cancelled") out
+    end
+    else Array.init k open_one
+  in
+  let stores = Array.map fst pairs in
+  let mapping, totals, surviving, changed = reconcile ~path stores events in
+  (match meta with Some mt when changed -> meta_rewrite mt k surviving | _ -> ());
   let t =
-    make index ~idxs ~backing:(Store { stores; meta }) ~ins_total:totals
-      ~mapping:{ m_g2p = !g2p; m_l2g = l2g; m_next_global = !next_g; m_version = 0 }
+    make index ~idxs:(Array.map Durable.index stores)
+      ~backing:(Store { dir; stores; meta; config; index })
+      ~ins_total:totals ~mapping
   in
   Obs.stop h_recovery_ns t0;
-  (t, infos)
+  (t, Array.map snd pairs)
 
 (* --- queries: scatter across shard views, gather by translation --- *)
 
@@ -443,23 +494,32 @@ let q_at t at s f =
 
 let mapping_at t at = match at with None -> Atomic.get t.mapping | Some (m, _) -> m
 
+(* At K = 1 global ids are shard 0's ids and no migration copy exists,
+   so shard 0's view answers as is: [count] through the index's own
+   counter, hits with no translation, and no mapping read at all. *)
+
 let search ?epoch_vector t p =
   check_open t;
   if p = "" then invalid_arg "Dynamic_index: empty pattern";
   Obs.incr c_scatter;
   let t0 = Obs.start () in
   let at = Option.map (resolve_at t) epoch_vector in
-  let m = mapping_at t at in
-  let acc = ref [] in
-  for s = 0 to t.k - 1 do
-    let l2g = m.m_l2g.(s) in
-    q_at t at s (fun v ->
-        Di.view_iter_matches v p ~f:(fun ~doc ~off ->
-            match Imap.find_opt doc l2g with
-            | Some g -> acc := (g, off) :: !acc
-            | None -> () (* unpublished in-flight copy: not yet visible *)))
-  done;
-  let hits = List.sort compare !acc in
+  let hits =
+    if t.k = 1 then q_at t at 0 (fun v -> Di.view_search v p)
+    else begin
+      let m = mapping_at t at in
+      let acc = ref [] in
+      for s = 0 to t.k - 1 do
+        let l2g = m.m_l2g.(s) in
+        q_at t at s (fun v ->
+            Di.view_iter_matches v p ~f:(fun ~doc ~off ->
+                match Imap.find_opt doc l2g with
+                | Some g -> acc := (g, off) :: !acc
+                | None -> () (* unpublished in-flight copy: not yet visible *)))
+      done;
+      List.sort compare !acc
+    end
+  in
   Obs.stop h_gather_ns t0;
   hits
 
@@ -469,32 +529,42 @@ let count ?epoch_vector t p =
   Obs.incr c_scatter;
   let t0 = Obs.start () in
   let at = Option.map (resolve_at t) epoch_vector in
-  let m = mapping_at t at in
-  let n = ref 0 in
-  for s = 0 to t.k - 1 do
-    let l2g = m.m_l2g.(s) in
-    q_at t at s (fun v ->
-        Di.view_iter_matches v p ~f:(fun ~doc ~off:_ -> if Imap.mem doc l2g then incr n))
-  done;
+  let n =
+    if t.k = 1 then q_at t at 0 (fun v -> Di.view_count v p)
+    else begin
+      let m = mapping_at t at in
+      let n = ref 0 in
+      for s = 0 to t.k - 1 do
+        let l2g = m.m_l2g.(s) in
+        q_at t at s (fun v ->
+            Di.view_iter_matches v p ~f:(fun ~doc ~off:_ -> if Imap.mem doc l2g then incr n))
+      done;
+      !n
+    end
+  in
   Obs.stop h_gather_ns t0;
-  !n
+  n
 
 let extract ?epoch_vector t ~doc ~off ~len =
   check_open t;
   let at = Option.map (resolve_at t) epoch_vector in
-  let m = mapping_at t at in
-  match Imap.find_opt doc m.m_g2p with
-  | None -> None
-  | Some { pl_shard = s; pl_local = l } -> q_at t at s (fun v -> Di.view_extract v ~doc:l ~off ~len)
+  if t.k = 1 then q_at t at 0 (fun v -> Di.view_extract v ~doc ~off ~len)
+  else
+    match Imap.find_opt doc (mapping_at t at).m_g2p with
+    | None -> None
+    | Some { pl_shard = s; pl_local = l } ->
+      q_at t at s (fun v -> Di.view_extract v ~doc:l ~off ~len)
 
 let mem ?epoch_vector t id =
   check_open t;
   let at = Option.map (resolve_at t) epoch_vector in
-  let m = mapping_at t at in
-  match Imap.find_opt id m.m_g2p with
-  | None -> false
-  | Some { pl_shard = s; pl_local = l } ->
-    Imap.mem l m.m_l2g.(s) && q_at t at s (fun v -> Di.view_mem v l)
+  if t.k = 1 then q_at t at 0 (fun v -> Di.view_mem v id)
+  else
+    let m = mapping_at t at in
+    match Imap.find_opt id m.m_g2p with
+    | None -> false
+    | Some { pl_shard = s; pl_local = l } ->
+      Imap.mem l m.m_l2g.(s) && q_at t at s (fun v -> Di.view_mem v l)
 
 let doc_count t = Array.fold_left (fun acc idx -> acc + Di.doc_count idx) 0 t.idxs
 let total_symbols t = Array.fold_left (fun acc idx -> acc + Di.total_symbols idx) 0 t.idxs
@@ -509,7 +579,7 @@ let drain t = Array.iter Di.drain t.idxs
 (* Placements and migrations reach the meta log before any shard write
    (store mode), one fsync for the group. *)
 let log_meta t evs =
-  match t.backing with Store { meta; _ } when evs <> [] -> meta_append meta evs | _ -> ()
+  match t.backing with Store { meta = Some mt; _ } when evs <> [] -> meta_append mt evs | _ -> ()
 
 (* Apply a sub-batch of shard-local mutations to shard [s]: one group
    commit of its store, or the index directly in memory. *)
@@ -557,13 +627,15 @@ let apply_batch t ops =
           let s = route t.k g in
           let l = t.ins_total.(s) + queued.(s) in
           queued.(s) <- queued.(s) + 1;
-          g2p := Imap.add g { pl_shard = s; pl_local = l } !g2p;
-          l2g.(s) <- Imap.add l g l2g.(s);
-          metas := Ev_insert (g, s) :: !metas;
+          if t.k > 1 then begin
+            g2p := Imap.add g { pl_shard = s; pl_local = l } !g2p;
+            l2g.(s) <- Imap.add l g l2g.(s);
+            metas := Ev_insert (g, s) :: !metas
+          end;
           per_shard.(s) <- op :: per_shard.(s);
           P_insert (s, g)
         | Trace.Delete id -> (
-          match Imap.find_opt id !g2p with
+          match placement ~k:t.k !g2p !next_g id with
           | None -> P_dead_delete
           | Some { pl_shard = s; pl_local = l } ->
             l2g.(s) <- Imap.remove l l2g.(s);
@@ -623,7 +695,8 @@ let delete t id =
 (* --- consistency probes --- *)
 
 let shard_of t id =
-  match Imap.find_opt id (Atomic.get t.mapping).m_g2p with
+  let m = Atomic.get t.mapping in
+  match placement ~k:t.k m.m_g2p m.m_next_global id with
   | Some { pl_shard; _ } -> Some pl_shard
   | None -> None
 
@@ -680,18 +753,21 @@ let unpin t p =
 let backup t p ~dest =
   check_open t;
   match (t.backing, p.sp_kind) with
-  | Store { stores; meta }, Pk_store pins ->
+  | Store { stores; meta; _ }, Pk_store pins ->
     Dsdg_store.Snapshot.ensure_dir dest;
     Array.iteri
-      (fun s pn -> ignore (Durable.backup stores.(s) pn ~dest:(shard_dir dest s)))
+      (fun s pn -> ignore (Durable.backup stores.(s) pn ~dest:(shard_dir ~k:t.k dest s)))
       pins;
     (* The meta log is copied whole.  The pin froze every shard at one
        update boundary, so events beyond the pin consume local ids past
        the pinned totals and recovery's reconciliation drops exactly
        that tail -- the copy recovers to the pinned prefix. *)
-    let raw = In_channel.with_open_bin meta.mt_path In_channel.input_all in
-    Out_channel.with_open_bin (meta_file ~dir:dest) (fun oc ->
-        Out_channel.output_string oc raw);
+    Option.iter
+      (fun mt ->
+        let raw = In_channel.with_open_bin mt.mt_path In_channel.input_all in
+        Out_channel.with_open_bin (meta_file ~dir:dest) (fun oc ->
+            Out_channel.output_string oc raw))
+      meta;
     dest
   | _ -> invalid_arg "Sharded_index.backup: store-backed sharded indexes only"
 
@@ -700,17 +776,10 @@ let backup t p ~dest =
 let backing_stores t =
   match t.backing with Mem -> None | Store { stores; _ } -> Some stores
 
-let meta_records t = match t.backing with Mem -> 0 | Store { meta; _ } -> meta.mt_records
+let meta_records t =
+  match t.backing with Store { meta = Some mt; _ } -> Atomic.get mt.mt_records | _ -> 0
 
-(* Leader-side meta tail: events [from, ...) as wire lines.  The meta
-   log is rewritten only by recovery, never while serving, so positional
-   reads against a live leader are stable. *)
-let meta_lines_from t ~from =
-  match t.backing with
-  | Mem -> []
-  | Store { meta; _ } ->
-    let _, events = meta_read meta.mt_path in
-    List.filteri (fun i _ -> i >= from) events |> List.map ev_to_line
+let indexes t = t.idxs
 
 (* --- follower replay surface --- *)
 
@@ -722,14 +791,15 @@ let replica_meta t line =
   check_open t;
   match t.backing with
   | Mem -> invalid_arg "Sharded_index.replica_meta: store-backed indexes only"
-  | Store { meta; _ } -> (
+  | Store { meta = None; _ } -> invalid_arg "Sharded_index.replica_meta: K = 1 keeps no meta log"
+  | Store { meta = Some mt; _ } -> (
     match ev_of_line line with
     | None -> invalid_arg (Printf.sprintf "Sharded_index.replica_meta: bad record %S" line)
     | Some ev ->
       let dst = match ev with Ev_insert (_, s) -> s | Ev_migrate (_, _, d) -> d in
       if dst < 0 || dst >= t.k then
         invalid_arg "Sharded_index.replica_meta: shard out of range";
-      meta_append meta [ ev ];
+      meta_append mt [ ev ];
       Queue.add ev t.repl_pending.(dst))
 
 (* Apply one shipped shard WAL record through the replica's own durable
@@ -745,57 +815,57 @@ let replica_meta t line =
    order) after making progress elsewhere; prerequisites follow the
    leader's temporal order, so the dependency graph is acyclic and a
    record that stays unappliable forever is a divergence, surfacing as
-   replication lag that never drains. *)
+   replication lag that never drains.  K > 1 only ([replica_ops]). *)
 let replica_op t ~shard op =
-  check_open t;
-  if shard < 0 || shard >= t.k then invalid_arg "Sharded_index.replica_op: shard out of range";
   match t.backing with
   | Mem -> invalid_arg "Sharded_index.replica_op: store-backed indexes only"
   | Store { stores; _ } -> (
+    let apply text =
+      let l = Durable.insert stores.(shard) text in
+      t.ins_total.(shard) <- t.ins_total.(shard) + 1;
+      (l, Atomic.get t.mapping)
+    in
+    let place g text =
+      let l, m = apply text in
+      publish t
+        {
+          m_g2p = Imap.add g { pl_shard = shard; pl_local = l } m.m_g2p;
+          m_l2g = set_l2g m shard (Imap.add l g m.m_l2g.(shard));
+          m_next_global = max m.m_next_global (g + 1);
+          m_version = m.m_version + 1;
+        };
+      Obs.incr c_inserts;
+      true
+    in
     match op with
     | Trace.Insert text -> (
       match Queue.peek_opt t.repl_pending.(shard) with
       | None -> false (* placement still in flight on the meta stream *)
-      | Some ev -> (
-        let apply () =
+      | Some (Ev_insert (g, s)) ->
+        if s <> shard then failwith "Sharded_index.replica_op: placement/shard mismatch";
+        ignore (Queue.pop t.repl_pending.(shard));
+        place g text
+      | Some (Ev_migrate (g, src, dst)) -> (
+        if dst <> shard then failwith "Sharded_index.replica_op: placement/shard mismatch";
+        match Imap.find_opt g (Atomic.get t.mapping).m_g2p with
+        | Some { pl_shard; pl_local } when pl_shard = src ->
           ignore (Queue.pop t.repl_pending.(shard));
-          let l = Durable.insert stores.(shard) text in
-          t.ins_total.(shard) <- t.ins_total.(shard) + 1;
-          (l, Atomic.get t.mapping)
-        in
-        match ev with
-        | Ev_insert (g, s) ->
-          if s <> shard then failwith "Sharded_index.replica_op: placement/shard mismatch";
-          let l, m = apply () in
+          let l, m = apply text in
+          (* the one atomic flip: visibility moves src -> dst; the
+             source retirement arrives later as a plain delete *)
+          let l2g = Array.copy m.m_l2g in
+          l2g.(src) <- Imap.remove pl_local l2g.(src);
+          l2g.(dst) <- Imap.add l g l2g.(dst);
           publish t
             {
-              m_g2p = Imap.add g { pl_shard = shard; pl_local = l } m.m_g2p;
-              m_l2g = set_l2g m shard (Imap.add l g m.m_l2g.(shard));
-              m_next_global = max m.m_next_global (g + 1);
+              m with
+              m_g2p = Imap.add g { pl_shard = dst; pl_local = l } m.m_g2p;
+              m_l2g = l2g;
               m_version = m.m_version + 1;
             };
-          Obs.incr c_inserts;
+          Obs.incr c_migrations;
           true
-        | Ev_migrate (g, src, dst) -> (
-          if dst <> shard then failwith "Sharded_index.replica_op: placement/shard mismatch";
-          match Imap.find_opt g (Atomic.get t.mapping).m_g2p with
-          | Some { pl_shard; pl_local } when pl_shard = src ->
-            let l, m = apply () in
-            (* the one atomic flip: visibility moves src -> dst; the
-               source retirement arrives later as a plain delete *)
-            let l2g = Array.copy m.m_l2g in
-            l2g.(src) <- Imap.remove pl_local l2g.(src);
-            l2g.(dst) <- Imap.add l g l2g.(dst);
-            publish t
-              {
-                m with
-                m_g2p = Imap.add g { pl_shard = dst; pl_local = l } m.m_g2p;
-                m_l2g = l2g;
-                m_version = m.m_version + 1;
-              };
-            Obs.incr c_migrations;
-            true
-          | _ -> false (* the source binding rides another shard's stream *))))
+        | _ -> false (* the source binding rides another shard's stream *)))
     | Trace.Delete l ->
       let m = Atomic.get t.mapping in
       (match Imap.find_opt l m.m_l2g.(shard) with
@@ -816,6 +886,60 @@ let replica_op t ~shard op =
     | _ ->
       invalid_arg
         (Printf.sprintf "Sharded_index.replica_op: %S is not a mutation" (Trace.op_to_string op)))
+
+(* Drain the head of shard [shard]'s queue of shipped WAL records as
+   far as their prerequisites allow; returns how many were applied.
+   K = 1 logs no placements and has no prerequisites: the whole queue
+   lands as one group commit of the replica's store (one fsync, as on
+   the leader), the k-th insert binding global id k, which the mapping
+   keeps as its next id only. *)
+let replica_ops t ~shard q =
+  check_open t;
+  if shard < 0 || shard >= t.k then invalid_arg "Sharded_index.replica_ops: shard out of range";
+  match t.backing with
+  | Store { stores; meta = None; _ } when not (Queue.is_empty q) ->
+    let ops = List.of_seq (Queue.to_seq q) in
+    Queue.clear q;
+    List.iter
+      (function
+        | Subject.Br_inserted _ ->
+          t.ins_total.(0) <- t.ins_total.(0) + 1;
+          Obs.incr c_inserts
+        | Subject.Br_deleted ok -> if ok then Obs.incr c_deletes)
+      (Durable.apply_batch stores.(0) ops);
+    let m = Atomic.get t.mapping in
+    publish t { m with m_next_global = t.ins_total.(0); m_version = m.m_version + 1 };
+    List.length ops
+  | _ ->
+    let n = ref 0 in
+    while (not (Queue.is_empty q)) && replica_op t ~shard (Queue.peek q) do
+      ignore (Queue.pop q);
+      incr n
+    done;
+    !n
+
+(* Follower of a leader without a meta log (K = 1) that compacted past
+   the replica's position: replace the shard store by the shipped
+   snapshot (close, wipe, install, reopen with the store's own
+   settings) and rebind the mapping from it; the stream resumes at the
+   snapshot's serial.  A query running meanwhile (a read-only server's
+   connection thread, no lock) reads only [t.idxs.(0)]'s view at K = 1,
+   and a closed index still answers from its last published view, so
+   it answers as of before the re-seed or after it.  With K > 1 a
+   per-shard snapshot would disagree with the meta prefix, so only a
+   pinned backup can re-seed. *)
+let replica_snapshot t ~serial ~bytes =
+  check_open t;
+  match t.backing with
+  | Store { dir; stores; meta = None; config; index } ->
+    Durable.close stores.(0);
+    Durable.install_snapshot ~dir ~serial bytes;
+    stores.(0) <- fst (Durable.open_ ~config ~index ~dir ());
+    t.idxs.(0) <- Durable.index stores.(0);
+    let m, totals, _, _ = reconcile ~path:(meta_file ~dir) stores [] in
+    t.ins_total.(0) <- totals.(0);
+    publish t { m with m_version = (Atomic.get t.mapping).m_version + 1 }
+  | _ -> failwith "replica fell behind leader compaction; re-seed it from a pinned backup"
 
 (* Every stream's next position: the shard WAL serials, then the meta
    events already bound to a shard record -- on a replica a placement
@@ -929,9 +1053,9 @@ let close t =
     t.closed <- true;
     match t.backing with
     | Mem -> Array.iter Di.close t.idxs
-    | Store { stores; meta } ->
+    | Store { stores; meta; _ } ->
       Array.iter Durable.close stores;
-      close_out_noerr meta.mt_oc
+      Option.iter (fun mt -> close_out_noerr mt.mt_oc) meta
   end
 
 let kill t ~torn =
@@ -939,48 +1063,65 @@ let kill t ~torn =
     t.closed <- true;
     match t.backing with
     | Mem -> Array.iter Di.close t.idxs
-    | Store { stores; meta } ->
+    | Store { stores; meta; _ } ->
       Array.iter (fun st -> Durable.kill st ~torn) stores;
-      close_out_noerr meta.mt_oc
+      Option.iter (fun mt -> close_out_noerr mt.mt_oc) meta
   end
 
 (* --- the sharded collection as a subject --- *)
 
 (* One replication poll: the meta stream, or shard k's WAL as ["walk"].
-   [meta_records] is the meta stream's shipping bound: events are
-   fsynced at append under any policy but Never, mirroring the WAL
-   durable bound's Never degradation. *)
+   The meta stream's shipping bound is its published event count:
+   events are fsynced at append under any policy but Never, mirroring
+   the WAL durable bound's Never degradation. *)
 let repl t ~stream ~from =
   match t.backing with
   | Mem -> Subject.Rp_error "an in-memory index has no replication streams"
-  | Store { stores; meta } -> (
-    if stream = "meta" then
-      let bound = meta.mt_records in
-      let recs =
-        List.filteri (fun i _ -> from + i < bound) (meta_lines_from t ~from)
-        |> List.mapi (fun i l -> (from + i, l))
-      in
+  | Store { stores; meta; _ } -> (
+    match (stream, meta) with
+    | "meta", Some mt ->
+      let bound = Atomic.get mt.mt_records and lo = max 0 from in
+      let log = mt.mt_log in
+      let recs = List.init (max 0 (bound - lo)) (fun i -> (lo + i, ev_to_line log.(lo + i))) in
       Subject.Rp_recs { recs; bound; epoch = (Atomic.get t.mapping).m_version }
-    else
+    | _ -> (
       match
         if String.length stream > 3 && String.sub stream 0 3 = "wal" then
           int_of_string_opt (String.sub stream 3 (String.length stream - 3))
         else None
       with
       | Some k when k >= 0 && k < t.k -> (
-        match Durable.ship stores.(k) ~from with
-        | Subject.Rp_snapshot _ ->
+        match (Durable.ship stores.(k) ~from, meta) with
+        | Subject.Rp_snapshot _, Some _ ->
           (* per-shard snapshots are not mutually consistent with a meta
              prefix; only a pinned backup is *)
           Subject.Rp_error
             (Printf.sprintf
                "shard %d compacted past position %d; seed the replica from a pinned backup" k from)
-        | reply -> reply)
-      | _ -> Subject.Rp_error (Printf.sprintf "unknown stream %S" stream))
+        | reply, _ -> reply)
+      | _ -> Subject.Rp_error (Printf.sprintf "unknown stream %S" stream)))
+
+(* Make every logged write durable: the idle flush under lazy sync
+   policies. *)
+let flush t =
+  match t.backing with Mem -> () | Store { stores; _ } -> Array.iter Durable.sync_wal stores
 
 let subject ?name t =
-  (* per-shard census and paper invariants, one oracle per shard *)
-  let checks = Array.map (fun idx -> (Subject.of_index ~views:true ~name:"" idx).check) t.idxs in
+  (* per-shard census and paper invariants, one oracle per shard index;
+     a follower's snapshot re-seed replaces the index, and its oracle *)
+  let checks = Array.make t.k None in
+  let check s =
+    let idx = t.idxs.(s) in
+    match checks.(s) with
+    | Some (i, c) when i == idx -> c ()
+    | _ ->
+      let c = (Subject.of_index ~views:true ~name:"" idx).check in
+      checks.(s) <- Some (idx, c);
+      c ()
+  in
+  let per_shard f =
+    List.concat (List.init t.k (fun s -> List.map (Printf.sprintf "shard %d: %s" s) (f s)))
+  in
   {
     Subject.name = (match name with Some n -> n | None -> describe t);
     apply_batch = apply_batch t;
@@ -1000,13 +1141,9 @@ let subject ?name t =
           ("shards", t.k);
         ]);
     repl = repl t;
-    check =
-      (fun () ->
-        List.concat
-          (List.mapi
-             (fun s check -> List.map (Printf.sprintf "shard %d: %s" s) (check ()))
-             (Array.to_list checks)));
-    events = (fun () -> []);
+    flush = (fun () -> flush t);
+    check = (fun () -> per_shard check);
+    events = (fun () -> per_shard (fun s -> Di.events t.idxs.(s)));
     checkpoint = (fun () -> checkpoint t);
     close = (fun () -> close t);
     kill = (fun ~torn -> kill t ~torn);

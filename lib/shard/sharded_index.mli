@@ -38,6 +38,10 @@
     {!Dsdg_store.Durable} store each) plus a root [shard.meta] log that
     records every placement decision ([I g s]) and migration
     ([M g src dst]) {e before} the corresponding shard-WAL write.
+    K = 1 is the single-store layout: the one shard's store is [dir]
+    itself and there is no meta log -- every insert lands on shard 0
+    under global id = local id, which recovery rebuilds from the shard
+    alone, so a K = 1 group commit costs one fsync.
     Recovery opens the K shard stores in parallel on an executor pool,
     then replays the meta log against the per-shard insert counts:
     placements whose shard write never landed (an unacknowledged crash
@@ -94,16 +98,17 @@ val open_store :
     executor worker domains (default [0]: sequential, deterministic).
     Returns per-shard recovery reports in shard order.
 
-    Raises {!Shard_mismatch} when [dir] holds a store created with a
-    different shard count, [Invalid_argument] when [dir] holds a plain
-    single-index store or when [recovery_jobs] plus K shards' worker and
-    checkpoint domains exceed {!Dsdg_core.Index_config.max_domains}, and [Dsdg_store.Codec.Corrupt] when the meta
-    log is corrupt beyond its final (torn) record. *)
+    Raises {!Shard_mismatch} when [dir] holds a store of a different
+    shard count ({!store_shards}), [Invalid_argument] when
+    [recovery_jobs] plus K shards' worker and checkpoint domains exceed
+    {!Dsdg_core.Index_config.max_domains}, and
+    [Dsdg_store.Codec.Corrupt] when the meta log is corrupt beyond its
+    final (torn) record. *)
 
 val store_shards : dir:string -> int option
-(** The shard count recorded in [dir]'s meta log, if [dir] is a
-    sharded store ([None] for fresh directories and plain single-index
-    stores). *)
+(** The shard count of the store in [dir]: K from its meta log, [1]
+    when it holds a WAL or snapshot and no meta log, [None] for a fresh
+    directory. *)
 
 (** {1 The collection surface} *)
 
@@ -198,7 +203,7 @@ val backup : t -> pin -> dest:string -> string
 
     The leader side ships each shard's WAL plus the placement meta log;
     a follower applies shipped records through {!replica_meta} /
-    {!replica_op}, preserving the leader's meta-before-shard-WAL
+    {!replica_ops}, preserving the leader's meta-before-shard-WAL
     discipline so the replica directory is itself recoverable and
     promotable. *)
 
@@ -207,32 +212,46 @@ val backing_stores : t -> Dsdg_store.Durable.t array option
 
 val meta_records : t -> int
 (** Events currently in the meta log -- the meta stream's shipping
-    bound (events are fsynced at append under any policy but [Never]). *)
+    bound (events are fsynced at append under any policy but [Never]);
+    always [0] at K = 1, which keeps no meta log. *)
+
+val indexes : t -> Dsdg_core.Dynamic_index.t array
+(** The K shard indexes, in shard order (for space and observability
+    readouts; write through {!apply_batch}). *)
 
 val replica_meta : t -> string -> unit
 (** Follower: apply one shipped meta line -- append it to the local
     meta log and queue the placement until the matching shard record
-    arrives.  Raises [Invalid_argument] on an unparseable line or in
-    memory mode. *)
+    arrives.  Raises [Invalid_argument] on an unparseable line, at
+    K = 1 or in memory mode. *)
 
-val replica_op : t -> shard:int -> Dsdg_check.Trace.op -> bool
-(** Follower: apply one shipped shard-WAL record through the replica's
-    own durable store (identical serials leader/follower) and fold the
-    effect into the global mapping.  Inserts bind the oldest queued
-    placement for [shard].
+val replica_ops : t -> shard:int -> Dsdg_check.Trace.op Queue.t -> int
+(** Follower: apply the shipped shard-WAL records queued for [shard],
+    oldest first, through the replica's own durable store (identical
+    serials leader/follower), fold their effect into the global
+    mapping and pop them; returns how many were applied.  Inserts bind
+    the oldest queued placement for [shard]; at K = 1 the k-th insert
+    binds global id k, and the whole queue lands as one group commit.
 
-    Returns [false] -- record NOT applied, retry it later -- when the
-    cross-shard prerequisite has not arrived yet: the insert's
-    placement is still in flight on the meta stream, or a migration
-    copy's document is not yet bound at the source shard (the original
-    insert rides another shard's stream).  Per-shard streams must
-    still replay strictly in serial order, so the caller queues the
-    record and retries after making progress on the other streams;
-    prerequisites follow the leader's temporal order (acyclic), so
-    everything shipped eventually applies, and a record that stays
-    unappliable forever is a divergence, surfacing as lag that never
-    drains.  Raises [Failure] on structural corruption (a placement
-    whose destination disagrees with the stream it arrived on). *)
+    Applying stops at the first record whose cross-shard prerequisite
+    has not arrived yet (K > 1): the insert's placement is still in
+    flight on the meta stream, or a migration copy's document is not
+    yet bound at the source shard (the original insert rides another
+    shard's stream).  That record stays queued; the caller retries
+    after making progress on the other streams.  Prerequisites follow
+    the leader's temporal order (acyclic), so everything shipped
+    eventually applies, and a record that stays unappliable forever is
+    a divergence, surfacing as lag that never drains.  Raises
+    [Failure] on structural corruption (a placement whose destination
+    disagrees with the stream it arrived on). *)
+
+val replica_snapshot : t -> serial:int -> bytes:string -> unit
+(** Follower at K = 1: the leader compacted past the replica's position
+    and shipped its newest snapshot ({!Dsdg_check.Subject.Rp_snapshot})
+    instead.  Replace the shard store by it (close, wipe, install,
+    reopen with the store's own settings) and rebind the mapping; the
+    stream resumes at [serial].  Raises [Failure] at K > 1, where only a
+    pinned backup can seed a replica. *)
 
 val stream_positions : t -> int array
 (** The next position of every replication stream: the K shard WAL
@@ -287,7 +306,11 @@ val subject : ?name:string -> t -> Dsdg_check.Subject.t
     to {!describe}).  Queries scatter-gather across the published shard
     views, so a server may front it.  [stats] adds [shards] and reports
     the summed epoch vector as [epoch].  [repl] ships the ["meta"]
-    stream and each shard's WAL as ["wal<s>"] (store mode; a shard
-    position compacted away is an error, since only a pinned backup
-    seeds a sharded replica).  [check] runs the view census and the
-    paper invariants ({!Dsdg_check.Oracle}) on every shard index. *)
+    stream (K > 1) and each shard's WAL as ["wal<s>"] (store mode).  A
+    shard position compacted away is answered with the shard's newest
+    snapshot at K = 1 and is an error at K > 1, where only a pinned
+    backup seeds a replica.  [flush] fsyncs every shard WAL with
+    records past its durable bound.  [check] runs the view census and
+    the paper invariants ({!Dsdg_check.Oracle}) on every shard index,
+    and [events] reports every shard's event ring, each line prefixed
+    with its shard. *)

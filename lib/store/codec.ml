@@ -17,18 +17,20 @@ let format_version = 1
 let magic = "DSDG"
 
 (* CRC-32, IEEE 802.3 polynomial (reflected 0xEDB88320), table-driven.
-   Pure OCaml on 63-bit ints; the result is always in [0, 2^32). *)
+   Pure OCaml on 63-bit ints; the result is always in [0, 2^32).  The
+   table is built at module initialisation, not lazily: shard stores
+   recover on parallel domains, and two domains forcing one lazy value
+   at once raise [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
+  let table = crc_table in
   let c = ref 0xFFFFFFFF in
   String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
   !c lxor 0xFFFFFFFF

@@ -54,7 +54,7 @@ let index t = t.idx
 let wal_serial t = Wal.next_serial t.wal
 let durable_serial t = Wal.durable_serial t.wal
 let wal_path t = Wal.path t.wal
-let sync_wal t = Wal.sync t.wal
+let sync_wal t = if durable_serial t < wal_serial t then Wal.sync t.wal
 
 let open_ ?(config = default_config) ?index ~dir () =
   (* a sharded root holds only its meta log and shard-i sub-stores; a
@@ -325,15 +325,14 @@ let ship t ~from =
             (Printf.sprintf "stream position %d was compacted away and no snapshot covers it"
                from)))
 
-let subject ?(name = "durable") t =
-  {
-    (Subject.of_index ~views:true ~name t.idx) with
-    apply_batch = apply_batch t;
-    repl =
-      (fun ~stream ~from ->
-        if stream = "wal" then ship t ~from
-        else Subject.Rp_error (Printf.sprintf "unknown stream %S" stream));
-    checkpoint = (fun () -> checkpoint t);
-    close = (fun () -> close t);
-    kill = (fun ~torn -> kill t ~torn);
-  }
+(* Replace the store in [dir] (not open) by one shipped snapshot:
+   remove its snapshots, WAL and archives, then write [bytes] as the
+   snapshot at [serial]; the next open recovers from it. *)
+let install_snapshot ~dir ~serial bytes =
+  let wal = Recovery.wal_path ~dir in
+  List.iter
+    (fun (p, _) -> try Sys.remove p with Sys_error _ -> ())
+    (Snapshot.list ~dir @ Wal.archives wal @ [ (wal, 0) ]);
+  Snapshot.ensure_dir dir;
+  Out_channel.with_open_bin (Snapshot.path_for ~dir ~wal_serial:serial) (fun oc ->
+      Out_channel.output_string oc bytes)

@@ -80,9 +80,9 @@ val durable_serial : t -> int
     atomically renames a fresh log over it). *)
 val wal_path : t -> string
 
-(** Force an fsync of the WAL now, advancing {!durable_serial} to
-    {!wal_serial} -- the leader's idle-flush hook under lazy sync
-    policies. *)
+(** Fsync the WAL now if records are logged past {!durable_serial},
+    advancing it to {!wal_serial} -- the server's idle flush under lazy
+    sync policies. *)
 val sync_wal : t -> unit
 
 (** {1 Pinned-view backups}
@@ -132,7 +132,7 @@ val close : t -> unit
     bytes. The [t] is unusable afterwards; reopen with {!open_}. *)
 val kill : t -> torn:bool -> unit
 
-(** {1 The store as a collection} *)
+(** {1 Replication} *)
 
 (** [ship t ~from] answers one replication poll of the store's WAL
     stream: the records from serial [from] up to {!durable_serial};
@@ -142,9 +142,8 @@ val kill : t -> torn:bool -> unit
     epoch. *)
 val ship : t -> from:int -> Dsdg_check.Subject.repl_reply
 
-(** The store as a {!Dsdg_check.Subject}: {!apply_batch} writes,
-    queries and [stats] read published views (a server's connection
-    threads run them next to its writer), [repl] ships the ["wal"]
-    stream, and [checkpoint]/[close]/[kill] are the store's. [check]
-    runs the view census and the paper invariants. *)
-val subject : ?name:string -> t -> Dsdg_check.Subject.t
+(** [install_snapshot ~dir ~serial bytes] replaces the store in [dir],
+    which must not be open: its snapshots, WAL and archives are
+    removed and [bytes] (a snapshot file shipped by {!ship}) becomes
+    the snapshot at [serial], so the next {!open_} recovers from it. *)
+val install_snapshot : dir:string -> serial:int -> string -> unit

@@ -560,10 +560,13 @@ let test_repl_four_backings () =
                 mem1 (run name args))
             [ ("memory K=2", [ "--shards"; "2" ]); ("store K=1", store 1); ("store K=2", store 2) ]))
 
-(* A store directory is opened in one place: a sharded directory
-   refuses the single-index `save` and a K=1 `stats` (124) and stays
-   byte-identical; `open` reads K from it; a wrong --shards names the
-   K on disk. *)
+(* A store directory is opened in one place, at any K: `save` appends
+   to a K=2 store and `open` reads K from it and counts the new
+   document; a --shards flag that disagrees with the directory is
+   usage (124), names the K on disk and leaves the directory
+   byte-identical; a K=1 store keeps the single-store layout (no
+   shard.meta), and `~E0,...,EK` reads it as of the epoch vector its
+   trailer printed. *)
 let test_store_layout () =
   with_bin (fun bin ->
       with_dir "dsdg-cli-layout" (fun dir ->
@@ -582,18 +585,41 @@ let test_store_layout () =
                    else [ (p, In_channel.with_open_bin p In_channel.input_all) ])
           in
           let before = files store in
-          check_exit_says bin ~what:"save onto a K=2 store is usage (124)" ~expect:124 ~says:"K=2"
-            [ "save"; store; file ];
           check_exit_says bin ~what:"K=1 stats onto a K=2 store is usage (124)" ~expect:124
             ~says:"K=2" [ "stats"; "--store"; store; "--ops"; "20" ];
           check_exit_says bin ~what:"wrong --shards names the K on disk (124)" ~expect:124
             ~says:"pass --shards 2" [ "index"; "--shards"; "3"; "--store"; store; file ];
           Alcotest.(check bool) "refused commands left the store byte-identical" true
             (before = files store);
-          let code, lines = run_lines bin ~input:"?alpha\n#a\n.\n" [ "open"; store ] in
+          let more = Filename.concat dir "more.txt" in
+          Out_channel.with_open_bin more (fun oc -> Out_channel.output_string oc "alpha again\n");
+          check_exit bin ~what:"save onto a K=2 store" ~expect:0 [ "save"; store; more ];
+          let code, lines = run_lines bin ~input:"?alpha\n.\n" [ "open"; store ] in
           Alcotest.(check int) "open reads K from the store (exit 0)" 0 code;
-          Alcotest.(check bool) "open serves the sharded store" true
-            (List.mem "1 occurrence(s)" lines && List.exists (starts "sharded: 2 shard stores") lines)))
+          Alcotest.(check bool) "open serves the saved document" true
+            (List.mem "2 occurrence(s)" lines
+            && List.mem "documents : 3" lines
+            && List.exists (starts "sharded: 2 shard stores") lines);
+          let k1 = Filename.concat dir "k1" in
+          check_exit bin ~what:"index a K=1 store" ~expect:0 [ "index"; "--store"; k1; file ];
+          Alcotest.(check bool) "K=1 writes no shard.meta" false
+            (Sys.file_exists (Filename.concat k1 "shard.meta"));
+          check_exit_says bin ~what:"--shards 2 onto a K=1 store is usage (124)" ~expect:124
+            ~says:"pass --shards 1" [ "index"; "--shards"; "2"; "--store"; k1; file ];
+          let session input =
+            let code, lines = run_lines bin ~input [ "open"; k1; "--retain-epochs"; "4" ] in
+            Alcotest.(check int) "open K=1 exits 0" 0 code;
+            lines
+          in
+          let epochs =
+            match List.find_opt (starts "epochs    : ") (session ".\n") with
+            | Some l -> List.hd (String.split_on_char ' ' (String.sub l 12 (String.length l - 12)))
+            | None -> Alcotest.fail "no epochs line in the trailer"
+          in
+          let lines = session (Printf.sprintf "+alpha later\n~%s ?alpha\n?alpha\n.\n" epochs) in
+          Alcotest.(check bool) "as-of reads the opened state, live the new one" true
+            (List.mem (Printf.sprintf "1 occurrence(s) as of %s" epochs) lines
+            && List.mem "2 occurrence(s)" lines)))
 
 (* The planted scheduling fault end to end through the binary: fuzz
    catches it (exit 1) and saves a minimal trace, and replaying that
@@ -652,8 +678,7 @@ let suite =
       test_sharded_serve_roundtrip;
     Alcotest.test_case "fuzz --fault: catch, save, replay (exit 1)" `Slow test_fuzz_fault_replay;
     Alcotest.test_case "interactive loop: one script, four backings" `Slow test_repl_four_backings;
-    Alcotest.test_case "store layout: sharded dir refuses save/stats, open reads K" `Slow
-      test_store_layout;
+    Alcotest.test_case "store layout: save, open and as-of at any K" `Slow test_store_layout;
     Alcotest.test_case "domain budget: over-limit workers are usage (124)" `Slow
       test_domain_budget_usage;
   ]

@@ -8,6 +8,7 @@ module Client = Dsdg_serve.Client
 module Follower = Dsdg_serve.Follower
 module Repl_check = Dsdg_serve.Repl_check
 module Durable = Dsdg_store.Durable
+module SI = Dsdg_shard.Sharded_index
 module Runner = Dsdg_check.Runner
 module Opgen = Dsdg_check.Opgen
 
@@ -47,6 +48,16 @@ let test_convergence_sharded () =
       let ops = Opgen.generate ~seed:43 ~ops:60 () in
       check_converged "K=2"
         (Repl_check.convergence ~shards:2 ~quiesce_every:16 ~dir ~ops ()))
+
+(* Under --sync 8 the leader ships only what an fsync covered; its
+   writer's idle flush must make an acked tail durable, or the replica
+   never catches up at a quiesce point that is not a multiple of 8. *)
+let test_convergence_lazy_sync () =
+  with_dir "dsdg-repl-every8" (fun dir ->
+      let ops = Opgen.generate ~seed:47 ~ops:50 () in
+      check_converged "K=1 sync every 8"
+        (Repl_check.convergence ~sync:(Dsdg_store.Wal.Every 8) ~quiesce_every:5
+           ~checkpoint_every:7 ~dir ~ops ()))
 
 (* A replica that falls behind the leader's checkpoint compaction is
    re-shipped from WAL archives (or re-seeded from a snapshot); either
@@ -94,6 +105,69 @@ let test_failover_sharded () =
       check_survived "K=2 failover"
         (Repl_check.failover_sweep ~shards:2 ~stride:10 ~dir ~ops ()))
 
+(* A fresh K=1 replica of a leader that compacted past its archives is
+   seeded with the leader's newest snapshot, re-seeding in place, and
+   then keeps tailing.  Queries run through the re-seed without a lock,
+   as a read-only server's connection threads do: none may fail, and
+   each must answer the empty replica (0 hits) or a seeded one (the
+   snapshot is at most two ops behind the leader's 31, so 27..30). *)
+let test_fresh_replica_reseeds () =
+  with_dir "dsdg-repl-seed" (fun dir ->
+      let lsock = Filename.concat dir "leader.sock" in
+      Unix.mkdir dir 0o755;
+      let config = { Durable.default_config with checkpoint_every = 2 } in
+      let store, _ = SI.open_store ~config ~shards:1 ~dir:(Filename.concat dir "leader") () in
+      for i = 0 to 29 do
+        ignore (SI.insert store (Printf.sprintf "seeded doc %d ana" i))
+      done;
+      ignore (SI.delete store 3);
+      let leader = Server.start (SI.subject store) (`Unix lsock) in
+      Fun.protect ~finally:(fun () -> Server.stop leader) @@ fun () ->
+      let boots () =
+        Option.value ~default:0
+          (List.assoc_opt "snapshot_bootstraps" (Dsdg_obs.Obs.counters (Dsdg_obs.Obs.scope "repl")))
+      in
+      let boots0 = boots () in
+      let fol = Follower.start ~leader:(`Unix lsock) ~dir:(Filename.concat dir "replica") () in
+      Fun.protect ~finally:(fun () -> Follower.stop fol) @@ fun () ->
+      let r = Follower.replica fol in
+      let seeded = Atomic.make false and bad = ref [] and queries = ref 0 in
+      let querier =
+        Thread.create
+          (fun () ->
+            while not (Atomic.get seeded) do
+              (match (r.count "ana", List.length (r.search "ana")) with
+              | c, h when List.for_all (fun n -> n = 0 || (n >= 27 && n <= 30)) [ c; h ] -> ()
+              | c, h -> bad := Printf.sprintf "count %d, hits %d" c h :: !bad
+              | exception e -> bad := Printexc.to_string e :: !bad);
+              incr queries
+            done)
+          ()
+      in
+      let caught_up () =
+        let deadline = Unix.gettimeofday () +. 10. in
+        while Follower.watermark fol <> SI.stream_positions store do
+          if Unix.gettimeofday () > deadline then Alcotest.fail "replica never caught up";
+          Thread.delay 0.01
+        done
+      in
+      caught_up ();
+      Atomic.set seeded true;
+      Thread.join querier;
+      Alcotest.(check bool) "queried during the re-seed" true (!queries > 0);
+      Alcotest.(check (list string)) "queries during the re-seed" [] (List.rev !bad);
+      Alcotest.(check bool) "seeded from a snapshot" true (boots () > boots0);
+      Alcotest.(check int) "doc_count" 29 (r.doc_count ());
+      Alcotest.(check int) "count" 29 (r.count "ana");
+      Alcotest.(check bool) "dead doc stays dead" false (r.mem 3);
+      Alcotest.(check (option string)) "extract" (Some "doc 29") (r.extract ~doc:29 ~off:7 ~len:6);
+      let c = Client.connect (`Unix lsock) in
+      Alcotest.(check int) "leader id continues" 30 (Client.insert c "written after the seed ana");
+      Client.close c;
+      caught_up ();
+      Alcotest.(check int) "the replica keeps tailing" 30 (r.count "ana");
+      Alcotest.(check bool) "the new doc has the leader's id" true (r.mem 30))
+
 (* --- read-only replica serving: queries local, writes redirected --- *)
 
 let test_follower_serves_reads_redirects_writes () =
@@ -103,8 +177,8 @@ let test_follower_serves_reads_redirects_writes () =
       let lsock = Filename.concat dir "leader.sock" in
       let fsock = Filename.concat dir "replica.sock" in
       Unix.mkdir dir 0o755;
-      let store, _ = Durable.open_ ~dir:leader_dir () in
-      let leader = Server.start (Durable.subject store) (`Unix lsock) in
+      let store, _ = SI.open_store ~shards:1 ~dir:leader_dir () in
+      let leader = Server.start (SI.subject store) (`Unix lsock) in
       Fun.protect
         ~finally:(fun () -> Server.stop leader)
         (fun () ->
@@ -159,6 +233,10 @@ let suite =
       test_convergence_sharded;
     Alcotest.test_case "convergence: replica outruns compaction (archives/snapshot)" `Quick
       test_convergence_past_compaction;
+    Alcotest.test_case "convergence: sync every 8, idle leader flushes its tail" `Quick
+      test_convergence_lazy_sync;
+    Alcotest.test_case "fresh K=1 replica is seeded from the leader's snapshot" `Quick
+      test_fresh_replica_reseeds;
     Alcotest.test_case "planted replica fault is caught (oracle self-test)" `Slow
       (test_planted_fault_caught ~shards:1);
     Alcotest.test_case "planted K=2 replica fault is caught per shard" `Slow

@@ -30,9 +30,10 @@ let sock_of dir = Filename.concat dir "dsdg.sock"
    store ([Server.stop] closes it). *)
 let start_server ?config ?(sync = Dsdg_store.Wal.Always) dir =
   let store, _info =
-    Durable.open_ ~config:{ Durable.default_config with sync } ~dir ()
+    Dsdg_shard.Sharded_index.open_store ~config:{ Durable.default_config with sync } ~shards:1
+      ~dir ()
   in
-  Server.start ?config (Durable.subject store) (`Unix (sock_of dir))
+  Server.start ?config (Dsdg_shard.Sharded_index.subject store) (`Unix (sock_of dir))
 
 let with_server ?config ?sync dir f =
   let srv = start_server ?config ?sync dir in

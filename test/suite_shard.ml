@@ -205,7 +205,7 @@ let test_split_kill_sweep () =
       let ops = Dsdg_check.Opgen.generate ~seed:(base_seed + 7100) ~ops:40 () in
       check_recovered ~min_points:2 (Shard_check.split_kill_sweep ~shards:3 ~dir ~ops ()))
 
-(* The single-store and sharded sweeps run one kill-point schedule:
+(* The K=1 and K=2 sweeps run one kill-point schedule:
    0, stride, 2*stride, ... and always the last op, even when the stride
    does not divide the op count, and both leave no store behind. *)
 let test_sweep_schedule () =
@@ -220,7 +220,7 @@ let test_sweep_schedule () =
           Alcotest.(check int) (what ^ ": no failures") 0 (List.length outcome.kc_failures);
           Alcotest.(check bool) (what ^ ": dir removed") false (Sys.file_exists dir)))
     [
-      ("single", fun dir -> Runner.sweep ~stride:8 (Store.Kill_check.crash ~dir ()) ops);
+      ("K=1", fun dir -> Runner.sweep ~stride:8 (Shard_check.crash ~shards:1 ~dir ()) ops);
       ("K=2", fun dir -> Runner.sweep ~stride:8 (Shard_check.crash ~shards:2 ~dir ()) ops);
     ]
 
@@ -262,7 +262,8 @@ let test_parallel_recovery_equivalence () =
 
 (* A store remembers its K: reopening with a different count is a
    Shard_mismatch, and store_shards reads it back without opening. A
-   plain store is never opened over a sharded root, nor the reverse. *)
+   plain store is never opened over a sharded root; a plain store is
+   the K=1 layout, opened in place with no meta log written. *)
 let test_shard_mismatch () =
   with_tmp_dir (fun dir ->
       let sh, _ = SI.open_store ~shards:2 ~dir () in
@@ -280,12 +281,23 @@ let test_shard_mismatch () =
         (Sys.file_exists (Store.Recovery.wal_path ~dir)));
   with_tmp_dir (fun dir ->
       let d, _ = Store.Durable.open_ ~dir () in
+      ignore (Store.Durable.insert d "a plain store");
       Store.Durable.close d;
-      Alcotest.(check bool) "a sharded store refuses a plain root" true
-        (match SI.open_store ~shards:1 ~dir () with
-        | _ -> false
-        | exception Invalid_argument _ -> true);
-      Alcotest.(check (option int)) "no meta log was written" None (SI.store_shards ~dir))
+      Alcotest.(check (option int)) "a plain store is K=1" (Some 1) (SI.store_shards ~dir);
+      Alcotest.check_raises "K=2 over a plain store"
+        (SI.Shard_mismatch { dir; on_disk = 1; requested = 2 }) (fun () ->
+          ignore (SI.open_store ~shards:2 ~dir ()));
+      let sh, _ = SI.open_store ~shards:1 ~dir () in
+      Alcotest.(check (option string)) "K=1 serves the plain store" (Some "plain")
+        (SI.extract sh ~doc:0 ~off:2 ~len:5);
+      Alcotest.(check int) "K=1 continues its ids" 1 (SI.insert sh "written at K=1");
+      SI.close sh;
+      Alcotest.(check bool) "no meta log was written" false
+        (Sys.file_exists (Filename.concat dir "shard.meta"));
+      let d, _ = Store.Durable.open_ ~dir () in
+      Alcotest.(check int) "the plain store holds both" 2
+        (Dsdg_core.Dynamic_index.doc_count (Store.Durable.index d));
+      Store.Durable.close d)
 
 (* apply_batch through the sharded store: results in op order, insert
    results carrying global ids, and the landed state byte-identical to

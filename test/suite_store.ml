@@ -438,7 +438,9 @@ let test_kill_sweep_matrix () =
           let label = variant_name variant ^ "/" ^ backend_name backend in
           let dir = tmp_dir ("dsdg-kill-" ^ variant_name variant ^ backend_name backend) in
           let ops = Dsdg_check.Opgen.generate ~seed:7 ~ops:24 () in
-          let crash = Kill_check.crash ~index:{ small with variant; backend } ~dir () in
+          let crash =
+            Dsdg_shard.Shard_check.crash ~index:{ small with variant; backend } ~shards:1 ~dir ()
+          in
           let o = Dsdg_check.Runner.sweep ~stride:5 crash ops in
           if o.Dsdg_check.Runner.kc_failures <> [] then
             Alcotest.failf "%s: %s" label (Dsdg_check.Runner.kill_summary o))
