@@ -620,10 +620,20 @@ let stats_cmd ops (index : Index_config.t) no_obs shards store sync checkpoint_e
   let scopes =
     with_collection ~index ~config ~layout:(`Flag shards) store (fun o ->
         churn ~ops o;
-        Array.to_list (Array.map Dynamic_index.obs_scope (Sh.indexes o.sh)))
+        let idxs = Sh.indexes o.sh in
+        (* one private scope per shard, all under the engine's name *)
+        Array.to_list
+          (Array.mapi
+             (fun i idx ->
+               let title = if Array.length idxs > 1 then Printf.sprintf "shard %d: " i else "" in
+               (title, Dynamic_index.obs_scope idx))
+             idxs))
   in
   if no_obs then print_endline "observability disabled (--no-obs): no counters recorded"
-  else List.iter (fun s -> print_string (Obs.render s)) (scopes @ Obs.registered ())
+  else
+    List.iter
+      (fun (title, s) -> print_string (Obs.render ~title s))
+      (scopes @ List.map (fun s -> ("", s)) (Obs.registered ()))
 
 (* Differential fuzzing: the CLI face of Dsdg_check (DESIGN.md section 6).
    A failing stream is shrunk to a minimal trace, saved, and the replay
@@ -1123,7 +1133,7 @@ let config_term ?(fixed = []) ~(base : Index_config.t) shape =
       $ int_arg "sample" base.sample "SA sampling rate s."
       $ tau_arg base.tau
       $ int_arg "jobs" base.jobs
-          "Background-rebuild worker domains (0 = deterministic synchronous mode). With --store, any value >= 1 also moves checkpoint serialization onto a worker domain."
+          "Background-rebuild worker domains (0 = deterministic synchronous mode). With --store, any value >= 1 also moves checkpoint folds onto a worker domain."
       $ flag `Readers base.readers
           (int_arg "readers" base.readers
              "Reader-pool domains serving queries from the latest published snapshot (0 = queries run on the caller's domain).")

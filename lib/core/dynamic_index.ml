@@ -28,9 +28,7 @@ type dump = Dynamization.dump = {
   dm_tau : int;
   dm_epoch : int;
   dm_next_id : int;
-  dm_nf : int;
-  dm_del_counter : int;
-  dm_components : (string * (int * string) array * bool array) list;
+  dm_docs : (int * string) array;
 }
 
 (* API conventions enforced uniformly across every variant x backend and
@@ -69,7 +67,6 @@ type ops = {
   op_obs : Dsdg_obs.Obs.scope;
   op_events : unit -> string list;
   op_probe : unit -> probe;
-  op_next_id : unit -> int; (* persistence: the next id the index would assign *)
   op_view : unit -> view; (* latest published epoch: one Atomic.get *)
   op_drain : unit -> unit; (* land every in-flight background job now *)
   op_close : unit -> unit; (* drain + stop/join executor domains, if any *)
@@ -101,6 +98,8 @@ type t = {
      to this instance. *)
   pins : (int * view) list Atomic.t;
   pin_next : int Atomic.t;
+  (* epochs [drain] published without an update, since create/restore *)
+  mutable drain_epochs : int;
 }
 
 (* The engine of every variant x backend pair, and the only place a
@@ -120,13 +119,13 @@ let engines : ((variant * backend) * (module Dynamization.S)) list =
     [ (Fm, (module Fm_static : Static_index.S)); (Plain_sa, (module Sa_static)); (Csa, (module Csa_static)) ]
 
 (* Shared constructor behind [create] and [restore]: with [restore_from]
-   the engine rebuilds from the dump's components instead of starting
+   the engine rebuilds from the dump's documents instead of starting
    empty; everything else (closure wiring, conventions, reader pool) is
    identical. *)
-let make ?restore_from ?tail (config : Index_config.t) : t =
+let make ?restore_from (config : Index_config.t) : t =
   let config = Index_config.validate config in
   let (module E) = List.assoc (config.variant, config.backend) engines in
-  let e = match restore_from with None -> E.create config | Some d -> E.restore config ?tail d in
+  let e = match restore_from with None -> E.create config | Some d -> E.restore config d in
   let ops =
     {
       op_insert = E.insert e;
@@ -142,7 +141,6 @@ let make ?restore_from ?tail (config : Index_config.t) : t =
       op_obs = E.obs e;
       op_events = (fun () -> E.events e);
       op_probe = (fun () -> E.probe e);
-      op_next_id = (fun () -> E.next_id e);
       op_view = (fun () -> E.view e);
       op_drain = (fun () -> E.drain e);
       op_close = (fun () -> E.close e);
@@ -164,6 +162,7 @@ let make ?restore_from ?tail (config : Index_config.t) : t =
     ring = Atomic.make (if config.retain_epochs > 0 then [ ops.op_view () ] else []);
     pins = Atomic.make [];
     pin_next = Atomic.make 0;
+    drain_epochs = 0;
   }
 
 let create ?(index = Index_config.default) () : t = make index
@@ -317,45 +316,23 @@ let readers t =
 
 (* --- persistence (Dsdg_store) --- *)
 
-let view_components = Epoch_view.components
+let next_id t = (view t).next_id
+let drain_epochs t = t.drain_epochs
 
-(* Writer-side mutable scalars a checkpoint must capture synchronously
-   (on the writer, at the trigger update) before handing the immutable
-   view to a worker domain for serialization. *)
-let dump_scalars t =
-  let p = t.ops.op_probe () in
-  ( t.ops.op_next_id (),
-    p.pr_nf,
-    match p.pr_clean with Some (c, _) -> c | None -> 0 )
-
-(* Two-phase capture for background checkpoints: [checkpoint_header] is
-   O(1) and must run on the writer domain (it reads writer-mutable
-   scalars); [checkpoint_body] is the O(n) document extraction over the
-   immutable view and may run on a checkpoint worker domain. *)
-let checkpoint_header t (v : view) : dump =
-  let next_id, nf, del_counter = dump_scalars t in
+(* The one dump that inverts the index: every live document of [v], read
+   from its immutable components (safe off the writer). *)
+let view_dump t (v : view) : dump =
   {
     dm_variant = t.config.variant;
     dm_backend = t.config.backend;
     dm_sample = t.config.sample;
     dm_tau = t.config.tau;
-    dm_epoch = view_epoch v;
-    dm_next_id = next_id;
-    dm_nf = nf;
-    dm_del_counter = del_counter;
-    dm_components = [];
+    dm_epoch = v.epoch;
+    dm_next_id = v.next_id;
+    dm_docs = Epoch_view.live_docs v;
   }
 
-let checkpoint_body (d : dump) (v : view) : dump = { d with dm_components = Epoch_view.components v }
-
-(* Full synchronous dump: land in-flight jobs first so the snapshot is
-   canonical (C0/Cj/Tk only), then capture the published view plus the
-   writer scalars.  Background checkpoints skip the drain and dump the
-   raw view instead -- restore folds any L/Temp components it finds. *)
-let dump t : dump =
-  t.ops.op_drain ();
-  let v = t.ops.op_view () in
-  checkpoint_body (checkpoint_header t v) v
+let dump t = view_dump t (view t)
 
 let empty_dump (c : Index_config.t) : dump =
   {
@@ -365,42 +342,31 @@ let empty_dump (c : Index_config.t) : dump =
     dm_tau = c.tau;
     dm_epoch = 0;
     dm_next_id = 0;
-    dm_nf = 256;
-    dm_del_counter = 0;
-    dm_components = [];
+    dm_docs = [||];
   }
 
 type mutation = Insert of string | Delete of int
 
-(* Reduce a WAL tail to its net effect on a dump (DESIGN.md section 10).
-   Ids go to inserts in log order, exactly as [insert] would assign
-   them; a delete cancels a tail insert, sets the deletion bit of a live
-   snapshot document, and is a no-op on a dead or unknown id.  The
-   epoch advances by every successful mutation and the Dietz-Sleator
-   counter by every deleted symbol, as per-op replay would advance
-   them.  Returns the folded dump and, if any mutation succeeded, the
-   surviving inserts in id order. *)
+(* The net effect of logged mutations on a dump (DESIGN.md section 10):
+   ids go to inserts in log order, exactly as [insert] would assign
+   them; a delete of a live document (dumped or inserted by the tail)
+   drops it and a delete of a dead or unknown id does nothing; the
+   epoch advances by every successful mutation, as per-op replay would
+   advance it.  The dumped ids ascend and every id the tail assigns is
+   past them, so the result is the dumped documents the tail left, then
+   the tail's surviving inserts. *)
 let fold_tail (d : dump) tail =
-  if tail = [] then (d, None)
+  if tail = [] then d
   else begin
-    let comps = Array.of_list d.dm_components in
-    let bits =
-      Array.map
-        (fun (_, docs, dead) ->
-          if Array.length dead = Array.length docs then Array.copy dead
-          else Array.make (Array.length docs) false)
-        comps
+    let rec slot id lo hi =
+      if lo >= hi then None
+      else
+        let mid = (lo + hi) / 2 in
+        let m = fst d.dm_docs.(mid) in
+        if m = id then Some mid else if m < id then slot id (mid + 1) hi else slot id lo mid
     in
-    let where = Hashtbl.create 1024 in
-    Array.iteri
-      (fun c (_, docs, _) ->
-        Array.iteri
-          (fun i (id, _) -> if not bits.(c).(i) then Hashtbl.replace where id (c, i))
-          docs)
-      comps;
-    let inserted = Hashtbl.create 64 in
-    let next_id = ref d.dm_next_id and applied = ref 0 and deleted_syms = ref 0 in
-    let touched = Array.make (Array.length comps) false in
+    let gone = Hashtbl.create 64 and inserted = Hashtbl.create 64 in
+    let next_id = ref d.dm_next_id and applied = ref 0 in
     List.iter
       (function
         | Insert text ->
@@ -408,63 +374,38 @@ let fold_tail (d : dump) tail =
           incr next_id;
           incr applied
         | Delete id -> (
-          match Hashtbl.find_opt inserted id with
-          | Some text ->
+          if Hashtbl.mem inserted id then begin
             Hashtbl.remove inserted id;
-            incr applied;
-            deleted_syms := !deleted_syms + String.length text + 1
-          | None -> (
-            match Hashtbl.find_opt where id with
-            | None -> ()
-            | Some (c, i) ->
-              Hashtbl.remove where id;
-              bits.(c).(i) <- true;
-              touched.(c) <- true;
-              incr applied;
-              let _, docs, _ = comps.(c) in
-              deleted_syms := !deleted_syms + String.length (snd docs.(i)) + 1)))
+            incr applied
+          end
+          else
+            match slot id 0 (Array.length d.dm_docs) with
+            | Some i when not (Hashtbl.mem gone i) ->
+              Hashtbl.replace gone i ();
+              incr applied
+            | _ -> ()))
       tail;
-    (* a touched component carries its new bit vector (a buffer's dump
-       has none, so it gains one; restore builds only its live docs)
-       unless the tail pushed it past the 1/tau dead share: then it is
-       rebuilt from its live documents alone *)
-    let components =
-      List.mapi
-        (fun c ((name, docs, _) as comp) ->
-          if not touched.(c) then comp
-          else begin
-            let syms = Array.fold_left (fun a (_, text) -> a + String.length text + 1) 0 in
-            let live =
-              Array.of_list (List.filteri (fun i _ -> not bits.(c).(i)) (Array.to_list docs))
-            in
-            if
-              Semi_static.purge_threshold_exceeded ~dead_syms:(syms docs - syms live)
-                ~total_symbols:(syms docs) ~tau:d.dm_tau
-            then (name, live, Array.make (Array.length live) false)
-            else (name, docs, bits.(c))
-          end)
-        d.dm_components
+    let kept =
+      if Hashtbl.length gone = 0 then d.dm_docs
+      else Array.of_list (List.filteri (fun i _ -> not (Hashtbl.mem gone i)) (Array.to_list d.dm_docs))
     in
     let inserts =
       List.filter_map
         (fun id -> Option.map (fun text -> (id, text)) (Hashtbl.find_opt inserted id))
-        (List.init (!next_id - d.dm_next_id) (fun k -> d.dm_next_id + k))
+        (List.init (!next_id - d.dm_next_id) (( + ) d.dm_next_id))
     in
-    ( {
-        d with
-        dm_epoch = d.dm_epoch + !applied;
-        dm_next_id = !next_id;
-        dm_del_counter =
-          (d.dm_del_counter + if d.dm_variant = Worst_case then !deleted_syms else 0);
-        dm_components = components;
-      },
-      if !applied = 0 then None else Some inserts )
+    {
+      d with
+      dm_epoch = d.dm_epoch + !applied;
+      dm_next_id = !next_id;
+      dm_docs = Array.append kept (Array.of_list inserts);
+    }
   end
 
 (* The dump's shape wins; only the runtime fields come from [index]. *)
 let restore ?(index = Index_config.default) ?(tail = []) (d : dump) : t =
-  let d, tail = fold_tail d tail in
-  make ~restore_from:d ?tail
+  let d = fold_tail d tail in
+  make ~restore_from:d
     { index with variant = d.dm_variant; backend = d.dm_backend; sample = d.dm_sample; tau = d.dm_tau }
 
 (* Run [f] against the latest published view -- on one of the reader
@@ -490,7 +431,10 @@ let query ?epoch t f =
 
 (* Land every in-flight background job now (a forced completion of each;
    no-op for the amortized variants, whose rebuilds are synchronous). *)
-let drain t = t.ops.op_drain ()
+let drain t =
+  let e = view_epoch (view t) in
+  t.ops.op_drain ();
+  t.drain_epochs <- t.drain_epochs + (view_epoch (view t) - e)
 
 (* Drain, then stop and join the executor's worker domains (background
    rebuilds and the reader pool alike).  Required for a clean exit when

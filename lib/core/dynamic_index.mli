@@ -205,13 +205,15 @@ val pinned_count : t -> int
 
 (** {1 Persistence}
 
-    Hooks consumed by [Dsdg_store]: a {!dump} is the logical state of
-    one published epoch -- per-structure resident documents + deletion
-    bit vectors under their census names, plus the scalars that are not
-    derivable from them. Derived structures (suffix arrays, BWTs,
-    wavelet trees, Reporters) are deliberately absent from a dump: they
-    are deterministic functions of the components and are rebuilt by
-    {!restore}. See DESIGN.md section 10. *)
+    Hooks consumed by [Dsdg_store]. A {!dump} is flat: the live
+    documents of one published epoch plus the shape, the epoch and the
+    next id. It records no component layout, no deletion bits and no
+    schedule state, and derived structures (suffix arrays, BWTs,
+    wavelet trees, Reporters) are never in it: {!restore} places the
+    documents the way a restructure does. A checkpoint does not build
+    its dump by reading the index: it folds the WAL records logged since
+    the previous snapshot into that snapshot ({!fold_tail}). See
+    DESIGN.md section 10. *)
 
 (** The dump of one epoch; the fields are documented at
     {!Dynamization.dump}. *)
@@ -222,60 +224,48 @@ type dump = Dynamization.dump = {
   dm_tau : int;
   dm_epoch : int;
   dm_next_id : int;
-  dm_nf : int;
-  dm_del_counter : int;
-  dm_components : (string * (int * string) array * bool array) list;
+  dm_docs : (int * string) array;
 }
 
-(** Full synchronous dump: drains in-flight background jobs first (so
-    the component list is canonical -- [C0]/[Cj]/[Tk] only), then
-    captures the published view and the writer scalars. O(n). *)
+(** The id the next {!insert} gets (the latest view's). O(1). *)
+val next_id : t -> int
+
+(** Epochs {!drain} published without an update since this instance
+    was created or restored: the latest view's epoch minus these is the
+    number of successful updates past the starting epoch. *)
+val drain_epochs : t -> int
+
+(** [view_dump t v] is the dump of view [v] (with [t]'s shape): every
+    live document, decoded from [v]'s immutable components by bulk
+    inversion, so it may run on any domain. O(n). This is the only
+    dump that reads an index. *)
+val view_dump : t -> view -> dump
+
+(** [view_dump t (view t)]. *)
 val dump : t -> dump
 
-(** [(next_id, nf, del_counter)] -- the writer-mutable scalars a
-    checkpoint must capture synchronously on the writer domain. *)
-val dump_scalars : t -> int * int * int
-
-(** Per-structure (census name, resident documents, deletion bit
-    vector) of a published view. Reads only immutable data -- safe on
-    any domain. O(n). *)
-val view_components : view -> (string * (int * string) array * bool array) list
-
-(** Two-phase capture for background checkpoints: [checkpoint_header t
-    v] is O(1) and must run on the writer domain (it reads the mutable
-    scalars); it returns a dump with [dm_components = []]. *)
-val checkpoint_header : t -> view -> dump
-
-(** [checkpoint_body d v] fills [d.dm_components] from the immutable
-    view [v] -- the O(n) extraction, safe on a checkpoint worker
-    domain. *)
-val checkpoint_body : dump -> view -> dump
-
-(** A logged mutation, as recovery reads it from the WAL tail. *)
+(** A logged mutation, as recovery and checkpoints read it from the WAL. *)
 type mutation = Insert of string | Delete of int
 
 (** The dump of an empty index with [index]'s shape: what recovery
     restores from when a store holds a WAL but no snapshot. *)
 val empty_dump : Index_config.t -> dump
 
-(** Rebuild an equivalent index from a dump: same document ids, same
-    query answers, same schedule state, first published view continuing
-    [dm_epoch]. Locked-copy / staging components ([L*], [Temp*]) in the
-    dump mark rebuild jobs that died with the process; their live
-    documents are folded into fresh top collections.
+(** [fold_tail d tail] is [d] after the mutations [tail] (in log order),
+    reduced to their net effect without building anything: ids go to
+    inserts in log order exactly as {!insert} would assign them, a
+    delete of a live document (dumped or inserted earlier in [tail])
+    drops it, a delete of a dead or unknown id does nothing, and the
+    epoch advances by every successful mutation. O(|d| + |tail|). *)
+val fold_tail : dump -> mutation list -> dump
 
-    [tail] (default [[]]) is the WAL tail logged after the dump, in log
-    order. It is not replayed op by op: it is first reduced to its net
-    effect on the dump -- ids assigned in log order exactly as {!insert}
-    would, a delete of a tail insert cancelling it, a delete of a live
-    dumped document setting its deletion bit (or dropping it from the
-    C0/L0 buffer), a delete of a dead or unknown id doing nothing -- and
-    the survivors are then placed in bulk by the transformation's own
-    rules, with at most one purge per touched component, one restructure
-    or global rebuild, and one top cleaning. The result answers every
-    query, assigns every future id and reports the same epoch as
-    [restore d] followed by {!insert}/{!delete} per record, and passes
-    the same invariant oracles; its internal layout may differ.
+(** [restore ?tail d] rebuilds an index from [fold_tail d tail]
+    ([tail] defaults to [[]]) as one restructure: Transformation 2
+    builds every document into fresh top collections, Transformations 1
+    and 3 run one global rebuild. The result answers every query,
+    assigns every future id and reports the same epoch as [restore d]
+    followed by {!insert}/{!delete} per record, and passes the same
+    invariant oracles; its internal layout may differ.
 
     The dump's shape ([variant], [backend], [sample], [tau]) wins over
     [index]'s; only the runtime fields ([fault], [jobs], [readers],

@@ -34,43 +34,21 @@ type probe = {
           schedule keeps the counter below twice the period. *)
 }
 
-(** The logical state of one published epoch: per-structure resident
-    documents and deletion bit vectors under their census names, plus
-    the scalars that are not derivable from them. Derived structures
+(** The logical state of one published epoch, flat: its live
+    documents in id order plus the scalars they do not determine. No
+    component layout, no deletion bits and no schedule state: [restore]
+    places the documents the way a restructure does. Derived structures
     (suffix arrays, BWTs, wavelet trees, Reporters) are deliberately
-    absent: they are deterministic functions of the components. *)
+    absent: they are deterministic functions of the documents. *)
 type dump = {
   dm_variant : Index_config.variant;
   dm_backend : Index_config.backend;
   dm_sample : int;
   dm_tau : int;
-  dm_epoch : int;  (** completed updates at capture time *)
+  dm_epoch : int;  (** published epoch at capture time *)
   dm_next_id : int;  (** next document id the index would assign *)
-  dm_nf : int;  (** global size snapshot nf (schedule state) *)
-  dm_del_counter : int;
-      (** Dietz-Sleator cleaning counter ([Worst_case] only; [0]
-          otherwise) *)
-  dm_components : (string * (int * string) array * bool array) list;
-      (** per-structure (census name, resident docs, deletion bit
-          vector) *)
+  dm_docs : (int * string) array;  (** live [(id, text)], ascending ids *)
 }
-
-(** {1 Reading a dump} (shared by both [restore]s) *)
-
-(** Symbols of [docs], one separator per document. *)
-let syms docs = List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs
-
-(** The live documents of one dumped component, in slot order; a buffer
-    dumps no bit vector (every document live). *)
-let live_docs (docs : (int * string) array) (dead : bool array) =
-  List.filteri (fun i _ -> i >= Array.length dead || not dead.(i)) (Array.to_list docs)
-
-(** Whether [docs] (every live document after a folded WAL tail) lies
-    outside [[nf/2, 2 nf]]: the case in which [restore] goes straight to
-    one global rebuild. *)
-let out_of_range ~nf docs =
-  let total = syms docs in
-  total > 2 * nf || (2 * total < nf && nf > 256)
 
 module type S = sig
   type t
@@ -81,21 +59,13 @@ module type S = sig
       runs rebuild constructions off the update path. *)
   val create : Index_config.t -> t
 
-  (** Inverse of {!Epoch_view.components}: rebuild every structure where the
-      dump says it lived, restore [nf], the id counter and the cleaning
-      counter, and publish a first view continuing [dm_epoch]. Raises
-      [Invalid_argument] on a component name the transformation does
-      not know. O(n) index construction. The dump's [sample] and [tau]
-      are already in [config]. A Transformation 2 locked copy or staging
-      area ([L0], [Lj], [Tempj]) marks a rebuild job that died with the
-      process: its live documents are folded into fresh top collections.
-
-      [tail] marks a folded WAL tail with at least one successful
-      mutation, whose deletes are already in the dump; it lists the
-      tail's surviving inserts in id order. They are placed as one batch
-      by the transformation's insertion rule, then one global rebuild
-      (or restructure) runs if the live size left [[nf/2, 2 nf]]. *)
-  val restore : Index_config.t -> ?tail:(int * string) list -> dump -> t
+  (** Rebuild from a flat dump as one restructure: Transformation 2
+      puts every document into fresh top collections under [nf] set to
+      their size, Transformations 1 and 3 run one global rebuild. The
+      id counter comes from the dump, and the first published view
+      continues [dm_epoch]. The dump's [sample] and [tau] are already
+      in [config]. O(n) index construction. *)
+  val restore : Index_config.t -> dump -> t
 
   (** Returns the fresh document id. *)
   val insert : t -> string -> int
@@ -150,9 +120,6 @@ module type S = sig
 
   (** The structural state for the invariant oracles. *)
   val probe : t -> probe
-
-  (** The next document id the index would assign. *)
-  val next_id : t -> int
 
   (** Land every in-flight background job now (each counts as a forced
       completion); a fresh epoch is published only if jobs landed.

@@ -15,9 +15,8 @@ open Dsdg_gst
 open Dsdg_obs
 
 (** One frozen structure: live and dead symbol counts, queries against
-    the frozen state, and the dump (resident documents and deletion bit
-    vector, read from immutable data only: a checkpoint worker domain
-    may call it). *)
+    the frozen state, and its live documents (read from immutable data
+    only, so any domain may call it). *)
 type component = {
   live : int;
   dead : int;
@@ -25,13 +24,20 @@ type component = {
   count : string -> int;
   mem : int -> bool;
   extract : doc:int -> off:int -> len:int -> string option;
-  dump : unit -> (int * string) array * bool array;
+  docs : unit -> (int * string) list;
 }
 
 (** A published epoch: [epoch] completed updates, [docs] live documents,
-    [symbols] live symbols (one separator per document), and every
-    queryable structure in census order. *)
-type t = { epoch : int; docs : int; symbols : int; components : (string * component) list }
+    [symbols] live symbols (one separator per document), [next_id] the
+    id the next insert gets, and every queryable structure in census
+    order. *)
+type t = {
+  epoch : int;
+  docs : int;
+  symbols : int;
+  next_id : int;
+  components : (string * component) list;
+}
 
 (** {1 Queries}
 
@@ -52,14 +58,12 @@ let extract v ~doc ~off ~len =
 (** Per-structure [(name, live, dead)], built on demand. *)
 let census v = List.map (fun (name, c) -> (name, c.live, c.dead)) v.components
 
-(** Per-structure (name, resident documents, deletion bit vector): the
-    snapshot units of the epoch. O(n); safe on any domain. *)
-let components v =
-  List.map
-    (fun (name, c) ->
-      let docs, dead = c.dump () in
-      (name, docs, dead))
-    v.components
+(** Every live document of the epoch, ascending ids: the inversion of
+    each component. O(n); safe on any domain. *)
+let live_docs v =
+  let docs = Array.of_list (List.concat_map (fun (_, (c : component)) -> c.docs ()) v.components) in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) docs;
+  docs
 
 (** {1 Component names}
 
@@ -74,14 +78,6 @@ let c_name = name "C"
 let l_name = name "L"
 let temp_name = name "Temp"
 let t_name = name "T"
-
-(** [level name prefix] is [Some j] if [name] is [prefix] followed by
-    the integer [j] ([level "Temp3" "Temp" = Some 3]). *)
-let level name prefix =
-  let pl = String.length prefix in
-  if String.length name > pl && String.sub name 0 pl = prefix then
-    int_of_string_opt (String.sub name pl (String.length name - pl))
-  else None
 
 (** {1 Publishing} *)
 
@@ -99,7 +95,7 @@ type publisher = {
 (** Starts at the empty epoch 0. *)
 let publisher obs =
   {
-    latest = Atomic.make { epoch = 0; docs = 0; symbols = 0; components = [] };
+    latest = Atomic.make { epoch = 0; docs = 0; symbols = 0; next_id = 0; components = [] };
     obs;
     c_published = Obs.counter obs "exec_epoch_published";
     g_current = Obs.gauge obs "exec_epoch_current";
@@ -130,7 +126,7 @@ let buffer p ~slot g =
             | Some s when off >= 0 && len >= 0 && off + len <= String.length s ->
               Some (String.sub s off len)
             | _ -> None);
-        dump = (fun () -> (Array.of_list (Gsuffix_tree.view_docs v), [||]));
+        docs = (fun () -> Gsuffix_tree.view_docs v);
       }
     in
     p.buffers.(slot) <- Some (v, c);
@@ -139,12 +135,12 @@ let buffer p ~slot g =
 (** Publish [build ()] as the next epoch, or as epoch [e] for
     [`Restored e] (a restored index continues its dump's epoch).
     [`Drain] and [`Consolidate] also record an [Epoch_publish] event. *)
-let publish p ~cause ~docs ~symbols build =
+let publish p ~cause ~docs ~symbols ~next_id build =
   let t0 = Obs.start () in
   let epoch =
     match cause with `Restored e -> e | `Update | `Drain | `Consolidate -> (latest p).epoch + 1
   in
-  Atomic.set p.latest { epoch; docs; symbols; components = build () };
+  Atomic.set p.latest { epoch; docs; symbols; next_id; components = build () };
   Obs.incr p.c_published;
   Obs.set_gauge p.g_current epoch;
   Obs.stop p.h_publish_ns t0;

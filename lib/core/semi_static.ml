@@ -160,15 +160,6 @@ module Make (I : Static_index.S) = struct
 
   let index t = t.index
 
-  (* --- persistence (Dsdg_store) --- *)
-
-  (* The snapshot unit: every resident document (live and dead, in slot
-     order, contents re-extracted from the static index) plus the
-     deletion bit vector. *)
-  let dump t =
-    let texts = I.docs t.index in
-    (Array.mapi (fun slot id -> (id, texts.(slot))) t.ids, Array.copy t.dead)
-
   (* --- read plane --- *)
 
   (* Cached between deletes: only [delete] mutates a built instance, so
@@ -193,21 +184,9 @@ module Make (I : Static_index.S) = struct
           count = count f;
           mem = mem f;
           extract = extract f;
-          dump = (fun () -> dump f);
+          docs = (fun () -> live_docs f);
         }
       in
       t.view_cache <- Some c;
       c
-
-  (* Inverse of [dump]: rebuild the static index over all resident
-     documents, then replay the deletion bit vector so the Reporter,
-     the census counters and every query answer come back exactly as
-     dumped.  (The Reporter is reconstructed, not serialized raw: it is
-     a deterministic function of the index and the dead set.) *)
-  let of_dump ~sample ~tau (docs : (int * string) array) (dead : bool array) =
-    if Array.length dead <> Array.length docs then
-      invalid_arg "Semi_static.of_dump: deletion bit vector length mismatch";
-    let t = build ~sample ~tau docs in
-    Array.iteri (fun slot d -> if d then ignore (delete t (fst docs.(slot)))) dead;
-    t
 end

@@ -80,25 +80,4 @@ module Make (I : Static_index.S) : sig
       between deletes; a miss costs one Reporter + dead-array copy,
       amortized against the deletes that invalidated it. *)
   val snapshot : t -> Epoch_view.component
-
-  (** {1 Persistence}
-
-      The snapshot unit serialized by [Dsdg_store]: every resident
-      document (live and dead, in slot order, contents re-extracted from
-      the static index) plus the deletion bit vector. The Reporter is
-      not serialized -- it is a deterministic function of the index and
-      the dead set, reconstructed by {!of_dump}. *)
-
-  (** O(n) extraction; mutates nothing. *)
-  val dump : t -> (int * string) array * bool array
-
-  (** Inverse of {!dump}: rebuild, then replay the deletion bit vector,
-      restoring census counters and query answers exactly. Raises
-      [Invalid_argument] if the bit vector length does not match. *)
-  val of_dump :
-    sample:int ->
-    tau:int ->
-    (int * string) array ->
-    bool array ->
-    t
 end

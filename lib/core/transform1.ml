@@ -202,7 +202,8 @@ module Make (I : Static_index.S) = struct
   (* Publish the next epoch: C0 and every sub-collection, each frozen
      once per mutation (the GST / SS caches), in census order. *)
   let publish t ~cause =
-    Epoch_view.publish t.published ~cause ~docs:(Hashtbl.length t.locs) ~symbols:t.live (fun () ->
+    Epoch_view.publish t.published ~cause ~docs:(Hashtbl.length t.locs) ~symbols:t.live
+      ~next_id:t.next_id (fun () ->
         let subs = ref [] in
         for j = max_slots downto 1 do
           match t.subs.(j) with
@@ -212,8 +213,6 @@ module Make (I : Static_index.S) = struct
         ("C0", Epoch_view.buffer t.published ~slot:0 t.gst) :: !subs)
 
   let view t = Epoch_view.latest t.published
-
-  let next_id t = t.next_id
 
   (* Move every live document into the top sub-collection and re-snapshot
      nf (the paper's global re-build). *)
@@ -239,9 +238,7 @@ module Make (I : Static_index.S) = struct
   (* The logarithmic method's placement rule for a batch of new
      documents totalling [size] symbols: C0 if they fit, else the
      smallest j with |C0| + .. + |Cj| + size <= max_j (C0..Cj merge with
-     the batch into Cj), else a global rebuild.  [insert] places one
-     document; [restore] places a folded WAL tail's surviving inserts in
-     one step. *)
+     the batch into Cj), else a global rebuild. *)
   let place t docs size =
     let r = r_of t in
     if Gsuffix_tree.live_symbols t.gst + size <= max_size t 0 then begin
@@ -305,63 +302,15 @@ module Make (I : Static_index.S) = struct
         set_locations t docs (In_sub j)
       end
 
-  (* Inverse of [Epoch_view.components]: rebuild every structure where the
-     dump says it lived.  The capacity invariants hold by construction
-     -- each component held at most max_j live symbols under [nf] when
-     the dump was taken, and both the sizes and nf are restored
-     verbatim.  The surviving inserts of a folded WAL tail ([tail]) are
-     then placed as one batch, or, if the tail moved the live size out
-     of [nf/2, 2 nf], everything goes into one global rebuild.  The
-     first published view continues the (folded) epoch so that epoch =
-     completed updates keeps holding across a restart. *)
-  let restore config ?tail
-      ({ dm_next_id; dm_nf; dm_epoch = epoch; dm_components = components; _ } : Dynamization.dump) =
+  (* Restore from a flat dump as one global rebuild: every document
+     into one sub-collection under nf set to their size.  The first
+     published view continues the dump's epoch, so epoch = completed
+     updates keeps holding across a restart. *)
+  let restore config (d : Dynamization.dump) =
     let t = create config in
-    t.nf <- max 256 dm_nf;
-    t.next_id <- dm_next_id;
-    (* A folded WAL tail that moves the live size out of [nf/2, 2 nf]
-       means one global rebuild: run it straight from the dump's texts,
-       without first building the components it would tear down. *)
-    let rebuild_now =
-      match tail with
-      | None -> None
-      | Some inserts ->
-        let docs =
-          List.concat_map (fun (_, docs, dead) -> Dynamization.live_docs docs dead) components @ inserts
-        in
-        if Dynamization.out_of_range ~nf:t.nf docs then Some docs else None
-    in
-    (match rebuild_now with
-    | Some docs -> global_rebuild t ~extra:docs
-    | None -> (
-      List.iter
-        (fun (name, (docs : (int * string) array), (dead : bool array)) ->
-          if name = "C0" then
-            List.iter
-              (fun (id, text) ->
-                Gsuffix_tree.insert t.gst ~doc:id text;
-                Hashtbl.replace t.locs id In_buffer;
-                t.live <- t.live + String.length text + 1)
-              (Dynamization.live_docs docs dead)
-          else
-            match Epoch_view.level name "C" with
-            | Some j when j >= 1 && j <= max_slots && t.subs.(j) = None ->
-              let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
-              if not (SS.is_empty ss) then begin
-                t.subs.(j) <- Some ss;
-                Array.iteri
-                  (fun i (id, _) ->
-                    if not dead.(i) then Hashtbl.replace t.locs id (In_sub j))
-                  docs;
-                t.live <- t.live + SS.live_symbols ss
-              end
-            | _ -> invalid_arg ("Transform1.restore: unknown or duplicate component " ^ name))
-        components;
-      match tail with
-      | Some (_ :: _ as inserts) -> place t inserts (Dynamization.syms inserts)
-      | _ -> ()));
-    publish t ~cause:(`Restored epoch);
-    Obs.record t.obs (Obs.Note (Printf.sprintf "restored %d component(s) at epoch %d" (List.length components) epoch));
+    t.next_id <- d.dm_next_id;
+    global_rebuild t ~extra:(Array.to_list d.dm_docs);
+    publish t ~cause:(`Restored d.dm_epoch);
     t
 
   (* Deleting a nonexistent (or stale-location) document returns false

@@ -263,7 +263,7 @@ module Make (I : Static_index.S) = struct
      the total stays within 2 grain live symbols.  A top built below the grain
      therefore absorbs every small top that fits, so small tops cannot
      pile up under churn.  Every top build goes through here: cleanings,
-     new tops from C_r, and restore's folds. *)
+     new tops from C_r, and restructures (restore included). *)
   let merge_partners ?(except = []) t ~live =
     let grain = top_grain t in
     if live >= grain then []
@@ -531,9 +531,8 @@ module Make (I : Static_index.S) = struct
     dedup !acc
 
   (* Greedy partition into top collections of <= 2 nf/tau symbols each
-     (oversized documents get their own); shared by the nf-resnapshot
-     restructure and crash-recovery restore, so a restored index obeys
-     the same top-grain the oracle expects of a restructured one. *)
+     (oversized documents get their own): the placement of a
+     restructure, and so of a restore. *)
   let add_docs_as_tops t docs =
     let grain = 2 * top_grain t in
     let chunk = ref [] and chunk_size = ref 0 in
@@ -776,18 +775,11 @@ module Make (I : Static_index.S) = struct
       worst;
     worst
 
-  (* The tops one cleaning rebuilds: the top [dispatch_clean] picks and,
-     if it holds fewer live symbols than the grain, its [merge_partners].
-     Both the background cleaning and restore's synchronous one rebuild
-     this set, as one top under the picked top's key. *)
-  let clean_set t =
-    Option.map
-      (fun (key, ss) -> ((key, ss), merge_partners ~except:[ key ] t ~live:(SS.live_symbols ss)))
-      (dispatch_clean t)
-
   (* Dietz-Sleator top cleaning: after every delta deleted symbols, rebuild
-     the top with the most dead symbols, with the small tops it merges
-     ([clean_set]), in the cleaning slot (one cleaning at a time). *)
+     the top with the most dead symbols ([dispatch_clean]) and, if it
+     holds fewer live symbols than the grain, its [merge_partners], as
+     one top under the picked top's key, in the cleaning slot (one
+     cleaning at a time). *)
   let maybe_clean_tops t =
     if t.fault = Some `Skip_top_clean then ()
     else begin
@@ -798,9 +790,10 @@ module Make (I : Static_index.S) = struct
     if t.del_counter >= 2 * delta && t.jobs.(clean_slot) <> None then force_job t clean_slot;
     if t.del_counter >= delta && t.jobs.(clean_slot) = None then begin
       t.del_counter <- 0;
-      match clean_set t with
+      match dispatch_clean t with
       | None -> ()
-      | Some (((key, _) as picked), merged) ->
+      | Some ((key, ss) as picked) ->
+        let merged = merge_partners ~except:[ key ] t ~live:(SS.live_symbols ss) in
         let target = `Replace_top (key, List.map fst merged) in
         let run =
           make_run t ~name:(target_name target) (fun tick ->
@@ -886,7 +879,8 @@ module Make (I : Static_index.S) = struct
      with a single-threaded writer the epoch equals the number of
      completed updates. *)
   let publish t ~cause =
-    Epoch_view.publish t.published ~cause ~docs:t.doc_count ~symbols:t.live (fun () ->
+    Epoch_view.publish t.published ~cause ~docs:t.doc_count ~symbols:t.live ~next_id:t.next_id
+      (fun () ->
         let acc = ref [] in
         let add name ss = acc := (name, SS.snapshot ss) :: !acc in
         List.fold_right (fun (k, ss) () -> add (Epoch_view.t_name k) ss) t.tops ();
@@ -900,114 +894,17 @@ module Make (I : Static_index.S) = struct
 
   let view t = Epoch_view.latest t.published
 
-  let next_id t = t.next_id
-
-  (* Inverse of [Epoch_view.components].  Canonical structures (C0, C_j, T_k)
-     are rebuilt exactly where the dump says they lived -- their sizes
-     were legal under [nf] pre-crash and both are restored verbatim, so
-     the capacity and buffer-bound invariants hold by construction.  A
-     locked copy (L0/L_j) or staging Temp_j in the dump means a rebuild
-     job was in flight when the snapshot was taken; the job died with
-     the process, so restore completes its work synchronously by folding
-     the live documents into fresh top collections under the same
-     top-grain partition restructure uses.  (Documents deleted while
-     that job was in flight are already marked dead in the dumped
-     deletion bit vector, so the fold cannot resurrect them -- the same
-     guarantee the deleted-during replay gives a live install.)  The
-     surviving inserts of a folded WAL tail ([tail]) are then absorbed
-     in bulk, below.  The first published view continues the (folded)
-     epoch, preserving epoch = completed updates across a restart. *)
-  let restore config ?tail
-      ({ dm_next_id; dm_nf; dm_del_counter; dm_epoch = epoch; dm_components = components; _ } :
-        Dynamization.dump) =
+  (* Restore from a flat dump as one restructure: every document into
+     fresh dead-free tops under nf set to their size, so the capacity,
+     buffer and top-count invariants hold by construction.  The first
+     published view continues the dump's epoch, so epoch = completed
+     updates keeps holding across a restart. *)
+  let restore config (d : Dynamization.dump) =
     let t = create config in
-    t.nf <- max 256 dm_nf;
-    t.next_id <- dm_next_id;
-    t.del_counter <- dm_del_counter;
-    (* A folded WAL tail that moves the live size out of [nf/2, 2 nf]
-       means one restructure: run it straight from the dump's texts,
-       without first building the components it would tear down. *)
-    let restructure_now =
-      match tail with
-      | None -> None
-      | Some inserts ->
-        let docs =
-          dedup
-            (List.concat_map (fun (_, docs, dead) -> Dynamization.live_docs docs dead) components
-            @ inserts)
-        in
-        if Dynamization.out_of_range ~nf:t.nf docs then Some docs else None
-    in
-    let fresh = ref [] in
-    (match restructure_now with
-    | Some docs ->
-      t.doc_count <- List.length docs;
-      rebuild_as_tops t docs
-    | None ->
-      let leftovers = ref [] in
-      List.iter
-        (fun (name, (docs : (int * string) array), (dead : bool array)) ->
-          if name = "C0" then
-            List.iter
-              (fun (id, text) ->
-                Gsuffix_tree.insert t.gst ~doc:id text;
-                t.live <- t.live + String.length text + 1;
-                t.doc_count <- t.doc_count + 1)
-              (Dynamization.live_docs docs dead)
-          else
-            match (Epoch_view.level name "C", Epoch_view.level name "T") with
-            | Some j, _ when j >= 1 && j <= max_slots && t.subs.(j) = None ->
-              let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
-              if not (SS.is_empty ss) then begin
-                t.subs.(j) <- Some ss;
-                t.live <- t.live + SS.live_symbols ss;
-                t.doc_count <- t.doc_count + SS.doc_count ss
-              end
-            | _, Some k ->
-              let ss = SS.of_dump ~sample:t.sample ~tau:t.tau docs dead in
-              if not (SS.is_empty ss) then begin
-                (* keep the dump's order, which is the census order *)
-                t.tops <- t.tops @ [ (k, ss) ];
-                t.next_top_key <- max t.next_top_key (k + 1);
-                t.live <- t.live + SS.live_symbols ss;
-                t.doc_count <- t.doc_count + SS.doc_count ss
-              end
-            | _ ->
-              if Epoch_view.level name "L" = None && Epoch_view.level name "Temp" = None then
-                invalid_arg ("Transform2.restore: unknown component " ^ name);
-              leftovers := !leftovers @ Dynamization.live_docs docs dead)
-        components;
-      (* complete the interrupted jobs: their sources fold into fresh tops
-         (defensively deduplicated, as all_docs does for Temps) *)
-      fresh := List.filter (fun (id, _) -> not (mem t id)) !leftovers;
-      t.live <- t.live + Dynamization.syms !fresh;
-      t.doc_count <- t.doc_count + List.length !fresh;
-      add_docs_as_tops t !fresh;
-      match tail with
-      | None -> ()
-      | Some inserts ->
-        (* the surviving inserts of a folded WAL tail as one batch (C0
-           if they fit, else fresh tops), then at most one top cleaning *)
-        let size = Dynamization.syms inserts in
-        t.live <- t.live + size;
-        t.doc_count <- t.doc_count + List.length inserts;
-        if Gsuffix_tree.live_symbols t.gst + size <= max_size t 0 then
-          List.iter (fun (id, text) -> Gsuffix_tree.insert t.gst ~doc:id text) inserts
-        else add_docs_as_tops t inserts;
-        if t.fault <> Some `Skip_top_clean && t.del_counter >= clean_period t then begin
-          t.del_counter <- 0;
-          Option.iter
-            (fun (((key, _) as picked), merged) ->
-              let ss' = build_ss t (docs_of_tops (picked :: merged)) in
-              drop_tops t (List.map fst merged);
-              t.tops <- List.map (fun (k, s) -> if k = key then (k, ss') else (k, s)) t.tops)
-            (clean_set t)
-        end);
-    publish t ~cause:(`Restored epoch);
-    Obs.record t.obs
-      (Obs.Note
-         (Printf.sprintf "restored %d component(s) (%d folded doc(s)) at epoch %d"
-            (List.length components) (List.length !fresh) epoch));
+    t.next_id <- d.dm_next_id;
+    t.doc_count <- Array.length d.dm_docs;
+    rebuild_as_tops t (Array.to_list d.dm_docs);
+    publish t ~cause:(`Restored d.dm_epoch);
     t
 
   (* Updates are the schedule's synchronous critical sections: in pooled

@@ -54,8 +54,8 @@ val view_dead_symbols : view -> int
 val view_mem : view -> int -> bool
 val view_get_doc : view -> int -> string option
 
-(** The frozen live documents, sorted by id -- the C0 snapshot unit the
-    persistence layer ([Dsdg_store]) serializes. O(doc_count). *)
+(** The frozen live documents, sorted by id -- what a view dump reads
+    from C0. O(doc_count). *)
 val view_docs : view -> (int * string) list
 
 (** Raises [Invalid_argument] on the empty pattern, like tree search. *)

@@ -305,9 +305,9 @@ let reset s =
       s.ring_next <- 0;
       s.seq <- 0)
 
-let render ?(max_events = 20) s =
+let render ?(max_events = 20) ?(title = "") s =
   let b = Buffer.create 512 in
-  Buffer.add_string b (Printf.sprintf "[%s]\n" s.s_name);
+  Buffer.add_string b (Printf.sprintf "[%s%s]\n" title s.s_name);
   let cs = counters s in
   if cs <> [] then begin
     let width = List.fold_left (fun a (n, _) -> max a (String.length n)) 0 cs in

@@ -149,5 +149,6 @@ val snapshot : scope -> (string * int) list
 (** Zero every counter, gauge and histogram and clear the ring. *)
 val reset : scope -> unit
 
-(** Multi-line human-readable report of one scope. *)
-val render : ?max_events:int -> scope -> string
+(** Multi-line human-readable report of one scope, headed
+    [[<title><scope name>]] ([title] defaults to [""]). *)
+val render : ?max_events:int -> ?title:string -> scope -> string

@@ -42,21 +42,27 @@ let start_cluster ~(index : Dsdg_core.Index_config.t) ~shards ~sync ~checkpoint_
    store's raw WAL serials -- those advance before the index apply
    finishes, so comparing them would let verification race a batch
    apply; a sharded watermark counts only placements bound to their
-   shard record). *)
-let caught_up c = Follower.watermark c.cl_follower = Sh.stream_positions c.cl_leader
+   shard record).  A follower that has stopped advancing (a failing
+   shrink candidate, a dead follower) is given up on after [stall]
+   seconds without progress on either side, not after the whole
+   [timeout]. *)
+let stall = 1.
 
-let wait_catchup ?(timeout = 30.) c =
+let wait_catchup ?(timeout = 30.) leader follower =
   let t0 = Unix.gettimeofday () in
-  let rec go () =
-    if caught_up c then true
-    else if Follower.error c.cl_follower <> None then false
-    else if Unix.gettimeofday () -. t0 > timeout then false
-    else begin
-      Thread.delay 0.005;
-      go ()
-    end
+  let observe () = (Follower.watermark follower, Sh.stream_positions leader) in
+  let rec go seen since =
+    let now = Unix.gettimeofday () and ((w, p) as o) = observe () in
+    if w = p then true
+    else if Follower.error follower <> None || now -. t0 > timeout then false
+    else if o <> seen then wait o now
+    else if now -. since > stall then false
+    else wait seen since
+  and wait seen since =
+    Thread.delay 0.005;
+    go seen since
   in
-  go ()
+  go (observe ()) t0
 
 let stop_cluster c =
   (try Client.close c.cl_client with _ -> ());
@@ -126,7 +132,7 @@ let convergence ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
        is idle here, so the test thread is the only writer and may
        rebalance directly *)
     if step > 0 && !failures = [] then ignore (Sh.rebalance_hottest c.cl_leader);
-    if not (wait_catchup c) then
+    if not (wait_catchup c.cl_leader c.cl_follower) then
       record step
         (match Follower.error c.cl_follower with
         | Some e -> "follower error: " ^ e
@@ -182,7 +188,7 @@ let failover_sweep ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
           (c, leader_subject c));
       kill =
         (fun c ~point:_ ->
-          let caught = wait_catchup c in
+          let caught = wait_catchup c.cl_leader c.cl_follower in
           (leader_subject c).kill ~torn;
           if not caught then begin
             (try Follower.stop c.cl_follower with _ -> ());

@@ -54,6 +54,12 @@ val convergence :
   unit ->
   outcome
 
+(** [wait_catchup leader follower] waits until the follower's
+    watermark equals the leader's stream positions and returns [true].
+    It returns [false] on a follower error, once neither side has
+    advanced for 1 s, or after [timeout] seconds in all (default 30). *)
+val wait_catchup : ?timeout:float -> Dsdg_shard.Sharded_index.t -> Follower.t -> bool
+
 (** Delta-debug a diverging stream to a near-minimal reproducer: each
     candidate replays a whole fresh cluster, so [max_runs] (default 24)
     keeps the budget sane. *)

@@ -310,13 +310,7 @@ let store_shards ~dir =
 let reconcile ~path stores events =
   let k = Array.length stores in
   let idxs = Array.map Durable.index stores in
-  let totals =
-    Array.map
-      (fun idx ->
-        let next_id, _, _ = Di.dump_scalars idx in
-        next_id)
-      idxs
-  in
+  let totals = Array.map Di.next_id idxs in
   let consumed = Array.make k 0 in
   let g2p = ref Imap.empty in
   let l2g = Array.make k Imap.empty in

@@ -13,26 +13,49 @@ let () =
       Some ("Codec.Corrupt: " ^ corrupt_message ~file ~section ~reason)
     | _ -> None)
 
-let format_version = 1
+(* 2: flat snapshots (one "docs" section); 1: per-component sections
+   with deletion bits, still read *)
+let format_version = 2
 let magic = "DSDG"
 
-(* CRC-32, IEEE 802.3 polynomial (reflected 0xEDB88320), table-driven.
-   Pure OCaml on 63-bit ints; the result is always in [0, 2^32).  The
-   table is built at module initialisation, not lazily: shard stores
-   recover on parallel domains, and two domains forcing one lazy value
-   at once raise [CamlinternalLazy.Undefined]. *)
+(* CRC-32, IEEE 802.3 polynomial (reflected 0xEDB88320), sliced by 4:
+   table k (entries 256k .. 256k + 255) advances a byte through k more
+   zero bytes, so one step folds in four bytes with four independent
+   lookups.  Pure OCaml on 63-bit ints; the result is always in
+   [0, 2^32).  The tables are built at module initialisation, not
+   lazily: shard stores recover on parallel domains, and two domains
+   forcing one lazy value at once raise [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+  let t = Array.make 1024 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to 1023 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+  done;
+  t
 
 let crc32 s =
-  let table = crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  let t = crc_table and n = String.length s in
+  let c = ref 0xFFFFFFFF and i = ref 0 in
+  while !i + 4 <= n do
+    let x = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    c :=
+      t.(768 + (x land 0xFF))
+      lxor t.(512 + ((x lsr 8) land 0xFF))
+      lxor t.(256 + ((x lsr 16) land 0xFF))
+      lxor t.(x lsr 24);
+    i := !i + 4
+  done;
+  while !i < n do
+    c := t.((!c lxor Char.code s.[!i]) land 0xFF) lxor (!c lsr 8);
+    incr i
+  done;
   !c lxor 0xFFFFFFFF
 
 (* --- primitive encoders --- *)
@@ -189,7 +212,7 @@ let read_file ~path ~kind =
     sections := (name, payload) :: !sections
   done;
   if not (R.at_end r) then R.fail r "trailing bytes after the last section";
-  List.rev !sections
+  (version, List.rev !sections)
 
 (* --- index snapshots --- *)
 
@@ -204,31 +227,76 @@ let encode_dump (d : Di.dump) =
   W.int meta d.Di.dm_tau;
   W.int meta d.Di.dm_epoch;
   W.int meta d.Di.dm_next_id;
-  W.int meta d.Di.dm_nf;
-  W.int meta d.Di.dm_del_counter;
-  W.int meta (List.length d.Di.dm_components);
-  List.iter (fun (name, _, _) -> W.string meta name) d.Di.dm_components;
-  ("meta", W.contents meta)
-  :: List.map
-       (fun (name, (docs : (int * string) array), (dead : bool array)) ->
-         let b = W.create () in
-         W.int b (Array.length docs);
-         Array.iter
-           (fun (id, text) ->
-             W.int b id;
-             W.string b text)
-           docs;
-         W.bool_array b dead;
-         ("c:" ^ name, W.contents b))
-       d.Di.dm_components
+  let docs = W.create () in
+  W.int docs (Array.length d.Di.dm_docs);
+  Array.iter
+    (fun (id, text) ->
+      W.int docs id;
+      W.string docs text)
+    d.Di.dm_docs;
+  [ ("meta", W.contents meta); ("docs", W.contents docs) ]
 
-let decode_dump ~file sections =
-  let meta_payload =
-    match List.assoc_opt "meta" sections with
-    | Some p -> p
-    | None -> raise (Corrupt { file; section = "meta"; reason = "section missing" })
-  in
-  let r = R.of_string ~file ~section:"meta" meta_payload in
+let section ~file sections name =
+  match List.assoc_opt name sections with
+  | Some p -> R.of_string ~file ~section:name p
+  | None -> raise (Corrupt { file; section = name; reason = "section missing" })
+
+(* [n] (id, text) records; explicit loops here and below:
+   [Array.init]/[List.init] leave the evaluation order of the generator
+   unspecified, and the reader is stateful *)
+let read_docs r =
+  let n = R.int r in
+  if n < 0 then R.fail r (Printf.sprintf "negative document count %d" n);
+  let docs = Array.make n (0, "") in
+  for i = 0 to n - 1 do
+    let id = R.int r in
+    let text = R.string r in
+    docs.(i) <- (id, text)
+  done;
+  docs
+
+(* A flat dump's ids ascend strictly ([Dynamic_index.fold_tail] relies
+   on it). *)
+let read_flat_docs r =
+  let docs = read_docs r in
+  Array.iteri
+    (fun i (id, _) ->
+      if i > 0 && id <= fst docs.(i - 1) then
+        R.fail r (Printf.sprintf "document ids not ascending at %d" i))
+    docs;
+  docs
+
+(* A version-1 snapshot's tail of "meta" (nf, cleaning counter, the
+   component manifest) and its "c:<name>" sections (resident documents
+   plus deletion bits), flattened to the live documents in id order;
+   a document two components hold (a locked copy and its staging area)
+   counts once. *)
+let v1_live_docs ~file sections r =
+  ignore (R.int r);
+  ignore (R.int r);
+  let ncomp = R.int r in
+  if ncomp < 0 || ncomp > 1_000_000 then R.fail r (Printf.sprintf "absurd component count %d" ncomp);
+  let live = Hashtbl.create 1024 in
+  for _ = 1 to ncomp do
+    let cr = section ~file sections ("c:" ^ R.string r) in
+    let docs = read_docs cr in
+    let dead = R.bool_array cr in
+    if Array.length dead <> 0 && Array.length dead <> Array.length docs then
+      R.fail cr
+        (Printf.sprintf "deletion bit vector length %d does not match %d document(s)"
+           (Array.length dead) (Array.length docs));
+    Array.iteri
+      (fun i (id, text) ->
+        if (Array.length dead = 0 || not dead.(i)) && not (Hashtbl.mem live id) then
+          Hashtbl.replace live id text)
+      docs
+  done;
+  let docs = Array.of_seq (Hashtbl.to_seq live) in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) docs;
+  docs
+
+let decode_dump ~file ~version sections =
+  let r = section ~file sections "meta" in
   let variant =
     match R.u8 r with
     | 0 -> Di.Amortized
@@ -247,42 +315,9 @@ let decode_dump ~file sections =
   let tau = R.int r in
   let epoch = R.int r in
   let next_id = R.int r in
-  let nf = R.int r in
-  let del_counter = R.int r in
-  let ncomp = R.int r in
-  if ncomp < 0 || ncomp > 1_000_000 then R.fail r (Printf.sprintf "absurd component count %d" ncomp);
-  (* explicit loops below: [Array.init]/[List.init] leave the evaluation
-     order of the generator unspecified, and the reader is stateful *)
-  let names = ref [] in
-  for _ = 1 to ncomp do
-    names := R.string r :: !names
-  done;
-  let names = List.rev !names in
-  let components =
-    List.map
-      (fun name ->
-        let section = "c:" ^ name in
-        let payload =
-          match List.assoc_opt section sections with
-          | Some p -> p
-          | None -> raise (Corrupt { file; section; reason = "section missing from manifest" })
-        in
-        let cr = R.of_string ~file ~section payload in
-        let ndocs = R.int cr in
-        if ndocs < 0 then R.fail cr (Printf.sprintf "negative document count %d" ndocs);
-        let docs = Array.make ndocs (0, "") in
-        for i = 0 to ndocs - 1 do
-          let id = R.int cr in
-          let text = R.string cr in
-          docs.(i) <- (id, text)
-        done;
-        let dead = R.bool_array cr in
-        if Array.length dead <> 0 && Array.length dead <> ndocs then
-          R.fail cr
-            (Printf.sprintf "deletion bit vector length %d does not match %d document(s)"
-               (Array.length dead) ndocs);
-        (name, docs, dead))
-      names
+  let docs =
+    if version >= 2 then read_flat_docs (section ~file sections "docs")
+    else v1_live_docs ~file sections r
   in
   {
     Di.dm_variant = variant;
@@ -291,9 +326,7 @@ let decode_dump ~file sections =
     dm_tau = tau;
     dm_epoch = epoch;
     dm_next_id = next_id;
-    dm_nf = nf;
-    dm_del_counter = del_counter;
-    dm_components = components;
+    dm_docs = docs;
   }
 
 (* --- relations and graphs --- *)
@@ -309,13 +342,7 @@ let write_relation path (pairs : (int * int) list) =
   write_file ~path ~kind:"relation" [ ("pairs", W.contents b) ]
 
 let read_relation path =
-  let sections = read_file ~path ~kind:"relation" in
-  let payload =
-    match List.assoc_opt "pairs" sections with
-    | Some p -> p
-    | None -> raise (Corrupt { file = path; section = "pairs"; reason = "section missing" })
-  in
-  let r = R.of_string ~file:path ~section:"pairs" payload in
+  let r = section ~file:path (snd (read_file ~path ~kind:"relation")) "pairs" in
   let n = R.int r in
   if n < 0 then R.fail r (Printf.sprintf "negative pair count %d" n);
   let pairs = ref [] in

@@ -9,11 +9,11 @@
     {!Corrupt} (naming the section) rather than decoded into garbage.
 
     What goes {e inside} the sections is the logical state of the
-    structures -- resident documents, deletion bit vectors, schedule
-    scalars, pair sets. Derived structures (suffix arrays, BWTs, wavelet
-    trees, Reporters) are deliberately never serialized: they are
-    deterministic functions of the logical state, rebuilt on load (see
-    DESIGN.md section 10 for the trade-off). *)
+    collection -- live documents and a few scalars, or pair sets.
+    Derived structures (suffix arrays, BWTs, wavelet trees, Reporters)
+    are deliberately never serialized: they are deterministic functions
+    of the logical state, rebuilt on load (see DESIGN.md section 10 for
+    the trade-off). *)
 
 (** A failed integrity or decoding check: the file, the section (or
     ["header"]), and what was wrong. *)
@@ -22,9 +22,10 @@ exception Corrupt of { file : string; section : string; reason : string }
 (** Render as ["file: section ...: reason"]. *)
 val corrupt_message : file:string -> section:string -> reason:string -> string
 
-(** Current container format version, written into every file. Readers
-    reject newer versions (forward compatibility is explicit, not
-    accidental). *)
+(** Current container format version, written into every file: [2].
+    Readers reject newer versions (forward compatibility is explicit,
+    not accidental) and still decode version [1], whose snapshots held
+    one section per component with deletion bits. *)
 val format_version : int
 
 (** CRC-32 (IEEE 802.3 polynomial), as a non-negative int. *)
@@ -93,24 +94,26 @@ end
     or the new one -- never a torn hybrid. *)
 val write_file : path:string -> kind:string -> (string * string) list -> unit
 
-(** Validates magic, version, kind and every section CRC; raises
-    {!Corrupt} otherwise (and [Sys_error] if unreadable). *)
-val read_file : path:string -> kind:string -> (string * string) list
+(** The file's format version and its sections. Validates magic,
+    version, kind and every section CRC; raises {!Corrupt} otherwise
+    (and [Sys_error] if unreadable). *)
+val read_file : path:string -> kind:string -> int * (string * string) list
 
 (** {1 Index snapshots}
 
-    A {!Dsdg_core.Dynamic_index.dump} maps to one ["meta"] section
-    (variant, backend, sample, tau, epoch, next id, nf, cleaning
-    counter, component manifest) plus one ["c:<name>"] section per
-    component -- so each structure's documents are independently
-    checksummed, and a corrupt component is reported by its census
-    name. *)
+    A flat {!Dsdg_core.Dynamic_index.dump} maps to two sections:
+    ["meta"] (variant, backend, sample, tau, epoch, next id) and
+    ["docs"] (the live [(id, text)] documents in id order). *)
 
-(** Sections for {!write_file}, in manifest order. *)
+(** Sections for {!write_file}. *)
 val encode_dump : Dsdg_core.Dynamic_index.dump -> (string * string) list
 
-(** Raises {!Corrupt} on a missing/malformed section. *)
-val decode_dump : file:string -> (string * string) list -> Dsdg_core.Dynamic_index.dump
+(** Decode the sections of a file of format [version]. A version-1
+    snapshot (per-component ["c:<name>"] sections with deletion bits)
+    is flattened to its live documents. Raises {!Corrupt} on a missing
+    or malformed section. *)
+val decode_dump :
+  file:string -> version:int -> (string * string) list -> Dsdg_core.Dynamic_index.dump
 
 (** {1 Relations and graphs}
 

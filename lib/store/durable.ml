@@ -12,6 +12,7 @@ let obs = Obs.scope "store"
 let c_checkpoints = Obs.counter obs "checkpoints"
 let c_checkpoints_bg = Obs.counter obs "checkpoints_bg"
 let c_checkpoint_failures = Obs.counter obs "checkpoint_failures"
+let c_checkpoint_fallbacks = Obs.counter obs "checkpoint_fallbacks"
 let h_checkpoint_ns = Obs.histogram obs "checkpoint_ns"
 let h_install_ns = Obs.histogram obs "checkpoint_install_ns"
 
@@ -27,14 +28,28 @@ let wal_archives = 4
 
 type batch_result = Subject.batch_result = Br_inserted of int | Br_deleted of bool
 
-(* One in-flight background checkpoint: the worker serializes the view
-   into [p_tmp]; the writer buffers every mutation logged since the
-   trigger so WAL compaction at install time can rewrite the tail
-   without re-reading the file. *)
+exception Checkpoint_mismatch of string
+
+let () =
+  Printexc.register_printer (function
+    | Checkpoint_mismatch msg -> Some ("Durable.Checkpoint_mismatch: " ^ msg)
+    | _ -> None)
+
+(* The index's O(1) values at a checkpoint's trigger, which the fold
+   must reproduce: [epoch] is the published one, [drains] the index's
+   {!Di.drain_epochs} then, so [drains - base_drains] of [epoch]'s
+   advances since the base are not in the log. *)
+type expect = { docs : int; symbols : int; next_id : int; epoch : int; drains : int }
+
+(* One in-flight background checkpoint: the worker folds into [p_tmp];
+   the writer buffers every mutation logged since the trigger so WAL
+   compaction at install time can rewrite the tail without re-reading
+   the file. *)
 type pending = {
   p_handle : unit Exec.handle;
   p_tmp : string;
   p_serial : int;
+  p_drains : int;
   mutable p_tail : Trace.op list; (* newest first *)
 }
 
@@ -42,8 +57,14 @@ type t = {
   dir : string;
   idx : Di.t;
   cfg : config;
+  shape : Dsdg_core.Index_config.t; (* the empty dump's, when there is no base *)
   exec : Exec.t option;
   mutable wal : Wal.t;
+  (* the newest snapshot (None: the empty store at serial 0), which the
+     next checkpoint folds the log into, and the index's drain epochs
+     when it was taken *)
+  mutable base : string option;
+  mutable base_drains : int;
   mutable pending : pending option;
   mutable updates_since_checkpoint : int;
   mutable closed : bool;
@@ -84,8 +105,11 @@ let open_ ?(config = default_config) ?index ~dir () =
       dir;
       idx;
       cfg = config;
+      shape = index;
       exec;
       wal;
+      base = info.Recovery.ri_snapshot;
+      base_drains = 0;
       pending = None;
       updates_since_checkpoint = 0;
       closed = false;
@@ -94,90 +118,139 @@ let open_ ?(config = default_config) ?index ~dir () =
 
 (* --- checkpointing --- *)
 
-(* Install a finished snapshot: rename the worker's scratch file to its
-   canonical name, prune old snapshots, compact the WAL down to the
-   records logged since the trigger.  Runs on the writer, at an update
-   boundary -- the paper's install-point pattern. *)
-let install t ~tmp ~serial ~tail =
-  let t0 = Obs.start () in
-  Unix.rename tmp (Snapshot.path_for ~dir:t.dir ~wal_serial:serial);
+let expect t =
+  {
+    docs = Di.doc_count t.idx;
+    symbols = Di.total_symbols t.idx;
+    next_id = Di.next_id t.idx;
+    epoch = Di.view_epoch (Di.view t.idx);
+    drains = Di.drain_epochs t.idx;
+  }
+
+(* The checkpoint proper: fold the log into the base snapshot, without
+   reading the index, and refuse to return a dump that disagrees with
+   the index's values at the trigger.  The dump records the published
+   epoch. *)
+let fold_checked ~shape ~base ~base_drains ~upto ~wal e =
+  let d = Recovery.fold ~index:shape ~base ~upto ~wal in
+  let symbols = Array.fold_left (fun a (_, text) -> a + String.length text + 1) 0 d.Di.dm_docs in
+  let got = (Array.length d.Di.dm_docs, symbols, d.Di.dm_next_id, d.Di.dm_epoch) in
+  let updates = e.epoch - (e.drains - base_drains) in
+  if got <> (e.docs, e.symbols, e.next_id, updates) then begin
+    Obs.incr c_checkpoint_failures;
+    let docs, symbols, next_id, epoch = got in
+    raise
+      (Checkpoint_mismatch
+         (Printf.sprintf
+            "fold to serial %d gives docs=%d symbols=%d next_id=%d epoch=%d; the index has \
+             docs=%d symbols=%d next_id=%d epoch=%d"
+            upto docs symbols next_id epoch e.docs e.symbols e.next_id updates))
+  end;
+  { d with Di.dm_epoch = e.epoch }
+
+(* Make the snapshot at [serial] the base: prune old snapshots, compact
+   the WAL down to the records logged since ([tail]).  Runs on the
+   writer, at an update boundary -- the paper's install-point pattern. *)
+let install t ~path ~serial ~drains ~tail =
   Snapshot.prune ~dir:t.dir ~keep:keep_snapshots;
   let old = t.wal in
   t.wal <-
-    Wal.rewrite ~sync:t.cfg.sync ~archive:true (Wal.path t.wal)
-      ~serial0:serial (List.rev tail);
+    Wal.rewrite ~sync:t.cfg.sync ~archive:true (Wal.path t.wal) ~serial0:serial (List.rev tail);
   Wal.abandon old;
   Wal.prune_archives (Wal.path t.wal) ~keep:wal_archives;
-  Obs.incr c_checkpoints;
-  Obs.stop h_install_ns t0
+  t.base <- Some path;
+  t.base_drains <- drains;
+  Obs.incr c_checkpoints
+
+(* A base snapshot that fails validation (or is gone) cannot be
+   folded into. *)
+let unreadable_base = function Codec.Corrupt _ | Sys_error _ -> true | _ -> false
+
+(* Synchronous checkpoint of the current state.  Without a readable
+   base the dump comes from the published view, by inversion. *)
+let checkpoint_now t =
+  let t0 = Obs.start () in
+  let serial = Wal.next_serial t.wal in
+  let e = expect t in
+  let dump =
+    match
+      fold_checked ~shape:t.shape ~base:t.base ~base_drains:t.base_drains ~upto:serial
+        ~wal:(wal_path t) e
+    with
+    | d -> d
+    | exception exn when unreadable_base exn ->
+      Obs.incr c_checkpoint_fallbacks;
+      Di.dump t.idx
+  in
+  let path = Snapshot.save ~dir:t.dir ~wal_serial:serial dump in
+  install t ~path ~serial ~drains:e.drains ~tail:[];
+  t.updates_since_checkpoint <- 0;
+  Obs.stop h_checkpoint_ns t0
+
+(* A finished background job: install it, or after a failure drop its
+   scratch file.  An unreadable base falls back to a synchronous
+   checkpoint; a fold that disagreed with the index raises here, on the
+   writer. *)
+let finish t p = function
+  | `Done () ->
+    let t0 = Obs.start () in
+    let path = Snapshot.path_for ~dir:t.dir ~wal_serial:p.p_serial in
+    Unix.rename p.p_tmp path;
+    install t ~path ~serial:p.p_serial ~drains:p.p_drains ~tail:p.p_tail;
+    Obs.stop h_install_ns t0
+  | (`Failed _ | `Cancelled) as r -> (
+    (try Sys.remove p.p_tmp with Sys_error _ -> ());
+    match r with
+    | `Failed exn when unreadable_base exn -> checkpoint_now t
+    | `Failed (Checkpoint_mismatch _ as exn) -> raise exn
+    | _ -> Obs.incr c_checkpoint_failures)
 
 let poll_pending t =
   match (t.pending, t.exec) with
   | Some p, Some ex -> (
     match Exec.poll ex p.p_handle with
     | `Pending -> ()
-    | `Done () ->
+    | (`Done _ | `Failed _ | `Cancelled) as r ->
       t.pending <- None;
-      install t ~tmp:p.p_tmp ~serial:p.p_serial ~tail:p.p_tail
-    | `Failed _ | `Cancelled ->
-      t.pending <- None;
-      Obs.incr c_checkpoint_failures;
-      (try Sys.remove p.p_tmp with Sys_error _ -> ()))
+      finish t p r)
   | _ -> ()
 
 let await_pending t =
   match (t.pending, t.exec) with
-  | Some p, Some ex -> (
-    match Exec.await ex p.p_handle with
-    | `Done () ->
-      t.pending <- None;
-      install t ~tmp:p.p_tmp ~serial:p.p_serial ~tail:p.p_tail
-    | `Failed _ | `Cancelled ->
-      t.pending <- None;
-      Obs.incr c_checkpoint_failures;
-      (try Sys.remove p.p_tmp with Sys_error _ -> ()))
+  | Some p, Some ex ->
+    let r = Exec.await ex p.p_handle in
+    t.pending <- None;
+    finish t p r
   | _ -> ()
 
-(* Synchronous checkpoint of the current published state. *)
-let checkpoint_now t =
-  let t0 = Obs.start () in
-  let v = Di.view t.idx in
-  let serial = Wal.next_serial t.wal in
-  let dump = Di.checkpoint_body (Di.checkpoint_header t.idx v) v in
-  ignore (Snapshot.save ~dir:t.dir ~wal_serial:serial dump);
-  Snapshot.prune ~dir:t.dir ~keep:keep_snapshots;
-  let old = t.wal in
-  t.wal <-
-    Wal.rewrite ~sync:t.cfg.sync ~archive:true (Wal.path t.wal)
-      ~serial0:serial [];
-  Wal.abandon old;
-  Wal.prune_archives (Wal.path t.wal) ~keep:wal_archives;
-  t.updates_since_checkpoint <- 0;
-  Obs.incr c_checkpoints;
-  Obs.stop h_checkpoint_ns t0
-
-(* Trigger a background checkpoint: capture the O(1) header on the
-   writer, hand the O(n) extraction + serialization of the immutable
-   view to a worker domain.  The scratch file carries a non-snapshot
-   suffix so a crash before install leaves debris recovery ignores. *)
+(* Trigger a background checkpoint: capture the index's O(1) values on
+   the writer and hand the fold -- from the base file and the log up to
+   the trigger serial -- to a worker domain.  The scratch file carries
+   a non-snapshot suffix so a crash before install leaves debris
+   recovery ignores. *)
 let checkpoint_bg t ex =
-  let v = Di.view t.idx in
   let serial = Wal.next_serial t.wal in
-  let header = Di.checkpoint_header t.idx v in
+  let e = expect t in
+  let shape = t.shape and base = t.base and base_drains = t.base_drains and wal = wal_path t in
   let tmp = Filename.concat t.dir (Printf.sprintf "snap-%d.dsdg.bg" serial) in
   let handle =
     Exec.submit ex ~name:"checkpoint" (fun _tick ->
         let t0 = Obs.start () in
-        let dump = Di.checkpoint_body header v in
-        Snapshot.write ~path:tmp ~wal_serial:serial dump;
+        Snapshot.write ~path:tmp ~wal_serial:serial
+          (fold_checked ~shape ~base ~base_drains ~upto:serial ~wal e);
         Obs.incr c_checkpoints_bg;
         Obs.stop h_checkpoint_ns t0)
   in
-  t.pending <- Some { p_handle = handle; p_tmp = tmp; p_serial = serial; p_tail = [] }
+  t.pending <-
+    Some { p_handle = handle; p_tmp = tmp; p_serial = serial; p_drains = e.drains; p_tail = [] }
 
-let after_update t op =
-  (match t.pending with Some p -> p.p_tail <- op :: p.p_tail | None -> ());
-  t.updates_since_checkpoint <- t.updates_since_checkpoint + 1;
+(* Checkpoints trigger and install between batches only: there the
+   index has applied every record the WAL holds, so the trigger serial
+   is the log's next serial and the compacted log keeps every record
+   past it. *)
+let after_batch t ops =
+  (match t.pending with Some p -> p.p_tail <- List.rev_append ops p.p_tail | None -> ());
+  t.updates_since_checkpoint <- t.updates_since_checkpoint + List.length ops;
   poll_pending t;
   if
     t.cfg.checkpoint_every > 0
@@ -204,17 +277,16 @@ let apply_batch t ops =
           (Printf.sprintf "Durable.apply_batch: %S is not a mutation" (Trace.op_to_string op)))
     ops;
   ignore (Wal.append_batch t.wal ops);
-  List.map
-    (fun op ->
-      let r =
-        match op with
+  let results =
+    List.map
+      (function
         | Trace.Insert text -> Br_inserted (Di.insert t.idx text)
         | Trace.Delete id -> Br_deleted (Di.delete t.idx id)
-        | _ -> assert false
-      in
-      after_update t op;
-      r)
-    ops
+        | _ -> assert false)
+      ops
+  in
+  after_batch t ops;
+  results
 
 let insert t text =
   match apply_batch t [ Trace.Insert text ] with [ Br_inserted id ] -> id | _ -> assert false
@@ -229,18 +301,15 @@ let checkpoint t =
 
 (* --- pinned-view backups --- *)
 
-(* A pin captures the whole epoch<->serial correspondence at one update
-   boundary on the writer: the immutable view, the WAL serial it is
-   aligned with, and the O(1) writer scalars ([checkpoint_header]) that
-   a consistent dump of that view needs.  The writer can then proceed --
-   the backup serializes the frozen state, not the live one. *)
-type pin = { pv_pin : Di.pin; pv_serial : int; pv_header : Di.dump }
+(* A pin captures the epoch<->serial correspondence at one update
+   boundary on the writer: the immutable view and the WAL serial it is
+   aligned with.  The writer can then proceed -- the backup inverts the
+   frozen view, not the live index. *)
+type pin = { pv_pin : Di.pin; pv_serial : int }
 
 let pin t =
   check_open t;
-  let p = Di.pin t.idx in
-  let serial = Wal.next_serial t.wal in
-  { pv_pin = p; pv_serial = serial; pv_header = Di.checkpoint_header t.idx (Di.pin_view p) }
+  { pv_pin = Di.pin t.idx; pv_serial = Wal.next_serial t.wal }
 
 let pin_epoch p = Di.pin_epoch p.pv_pin
 let pin_serial p = p.pv_serial
@@ -251,8 +320,7 @@ let unpin t p = Di.unpin t.idx p.pv_pin
    the snapshot serial with zero replay).  Returns the snapshot path. *)
 let backup t p ~dest =
   check_open t;
-  let dump = Di.checkpoint_body p.pv_header (Di.pin_view p.pv_pin) in
-  Snapshot.save ~dir:dest ~wal_serial:p.pv_serial dump
+  Snapshot.save ~dir:dest ~wal_serial:p.pv_serial (Di.view_dump t.idx (Di.pin_view p.pv_pin))
 
 let close t =
   if not t.closed then begin

@@ -3,22 +3,37 @@
 
     Log-ahead contract: {!apply_batch} appends a batch to the WAL (and
     fsyncs, per the {!Wal.sync} policy) {e before} applying it, so any
-    update whose effect was ever observable is on stable storage. Queries go straight to the index and are never logged.
+    update whose effect was ever observable is on stable storage.
+    Queries go straight to the index and are never logged.
 
-    Checkpointing: every [checkpoint_every] updates the index state is
-    snapshotted and the WAL is compacted to the records since. With
-    [checkpoint_jobs >= 1] the expensive part -- extracting and
-    serializing the documents of the published view -- runs on a
-    {!Dsdg_exec.Executor} worker domain against the immutable
-    read-plane view, Transformation 2 style: the writer only captures
-    the O(1) scalars at the trigger update and installs the finished
-    file (rename + WAL compaction) at a later update boundary, so
-    update latency stays flat while checkpoints happen. *)
+    Checkpointing: every [checkpoint_every] updates (counted at batch
+    boundaries, where the index has applied every logged record) a new
+    flat snapshot is written and the WAL is compacted to the records
+    since. A checkpoint does not read the index: it is
+    {!Recovery.fold} -- the newest snapshot's documents, re-read from
+    its file, with the WAL records logged after it folded in -- the
+    same fold crash recovery runs. The fold's document count, symbol
+    count, next id and epoch are compared with the index's O(1) values
+    at the trigger; a mismatch raises {!Checkpoint_mismatch}, is counted
+    in [store.checkpoint_failures], and no snapshot is written. When the
+    newest snapshot fails validation (or cannot be read) the checkpoint
+    falls back to inverting the published view
+    ({!Dsdg_core.Dynamic_index.dump}, counted in
+    [store.checkpoint_fallbacks]). With [checkpoint_jobs >= 1] the fold
+    runs on a {!Dsdg_exec.Executor} worker domain from the base path and
+    the trigger serial: the writer only captures the O(1) values at the
+    trigger and installs the finished file (rename + WAL compaction) at
+    a later batch boundary, so update latency stays flat while
+    checkpoints happen. *)
+
+(** A checkpoint's fold disagreed with the index (the message names
+    both sides); nothing was written. *)
+exception Checkpoint_mismatch of string
 
 type config = {
   sync : Wal.sync;  (** WAL fsync policy (default [Always]) *)
   checkpoint_every : int;  (** updates between checkpoints; [0] = only explicit {!checkpoint} *)
-  checkpoint_jobs : int;  (** worker domains for checkpoint serialization; [0] = synchronous *)
+  checkpoint_jobs : int;  (** worker domains for checkpoint folds; [0] = synchronous *)
 }
 
 (** [Always] fsync, checkpoint only on demand, synchronous
@@ -87,9 +102,9 @@ val sync_wal : t -> unit
 
 (** {1 Pinned-view backups}
 
-    {!pin} freezes the published view {e and} its WAL serial (and the
-    O(1) writer scalars a consistent dump needs) at one update boundary;
-    {!backup} then serializes that frozen state while the writer keeps
+    {!pin} freezes the published view {e and} its WAL serial at one
+    update boundary; {!backup} then inverts that frozen view
+    ({!Dsdg_core.Dynamic_index.view_dump}) while the writer keeps
     mutating. *)
 
 type pin
@@ -115,7 +130,9 @@ val backup : t -> pin -> dest:string -> string
 
 (** Force a checkpoint now, synchronously: any in-flight background
     checkpoint is awaited and installed first, then a fresh snapshot of
-    the current state is written and the WAL is compacted to empty. *)
+    the current state is folded and written and the WAL is compacted to
+    empty. Raises {!Checkpoint_mismatch} if the fold disagrees with the
+    index. *)
 val checkpoint : t -> unit
 
 (** Finish in-flight checkpoints, fsync the WAL, release worker

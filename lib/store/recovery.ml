@@ -62,6 +62,31 @@ let mutation : Trace.op -> Di.mutation option = function
   | Trace.Delete id -> Some (Di.Delete id)
   | Trace.Search _ | Trace.Count _ | Trace.Extract _ | Trace.Mem _ | Trace.Drain -> None
 
+(* The records of serials [from, upto) of the log at [wal], read with
+   the replication cursor: safe while a writer appends past [upto]. *)
+let records ~wal ~from ~upto =
+  let c = Wal.tail ~from wal in
+  Fun.protect
+    ~finally:(fun () -> Wal.tail_close c)
+    (fun () ->
+      let rec go acc =
+        if Wal.tail_next_serial c >= upto then List.concat (List.rev acc)
+        else
+          match Wal.tail_poll ~limit:upto c with
+          | [] ->
+            failwith
+              (Printf.sprintf "Recovery.fold: %s ends at serial %d, before %d" wal
+                 (Wal.tail_next_serial c) upto)
+          | rs -> go (rs :: acc)
+      in
+      go [])
+
+let fold ~index ~base ~upto ~wal =
+  let dump, from =
+    match base with Some path -> Snapshot.load path | None -> (Di.empty_dump index, 0)
+  in
+  Di.fold_tail dump (List.filter_map (fun (_, op) -> mutation op) (records ~wal ~from ~upto))
+
 let open_or_recover ?(index = Dsdg_core.Index_config.default) ?(read_only = false) ~dir () =
   let index = Dsdg_core.Index_config.validate index in
   let t0 = Obs.start () in

@@ -1,4 +1,5 @@
 (** Crash recovery: newest valid snapshot + the WAL tail folded into it.
+    A checkpoint runs the same fold ({!fold}).
 
     The recovery state machine (DESIGN.md section 10):
 
@@ -74,3 +75,19 @@ val open_or_recover :
   dir:string ->
   unit ->
   Dsdg_core.Dynamic_index.t * info
+
+(** [fold ~index ~base ~upto ~wal] is the dump a checkpoint at serial
+    [upto] writes, computed without reading the index: the flat dump of
+    the snapshot file [base] (an empty dump with [index]'s shape when
+    [None], which stands for serial [0]) with every mutation of serials
+    [base serial, upto) of the log [wal] folded in
+    ({!Dsdg_core.Dynamic_index.fold_tail}). The records are read with
+    the replication cursor ({!Wal.tail}), which is safe while the
+    writer appends past [upto]. Raises {!Codec.Corrupt} when [base]
+    fails validation and [Failure] when the log ends before [upto]. *)
+val fold :
+  index:Dsdg_core.Index_config.t ->
+  base:string option ->
+  upto:int ->
+  wal:string ->
+  Dsdg_core.Dynamic_index.dump

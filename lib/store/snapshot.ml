@@ -56,19 +56,19 @@ let save ~dir ~wal_serial dump =
 
 let load path =
   let t0 = Obs.start () in
-  let sections = Codec.read_file ~path ~kind:"snapshot" in
+  let version, sections = Codec.read_file ~path ~kind:"snapshot" in
   let wal_serial =
     match List.assoc_opt "store" sections with
     | None -> raise (Codec.Corrupt { file = path; section = "store"; reason = "section missing" })
     | Some payload -> fst (read_store_section ~path payload)
   in
-  let dump = Codec.decode_dump ~file:path sections in
+  let dump = Codec.decode_dump ~file:path ~version sections in
   Obs.incr c_loads;
   Obs.stop h_load_ns t0;
   (dump, wal_serial)
 
 let info path =
-  let sections = Codec.read_file ~path ~kind:"snapshot" in
+  let _, sections = Codec.read_file ~path ~kind:"snapshot" in
   match List.assoc_opt "store" sections with
   | None -> raise (Codec.Corrupt { file = path; section = "store"; reason = "section missing" })
   | Some payload ->

@@ -1,9 +1,10 @@
 (** Whole-index snapshots on disk.
 
     A snapshot file is a {!Codec} container of kind ["snapshot"]: the
-    index dump's sections plus a ["store"] section recording the WAL
-    serial the snapshot is aligned with -- the state after applying
-    every WAL record with serial [< wal_serial]. Files are named
+    flat dump's sections (live documents, shape, epoch, next id) plus a
+    ["store"] section recording the WAL serial the snapshot is aligned
+    with -- the state after applying every WAL record with serial
+    [< wal_serial]. Files are named
     [snap-<serial>.dsdg] and written atomically (temp + rename), so the
     newest {e valid} file in a store directory is always a complete,
     checksummed snapshot, whatever the process was doing when it
@@ -25,7 +26,8 @@ val write : path:string -> wal_serial:int -> Dsdg_core.Dynamic_index.dump -> uni
 val save : dir:string -> wal_serial:int -> Dsdg_core.Dynamic_index.dump -> string
 
 (** Load and fully validate one snapshot file; returns the dump and its
-    WAL serial. Raises {!Codec.Corrupt} on any integrity failure. *)
+    WAL serial. A version-1 file is flattened to its live documents.
+    Raises {!Codec.Corrupt} on any integrity failure. *)
 val load : string -> Dsdg_core.Dynamic_index.dump * int
 
 (** [(wal_serial, epoch)] from the ["store"] section -- the durable

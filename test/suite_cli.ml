@@ -61,6 +61,25 @@ let check_exit_says bin ~what ~expect ~says args =
   let rec found i = i + n <= String.length text && (String.sub text i n = says || found (i + 1)) in
   Alcotest.(check bool) (Printf.sprintf "%s: stderr names %s" what says) true (found 0)
 
+(* Run the binary with [input] on stdin; return its exit code and
+   stdout lines. *)
+let run_lines bin ~input args =
+  let inp = Filename.temp_file "dsdg-cli-in" ".txt"
+  and out = Filename.temp_file "dsdg-cli-out" ".txt" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ inp; out ]) @@ fun () ->
+  Out_channel.with_open_bin inp (fun oc -> Out_channel.output_string oc input);
+  let i = Unix.openfile inp [ Unix.O_RDONLY ] 0
+  and o = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0
+  and e = dev_null_out () in
+  let pid = Unix.create_process bin (Array.of_list (bin :: args)) i o e in
+  List.iter Unix.close [ i; o; e ];
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | _ -> Alcotest.failf "dsdg %s died on a signal" (String.concat " " args)
+  in
+  (code, String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all))
+
 let test_exit_codes () =
   with_bin (fun bin ->
       check_exit bin ~what:"demo exits 0" ~expect:0 [ "demo"; "--ops"; "40" ];
@@ -491,28 +510,16 @@ let test_save_pinned_smoke () =
           Alcotest.(check int) "backup finds the first doc" 1
             (Dsdg_core.Dynamic_index.count idx "first");
           Durable.close bk;
-          (* sharded stats over a store surfaces the composite epoch *)
-          check_exit bin ~what:"stats --store --shards" ~expect:0
-            [ "stats"; "--store"; Filename.concat dir "shstats"; "--shards"; "2"; "--ops"; "40" ]))
-
-(* Run the binary with [input] on stdin; return its exit code and
-   stdout lines. *)
-let run_lines bin ~input args =
-  let inp = Filename.temp_file "dsdg-cli-in" ".txt"
-  and out = Filename.temp_file "dsdg-cli-out" ".txt" in
-  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ inp; out ]) @@ fun () ->
-  Out_channel.with_open_bin inp (fun oc -> Out_channel.output_string oc input);
-  let i = Unix.openfile inp [ Unix.O_RDONLY ] 0
-  and o = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0
-  and e = dev_null_out () in
-  let pid = Unix.create_process bin (Array.of_list (bin :: args)) i o e in
-  List.iter Unix.close [ i; o; e ];
-  let code =
-    match snd (Unix.waitpid [] pid) with
-    | Unix.WEXITED c -> c
-    | _ -> Alcotest.failf "dsdg %s died on a signal" (String.concat " " args)
-  in
-  (code, String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all))
+          (* sharded stats over a store surfaces the composite epoch,
+             and heads each shard's engine scope with its shard *)
+          let code, lines =
+            run_lines bin ~input:""
+              [ "stats"; "--store"; Filename.concat dir "shstats"; "--shards"; "2"; "--ops"; "40" ]
+          in
+          Alcotest.(check int) "stats --store --shards" 0 code;
+          List.iter
+            (fun h -> Alcotest.(check bool) (h ^ " heads a scope") true (List.mem h lines))
+            [ "[shard 0: transform2/fm]"; "[shard 1: transform2/fm]" ]))
 
 let starts p l = String.length l >= String.length p && String.sub l 0 (String.length p) = p
 

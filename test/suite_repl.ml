@@ -168,6 +168,30 @@ let test_fresh_replica_reseeds () =
       Alcotest.(check int) "the replica keeps tailing" 30 (r.count "ana");
       Alcotest.(check bool) "the new doc has the leader's id" true (r.mem 30))
 
+(* A follower that stops advancing is given up on after the stall
+   window, not the 30 s overall cap. *)
+let test_wait_catchup_stopped_follower () =
+  with_dir "dsdg-repl-stall" (fun dir ->
+      let lsock = Filename.concat dir "leader.sock" in
+      Unix.mkdir dir 0o755;
+      let store, _ = SI.open_store ~shards:1 ~dir:(Filename.concat dir "leader") () in
+      let leader = Server.start (SI.subject store) (`Unix lsock) in
+      Fun.protect ~finally:(fun () -> Server.stop leader) @@ fun () ->
+      let fol = Follower.start ~leader:(`Unix lsock) ~dir:(Filename.concat dir "replica") () in
+      for i = 0 to 4 do
+        ignore (SI.insert store (Printf.sprintf "doc %d" i))
+      done;
+      Alcotest.(check bool) "a live follower catches up" true (Repl_check.wait_catchup store fol);
+      Follower.stop fol;
+      for i = 5 to 7 do
+        ignore (SI.insert store (Printf.sprintf "doc %d" i))
+      done;
+      let t0 = Unix.gettimeofday () in
+      let caught = Repl_check.wait_catchup store fol in
+      let waited = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "a stopped follower never catches up" false caught;
+      if waited >= 2. then Alcotest.failf "wait_catchup took %.1f s on a stopped follower" waited)
+
 (* --- read-only replica serving: queries local, writes redirected --- *)
 
 let test_follower_serves_reads_redirects_writes () =
@@ -245,5 +269,7 @@ let suite =
       test_failover_single;
     Alcotest.test_case "failover: K=2 promoted follower keeps acked writes" `Quick
       test_failover_sharded;
+    Alcotest.test_case "wait_catchup: stopped follower" `Quick
+      test_wait_catchup_stopped_follower;
     Alcotest.test_case "read-only replica: local reads, redirect on write" `Quick
       test_follower_serves_reads_redirects_writes ]

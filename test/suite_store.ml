@@ -155,10 +155,10 @@ let test_snapshot_roundtrip () =
       Alcotest.(check int) "epoch survives" dump.Di.dm_epoch (Di.view_epoch (Di.view idx)))
 
 (* Every single-byte corruption must surface as Codec.Corrupt -- never
-   as a different decoded state, never as a random exception.  (The
-   format-version byte is the one legal flip: turning version 1 into 0
-   yields an older-versioned but otherwise intact file, which must then
-   decode to the identical dump.) *)
+   as a different decoded state, never as a random exception.  (A flip
+   that left a file decoding to the identical dump would be legal; the
+   version byte is not one: it flips to a version newer than the
+   reader's.) *)
 let test_snapshot_corruption_rejected () =
   with_dir "dsdg-store-corrupt" (fun dir ->
       let path, _, _ = mk_small_store dir in
@@ -752,6 +752,181 @@ let test_durable_pin_backup () =
           assert_matches_model ~label:"backup state" (Durable.index b) m ~inserts:8;
           Durable.close b))
 
+(* --- checkpoints fold the log into the base snapshot --- *)
+
+let store_counter name =
+  Option.value ~default:0 (List.assoc_opt name (Dsdg_obs.Obs.counters (Dsdg_obs.Obs.scope "store")))
+
+let corrupt_middle path =
+  let b = Bytes.of_string (read_file path) in
+  let i = Bytes.length b / 2 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x41));
+  write_file path (Bytes.to_string b)
+
+(* Drive [n] single-op inserts (and a delete every third) into a store
+   and the model. *)
+let churn_store d m ~from n =
+  for i = from to from + n - 1 do
+    let text = Printf.sprintf "doc %d abab%s" i (String.make (i mod 5) 'c') in
+    Alcotest.(check int) "insert id" (Model.insert m text) (Durable.insert d text);
+    if i mod 3 = 2 then
+      Alcotest.(check bool) "delete" (Model.delete m (i - 2)) (Durable.delete d (i - 2))
+  done
+
+let recover_matches ~label ~dir m =
+  let d, _ = Durable.open_ ~dir () in
+  assert_matches_model ~label (Durable.index d) m ~inserts:(Model.inserted m);
+  Durable.close d
+
+(* The newest snapshot is corrupted between two checkpoints: the next
+   checkpoint cannot fold into it, falls back to the view dump, and
+   still captures every acked write -- synchronously and on a worker. *)
+let test_checkpoint_corrupt_base_fallback () =
+  List.iter
+    (fun jobs ->
+      with_dir "dsdg-ckpt-fallback" (fun dir ->
+          let label = Printf.sprintf "checkpoint_jobs %d" jobs in
+          let config = { (durable_cfg (if jobs = 0 then 0 else 4)) with checkpoint_jobs = jobs } in
+          let d, _ = Durable.open_ ~config ~index:small ~dir () in
+          let m = Model.create () in
+          churn_store d m ~from:0 12;
+          Durable.checkpoint d;
+          corrupt_middle (fst (List.hd (Snapshot.list ~dir)));
+          let fallbacks = store_counter "checkpoint_fallbacks" in
+          if jobs = 0 then begin
+            churn_store d m ~from:12 5;
+            Durable.checkpoint d
+          end
+          else begin
+            (* a background fold of the corrupt base fails; the writer
+               falls back at a later batch boundary *)
+            let i = ref 12 in
+            while store_counter "checkpoint_fallbacks" = fallbacks && !i < 400 do
+              churn_store d m ~from:!i 1;
+              incr i;
+              Thread.delay 0.002
+            done
+          end;
+          Alcotest.(check int) (label ^ ": one fallback") (fallbacks + 1)
+            (store_counter "checkpoint_fallbacks");
+          churn_store d m ~from:500 2;
+          Durable.kill d ~torn:true;
+          recover_matches ~label ~dir m))
+    [ 0; 1 ]
+
+(* A base that decodes but disagrees with the index (a valid snapshot
+   one document short) must fail the checkpoint loudly and write
+   nothing. *)
+let test_checkpoint_refuses_disagreeing_fold () =
+  with_dir "dsdg-ckpt-mismatch" (fun dir ->
+      let d, _ = Durable.open_ ~config:(durable_cfg 0) ~index:small ~dir () in
+      let m = Model.create () in
+      churn_store d m ~from:0 9;
+      Durable.checkpoint d;
+      let base = fst (List.hd (Snapshot.list ~dir)) in
+      let dump, serial = Snapshot.load base in
+      let short = Array.sub dump.Di.dm_docs 1 (Array.length dump.Di.dm_docs - 1) in
+      ignore (Snapshot.save ~dir ~wal_serial:serial { dump with Di.dm_docs = short });
+      churn_store d m ~from:9 3;
+      let failures = store_counter "checkpoint_failures" in
+      (match Durable.checkpoint d with
+      | () -> Alcotest.fail "a fold that disagrees with the index was written"
+      | exception Durable.Checkpoint_mismatch _ -> ());
+      Alcotest.(check int) "counted" (failures + 1) (store_counter "checkpoint_failures");
+      Alcotest.(check (list int)) "no new snapshot" [ serial ] (List.map snd (Snapshot.list ~dir));
+      Durable.close d)
+
+(* Epochs a drain publishes are not in the log: the fold's cross-check
+   allows for them and the snapshot records the published epoch. *)
+let test_checkpoint_across_drains () =
+  with_dir "dsdg-ckpt-drains" (fun dir ->
+      let d, _ = Durable.open_ ~config:(durable_cfg 3) ~index:small ~dir () in
+      let idx = Durable.index d in
+      let m = Model.create () in
+      for i = 0 to 59 do
+        churn_store d m ~from:i 1;
+        if i mod 4 = 0 then Di.drain idx
+      done;
+      Alcotest.(check bool) "drains published epochs" true (Di.drain_epochs idx > 0);
+      let epoch = Di.view_epoch (Di.view idx) in
+      Durable.checkpoint d;
+      Durable.close d;
+      let d2, info = Durable.open_ ~dir () in
+      Alcotest.(check int) "nothing replayed" 0 info.Recovery.ri_replayed;
+      Alcotest.(check int) "epoch" epoch (Di.view_epoch (Di.view (Durable.index d2)));
+      assert_matches_model ~label:"drained" (Durable.index d2) m ~inserts:(Model.inserted m);
+      Durable.close d2)
+
+(* A checkpoint that comes due inside a group commit waits for the
+   batch's end: every record of the batch is then in the index, so the
+   fold agrees with it and the compacted log loses none of them. *)
+let test_checkpoint_due_mid_batch () =
+  List.iter
+    (fun jobs ->
+      with_dir "dsdg-ckpt-batch" (fun dir ->
+          let config = { (durable_cfg 3) with checkpoint_jobs = jobs } in
+          let d, _ = Durable.open_ ~config ~index:small ~dir () in
+          let m = Model.create () in
+          for b = 0 to 14 do
+            let ops =
+              [ Trace.Insert (Printf.sprintf "batch %d a" b); Trace.Insert (Printf.sprintf "batch %d b" b) ]
+              @ if b > 0 then [ Trace.Delete (2 * b - 1) ] else []
+            in
+            List.iter
+              (fun op ->
+                match op with
+                | Trace.Insert s -> ignore (Model.insert m s)
+                | Trace.Delete id -> ignore (Model.delete m id)
+                | _ -> ())
+              ops;
+            ignore (Durable.apply_batch d ops)
+          done;
+          Durable.kill d ~torn:false;
+          recover_matches ~label:(Printf.sprintf "checkpoint_jobs %d" jobs) ~dir m))
+    [ 0; 1 ]
+
+(* A store written at format version 1 (per-component sections with
+   deletion bits, a WAL tail after the newest snapshot) opens, answers
+   as it did, and writes the current format at its next checkpoint. *)
+let test_parent_format_store () =
+  with_dir "dsdg-v1" (fun dir ->
+      Snapshot.ensure_dir dir;
+      let fixture = Filename.concat (Filename.dirname Sys.executable_name) "fixtures/v1-store" in
+      Array.iter
+        (fun f -> write_file (Filename.concat dir f) (read_file (Filename.concat fixture f)))
+        (Sys.readdir fixture);
+      let check_answers label idx =
+        Alcotest.(check int) (label ^ ": docs") 37 (Di.doc_count idx);
+        Alcotest.(check int) (label ^ ": symbols") 1255 (Di.total_symbols idx);
+        Alcotest.(check int) (label ^ ": epoch") 45 (Di.view_epoch (Di.view idx));
+        Alcotest.(check int) (label ^ ": #ab") 61 (Di.count idx "ab");
+        Alcotest.(check int) (label ^ ": #abba") 5 (Di.count idx "abba");
+        Alcotest.(check (list (pair int int))) (label ^ ": ?cabbage") [ (40, 5) ]
+          (Di.search idx "cabbage");
+        Alcotest.(check (list bool)) (label ^ ": deleted in the snapshot and the tail")
+          [ false; false; false; false; true ]
+          (List.map (Di.mem idx) [ 3; 7; 12; 20; 21 ]);
+        Alcotest.(check (option string)) (label ^ ": extract") (Some "doc21")
+          (Di.extract idx ~doc:21 ~off:0 ~len:5);
+        Alcotest.(check int) (label ^ ": next id") 41 (Di.next_id idx)
+      in
+      let d, info = Durable.open_ ~dir () in
+      Alcotest.(check (option string)) "recovered from the newest v1 snapshot"
+        (Some (Filename.concat dir "snap-43.dsdg")) info.Recovery.ri_snapshot;
+      Alcotest.(check int) "tail folded" 2 info.Recovery.ri_replayed;
+      check_answers "v1" (Durable.index d);
+      Durable.checkpoint d;
+      Durable.close d;
+      let path, serial = List.hd (Snapshot.list ~dir) in
+      Alcotest.(check int) "checkpoint serial" 45 serial;
+      let version, sections = Codec.read_file ~path ~kind:"snapshot" in
+      Alcotest.(check int) "written at the current version" Codec.format_version version;
+      Alcotest.(check (list string)) "flat sections" [ "store"; "meta"; "docs" ] (List.map fst sections);
+      let d2, info2 = Durable.open_ ~dir () in
+      Alcotest.(check int) "nothing replayed" 0 info2.Recovery.ri_replayed;
+      check_answers "reopened" (Durable.index d2);
+      Durable.close d2)
+
 (* --- folded recovery = per-op replay --- *)
 
 (* The reference the WAL fold must equal: the newest snapshot restored
@@ -780,9 +955,9 @@ let replay_reference ~index ~dir =
 (* Log [pre], checkpoint (or not), log [tail], crash; then recover
    through [Recovery] and through the per-op reference, and require
    the same epoch, ids, texts, next id and query answers, a clean
-   oracle, and agreement with the model. [c0_doc] names a document the
-   caller expects the snapshot to hold in C0. *)
-let check_fold ~label ~index ?(checkpoint = true) ?(torn = false) ?c0_doc pre tail =
+   oracle, and agreement with the model. [snap_doc] names a document the
+   caller expects the snapshot to hold. *)
+let check_fold ~label ~index ?(checkpoint = true) ?(torn = false) ?snap_doc pre tail =
   with_dir "dsdg-fold" (fun dir ->
       let config = { (durable_cfg 0) with Durable.sync = Wal.Never } in
       let d, _ = Durable.open_ ~config ~index ~dir () in
@@ -801,11 +976,9 @@ let check_fold ~label ~index ?(checkpoint = true) ?(torn = false) ?c0_doc pre ta
       Option.iter
         (fun id ->
           let dump, _ = Snapshot.load (fst (List.hd (Snapshot.list ~dir))) in
-          Alcotest.(check bool) (label ^ ": snapshot holds the doc in C0") true
-            (List.exists
-               (fun (name, docs, _) -> name = "C0" && Array.exists (fun (i, _) -> i = id) docs)
-               dump.Di.dm_components))
-        c0_doc;
+          Alcotest.(check bool) (label ^ ": snapshot holds the doc") true
+            (Array.exists (fun (i, _) -> i = id) dump.Di.dm_docs))
+        snap_doc;
       let reference = replay_reference ~index ~dir in
       let folded, info = Recovery.open_or_recover ~index ~dir () in
       Alcotest.(check int) (label ^ ": records applied")
@@ -882,9 +1055,9 @@ let test_fold_equals_replay variant backend () =
     [ Trace.Delete 0; Trace.Delete 0; Trace.Insert "y"; Trace.Delete 12; Trace.Delete 12; Trace.Delete 3 ];
   check ~label:(label ^ " never-assigned id") pre
     [ Trace.Delete 999; Trace.Delete 13; Trace.Insert "z"; Trace.Delete 14 ];
-  (* of two tiny last inserts, the second lands in C0 even if the first
-     triggered a merge that emptied it *)
-  check ~label:(label ^ " delete of a C0 doc") ~c0_doc:13
+  (* a delete of a document the snapshot holds, the last one inserted
+     before the checkpoint *)
+  check ~label:(label ^ " delete of a snapshot doc") ~snap_doc:13
     (pre @ [ Trace.Insert "q"; Trace.Insert "r" ])
     [ Trace.Delete 13; Trace.Insert "w" ];
   check ~label:(label ^ " torn final record") ~torn:true pre
@@ -939,6 +1112,15 @@ let suite =
       test_recovery_read_only_never_mutates;
     Alcotest.test_case "pinned-view backup opens at the pinned state" `Quick
       test_durable_pin_backup;
+    Alcotest.test_case "checkpoint: corrupt base falls back" `Quick
+      test_checkpoint_corrupt_base_fallback;
+    Alcotest.test_case "checkpoint: mismatched fold refused" `Quick
+      test_checkpoint_refuses_disagreeing_fold;
+    Alcotest.test_case "checkpoint: fold across drains" `Quick test_checkpoint_across_drains;
+    Alcotest.test_case "checkpoint: due mid-batch" `Quick
+      test_checkpoint_due_mid_batch;
+    Alcotest.test_case "v1 store opens and upgrades" `Quick
+      test_parent_format_store;
   ]
   @ List.concat_map
       (fun variant ->
