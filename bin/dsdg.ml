@@ -95,6 +95,12 @@ let with_store_errors ~dir f =
        the records in between are unrecoverable, refusing to open with silent data loss\n"
       dir wal_serial0 snapshot_serial;
     exit 2
+  | Sh.Old_layout { dir; version } ->
+    Printf.eprintf
+      "%s: a version-%d sharded store (hash placement with a placement log); this build opens \
+       only version 2 (global id g on shard g mod K) and has left it untouched\n"
+      dir version;
+    exit 2
 
 let addr_name = function `Unix path -> path | `Tcp (h, p) -> Printf.sprintf "%s:%d" h p
 
@@ -178,15 +184,13 @@ let print_stats o =
   Printf.printf "space     : %d bits (%.2f bits/symbol)\n" bits
     (if syms = 0 then 0. else float_of_int bits /. float_of_int syms);
   Printf.printf "engine    : %s\n" (Sh.describe o.sh);
-  Printf.printf "epochs    : %s (shard views, then the mapping)\n" (vector (Sh.epoch_vector o.sh));
+  Printf.printf "epochs    : %s (one per shard view)\n" (vector (Sh.epoch_vector o.sh));
   Option.iter
     (fun dir ->
-      Printf.printf "store     : %s (next WAL serial %s)\n" dir (vector (Sh.wal_serials o.sh));
-      if Sh.shards o.sh > 1 then
-        Printf.printf "meta      : %d placement record(s)\n" (Sh.meta_records o.sh))
+      Printf.printf "store     : %s (next WAL serial %s)\n" dir (vector (Sh.wal_serials o.sh)))
     o.store
 
-(* ~E0,...,EK ?PAT / #PAT: answer as of a composite epoch. *)
+(* ~E0,...,E(K-1) ?PAT / #PAT: answer as of a composite epoch. *)
 let asof o ~epoch_vector query =
   let arg = String.sub query 1 (String.length query - 1) in
   match query.[0] with
@@ -197,7 +201,7 @@ let asof o ~epoch_vector query =
     List.iter (fun (d, o) -> Printf.printf "doc %d off %d\n" d o) hits;
     Printf.printf "%d occurrence(s) as of %s\n%!" (List.length hits) (vector epoch_vector)
   | '#' -> Printf.printf "%d\n%!" (Sh.count ~epoch_vector o.sh arg)
-  | _ -> Printf.printf "usage: ~E0,...,EK ?PAT or ~E0,...,EK #PAT\n%!"
+  | _ -> Printf.printf "usage: ~E0,...,E(K-1) ?PAT or ~E0,...,E(K-1) #PAT\n%!"
 
 (* The interactive loop over any collection. *)
 let repl o =
@@ -233,7 +237,7 @@ let repl o =
            | _ -> usage "=ID OFF LEN")
          | '~' -> (
            let arg = String.trim arg in
-           let usage () = usage "~E0,...,EK ?PAT or ~E0,...,EK #PAT" in
+           let usage () = usage "~E0,...,E(K-1) ?PAT or ~E0,...,E(K-1) #PAT" in
            match String.index_opt arg ' ' with
            | None -> usage ()
            | Some i -> (
@@ -247,7 +251,7 @@ let repl o =
                try asof o ~epoch_vector q with Invalid_argument msg -> Printf.printf "%s\n%!" msg)
              | _ -> usage ()))
          | '.' -> raise Exit
-         | _ -> Printf.printf "commands: ?PAT #PAT +TEXT -ID =ID OFF LEN ~E0,...,EK ?PAT .\n%!"
+         | _ -> Printf.printf "commands: ?PAT #PAT +TEXT -ID =ID OFF LEN ~E0,...,E(K-1) ?PAT .\n%!"
        end
      done
    with End_of_file | Exit -> ());
@@ -848,7 +852,7 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
   | Some dir ->
     (* kill-and-recover mode: the scheduling faults do not apply here;
        the planted fault is the torn write. With --shards K the sweep
-       crashes a sharded store, plus every mid-split kill point. *)
+       crashes a sharded store. *)
     let torn =
       match fault with
       | "none" -> false
@@ -867,11 +871,10 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
     let n = List.length sweep_ops in
     let stride = if kill_stride > 0 then kill_stride else max 1 (n / 16) in
     Printf.printf
-      "kill-and-recover: %s%d op(s), crash every %d op(s)%s%s, %d target(s), scratch under %s\n%!"
+      "kill-and-recover: %s%d op(s), crash every %d op(s)%s, %d target(s), scratch under %s\n%!"
       (if shards > 1 then Printf.sprintf "K=%d, " shards else "")
       n stride
       (if torn then " with torn final WAL records" else "")
-      (if shards > 1 then " plus every mid-split kill point" else "")
       (List.length targets) dir;
     let failed = ref false in
     List.iter
@@ -885,11 +888,7 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
         show "kill"
           (Runner.sweep ~stride
              (Shard.Shard_check.crash ~index ~config ~torn ~shards ~dir:(sub "kill-") ())
-             sweep_ops);
-        if shards > 1 then
-          show "split"
-            (Shard.Shard_check.split_kill_sweep ~index ~config ~torn ~shards
-               ~dir:(sub "split-") ~ops:sweep_ops ()))
+             sweep_ops))
       targets;
     if !failed then exit 1;
     Printf.printf "kill-and-recover OK: every crash point re-served all acked writes\n"
@@ -1083,7 +1082,7 @@ let shards_arg =
   in
   Arg.(value & opt positive 1
        & info [ "shards" ] ~docv:"K"
-           ~doc:"Hash-partition documents across $(docv) index shards (each with its own writer path, executor jobs, reader pool and, with --store, durable sub-store); queries scatter-gather across the shard views. For fuzz, fans the op stream over shard counts {1, 2, $(docv)} and differentially compares against the model and the K=1 index (with --store: sharded kill + mid-split kill sweeps). For load, annotates the BENCH row with the dialed server's shard count.")
+           ~doc:"Split documents across $(docv) index shards, global id g on shard g mod $(docv) (each shard with its own writer path, executor jobs, reader pool and, with --store, durable sub-store); queries scatter-gather across the shard views. For fuzz, fans the op stream over shard counts {1, 2, $(docv)} and differentially compares against the model and the K=1 index (with --store: the sharded kill-and-recover sweep). For load, annotates the BENCH row with the dialed server's shard count.")
 
 let store_arg =
   Arg.(value & opt (some string) None
@@ -1246,7 +1245,7 @@ let from_socket_arg =
 let follow_store_arg =
   Arg.(required & opt (some string) None
        & info [ "store" ] ~docv:"DIR"
-           ~doc:"Replica store directory, of the leader's shard count: kept in sync by WAL tailing. At K=1 a replica the leader compacted past (a fresh one included) is re-seeded with the leader's newest snapshot over the wire; at K>1 it starts empty or from a pinned backup copied here.")
+           ~doc:"Replica store directory, of the leader's shard count: kept in sync by tailing each shard's WAL. A shard the leader compacted past (a fresh replica included) is re-seeded with that shard's newest snapshot over the wire; a replica may also start from a pinned backup copied here.")
 
 let follow_port_arg =
   Arg.(value & opt (some int) None

@@ -317,7 +317,7 @@ let verify ~label (s : Subject.t) model =
 type 'h crash = {
   dir : string;
   open_ : unit -> 'h * Subject.t;
-  kill : 'h -> point:int -> unit;
+  kill : 'h -> unit;
   reopen : 'h -> Subject.t;
 }
 
@@ -340,12 +340,12 @@ let rec reset_dir path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
-let sweep ?(stride = 1) ?inside crash ops =
+let sweep ?(stride = 1) crash ops =
   let ops = Array.of_list ops in
   let n = Array.length ops in
   let failures = ref [] and points = ref 0 in
-  (* kill point [k] after the first [prefix] ops *)
-  let point ~prefix k =
+  (* kill point [k]: crash after the first [k] ops *)
+  let point k =
     incr points;
     let fail detail = failures := { kf_point = k; kf_detail = detail } :: !failures in
     let run model s lo hi =
@@ -360,32 +360,26 @@ let sweep ?(stride = 1) ?inside crash ops =
     let model = Model.create () in
     match
       let h, (s : Subject.t) = crash.open_ () in
-      (try run model s 0 prefix
+      (try run model s 0 k
        with e ->
          (try s.close () with _ -> ());
          raise e);
-      crash.kill h ~point:k;
+      crash.kill h;
       let s = crash.reopen h in
       Fun.protect ~finally:s.close @@ fun () ->
       List.iter fail (verify ~label:"after recovery" s model);
-      run model s prefix n;
+      run model s k n;
       List.iter fail (verify ~label:"after continuation" s model)
     with
     | () -> ()
     | exception Failure m -> fail m
     | exception e -> fail (Printf.sprintf "exception: %s" (Printexc.to_string e))
   in
-  (match inside with
-  | Some (prefix, last) ->
-    for k = 0 to last do
-      point ~prefix:(min prefix n) k
-    done
-  | None ->
-    let k = ref 0 in
-    while !k < n do
-      point ~prefix:!k !k;
-      k := !k + max 1 stride
-    done;
-    point ~prefix:n n);
+  let k = ref 0 in
+  while !k < n do
+    point !k;
+    k := !k + max 1 stride
+  done;
+  point n;
   reset_dir crash.dir;
   { kc_points = !points; kc_failures = List.rev !failures }

@@ -112,18 +112,18 @@ val report :
 val verify : label:string -> Subject.t -> Model.t -> string list
 
 (** A store that can crash: [open_] a fresh one in [dir] (wiped
-    first), [kill] it at kill point [point] without any shutdown work, and
-    [reopen] it from what the crash left on disk (or, for a cluster,
-    promote what survived). *)
+    first), [kill] it without any shutdown work, and [reopen] it from
+    what the crash left on disk (or, for a cluster, promote what
+    survived). *)
 type 'h crash = {
   dir : string;
   open_ : unit -> 'h * Subject.t;
-  kill : 'h -> point:int -> unit;
+  kill : 'h -> unit;
   reopen : 'h -> Subject.t;
 }
 
 type kill_failure = {
-  kf_point : int;  (** kill point: ops applied before the crash, or the point inside [kill] *)
+  kf_point : int;  (** kill point: ops applied before the crash *)
   kf_detail : string;
 }
 
@@ -140,13 +140,8 @@ val kill_summary : kill_outcome -> string
     the prefix through {!apply}, kill, reopen, {!verify}, apply the
     remaining ops, {!verify} again, close. A recovery that is correct
     at rest but restores broken schedule state still fails in the
-    continuation. [crash.dir] is removed when the sweep ends.
-
-    [inside = (m, last)] crashes inside work that [kill] itself runs
-    (a migration, say) instead: kill points [0 .. last] each apply the
-    first [m] ops, pass the point to [kill], and continue with the ops
-    after [m]. *)
-val sweep : ?stride:int -> ?inside:int * int -> 'h crash -> Trace.op list -> kill_outcome
+    continuation. [crash.dir] is removed when the sweep ends. *)
+val sweep : ?stride:int -> 'h crash -> Trace.op list -> kill_outcome
 
 (** Remove a directory tree (no-op if absent). *)
 val reset_dir : string -> unit

@@ -31,9 +31,6 @@ type t = {
   f_stop : bool Atomic.t;
   f_replica : Sh.t;  (* the local replica store; the tail thread is its only writer *)
   f_coll : Subject.t;  (* the replica as a collection *)
-  (* shipped-but-unapplied records per shard, queued when a record's
-     cross-shard prerequisite has not arrived yet *)
-  f_squeues : Trace.op Queue.t array;
   (* stream positions fully applied AND published to the read plane
      (set by the tail thread after each cycle; the store's own WAL
      serial advances before the index apply, so it overshoots) *)
@@ -98,92 +95,43 @@ let check_continuity ~stream ~expect recs =
              serial))
     recs
 
-(* One poll cycle.  Order matters: the shard streams are polled (and
-   buffered) BEFORE the meta stream, so every shard record collected
-   here became durable before the meta bound we then read -- its
-   placement event is inside the meta batch.  K = 1 has no meta stream.
-
-   Applying is a fixpoint over per-shard queues, not a single pass:
-   each shard's records replay strictly in serial order, but a record
-   whose cross-shard prerequisite is missing (a migration copy whose
-   original insert rides another stream -- or rides a later poll: the
-   streams are polled at slightly different instants) parks at its
-   queue head until progress elsewhere unblocks it.  Prerequisites
-   follow the leader's temporal order, so the dependency graph is
-   acyclic and the drain cannot livelock; what the fixpoint leaves
-   queued is replayed by a later cycle once the missing records ship.
-
-   A snapshot reply means the leader compacted past the replica's
-   position: the replica re-seeds from it in place (K = 1 only; see
-   {!Sh.replica_snapshot}) and the next cycle resumes at its serial. *)
+(* One poll cycle, shard stream by shard stream.  A shipped record
+   already names its shard's local ids, so the streams need no order
+   among them: shard s's records land as one group commit of replica
+   shard s.  A snapshot reply means the leader compacted past that
+   shard's position on the replica: the shard re-seeds from it in place
+   ({!Sh.replica_snapshot}) and its next poll resumes at its serial. *)
 let cycle t cl =
   let sh = t.f_replica in
-  let k = Sh.shards sh in
-  let stores = Option.get (Sh.backing_stores sh) in
-  (* next wanted serial = applied position + records already queued *)
-  let shard_from =
-    Array.init k (fun s -> Durable.wal_serial stores.(s) + Queue.length t.f_squeues.(s))
-  in
-  let shard_rb =
-    Array.init k (fun s -> Client.repl cl ~stream:(Printf.sprintf "wal%d" s) ~from:shard_from.(s))
-  in
-  match Array.find_map (fun rb -> rb.Client.rb_snap) shard_rb with
-  | Some (serial, bytes) ->
-    Sh.replica_snapshot sh ~serial ~bytes;
-    Obs.incr c_snap_boots;
-    Atomic.set t.f_watermark (Sh.stream_positions sh);
-    1
-  | None ->
-    Array.iteri
-      (fun s rb ->
-        check_continuity ~stream:(Printf.sprintf "wal%d" s) ~expect:shard_from.(s)
-          rb.Client.rb_recs)
-      shard_rb;
-    let meta_recs =
-      if k = 1 then []
-      else begin
-        let from = Sh.meta_records sh in
-        let rb = Client.repl cl ~stream:"meta" ~from in
-        check_continuity ~stream:"meta" ~expect:from rb.Client.rb_recs;
-        rb.Client.rb_recs
-      end
-    in
-    (* lag before applying: shipped-but-unapplied records this instant *)
-    let pending =
-      Array.fold_left ( + ) 0
-        (Array.mapi (fun s rb -> rb.Client.rb_bound - Durable.wal_serial stores.(s)) shard_rb)
-    in
-    Atomic.set t.f_lag_serials pending;
-    Obs.set_gauge g_lag_serials pending;
-    (* placements first, then drain the record queues to a fixpoint *)
-    List.iter (fun (_, line) -> Sh.replica_meta sh line) meta_recs;
-    Array.iteri
-      (fun s rb ->
-        List.iter (fun (_, line) -> Queue.add (parse_shipped line) t.f_squeues.(s)) rb.Client.rb_recs)
-      shard_rb;
-    let n = ref (List.length meta_recs) in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      Array.iteri
-        (fun s q ->
-          let applied = Sh.replica_ops sh ~shard:s q in
-          n := !n + applied;
-          if applied > 0 then progress := true)
-        t.f_squeues
-    done;
-    if !n > 0 then begin
-      Obs.add c_replayed !n;
-      ignore (Atomic.fetch_and_add t.f_applied !n)
-    end;
-    (* shard epochs only: the leader's mapping version advances once per
-       batch, the replica's once per replayed record *)
-    let leader_epoch = Array.fold_left (fun acc rb -> acc + rb.Client.rb_epoch) 0 shard_rb in
-    let local_epoch = Array.fold_left ( + ) 0 (Array.sub (Sh.epoch_vector sh) 0 k) in
-    Atomic.set t.f_lag_epochs (leader_epoch - local_epoch);
-    Obs.set_gauge g_lag_epochs (max 0 (leader_epoch - local_epoch));
-    Atomic.set t.f_watermark (Sh.stream_positions sh);
-    !n
+  let n = ref 0 and pending = ref 0 and leader_epoch = ref 0 in
+  let positions = Sh.wal_serials sh in
+  for s = 0 to Sh.shards sh - 1 do
+    let stream = Printf.sprintf "wal%d" s and from = positions.(s) in
+    let rb = Client.repl cl ~stream ~from in
+    leader_epoch := !leader_epoch + rb.Client.rb_epoch;
+    match rb.Client.rb_snap with
+    | Some (serial, bytes) ->
+      Sh.replica_snapshot sh ~shard:s ~serial ~bytes;
+      Obs.incr c_snap_boots;
+      incr n
+    | None ->
+      check_continuity ~stream ~expect:from rb.Client.rb_recs;
+      pending := !pending + (rb.Client.rb_bound - from);
+      Sh.replica_ops sh ~shard:s (List.map (fun (_, line) -> parse_shipped line) rb.Client.rb_recs);
+      n := !n + List.length rb.Client.rb_recs
+  done;
+  (* lag as of the polls: shipped-but-unapplied records then *)
+  Atomic.set t.f_lag_serials !pending;
+  Obs.set_gauge g_lag_serials !pending;
+  if !n > 0 then begin
+    Obs.add c_replayed !n;
+    ignore (Atomic.fetch_and_add t.f_applied !n)
+  end;
+  let local_epoch = Array.fold_left ( + ) 0 (Sh.epoch_vector sh) in
+  Atomic.set t.f_lag_epochs (!leader_epoch - local_epoch);
+  Obs.set_gauge g_lag_epochs (max 0 (!leader_epoch - local_epoch));
+  Atomic.set t.f_watermark (Sh.wal_serials sh);
+  !n
 
 (* --- the tail loop --- *)
 
@@ -232,8 +180,9 @@ let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_att
   in
   (* open (or create) the replica layout; a directory seeded from a
      pinned backup recovers to the pinned prefix and the streams resume
-     from the recovered serials.  A fresh K = 1 replica whose leader
-     already compacted is seeded by the first cycle's snapshot reply. *)
+     from the recovered serials.  A fresh replica whose leader already
+     compacted is seeded shard by shard by the first cycle's snapshot
+     replies. *)
   let sh, _infos = Sh.open_store ~config ?index ~shards ~dir () in
   let t =
     {
@@ -244,8 +193,7 @@ let start ?(config = Durable.default_config) ?index ?(poll = 0.02) ?(connect_att
       f_stop = Atomic.make false;
       f_replica = sh;
       f_coll = Sh.subject ~name:"replica" sh;
-      f_squeues = Array.init shards (fun _ -> Queue.create ());
-      f_watermark = Atomic.make (Sh.stream_positions sh);
+      f_watermark = Atomic.make (Sh.wal_serials sh);
       f_applied = Atomic.make 0;
       f_lag_serials = Atomic.make 0;
       f_lag_epochs = Atomic.make 0;

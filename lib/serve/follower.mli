@@ -14,33 +14,25 @@
     group-commit fsync -- a follower can never observe a write the
     leader has not acknowledged as durable.
 
-    Bootstrap: at K = 1 the leader keeps no placement log, so a replica
-    asking for a position the leader compacted away receives the
-    leader's newest snapshot file (chunked over the wire), re-seeds in
-    place ({!Dsdg_shard.Sharded_index.replica_snapshot}: close, wipe,
-    install, reopen) and keeps tailing from its serial -- a fresh
-    replica and one that fell behind alike.  A K > 1 replica is seeded
-    either empty (replaying every stream from position 0) or from a
+    Bootstrap: a replica asking for a position its shard's leader store
+    compacted away receives that shard's newest snapshot file (chunked
+    over the wire), re-seeds the shard in place
+    ({!Dsdg_shard.Sharded_index.replica_snapshot}: close, wipe, install,
+    reopen) and keeps tailing from its serial -- a fresh replica and one
+    that fell behind alike, at any K.  A replica may also start from a
     pinned backup ({!Dsdg_shard.Sharded_index.backup}) copied into
-    [dir]: per-shard mid-stream snapshots are refused by the leader
-    because only a pin freezes all K shards and the meta log at one
-    boundary.
+    [dir].
 
-    Replay discipline: each poll cycle fetches the K shard streams
-    {e before} the meta stream (K > 1), so every collected shard record
-    has its placement event inside the meta batch (the leader appends
-    meta first); the cycle then applies placements and drains per-shard
-    record queues to a fixpoint -- a record whose cross-shard
-    prerequisite has not arrived (a migration copy preceding its
-    original insert on another stream) parks at its queue head until
-    progress elsewhere, or a later poll, unblocks it (see
-    {!Dsdg_shard.Sharded_index.replica_ops}; at K = 1 a poll's records
-    land as one group commit).
+    Replay: each poll cycle polls the K shard streams one after
+    another.  Placement is arithmetic (global id [l*K + s] is shard
+    [s]'s local id [l]), so a shipped record needs nothing from the
+    other streams: shard [s]'s records land as one group commit of
+    replica shard [s] ({!Dsdg_shard.Sharded_index.replica_ops}).
 
-    A fatal divergence (a K > 1 replica's compacted-away position,
-    serial discontinuity, unparseable record) stops the tail loop and
-    is reported by {!error}; transport failures trigger reconnection
-    with exponential backoff (0.2s doubling to 5s).
+    A fatal divergence (serial discontinuity, unparseable record) stops
+    the tail loop and is reported by {!error}; transport failures
+    trigger reconnection with exponential backoff (0.2s doubling to
+    5s).
 
     Observability lands in the registered scope ["repl"], shared with
     the leader's shipping counters: [frames_replayed], [reconnects],
@@ -87,8 +79,9 @@ val replica : t -> Dsdg_check.Subject.t
 val lag : t -> lag
 
 (** Stream positions fully applied {e and published} to the replica's
-    read plane: {!Dsdg_shard.Sharded_index.stream_positions} (shard
-    serials, then the meta events bound to a shard record).  Unlike the
+    read plane: the shard WAL serials
+    ({!Dsdg_shard.Sharded_index.wal_serials}) at the end of the last
+    poll cycle.  Unlike the
     replica store's own WAL serials -- which advance when a shipped
     batch is logged, before its index apply finishes -- this moves
     only at cycle boundaries, so equality with the leader's positions

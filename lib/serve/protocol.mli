@@ -23,8 +23,8 @@ type request =
   | Quit  (** polite close; the server answers [ok bye] and hangs up *)
   | Repl of { stream : string; from : int }
       (** replication poll: ship stream records with position [>= from].
-          Streams are ["wal"] (single store), ["wal0".."walK-1"] and
-          ["meta"] (sharded). The reply is a bounded multi-frame batch:
+          The streams are the shard WALs ["wal0".."walK-1"] (["wal0"]
+          alone at K = 1). The reply is a bounded multi-frame batch:
           zero or more [rec] frames (or a [snap] header plus its [chunk]
           frames when [from] predates the leader's compacted log),
           always terminated by one [hb] frame. *)
@@ -52,12 +52,11 @@ type response =
   | Err of string
   | Rec of int * string
       (** one shipped stream record: (position, raw record line) -- a
-          {!Dsdg_check.Trace} op line for WAL streams, an [I g s] /
-          [M g src dst] event line for the meta stream *)
+          {!Dsdg_check.Trace} op line in the shard's local ids *)
   | Hb of { bound : int; epoch : int }
       (** batch terminator: [bound] is the stream's current shipping
           bound (ask from here next), [epoch] the leader-side epoch of
-          the stream (view epoch / mapping version) *)
+          the stream (the shard's view epoch) *)
   | Snap of { serial : int; chunks : int }
       (** snapshot bootstrap header: the requested position was
           compacted away; [chunks] [Chunk] frames of the snapshot file

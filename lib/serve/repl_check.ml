@@ -41,16 +41,14 @@ let start_cluster ~(index : Dsdg_core.Index_config.t) ~shards ~sync ~checkpoint_
    published on the replica (the follower's watermark, not the replica
    store's raw WAL serials -- those advance before the index apply
    finishes, so comparing them would let verification race a batch
-   apply; a sharded watermark counts only placements bound to their
-   shard record).  A follower that has stopped advancing (a failing
-   shrink candidate, a dead follower) is given up on after [stall]
-   seconds without progress on either side, not after the whole
-   [timeout]. *)
+   apply).  A follower that has stopped advancing (a failing shrink
+   candidate, a dead follower) is given up on after [stall] seconds
+   without progress on either side, not after the whole [timeout]. *)
 let stall = 1.
 
 let wait_catchup ?(timeout = 30.) leader follower =
   let t0 = Unix.gettimeofday () in
-  let observe () = (Follower.watermark follower, Sh.stream_positions leader) in
+  let observe () = (Follower.watermark follower, Sh.wal_serials leader) in
   let rec go seen since =
     let now = Unix.gettimeofday () and ((w, p) as o) = observe () in
     if w = p then true
@@ -128,10 +126,6 @@ let convergence ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
   let record step msg = failures := (step, msg) :: !failures in
   let quiesce step =
     incr points;
-    (* exercise migration shipping (nothing moves at K=1): the client
-       is idle here, so the test thread is the only writer and may
-       rebalance directly *)
-    if step > 0 && !failures = [] then ignore (Sh.rebalance_hottest c.cl_leader);
     if not (wait_catchup c.cl_leader c.cl_follower) then
       record step
         (match Follower.error c.cl_follower with
@@ -187,7 +181,7 @@ let failover_sweep ?(index = Dsdg_core.Index_config.default) ?(shards = 1)
           let c = start_cluster ~index ~shards ~sync ~checkpoint_every ~dir () in
           (c, leader_subject c));
       kill =
-        (fun c ~point:_ ->
+        (fun c ->
           let caught = wait_catchup c.cl_leader c.cl_follower in
           (leader_subject c).kill ~torn;
           if not caught then begin

@@ -11,9 +11,7 @@
     with {!Dsdg_check.Runner.verify}. The replica ({!Follower.replica})
     runs the paper invariants on its index, or on every shard index of
     a sharded replica, and their cleaning-schedule probe catches a
-    planted [`Skip_top_clean]. Sharded runs also trigger a
-    {!Dsdg_shard.Sharded_index.rebalance_hottest} migration at each
-    quiesce point so migrate shipping is exercised.
+    planted [`Skip_top_clean].
 
     {!failover_sweep} is {!Dsdg_check.Runner.sweep} with the cluster as
     the crash: replay the prefix through a fresh cluster, quiesce

@@ -78,7 +78,7 @@ let wal_path t = Wal.path t.wal
 let sync_wal t = if durable_serial t < wal_serial t then Wal.sync t.wal
 
 let open_ ?(config = default_config) ?index ~dir () =
-  (* a sharded root holds only its meta log and shard-i sub-stores; a
+  (* a sharded root holds only its header and shard-i sub-stores; a
      plain store written next to them would make the directory
      unopenable either way *)
   if Sys.file_exists (Filename.concat dir "shard.meta") then

@@ -145,7 +145,61 @@ let kill t ~torn =
   flush t.oc;
   close_out_noerr t.oc
 
-(* --- reading --- *)
+(* --- reading: one line scanner for [read] and the cursor --- *)
+
+let missing_header = "missing '% dsdg-wal 1 serial0=N' header"
+
+(* The parse state of one pass over a log: its first line must be the
+   header; after it, blank and ['%'] lines are inert and every other
+   line is the next serial's record. *)
+type scan = {
+  mutable sc_header : bool;
+  mutable sc_lineno : int;
+  mutable sc_serial : int; (* serial of the next record line *)
+}
+
+let scan0 () = { sc_header = false; sc_lineno = 0; sc_serial = 0 }
+
+(* Scan the complete lines of [b.[pos, stop)], calling [header s0] on
+   the header and [record serial op] on each record; returns the offset
+   just past the last newline, where an unterminated line (a torn
+   record, or a write in flight) starts. *)
+let scan_lines sc b ~pos ~stop ~header ~record =
+  let line p nl =
+    sc.sc_lineno <- sc.sc_lineno + 1;
+    let line = String.trim (Bytes.sub_string b p (nl - p)) in
+    let fail reason =
+      raise (Trace.Parse_error { pe_line = sc.sc_lineno; pe_text = line; pe_reason = reason })
+    in
+    if not sc.sc_header then begin
+      match parse_header line with
+      | Some s0 ->
+        sc.sc_header <- true;
+        sc.sc_serial <- s0;
+        header s0
+      | None -> fail missing_header
+    end
+    else if line = "" || line.[0] = '%' then ()
+    else
+      match Trace.parse_op line with
+      | Ok op ->
+        let serial = sc.sc_serial in
+        sc.sc_serial <- serial + 1;
+        record serial op
+      | Error reason -> fail reason
+  in
+  (* bytes past [stop] are stale: the search stays below it *)
+  let rec newline i =
+    if i >= stop then None else if Bytes.get b i = '\n' then Some i else newline (i + 1)
+  in
+  let rec go p =
+    match newline p with
+    | Some nl ->
+      line p nl;
+      go (nl + 1)
+    | None -> p
+  in
+  go pos
 
 type contents = {
   wc_serial0 : int;
@@ -155,60 +209,23 @@ type contents = {
 }
 
 let read path =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic)
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let sc = scan0 () and serial0 = ref 0 and ops = ref [] in
+  (* final bytes without a newline are a torn record, dropped -- even a
+     parseable prefix must not replay (["- 12"] torn from ["- 123"]) *)
+  let valid =
+    scan_lines sc (Bytes.unsafe_of_string data) ~pos:0 ~stop:(String.length data)
+      ~header:(fun s0 -> serial0 := s0)
+      ~record:(fun serial op -> ops := (serial, op) :: !ops)
   in
-  let len = String.length data in
-  let ops = ref [] in
-  let serial0 = ref 0 in
-  let seen_header = ref false in
-  let serial = ref 0 in
-  let lineno = ref 0 in
-  let valid = ref 0 in
-  let truncated = ref false in
-  let pos = ref 0 in
-  while !pos < len do
-    match String.index_from_opt data !pos '\n' with
-    | None ->
-      (* final bytes without a newline: a torn record, dropped -- even a
-         parseable prefix must not replay (["- 12"] torn from ["- 123"]) *)
-      truncated := true;
-      pos := len
-    | Some nl ->
-      incr lineno;
-      let line = String.trim (String.sub data !pos (nl - !pos)) in
-      pos := nl + 1;
-      (if line = "" then ()
-       else if line.[0] = '%' then begin
-         match parse_header line with
-         | Some s0 when not !seen_header ->
-           seen_header := true;
-           serial0 := s0;
-           serial := s0
-         | _ -> () (* later comments (and repeated headers) are inert *)
-       end
-       else
-         match Trace.parse_op line with
-         | Ok op ->
-           ops := (!serial, op) :: !ops;
-           incr serial
-         | Error reason ->
-           raise
-             (Trace.Parse_error { pe_line = !lineno; pe_text = line; pe_reason = reason }));
-      valid := !pos
-  done;
-  if not !seen_header then
-    raise
-      (Trace.Parse_error
-         {
-           pe_line = 1;
-           pe_text = (match String.index_opt data '\n' with
-                     | Some nl -> String.sub data 0 nl
-                     | None -> data);
-           pe_reason = "missing '% dsdg-wal 1 serial0=N' header";
-         });
-  { wc_serial0 = !serial0; wc_ops = List.rev !ops; wc_truncated = !truncated; wc_valid_bytes = !valid }
+  if not sc.sc_header then
+    raise (Trace.Parse_error { pe_line = 1; pe_text = data; pe_reason = missing_header });
+  {
+    wc_serial0 = !serial0;
+    wc_ops = List.rev !ops;
+    wc_truncated = valid < String.length data;
+    wc_valid_bytes = valid;
+  }
 
 let truncate_torn path c =
   if c.wc_truncated then begin
@@ -234,8 +251,9 @@ let () =
    (and may compact: rename a fresh file over the path) concurrently;
    the cursor re-parses incrementally from its byte offset:
 
-   - reads arrive in [buf_size] chunks, so a record straddling a chunk
-     boundary is reassembled in [cur_partial];
+   - reads fill a [buf_size] buffer; a record straddling a chunk
+     boundary stays at the front of the buffer (grown to hold a line
+     longer than it) and the next read lands behind it;
    - a final line with no newline yet is indistinguishable from a torn
      record and from a write in flight -- either way it is held back
      until its newline arrives (the reader-side analogue of the
@@ -247,14 +265,12 @@ let () =
      beyond it. *)
 type cursor = {
   cur_path : string;
-  cur_buf : Bytes.t;
+  mutable cur_buf : Bytes.t;
+  mutable cur_held : int; (* bytes at the front of [cur_buf]: an unterminated line *)
   mutable cur_fd : Unix.file_descr option;
   mutable cur_ino : int;
   mutable cur_read : int; (* bytes consumed from the open fd *)
-  mutable cur_partial : Buffer.t;
-  mutable cur_seen_header : bool;
-  mutable cur_lineno : int;
-  mutable cur_serial : int; (* serial of the next record line in the file *)
+  mutable cur_scan : scan;
   mutable cur_wanted : int; (* next serial to deliver *)
   cur_pending : (int * Trace.op) Queue.t; (* parsed, not yet delivered *)
 }
@@ -263,13 +279,11 @@ let tail ?(buf_size = 65536) ~from path =
   {
     cur_path = path;
     cur_buf = Bytes.create (max 1 buf_size);
+    cur_held = 0;
     cur_fd = None;
     cur_ino = -1;
     cur_read = 0;
-    cur_partial = Buffer.create 128;
-    cur_seen_header = false;
-    cur_lineno = 0;
-    cur_serial = 0;
+    cur_scan = scan0 ();
     cur_wanted = from;
     cur_pending = Queue.create ();
   }
@@ -288,45 +302,15 @@ let tail_reset c =
   tail_close c;
   c.cur_ino <- -1;
   c.cur_read <- 0;
-  Buffer.clear c.cur_partial;
-  c.cur_seen_header <- false;
-  c.cur_lineno <- 0;
-  c.cur_serial <- 0;
+  c.cur_held <- 0;
+  c.cur_scan <- scan0 ();
   (* parsed-but-undelivered records re-parse from the fresh file (which
      must still contain them, or Tail_gap fires on its header) *)
   Queue.clear c.cur_pending
 
-let tail_line c line =
-  c.cur_lineno <- c.cur_lineno + 1;
-  let line = String.trim line in
-  if not c.cur_seen_header then begin
-    match parse_header line with
-    | Some s0 ->
-      c.cur_seen_header <- true;
-      c.cur_serial <- s0;
-      if s0 > c.cur_wanted then raise (Tail_gap { wanted = c.cur_wanted; serial0 = s0 })
-    | None ->
-      raise
-        (Trace.Parse_error
-           {
-             pe_line = c.cur_lineno;
-             pe_text = line;
-             pe_reason = "missing '% dsdg-wal 1 serial0=N' header";
-           })
-  end
-  else if line = "" || line.[0] = '%' then ()
-  else
-    match Trace.parse_op line with
-    | Ok op ->
-      let serial = c.cur_serial in
-      c.cur_serial <- serial + 1;
-      if serial >= c.cur_wanted then Queue.add (serial, op) c.cur_pending
-    | Error reason ->
-      raise (Trace.Parse_error { pe_line = c.cur_lineno; pe_text = line; pe_reason = reason })
-
 (* Pull whatever the file has beyond our offset into the pending queue.
-   Complete lines only; the trailing newline-less fragment stays in
-   [cur_partial] for the next poll. *)
+   Complete lines only; the trailing newline-less fragment stays held
+   for the next poll. *)
 let tail_fill c =
   (match c.cur_fd with
   | Some _ -> ()
@@ -339,10 +323,16 @@ let tail_fill c =
   match c.cur_fd with
   | None -> false
   | Some fd ->
+    let header s0 =
+      if s0 > c.cur_wanted then raise (Tail_gap { wanted = c.cur_wanted; serial0 = s0 })
+    in
+    let record serial op = if serial >= c.cur_wanted then Queue.add (serial, op) c.cur_pending in
     let reopened = ref false in
     let continue = ref true in
     while !continue do
-      let n = Unix.read fd c.cur_buf 0 (Bytes.length c.cur_buf) in
+      if c.cur_held = Bytes.length c.cur_buf then
+        c.cur_buf <- Bytes.extend c.cur_buf 0 (Bytes.length c.cur_buf);
+      let n = Unix.read fd c.cur_buf c.cur_held (Bytes.length c.cur_buf - c.cur_held) in
       if n = 0 then begin
         continue := false;
         (* EOF: detect compaction (inode changed) or truncation (file
@@ -357,15 +347,10 @@ let tail_fill c =
       end
       else begin
         c.cur_read <- c.cur_read + n;
-        for i = 0 to n - 1 do
-          let ch = Bytes.get c.cur_buf i in
-          if ch = '\n' then begin
-            let line = Buffer.contents c.cur_partial in
-            Buffer.clear c.cur_partial;
-            tail_line c line
-          end
-          else Buffer.add_char c.cur_partial ch
-        done
+        let stop = c.cur_held + n in
+        let rest = scan_lines c.cur_scan c.cur_buf ~pos:0 ~stop ~header ~record in
+        Bytes.blit c.cur_buf rest c.cur_buf 0 (stop - rest);
+        c.cur_held <- stop - rest
       end
     done;
     !reopened

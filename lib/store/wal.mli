@@ -102,9 +102,11 @@ type contents = {
   wc_valid_bytes : int;  (** file prefix ending at the last whole record *)
 }
 
-(** Parse a log. Raises {!Dsdg_check.Trace.Parse_error} on a missing /
-    malformed header or a malformed interior record, [Sys_error] if
-    unreadable. A torn final record is dropped, not an error. *)
+(** Parse a log: the header line first, then records, with blank and
+    ['%'] lines inert. Raises {!Dsdg_check.Trace.Parse_error} on a
+    missing / malformed header or a malformed interior record,
+    [Sys_error] if unreadable. A torn final record is dropped, not an
+    error. {!tail} parses with the same line scanner. *)
 val read : string -> contents
 
 (** Truncate the file to [wc_valid_bytes], discarding the torn tail on
@@ -153,8 +155,9 @@ type cursor
 (** [tail ~from path] positions a cursor so the first delivered record
     has serial [>= from]. Nothing is read until the first {!tail_poll};
     the file may not even exist yet. [buf_size] (default 64 KiB) is the
-    read-chunk size -- records straddling chunk boundaries are
-    reassembled, so tests shrink it to force the boundary cases. *)
+    initial read buffer, grown to hold a line longer than it -- records
+    straddling chunk boundaries are reassembled, so tests shrink it to
+    force the boundary cases. *)
 val tail : ?buf_size:int -> from:int -> string -> cursor
 
 (** Deliver every complete record appended since the last poll, in

@@ -571,9 +571,10 @@ let test_repl_four_backings () =
    to a K=2 store and `open` reads K from it and counts the new
    document; a --shards flag that disagrees with the directory is
    usage (124), names the K on disk and leaves the directory
-   byte-identical; a K=1 store keeps the single-store layout (no
-   shard.meta), and `~E0,...,EK` reads it as of the epoch vector its
-   trailer printed. *)
+   byte-identical; a K=2 root holds a one-line header; a version-1
+   sharded store is refused as data (2); a K=1 store keeps the
+   single-store layout (no shard.meta), and `~E0,...,E(K-1)` reads it
+   as of the epoch vector its trailer printed. *)
 let test_store_layout () =
   with_bin (fun bin ->
       with_dir "dsdg-cli-layout" (fun dir ->
@@ -607,6 +608,11 @@ let test_store_layout () =
             (List.mem "2 occurrence(s)" lines
             && List.mem "documents : 3" lines
             && List.exists (starts "sharded: 2 shard stores") lines);
+          Alcotest.(check string) "the K=2 header" "dsdg-shard 2 2\n"
+            (In_channel.with_open_bin (Filename.concat store "shard.meta") In_channel.input_all);
+          let v1 = Filename.concat (Filename.dirname Sys.executable_name) "fixtures/v1-shard2-store" in
+          check_exit_says bin ~what:"open refuses a version-1 sharded store (2)" ~expect:2
+            ~says:"a version-1 sharded store" [ "open"; v1 ];
           let k1 = Filename.concat dir "k1" in
           check_exit bin ~what:"index a K=1 store" ~expect:0 [ "index"; "--store"; k1; file ];
           Alcotest.(check bool) "K=1 writes no shard.meta" false

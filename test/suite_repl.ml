@@ -105,18 +105,20 @@ let test_failover_sharded () =
       check_survived "K=2 failover"
         (Repl_check.failover_sweep ~shards:2 ~stride:10 ~dir ~ops ()))
 
-(* A fresh K=1 replica of a leader that compacted past its archives is
-   seeded with the leader's newest snapshot, re-seeding in place, and
+(* A fresh replica of a leader that compacted past its archives is
+   seeded with each shard's newest snapshot, re-seeding in place, and
    then keeps tailing.  Queries run through the re-seed without a lock,
    as a read-only server's connection threads do: none may fail, and
-   each must answer the empty replica (0 hits) or a seeded one (the
-   snapshot is at most two ops behind the leader's 31, so 27..30). *)
-let test_fresh_replica_reseeds () =
+   each must answer the empty replica (0 hits) or a seeded one.  Each
+   shard's snapshot is at most two ops behind its leader shard, so at
+   K = 1 a seeded replica counts 27..30; at K = 2 the shards (15 and 14
+   live documents) re-seed one at a time, so 13..30. *)
+let test_fresh_replica_reseeds ~shards () =
   with_dir "dsdg-repl-seed" (fun dir ->
       let lsock = Filename.concat dir "leader.sock" in
       Unix.mkdir dir 0o755;
       let config = { Durable.default_config with checkpoint_every = 2 } in
-      let store, _ = SI.open_store ~config ~shards:1 ~dir:(Filename.concat dir "leader") () in
+      let store, _ = SI.open_store ~config ~shards ~dir:(Filename.concat dir "leader") () in
       for i = 0 to 29 do
         ignore (SI.insert store (Printf.sprintf "seeded doc %d ana" i))
       done;
@@ -131,13 +133,14 @@ let test_fresh_replica_reseeds () =
       let fol = Follower.start ~leader:(`Unix lsock) ~dir:(Filename.concat dir "replica") () in
       Fun.protect ~finally:(fun () -> Follower.stop fol) @@ fun () ->
       let r = Follower.replica fol in
+      let lo = if shards = 1 then 27 else 13 in
       let seeded = Atomic.make false and bad = ref [] and queries = ref 0 in
       let querier =
         Thread.create
           (fun () ->
             while not (Atomic.get seeded) do
               (match (r.count "ana", List.length (r.search "ana")) with
-              | c, h when List.for_all (fun n -> n = 0 || (n >= 27 && n <= 30)) [ c; h ] -> ()
+              | c, h when List.for_all (fun n -> n = 0 || (n >= lo && n <= 30)) [ c; h ] -> ()
               | c, h -> bad := Printf.sprintf "count %d, hits %d" c h :: !bad
               | exception e -> bad := Printexc.to_string e :: !bad);
               incr queries
@@ -146,7 +149,7 @@ let test_fresh_replica_reseeds () =
       in
       let caught_up () =
         let deadline = Unix.gettimeofday () +. 10. in
-        while Follower.watermark fol <> SI.stream_positions store do
+        while Follower.watermark fol <> SI.wal_serials store do
           if Unix.gettimeofday () > deadline then Alcotest.fail "replica never caught up";
           Thread.delay 0.01
         done
@@ -156,7 +159,7 @@ let test_fresh_replica_reseeds () =
       Thread.join querier;
       Alcotest.(check bool) "queried during the re-seed" true (!queries > 0);
       Alcotest.(check (list string)) "queries during the re-seed" [] (List.rev !bad);
-      Alcotest.(check bool) "seeded from a snapshot" true (boots () > boots0);
+      Alcotest.(check bool) "every shard seeded from a snapshot" true (boots () >= boots0 + shards);
       Alcotest.(check int) "doc_count" 29 (r.doc_count ());
       Alcotest.(check int) "count" 29 (r.count "ana");
       Alcotest.(check bool) "dead doc stays dead" false (r.mem 3);
@@ -253,14 +256,16 @@ let test_follower_serves_reads_redirects_writes () =
 let suite =
   [ Alcotest.test_case "convergence: K=1 cluster, every quiesce point" `Quick
       test_convergence_single;
-    Alcotest.test_case "convergence: K=2 cluster, migrate shipping" `Quick
+    Alcotest.test_case "convergence: K=2 cluster, every quiesce point" `Quick
       test_convergence_sharded;
     Alcotest.test_case "convergence: replica outruns compaction (archives/snapshot)" `Quick
       test_convergence_past_compaction;
     Alcotest.test_case "convergence: sync every 8, idle leader flushes its tail" `Quick
       test_convergence_lazy_sync;
     Alcotest.test_case "fresh K=1 replica is seeded from the leader's snapshot" `Quick
-      test_fresh_replica_reseeds;
+      (test_fresh_replica_reseeds ~shards:1);
+    Alcotest.test_case "fresh K=2 replica is seeded from the leader's shard snapshots" `Quick
+      (test_fresh_replica_reseeds ~shards:2);
     Alcotest.test_case "planted replica fault is caught (oracle self-test)" `Slow
       (test_planted_fault_caught ~shards:1);
     Alcotest.test_case "planted K=2 replica fault is caught per shard" `Slow

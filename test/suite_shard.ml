@@ -1,8 +1,9 @@
 (* Sharded scale-out suite: the Sharded_index collection contract, the
    shard-aware differential fuzz matrix (one stream fanned over K in
    {1, 2, 4} next to the plain index, every answer compared against the
-   naive model), durable kill-and-recover and mid-split kill sweeps,
-   the shared kill-point schedule, and parallel-recovery equivalence.
+   naive model), durable kill-and-recover sweeps, the shared kill-point
+   schedule, recovery from uneven shard tails, parallel-recovery
+   equivalence, and the refusal of the version-1 layout.
 
    Budget knobs shared with suite_check: FUZZ_STREAMS, FUZZ_OPS,
    FUZZ_SEED. *)
@@ -65,8 +66,8 @@ let test_collection_contract () =
   Alcotest.check_raises "empty pattern rejected"
     (Invalid_argument "Dynamic_index: empty pattern") (fun () -> ignore (SI.search sh ""))
 
-(* The router must be deterministic across instances and actually
-   spread documents over all K shards. *)
+(* Placement must be deterministic across instances (global id g on
+   shard g mod K) and actually spread documents over all K shards. *)
 let test_routing_spread () =
   let a = SI.create ~shards:4 () and b = SI.create ~shards:4 () in
   Fun.protect ~finally:(fun () -> SI.close a; SI.close b) @@ fun () ->
@@ -77,19 +78,20 @@ let test_routing_spread () =
     Alcotest.(check int) "same global id" ga gb;
     let sa = Option.get (SI.shard_of a ga) and sb = Option.get (SI.shard_of b gb) in
     Alcotest.(check int) (Printf.sprintf "same placement for %d" ga) sa sb;
+    Alcotest.(check int) (Printf.sprintf "%d on shard %d mod 4" ga ga) (ga mod 4) sa;
     seen.(sa) <- true
   done;
   Array.iteri
     (fun s hit -> Alcotest.(check bool) (Printf.sprintf "shard %d populated" s) true hit)
     seen
 
-(* The composite epoch vector has length K+1 and is component-wise
-   monotone under updates. *)
+(* The composite epoch vector has one entry per shard and is
+   component-wise monotone under updates. *)
 let test_epoch_vector_monotone () =
   let sh = SI.create ~shards:3 () in
   Fun.protect ~finally:(fun () -> SI.close sh) @@ fun () ->
   let prev = ref (SI.epoch_vector sh) in
-  Alcotest.(check int) "length K+1" 4 (Array.length !prev);
+  Alcotest.(check int) "length K" 3 (Array.length !prev);
   for i = 0 to 39 do
     (if i mod 5 = 4 then ignore (SI.delete sh (i - 2))
      else ignore (SI.insert sh (Printf.sprintf "epoch probe %d" i)));
@@ -102,37 +104,6 @@ let test_epoch_vector_monotone () =
           (e >= !prev.(j)))
       v;
     prev := v
-  done
-
-(* Rebalancing must be invisible to queries: after moving half of the
-   hottest shard, every answer still matches the model. *)
-let test_rebalance_invisible () =
-  let sh = SI.create ~shards:3 () in
-  Fun.protect ~finally:(fun () -> SI.close sh) @@ fun () ->
-  let m = Model.create () in
-  for i = 0 to 79 do
-    let text = Printf.sprintf "rebalance fodder %d abcab" i in
-    ignore (SI.insert sh text);
-    ignore (Model.insert m text)
-  done;
-  for i = 0 to 19 do
-    ignore (SI.delete sh (4 * i));
-    ignore (Model.delete m (4 * i))
-  done;
-  let moved = SI.rebalance_hottest sh in
-  Alcotest.(check bool) "something moved" true (moved > 0);
-  Alcotest.(check int) "doc_count" (Model.doc_count m) (SI.doc_count sh);
-  Alcotest.(check int) "total_symbols" (Model.total_symbols m) (SI.total_symbols sh);
-  List.iter
-    (fun p ->
-      Alcotest.(check (list (pair int int))) ("search " ^ p) (Model.search m p) (SI.search sh p))
-    [ "abcab"; "fodder"; "7" ];
-  (* moved documents keep their global ids and contents *)
-  for g = 0 to 79 do
-    Alcotest.(check (option string))
-      (Printf.sprintf "extract %d" g)
-      (Model.extract m ~doc:g ~off:0 ~len:30)
-      (SI.extract sh ~doc:g ~off:0 ~len:30)
   done
 
 (* --- the shard-aware differential fuzz matrix --- *)
@@ -151,8 +122,7 @@ let shard_subjects ?(index = Runner.fuzz_index) tg =
   @ Shard_check.subjects ~index:(Runner.target_index tg index) ~name:tg.Runner.tg_name [ 1; 2; 4 ]
 
 (* The bulk run: every stream is fanned over K in {1, 2, 4} and every
-   answer compared against the model, next to the plain K=1 index,
-   with periodic hot-shard rebalance churn inside the checked region.
+   answer compared against the model, next to the plain K=1 index.
    Round-robin over the variant x backend matrix; every third stream
    delete-heavy. *)
 let test_fuzz_matrix () =
@@ -188,22 +158,13 @@ let check_recovered (outcome : Runner.kill_outcome) ~min_points =
           (fun (f : Runner.kill_failure) -> Printf.sprintf "point %d: %s" f.kf_point f.kf_detail)
           outcome.kc_failures))
 
-(* Crash a K=2 sharded store at every 5th op (completed migrations in
-   the meta log on odd points), recover in parallel, verify against the
-   model, continue the trace, re-verify. *)
+(* Crash a K=2 sharded store at every 5th op, recover in parallel,
+   verify against the model, continue the trace, re-verify. *)
 let test_kill_sweep () =
   with_tmp_dir (fun dir ->
       let ops = Dsdg_check.Opgen.generate ~seed:(base_seed + 7000) ~ops:60 () in
       check_recovered ~min_points:5
         (Runner.sweep ~stride:5 (Shard_check.crash ~shards:2 ~dir ()) ops))
-
-(* Kill at every state-machine point of a live migration: recovery must
-   re-serve each acknowledged write exactly once, no loss and no
-   duplicate across the source and destination shards. *)
-let test_split_kill_sweep () =
-  with_tmp_dir (fun dir ->
-      let ops = Dsdg_check.Opgen.generate ~seed:(base_seed + 7100) ~ops:40 () in
-      check_recovered ~min_points:2 (Shard_check.split_kill_sweep ~shards:3 ~dir ~ops ()))
 
 (* The K=1 and K=2 sweeps run one kill-point schedule:
    0, stride, 2*stride, ... and always the last op, even when the stride
@@ -235,7 +196,6 @@ let test_parallel_recovery_equivalence () =
         for i = 0 to 14 do
           ignore (SI.delete sh (3 * i))
         done;
-        ignore (SI.rebalance_hottest sh);
         SI.kill sh ~torn:true
       in
       build ();
@@ -263,7 +223,7 @@ let test_parallel_recovery_equivalence () =
 (* A store remembers its K: reopening with a different count is a
    Shard_mismatch, and store_shards reads it back without opening. A
    plain store is never opened over a sharded root; a plain store is
-   the K=1 layout, opened in place with no meta log written. *)
+   the K=1 layout, opened in place with no header written. *)
 let test_shard_mismatch () =
   with_tmp_dir (fun dir ->
       let sh, _ = SI.open_store ~shards:2 ~dir () in
@@ -273,6 +233,8 @@ let test_shard_mismatch () =
       Alcotest.check_raises "reopen with wrong K"
         (SI.Shard_mismatch { dir; on_disk = 2; requested = 3 }) (fun () ->
           ignore (SI.open_store ~shards:3 ~dir ()));
+      Alcotest.(check string) "the root holds only a header" "dsdg-shard 2 2\n"
+        (In_channel.with_open_bin (Filename.concat dir "shard.meta") In_channel.input_all);
       Alcotest.(check bool) "a plain store refuses the sharded root" true
         (match Store.Durable.open_ ~dir () with
         | _ -> false
@@ -292,7 +254,7 @@ let test_shard_mismatch () =
         (SI.extract sh ~doc:0 ~off:2 ~len:5);
       Alcotest.(check int) "K=1 continues its ids" 1 (SI.insert sh "written at K=1");
       SI.close sh;
-      Alcotest.(check bool) "no meta log was written" false
+      Alcotest.(check bool) "no header was written" false
         (Sys.file_exists (Filename.concat dir "shard.meta"));
       let d, _ = Store.Durable.open_ ~dir () in
       Alcotest.(check int) "the plain store holds both" 2
@@ -340,6 +302,83 @@ let test_apply_batch () =
       Alcotest.(check int) "count after recovery" 3 (SI.count sh2 "batch");
       SI.close sh2)
 
+(* A crash between shard commits: one batch touched all three shards,
+   and shard 1's last WAL record never landed.  Recovery must serve
+   every document still on disk under its old id; the next inserts go
+   to the lagging shard first, under ids no document holds. *)
+let test_uneven_tails () =
+  with_tmp_dir (fun dir ->
+      let config = { Store.Durable.default_config with checkpoint_every = 0 } in
+      let sh, _ = SI.open_store ~config ~shards:3 ~dir () in
+      let text g = Printf.sprintf "uneven doc %d xy" g in
+      for g = 0 to 5 do
+        Alcotest.(check int) "sequential id" g (SI.insert sh (text g))
+      done;
+      (* the delete of 4 goes to shard 1, then ids 6, 7, 8 land on
+         shards 0, 1, 2 *)
+      ignore
+        (SI.apply_batch sh
+           [ Trace.Delete 4; Trace.Insert (text 6); Trace.Insert (text 7); Trace.Insert (text 8) ]);
+      SI.kill sh ~torn:false;
+      (* cut shard 1's last record: the insert of id 7 *)
+      let wal = Store.Recovery.wal_path ~dir:(Filename.concat dir "shard-1") in
+      let raw = In_channel.with_open_bin wal In_channel.input_all in
+      let cut = String.rindex_from raw (String.length raw - 2) '\n' + 1 in
+      Alcotest.(check string) "the cut record" (Trace.op_to_string (Trace.Insert (text 7)) ^ "\n")
+        (String.sub raw cut (String.length raw - cut));
+      Out_channel.with_open_bin wal (fun oc -> Out_channel.output_string oc (String.sub raw 0 cut));
+      let survivors = [ 0; 1; 2; 3; 5; 6; 8 ] in
+      let check_served sh =
+        List.iter
+          (fun g ->
+            Alcotest.(check (option string)) (Printf.sprintf "doc %d keeps its id" g)
+              (Some (text g)) (SI.extract sh ~doc:g ~off:0 ~len:(String.length (text g))))
+          survivors;
+        Alcotest.(check bool) "the deleted doc stays deleted" false (SI.mem sh 4)
+      in
+      let sh, _ = SI.open_store ~config ~shards:3 ~dir () in
+      Alcotest.(check int) "doc_count" (List.length survivors) (SI.doc_count sh);
+      check_served sh;
+      Alcotest.(check (list (pair int int))) "search in old ids"
+        (List.map (fun g -> (g, 0)) survivors)
+        (SI.search sh "uneven");
+      let fresh = List.init 4 (fun i -> SI.insert sh (Printf.sprintf "refill %d" i)) in
+      Alcotest.(check (list int)) "the lagging shard absorbs the next insert" [ 7; 9; 10; 11 ] fresh;
+      Alcotest.(check (option int)) "id 7 is shard 1's" (Some 1) (SI.shard_of sh 7);
+      SI.close sh;
+      let sh, _ = SI.open_store ~config ~shards:3 ~dir () in
+      check_served sh;
+      List.iteri
+        (fun i g ->
+          Alcotest.(check (option string)) (Printf.sprintf "refill %d durable" i)
+            (Some (Printf.sprintf "refill %d" i)) (SI.extract sh ~doc:g ~off:0 ~len:8))
+        fresh;
+      Alcotest.(check int) "ids stay unique" 12 (SI.insert sh "next");
+      SI.close sh)
+
+(* A store written with hash placement and a placement log (layout
+   version 1, test/fixtures/v1-shard2-store, written by an earlier
+   `dsdg index --shards 2 --store`) is refused with Old_layout, by the
+   K probe and the opener alike, and no byte of it changes. *)
+let test_v1_layout_refused () =
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures/v1-shard2-store" in
+  let rec files d =
+    List.concat_map
+      (fun f ->
+        let p = Filename.concat d f in
+        if Sys.is_directory p then files p
+        else [ (p, In_channel.with_open_bin p In_channel.input_all) ])
+      (List.sort compare (Array.to_list (Sys.readdir d)))
+  in
+  let before = files dir in
+  let refused = SI.Old_layout { dir; version = 1 } in
+  Alcotest.check_raises "store_shards refuses" refused (fun () -> ignore (SI.store_shards ~dir));
+  Alcotest.check_raises "open_store refuses" refused (fun () ->
+      ignore (SI.open_store ~shards:2 ~dir ()));
+  Alcotest.check_raises "at any K" refused (fun () -> ignore (SI.open_store ~shards:1 ~dir ()));
+  Alcotest.(check int) "fixture files" 3 (List.length before);
+  Alcotest.(check bool) "byte-identical" true (files dir = before)
+
 (* --- composite-epoch time travel --- *)
 
 (* An as-of query under a captured epoch vector must answer exactly as
@@ -357,13 +396,12 @@ let test_epoch_vector_asof () =
   let patterns = [ "an"; "ana"; "a"; "ra"; "zz" ] in
   let searches = List.map (fun p -> (p, Model.search m p)) patterns in
   let then_count = Model.doc_count m in
-  (* the writer moves on: more inserts, deletes, and a migration *)
+  (* the writer moves on: more inserts and deletes *)
   for i = 0 to 14 do
     ignore (SI.insert sh (Printf.sprintf "later doc %d anan" i))
   done;
   ignore (SI.delete sh 0);
   ignore (SI.delete sh 3);
-  ignore (SI.rebalance_hottest sh);
   (* as-of answers = capture-time model; live answers have moved *)
   List.iter
     (fun (p, hits) ->
@@ -403,7 +441,7 @@ let test_pinned_backup_roundtrip () =
       ignore (Model.delete m 4);
       let pin = SI.pin sh in
       let ev = SI.pin_epoch_vector pin in
-      Alcotest.(check int) "pin vector shape" (SI.shards sh + 1) (Array.length ev);
+      Alcotest.(check int) "pin vector shape" (SI.shards sh) (Array.length ev);
       (* churn far past any retention (default retain_epochs is 0) *)
       for i = 0 to 24 do
         ignore (SI.insert sh (Printf.sprintf "post-pin churn %d" i))
@@ -440,15 +478,15 @@ let test_pinned_backup_roundtrip () =
 let suite =
   [ ("collection contract (K=3)", `Quick, test_collection_contract);
     ("deterministic routing, all shards populated", `Quick, test_routing_spread);
-    ("epoch vector monotone, length K+1", `Quick, test_epoch_vector_monotone);
+    ("epoch vector monotone, length K", `Quick, test_epoch_vector_monotone);
     ("as-of queries under a captured epoch vector", `Quick, test_epoch_vector_asof);
     ("pin -> backup -> reopen round-trip", `Quick, test_pinned_backup_roundtrip);
-    ("rebalance invisible to queries", `Quick, test_rebalance_invisible);
     ("shard mismatch detected", `Quick, test_shard_mismatch);
     ("apply_batch: order, global ids, crash safety", `Quick, test_apply_batch);
     ("parallel recovery = sequential recovery", `Quick, test_parallel_recovery_equivalence);
+    ("uneven shard tails: old ids kept, lagging shard refilled", `Quick, test_uneven_tails);
+    ("v1 sharded store refused, left untouched", `Quick, test_v1_layout_refused);
     ("kill-and-recover sweep (K=2)", `Slow, test_kill_sweep);
-    ("mid-split kill sweep (K=3)", `Slow, test_split_kill_sweep);
     ("fuzz reader-routed smoke", `Slow, test_fuzz_readers_smoke);
     ("fuzz matrix streams (K in {1,2,4})", `Slow, test_fuzz_matrix);
     ("kill sweeps end at the last op and clean up", `Slow, test_sweep_schedule) ]

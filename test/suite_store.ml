@@ -504,6 +504,24 @@ let test_wal_group_commit_single_fsync () =
       let c = Wal.read path in
       Alcotest.(check int) "all records durable" 16 (List.length c.Wal.wc_ops))
 
+(* A K = 3 batch touching every shard is one group commit per shard:
+   exactly three WAL fsyncs, and nothing else is fsynced per batch. *)
+let test_sharded_batch_fsyncs () =
+  with_dir "dsdg-shard-fsyncs" (fun dir ->
+      let module SI = Dsdg_shard.Sharded_index in
+      let config = { Durable.default_config with sync = Wal.Always; checkpoint_every = 0 } in
+      let sh, _ = SI.open_store ~config ~shards:3 ~dir () in
+      ignore (SI.insert sh "before the batch");
+      let before = fsyncs () in
+      let rs =
+        SI.apply_batch sh
+          [ Trace.Insert "one"; Trace.Insert "two"; Trace.Insert "three"; Trace.Delete 0 ]
+      in
+      Alcotest.(check int) "three fsyncs" 3 (fsyncs () - before);
+      Alcotest.(check bool) "every shard written" true
+        (rs = [ Durable.Br_inserted 1; Durable.Br_inserted 2; Durable.Br_inserted 3; Durable.Br_deleted true ]);
+      SI.close sh)
+
 let test_durable_apply_batch () =
   with_dir "dsdg-durable-batch" (fun dir ->
       let d, _ = Durable.open_ ~dir () in
@@ -1101,6 +1119,7 @@ let suite =
       test_wal_group_commit_single_fsync;
     Alcotest.test_case "durable apply_batch: order, rejection, replay" `Quick
       test_durable_apply_batch;
+    Alcotest.test_case "sharded batch: one fsync per shard (K=3)" `Quick test_sharded_batch_fsyncs;
     Alcotest.test_case "checkpoint compaction leaks no fds" `Quick test_checkpoint_no_fd_leak;
     Alcotest.test_case "snapshot/wal gap detected" `Quick test_gap_detected;
     Alcotest.test_case "wal tail: mid-file start + chunk straddle + live appends" `Quick
