@@ -25,7 +25,7 @@ let ablation_tau () =
         (* delete 40% *)
         List.iteri (fun i id -> if i mod 5 < 2 then ignore (T1.delete t id)) ids;
         let s = T1.stats t in
-        let q = Bench_util.per_op ~iters:30 (fun () -> T1.count t "data") in
+        let q = Bench_util.per_op ~iters:30 (fun () -> Epoch_view.count (T1.view t) "data") in
         [ string_of_int tau; string_of_int s.Transform1.purges;
           string_of_int s.Transform1.symbols_rebuilt;
           Bench_util.bits_per_sym (T1.space_bits t) (T1.total_symbols t);
@@ -49,11 +49,11 @@ let ablation_s () =
       (fun sample ->
         let t = T2.create { Index_config.default with sample } in
         Array.iter (fun d -> ignore (T2.insert t d)) docs;
-        let occ = T2.count t pat in
+        let occ = Epoch_view.count (T2.view t) pat in
         let report_ns =
           Bench_util.per_op ~iters:10 (fun () ->
               let c = ref 0 in
-              T2.search t pat ~f:(fun ~doc:_ ~off:_ -> incr c);
+              Epoch_view.search (T2.view t) pat ~f:(fun ~doc:_ ~off:_ -> incr c);
               !c)
         in
         [ string_of_int sample;
@@ -81,7 +81,7 @@ let ablation_t3 () =
               done)
         in
         let s = T1.stats t in
-        let q = Bench_util.per_op ~iters:30 (fun () -> T1.count t "index") in
+        let q = Bench_util.per_op ~iters:30 (fun () -> Epoch_view.count (T1.view t) "index") in
         Bench_util.emit_json_row ~bench:"ablation_t3"
           [ ("schedule", Bench_util.S name);
             ("insert_ns_per_sym", Bench_util.F (ins_ns /. float_of_int (T1.total_symbols t)));

@@ -7,10 +7,13 @@
    must also step the pending rebuild jobs (work_factor * |T| budget
    each), so inserts issued while jobs are active carry multi-ms
    construction slices and dominate p99.  Pooled inserts only pay
-   submission, polling and a bounded processor donation; the bulk of the
-   construction runs on worker domains during the query time between
-   updates.  We record exact per-insert wall times -- no sampling -- and
-   report p50/p99/max plus end-to-end throughput. *)
+   submission, polling and any forced completion of a job the workers
+   have not finished by its install point; the rest of the construction
+   runs on worker domains, concurrently with the inserts and the
+   queries.  With fewer cores than domains the workers share the
+   processor with the writer, so the [forced] count in the row shows how
+   often they fall behind.  We record exact per-insert wall times -- no
+   sampling -- and report p50/p99/max plus end-to-end throughput. *)
 
 open Dsdg_core
 

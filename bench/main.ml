@@ -29,15 +29,17 @@ let micro () =
   let tests =
     [
       Test.make ~name:"table1/static-fm-count" (Staged.stage (fun () -> Dsdg_fm.Fm_index.count fm pat));
-      Test.make ~name:"table2/transform2-count" (Staged.stage (fun () -> T2.count t2 pat));
+      Test.make ~name:"table2/transform2-count"
+        (Staged.stage (fun () -> Epoch_view.count (T2.view t2) pat));
       Test.make ~name:"table2/baseline-dynbwt-count"
         (Staged.stage (fun () -> Dsdg_dynseq.Dyn_fm.count base pat));
       Test.make ~name:"table3/plain-sa-backend-count"
         (let module T2s = Transform2.Make (Sa_static) in
          let t2s = T2s.create Index_config.default in
          Array.iter (fun d -> ignore (T2s.insert t2s d)) docs;
-         Staged.stage (fun () -> T2s.count t2s pat));
-      Test.make ~name:"table4/count-with-liveness" (Staged.stage (fun () -> T2.count t2 pat));
+         Staged.stage (fun () -> Epoch_view.count (T2s.view t2s) pat));
+      Test.make ~name:"table4/count-with-liveness"
+        (Staged.stage (fun () -> Epoch_view.count (T2.view t2) pat));
       Test.make ~name:"binrel/related"
         (Staged.stage (fun () -> Dsdg_binrel.Dyn_binrel.related rel 123 7));
     ]

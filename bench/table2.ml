@@ -38,11 +38,11 @@ let subjects () =
       name = "transform1/fm (ours, amortized)";
       insert = T1.insert t1;
       delete = T1.delete t1;
-      count = T1.count t1;
+      count = (fun p -> Epoch_view.count (T1.view t1) p);
       report =
         (fun p ->
           let c = ref 0 in
-          T1.search t1 p ~f:(fun ~doc:_ ~off:_ -> incr c);
+          Epoch_view.search (T1.view t1) p ~f:(fun ~doc:_ ~off:_ -> incr c);
           !c);
       space = (fun () -> T1.space_bits t1);
     };
@@ -50,11 +50,11 @@ let subjects () =
       name = "transform2/fm (ours, worst-case)";
       insert = T2.insert t2;
       delete = T2.delete t2;
-      count = T2.count t2;
+      count = (fun p -> Epoch_view.count (T2.view t2) p);
       report =
         (fun p ->
           let c = ref 0 in
-          T2.search t2 p ~f:(fun ~doc:_ ~off:_ -> incr c);
+          Epoch_view.search (T2.view t2) p ~f:(fun ~doc:_ ~off:_ -> incr c);
           !c);
       space = (fun () -> T2.space_bits t2);
     };
@@ -149,7 +149,8 @@ let run () =
         let base = Dyn_fm.create () in
         Array.iteri (fun i d -> Dyn_fm.insert base ~doc:i d) docs;
         let ours_ns =
-          Bench_util.per_op ~iters:10 (fun () -> List.iter (fun p -> ignore (T1.count t1 p)) pats)
+          Bench_util.per_op ~iters:10 (fun () ->
+              List.iter (fun p -> ignore (Epoch_view.count (T1.view t1) p)) pats)
           /. 20.
         in
         let base_ns =

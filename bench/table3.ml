@@ -45,19 +45,19 @@ let run () =
   in
   let fm_report p =
     let c = ref 0 in
-    T2_fm.search t_fm p ~f:(fun ~doc:_ ~off:_ -> incr c);
+    Epoch_view.search (T2_fm.view t_fm) p ~f:(fun ~doc:_ ~off:_ -> incr c);
     !c
   in
   let sa_report p =
     let c = ref 0 in
-    T2_sa.search t_sa p ~f:(fun ~doc:_ ~off:_ -> incr c);
+    Epoch_view.search (T2_sa.view t_sa) p ~f:(fun ~doc:_ ~off:_ -> incr c);
     !c
   in
   let rows =
     List.map
       (fun plen ->
-        let _, fm_ns = bench_count "fm" (T2_fm.count t_fm) plen in
-        let _, sa_ns = bench_count "sa" (T2_sa.count t_sa) plen in
+        let _, fm_ns = bench_count "fm" (fun p -> Epoch_view.count (T2_fm.view t_fm) p) plen in
+        let _, sa_ns = bench_count "sa" (fun p -> Epoch_view.count (T2_sa.view t_sa) p) plen in
         [ string_of_int plen; Bench_util.ns_str fm_ns; Bench_util.ns_str sa_ns ])
       [ 4; 16; 64 ]
   in
@@ -68,10 +68,10 @@ let run () =
   let rows2 =
     [
       [ "compressed backend (fm)";
-        Bench_util.ns_str (report_per_occ fm_report (T2_fm.count t_fm));
+        Bench_util.ns_str (report_per_occ fm_report (fun p -> Epoch_view.count (T2_fm.view t_fm) p));
         Bench_util.bits_per_sym (T2_fm.space_bits t_fm) n ];
       [ "plain-SA backend (Table 3 class)";
-        Bench_util.ns_str (report_per_occ sa_report (T2_sa.count t_sa));
+        Bench_util.ns_str (report_per_occ sa_report (fun p -> Epoch_view.count (T2_sa.view t_sa) p));
         Bench_util.bits_per_sym (T2_sa.space_bits t_sa) n ];
     ]
   in

@@ -28,12 +28,12 @@ let run () =
         match Text_gen.planted_pattern st docs ~len:plen with
         | None -> None
         | Some p ->
-          let occ = T1.count t p in
-          let count_ns = Bench_util.per_op ~iters:50 (fun () -> T1.count t p) in
+          let occ = Epoch_view.count (T1.view t) p in
+          let count_ns = Bench_util.per_op ~iters:50 (fun () -> Epoch_view.count (T1.view t) p) in
           let report_ns =
             Bench_util.per_op ~iters:10 (fun () ->
                 let c = ref 0 in
-                T1.search t p ~f:(fun ~doc:_ ~off:_ -> incr c);
+                Epoch_view.search (T1.view t) p ~f:(fun ~doc:_ ~off:_ -> incr c);
                 !c)
           in
           Some

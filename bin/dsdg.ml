@@ -903,9 +903,6 @@ let fuzz_cmd seed ops streams variant backend (index : Index_config.t) fault pro
     let index = { index with fault = List.assoc_opt fault Index_config.faults } in
     if index.fault = Some `Worker_crash && index.jobs = 0 then
       die_usage "--fault worker-crash requires --jobs >= 1 (it sabotages the pooled executor)";
-    if index.fault = Some `Stale_epoch && index.readers = 0 then
-      die_usage
-        "--fault stale-epoch requires --readers >= 1 (it breaks only the read plane, which direct queries never touch)";
     (* with --shards K every target is joined by sharded collections over
        the same settings, K in {1, 2, K} *)
     let counts = if shards > 1 then List.sort_uniq compare [ 1; min 2 shards; shards ] else [] in
@@ -1132,7 +1129,9 @@ let config_term ?(fixed = []) ~(base : Index_config.t) shape =
       $ int_arg "sample" base.sample "SA sampling rate s."
       $ tau_arg base.tau
       $ int_arg "jobs" base.jobs
-          "Background-rebuild worker domains (0 = deterministic synchronous mode). With --store, any value >= 1 also moves checkpoint folds onto a worker domain."
+          "Background-rebuild worker domains of the worst-case variant (0 = deterministic synchronous \
+           mode; the amortized variants rebuild inline). With --store, any value >= 1 also moves \
+           checkpoint folds onto a worker domain."
       $ flag `Readers base.readers
           (int_arg "readers" base.readers
              "Reader-pool domains serving queries from the latest published snapshot (0 = queries run on the caller's domain).")
@@ -1396,7 +1395,7 @@ let fuzz_fault_arg =
   let faults = ("none" :: List.map fst Index_config.faults) @ [ "torn-write"; "rel-lost-remove" ] in
   Arg.(value & opt (enum (List.map (fun f -> (f, f)) faults)) "none"
        & info [ "fault" ]
-           ~doc:"Plant a deliberate defect: none | skip-top-clean | worker-crash | stale-epoch | torn-write (harness self-tests; worker-crash needs --jobs >= 1, stale-epoch needs --readers >= 1, torn-write needs --store DIR).")
+           ~doc:"Plant a deliberate defect: none | skip-top-clean | worker-crash | stale-epoch | torn-write (harness self-tests; worker-crash needs --jobs >= 1, torn-write needs --store DIR).")
 let fuzz_profile_arg =
   Arg.(value & opt string "default" & info [ "profile" ] ~doc:"Op-mix profile: default | churny.")
 let fuzz_replay_arg =

@@ -41,9 +41,9 @@ let () =
           T2.delete t id)
       ~search:(fun p ->
         let c = ref 0 in
-        T2.search t p ~f:(fun ~doc:_ ~off:_ -> incr c);
+        Epoch_view.search (T2.view t) p ~f:(fun ~doc:_ ~off:_ -> incr c);
         !c)
-      ~count:(fun p -> T2.count t p)
+      ~count:(fun p -> Epoch_view.count (T2.view t) p)
   in
 
   Printf.printf "stream: %d inserts, %d deletes, %d searches, %d counts; %d matches touched\n"

@@ -39,19 +39,15 @@ let delete s id =
   | [ Br_deleted ok ] -> ok
   | _ -> failwith (s.name ^ ": delete did not report an outcome")
 
-let of_index ?views ~name idx =
-  let views = match views with Some v -> v | None -> Di.readers idx > 0 in
-  let q direct on_view = if views then Di.query idx on_view else direct () in
+let of_index ~name idx =
   let oracle = Oracle.create () in
+  (* the published view must agree with the write plane the moment the
+     writer is quiescent *)
   let census () =
-    if not views then []
-    else
-      (* the published view must agree with the write plane the moment
-         the writer is quiescent *)
-      let vdc, vts = Di.query idx (fun v -> (Di.view_doc_count v, Di.view_total_symbols v)) in
-      let dc = Di.doc_count idx and ts = Di.total_symbols idx in
-      (if vdc <> dc then [ Printf.sprintf "view doc_count %d, write plane %d" vdc dc ] else [])
-      @ if vts <> ts then [ Printf.sprintf "view total_symbols %d, write plane %d" vts ts ] else []
+    let vdc, vts = Di.query idx (fun v -> (Di.view_doc_count v, Di.view_total_symbols v)) in
+    let dc = Di.doc_count idx and ts = Di.total_symbols idx in
+    (if vdc <> dc then [ Printf.sprintf "view doc_count %d, write plane %d" vdc dc ] else [])
+    @ if vts <> ts then [ Printf.sprintf "view total_symbols %d, write plane %d" vts ts ] else []
   in
   {
     name;
@@ -60,12 +56,10 @@ let of_index ?views ~name idx =
         | Trace.Insert text -> Br_inserted (Di.insert idx text)
         | Trace.Delete id -> Br_deleted (Di.delete idx id)
         | op -> invalid_arg (Printf.sprintf "%S is not a mutation" (Trace.op_to_string op)));
-    search = (fun p -> q (fun () -> Di.search idx p) (fun v -> Di.view_search v p));
-    count = (fun p -> q (fun () -> Di.count idx p) (fun v -> Di.view_count v p));
-    extract =
-      (fun ~doc ~off ~len ->
-        q (fun () -> Di.extract idx ~doc ~off ~len) (fun v -> Di.view_extract v ~doc ~off ~len));
-    mem = (fun id -> q (fun () -> Di.mem idx id) (fun v -> Di.view_mem v id));
+    search = (fun p -> Di.query idx (fun v -> Di.view_search v p));
+    count = (fun p -> Di.query idx (fun v -> Di.view_count v p));
+    extract = (fun ~doc ~off ~len -> Di.query idx (fun v -> Di.view_extract v ~doc ~off ~len));
+    mem = (fun id -> Di.query idx (fun v -> Di.view_mem v id));
     drain = (fun () -> Di.drain idx);
     doc_count = (fun () -> Di.doc_count idx);
     total_symbols = (fun () -> Di.total_symbols idx);

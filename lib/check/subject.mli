@@ -9,9 +9,9 @@
     follower, the replication checker and every CLI subcommand drive
     it without knowing what is behind it.
 
-    Query plane: a constructor whose subject a server can front reads
-    published views ({!Dsdg_core.Dynamic_index.query}), because
-    connection threads query while the writer thread mutates. *)
+    Query plane: every constructor reads published views
+    ({!Dsdg_core.Dynamic_index.query}), so connection threads may query
+    while the writer thread mutates. *)
 
 (** Outcome of one mutation of a batch, in batch order. *)
 type batch_result = Br_inserted of int | Br_deleted of bool
@@ -64,12 +64,11 @@ val insert : t -> string -> int
 val delete : t -> int -> bool
 
 (** [of_index ~name idx]. Queries run on the latest published view
-    through {!Dsdg_core.Dynamic_index.query} when [views] holds
-    (default: when [idx] owns readers), so the read plane itself is
-    checked (a stale epoch publication becomes a model disagreement);
-    directly otherwise. [check] compares the view's census with the
-    write plane when queries read views, and runs the {!Oracle}
+    through {!Dsdg_core.Dynamic_index.query} (on a reader domain when
+    [idx] owns readers), so the read plane itself is checked (a stale
+    epoch publication becomes a model disagreement). [check] compares
+    the view's census with the write plane and runs the {!Oracle}
     invariants. There are no replication streams; [flush] and
     [checkpoint] do nothing and [close]/[kill] are
     {!Dsdg_core.Dynamic_index.close}. *)
-val of_index : ?views:bool -> name:string -> Dsdg_core.Dynamic_index.t -> t
+val of_index : name:string -> Dsdg_core.Dynamic_index.t -> t

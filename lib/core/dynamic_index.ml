@@ -31,8 +31,8 @@ type dump = Dynamization.dump = {
   dm_docs : (int * string) array;
 }
 
-(* API conventions enforced uniformly across every variant x backend and
-   both planes (the backends disagree on these edge cases, which is
+(* API conventions enforced uniformly across every variant x backend
+   (the backends disagree on these edge cases, which is
    exactly the kind of drift the differential checker exists to catch):
 
    - the empty pattern is rejected with [Invalid_argument]: under the
@@ -56,10 +56,6 @@ type view = Epoch_view.t
 type ops = {
   op_insert : string -> int;
   op_delete : int -> bool;
-  op_search : string -> f:(doc:int -> off:int -> unit) -> unit;
-  op_count : string -> int;
-  op_extract : doc:int -> off:int -> len:int -> string option;
-  op_mem : int -> bool;
   op_doc_count : unit -> int;
   op_total_symbols : unit -> int;
   op_space_bits : unit -> int;
@@ -130,10 +126,6 @@ let make ?restore_from (config : Index_config.t) : t =
     {
       op_insert = E.insert e;
       op_delete = E.delete e;
-      op_search = E.search e;
-      op_count = E.count e;
-      op_extract = E.extract e;
-      op_mem = E.mem e;
       op_doc_count = (fun () -> E.doc_count e);
       op_total_symbols = (fun () -> E.total_symbols e);
       op_space_bits = (fun () -> E.space_bits e);
@@ -205,25 +197,6 @@ let delete t id =
   retain_note t;
   ok
 
-(* All (doc, off) occurrences that [iter] streams, sorted. *)
-let sorted_matches iter =
-  let acc = ref [] in
-  iter ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-  List.sort compare !acc
-
-let mem t id = t.ops.op_mem id
-
-let iter_matches t p ~f =
-  pattern p;
-  t.ops.op_search p ~f
-
-let search t p = sorted_matches (iter_matches t p)
-
-let count t p =
-  pattern p;
-  t.ops.op_count p
-
-let extract t = cut ~mem:t.ops.op_mem ~extract:t.ops.op_extract
 let doc_count t = t.ops.op_doc_count ()
 let total_symbols t = t.ops.op_total_symbols ()
 let space_bits t = t.ops.op_space_bits ()
@@ -250,13 +223,22 @@ let view_iter_matches v p ~f =
   pattern p;
   Epoch_view.search v p ~f
 
-let view_search v p = sorted_matches (view_iter_matches v p)
+let view_search v p =
+  pattern p;
+  Epoch_view.matches v p
 
 let view_count v p =
   pattern p;
   Epoch_view.count v p
 
 let view_extract v = cut ~mem:(Epoch_view.mem v) ~extract:(Epoch_view.extract v)
+
+(* The one query path: every query reads the latest published view. *)
+let mem t id = view_mem (view t) id
+let iter_matches t p ~f = view_iter_matches (view t) p ~f
+let search t p = view_search (view t) p
+let count t p = view_count (view t) p
+let extract t ~doc ~off ~len = view_extract (view t) ~doc ~off ~len
 
 (* --- epoch retention and pinning --- *)
 

@@ -19,10 +19,10 @@ type t
 
     [jobs = 0] is the deterministic Sync mode (rebuild jobs stepped
     cooperatively inside updates); [jobs >= 1] spawns worker domains
-    ({!Dsdg_exec.Executor}) that run [Worst_case] rebuild jobs (and the
-    amortized variants' purge/global-rebuild constructions) off the
+    ({!Dsdg_exec.Executor}) that run [Worst_case] rebuild jobs off the
     update path, with results installed at exactly the paper's install
-    points. [readers >= 1] spawns domains that serve {!query} calls
+    points (the amortized variants rebuild inline and ignore [jobs]).
+    [readers >= 1] spawns domains that serve {!query} calls
     against the latest published {!view} while updates stay exclusive on
     the caller's domain. Call {!close} when done with a pooled index.
     [retain_epochs = n] keeps the [n] most recently published views
@@ -35,9 +35,14 @@ val insert : t -> string -> int
 (** [delete t id]; [false] if no such live document. *)
 val delete : t -> int -> bool
 
-(** Whether [id] names a live document: one hash lookup for the
-    amortized variants; [Worst_case] walks every structure (and, with
-    [jobs >= 1], donates a bounded slice to the background workers). *)
+(** {1 Queries}
+
+    Each query below is its [view_*] counterpart applied to the latest
+    published {!view}: there is one query path, and it reads the read
+    plane. *)
+
+(** Whether [id] names a live document: asks each structure of the
+    view. *)
 val mem : t -> int -> bool
 
 (** All (document, offset) occurrences, sorted. Raises
@@ -108,8 +113,8 @@ val probe : t -> probe
 
 (** An immutable point-in-time snapshot of the index: the engine's
     published {!Epoch_view.t}, the same type under every variant and
-    backend. Queries on a view follow the same conventions as their
-    write-plane counterparts (empty-pattern rejection, [len = 0]
+    backend. Queries on a view follow the conventions documented at
+    {!search} and {!extract} (empty-pattern rejection, [len = 0]
     extraction). *)
 type view
 

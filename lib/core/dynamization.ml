@@ -7,8 +7,9 @@
     Every completed update publishes one {!Epoch_view.t} through an
     atomic epoch pointer, so queries can run on other domains against
     the latest snapshot while the single writer keeps mutating (see
-    DESIGN.md section 9). The read plane is not per transformation:
-    each one lists its frozen structures and {!Epoch_view} answers. *)
+    DESIGN.md section 9). Every query reads that view: a transformation
+    declares no query of its own, it lists its frozen structures and
+    {!Epoch_view} answers. *)
 
 (** Read-only structural snapshot for the invariant oracles in
     [Dsdg_check]. *)
@@ -54,9 +55,10 @@ module type S = sig
   type t
 
   (** An empty index with [config]'s [variant] (Transformation 1 picks
-      its schedule from it), [sample], [tau], [fault] and [jobs]; the
-      caller validates [config]. [jobs >= 1] attaches a worker pool that
-      runs rebuild constructions off the update path. *)
+      its schedule from it), [sample] and [tau]; the caller validates
+      [config]. Only Transformation 2 reads [fault] and [jobs]: with
+      [jobs >= 1] a worker pool runs its rebuild jobs off the update
+      path. *)
   val create : Index_config.t -> t
 
   (** Rebuild from a flat dump as one restructure: Transformation 2
@@ -72,23 +74,6 @@ module type S = sig
 
   (** [false] if the document is absent (or already deleted). *)
   val delete : t -> int -> bool
-
-  (** Whether [id] names a live document. O(1) for Transformations 1
-      and 3; Transformation 2 walks every structure. *)
-  val mem : t -> int -> bool
-
-  (** Report every surviving occurrence, querying every structure
-      (Lemma 4's query decomposition). *)
-  val search : t -> string -> f:(doc:int -> off:int -> unit) -> unit
-
-  (** All [(doc, off)] occurrences, sorted. *)
-  val matches : t -> string -> (int * int) list
-
-  (** Occurrence count, summed across structures (Theorem 1). *)
-  val count : t -> string -> int
-
-  (** Substring of a live document; [None] if dead or out of range. *)
-  val extract : t -> doc:int -> off:int -> len:int -> string option
 
   (** Live documents across all structures. *)
   val doc_count : t -> int

@@ -45,6 +45,13 @@ type t = {
     [Dynamic_index]'s. *)
 
 let search v p ~f = List.iter (fun (_, c) -> c.search p ~f) v.components
+
+(** All [(doc, off)] occurrences, sorted. *)
+let matches v p =
+  let acc = ref [] in
+  search v p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
+  List.sort compare !acc
+
 let count v p = List.fold_left (fun a (_, c) -> a + c.count p) 0 v.components
 let mem v doc = List.exists (fun (_, c) -> c.mem doc) v.components
 

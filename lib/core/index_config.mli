@@ -38,9 +38,8 @@ type backend =
     breaks the crash recovery: the job is discarded instead of rebuilt,
     so the documents of its locked source (and any Temp riding on it)
     are lost. [`Stale_epoch] makes successful deletes skip the epoch
-    publication: the write plane stays correct while published views
-    keep serving deleted documents, which only a concurrent-reader
-    oracle can catch. *)
+    publication: the write plane stays correct while published views,
+    which every query reads, keep serving deleted documents. *)
 type fault = [ `Skip_top_clean | `Worker_crash | `Stale_epoch ]
 
 type t = {
@@ -51,7 +50,8 @@ type t = {
   fault : fault option;  (** a planted defect; affects [Worst_case] indexes only *)
   jobs : int;
       (** background-rebuild worker domains; [0] steps rebuilds
-          cooperatively inside updates (deterministic) *)
+          cooperatively inside updates (deterministic); affects
+          [Worst_case] indexes only *)
   readers : int;  (** reader-pool domains serving queries from published views *)
   retain_epochs : int;  (** recently published views kept resolvable for as-of reads *)
 }

@@ -167,7 +167,7 @@ module Make (I : Static_index.S) = struct
      dead-array copy, amortized against those deletes.  The frozen copy
      shares the static index and the id maps (never changed after
      build) and owns its deletion state; nothing ever deletes from it,
-     so the write-plane queries answer for the snapshot on any domain
+     so this module's queries answer for the snapshot on any domain
      while the original keeps flipping dead bits. *)
   let snapshot t =
     match t.view_cache with

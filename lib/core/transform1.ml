@@ -76,7 +76,6 @@ type stats = {
 
 module Make (I : Static_index.S) = struct
   module SS = Semi_static.Make (I)
-  module Exec = Dsdg_exec.Executor
 
   (* Sub-collection slots are stored in a fixed array of generous size;
      the live prefix in use is [1 .. slots nf]. *)
@@ -93,14 +92,12 @@ module Make (I : Static_index.S) = struct
     mutable next_id : int;
     mutable nf : int;
     mutable live : int; (* live symbols including separators *)
-    exec : Exec.t option; (* purge/global-rebuild offload; None = all inline *)
     published : Epoch_view.publisher; (* the read plane *)
     obs : Obs.scope;
     c_merges : Obs.counter;
     c_purges : Obs.counter;
     c_global_rebuilds : Obs.counter;
     c_symbols_rebuilt : Obs.counter;
-    c_crash_fallbacks : Obs.counter;
     c_inserts : Obs.counter;
     c_deletes : Obs.counter;
     h_insert_ns : Obs.histogram;
@@ -108,13 +105,12 @@ module Make (I : Static_index.S) = struct
     h_purge_dead_frac : Obs.histogram; (* per-mille dead fraction at purge time *)
   }
 
-  let create ({ variant; sample; tau; jobs; _ } : Index_config.t) =
+  let create ({ variant; sample; tau; _ } : Index_config.t) =
     let schedule, transform =
       if variant = Index_config.Amortized_loglog then (doubling, "transform3") else (geometric, "transform1")
     in
     let obs = Obs.private_scope ("transform1/" ^ I.name) in
     {
-      exec = (if jobs > 0 then Some (Exec.create ~obs ~workers:jobs ()) else None);
       schedule;
       name = transform ^ "/" ^ I.name;
       sample;
@@ -131,7 +127,6 @@ module Make (I : Static_index.S) = struct
       c_purges = Obs.counter obs "purges";
       c_global_rebuilds = Obs.counter obs "global_rebuilds";
       c_symbols_rebuilt = Obs.counter obs "symbols_rebuilt";
-      c_crash_fallbacks = Obs.counter obs "crash_fallbacks";
       c_inserts = Obs.counter obs "inserts";
       c_deletes = Obs.counter obs "deletes";
       h_insert_ns = Obs.histogram obs "insert_ns";
@@ -180,21 +175,6 @@ module Make (I : Static_index.S) = struct
       (Array.fold_left (fun a (_, s) -> a + String.length s + 1) 0 arr);
     SS.build ~sample:t.sample ~tau:t.tau arr
 
-  (* Purge/global-rebuild offload: run the build on a worker domain when
-     a pool is attached (the docs list is immutable, so the job is
-     trivially domain-safe), falling back to an inline build if the
-     worker crashes.  With no pool this IS [build_sub]. *)
-  let offload_build t ~name docs =
-    match t.exec with
-    | None -> build_sub t docs
-    | Some exec -> (
-      match Exec.await exec (Exec.submit exec ~name (fun _tick -> build_sub t docs)) with
-      | `Done ss -> ss
-      | `Failed _ | `Cancelled ->
-        Obs.incr t.c_crash_fallbacks;
-        Obs.record t.obs (Obs.Note ("worker crash: " ^ name ^ " rebuilt inline"));
-        build_sub t docs)
-
   let set_locations t docs loc = List.iter (fun (id, _) -> Hashtbl.replace t.locs id loc) docs
 
   (* --- read plane --- *)
@@ -230,7 +210,7 @@ module Make (I : Static_index.S) = struct
     t.live <- total;
     let r = r_of t in
     if docs <> [] then begin
-      t.subs.(r) <- Some (offload_build t ~name:"global_rebuild" docs);
+      t.subs.(r) <- Some (build_sub t docs);
       set_locations t docs (In_sub r)
     end;
     Obs.record t.obs (Obs.Restructure { nf = t.nf; structures = (if docs = [] then 0 else 1) })
@@ -298,7 +278,7 @@ module Make (I : Static_index.S) = struct
       let docs = SS.live_docs ss in
       if docs = [] then t.subs.(j) <- None
       else begin
-        t.subs.(j) <- Some (offload_build t ~name:(Printf.sprintf "purge C%d" j) docs);
+        t.subs.(j) <- Some (build_sub t docs);
         set_locations t docs (In_sub j)
       end
 
@@ -350,38 +330,8 @@ module Make (I : Static_index.S) = struct
         end;
         ok)
 
-  let mem t id = Hashtbl.mem t.locs id
-
-  let search t p ~f =
-    Gsuffix_tree.search t.gst p ~f;
-    for j = 1 to max_slots do
-      match t.subs.(j) with None -> () | Some ss -> SS.search ss p ~f
-    done
-
-  let matches t p =
-    let acc = ref [] in
-    search t p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-    List.sort compare !acc
-
-  let count t p =
-    let c = ref (Gsuffix_tree.count t.gst p) in
-    for j = 1 to max_slots do
-      match t.subs.(j) with None -> () | Some ss -> c := !c + SS.count ss p
-    done;
-    !c
-
-  let extract t ~doc ~off ~len =
-    match Hashtbl.find_opt t.locs doc with
-    | None -> None
-    | Some In_buffer -> (
-      match Gsuffix_tree.get_doc t.gst doc with
-      | None -> None
-      | Some s -> if off < 0 || len < 0 || off + len > String.length s then None else Some (String.sub s off len))
-    | Some (In_sub j) -> (
-      match t.subs.(j) with None -> None | Some ss -> SS.extract ss ~doc ~off ~len)
-
   (* Merge everything into one sub-collection now (an explicit global
-     rebuild): afterwards queries probe a single static index plus the
+     rebuild): afterwards a view lists a single static index plus the
      empty C0.  The library-management analogue of a force-merge. *)
   let consolidate t =
     global_rebuild t ~extra:[];
@@ -417,10 +367,8 @@ module Make (I : Static_index.S) = struct
       pr_clean = None;
     }
 
-  (* Rebuilds are synchronous: nothing is ever in flight. *)
+  (* Rebuilds are synchronous: nothing is ever in flight, and there is
+     no pool to stop. *)
   let drain _ = ()
-
-  (* Stop and join the worker domains (no-op without a pool); the index
-     stays usable, rebuilds simply run inline afterwards. *)
-  let close t = match t.exec with None -> () | Some exec -> Exec.shutdown exec
+  let close _ = ()
 end

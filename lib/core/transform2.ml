@@ -75,13 +75,6 @@ module Make (I : Static_index.S) = struct
      level (Section 3 uses Transformation 1's sizes). *)
   let epsilon = 0.5
 
-  (* Per-query cap on the processor time donated to pooled workers (in
-     job work units; see [donate]).  Small enough that a single query's
-     latency stays bounded, large enough that a read-heavy interleaving
-     keeps the workers ahead of their install deadlines on a machine
-     with fewer cores than domains. *)
-  let query_grain = 2048
-
   (* How a background job is being run: [Incr] is the cooperative
      effects-based realization stepped inside updates (the only mode
      when [jobs = 0], bit-for-bit the pre-executor behaviour); [Pooled]
@@ -438,24 +431,7 @@ module Make (I : Static_index.S) = struct
     Obs.record t.obs (Obs.Job_start { slot = j; target = target_name job.target });
     t.jobs.(j) <- Some job
 
-  (* --- queries --- *)
-
-  (* Reader-assist donation.  Updates are the latency-critical path (they
-     hold the schedule's invariants), so pooled mode keeps them free of
-     construction work entirely: submission, polling and the occasional
-     forced completion at a missed deadline.  Queries instead donate a
-     bounded processor slice to the workers -- on a multicore machine the
-     background builds run during query time anyway; on a machine with
-     fewer cores than domains this makes that explicit, so the workers
-     keep pace with their install deadlines instead of being starved by
-     the update loop.  [Exec.breathe] returns immediately when no job is
-     queued or running, and never touches index state, so query results
-     are identical with or without the donation. *)
-  let donate t =
-    match t.exec with
-    | Some exec when t.fault <> Some `Worker_crash -> Exec.breathe exec ~ticks:query_grain
-    | _ -> ()
-
+  (* Every structure that holds documents, C0/L0 first. *)
   let iter_structures t ~fss ~fgst =
     fgst t.gst;
     (match t.locked_gst with None -> () | Some g -> fgst g);
@@ -465,47 +441,6 @@ module Make (I : Static_index.S) = struct
       match t.temps.(j) with None -> () | Some ss -> fss ss
     done;
     List.iter (fun (_, ss) -> fss ss) t.tops
-
-  let search t p ~f =
-    donate t;
-    iter_structures t
-      ~fss:(fun ss -> SS.search ss p ~f)
-      ~fgst:(fun g -> Gsuffix_tree.search g p ~f)
-
-  let matches t p =
-    let acc = ref [] in
-    search t p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-    List.sort compare !acc
-
-  let count t p =
-    donate t;
-    let c = ref 0 in
-    iter_structures t
-      ~fss:(fun ss -> c := !c + SS.count ss p)
-      ~fgst:(fun g -> c := !c + Gsuffix_tree.count g p);
-    !c
-
-  let extract t ~doc ~off ~len =
-    donate t;
-    let result = ref None in
-    iter_structures t
-      ~fss:(fun ss ->
-        if !result = None && SS.mem ss doc then result := SS.extract ss ~doc ~off ~len)
-      ~fgst:(fun g ->
-        if !result = None then
-          match Gsuffix_tree.get_doc g doc with
-          | Some s when off >= 0 && len >= 0 && off + len <= String.length s ->
-            result := Some (String.sub s off len)
-          | _ -> ());
-    !result
-
-  let mem t doc =
-    donate t;
-    let found = ref false in
-    iter_structures t
-      ~fss:(fun ss -> if SS.mem ss doc then found := true)
-      ~fgst:(fun g -> if Gsuffix_tree.mem g doc then found := true);
-    !found
 
   (* --- restructuring (nf re-snapshot; synchronous, rare) --- *)
 
@@ -907,20 +842,8 @@ module Make (I : Static_index.S) = struct
     publish t ~cause:(`Restored d.dm_epoch);
     t
 
-  (* Updates are the schedule's synchronous critical sections: in pooled
-     mode they run under update-priority, so worker domains park at
-     their next tick instead of competing with the owner for processor
-     time and GC barriers mid-update.  [Exec.await] (forced completion)
-     and inline overflow release the priority internally, so landing a
-     job from inside an update cannot deadlock.  The epoch publication
-     happens after the priority section: readers never contend with the
-     critical section itself. *)
   let insert t text =
-    let id =
-      match t.exec with
-      | Some exec -> Exec.with_priority exec (fun () -> insert_body t text)
-      | None -> insert_body t text
-    in
+    let id = insert_body t text in
     publish t ~cause:`Update;
     id
 
@@ -928,11 +851,7 @@ module Make (I : Static_index.S) = struct
      the publication: the write plane stays correct while the read
      plane serves stale views. *)
   let delete t id =
-    let ok =
-      match t.exec with
-      | Some exec -> Exec.with_priority exec (fun () -> delete_body t id)
-      | None -> delete_body t id
-    in
+    let ok = delete_body t id in
     if ok && t.fault <> Some `Stale_epoch then publish t ~cause:`Update;
     ok
 

@@ -11,9 +11,9 @@
     resident. The config's [fault] plants one of the
     scheduling defects of {!Index_config.fault}.
 
-    Queries, [mem] included, walk every structure (C0/L0, C_j, L_j,
-    Temp_j, T_k); in pooled mode each also donates a bounded slice of
-    processor time to the background workers. *)
+    Queries read the published {!Epoch_view.t}, which lists every
+    structure (C0/L0, C_j, L_j, Temp_j, T_k); pooled workers just run
+    their queued jobs, and updates land them at the install points. *)
 
 (** Read-only snapshot of the scheduling counters. *)
 type stats = {

@@ -33,7 +33,6 @@ type 'a handle = {
   (* the thunk is kept here (not only in the queue) so [await] can steal
      a still-queued job and run it on the caller *)
   h_fn : (unit -> unit) -> 'a;
-  mutable h_enqueued : bool; (* counted in [outstanding]; set before the handle escapes submit *)
   mutable h_ticks : int; (* work units the job consumed, worker-local until terminal *)
   mutable h_done_ns : int; (* clock at the terminal transition *)
   mutable h_observed : bool; (* handoff latency recorded once *)
@@ -51,19 +50,6 @@ type t = {
   nonempty : Condition.t;
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
-  (* progress accounting for [breathe]: [outstanding] counts enqueued
-     jobs not yet terminal; [quanta] advances once per [heartbeat] ticks
-     of job execution (any domain) and once per terminal transition,
-     with [progress] broadcast each time *)
-  mutable outstanding : int;
-  mutable quanta : int;
-  mutable breathe_target : int; (* wake the breather only at its target quanta *)
-  progress : Condition.t;
-  (* update-priority: while set, workers park at their next tick so the
-     owner's synchronous critical section runs without processor or GC
-     barrier interference from half-built background work *)
-  priority : bool Atomic.t;
-  resume : Condition.t;
   c_submitted : Obs.counter;
   c_completed : Obs.counter;
   c_crashed : Obs.counter;
@@ -72,7 +58,6 @@ type t = {
   g_depth : Obs.gauge;
   h_wall : Obs.histogram;
   h_handoff : Obs.histogram;
-  h_breathe : Obs.histogram;
 }
 
 let workers t = t.t_workers
@@ -84,19 +69,6 @@ let pending t =
   Mutex.unlock t.mu;
   n
 
-(* Work units per progress broadcast: coarse enough that the per-tick
-   cost is amortized away, fine enough that [breathe] wakes promptly. *)
-let heartbeat = 1024
-
-(* Broadcasting on every quantum would wake a breather [beats] times per
-   wait (each wake-sleep cycle costs real time on a loaded box); the
-   breather publishes its target instead and is woken exactly once. *)
-let pulse pool =
-  Mutex.lock pool.mu;
-  pool.quanta <- pool.quanta + 1;
-  if pool.quanta >= pool.breathe_target then Condition.broadcast pool.progress;
-  Mutex.unlock pool.mu
-
 (* Run [h] to a terminal state on the current domain (worker, or the
    submitter/awaiter for inline and stolen jobs).  The caller must have
    already transitioned the handle to Running under its mutex. *)
@@ -104,16 +76,6 @@ let execute pool (h : 'a handle) =
   let t0 = Obs.now_ns () in
   let tick () =
     h.h_ticks <- h.h_ticks + 1;
-    if h.h_ticks land (heartbeat - 1) = 0 then pulse pool;
-    if Atomic.get pool.priority then begin
-      (* parked workers sit in Condition.wait, which also exempts them
-         from stop-the-world barriers while the owner runs *)
-      Mutex.lock pool.mu;
-      while Atomic.get pool.priority && not pool.stopping do
-        Condition.wait pool.resume pool.mu
-      done;
-      Mutex.unlock pool.mu
-    end;
     if Atomic.get h.h_cancel then raise Cancelled
   in
   let outcome = try Done (h.h_fn tick) with Cancelled -> Cancelled_ | exn -> Failed exn in
@@ -123,13 +85,6 @@ let execute pool (h : 'a handle) =
   Condition.broadcast h.h_cv;
   Mutex.unlock h.h_mu;
   Obs.observe pool.h_wall (h.h_done_ns - t0);
-  if h.h_enqueued then begin
-    Mutex.lock pool.mu;
-    pool.outstanding <- pool.outstanding - 1;
-    pool.quanta <- pool.quanta + 1;
-    Condition.broadcast pool.progress;
-    Mutex.unlock pool.mu
-  end;
   match outcome with
   | Done _ -> Obs.incr pool.c_completed
   | Failed _ -> Obs.incr pool.c_crashed
@@ -182,12 +137,6 @@ let create ?queue_cap ?obs ~workers () =
       nonempty = Condition.create ();
       stopping = false;
       domains = [];
-      outstanding = 0;
-      quanta = 0;
-      breathe_target = max_int;
-      progress = Condition.create ();
-      priority = Atomic.make false;
-      resume = Condition.create ();
       c_submitted = Obs.counter obs "exec_submitted";
       c_completed = Obs.counter obs "exec_completed";
       c_crashed = Obs.counter obs "exec_crashed";
@@ -196,42 +145,10 @@ let create ?queue_cap ?obs ~workers () =
       g_depth = Obs.gauge obs "exec_queue_depth";
       h_wall = Obs.histogram obs "exec_wall_ns";
       h_handoff = Obs.histogram obs "exec_handoff_ns";
-      h_breathe = Obs.histogram obs "exec_breathe_ns";
     }
   in
   pool.domains <- List.init workers (fun _ -> Domain.spawn (worker_loop pool));
   pool
-
-(* Temporarily release update-priority while the owner itself runs job
-   code or waits on a worker, restoring it afterwards.  Without this the
-   owner would park itself on its own flag (inline and stolen jobs go
-   through [execute]'s tick) or deadlock waiting on a parked worker
-   ([await] on a running job, [breathe]).  Single priority holder by
-   contract (see [with_priority]). *)
-let priority_dropped pool f =
-  if Atomic.get pool.priority then begin
-    Atomic.set pool.priority false;
-    Mutex.lock pool.mu;
-    Condition.broadcast pool.resume;
-    if not (Queue.is_empty pool.q) then Condition.broadcast pool.nonempty;
-    Mutex.unlock pool.mu;
-    Fun.protect f ~finally:(fun () -> Atomic.set pool.priority true)
-  end
-  else f ()
-
-(* Releasing the priority does NOT wake parked workers: a broadcast here
-   would invite the scheduler to preempt the owner right at the update's
-   return (the wake-up itself becomes update latency on an oversubscribed
-   machine), and an update burst would pay park/unpark per update.
-   Workers instead resume at the next point the owner wants their
-   progress: a query's {!breathe} donation, or an owner-side blocking
-   wait ([priority_dropped]) -- both broadcast [resume] on entry. *)
-let with_priority pool f =
-  if pool.t_workers = 0 || Atomic.get pool.priority then f ()
-  else begin
-    Atomic.set pool.priority true;
-    Fun.protect f ~finally:(fun () -> Atomic.set pool.priority false)
-  end
 
 let make_handle ~name f =
   {
@@ -241,7 +158,6 @@ let make_handle ~name f =
     h_state = Queued;
     h_cancel = Atomic.make false;
     h_fn = f;
-    h_enqueued = false;
     h_ticks = 0;
     h_done_ns = 0;
     h_observed = false;
@@ -257,14 +173,8 @@ let submit pool ~name f =
          let ok = (not pool.stopping) && Queue.length pool.q < pool.t_queue_cap in
          if ok then begin
            Queue.push (Job h) pool.q;
-           h.h_enqueued <- true;
-           pool.outstanding <- pool.outstanding + 1;
            Obs.set_gauge pool.g_depth (Queue.length pool.q);
-           (* under update-priority the wake is deferred (like [resume]):
-              signalling a sleeping worker mid-update invites the
-              scheduler to preempt the submitter; the job is picked up at
-              the next [breathe] or owner-side wait, or stolen by [await] *)
-           if not (Atomic.get pool.priority) then Condition.signal pool.nonempty
+           Condition.signal pool.nonempty
          end;
          Mutex.unlock pool.mu;
          ok
@@ -274,7 +184,7 @@ let submit pool ~name f =
     (* Sync pool, queue full, or stopping: bounded submission means the
        caller pays for the job now instead of queueing without limit. *)
     if pool.t_workers > 0 then Obs.incr pool.c_inline;
-    if claim h then priority_dropped pool (fun () -> execute pool h)
+    if claim h then execute pool h
   end;
   h
 
@@ -304,22 +214,14 @@ let poll pool (h : 'a handle) =
 let await pool (h : 'a handle) =
   (* steal a still-queued job: the owner completes it synchronously (the
      paper's forced completion) rather than waiting for a busy worker *)
-  priority_dropped pool (fun () ->
-      if claim h then execute pool h
-      else begin
-        (* the claiming worker may be parked under an already-released
-           update-priority whose unpark was deferred (lazy unparking):
-           wake it unconditionally or this wait never ends *)
-        Mutex.lock pool.mu;
-        Condition.broadcast pool.resume;
-        if not (Queue.is_empty pool.q) then Condition.broadcast pool.nonempty;
-        Mutex.unlock pool.mu;
-        Mutex.lock h.h_mu;
-        while (match h.h_state with Queued | Running -> true | _ -> false) do
-          Condition.wait h.h_cv h.h_mu
-        done;
-        Mutex.unlock h.h_mu
-      end);
+  if claim h then execute pool h
+  else begin
+    Mutex.lock h.h_mu;
+    while (match h.h_state with Queued | Running -> true | _ -> false) do
+      Condition.wait h.h_cv h.h_mu
+    done;
+    Mutex.unlock h.h_mu
+  end;
   match poll pool h with
   | `Pending -> assert false
   | (`Done _ | `Failed _ | `Cancelled) as terminal -> terminal
@@ -332,59 +234,15 @@ let work_spent (h : 'a handle) =
 
 let cancel pool (h : 'a handle) =
   Mutex.lock h.h_mu;
-  let discarded =
-    match h.h_state with
-    | Queued ->
-      h.h_state <- Cancelled_;
-      h.h_done_ns <- Obs.now_ns ();
-      Obs.incr pool.c_cancelled;
-      Condition.broadcast h.h_cv;
-      true
-    | Running ->
-      Atomic.set h.h_cancel true;
-      false
-    | Done _ | Failed _ | Cancelled_ -> false
-  in
-  Mutex.unlock h.h_mu;
-  (* pool bookkeeping outside h_mu: pool.mu is never taken under a
-     handle mutex (lock-order discipline with [execute]'s tick pulse) *)
-  if discarded && h.h_enqueued then begin
-    Mutex.lock pool.mu;
-    pool.outstanding <- pool.outstanding - 1;
-    pool.quanta <- pool.quanta + 1;
-    Condition.broadcast pool.progress;
-    Mutex.unlock pool.mu
-  end
-
-(* Donate the caller's processor to the pool: wait until the workers
-   have collectively advanced by about [ticks] work units, or nothing is
-   outstanding.  This is the pooled counterpart of the cooperative
-   mode's per-update job stepping -- on a machine with fewer cores than
-   domains it is what keeps background rebuilds on schedule between
-   install points, instead of stalling at a forced completion. *)
-let breathe pool ~ticks =
-  if pool.t_workers > 0 && ticks > 0 then begin
-    let t0 = Obs.now_ns () in
-    let beats = max 1 (ticks / heartbeat) in
-    priority_dropped pool (fun () ->
-        Mutex.lock pool.mu;
-        (* wake workers parked by a recently released update-priority
-           (and any whose submission wake was deferred): donated time is
-           exactly when their progress is wanted *)
-        Condition.broadcast pool.resume;
-        if not (Queue.is_empty pool.q) then Condition.broadcast pool.nonempty;
-        let target = pool.quanta + beats in
-        pool.breathe_target <- min pool.breathe_target target;
-        while pool.quanta < target && pool.outstanding > 0 do
-          Condition.wait pool.progress pool.mu
-        done;
-        (* single-breather reset: with concurrent breathers a survivor may
-           miss quantum wakes until the next terminal transition, which
-           always broadcasts -- progress, not correctness, is affected *)
-        pool.breathe_target <- max_int;
-        Mutex.unlock pool.mu);
-    Obs.observe pool.h_breathe (Obs.now_ns () - t0)
-  end
+  (match h.h_state with
+  | Queued ->
+    h.h_state <- Cancelled_;
+    h.h_done_ns <- Obs.now_ns ();
+    Obs.incr pool.c_cancelled;
+    Condition.broadcast h.h_cv
+  | Running -> Atomic.set h.h_cancel true
+  | Done _ | Failed _ | Cancelled_ -> ());
+  Mutex.unlock h.h_mu
 
 let run pool ~name f =
   match await pool (submit pool ~name f) with
@@ -396,7 +254,6 @@ let shutdown pool =
   Mutex.lock pool.mu;
   pool.stopping <- true;
   Condition.broadcast pool.nonempty;
-  Condition.broadcast pool.resume;
   Mutex.unlock pool.mu;
   List.iter Domain.join pool.domains;
   pool.domains <- []

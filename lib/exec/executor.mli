@@ -14,6 +14,8 @@
       submitted job runs inline inside [submit], so results, ordering
       and counters are bit-for-bit reproducible (the mode tier-1 tests
       and the fuzz oracle run in by default);
+    - a worker runs each job it claims to the end; the owner never
+      parks or paces the workers, it only lands finished results;
     - the submission queue is bounded: when it is full, the job runs
       inline on the caller (counted in [exec_inline]) instead of
       growing the queue without bound;
@@ -95,41 +97,6 @@ val work_spent : 'a handle -> int
 val pending : t -> int
 (** Jobs sitting in the submission queue (not yet claimed by a worker,
     stolen, or cancelled). *)
-
-val breathe : t -> ticks:int -> unit
-(** Donate the caller's processor to the pool: block until running jobs
-    have collectively advanced by about [ticks] work units, or no
-    submitted job is queued or running.  No-op in Sync mode.
-
-    Transformation 2 calls this from its {e query} entry points
-    (reader-assist): updates stay latency-clean, while a read-heavy
-    interleaving hands the workers exactly the processor time that a
-    multicore machine would give them for free, so on an oversubscribed
-    machine the worker domains keep pace with the Dietz-Sleator install
-    deadlines instead of being starved and force-completed. *)
-
-val with_priority : t -> (unit -> 'a) -> 'a
-(** [with_priority t f] runs [f] with update-priority: every worker
-    domain parks at its next job [tick] until [f] returns, so the
-    owner's synchronous critical section (an update holding schedule
-    invariants) is not slowed by processor competition or GC barriers
-    from half-built background work.  On a machine with enough cores
-    the pause window is the update's own (short) duration; on an
-    oversubscribed machine this is what keeps update latency at
-    pooled-mode levels instead of degrading to interference-dominated
-    levels.
-
-    {!await}, {!run}, {!breathe} and an inline overflow inside [submit]
-    temporarily release the priority while the owner itself runs or
-    waits on job code (otherwise the owner would deadlock on its own
-    flag), and restore it before returning.  Unparking is lazy: when [f]
-    returns, workers stay parked until the next {!breathe} donation or
-    owner-side blocking wait wakes them, so an update burst pays one
-    atomic store per update rather than a park/unpark cycle, and the
-    wake-up cost lands in donated query time instead of on the update's
-    return path.  Identity (no parking, no flag) when [workers = 0] or
-    when already inside [with_priority].  Single priority holder by
-    contract: only the structure's owner thread may call this. *)
 
 val shutdown : t -> unit
 (** Drain the queue, stop and join every worker domain. Idempotent.

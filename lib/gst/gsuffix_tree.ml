@@ -326,16 +326,23 @@ let view_mem v doc = Hashtbl.mem v.v_tbl doc
 let view_get_doc v doc = Hashtbl.find_opt v.v_tbl doc
 
 (* Naive per-document scan; fine because views only ever cover the
-   bounded C0 buffer (see module comment on [view]). *)
+   bounded C0 buffer (see module comment on [view]).  Offsets whose
+   first symbol differs are skipped at once, the rest compared in
+   place: the scan allocates nothing. *)
 let view_search v (p : string) ~f =
   let pl = String.length p in
   if pl = 0 then invalid_arg "Gsuffix_tree.view_search: empty pattern";
+  let c0 = String.unsafe_get p 0 in
   Array.iter
     (fun (doc, s) ->
-      let n = String.length s in
-      for off = 0 to n - pl do
-        let rec eq k = k >= pl || (s.[off + k] = p.[k] && eq (k + 1)) in
-        if eq 0 then f ~doc ~off
+      for off = 0 to String.length s - pl do
+        if String.unsafe_get s off = c0 then begin
+          let k = ref 1 in
+          while !k < pl && String.unsafe_get s (off + !k) = String.unsafe_get p !k do
+            incr k
+          done;
+          if !k = pl then f ~doc ~off
+        end
       done)
     v.v_docs
 

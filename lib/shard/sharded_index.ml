@@ -466,7 +466,7 @@ let subject ?name t =
     match checks.(s) with
     | Some (i, c) when i == idx -> c ()
     | _ ->
-      let c = (Subject.of_index ~views:true ~name:"" idx).check in
+      let c = (Subject.of_index ~name:"" idx).check in
       checks.(s) <- Some (idx, c);
       c ()
   in

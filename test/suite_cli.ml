@@ -90,7 +90,7 @@ let test_exit_codes () =
       check_exit bin ~what:"unknown backend is usage (124)" ~expect:124
         [ "fuzz"; "--backend"; "bogus" ];
       check_exit bin ~what:"impossible fault combo is usage (124)" ~expect:124
-        [ "fuzz"; "--fault"; "stale-epoch"; "--ops"; "10" ];
+        [ "fuzz"; "--fault"; "worker-crash"; "--ops"; "10" ];
       check_exit bin ~what:"bad --sync is usage (124)" ~expect:124
         [ "save"; "/nonexistent-store"; "/dev/null"; "--sync"; "sometimes" ];
       check_exit bin ~what:"load without server exits 1" ~expect:1

@@ -170,9 +170,9 @@ let churn_battery ?variant ~ops ~seed name () =
         let expected = naive_search live p in
         Alcotest.(check (list (pair int int)))
           (Printf.sprintf "%s step %d search %s" name step p)
-          expected (T1.matches t p);
+          expected (Epoch_view.matches (T1.view t) p);
         check (Printf.sprintf "%s step %d count %s" name step p) (List.length expected)
-          (T1.count t p))
+          (Epoch_view.count (T1.view t) p))
       patterns
   in
   for step = 1 to ops do
@@ -196,7 +196,7 @@ let churn_battery ?variant ~ops ~seed name () =
   Hashtbl.iter
     (fun id text ->
       Alcotest.(check (option string)) (Printf.sprintf "%s extract %d" name id) (Some text)
-        (T1.extract t ~doc:id ~off:0 ~len:(String.length text)))
+        (Epoch_view.extract (T1.view t) ~doc:id ~off:0 ~len:(String.length text)))
     model;
   check (name ^ " doc_count") (Hashtbl.length model) (T1.doc_count t)
 
@@ -209,7 +209,7 @@ let test_t1_insert_only_growth () =
     ignore (T1.insert t (Printf.sprintf "document-%d-padding-padding" i))
   done;
   check "doc_count" 200 (T1.doc_count t);
-  check "count document" 200 (T1.count t "document");
+  check "count document" 200 (Epoch_view.count (T1.view t) "document");
   (* the census must show a geometric profile: at least two collections *)
   Alcotest.(check bool) "census nonempty" true (List.length (T1.census t) >= 2);
   let stats = T1.stats t in
@@ -220,15 +220,15 @@ let test_t1_delete_everything () =
   let ids = List.init 50 (fun i -> T1.insert t (Printf.sprintf "text number %d" i)) in
   List.iter (fun id -> Alcotest.(check bool) "del" true (T1.delete t id)) ids;
   check "empty" 0 (T1.doc_count t);
-  check "no matches" 0 (T1.count t "text");
+  check "no matches" 0 (Epoch_view.count (T1.view t) "text");
   Alcotest.(check bool) "delete missing" false (T1.delete t 999)
 
 let test_t1_large_doc_goes_high () =
   let t = T1.create (t1_config ~sample:4 ~tau:8 ()) in
   ignore (T1.insert t (String.make 5000 'x'));
-  check "count x" 5000 (T1.count t "x");
+  check "count x" 5000 (Epoch_view.count (T1.view t) "x");
   ignore (T1.insert t "small");
-  check "count small" 1 (T1.count t "small")
+  check "count small" 1 (Epoch_view.count (T1.view t) "small")
 
 let prop_t1_vs_model =
   QCheck.Test.make ~name:"transform1 agrees with model on random streams" ~count:100
@@ -253,7 +253,7 @@ let prop_t1_vs_model =
       done;
       let live = Hashtbl.fold (fun d s acc -> (d, s) :: acc) model [] in
       List.iter
-        (fun p -> if T1.matches t p <> naive_search live p then ok := false)
+        (fun p -> if Epoch_view.matches (T1.view t) p <> naive_search live p then ok := false)
         [ "a"; "ab"; "ba"; "ca" ];
       !ok)
 
@@ -275,7 +275,7 @@ let test_t1_count_right_after_purge () =
       (fun p ->
         check (Printf.sprintf "count %s after delete %d" p id)
           (List.length (naive_search live p))
-          (T1.count t p))
+          (Epoch_view.count (T1.view t) p))
       [ "ab"; "fodder"; "purge fodder 9" ]
   done;
   Alcotest.(check bool) "purges actually happened" true ((T1.stats t).Transform1.purges > purges0)

@@ -213,8 +213,6 @@ let test_closed_pool_observations () =
   (* cancel on a terminal handle is a no-op, not an error *)
   Executor.cancel p h;
   (match Executor.poll p h with `Done 3 -> () | _ -> Alcotest.fail "cancel flipped terminal state");
-  (* breathe returns immediately instead of waiting for dead workers *)
-  Executor.breathe p ~ticks:1000;
   Alcotest.(check int) "pending is 0" 0 (Executor.pending p);
   (* run falls back inline, like submit *)
   Alcotest.(check int) "run after shutdown" 9 (Executor.run p ~name:"inline" (fun _tick -> 9))
@@ -466,7 +464,7 @@ let suite =
     ("queue overflow runs inline", `Quick, test_queue_overflow_runs_inline);
     ("shutdown idempotent, then inline", `Quick, test_shutdown_idempotent_then_inline);
     ("shutdown drains queued jobs", `Quick, test_shutdown_drains_queued_jobs);
-    ("closed pool: poll/await/cancel/breathe/run defined", `Quick, test_closed_pool_observations);
+    ("closed pool: poll/await/cancel/run defined", `Quick, test_closed_pool_observations);
     ("work_spent exact when terminal", `Quick, test_work_spent_exact_when_terminal);
     ("incremental: finalizer once on abandon", `Quick, test_incr_finalizer_runs_once_on_abandon);
     ("incremental: work_spent monotone", `Quick, test_incr_work_spent_monotone);

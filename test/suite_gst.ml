@@ -136,7 +136,11 @@ let prop_search_after_deletes =
           end)
         deletions;
       let docs = Hashtbl.fold (fun d s acc -> (d, s) :: acc) live [] in
-      Gsuffix_tree.occurrences gst p = naive_search docs p)
+      let frozen = ref [] in
+      Gsuffix_tree.view_search (Gsuffix_tree.snapshot gst) p ~f:(fun ~doc ~off ->
+          frozen := (doc, off) :: !frozen);
+      let expected = naive_search docs p in
+      Gsuffix_tree.occurrences gst p = expected && List.sort compare !frozen = expected)
 
 let prop_count_matches_occurrences =
   QCheck.Test.make ~name:"gst count = |occurrences|" ~count:100

@@ -29,8 +29,9 @@ let test_insert_search () =
   let live = Hashtbl.fold (fun d s acc -> (d, s) :: acc) model [] in
   List.iter
     (fun p ->
-      Alcotest.(check (list (pair int int))) ("search " ^ p) (naive_search live p) (T2.matches t p);
-      check ("count " ^ p) (List.length (naive_search live p)) (T2.count t p))
+      Alcotest.(check (list (pair int int)))
+        ("search " ^ p) (naive_search live p) (Epoch_view.matches (T2.view t) p);
+      check ("count " ^ p) (List.length (naive_search live p)) (Epoch_view.count (T2.view t) p))
     [ "payload"; "abc"; "5"; "1 abc"; "zz" ]
 
 let test_background_jobs_run () =
@@ -41,7 +42,7 @@ let test_background_jobs_run () =
   let s = T2.stats t in
   Alcotest.(check bool) "jobs started" true (s.Transform2.jobs_started > 0);
   Alcotest.(check bool) "jobs completed" true (s.Transform2.jobs_completed > 0);
-  check "count document" 300 (T2.count t "document");
+  check "count document" 300 (Epoch_view.count (T2.view t) "document");
   (* events were logged *)
   Alcotest.(check bool) "events" true (List.length (T2.events t) > 0)
 
@@ -53,7 +54,7 @@ let test_oversized_doc_becomes_top () =
   done;
   let big = String.make 4000 'q' in
   ignore (T2.insert t big);
-  check "count q" 4000 (T2.count t "q");
+  check "count q" 4000 (Epoch_view.count (T2.view t) "q");
   let census = T2.census t in
   Alcotest.(check bool) "some top exists" true
     (List.exists (fun (name, _, _) -> String.length name > 0 && name.[0] = 'T') census)
@@ -81,9 +82,10 @@ let test_delete_with_pending_jobs () =
   done;
   List.iter
     (fun id ->
-      Alcotest.(check bool) (Printf.sprintf "doc %d stays dead" id) false (T2.mem t id))
+      Alcotest.(check bool)
+        (Printf.sprintf "doc %d stays dead" id) false (Epoch_view.mem (T2.view t) id))
     !deleted;
-  check "count churn" 100 (T2.count t "churn document")
+  check "count churn" 100 (Epoch_view.count (T2.view t) "churn document")
 
 let churn ~ops ~seed ~max_len () =
   let st = Random.State.make [| seed |] in
@@ -97,8 +99,9 @@ let churn ~ops ~seed ~max_len () =
         let expected = naive_search live p in
         Alcotest.(check (list (pair int int)))
           (Printf.sprintf "step %d search %s" step p)
-          expected (T2.matches t p);
-        check (Printf.sprintf "step %d count %s" step p) (List.length expected) (T2.count t p))
+          expected (Epoch_view.matches (T2.view t) p);
+        check (Printf.sprintf "step %d count %s" step p) (List.length expected)
+          (Epoch_view.count (T2.view t) p))
       patterns
   in
   for step = 1 to ops do
@@ -120,7 +123,7 @@ let churn ~ops ~seed ~max_len () =
   Hashtbl.iter
     (fun id text ->
       Alcotest.(check (option string)) (Printf.sprintf "extract %d" id) (Some text)
-        (T2.extract t ~doc:id ~off:0 ~len:(String.length text)))
+        (Epoch_view.extract (T2.view t) ~doc:id ~off:0 ~len:(String.length text)))
     model;
   check "doc_count" (Hashtbl.length model) (T2.doc_count t)
 
@@ -132,7 +135,7 @@ let test_delete_everything () =
   let ids = List.init 80 (fun i -> T2.insert t (Printf.sprintf "erase me %d" i)) in
   List.iter (fun id -> Alcotest.(check bool) "del" true (T2.delete t id)) ids;
   check "empty" 0 (T2.doc_count t);
-  check "no matches" 0 (T2.count t "erase")
+  check "no matches" 0 (Epoch_view.count (T2.view t) "erase")
 
 let test_census_shape () =
   let t = T2.create (config ~sample:4 ~tau:4) in
@@ -166,7 +169,9 @@ let prop_t2_vs_model =
         end
       done;
       let live = Hashtbl.fold (fun d s acc -> (d, s) :: acc) model [] in
-      List.for_all (fun p -> T2.matches t p = naive_search live p) [ "a"; "ab"; "ba"; "ca" ])
+      List.for_all
+        (fun p -> Epoch_view.matches (T2.view t) p = naive_search live p)
+        [ "a"; "ab"; "ba"; "ca" ])
 
 (* longer soak: 2500 mixed ops with sparse verification -- exercises many
    lock/install cycles, top cleanings and at least one restructure *)
@@ -192,7 +197,7 @@ let test_soak () =
         (fun p ->
           check (Printf.sprintf "soak %d count %s" step p)
             (List.length (naive_search live p))
-            (T2.count t p))
+            (Epoch_view.count (T2.view t) p))
         [ "ab"; "ca" ]
     end
   done;
@@ -233,7 +238,7 @@ let test_failed_delete_no_mutation () =
   check "doc_count unchanged" d0 (T2.doc_count t);
   check "symbols unchanged" y0 (T2.total_symbols t);
   Alcotest.(check bool) "stats unchanged" true (s0 = s1);
-  check "count intact" 29 (T2.count t "hold doc")
+  check "count intact" 29 (Epoch_view.count (T2.view t) "hold doc")
 
 (* Regression: a document that currently lives in a locked copy L_j
    (its rebuild job still in flight) must remain fully extractable. *)
@@ -255,11 +260,11 @@ let test_extract_from_locked_copy () =
           Alcotest.(check (option string))
             (Printf.sprintf "extract %d mid-rebuild" id)
             (Some text)
-            (T2.extract t ~doc:id ~off:0 ~len:(String.length text));
+            (Epoch_view.extract (T2.view t) ~doc:id ~off:0 ~len:(String.length text));
           Alcotest.(check (option string))
             (Printf.sprintf "extract %d tail mid-rebuild" id)
             (Some (String.sub text 7 8))
-            (T2.extract t ~doc:id ~off:7 ~len:8))
+            (Epoch_view.extract (T2.view t) ~doc:id ~off:7 ~len:8))
         model
     end
   done;
@@ -464,10 +469,11 @@ let test_merged_cleaning_crash_fallback () =
   List.iter
     (fun (d, text) ->
       Alcotest.(check (option string)) (Printf.sprintf "doc %d" d) (Some text)
-        (T2_flaky.extract t ~doc:d ~off:0 ~len:(String.length text)))
+        (Epoch_view.extract (T2_flaky.view t) ~doc:d ~off:0 ~len:(String.length text)))
     docs;
   List.iter
-    (fun p -> check ("count " ^ p) (List.length (naive_search docs p)) (T2_flaky.count t p))
+    (fun p ->
+      check ("count " ^ p) (List.length (naive_search docs p)) (Epoch_view.count (T2_flaky.view t) p))
     [ "ab"; "ca"; "tsr" ]
 
 let qsuite = List.map Qc.to_alcotest [ prop_t2_vs_model ]

@@ -97,8 +97,9 @@ let test_churn_vs_model () =
         let expected = naive_search live p in
         Alcotest.(check (list (pair int int)))
           (Printf.sprintf "step %d search %s" step p)
-          expected (T1.matches t p);
-        check (Printf.sprintf "step %d count %s" step p) (List.length expected) (T1.count t p))
+          expected (Epoch_view.matches (T1.view t) p);
+        check (Printf.sprintf "step %d count %s" step p) (List.length expected)
+          (Epoch_view.count (T1.view t) p))
       patterns
   in
   for step = 1 to 220 do
@@ -120,7 +121,7 @@ let test_churn_vs_model () =
   Hashtbl.iter
     (fun id text ->
       Alcotest.(check (option string)) (Printf.sprintf "extract %d" id) (Some text)
-        (T1.extract t ~doc:id ~off:0 ~len:(String.length text)))
+        (Epoch_view.extract (T1.view t) ~doc:id ~off:0 ~len:(String.length text)))
     model;
   check "doc_count" (Hashtbl.length model) (T1.doc_count t)
 
@@ -141,14 +142,18 @@ let test_doubling_vs_geometric_equivalence () =
         Alcotest.(check bool) (ctx "delete %d" id) (T1.delete a id) (T1.delete b id)
       | Trace.Search p ->
         Alcotest.(check bool) (ctx "search %S" p) true
-          (cap (fun () -> T1.matches a p) = cap (fun () -> T1.matches b p))
+          (cap (fun () -> Epoch_view.matches (T1.view a) p)
+          = cap (fun () -> Epoch_view.matches (T1.view b) p))
       | Trace.Count p ->
         Alcotest.(check bool) (ctx "count %S" p) true
-          (cap (fun () -> T1.count a p) = cap (fun () -> T1.count b p))
+          (cap (fun () -> Epoch_view.count (T1.view a) p)
+          = cap (fun () -> Epoch_view.count (T1.view b) p))
       | Trace.Extract { doc; off; len } ->
         Alcotest.(check (option string)) (ctx "extract %d %d %d" doc off len)
-          (T1.extract a ~doc ~off ~len) (T1.extract b ~doc ~off ~len)
-      | Trace.Mem id -> Alcotest.(check bool) (ctx "mem %d" id) (T1.mem a id) (T1.mem b id)
+          (Epoch_view.extract (T1.view a) ~doc ~off ~len) (Epoch_view.extract (T1.view b) ~doc ~off ~len)
+      | Trace.Mem id ->
+        Alcotest.(check bool) (ctx "mem %d" id)
+          (Epoch_view.mem (T1.view a) id) (Epoch_view.mem (T1.view b) id)
       | Trace.Drain -> ());
       check (ctx "doc_count") (T1.doc_count a) (T1.doc_count b);
       check (ctx "total_symbols") (T1.total_symbols a) (T1.total_symbols b))
