@@ -40,11 +40,11 @@ let check o idx =
     (fun (name, live, dead) ->
       match classify name with
       | Buffer ->
-        (* 2n/log^2 n buffer bound, and the GST's dead<=live rebuild rule *)
+        (* 2n/log^2 n buffer bound; buffer deletions are eager *)
         if live > p.pr_capacity 0 then
           fail "%s overflows the 2n/log^2 n buffer bound: %d live > capacity %d" name live
             (p.pr_capacity 0);
-        if dead > max live 64 then fail "%s lazy deletions unpurged: %d dead > %d live" name dead live
+        if dead <> 0 then fail "%s holds %d dead symbols: buffer deletions must be eager" name dead
       | Sub j | Locked j ->
         if live > p.pr_capacity j then
           fail "%s overflows its schedule capacity: %d live > max_%d = %d" name live j

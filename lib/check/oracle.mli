@@ -4,8 +4,8 @@
     rests on, via {!Dsdg_core.Dynamic_index.probe}:
 
     - {b buffer bound} (Section 2): C0 (and a locked L0) holds at most
-      the schedule's level-0 capacity, 2n/log^2 n symbols, and its lazy
-      deletions never let dead symbols outnumber live ones;
+      the schedule's level-0 capacity, 2n/log^2 n symbols, and no dead
+      symbols (buffer deletions are eager);
     - {b capacity schedule} (Transformation 1 / 3): every C_j and L_j
       holds at most max_j live symbols, and max_j is monotone in j
       (geometric / doubling growth);

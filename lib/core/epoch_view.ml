@@ -8,10 +8,9 @@
     query it without synchronization while the writer keeps mutating.
     A transformation's [publish] only lists its structures: each one
     caches its frozen {!component} until its next mutation
-    ([Semi_static.snapshot], {!buffer}), so publishing allocates list
-    cells and rebuilds only what the update touched. *)
+    ([Semi_static.snapshot], [Doc_buffer.snapshot]), so publishing
+    allocates list cells and rebuilds only what the update touched. *)
 
-open Dsdg_gst
 open Dsdg_obs
 
 (** One frozen structure: live and dead symbol counts, queries against
@@ -96,7 +95,6 @@ type publisher = {
   c_published : Obs.counter;
   g_current : Obs.gauge;
   h_publish_ns : Obs.histogram;
-  buffers : (Gsuffix_tree.view * component) option array; (* C0, L0 *)
 }
 
 (** Starts at the empty epoch 0. *)
@@ -107,37 +105,10 @@ let publisher obs =
     c_published = Obs.counter obs "exec_epoch_published";
     g_current = Obs.gauge obs "exec_epoch_current";
     h_publish_ns = Obs.histogram obs "exec_epoch_publish_ns";
-    buffers = [| None; None |];
   }
 
 (** The latest published view: one [Atomic.get]. *)
 let latest p = Atomic.get p.latest
-
-(** The frozen record of buffer [g]. [slot] (0 for C0, 1 for L0) keys
-    its reuse while the tree's cached snapshot is unchanged. *)
-let buffer p ~slot g =
-  let v = Gsuffix_tree.snapshot g in
-  match p.buffers.(slot) with
-  | Some (w, c) when w == v -> c
-  | _ ->
-    let c =
-      {
-        live = Gsuffix_tree.view_live_symbols v;
-        dead = Gsuffix_tree.view_dead_symbols v;
-        search = Gsuffix_tree.view_search v;
-        count = Gsuffix_tree.view_count v;
-        mem = Gsuffix_tree.view_mem v;
-        extract =
-          (fun ~doc ~off ~len ->
-            match Gsuffix_tree.view_get_doc v doc with
-            | Some s when off >= 0 && len >= 0 && off + len <= String.length s ->
-              Some (String.sub s off len)
-            | _ -> None);
-        docs = (fun () -> Gsuffix_tree.view_docs v);
-      }
-    in
-    p.buffers.(slot) <- Some (v, c);
-    c
 
 (** Publish [build ()] as the next epoch, or as epoch [e] for
     [`Restored e] (a restored index continues its dump's epoch).

@@ -1,9 +1,9 @@
 (* Transformation 1 (Section 2): static index -> fully-dynamic index with
    amortized update bounds.
 
-   The collection is split into C0 (an uncompressed generalized suffix
-   tree) and sub-collections C1..Cr held in semi-static deletion-only
-   indexes whose maximum sizes grow geometrically:
+   The collection is split into C0 (an uncompressed document buffer,
+   [Doc_buffer]) and sub-collections C1..Cr held in semi-static
+   deletion-only indexes whose maximum sizes grow geometrically:
 
        max_j = 2 (nf / log^2 nf) * log^(eps*j) nf.
 
@@ -22,7 +22,6 @@
    Merge/purge/rebuild accounting goes through the shared Dsdg_obs.Obs
    layer; [stats] is a read-only view over those counters. *)
 
-open Dsdg_gst
 open Dsdg_obs
 
 type schedule = {
@@ -86,7 +85,7 @@ module Make (I : Static_index.S) = struct
     name : string; (* "transform1/<backend>" or "transform3/<backend>" *)
     sample : int;
     tau : int;
-    mutable gst : Gsuffix_tree.t; (* C0 *)
+    mutable c0 : Doc_buffer.t;
     subs : SS.t option array; (* C_1 .. C_r *)
     locs : (int, location) Hashtbl.t;
     mutable next_id : int;
@@ -115,7 +114,7 @@ module Make (I : Static_index.S) = struct
       name = transform ^ "/" ^ I.name;
       sample;
       tau;
-      gst = Gsuffix_tree.create ();
+      c0 = Doc_buffer.create ();
       published = Epoch_view.publisher obs;
       subs = Array.make (max_slots + 1) None;
       locs = Hashtbl.create 64;
@@ -165,10 +164,6 @@ module Make (I : Static_index.S) = struct
     | None -> []
     | Some ss -> SS.live_docs ss
 
-  let gst_docs t =
-    List.filter_map (fun d -> Option.map (fun s -> (d, s)) (Gsuffix_tree.get_doc t.gst d))
-      (Gsuffix_tree.doc_ids t.gst)
-
   let build_sub t (docs : (int * string) list) : SS.t =
     let arr = Array.of_list docs in
     Obs.add t.c_symbols_rebuilt
@@ -180,7 +175,7 @@ module Make (I : Static_index.S) = struct
   (* --- read plane --- *)
 
   (* Publish the next epoch: C0 and every sub-collection, each frozen
-     once per mutation (the GST / SS caches), in census order. *)
+     once per mutation (the buffer / SS caches), in census order. *)
   let publish t ~cause =
     Epoch_view.publish t.published ~cause ~docs:(Hashtbl.length t.locs) ~symbols:t.live
       ~next_id:t.next_id (fun () ->
@@ -190,7 +185,7 @@ module Make (I : Static_index.S) = struct
           | None -> ()
           | Some ss -> subs := (Epoch_view.c_name j, SS.snapshot ss) :: !subs
         done;
-        ("C0", Epoch_view.buffer t.published ~slot:0 t.gst) :: !subs)
+        ("C0", Doc_buffer.snapshot t.c0) :: !subs)
 
   let view t = Epoch_view.latest t.published
 
@@ -198,13 +193,13 @@ module Make (I : Static_index.S) = struct
      nf (the paper's global re-build). *)
   let global_rebuild t ~extra =
     Obs.incr t.c_global_rebuilds;
-    let docs = ref (gst_docs t) in
+    let docs = ref (Doc_buffer.docs t.c0) in
     for j = 1 to max_slots do
       docs := sub_docs t j @ !docs;
       t.subs.(j) <- None
     done;
     let docs = extra @ !docs in
-    t.gst <- Gsuffix_tree.create ();
+    t.c0 <- Doc_buffer.create ();
     let total = List.fold_left (fun a (_, s) -> a + String.length s + 1) 0 docs in
     t.nf <- max 256 total;
     t.live <- total;
@@ -221,10 +216,10 @@ module Make (I : Static_index.S) = struct
      the batch into Cj), else a global rebuild. *)
   let place t docs size =
     let r = r_of t in
-    if Gsuffix_tree.live_symbols t.gst + size <= max_size t 0 then begin
+    if Doc_buffer.live_symbols t.c0 + size <= max_size t 0 then begin
       List.iter
         (fun (id, text) ->
-          Gsuffix_tree.insert t.gst ~doc:id text;
+          Doc_buffer.insert t.c0 ~doc:id text;
           Hashtbl.replace t.locs id In_buffer)
         docs;
       t.live <- t.live + size
@@ -237,16 +232,16 @@ module Make (I : Static_index.S) = struct
           if acc + size <= max_size t j then Some j else find (j + 1) acc
         end
       in
-      match find 1 (Gsuffix_tree.live_symbols t.gst) with
+      match find 1 (Doc_buffer.live_symbols t.c0) with
       | Some j ->
         Obs.incr t.c_merges;
         Obs.record t.obs (Obs.Merge { from_level = 0; into_level = j; sync = true });
-        let docs = ref (gst_docs t @ docs) in
+        let docs = ref (Doc_buffer.docs t.c0 @ docs) in
         for i = 1 to j do
           docs := sub_docs t i @ !docs;
           t.subs.(i) <- None
         done;
-        t.gst <- Gsuffix_tree.create ();
+        t.c0 <- Doc_buffer.create ();
         t.subs.(j) <- Some (build_sub t !docs);
         set_locations t !docs (In_sub j);
         t.live <- t.live + size
@@ -299,12 +294,12 @@ module Make (I : Static_index.S) = struct
     match Hashtbl.find_opt t.locs id with
     | None -> false
     | Some In_buffer -> (
-      match Gsuffix_tree.get_doc t.gst id with
+      match Doc_buffer.find t.c0 id with
       | None -> false (* stale location: treat as absent, mutate nothing *)
       | Some contents ->
         let t0 = Obs.start () in
         let len = String.length contents + 1 in
-        ignore (Gsuffix_tree.delete t.gst id);
+        ignore (Doc_buffer.delete t.c0 id);
         Hashtbl.remove t.locs id;
         t.live <- t.live - len;
         if t.live * 2 < t.nf && t.nf > 256 then global_rebuild t ~extra:[];
@@ -340,9 +335,7 @@ module Make (I : Static_index.S) = struct
   (* Live and dead sizes of all sub-collections: the measured
      counterpart of the paper's Figure 1. *)
   let census t =
-    let acc =
-      ref [ ("C0", Gsuffix_tree.live_symbols t.gst, Gsuffix_tree.dead_symbols t.gst) ]
-    in
+    let acc = ref [ ("C0", Doc_buffer.live_symbols t.c0, 0) ] in
     for j = 1 to max_slots do
       match t.subs.(j) with
       | None -> ()
@@ -354,7 +347,7 @@ module Make (I : Static_index.S) = struct
     let sub_space =
       Array.fold_left (fun a -> function None -> a | Some ss -> a + SS.space_bits ss) 0 t.subs
     in
-    Gsuffix_tree.space_bits t.gst + sub_space + (Hashtbl.length t.locs * 3 * 63)
+    Doc_buffer.space_bits t.c0 + sub_space + (Hashtbl.length t.locs * 3 * 63)
 
   let probe t : Dynamization.probe =
     {

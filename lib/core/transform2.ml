@@ -41,7 +41,6 @@
    goes through the shared Dsdg_obs.Obs layer; [stats] is a read-only
    view assembled from those counters. *)
 
-open Dsdg_gst
 open Dsdg_incr
 open Dsdg_obs
 
@@ -91,7 +90,7 @@ module Make (I : Static_index.S) = struct
         (* [`Top merged]: a new top, absorbing the small tops [merged];
            [`Replace_top (key, merged)]: the cleaned top [key] and the
            small tops [merged], rebuilt as one top [key] *)
-    frees_locked : int option; (* level whose L_j this job consumes; -1 = L0 *)
+    frees_locked : int option; (* level whose L_j this job consumes; 0 = L0 *)
     mutable deleted_during : int list;
   }
 
@@ -99,8 +98,8 @@ module Make (I : Static_index.S) = struct
     sample : int;
     tau : int;
     work_factor : int;
-    mutable gst : Gsuffix_tree.t; (* C0 *)
-    mutable locked_gst : Gsuffix_tree.t option; (* L0 *)
+    mutable c0 : Doc_buffer.t;
+    mutable l0 : Doc_buffer.t option;
     subs : SS.t option array; (* C_1..C_r *)
     locked : SS.t option array; (* L_1..L_r *)
     temps : SS.t option array; (* Temp_1..Temp_{r+1} *)
@@ -141,8 +140,8 @@ module Make (I : Static_index.S) = struct
       sample;
       tau;
       work_factor;
-      gst = Gsuffix_tree.create ();
-      locked_gst = None;
+      c0 = Doc_buffer.create ();
+      l0 = None;
       subs = Array.make (max_slots + 2) None;
       locked = Array.make (max_slots + 2) None;
       temps = Array.make (max_slots + 2) None;
@@ -209,19 +208,6 @@ module Make (I : Static_index.S) = struct
   let level_capacity t j = max_size t j
 
   let sub_live t j = match t.subs.(j) with None -> 0 | Some ss -> SS.live_symbols ss
-
-  (* --- documents-of helpers (with tick accounting for job bodies) --- *)
-
-  let gst_docs ?(tick = fun () -> ()) g =
-    List.filter_map
-      (fun d ->
-        Option.map
-          (fun s ->
-            String.iter (fun _ -> tick ()) s;
-            tick ();
-            (d, s))
-          (Gsuffix_tree.get_doc g d))
-      (Gsuffix_tree.doc_ids g)
 
   (* --- job management --- *)
 
@@ -294,7 +280,7 @@ module Make (I : Static_index.S) = struct
   let install t j job ss =
     List.iter (fun id -> ignore (SS.delete ss id)) job.deleted_during;
     (match job.frees_locked with
-    | Some 0 -> t.locked_gst <- None
+    | Some 0 -> t.l0 <- None
     | Some l -> t.locked.(l) <- None
     | None -> ());
     (match job.target with
@@ -328,7 +314,7 @@ module Make (I : Static_index.S) = struct
   let crash_recover t j job builder =
     if t.fault = Some `Worker_crash then begin
       (match job.frees_locked with
-      | Some 0 -> t.locked_gst <- None
+      | Some 0 -> t.l0 <- None
       | Some l -> t.locked.(l) <- None
       | None -> ());
       (match job.target with
@@ -432,9 +418,9 @@ module Make (I : Static_index.S) = struct
     t.jobs.(j) <- Some job
 
   (* Every structure that holds documents, C0/L0 first. *)
-  let iter_structures t ~fss ~fgst =
-    fgst t.gst;
-    (match t.locked_gst with None -> () | Some g -> fgst g);
+  let iter_structures t ~fss ~fbuf =
+    fbuf t.c0;
+    Option.iter fbuf t.l0;
     for j = 1 to max_slots + 1 do
       (match t.subs.(j) with None -> () | Some ss -> fss ss);
       (match t.locked.(j) with None -> () | Some ss -> fss ss);
@@ -459,7 +445,7 @@ module Make (I : Static_index.S) = struct
     let acc = ref [] in
     iter_structures t
       ~fss:(fun ss -> acc := SS.live_docs ss @ !acc)
-      ~fgst:(fun g -> acc := gst_docs g @ !acc);
+      ~fbuf:(fun b -> acc := Doc_buffer.docs b @ !acc);
     (* a document can appear both in a Temp and nowhere else; Temps are the
        only queryable holders of their doc, so no dedup is needed except
        defensively *)
@@ -502,8 +488,8 @@ module Make (I : Static_index.S) = struct
      dead-free tops under nf re-snapshotted to their size. *)
   let rebuild_as_tops t docs =
     Obs.incr t.c_restructures;
-    t.gst <- Gsuffix_tree.create ();
-    t.locked_gst <- None;
+    t.c0 <- Doc_buffer.create ();
+    t.l0 <- None;
     Array.fill t.subs 0 (Array.length t.subs) None;
     Array.fill t.locked 0 (Array.length t.locked) None;
     Array.fill t.temps 0 (Array.length t.temps) None;
@@ -534,10 +520,10 @@ module Make (I : Static_index.S) = struct
     (* snapshot sources *)
     let locked_source, frees_locked =
       if j = 0 then begin
-        let g = t.gst in
-        t.locked_gst <- Some g;
-        t.gst <- Gsuffix_tree.create ();
-        (`Gst g, Some 0)
+        let b = t.c0 in
+        t.l0 <- Some b;
+        t.c0 <- Doc_buffer.create ();
+        (`Buffer b, Some 0)
       end
       else begin
         let ss = t.subs.(j) in
@@ -564,23 +550,16 @@ module Make (I : Static_index.S) = struct
     | None -> ()
     | Some (id, text) -> t.temps.(job_slot) <- Some (build_ss t [ (id, text) ]));
     Obs.record t.obs (Obs.Lock { level = j; target = target_name target });
-    (* In pooled mode the L0 suffix tree cannot be read from a worker
-       domain (Hashtbl buckets plus whole-tree rebuilds are not
-       domain-safe), so its documents are materialized eagerly on the
-       caller; semi-static sources ARE read worker-side -- the only
-       concurrent mutation is the owner flipping dead bits, which is
-       memory-safe under the OCaml memory model and semantically repaired
-       by the deleted-during replay at the install point. *)
-    let source =
-      match (locked_source, t.exec) with
-      | `Gst g, Some _ -> `Docs (gst_docs g)
-      | (`Gst _ | `Ss _), _ -> locked_source
-    in
+    (* The body reads its sources when it runs, on whichever domain runs
+       it.  The only concurrent mutations are the owner swapping L0's
+       immutable map for a smaller one and flipping semi-static dead
+       bits; both are memory-safe under the OCaml memory model, and the
+       deleted-during replay at the install point repairs whatever the
+       read saw. *)
     let body tick =
       let docs0 =
-        match source with
-        | `Gst g -> gst_docs ~tick g
-        | `Docs docs -> docs
+        match locked_source with
+        | `Buffer b -> Doc_buffer.docs ~tick b
         | `Ss None -> []
         | `Ss (Some ss) -> SS.live_docs ~tick ss
       in
@@ -606,11 +585,11 @@ module Make (I : Static_index.S) = struct
       Obs.record t.obs
         (Obs.Note (Printf.sprintf "insert: oversized doc %d as top T%d" id key))
     end
-    else if Gsuffix_tree.live_symbols t.gst + tlen <= max_size t 0 then
-      Gsuffix_tree.insert t.gst ~doc:id text
+    else if Doc_buffer.live_symbols t.c0 + tlen <= max_size t 0 then
+      Doc_buffer.insert t.c0 ~doc:id text
     else begin
       (* smallest j with |C_j| + |C_{j+1}| + |T| <= max_{j+1} *)
-      let size_of j = if j = 0 then Gsuffix_tree.live_symbols t.gst else sub_live t j in
+      let size_of j = if j = 0 then Doc_buffer.live_symbols t.c0 else sub_live t j in
       let rec find j =
         if j >= r then None
         else if size_of j + size_of (j + 1) + tlen <= max_size t (j + 1) then Some j
@@ -631,7 +610,7 @@ module Make (I : Static_index.S) = struct
              snapshot would resurrect documents we are about to move. *)
           if j > 0 then force_job t j;
           force_job t (j + 1);
-          if (j = 0 && t.locked_gst <> None) || (j > 0 && t.locked.(j) <> None) then begin
+          if (j = 0 && t.l0 <> None) || (j > 0 && t.locked.(j) <> None) then begin
             (* L_j still alive: its job targets j+1; finish it *)
             force_job t (j + 1);
             (* if still locked the job lives elsewhere (top slot) *)
@@ -642,9 +621,9 @@ module Make (I : Static_index.S) = struct
             (* big enough to pay for a synchronous rebuild *)
             Obs.incr t.c_sync_merges;
             let m0 = Obs.start () in
-            let docs0 = if j = 0 then gst_docs t.gst else match t.subs.(j) with None -> [] | Some ss -> SS.live_docs ss in
+            let docs0 = if j = 0 then Doc_buffer.docs t.c0 else match t.subs.(j) with None -> [] | Some ss -> SS.live_docs ss in
             let docs1 = match t.subs.(j + 1) with None -> [] | Some ss -> SS.live_docs ss in
-            if j = 0 then t.gst <- Gsuffix_tree.create () else t.subs.(j) <- None;
+            if j = 0 then t.c0 <- Doc_buffer.create () else t.subs.(j) <- None;
             t.subs.(j + 1) <- Some (build_ss t (docs0 @ docs1 @ [ (id, text) ]));
             Obs.stop t.h_merge_ns m0;
             Obs.record t.obs (Obs.Merge { from_level = j; into_level = j + 1; sync = true })
@@ -673,9 +652,9 @@ module Make (I : Static_index.S) = struct
     let size = ref None in
     iter_structures t
       ~fss:(fun ss -> if !size = None then match SS.doc_len ss id with Some l -> size := Some (l + 1) | None -> ())
-      ~fgst:(fun g ->
+      ~fbuf:(fun b ->
         if !size = None then
-          match Gsuffix_tree.get_doc g id with Some s -> size := Some (String.length s + 1) | None -> ());
+          match Doc_buffer.find b id with Some s -> size := Some (String.length s + 1) | None -> ());
     !size
 
   (* Dietz-Sleator cleaning period: one top rebuild is dispatched per
@@ -747,22 +726,18 @@ module Make (I : Static_index.S) = struct
     | None -> false
     | Some syms ->
       let t0 = Obs.start () in
-      let deleted = ref false in
       (* try the uncompressed buffers first, then every SS *)
-      if Gsuffix_tree.mem t.gst id then deleted := Gsuffix_tree.delete t.gst id
-      else begin
-        (match t.locked_gst with
-        | Some g when Gsuffix_tree.mem g id -> deleted := Gsuffix_tree.delete g id
-        | _ -> ());
-        if not !deleted then begin
-          let try_ss ss = if (not !deleted) && SS.mem ss id then deleted := SS.delete ss id in
-          for j = 1 to max_slots + 1 do
-            (match t.subs.(j) with None -> () | Some ss -> try_ss ss);
-            (match t.locked.(j) with None -> () | Some ss -> try_ss ss);
-            match t.temps.(j) with None -> () | Some ss -> try_ss ss
-          done;
-          List.iter (fun (_, ss) -> try_ss ss) t.tops
-        end
+      let deleted =
+        ref (Doc_buffer.delete t.c0 id || match t.l0 with Some b -> Doc_buffer.delete b id | None -> false)
+      in
+      if not !deleted then begin
+        let try_ss ss = if (not !deleted) && SS.mem ss id then deleted := SS.delete ss id in
+        for j = 1 to max_slots + 1 do
+          (match t.subs.(j) with None -> () | Some ss -> try_ss ss);
+          (match t.locked.(j) with None -> () | Some ss -> try_ss ss);
+          match t.temps.(j) with None -> () | Some ss -> try_ss ss
+        done;
+        List.iter (fun (_, ss) -> try_ss ss) t.tops
       end;
       if not !deleted then false
       else begin
@@ -809,7 +784,7 @@ module Make (I : Static_index.S) = struct
   (* --- read plane --- *)
 
   (* Publish the next epoch: every queryable structure, each frozen once
-     per mutation (the GST / SS caches), in census order.  Published once
+     per mutation (the buffer / SS caches), in census order.  Published once
      per successful update (plus once by [drain] if it landed jobs), so
      with a single-threaded writer the epoch equals the number of
      completed updates. *)
@@ -824,8 +799,8 @@ module Make (I : Static_index.S) = struct
           Option.iter (add (Epoch_view.l_name j)) t.locked.(j);
           Option.iter (add (Epoch_view.c_name j)) t.subs.(j)
         done;
-        Option.iter (fun g -> acc := ("L0", Epoch_view.buffer t.published ~slot:1 g) :: !acc) t.locked_gst;
-        ("C0", Epoch_view.buffer t.published ~slot:0 t.gst) :: !acc)
+        Option.iter (fun b -> acc := ("L0", Doc_buffer.snapshot b) :: !acc) t.l0;
+        ("C0", Doc_buffer.snapshot t.c0) :: !acc)
 
   let view t = Epoch_view.latest t.published
 
@@ -859,10 +834,8 @@ module Make (I : Static_index.S) = struct
   let census t =
     let acc = ref [] in
     let add name live dead = acc := (name, live, dead) :: !acc in
-    add "C0" (Gsuffix_tree.live_symbols t.gst) (Gsuffix_tree.dead_symbols t.gst);
-    (match t.locked_gst with
-    | None -> ()
-    | Some g -> add "L0" (Gsuffix_tree.live_symbols g) (Gsuffix_tree.dead_symbols g));
+    add "C0" (Doc_buffer.live_symbols t.c0) 0;
+    Option.iter (fun b -> add "L0" (Doc_buffer.live_symbols b) 0) t.l0;
     for j = 1 to max_slots + 1 do
       (match t.subs.(j) with
       | None -> ()
@@ -881,8 +854,8 @@ module Make (I : Static_index.S) = struct
   let space_census t =
     let acc = ref [] in
     let add name bits = acc := (name, bits) :: !acc in
-    add "C0" (Gsuffix_tree.space_bits t.gst);
-    (match t.locked_gst with None -> () | Some g -> add "L0" (Gsuffix_tree.space_bits g));
+    add "C0" (Doc_buffer.space_bits t.c0);
+    Option.iter (fun b -> add "L0" (Doc_buffer.space_bits b)) t.l0;
     for j = 1 to max_slots + 1 do
       (match t.subs.(j) with None -> () | Some ss -> add (Printf.sprintf "C%d" j) (SS.space_bits ss));
       (match t.locked.(j) with None -> () | Some ss -> add (Printf.sprintf "L%d" j) (SS.space_bits ss));
@@ -924,7 +897,7 @@ module Make (I : Static_index.S) = struct
     let total = ref 0 in
     iter_structures t
       ~fss:(fun ss -> total := !total + SS.space_bits ss)
-      ~fgst:(fun g -> total := !total + Gsuffix_tree.space_bits g);
+      ~fbuf:(fun b -> total := !total + Doc_buffer.space_bits b);
     !total
 
   let probe t : Dynamization.probe =

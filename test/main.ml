@@ -5,7 +5,7 @@ let () =
       ("sa", Suite_sa.suite);
       ("wavelet", Suite_wavelet.suite);
       ("fm", Suite_fm.suite);
-      ("gst", Suite_gst.suite);
+      ("buffer", Suite_buffer.suite);
       ("delbits", Suite_delbits.suite);
       ("exec", Suite_exec.suite);
       ("core", Suite_core.suite);
