@@ -51,10 +51,10 @@ val stats : t -> Dyn_binrel.stats
     an amortization artifact, rebuilt on reinsertion
     ({!Dyn_binrel.iter_pairs}). *)
 
-(** Every live edge [u -> v], in no particular order. *)
+(** Every live edge [u -> v], in [(u, v)] order. *)
 val iter_edges : t -> f:(int -> int -> unit) -> unit
 
-(** {!iter_edges} collected and sorted. *)
+(** {!iter_edges} collected. *)
 val edges : t -> (int * int) list
 
 (** [of_edges pairs] rebuilds a graph from a persisted edge set

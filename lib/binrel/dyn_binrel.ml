@@ -63,8 +63,49 @@ let buffer_remove b o a =
     true
   end
 
-let buffer_pairs b =
-  Hashtbl.fold (fun o row acc -> Hashtbl.fold (fun a () acc -> (o, a) :: acc) row acc) b.by_obj []
+(* C0's pairs as one run in (object, label) order: sorted once, it is
+   small. *)
+let buffer_run b =
+  let objs = Array.make b.pairs 0 and labs = Array.make b.pairs 0 in
+  let k = ref 0 in
+  Hashtbl.iter
+    (fun o row ->
+      Hashtbl.iter
+        (fun a () ->
+          objs.(!k) <- o;
+          labs.(!k) <- a;
+          incr k)
+        row)
+    b.by_obj;
+  Static_binrel.sort_pairs objs labs
+
+(* Two runs of pairs, each in (object, label) order and disjoint from
+   the other, as one. *)
+let merge (o1, l1) (o2, l2) =
+  let n1 = Array.length o1 and n2 = Array.length o2 in
+  let objs = Array.make (n1 + n2) 0 and labs = Array.make (n1 + n2) 0 in
+  let i = ref 0 and j = ref 0 in
+  for k = 0 to n1 + n2 - 1 do
+    if !j >= n2 || (!i < n1 && (o1.(!i) < o2.(!j) || (o1.(!i) = o2.(!j) && l1.(!i) < l2.(!j))))
+    then begin
+      objs.(k) <- o1.(!i);
+      labs.(k) <- l1.(!i);
+      incr i
+    end
+    else begin
+      objs.(k) <- o2.(!j);
+      labs.(k) <- l2.(!j);
+      incr j
+    end
+  done;
+  (objs, labs)
+
+(* k-way merge, smallest runs first, so a pair is copied about as often
+   as the run sizes double. *)
+let merge_runs runs =
+  match List.sort (fun (a, _) (b, _) -> Int.compare (Array.length a) (Array.length b)) runs with
+  | [] -> ([||], [||])
+  | r :: rest -> List.fold_left merge r rest
 
 open Dsdg_obs
 
@@ -117,22 +158,25 @@ let live_pairs t = t.live
 
 (* --- persistence (Dsdg_store) --- *)
 
-(* Every live pair, across the C0 buffer and all sub-structures, in no
-   particular order.  The snapshot unit: a relation has no other state
-   worth persisting (nf is restored as the pair count, the slot layout
-   is an amortization artifact rebuilt on reinsertion). *)
+(* The live runs of slots [lo..hi]. *)
+let sub_runs t lo hi =
+  List.filter_map
+    (fun j -> Option.map Static_binrel.live_sorted t.subs.(j))
+    (List.init (hi - lo + 1) (fun i -> lo + i))
+
+(* Every live pair, across the C0 buffer and all sub-structures, as one
+   run.  The snapshot unit: a relation has no other state worth
+   persisting (nf is restored as the pair count, the slot layout is an
+   amortization artifact rebuilt on reinsertion). *)
+let all_pairs t = merge_runs (buffer_run t.c0 :: sub_runs t 1 max_slots)
+
 let iter_pairs t ~f =
-  List.iter (fun (o, a) -> f o a) (buffer_pairs t.c0);
-  Array.iter
-    (function
-      | None -> ()
-      | Some sb -> List.iter (fun (o, a) -> f o a) (Static_binrel.live_pairs_list sb))
-    t.subs
+  let objs, labs = all_pairs t in
+  Array.iteri (fun i o -> f o labs.(i)) objs
 
 let pairs_list t =
-  let acc = ref [] in
-  iter_pairs t ~f:(fun o a -> acc := (o, a) :: !acc);
-  List.sort compare !acc
+  let objs, labs = all_pairs t in
+  List.init (Array.length objs) (fun i -> (objs.(i), labs.(i)))
 
 let max_size t j =
   let nff = float_of_int (max t.nf 256) in
@@ -142,31 +186,39 @@ let max_size t j =
 
 let sub_live t j = match t.subs.(j) with None -> 0 | Some sb -> Static_binrel.live_pairs sb
 
-let build_sub t pairs = Static_binrel.build ~tau:t.tau (Array.of_list pairs)
+let build_sub t (objs, labs) = Static_binrel.of_sorted ~tau:t.tau objs labs
 
-(* Make [pairs] (distinct) the whole relation: one static structure in
-   the top slot, nf re-snapshotted to their count.  This is the state a
+(* Make the run [(objs, labs)] the whole relation: one static structure
+   in the top slot, nf re-snapshotted to its size.  This is the state a
    global rebuild leaves behind, and the bulk build [of_pairs]. *)
-let install t pairs =
+let install t ((objs, _) as run) =
+  let n = Array.length objs in
   t.c0 <- buffer_create ();
   Array.fill t.subs 0 (Array.length t.subs) None;
-  t.nf <- max 256 (List.length pairs);
-  t.live <- List.length pairs;
-  if pairs <> [] then t.subs.(max_slots) <- Some (build_sub t pairs)
+  t.nf <- max 256 n;
+  t.live <- n;
+  if n > 0 then t.subs.(max_slots) <- Some (build_sub t run)
 
 let global_rebuild t ~extra =
   Obs.incr t.c_global_rebuilds;
-  let pairs = ref (buffer_pairs t.c0) in
-  Array.iter
-    (function None -> () | Some sb -> pairs := Static_binrel.live_pairs_list sb @ !pairs)
-    t.subs;
-  install t (match extra with None -> !pairs | Some p -> p :: !pairs);
+  install t (merge_runs (Option.to_list extra @ [ buffer_run t.c0 ] @ sub_runs t 1 max_slots));
   Obs.record t.obs (Obs.Restructure { nf = t.nf; structures = (if t.live = 0 then 0 else 1) })
 
-(* Bulk build: construction, not a rebuild, so no counter moves. *)
+(* Bulk build: construction, not a rebuild, so no counter moves.
+   Duplicates are dropped once the sort makes them adjacent. *)
 let of_pairs ?tau pairs =
   let t = create ?tau () in
-  install t (List.sort_uniq Static_binrel.compare_pair pairs);
+  let pairs = Array.of_list pairs in
+  let objs, labs = Static_binrel.sort_pairs (Array.map fst pairs) (Array.map snd pairs) in
+  let k = ref 0 in
+  for i = 0 to Array.length pairs - 1 do
+    if !k = 0 || objs.(i) <> objs.(!k - 1) || labs.(i) <> labs.(!k - 1) then begin
+      objs.(!k) <- objs.(i);
+      labs.(!k) <- labs.(i);
+      incr k
+    end
+  done;
+  install t (Array.sub objs 0 !k, Array.sub labs 0 !k);
   t
 
 let related t o a =
@@ -191,17 +243,11 @@ let add t o a =
       | Some j ->
         Obs.incr t.c_merges;
         Obs.record t.obs (Obs.Merge { from_level = 0; into_level = j; sync = true });
-        let pairs = ref [ (o, a) ] in
-        pairs := buffer_pairs t.c0 @ !pairs;
-        for i = 1 to j do
-          (match t.subs.(i) with
-          | None -> ()
-          | Some sb -> pairs := Static_binrel.live_pairs_list sb @ !pairs);
-          t.subs.(i) <- None
-        done;
+        let run = merge_runs (([| o |], [| a |]) :: buffer_run t.c0 :: sub_runs t 1 j) in
+        Array.fill t.subs 1 j None;
         t.c0 <- buffer_create ();
-        t.subs.(j) <- Some (build_sub t !pairs)
-      | None -> global_rebuild t ~extra:(Some (o, a))
+        t.subs.(j) <- Some (build_sub t run)
+      | None -> global_rebuild t ~extra:(Some ([| o |], [| a |]))
     end;
     t.live <- t.live + 1;
     if t.live > 2 * t.nf then global_rebuild t ~extra:None;
@@ -217,8 +263,7 @@ let purge t j =
     let live = Static_binrel.live_pairs sb in
     let dead = Static_binrel.total_pairs sb - live in
     Obs.record t.obs (Obs.Purge { level = j; dead; total = live + dead });
-    let pairs = Static_binrel.live_pairs_list sb in
-    t.subs.(j) <- (if pairs = [] then None else Some (build_sub t pairs))
+    t.subs.(j) <- (if live = 0 then None else Some (build_sub t (Static_binrel.live_sorted sb)))
 
 (* Remove pair (o, a); false if absent. *)
 let remove t o a =

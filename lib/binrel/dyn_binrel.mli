@@ -79,8 +79,10 @@ val space_bits : t -> int
     layout is an amortization artifact, rebuilt on reinsertion. *)
 
 (** Every live [(object, label)] pair, across the C0 buffer and all
-    sub-structures, in no particular order. *)
+    sub-structures, in (object, label) order: the sub-structures'
+    sorted runs and the sorted buffer merged, the input every merge
+    and rebuild builds from. *)
 val iter_pairs : t -> f:(int -> int -> unit) -> unit
 
-(** {!iter_pairs} collected and sorted. *)
+(** {!iter_pairs} collected. *)
 val pairs_list : t -> (int * int) list

@@ -32,23 +32,6 @@ type t = {
   tau : int;
 }
 
-(* Sorted distinct ids, with int-specialised comparisons throughout. *)
-let distinct_sorted (ids : int array) =
-  let a = Array.copy ids in
-  Array.sort Int.compare a;
-  let n = Array.length a in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || a.(i) <> a.(i - 1) then begin
-      a.(!k) <- a.(i);
-      incr k
-    end
-  done;
-  Array.sub a 0 !k
-
-let compare_pair ((o1, a1) : int * int) ((o2, a2) : int * int) =
-  if o1 <> o2 then Int.compare o1 o2 else Int.compare a1 a2
-
 let find_local (arr : int array) (v : int) : int option =
   let lo = ref 0 and hi = ref (Array.length arr) in
   while !hi - !lo > 1 do
@@ -57,62 +40,114 @@ let find_local (arr : int array) (v : int) : int option =
   done;
   if Array.length arr > 0 && arr.(!lo) = v then Some !lo else None
 
-let build ?(tick = fun () -> ()) ~tau (pairs : (int * int) array) : t =
-  if tau < 1 then invalid_arg "Static_binrel.build: tau";
-  let n = Array.length pairs in
-  let objects = distinct_sorted (Array.map fst pairs) in
-  let labels = distinct_sorted (Array.map snd pairs) in
-  let t_objs = Array.length objects in
-  let local_obj v = match find_local objects v with Some i -> i | None -> assert false in
-  let local_lab v = match find_local labels v with Some i -> i | None -> assert false in
-  (* sort pairs by (object, label) and reject duplicates *)
-  let sorted = Array.map (fun (o, a) -> (local_obj o, local_lab a)) pairs in
-  Array.sort compare_pair sorted;
-  for i = 1 to n - 1 do
-    if compare_pair sorted.(i) sorted.(i - 1) = 0 then
-      invalid_arg "Static_binrel.build: duplicate pair"
-  done;
-  let s_arr = Array.map snd sorted in
-  let sigma_l = Array.length labels in
-  let s = Huffman_wavelet.build ~tick ~sigma:(max 1 sigma_l) s_arr in
-  (* N: for each object, its degree in unary *)
-  let n_bits = Bitvec.create (n + t_objs) in
-  let obj_start = Array.make (t_objs + 1) 0 in
-  let pos = ref 0 in
-  let cur = ref 0 in
-  Array.iteri
-    (fun i (o, _) ->
-      tick ();
-      while !cur < o do
-        incr cur;
-        obj_start.(!cur) <- i;
-        incr pos
+(* Stable LSD radix sort of [perm] by [key.(perm.(i))], over 11-bit
+   digits of the key with its sign bit flipped: unsigned digit order is
+   then signed int order, for every int, so nothing is packed and
+   nothing overflows.  A digit on which all keys agree costs no pass. *)
+let radix = 11
+
+let sort_by (key : int array) (perm : int array) =
+  let n = Array.length perm and mask = (1 lsl radix) - 1 in
+  let set = ref 0 and clear = ref 0 in
+  Array.iter
+    (fun p ->
+      set := !set lor key.(p);
+      clear := !clear lor lnot key.(p))
+    perm;
+  let varying = !set land !clear in
+  let count = Array.make (mask + 1) 0 in
+  let src = ref perm and dst = ref (if varying = 0 then perm else Array.make n 0) in
+  for digit = 0 to (Sys.int_size - 1) / radix do
+    let s = digit * radix and src' = !src and dst' = !dst in
+    if (varying lsr s) land mask <> 0 then begin
+      Array.fill count 0 (mask + 1) 0;
+      for i = 0 to n - 1 do
+        let d = ((key.(src'.(i)) lxor min_int) lsr s) land mask in
+        count.(d) <- count.(d) + 1
       done;
-      Bitvec.set n_bits !pos;
-      incr pos)
-    sorted;
-  while !cur < t_objs do
-    incr cur;
-    obj_start.(!cur) <- n;
-    incr pos
+      let sum = ref 0 in
+      for d = 0 to mask do
+        let c = count.(d) in
+        count.(d) <- !sum;
+        sum := !sum + c
+      done;
+      for i = 0 to n - 1 do
+        let p = src'.(i) in
+        let d = ((key.(p) lxor min_int) lsr s) land mask in
+        dst'.(count.(d)) <- p;
+        count.(d) <- count.(d) + 1
+      done;
+      src := dst';
+      dst := src'
+    end
   done;
-  let da =
-    Array.init (max 1 sigma_l) (fun a -> Reporter.create_full (Huffman_wavelet.count s a))
-  in
-  let da_live = Array.init (max 1 sigma_l) (fun a -> Huffman_wavelet.count s a) in
+  if !src != perm then Array.blit !src 0 perm 0 n
+
+let sort_pairs objs labs =
+  let perm = Array.init (Array.length objs) Fun.id in
+  sort_by labs perm;
+  sort_by objs perm;
+  (Array.map (fun p -> objs.(p)) perm, Array.map (fun p -> labs.(p)) perm)
+
+(* Linear passes over pairs sorted by (object, label): objects and N by
+   one scan, labels by one sort and dedupe that also names each pair's
+   local label, Da from the label histogram. *)
+let of_sorted ~tau (objs : int array) (labs : int array) : t =
+  if tau < 1 then invalid_arg "Static_binrel.build: tau";
+  let n = Array.length objs in
+  let t_objs = ref (min n 1) in
+  for i = 1 to n - 1 do
+    let o = objs.(i) and o' = objs.(i - 1) in
+    if o = o' && labs.(i) = labs.(i - 1) then invalid_arg "Static_binrel.build: duplicate pair";
+    if o < o' || (o = o' && labs.(i) < labs.(i - 1)) then
+      invalid_arg "Static_binrel.build: pairs not sorted";
+    if o <> o' then incr t_objs
+  done;
+  let t_objs = !t_objs in
+  (* N: object k's pairs are ones at i + k, each object closed by a 0 *)
+  let objects = Array.make t_objs 0 and obj_start = Array.make (t_objs + 1) n in
+  let n_bits = Bitvec.create (n + t_objs) in
+  let k = ref (-1) in
+  for i = 0 to n - 1 do
+    if i = 0 || objs.(i) <> objs.(i - 1) then begin
+      incr k;
+      objects.(!k) <- objs.(i);
+      obj_start.(!k) <- i
+    end;
+    Bitvec.set n_bits (i + !k)
+  done;
+  let perm = Array.init n Fun.id in
+  sort_by labs perm;
+  let s_arr = Array.make n 0 and distinct = Array.make n 0 in
+  let sigma_l = ref 0 in
+  for r = 0 to n - 1 do
+    let a = labs.(perm.(r)) in
+    if r = 0 || a <> distinct.(!sigma_l - 1) then begin
+      distinct.(!sigma_l) <- a;
+      incr sigma_l
+    end;
+    s_arr.(perm.(r)) <- !sigma_l - 1
+  done;
+  let sigma = max 1 !sigma_l in
+  let hist = Array.make sigma 0 in
+  Array.iter (fun a -> hist.(a) <- hist.(a) + 1) s_arr;
   {
     objects;
-    labels;
-    s;
+    labels = Array.sub distinct 0 !sigma_l;
+    s = Huffman_wavelet.build ~sigma s_arr;
     n_bv = Rank_select.build n_bits;
     d = Reporter.create_full n;
-    da;
-    da_live;
+    da = Array.map Reporter.create_full hist;
+    da_live = hist;
     obj_start;
     live_pairs = n;
     dead_pairs = 0;
     tau;
   }
+
+let build ~tau (pairs : (int * int) array) : t =
+  let objs, labs = sort_pairs (Array.map fst pairs) (Array.map snd pairs) in
+  of_sorted ~tau objs labs
 
 let live_pairs t = t.live_pairs
 let dead_pairs t = t.dead_pairs
@@ -186,15 +221,23 @@ let delete t o a =
       true
     end
 
-(* All live pairs, for rebuilds. *)
-let live_pairs_list ?(tick = fun () -> ()) t =
-  let acc = ref [] in
-  Reporter.report t.d 0 (Reporter.length t.d) (fun j ->
-      tick ();
-      let la = Huffman_wavelet.access t.s j in
-      let obj = Rank_select.rank0 t.n_bv (Rank_select.select1 t.n_bv j) in
-      acc := (t.objects.(obj), t.labels.(la)) :: !acc);
-  List.rev !acc
+(* All live pairs in (object, label) order: S decoded in bulk, then one
+   walk over the objects' S-ranges reading D a word at a time. *)
+let live_sorted t =
+  let w = Popcount.word_bits in
+  let s = Huffman_wavelet.to_array t.s in
+  let objs = Array.make t.live_pairs 0 and labs = Array.make t.live_pairs 0 in
+  let k = ref 0 in
+  for o = 0 to Array.length t.objects - 1 do
+    for j = t.obj_start.(o) to t.obj_start.(o + 1) - 1 do
+      if (Reporter.word t.d (j / w) lsr (j mod w)) land 1 = 1 then begin
+        objs.(!k) <- t.objects.(o);
+        labs.(!k) <- t.labels.(s.(j));
+        incr k
+      end
+    done
+  done;
+  (objs, labs)
 
 let space_bits t =
   Huffman_wavelet.space_bits t.s + Rank_select.space_bits t.n_bv

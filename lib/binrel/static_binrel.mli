@@ -6,11 +6,21 @@
 
 type t
 
-(** Raises [Invalid_argument] on duplicate pairs. *)
-val build : ?tick:(unit -> unit) -> tau:int -> (int * int) array -> t
+(** [build ~tau pairs] sorts the pairs once ({!sort_pairs}) and builds
+    them with {!of_sorted}. Raises [Invalid_argument] on duplicate
+    pairs. *)
+val build : tau:int -> (int * int) array -> t
 
-(** The (object, label) lexicographic order, int-specialised. *)
-val compare_pair : int * int -> int * int -> int
+(** [of_sorted ~tau objs labs] builds the pairs [(objs.(i), labs.(i))],
+    strictly increasing in (object, label) order, in a few linear
+    passes. Raises [Invalid_argument] on a duplicate or out-of-order
+    pair, or if [tau < 1]. *)
+val of_sorted : tau:int -> int array -> int array -> t
+
+(** [sort_pairs objs labs] is the pairs [(objs.(i), labs.(i))] in
+    (object, label) order, duplicates kept: a stable LSD radix sort on
+    the int keys, correct for every [int]. *)
+val sort_pairs : int array -> int array -> int array * int array
 
 (** Number of pairs not yet lazily deleted. *)
 val live_pairs : t -> int
@@ -47,8 +57,10 @@ val count_objects_of_label : t -> int -> int
 (** Lazy deletion of one pair; [false] if absent or already dead. *)
 val delete : t -> int -> int -> bool
 
-(** All live pairs, for rebuilds; [tick] charged per pair. *)
-val live_pairs_list : ?tick:(unit -> unit) -> t -> (int * int) list
+(** All live pairs as [(objects, labels)], in (object, label) order:
+    [S] decoded in bulk plus one walk over [D]. The input {!of_sorted}
+    takes, so rebuilds never sort. *)
+val live_sorted : t -> int array * int array
 
 (** Measured resident size in bits. *)
 val space_bits : t -> int

@@ -125,12 +125,18 @@ let run_ops ?fault ?(init = []) (ops : rop list) : (unit, rop Runner.failure) re
 (* --- stream generation --- *)
 
 (* Bounded universe with occasional far-out ids, so the relation's
-   static structures see a spread alphabet; weighted toward updates with
-   queries and snapshots interleaved. *)
+   static structures see a spread alphabet: some past 600, a few
+   negative, a few near +-2^40 (where the construction's radix sort
+   must order keys across its whole int range); weighted toward updates
+   with queries and snapshots interleaved. *)
 let gen_ops ~seed ~ops =
   let st = Random.State.make [| seed; 0xbe1 |] in
   let id () =
-    if Random.State.int st 40 = 0 then Random.State.int st 600 else Random.State.int st 24
+    match Random.State.int st 80 with
+    | 0 -> -1 - Random.State.int st 24
+    | 1 -> (if Random.State.bool st then 1 else -1) * ((1 lsl 40) + Random.State.int st 4)
+    | 2 | 3 -> Random.State.int st 600
+    | _ -> Random.State.int st 24
   in
   List.init ops (fun _ ->
       match Random.State.int st 100 with

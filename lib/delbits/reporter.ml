@@ -65,6 +65,7 @@ let of_bitvec bv =
 
 let length t = t.len
 let ones t = t.ones
+let word t j = t.levels.(0).(j)
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Reporter.get";

@@ -18,6 +18,10 @@ val length : t -> int
 (** Number of surviving one bits. *)
 val ones : t -> int
 
+(** [word t j] holds bits [[62 j, 62 j + 62)], bit [i] of the vector at
+    position [i mod 62]: the bulk read, one word per 62 positions. *)
+val word : t -> int -> int
+
 val get : t -> int -> bool
 
 (** [zero t i] clears bit [i] (idempotent). O(log_62 n). *)

@@ -7,89 +7,51 @@ type tree =
   | Sym of int
   | Branch of tree * tree
 
-(* Simple binary min-heap over (weight, tiebreak, tree). *)
-module Heap = struct
-  type elt = int * int * tree
-  type t = { mutable a : elt array; mutable n : int }
-
-  let create () = { a = Array.make 16 (0, 0, Sym 0); n = 0 }
-  let less (w1, t1, _) (w2, t2, _) = w1 < w2 || (w1 = w2 && t1 < t2)
-
-  let push h e =
-    if h.n = Array.length h.a then begin
-      let a' = Array.make (2 * h.n) h.a.(0) in
-      Array.blit h.a 0 a' 0 h.n;
-      h.a <- a'
-    end;
-    h.a.(h.n) <- e;
-    h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while !i > 0 && less h.a.(!i) h.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let pop h =
-    let top = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.n && less h.a.(l) h.a.(!smallest) then smallest := l;
-      if r < h.n && less h.a.(r) h.a.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = h.a.(!smallest) in
-        h.a.(!smallest) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
-
-  let size h = h.n
-end
-
 (* Build the Huffman tree for symbols with freqs.(c) > 0.  A single-symbol
    alphabet yields a one-bit code (Branch (Sym c, Sym c) would be wasteful;
    we special-case it with a degenerate branch so every code has length
-   >= 1 and the wavelet shape stays a proper tree). *)
+   >= 1 and the wavelet shape stays a proper tree).
+
+   Two queues, no heap: the leaves sorted by (weight, symbol), then the
+   internal nodes in creation order, whose weights never decrease.  Each
+   step merges the two smallest heads by (weight, tiebreak), where a
+   leaf's tiebreak (its symbol rank) is below every internal node's (its
+   creation rank after the leaves): on equal weights the leaf goes first.
+   That is the order a min-heap keyed on (weight, tiebreak) pops, so the
+   tree -- and every code -- is the heap construction's. *)
 let build_tree (freqs : int array) : tree option =
-  let h = Heap.create () in
-  let tie = ref 0 in
-  Array.iteri
-    (fun c f ->
-      if f > 0 then begin
-        Heap.push h (f, !tie, Sym c);
-        incr tie
-      end)
-    freqs;
-  if Heap.size h = 0 then None
+  let leaves = ref [] in
+  for c = Array.length freqs - 1 downto 0 do
+    if freqs.(c) > 0 then leaves := c :: !leaves
+  done;
+  let leaves = Array.of_list !leaves in
+  let m = Array.length leaves in
+  if m = 0 then None
+  else if m = 1 then Some (Branch (Sym leaves.(0), Sym leaves.(0)))
   else begin
-    if Heap.size h = 1 then begin
-      (* degenerate: pair the symbol with itself on the right of a branch *)
-      let (f, _, t) = Heap.pop h in
-      ignore f;
-      match t with
-      | Sym c -> Some (Branch (Sym c, Sym c))
-      | Branch _ -> assert false
-    end
-    else begin
-      while Heap.size h > 1 do
-        let (f1, _, t1) = Heap.pop h in
-        let (f2, _, t2) = Heap.pop h in
-        Heap.push h (f1 + f2, !tie, Branch (t1, t2));
-        incr tie
-      done;
-      let (_, _, t) = Heap.pop h in
-      Some t
-    end
+    Array.stable_sort (fun a b -> Int.compare freqs.(a) freqs.(b)) leaves;
+    let nodes = Array.make (m - 1) (Sym 0) and weights = Array.make (m - 1) 0 in
+    let li = ref 0 and ni = ref 0 in
+    (* pop the smaller head; internal nodes [!ni, made) are queued *)
+    let pop made =
+      if !li < m && (!ni >= made || freqs.(leaves.(!li)) <= weights.(!ni)) then begin
+        let c = leaves.(!li) in
+        incr li;
+        (freqs.(c), Sym c)
+      end
+      else begin
+        let k = !ni in
+        incr ni;
+        (weights.(k), nodes.(k))
+      end
+    in
+    for k = 0 to m - 2 do
+      let w1, t1 = pop k in
+      let w2, t2 = pop k in
+      nodes.(k) <- Branch (t1, t2);
+      weights.(k) <- w1 + w2
+    done;
+    Some nodes.(m - 2)
   end
 
 type code = { bits : int; len : int }

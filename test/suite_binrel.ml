@@ -52,13 +52,148 @@ let test_static_delete () =
   (* purge accounting *)
   ignore (Static_binrel.delete sb 10 1);
   Alcotest.(check bool) "needs purge at 2/7 dead (tau=4)" true (Static_binrel.needs_purge sb);
-  Alcotest.(check (list (pair int int))) "live list"
+  let objs, labs = Static_binrel.live_sorted sb in
+  Alcotest.(check (list (pair int int))) "live pairs, sorted"
     [ (10, 3); (20, 1); (30, 2); (30, 3); (40, 7) ]
-    (List.sort compare (Static_binrel.live_pairs_list sb))
+    (List.combine (Array.to_list objs) (Array.to_list labs))
 
 let test_static_duplicate_rejected () =
   Alcotest.check_raises "dup" (Invalid_argument "Static_binrel.build: duplicate pair") (fun () ->
-      ignore (Static_binrel.build ~tau:4 [| (1, 2); (1, 2) |]))
+      ignore (Static_binrel.build ~tau:4 [| (1, 2); (1, 2) |]));
+  Alcotest.check_raises "dup among extreme ids, unsorted"
+    (Invalid_argument "Static_binrel.build: duplicate pair") (fun () ->
+      ignore (Static_binrel.build ~tau:4 [| (max_int, -3); (min_int, 2); (0, 0); (max_int, -3) |]))
+
+(* --- construction: the linear passes against the model and the old
+   build --- *)
+
+(* The construction as it was before the linear passes, reduced to the
+   space it charges: sorted distinct ids, a binary search per pair, a
+   comparison sort of the local pairs, N by the object loop, and one
+   wavelet count per label for Da. The layout must not change, so
+   neither may this figure. *)
+let reference_space_bits pairs =
+  let open Dsdg_bits in
+  let open Dsdg_delbits in
+  let module Hwt = Dsdg_wavelet.Huffman_wavelet in
+  let distinct ids = Array.of_list (List.sort_uniq Int.compare (Array.to_list ids)) in
+  let objects = distinct (Array.map fst pairs) and labels = distinct (Array.map snd pairs) in
+  let local arr v =
+    let lo = ref 0 and hi = ref (Array.length arr) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if arr.(mid) <= v then lo := mid else hi := mid
+    done;
+    !lo
+  in
+  let sorted = Array.map (fun (o, a) -> (local objects o, local labels a)) pairs in
+  Array.sort compare sorted;
+  let n = Array.length sorted and t_objs = Array.length objects in
+  let sigma = max 1 (Array.length labels) in
+  let s = Hwt.build ~sigma (Array.map snd sorted) in
+  let n_bits = Bitvec.create (n + t_objs) in
+  let pos = ref 0 and cur = ref 0 in
+  Array.iter
+    (fun (o, _) ->
+      while !cur < o do
+        incr cur;
+        incr pos
+      done;
+      Bitvec.set n_bits !pos;
+      incr pos)
+    sorted;
+  let da = List.init sigma (fun a -> Reporter.space_bits (Reporter.create_full (Hwt.count s a))) in
+  Hwt.space_bits s + Rank_select.space_bits (Rank_select.build n_bits)
+  + Reporter.space_bits (Reporter.create_full n)
+  + List.fold_left ( + ) 0 da + (sigma * 63)
+  + ((t_objs + Array.length labels + t_objs + 1) * 63)
+
+(* Ids from the whole int range: both extremes and their neighbours,
+   full-width random ints of either sign, far and small ids. *)
+let wide_id st =
+  match Random.State.int st 6 with
+  | 0 -> [| min_int; min_int + 1; max_int; max_int - 1; 0; -1 |].(Random.State.int st 6)
+  | 1 -> (Random.State.bits st lsl 33) lxor (Random.State.bits st lsl 3) lxor Random.State.bits st
+  | 2 -> -1 - Random.State.int st 40
+  | 3 -> (if Random.State.bool st then 1 else -1) * ((1 lsl 40) + Random.State.int st 4)
+  | _ -> Random.State.int st 40
+
+let shuffle st a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+(* Every answer of [sb] against the sorted pair list [model], for every
+   id in [ids]. *)
+let static_agrees sb model ids =
+  let labels o = List.filter_map (fun (o', a) -> if o' = o then Some a else None) model in
+  let objects a = List.sort compare (List.filter_map (fun (o, a') -> if a' = a then Some o else None) model) in
+  let collect iter x =
+    let acc = ref [] in
+    iter sb x ~f:(fun y -> acc := y :: !acc);
+    List.sort compare !acc
+  in
+  let objs, labs = Static_binrel.live_sorted sb in
+  List.combine (Array.to_list objs) (Array.to_list labs) = model
+  && Static_binrel.live_pairs sb = List.length model
+  && List.for_all
+       (fun x ->
+         collect Static_binrel.labels_of_object x = labels x
+         && collect Static_binrel.objects_of_label x = objects x
+         && Static_binrel.count_labels_of_object sb x = List.length (labels x)
+         && Static_binrel.count_objects_of_label sb x = List.length (objects x)
+         && List.for_all (fun y -> Static_binrel.related sb x y = List.mem (x, y) model) ids)
+       ids
+
+let prop_static_build_wide_ids =
+  QCheck.Test.make ~name:"static build over the whole int range = model, before and after deletes"
+    ~count:150
+    QCheck.(pair (int_bound 100_000) (int_range 0 3))
+    (fun (seed, shape) ->
+      let st = Random.State.make [| seed; 71 |] in
+      let pool = Array.init (2 + Random.State.int st 20) (fun _ -> wide_id st) in
+      let pick () = pool.(Random.State.int st (Array.length pool)) in
+      let one_obj = pick () and one_lab = pick () in
+      let draw () =
+        match shape with
+        | 1 -> (one_obj, pick ())
+        | 2 -> (pick (), one_lab)
+        | _ -> (pick (), pick ())
+      in
+      let drawn = if shape = 3 then [] else List.init (1 + Random.State.int st 200) (fun _ -> draw ()) in
+      let model = List.sort_uniq compare drawn in
+      let ids = Array.to_list pool @ [ min_int; max_int; 12345 ] in
+      let sb = Static_binrel.build ~tau:4 (shuffle st (Array.of_list model)) in
+      let built = static_agrees sb model ids in
+      let same_space = Static_binrel.space_bits sb = reference_space_bits (Array.of_list model) in
+      (* of_pairs drops the duplicates the draw made *)
+      let bulk = Dyn_binrel.pairs_list (Dyn_binrel.of_pairs ~tau:4 (drawn @ List.rev drawn)) = model in
+      (* random deletes, some of absent pairs *)
+      let model = ref model in
+      let deletes_agree = ref true in
+      for _ = 1 to Random.State.int st 60 do
+        let o, a = draw () in
+        let want = List.mem (o, a) !model in
+        if Static_binrel.delete sb o a <> want then deletes_agree := false;
+        model := List.filter (( <> ) (o, a)) !model
+      done;
+      built && same_space && bulk && !deletes_agree && static_agrees sb !model ids)
+
+(* The layout on a web-crawl graph: the linear build charges exactly the
+   old build's space, and decodes back to the pair set. *)
+let test_static_webcrawl_layout () =
+  let st = Random.State.make [| 1; 7 |] in
+  let edges = Dsdg_workload.Graph_gen.web_crawl st ~nodes:4000 ~edges:20_000 in
+  let model = List.sort_uniq compare (Array.to_list edges) in
+  let pairs = Array.of_list model in
+  let sb = Static_binrel.build ~tau:8 (shuffle st (Array.copy pairs)) in
+  check "space_bits = reference build" (reference_space_bits pairs) (Static_binrel.space_bits sb);
+  let objs, labs = Static_binrel.live_sorted sb in
+  Alcotest.(check bool) "bulk decode = pair set" true (Array.combine objs labs = pairs)
 
 (* --- Dyn_binrel under churn --- *)
 
@@ -628,13 +763,14 @@ let prop_triples_vs_model =
 
 let qsuite =
   List.map Qc.to_alcotest
-    [ prop_dyn_matches_model; prop_graph_vs_model; prop_dyn_vs_shared_model;
+    [ prop_static_build_wide_ids; prop_dyn_matches_model; prop_graph_vs_model; prop_dyn_vs_shared_model;
       prop_graph_vs_shared_model; prop_backend_pairset_agreement; prop_triples_vs_model ]
 
 let suite =
   [ ("static queries", `Quick, test_static_queries);
     ("static delete", `Quick, test_static_delete);
     ("static duplicate rejected", `Quick, test_static_duplicate_rejected);
+    ("static web-crawl layout = reference build", `Quick, test_static_webcrawl_layout);
     ("dyn basic", `Quick, test_dyn_basic);
     ("dyn cascade", `Quick, test_dyn_cascade);
     ("graph basic", `Quick, test_graph_basic);

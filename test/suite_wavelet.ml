@@ -309,10 +309,105 @@ let test_hwt_build_equiv_edges () =
       ("one letter of five", 5, Array.make 1000 4);
       ("one outlier", 3, Array.init 2000 (fun i -> if i = 1234 then 2 else 1)) ]
 
+(* The heap construction [Huffman.build_tree] used before its two
+   queues, kept as the reference: a binary min-heap over (weight,
+   tiebreak, tree), leaves tied in symbol order and internal nodes after
+   them in creation order. *)
+let reference_codes ~sigma freqs =
+  let heap = ref [||] and size = ref 0 in
+  let less (w1, t1, _) (w2, t2, _) = w1 < w2 || (w1 = w2 && t1 < t2) in
+  let swap i j =
+    let x = !heap.(i) in
+    !heap.(i) <- !heap.(j);
+    !heap.(j) <- x
+  in
+  let push e =
+    if !size = Array.length !heap then heap := Array.append !heap (Array.make (!size + 1) e);
+    !heap.(!size) <- e;
+    incr size;
+    let i = ref (!size - 1) in
+    while !i > 0 && less !heap.(!i) !heap.((!i - 1) / 2) do
+      swap !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+  in
+  let pop () =
+    let top = !heap.(0) in
+    decr size;
+    !heap.(0) <- !heap.(!size);
+    let i = ref 0 and go = ref true in
+    while !go do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 and m = ref !i in
+      if l < !size && less !heap.(l) !heap.(!m) then m := l;
+      if r < !size && less !heap.(r) !heap.(!m) then m := r;
+      if !m = !i then go := false
+      else begin
+        swap !i !m;
+        i := !m
+      end
+    done;
+    top
+  in
+  let tie = ref 0 in
+  Array.iteri
+    (fun c f ->
+      if f > 0 then begin
+        push (f, !tie, Huffman.Sym c);
+        incr tie
+      end)
+    freqs;
+  let tree =
+    if !size = 0 then None
+    else if !size = 1 then
+      match pop () with _, _, Huffman.Sym c -> Some (Huffman.Branch (Sym c, Sym c)) | _ -> None
+    else begin
+      while !size > 1 do
+        let f1, _, t1 = pop () in
+        let f2, _, t2 = pop () in
+        push (f1 + f2, !tie, Huffman.Branch (t1, t2));
+        incr tie
+      done;
+      let _, _, t = pop () in
+      Some t
+    end
+  in
+  match tree with
+  | None -> Array.make sigma { Huffman.bits = 0; len = 0 }
+  | Some t -> Huffman.codes_of_tree ~sigma t
+
+(* Frequencies with many ties and zeros (weights from a small range),
+   a single present symbol, and alphabets past 4,000 symbols. *)
+let prop_huffman_codes_vs_heap =
+  QCheck.Test.make ~name:"huffman two-queue codes = heap construction" ~count:120
+    QCheck.(pair (int_bound 100_000) (int_range 0 3))
+    (fun (seed, kind) ->
+      let st = Random.State.make [| seed; 67 |] in
+      let sigma =
+        match kind with 0 -> 1 + Random.State.int st 40 | 3 -> 4001 + Random.State.int st 600 | _ -> 1 + Random.State.int st 300
+      in
+      let freqs =
+        match kind with
+        | 1 ->
+          let a = Array.make sigma 0 in
+          a.(Random.State.int st sigma) <- 1 + Random.State.int st 50;
+          a
+        | 2 -> Array.init sigma (fun _ -> Random.State.int st 1000)
+        | _ -> Array.init sigma (fun _ -> max 0 (Random.State.int st 6 - 1))
+      in
+      Huffman.codes ~sigma freqs = reference_codes ~sigma freqs)
+
+let test_huffman_codes_vs_heap_edges () =
+  List.iter
+    (fun (name, freqs) ->
+      let sigma = Array.length freqs in
+      Alcotest.(check bool) name true (Huffman.codes ~sigma freqs = reference_codes ~sigma freqs))
+    [ ("empty", [||]); ("all zero", [| 0; 0; 0 |]); ("one symbol", [| 0; 7; 0 |]);
+      ("all tied", Array.make 4345 3); ("fibonacci", [| 1; 1; 2; 3; 5; 8; 13; 21; 34; 55 |]) ]
+
 let qsuite =
   List.map Qc.to_alcotest
     [ prop_wt; prop_hwt; prop_ap; prop_ap_matches_hwt; prop_select_rank_inverse;
-      prop_huffman_codes_prefix_free; prop_huffman_optimal_vs_entropy ]
+      prop_huffman_codes_prefix_free; prop_huffman_optimal_vs_entropy; prop_huffman_codes_vs_heap ]
 
 let suite =
   [ ("wt small", `Quick, test_wt_small);
@@ -331,4 +426,5 @@ let suite =
   @ qsuite
   @ [ ("hwt bulk decode edges", `Quick, test_hwt_bulk_edges); Qc.to_alcotest prop_hwt_access_rank;
       ("hwt build = reference, edges", `Quick, test_hwt_build_equiv_edges);
-      Qc.to_alcotest prop_hwt_build_equiv ]
+      Qc.to_alcotest prop_hwt_build_equiv;
+      ("huffman codes = heap construction, edges", `Quick, test_huffman_codes_vs_heap_edges) ]
