@@ -770,7 +770,6 @@ let suite =
   [ ("static queries", `Quick, test_static_queries);
     ("static delete", `Quick, test_static_delete);
     ("static duplicate rejected", `Quick, test_static_duplicate_rejected);
-    ("static web-crawl layout = reference build", `Quick, test_static_webcrawl_layout);
     ("dyn basic", `Quick, test_dyn_basic);
     ("dyn cascade", `Quick, test_dyn_cascade);
     ("graph basic", `Quick, test_graph_basic);
@@ -784,5 +783,6 @@ let suite =
     ("digraph backend roundtrip", `Quick, test_digraph_backend_roundtrip);
     ("of_edges bulk build matches model", `Quick, test_of_edges_matches_model);
     ("bulk build then differential stream", `Quick, test_bulk_then_stream);
-    ("triple store basic", `Quick, test_triples_basic) ]
+    ("triple store basic", `Quick, test_triples_basic);
+    ("static web-crawl layout = reference build", `Quick, test_static_webcrawl_layout) ]
   @ qsuite
