@@ -147,21 +147,26 @@ let crawl_cell ~make ~nodes ~edges =
         Array.iter (fun (u, v) -> ignore (g.add u v)) stream)
   in
   let insert_s = float_of_int n_edges /. (build_ns /. 1e9) in
-  (* delete throughput: remove a stride sample, then restore it *)
+  (* delete throughput: remove a stride sample, then restore it.  One
+     window is ~20 ms, short enough for a GC slice to move it by a
+     third, so report the median of seven windows.  Each removes its
+     own sample (offset k): a restored pair sits in C0, and removing
+     it again would time the buffer, not the static structures. *)
   let stride = max 1 (n_edges / 2000) in
-  let batch = ref [] in
-  let i = ref 0 in
-  while !i < n_edges do
-    batch := stream.(!i) :: !batch;
-    i := !i + stride
-  done;
-  let batch = Array.of_list !batch in
-  let _, del_ns =
-    Bench_util.time_ns (fun () ->
-        Array.iter (fun (u, v) -> ignore (g.remove u v)) batch)
+  let window k =
+    let batch = ref [] and i = ref (k mod stride) in
+    while !i < n_edges do
+      batch := stream.(!i) :: !batch;
+      i := !i + stride
+    done;
+    let batch = Array.of_list !batch in
+    let _, ns = Bench_util.time_ns (fun () -> Array.iter (fun (u, v) -> ignore (g.remove u v)) batch) in
+    Array.iter (fun (u, v) -> ignore (g.add u v)) batch;
+    float_of_int (Array.length batch) /. (ns /. 1e9)
   in
-  Array.iter (fun (u, v) -> ignore (g.add u v)) batch;
-  let delete_s = float_of_int (Array.length batch) /. (del_ns /. 1e9) in
+  let rates = Array.init 7 window in
+  Array.sort Float.compare rates;
+  let delete_s = rates.(3) in
   (* degree-biased neighbor scans, both directions *)
   let sources = Graph_gen.neighbor_queries st ~edges:stream ~count:(if quick () then 50 else 200) in
   let touched = ref 0 in

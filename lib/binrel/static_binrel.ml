@@ -7,8 +7,9 @@
    - N: the unary object-degree sequence 1^{n_1} 0 1^{n_2} 0 ...;
    - D: a Reporter (Lemma 3) over S marking live pairs (with integrated
      O(log n) range counting for labels-of-object);
-   - Da: per label, a Reporter over that label's occurrences, plus a
-     plain live counter (objects of a label need only totals).
+   - Da: one Reporter over the pairs in label order (S's stable sort
+     by label): label a's k-th occurrence in S is bit [c_before.(a) + k],
+     where [c_before] holds the prefix sums of the label histogram.
 
    Objects and labels are arbitrary external ints; internally they are
    mapped to dense local indices (the "effective alphabet" of the paper's
@@ -24,11 +25,9 @@ type t = {
   s : Huffman_wavelet.t; (* local labels in object order *)
   n_bv : Rank_select.t; (* unary degrees: object i owns 1-runs *)
   d : Reporter.t;
-  da : Reporter.t array; (* per local label: live occurrences *)
-  da_live : int array; (* per local label: live count *)
+  da : Reporter.t; (* live pairs in label order *)
+  c_before : int array; (* local label -> pairs with a smaller label *)
   obj_start : int array; (* local object -> first S position *)
-  mutable live_pairs : int;
-  mutable dead_pairs : int;
   tau : int;
 }
 
@@ -91,7 +90,7 @@ let sort_pairs objs labs =
 
 (* Linear passes over pairs sorted by (object, label): objects and N by
    one scan, labels by one sort and dedupe that also names each pair's
-   local label, Da from the label histogram. *)
+   local label, Da's offsets from the label histogram. *)
 let of_sorted ~tau (objs : int array) (labs : int array) : t =
   if tau < 1 then invalid_arg "Static_binrel.build: tau";
   let n = Array.length objs in
@@ -129,19 +128,20 @@ let of_sorted ~tau (objs : int array) (labs : int array) : t =
     s_arr.(perm.(r)) <- !sigma_l - 1
   done;
   let sigma = max 1 !sigma_l in
-  let hist = Array.make sigma 0 in
-  Array.iter (fun a -> hist.(a) <- hist.(a) + 1) s_arr;
+  let c_before = Array.make (sigma + 1) 0 in
+  Array.iter (fun a -> c_before.(a + 1) <- c_before.(a + 1) + 1) s_arr;
+  for a = 1 to sigma do
+    c_before.(a) <- c_before.(a) + c_before.(a - 1)
+  done;
   {
     objects;
     labels = Array.sub distinct 0 !sigma_l;
     s = Huffman_wavelet.build ~sigma s_arr;
     n_bv = Rank_select.build n_bits;
     d = Reporter.create_full n;
-    da = Array.map Reporter.create_full hist;
-    da_live = hist;
+    da = Reporter.create_full n;
+    c_before;
     obj_start;
-    live_pairs = n;
-    dead_pairs = 0;
     tau;
   }
 
@@ -149,11 +149,11 @@ let build ~tau (pairs : (int * int) array) : t =
   let objs, labs = sort_pairs (Array.map fst pairs) (Array.map snd pairs) in
   of_sorted ~tau objs labs
 
-let live_pairs t = t.live_pairs
-let dead_pairs t = t.dead_pairs
-let total_pairs t = t.live_pairs + t.dead_pairs
-let needs_purge t = t.dead_pairs * t.tau > total_pairs t
-let is_empty t = t.live_pairs = 0
+let live_pairs t = Reporter.ones t.d
+let total_pairs t = Reporter.length t.d
+let dead_pairs t = total_pairs t - live_pairs t
+let needs_purge t = dead_pairs t * t.tau > total_pairs t
+let is_empty t = live_pairs t = 0
 
 (* S-range of an external object, if present. *)
 let obj_range t o =
@@ -191,9 +191,9 @@ let objects_of_label t a ~f =
   match find_local t.labels a with
   | None -> ()
   | Some la ->
-    let rep = t.da.(la) in
-    Reporter.report rep 0 (Reporter.length rep) (fun k ->
-        let j = Huffman_wavelet.select t.s la k in
+    let base = t.c_before.(la) in
+    Reporter.report t.da base t.c_before.(la + 1) (fun p ->
+        let j = Huffman_wavelet.select t.s la (p - base) in
         (* object owning S position j, via the unary degree sequence N *)
         let obj = Rank_select.rank0 t.n_bv (Rank_select.select1 t.n_bv j) in
         f t.objects.(obj))
@@ -204,29 +204,22 @@ let count_labels_of_object t o =
 let count_objects_of_label t a =
   match find_local t.labels a with
   | None -> 0
-  | Some la -> t.da_live.(la)
+  | Some la -> Reporter.count_range t.da t.c_before.(la) t.c_before.(la + 1)
 
 let delete t o a =
   match pair_pos t o a with
-  | None -> false
-  | Some (la, j) ->
-    if not (Reporter.get t.d j) then false
-    else begin
-      Reporter.zero t.d j;
-      let k = Huffman_wavelet.rank t.s la j in
-      Reporter.zero t.da.(la) k;
-      t.da_live.(la) <- t.da_live.(la) - 1;
-      t.live_pairs <- t.live_pairs - 1;
-      t.dead_pairs <- t.dead_pairs + 1;
-      true
-    end
+  | Some (la, j) when Reporter.get t.d j ->
+    Reporter.zero t.d j;
+    Reporter.zero t.da (t.c_before.(la) + Huffman_wavelet.rank t.s la j);
+    true
+  | _ -> false
 
 (* All live pairs in (object, label) order: S decoded in bulk, then one
    walk over the objects' S-ranges reading D a word at a time. *)
 let live_sorted t =
   let w = Popcount.word_bits in
   let s = Huffman_wavelet.to_array t.s in
-  let objs = Array.make t.live_pairs 0 and labs = Array.make t.live_pairs 0 in
+  let objs = Array.make (live_pairs t) 0 and labs = Array.make (live_pairs t) 0 in
   let k = ref 0 in
   for o = 0 to Array.length t.objects - 1 do
     for j = t.obj_start.(o) to t.obj_start.(o + 1) - 1 do
@@ -241,7 +234,7 @@ let live_sorted t =
 
 let space_bits t =
   Huffman_wavelet.space_bits t.s + Rank_select.space_bits t.n_bv
-  + Reporter.space_bits t.d
-  + Array.fold_left (fun acc r -> acc + Reporter.space_bits r) 0 t.da
-  + (Array.length t.da_live * 63)
-  + ((Array.length t.objects + Array.length t.labels + Array.length t.obj_start) * 63)
+  + Reporter.space_bits t.d + Reporter.space_bits t.da
+  + ((Array.length t.objects + Array.length t.labels + Array.length t.c_before
+     + Array.length t.obj_start)
+    * 63)

@@ -51,7 +51,7 @@ val objects_of_label : t -> int -> f:(int -> unit) -> unit
 (** O(log n) via the liveness counter. *)
 val count_labels_of_object : t -> int -> int
 
-(** O(1) (per-label live totals). *)
+(** O(log n) via the label-order liveness counter. *)
 val count_objects_of_label : t -> int -> int
 
 (** Lazy deletion of one pair; [false] if absent or already dead. *)

@@ -35,8 +35,7 @@ let h_build_syms = Obs.histogram obs "build_syms"
 module Make (I : Static_index.S) = struct
   type t = {
     index : I.t;
-    ids : int array; (* slot -> external doc id *)
-    slot_of : (int, int) Hashtbl.t; (* external doc id -> slot *)
+    ids : int array; (* slot -> external doc id, strictly ascending *)
     dead : bool array;
     alive_rows : Reporter.t;
     mutable live_syms : int;
@@ -45,24 +44,23 @@ module Make (I : Static_index.S) = struct
     mutable view_cache : Epoch_view.component option; (* invalidated by delete *)
   }
 
+  (* Documents are indexed in id order, so [ids] is the one id map: a
+     binary search over it finds a document's slot. *)
   let build ?tick ~sample ~tau (docs : (int * string) array) : t =
     if tau < 1 then invalid_arg "Semi_static.build: tau < 1";
-    let texts = Array.map snd docs in
-    let index = I.build ?tick ~sample texts in
+    let docs = Array.copy docs in
+    Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) docs;
     let ids = Array.map fst docs in
-    let slot_of = Hashtbl.create (Array.length ids) in
-    Array.iteri
-      (fun slot id ->
-        if Hashtbl.mem slot_of id then invalid_arg "Semi_static.build: duplicate doc id";
-        Hashtbl.replace slot_of id slot)
-      ids;
+    for slot = 1 to Array.length ids - 1 do
+      if ids.(slot) = ids.(slot - 1) then invalid_arg "Semi_static.build: duplicate doc id"
+    done;
+    let index = I.build ?tick ~sample (Array.map snd docs) in
     let m = I.row_count index in
     Obs.incr c_builds;
     Obs.observe h_build_syms (I.total_len index);
     {
       index;
       ids;
-      slot_of;
       dead = Array.make (Array.length ids) false;
       alive_rows = Reporter.create_full m;
       live_syms = I.total_len index;
@@ -71,35 +69,38 @@ module Make (I : Static_index.S) = struct
       view_cache = None;
     }
 
-  let mem t id =
-    match Hashtbl.find_opt t.slot_of id with
-    | None -> false
-    | Some slot -> not t.dead.(slot)
+  (* The slot of a live document. *)
+  let live_slot t id =
+    let lo = ref 0 and hi = ref (Array.length t.ids) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.ids.(mid) < id then lo := mid + 1 else hi := mid
+    done;
+    if !lo < Array.length t.ids && t.ids.(!lo) = id && not t.dead.(!lo) then Some !lo else None
+
+  let mem t id = live_slot t id <> None
 
   let live_symbols t = t.live_syms
   let dead_symbols t = t.dead_syms
   let total_symbols t = t.live_syms + t.dead_syms
-  let doc_count t = Hashtbl.length t.slot_of - Array.fold_left (fun a d -> if d then a + 1 else a) 0 t.dead
+  let doc_count t = Array.length t.ids - Array.fold_left (fun a d -> if d then a + 1 else a) 0 t.dead
   let needs_purge t =
     purge_threshold_exceeded ~dead_syms:t.dead_syms ~total_symbols:(total_symbols t)
       ~tau:t.tau
   let is_empty t = t.live_syms = 0
 
   let delete t id =
-    match Hashtbl.find_opt t.slot_of id with
+    match live_slot t id with
     | None -> false
     | Some slot ->
-      if t.dead.(slot) then false
-      else begin
-        t.dead.(slot) <- true;
-        I.iter_doc_rows t.index slot ~f:(fun row -> Reporter.zero t.alive_rows row);
-        let syms = I.doc_len t.index slot + 1 in
-        t.live_syms <- t.live_syms - syms;
-        t.dead_syms <- t.dead_syms + syms;
-        t.view_cache <- None;
-        Obs.incr c_deletes;
-        true
-      end
+      t.dead.(slot) <- true;
+      I.iter_doc_rows t.index slot ~f:(fun row -> Reporter.zero t.alive_rows row);
+      let syms = I.doc_len t.index slot + 1 in
+      t.live_syms <- t.live_syms - syms;
+      t.dead_syms <- t.dead_syms + syms;
+      t.view_cache <- None;
+      Obs.incr c_deletes;
+      true
 
   (* Report (doc, off) for every surviving occurrence of [p]. *)
   let search t p ~f =
@@ -120,23 +121,20 @@ module Make (I : Static_index.S) = struct
     | Some (sp, ep) -> Reporter.count_range t.alive_rows sp ep
 
   let extract t ~doc ~off ~len =
-    match Hashtbl.find_opt t.slot_of doc with
+    match live_slot t doc with
     | None -> None
     | Some slot ->
-      if t.dead.(slot) || off < 0 || len < 0 || off + len > I.doc_len t.index slot then None
+      if off < 0 || len < 0 || off + len > I.doc_len t.index slot then None
       else Some (I.extract t.index ~doc:slot ~off ~len)
 
-  let doc_len t id =
-    match Hashtbl.find_opt t.slot_of id with
-    | None -> None
-    | Some slot -> if t.dead.(slot) then None else Some (I.doc_len t.index slot)
+  let doc_len t id = Option.map (I.doc_len t.index) (live_slot t id)
 
   (* Live documents with their contents, read back from the index itself
      (the dynamic structures never retain plaintext for compressed
      sub-collections) by one bulk inversion: every resident document is
-     decoded, live and dead, and the dead ones are dropped.  [tick] is
-     charged O(1) times per decoded symbol, so this can run inside an
-     Incremental job. *)
+     decoded, live and dead, and the dead ones are dropped.  Slot order
+     is id order.  [tick] is charged O(1) times per decoded symbol, so
+     this can run inside an Incremental job. *)
   let live_docs ?tick t : (int * string) list =
     let texts = I.docs ?tick t.index in
     let acc = ref [] in
@@ -145,17 +143,10 @@ module Make (I : Static_index.S) = struct
     done;
     !acc
 
-  (* The id maps and the dead flags are charged their heap footprint:
-     [slot_of] is its record (4 fields and a header), the bucket array
-     and a 3-field cons cell with header per binding; [ids] and [dead]
-     are one word per document plus a header. *)
-  let hashtbl_words h =
-    let s = Hashtbl.stats h in
-    5 + (1 + s.Hashtbl.num_buckets) + (4 * s.Hashtbl.num_bindings)
-
+  (* [ids] and [dead] are one word per document plus a header. *)
   let space_bits t =
     I.space_bits t.index + Reporter.space_bits t.alive_rows
-    + ((2 + Array.length t.ids + Array.length t.dead + hashtbl_words t.slot_of) * 63)
+    + ((2 + Array.length t.ids + Array.length t.dead) * 63)
     + (4 * 63)
 
   let index t = t.index
@@ -165,7 +156,7 @@ module Make (I : Static_index.S) = struct
   (* Cached between deletes: only [delete] mutates a built instance, so
      a snapshot after k deletes since the last one costs one Reporter +
      dead-array copy, amortized against those deletes.  The frozen copy
-     shares the static index and the id maps (never changed after
+     shares the static index and the id array (never changed after
      build) and owns its deletion state; nothing ever deletes from it,
      so this module's queries answer for the snapshot on any domain
      while the original keeps flipping dead bits. *)

@@ -14,9 +14,11 @@ val purge_threshold_exceeded : dead_syms:int -> total_symbols:int -> tau:int -> 
 module Make (I : Static_index.S) : sig
   type t
 
-  (** [build ~sample ~tau docs] indexes [(id, text)] pairs. Raises
-      [Invalid_argument] on duplicate ids or [tau < 1]. [tick] is called
-      once per O(1) construction work. *)
+  (** [build ~sample ~tau docs] indexes [(id, text)] pairs in ascending
+      id order (a sorted copy of [docs]), so the id array alone maps ids
+      to slots by binary search. Raises [Invalid_argument] on duplicate
+      ids or [tau < 1]. [tick] is called once per O(1) construction
+      work. *)
   val build :
     ?tick:(unit -> unit) ->
     sample:int ->
@@ -61,7 +63,7 @@ module Make (I : Static_index.S) : sig
   (** Length of a live document; [None] if dead or absent. *)
   val doc_len : t -> int -> int option
 
-  (** Live documents, in slot order, read back from the index by one
+  (** Live documents, in ascending id order, read back from the index by one
       bulk inversion ({!Static_index.S.docs}) that decodes every resident
       document, live and dead; [tick] is charged O(1) times per decoded
       symbol. *)

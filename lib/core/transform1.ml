@@ -63,8 +63,6 @@ let doubling =
         max 64 (int_of_float (base *. (2. ** float_of_int j))));
   }
 
-type location = In_buffer | In_sub of int
-
 (* Read-only snapshot of the amortization counters. *)
 type stats = {
   merges : int;
@@ -87,7 +85,7 @@ module Make (I : Static_index.S) = struct
     tau : int;
     mutable c0 : Doc_buffer.t;
     subs : SS.t option array; (* C_1 .. C_r *)
-    locs : (int, location) Hashtbl.t;
+    mutable doc_count : int; (* live documents *)
     mutable next_id : int;
     mutable nf : int;
     mutable live : int; (* live symbols including separators *)
@@ -117,7 +115,7 @@ module Make (I : Static_index.S) = struct
       c0 = Doc_buffer.create ();
       published = Epoch_view.publisher obs;
       subs = Array.make (max_slots + 1) None;
-      locs = Hashtbl.create 64;
+      doc_count = 0;
       next_id = 0;
       nf = 256;
       live = 0;
@@ -153,7 +151,7 @@ module Make (I : Static_index.S) = struct
   let level_capacity t j = max_size t j
   let sub_size t j = match t.subs.(j) with None -> 0 | Some ss -> SS.live_symbols ss
 
-  let doc_count t = Hashtbl.length t.locs
+  let doc_count t = t.doc_count
   let total_symbols t = t.live
   let schedule_name t = t.schedule.schedule_name
   let describe t = t.name
@@ -170,14 +168,12 @@ module Make (I : Static_index.S) = struct
       (Array.fold_left (fun a (_, s) -> a + String.length s + 1) 0 arr);
     SS.build ~sample:t.sample ~tau:t.tau arr
 
-  let set_locations t docs loc = List.iter (fun (id, _) -> Hashtbl.replace t.locs id loc) docs
-
   (* --- read plane --- *)
 
   (* Publish the next epoch: C0 and every sub-collection, each frozen
      once per mutation (the buffer / SS caches), in census order. *)
   let publish t ~cause =
-    Epoch_view.publish t.published ~cause ~docs:(Hashtbl.length t.locs) ~symbols:t.live
+    Epoch_view.publish t.published ~cause ~docs:t.doc_count ~symbols:t.live
       ~next_id:t.next_id (fun () ->
         let subs = ref [] in
         for j = max_slots downto 1 do
@@ -204,10 +200,7 @@ module Make (I : Static_index.S) = struct
     t.nf <- max 256 total;
     t.live <- total;
     let r = r_of t in
-    if docs <> [] then begin
-      t.subs.(r) <- Some (build_sub t docs);
-      set_locations t docs (In_sub r)
-    end;
+    if docs <> [] then t.subs.(r) <- Some (build_sub t docs);
     Obs.record t.obs (Obs.Restructure { nf = t.nf; structures = (if docs = [] then 0 else 1) })
 
   (* The logarithmic method's placement rule for a batch of new
@@ -217,11 +210,7 @@ module Make (I : Static_index.S) = struct
   let place t docs size =
     let r = r_of t in
     if Doc_buffer.live_symbols t.c0 + size <= max_size t 0 then begin
-      List.iter
-        (fun (id, text) ->
-          Doc_buffer.insert t.c0 ~doc:id text;
-          Hashtbl.replace t.locs id In_buffer)
-        docs;
+      List.iter (fun (id, text) -> Doc_buffer.insert t.c0 ~doc:id text) docs;
       t.live <- t.live + size
     end
     else begin
@@ -243,7 +232,6 @@ module Make (I : Static_index.S) = struct
         done;
         t.c0 <- Doc_buffer.create ();
         t.subs.(j) <- Some (build_sub t !docs);
-        set_locations t !docs (In_sub j);
         t.live <- t.live + size
       | None -> global_rebuild t ~extra:docs
     end;
@@ -253,6 +241,7 @@ module Make (I : Static_index.S) = struct
     let t0 = Obs.start () in
     let id = t.next_id in
     t.next_id <- t.next_id + 1;
+    t.doc_count <- t.doc_count + 1;
     place t [ (id, text) ] (String.length text + 1);
     publish t ~cause:`Update;
     Obs.incr t.c_inserts;
@@ -271,11 +260,7 @@ module Make (I : Static_index.S) = struct
       Obs.observe t.h_purge_dead_frac (if total = 0 then 0 else dead * 1000 / total);
       Obs.record t.obs (Obs.Purge { level = j; dead; total });
       let docs = SS.live_docs ss in
-      if docs = [] then t.subs.(j) <- None
-      else begin
-        t.subs.(j) <- Some (build_sub t docs);
-        set_locations t docs (In_sub j)
-      end
+      t.subs.(j) <- (if docs = [] then None else Some (build_sub t docs))
 
   (* Restore from a flat dump as one global rebuild: every document
      into one sub-collection under nf set to their size.  The first
@@ -284,46 +269,46 @@ module Make (I : Static_index.S) = struct
   let restore config (d : Dynamization.dump) =
     let t = create config in
     t.next_id <- d.dm_next_id;
+    t.doc_count <- Array.length d.dm_docs;
     global_rebuild t ~extra:(Array.to_list d.dm_docs);
     publish t ~cause:(`Restored d.dm_epoch);
     t
 
-  (* Deleting a nonexistent (or stale-location) document returns false
-     and leaves every counter and structure untouched. *)
+  (* The document is found in C0, else by the sub-collections' own id
+     arrays.  Deleting a nonexistent document returns false and leaves
+     every counter and structure untouched. *)
   let delete t id =
-    match Hashtbl.find_opt t.locs id with
-    | None -> false
-    | Some In_buffer -> (
+    let t0 = Obs.start () in
+    let rec in_sub j =
+      if j > max_slots then None
+      else
+        match t.subs.(j) with
+        | None -> in_sub (j + 1)
+        | Some ss -> (
+          match SS.doc_len ss id with
+          | None -> in_sub (j + 1)
+          | Some len ->
+            ignore (SS.delete ss id);
+            if SS.needs_purge ss then purge t j;
+            Some (len + 1))
+    in
+    let found =
       match Doc_buffer.find t.c0 id with
-      | None -> false (* stale location: treat as absent, mutate nothing *)
       | Some contents ->
-        let t0 = Obs.start () in
-        let len = String.length contents + 1 in
         ignore (Doc_buffer.delete t.c0 id);
-        Hashtbl.remove t.locs id;
-        t.live <- t.live - len;
-        if t.live * 2 < t.nf && t.nf > 256 then global_rebuild t ~extra:[];
-        publish t ~cause:`Update;
-        Obs.incr t.c_deletes;
-        Obs.stop t.h_delete_ns t0;
-        true)
-    | Some (In_sub j) -> (
-      match t.subs.(j) with
-      | None -> false
-      | Some ss ->
-        let len = match SS.doc_len ss id with None -> 0 | Some l -> l + 1 in
-        let t0 = Obs.start () in
-        let ok = SS.delete ss id in
-        if ok then begin
-          Hashtbl.remove t.locs id;
-          t.live <- t.live - len;
-          if SS.needs_purge ss then purge t j;
-          if t.live * 2 < t.nf && t.nf > 256 then global_rebuild t ~extra:[];
-          publish t ~cause:`Update;
-          Obs.incr t.c_deletes;
-          Obs.stop t.h_delete_ns t0
-        end;
-        ok)
+        Some (String.length contents + 1)
+      | None -> in_sub 1
+    in
+    match found with
+    | None -> false
+    | Some len ->
+      t.doc_count <- t.doc_count - 1;
+      t.live <- t.live - len;
+      if t.live * 2 < t.nf && t.nf > 256 then global_rebuild t ~extra:[];
+      publish t ~cause:`Update;
+      Obs.incr t.c_deletes;
+      Obs.stop t.h_delete_ns t0;
+      true
 
   (* Merge everything into one sub-collection now (an explicit global
      rebuild): afterwards a view lists a single static index plus the
@@ -347,7 +332,7 @@ module Make (I : Static_index.S) = struct
     let sub_space =
       Array.fold_left (fun a -> function None -> a | Some ss -> a + SS.space_bits ss) 0 t.subs
     in
-    Doc_buffer.space_bits t.c0 + sub_space + (Hashtbl.length t.locs * 3 * 63)
+    Doc_buffer.space_bits t.c0 + sub_space
 
   let probe t : Dynamization.probe =
     {

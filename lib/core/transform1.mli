@@ -1,8 +1,8 @@
 (** Transformation 1 (Section 2): static index -> fully-dynamic index
     with amortized update bounds.
 
-    The collection is split into C0 (an uncompressed generalized suffix
-    tree) and sub-collections C1..Cr held in semi-static deletion-only
+    The collection is split into C0 (an uncompressed document buffer)
+    and sub-collections C1..Cr held in semi-static deletion-only
     indexes whose maximum sizes follow a growth schedule picked by the
     config's variant: [Amortized] grows them geometrically (the paper's
     Transformation 1, max_j = 2(nf/log^2 nf) log^(j/2) nf, O(1)

@@ -24,9 +24,8 @@
       scheduling lemma accounts for -- and only blocks when a worker has
       already picked the job up;
     - cancellation is cooperative: a worker observes {!cancel} at the
-      job's next [tick] and unwinds with {!Cancelled} (composing with
-      [Incremental.abandon] semantics: finalizers run, the job can
-      never produce a result afterwards);
+      job's next [tick] and unwinds with {!Cancelled}: finalizers run,
+      and the job can never produce a result afterwards;
     - a worker that raises marks the job [`Failed] with the original
       exception; the owner decides how to recover (Transformation 2
       falls back to a synchronous in-place rebuild).

@@ -16,7 +16,6 @@ type 'a state =
   | Not_started of ((unit -> unit) -> 'a) (* receives the tick function *)
   | Paused of (unit, 'a outcome) Effect.Deep.continuation
   | Finished of 'a
-  | Abandoned
 
 type 'a t = {
   mutable state : 'a state;
@@ -24,12 +23,8 @@ type 'a t = {
   mutable spent : int; (* total work units consumed, for accounting *)
 }
 
-exception Cancelled
-
 let create f = { state = Not_started f; budget = ref 0; spent = 0 }
 
-let is_finished t = match t.state with Finished _ -> true | _ -> false
-let result t = match t.state with Finished v -> Some v | _ -> None
 let work_spent t = t.spent
 
 let handler t =
@@ -53,7 +48,6 @@ let step t ~budget =
   if budget < 1 then invalid_arg "Incremental.step: budget < 1";
   match t.state with
   | Finished v -> `Done v
-  | Abandoned -> raise Cancelled
   | Not_started f ->
     t.budget := budget;
     let tick () =
@@ -82,10 +76,3 @@ let force t =
     | `More -> go ()
   in
   go ()
-
-(* Drop a paused job, unwinding its stack. *)
-let abandon t =
-  (match t.state with
-  | Paused k -> ( try ignore (Effect.Deep.discontinue k Cancelled) with Cancelled -> ())
-  | Not_started _ | Finished _ | Abandoned -> ());
-  t.state <- Abandoned

@@ -8,27 +8,16 @@
 
 type 'a t
 
-exception Cancelled
-
 (** [create f] wraps builder [f] (not started yet). [f] receives the
     tick function it must call once per unit of work. *)
 val create : ((unit -> unit) -> 'a) -> 'a t
-
-val is_finished : 'a t -> bool
-val result : 'a t -> 'a option
 
 (** Total work units consumed so far. *)
 val work_spent : 'a t -> int
 
 (** [step t ~budget] runs the job for at most [budget] work units.
-    [`Done v] if it finished (now or earlier), [`More] otherwise.
-    Raises {!Cancelled} if the job was {!abandon}ed (matching the
-    executor's contract: a cancelled job can never be resumed). *)
+    [`Done v] if it finished (now or earlier), [`More] otherwise. *)
 val step : 'a t -> budget:int -> [ `Done of 'a | `More ]
 
 (** Run to completion regardless of budget. *)
 val force : 'a t -> 'a
-
-(** Drop a paused job, unwinding its stack (finalizers run). The job
-    cannot be stepped afterwards. *)
-val abandon : 'a t -> unit

@@ -22,5 +22,4 @@ let () =
       ("serve", Suite_serve.suite);
       ("repl", Suite_repl.suite);
       ("cli", Suite_cli.suite);
-      ("api", Suite_api.suite);
-      ("rrr", Suite_rrr.suite) ]
+      ("api", Suite_api.suite) ]

@@ -69,9 +69,9 @@ let test_static_duplicate_rejected () =
 
 (* The construction as it was before the linear passes, reduced to the
    space it charges: sorted distinct ids, a binary search per pair, a
-   comparison sort of the local pairs, N by the object loop, and one
-   wavelet count per label for Da. The layout must not change, so
-   neither may this figure. *)
+   comparison sort of the local pairs, N by the object loop, and Da as
+   one Reporter over the n pairs in label order with sigma + 1 offsets.
+   The linear build must charge exactly this figure. *)
 let reference_space_bits pairs =
   let open Dsdg_bits in
   let open Dsdg_delbits in
@@ -102,10 +102,9 @@ let reference_space_bits pairs =
       Bitvec.set n_bits !pos;
       incr pos)
     sorted;
-  let da = List.init sigma (fun a -> Reporter.space_bits (Reporter.create_full (Hwt.count s a))) in
   Hwt.space_bits s + Rank_select.space_bits (Rank_select.build n_bits)
-  + Reporter.space_bits (Reporter.create_full n)
-  + List.fold_left ( + ) 0 da + (sigma * 63)
+  + (2 * Reporter.space_bits (Reporter.create_full n))
+  + ((sigma + 1) * 63)
   + ((t_objs + Array.length labels + t_objs + 1) * 63)
 
 (* Ids from the whole int range: both extremes and their neighbours,
@@ -254,6 +253,98 @@ let prop_dyn_matches_model =
         if Dyn_binrel.count_objects_of_label r a <> List.length (naive_objects !model a) then ok := false
       done;
       !ok)
+
+(* --- Da in label order: every label's range [c_before.(a),
+   c_before.(a + 1)) --- *)
+
+(* Both directions and both counts against the pair set [model], for
+   every object in [objs] and every label in [labs]. *)
+let both_directions_agree ~labels_of ~objects_of ~count_labels ~count_objects model objs labs =
+  List.for_all
+    (fun o ->
+      let want = naive_labels model o in
+      labels_of o = want && count_labels o = List.length want)
+    objs
+  && List.for_all
+       (fun a ->
+         let want = naive_objects model a in
+         objects_of a = want && count_objects a = List.length want)
+       labs
+
+(* Labels skewed to both ends: the smallest and the largest label are
+   frequent, so deletes keep hitting the first and the last local
+   label of every structure. *)
+let skewed_label st =
+  match Random.State.int st 10 with
+  | 0 | 1 -> -1000
+  | 2 | 3 -> 1000
+  | _ -> Random.State.int st 12
+
+let prop_label_order_da =
+  QCheck.Test.make ~name:"label-order Da: both directions and counts = model, static and dynamic"
+    ~count:40 (QCheck.int_bound 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 53 |] in
+      let objs = List.init 40 Fun.id and labs = [ -1000; -1; 1000; 1001 ] @ List.init 12 Fun.id in
+      let sorted_iter iter x =
+        let acc = ref [] in
+        iter x ~f:(fun y -> acc := y :: !acc);
+        List.sort compare !acc
+      in
+      (* static: one build, then deletes that empty the end labels first *)
+      let model =
+        ref (List.sort_uniq compare (List.init 150 (fun _ -> (Random.State.int st 40, skewed_label st))))
+      in
+      let sb = Static_binrel.build ~tau:4 (Array.of_list !model) in
+      let static_ok () =
+        both_directions_agree
+          ~labels_of:(sorted_iter (Static_binrel.labels_of_object sb))
+          ~objects_of:(sorted_iter (Static_binrel.objects_of_label sb))
+          ~count_labels:(Static_binrel.count_labels_of_object sb)
+          ~count_objects:(Static_binrel.count_objects_of_label sb)
+          !model objs labs
+        && Static_binrel.live_pairs sb = List.length !model
+      in
+      let ok = ref (static_ok ()) in
+      let end_first = List.filter (fun (_, a) -> a = -1000 || a = 1000) !model in
+      List.iter
+        (fun (o, a) ->
+          if Random.State.int st 3 > 0 then begin
+            if Static_binrel.delete sb o a <> List.mem (o, a) !model then ok := false;
+            model := List.filter (( <> ) (o, a)) !model;
+            if not (static_ok ()) then ok := false
+          end)
+        (end_first @ List.filter (fun _ -> Random.State.bool st) !model);
+      if Static_binrel.delete sb 3 (-1)
+         || Static_binrel.dead_pairs sb + List.length !model <> Static_binrel.total_pairs sb
+      then ok := false;
+      (* dynamic: adds and removes through merges and purges, each
+         sub-structure with its own first and last label *)
+      let r = Dyn_binrel.create ~tau:2 () in
+      let model = ref [] in
+      let dyn_ok () =
+        both_directions_agree ~labels_of:(Dyn_binrel.labels_of_object_list r)
+          ~objects_of:(Dyn_binrel.objects_of_label_list r)
+          ~count_labels:(Dyn_binrel.count_labels_of_object r)
+          ~count_objects:(Dyn_binrel.count_objects_of_label r)
+          !model objs labs
+      in
+      for step = 1 to 700 do
+        (* grow for 400 steps, then shrink *)
+        if !model = [] || Random.State.int st 100 < if step <= 400 then 75 else 25 then begin
+          let o = Random.State.int st 40 and a = skewed_label st in
+          if Dyn_binrel.add r o a <> not (List.mem (o, a) !model) then ok := false;
+          model := List.sort_uniq compare ((o, a) :: !model)
+        end
+        else begin
+          let o, a = List.nth !model (Random.State.int st (List.length !model)) in
+          if not (Dyn_binrel.remove r o a) then ok := false;
+          model := List.filter (( <> ) (o, a)) !model
+        end;
+        if step mod 50 = 0 && not (dyn_ok ()) then ok := false
+      done;
+      let s = Dyn_binrel.stats r in
+      !ok && dyn_ok () && s.merges > 0 && s.purges > 0)
 
 (* --- Digraph --- *)
 
@@ -764,7 +855,8 @@ let prop_triples_vs_model =
 let qsuite =
   List.map Qc.to_alcotest
     [ prop_static_build_wide_ids; prop_dyn_matches_model; prop_graph_vs_model; prop_dyn_vs_shared_model;
-      prop_graph_vs_shared_model; prop_backend_pairset_agreement; prop_triples_vs_model ]
+      prop_graph_vs_shared_model; prop_backend_pairset_agreement; prop_triples_vs_model;
+      prop_label_order_da ]
 
 let suite =
   [ ("static queries", `Quick, test_static_queries);

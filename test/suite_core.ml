@@ -109,6 +109,7 @@ module type SEMI = sig
   val needs_purge : t -> bool
   val live_docs : ?tick:(unit -> unit) -> t -> (int * string) list
   val extract : t -> doc:int -> off:int -> len:int -> string option
+  val doc_len : t -> int -> int option
 end
 
 let semi_static_battery (type a) (module M : SEMI with type t = a) name () =
@@ -144,6 +145,65 @@ let semi_static_battery (type a) (module M : SEMI with type t = a) name () =
 let test_semi_static_fm = semi_static_battery (module SS_fm) "fm"
 let test_semi_static_sa = semi_static_battery (module SS_sa) "sa"
 let test_semi_static_csa = semi_static_battery (module SS_csa) "csa"
+
+(* The id array is the only id map: documents given in shuffled or
+   descending id order are found by id, and [live_docs] lists them in
+   ascending id order, before and after random deletes. *)
+let semi_static_id_order (type a) (module M : SEMI with type t = a) name () =
+  let st = Random.State.make [| 5; 31 |] in
+  let text () = String.init (Random.State.int st 12) (fun _ -> Char.chr (97 + Random.State.int st 3)) in
+  let wide = [ min_int; -7; -1; 0; 3; 1 lsl 40; max_int ] in
+  let run order ids =
+    let model = ref (List.sort compare (List.map (fun id -> (id, text ())) ids)) in
+    let docs =
+      match order with
+      | `Descending -> Array.of_list (List.rev !model)
+      | `Shuffled ->
+        let a = Array.of_list !model in
+        for i = Array.length a - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let x = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- x
+        done;
+        a
+    in
+    let ss = M.build ~sample:2 ~tau:4 docs in
+    let probes = List.sort_uniq compare (ids @ [ min_int; max_int; 12345; -12345 ]) in
+    let agree step =
+      let label what id = Printf.sprintf "%s %s %s id %d" name step what id in
+      List.iter
+        (fun id ->
+          let want = List.assoc_opt id !model in
+          Alcotest.(check bool) (label "mem" id) (want <> None) (M.mem ss id);
+          Alcotest.(check (option int)) (label "doc_len" id) (Option.map String.length want) (M.doc_len ss id);
+          let len = match want with Some s -> String.length s | None -> 0 in
+          Alcotest.(check (option string)) (label "extract" id) want (M.extract ss ~doc:id ~off:0 ~len);
+          if len > 1 then
+            Alcotest.(check (option string)) (label "extract tail" id)
+              (Option.map (fun s -> String.sub s 1 (len - 1)) want)
+              (M.extract ss ~doc:id ~off:1 ~len:(len - 1)))
+        probes;
+      Alcotest.(check (list (pair int string))) (name ^ " " ^ step ^ " live_docs ascending") !model (M.live_docs ss)
+    in
+    agree "built";
+    for k = 1 to 2 * List.length ids do
+      let id = List.nth probes (Random.State.int st (List.length probes)) in
+      Alcotest.(check bool) (Printf.sprintf "%s delete %d" name id) (List.mem_assoc id !model) (M.delete ss id);
+      model := List.remove_assoc id !model;
+      agree (Printf.sprintf "after %d deletes" k)
+    done
+  in
+  run `Descending (List.init 40 (fun i -> 3 * i));
+  run `Descending wide;
+  run `Shuffled (List.init 40 (fun i -> (i * 7919) mod 1009 - 500));
+  run `Shuffled wide;
+  Alcotest.check_raises (name ^ " duplicate id") (Invalid_argument "Semi_static.build: duplicate doc id")
+    (fun () -> ignore (M.build ~sample:2 ~tau:4 [| (5, "x"); (max_int, "y"); (-2, "z"); (5, "w") |]))
+
+let test_semi_static_id_order_fm = semi_static_id_order (module SS_fm) "fm"
+let test_semi_static_id_order_sa = semi_static_id_order (module SS_sa) "sa"
+let test_semi_static_id_order_csa = semi_static_id_order (module SS_csa) "csa"
 
 (* --- Transform1 battery --- *)
 
@@ -511,4 +571,7 @@ let suite =
       ("dump after deletes", `Quick, test_dump_after_deletes);
       ("live_docs ticks", `Quick, test_live_docs_ticks);
       ("space_bits vs heap", `Quick, test_space_bits_vs_heap);
-      Qc.to_alcotest prop_docs_equal_extract ]
+      Qc.to_alcotest prop_docs_equal_extract;
+      ("semi_static id order over fm", `Quick, test_semi_static_id_order_fm);
+      ("semi_static id order over sa", `Quick, test_semi_static_id_order_sa);
+      ("semi_static id order over csa", `Quick, test_semi_static_id_order_csa) ]

@@ -1,8 +1,7 @@
 (* Unit tests for the domain-pool executor (lib/exec) and for the
-   Incremental lifecycle contract the pooled rebuild path of
-   Transformation 2 depends on: finalizers run exactly once on abandon,
-   work accounting is monotone, and a cancelled job can never be
-   resumed. *)
+   Incremental work accounting the pooled rebuild path of
+   Transformation 2 depends on: work_spent is monotone across
+   suspensions. *)
 
 open Dsdg_exec
 
@@ -233,26 +232,6 @@ let test_work_spent_exact_when_terminal () =
 
 module I = Dsdg_incr.Incremental
 
-let test_incr_finalizer_runs_once_on_abandon () =
-  let finalized = ref 0 in
-  let job =
-    I.create (fun tick ->
-        Fun.protect
-          ~finally:(fun () -> incr finalized)
-          (fun () ->
-            for _ = 1 to 100 do
-              tick ()
-            done))
-  in
-  (match I.step job ~budget:10 with
-  | `More -> ()
-  | `Done () -> Alcotest.fail "job finished before its budget allowed");
-  Alcotest.(check int) "finalizer has not run while paused" 0 !finalized;
-  I.abandon job;
-  Alcotest.(check int) "finalizer ran exactly once on abandon" 1 !finalized;
-  I.abandon job;
-  Alcotest.(check int) "second abandon is a no-op" 1 !finalized
-
 let test_incr_work_spent_monotone () =
   let job =
     I.create (fun tick ->
@@ -275,21 +254,6 @@ let test_incr_work_spent_monotone () =
       Alcotest.(check int) "every tick accounted for" 50 (I.work_spent job)
   in
   go ()
-
-let test_incr_step_after_abandon_raises () =
-  let job =
-    I.create (fun tick ->
-        for _ = 1 to 10 do
-          tick ()
-        done)
-  in
-  (match I.step job ~budget:3 with
-  | `More -> ()
-  | `Done () -> Alcotest.fail "job finished before its budget allowed");
-  I.abandon job;
-  match I.step job ~budget:1 with
-  | exception I.Cancelled -> ()
-  | _ -> Alcotest.fail "step after abandon must raise Cancelled"
 
 (* --- domain-safety of the observability layer --- *)
 
@@ -466,9 +430,7 @@ let suite =
     ("shutdown drains queued jobs", `Quick, test_shutdown_drains_queued_jobs);
     ("closed pool: poll/await/cancel/run defined", `Quick, test_closed_pool_observations);
     ("work_spent exact when terminal", `Quick, test_work_spent_exact_when_terminal);
-    ("incremental: finalizer once on abandon", `Quick, test_incr_finalizer_runs_once_on_abandon);
     ("incremental: work_spent monotone", `Quick, test_incr_work_spent_monotone);
-    ("incremental: step after abandon raises", `Quick, test_incr_step_after_abandon_raises);
     ("obs: two-domain hammer loses nothing", `Quick, test_obs_two_domain_hammer);
     ("read plane: concurrent readers, per-epoch oracle", `Quick,
      test_concurrent_readers_per_epoch_oracle);
