@@ -244,11 +244,30 @@ let run () =
   let _, base_ins = Bench_util.time_ns (fun () -> Array.iter (fun (o, a) -> ignore (Baseline_rel.add base o a)) edges) in
   let q_objs = Array.init 200 (fun _ -> Random.State.int st objects) in
   let q_labs = Array.init 200 (fun _ -> Random.State.int st labels) in
-  let bench_pair name f_ours f_base =
+  (* [~scan:true] rows also count our minor-heap words per scan (over
+     untimed runs) and emit a JSON row. *)
+  let bench_pair ?(scan = false) name f_ours f_base =
     let ours_ns = Bench_util.per_op ~iters:20 f_ours /. 200. in
     let base_ns = Bench_util.per_op ~iters:20 f_base /. 200. in
+    let words =
+      if not scan then "-"
+      else begin
+        let before = Gc.minor_words () in
+        for _ = 1 to 20 do
+          f_ours ()
+        done;
+        let words = (Gc.minor_words () -. before) /. (20. *. 200.) in
+        Bench_util.(emit_json_row ~bench:"binrel/theorem2")
+          Bench_util.
+            [ ("op", S name);
+              ("ours_ns", F ours_ns);
+              ("baseline_ns", F base_ns);
+              ("minor_words_per_scan", F words) ];
+        Printf.sprintf "%.0f" words
+      end
+    in
     [ name; Bench_util.ns_str ours_ns; Bench_util.ns_str base_ns;
-      Printf.sprintf "%.1fx" (base_ns /. ours_ns) ]
+      Printf.sprintf "%.1fx" (base_ns /. ours_ns); words ]
   in
   let sink = ref 0 in
   let rows =
@@ -256,10 +275,10 @@ let run () =
       bench_pair "related?"
         (fun () -> Array.iter (fun o -> if Dyn_binrel.related ours o 7 then incr sink) q_objs)
         (fun () -> Array.iter (fun o -> if Baseline_rel.related base o 7 then incr sink) q_objs);
-      bench_pair "labels of object (list)"
+      bench_pair ~scan:true "labels of object (list)"
         (fun () -> Array.iter (fun o -> Dyn_binrel.labels_of_object ours o ~f:(fun _ -> incr sink)) q_objs)
         (fun () -> Array.iter (fun o -> Baseline_rel.labels_of_object base o ~f:(fun _ -> incr sink)) q_objs);
-      bench_pair "objects of label (list)"
+      bench_pair ~scan:true "objects of label (list)"
         (fun () -> Array.iter (fun a -> Dyn_binrel.objects_of_label ours a ~f:(fun _ -> incr sink)) q_labs)
         (fun () -> Array.iter (fun a -> Baseline_rel.objects_of_label base a ~f:(fun _ -> incr sink)) q_labs);
       bench_pair "count labels of object"
@@ -272,7 +291,7 @@ let run () =
   in
   Bench_util.print_table
     ~title:"Theorem 2: dynamic binary relation, ours vs dynamic-rank baseline [expect speedup > 1]"
-    ~header:[ "operation"; "ours"; "baseline [35]"; "speedup" ]
+    ~header:[ "operation"; "ours"; "baseline [35]"; "speedup"; "ours: minor words/scan" ]
     rows;
   let live = Dyn_binrel.live_pairs ours in
   Printf.printf

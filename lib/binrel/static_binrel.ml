@@ -4,12 +4,15 @@
    - S: the labels, listed object by object, in an H0-compressed
      (Huffman-shaped) wavelet tree -- nH bits where H is the zero-order
      entropy of S, exactly the space term of Theorem 2;
-   - N: the unary object-degree sequence 1^{n_1} 0 1^{n_2} 0 ...;
    - D: a Reporter (Lemma 3) over S marking live pairs (with integrated
      O(log n) range counting for labels-of-object);
    - Da: one Reporter over the pairs in label order (S's stable sort
      by label): label a's k-th occurrence in S is bit [c_before.(a) + k],
-     where [c_before] holds the prefix sums of the label histogram.
+     where [c_before] holds the prefix sums of the label histogram;
+   - obj_start: each object's first S position.  It stands in for the
+     paper's unary degree sequence N (1^{n_1} 0 1^{n_2} 0 ...): an S
+     position's object is found by searching it, not by select and rank
+     on N.
 
    Objects and labels are arbitrary external ints; internally they are
    mapped to dense local indices (the "effective alphabet" of the paper's
@@ -23,7 +26,6 @@ type t = {
   objects : int array; (* sorted external object ids *)
   labels : int array; (* sorted external label ids *)
   s : Huffman_wavelet.t; (* local labels in object order *)
-  n_bv : Rank_select.t; (* unary degrees: object i owns 1-runs *)
   d : Reporter.t;
   da : Reporter.t; (* live pairs in label order *)
   c_before : int array; (* local label -> pairs with a smaller label *)
@@ -31,13 +33,19 @@ type t = {
   tau : int;
 }
 
-let find_local (arr : int array) (v : int) : int option =
-  let lo = ref 0 and hi = ref (Array.length arr) in
+(* The last i in [lo, hi) with [arr.(i) <= v] of a sorted [arr], given
+   [arr.(lo) <= v]; [lo] itself if the range is empty. *)
+let last_le (arr : int array) lo hi v =
+  let lo = ref lo and hi = ref hi in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
     if arr.(mid) <= v then lo := mid else hi := mid
   done;
-  if Array.length arr > 0 && arr.(!lo) = v then Some !lo else None
+  !lo
+
+let find_local (arr : int array) (v : int) : int option =
+  let i = last_le arr 0 (Array.length arr) v in
+  if Array.length arr > 0 && arr.(i) = v then Some i else None
 
 (* Stable LSD radix sort of [perm] by [key.(perm.(i))], over 11-bit
    digits of the key with its sign bit flipped: unsigned digit order is
@@ -88,9 +96,10 @@ let sort_pairs objs labs =
   sort_by objs perm;
   (Array.map (fun p -> objs.(p)) perm, Array.map (fun p -> labs.(p)) perm)
 
-(* Linear passes over pairs sorted by (object, label): objects and N by
-   one scan, labels by one sort and dedupe that also names each pair's
-   local label, Da's offsets from the label histogram. *)
+(* Linear passes over pairs sorted by (object, label): objects and
+   [obj_start] by one scan, labels by one sort and dedupe that also
+   names each pair's local label, Da's offsets from the label
+   histogram. *)
 let of_sorted ~tau (objs : int array) (labs : int array) : t =
   if tau < 1 then invalid_arg "Static_binrel.build: tau";
   let n = Array.length objs in
@@ -103,17 +112,14 @@ let of_sorted ~tau (objs : int array) (labs : int array) : t =
     if o <> o' then incr t_objs
   done;
   let t_objs = !t_objs in
-  (* N: object k's pairs are ones at i + k, each object closed by a 0 *)
   let objects = Array.make t_objs 0 and obj_start = Array.make (t_objs + 1) n in
-  let n_bits = Bitvec.create (n + t_objs) in
   let k = ref (-1) in
   for i = 0 to n - 1 do
     if i = 0 || objs.(i) <> objs.(i - 1) then begin
       incr k;
       objects.(!k) <- objs.(i);
       obj_start.(!k) <- i
-    end;
-    Bitvec.set n_bits (i + !k)
+    end
   done;
   let perm = Array.init n Fun.id in
   sort_by labs perm;
@@ -137,7 +143,6 @@ let of_sorted ~tau (objs : int array) (labs : int array) : t =
     objects;
     labels = Array.sub distinct 0 !sigma_l;
     s = Huffman_wavelet.build ~sigma s_arr;
-    n_bv = Rank_select.build n_bits;
     d = Reporter.create_full n;
     da = Reporter.create_full n;
     c_before;
@@ -186,17 +191,31 @@ let labels_of_object t o ~f =
   | Some (_, l, r) ->
     Reporter.report t.d l r (fun j -> f t.labels.(Huffman_wavelet.access t.s j))
 
-(* Report the external objects related to label [a]. *)
+(* The local object owning S position [j], given an object [k] at or
+   before it ([obj_start.(k) <= j]): gallop forward from [k], then
+   binary search the last step.  [obj_start]'s last entry is n, past
+   every position. *)
+let owner obj_start k j =
+  let last = Array.length obj_start - 1 in
+  let lo = ref k and step = ref 1 in
+  while !lo + !step < last && obj_start.(!lo + !step) <= j do
+    lo := !lo + !step;
+    step := 2 * !step
+  done;
+  last_le obj_start !lo (if !lo + !step < last then !lo + !step else last) j
+
+(* Report the external objects related to label [a].  Its occurrences
+   come out in increasing S order, so each one's object is searched for
+   forward from the previous one's. *)
 let objects_of_label t a ~f =
   match find_local t.labels a with
   | None -> ()
   | Some la ->
     let base = t.c_before.(la) in
+    let obj = ref 0 in
     Reporter.report t.da base t.c_before.(la + 1) (fun p ->
-        let j = Huffman_wavelet.select t.s la (p - base) in
-        (* object owning S position j, via the unary degree sequence N *)
-        let obj = Rank_select.rank0 t.n_bv (Rank_select.select1 t.n_bv j) in
-        f t.objects.(obj))
+        obj := owner t.obj_start !obj (Huffman_wavelet.select t.s la (p - base));
+        f t.objects.(!obj))
 
 let count_labels_of_object t o =
   match obj_range t o with None -> 0 | Some (_, l, r) -> Reporter.count_range t.d l r
@@ -233,8 +252,7 @@ let live_sorted t =
   (objs, labs)
 
 let space_bits t =
-  Huffman_wavelet.space_bits t.s + Rank_select.space_bits t.n_bv
-  + Reporter.space_bits t.d + Reporter.space_bits t.da
+  Huffman_wavelet.space_bits t.s + Reporter.space_bits t.d + Reporter.space_bits t.da
   + ((Array.length t.objects + Array.length t.labels + Array.length t.c_before
      + Array.length t.obj_start)
     * 63)

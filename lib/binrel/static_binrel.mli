@@ -1,8 +1,9 @@
 (** Deletion-only compact binary relation (Section 5): the string S in an
-    H0-compressed wavelet tree, unary degrees N, and Lemma-3 liveness
-    structures. Built once from a pair set; supports lazy pair deletion
-    and the 1/tau purge signal. Objects/labels are arbitrary external
-    ints (mapped internally to the effective alphabet). *)
+    H0-compressed wavelet tree, each object's first S position (in place
+    of the paper's unary degrees N), and Lemma-3 liveness structures.
+    Built once from a pair set; supports lazy pair deletion and the
+    1/tau purge signal. Objects/labels are arbitrary external ints
+    (mapped internally to the effective alphabet). *)
 
 type t
 
@@ -44,8 +45,9 @@ val related : t -> int -> int -> bool
     range lookup. *)
 val labels_of_object : t -> int -> f:(int -> unit) -> unit
 
-(** Report live objects related to a label (select on S + rank on N per
-    result). *)
+(** Report live objects related to a label: a select on S per result,
+    and a forward search of the objects' S offsets from the previous
+    result's object. *)
 val objects_of_label : t -> int -> f:(int -> unit) -> unit
 
 (** O(log n) via the liveness counter. *)

@@ -67,69 +67,61 @@ let rank_bit_in words super i =
 
 (* Position of the [k]-th (0-based) 1-bit.  Requires [0 <= k < ones].
    The binary search finds the last superblock with at most [k] ones
-   before it; with no directory it is superblock 0. *)
+   before it; with no directory it is superblock 0.  Plain loops over
+   unboxed refs: a local closure would be allocated on every call. *)
 let select1_in words super k =
   let lo = ref 0 and hi = ref (Array.length super - 1) in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
     if Array.unsafe_get super mid <= k then lo := mid else hi := mid
   done;
-  let sb = !lo in
-  let acc = ref (before super sb) in
   let nw = Array.length words in
-  let j = ref (sb * sb_words) in
-  let rec find () =
-    let c = Popcount.count words.(!j) in
-    if !acc + c > k then ()
-    else begin
-      acc := !acc + c;
-      incr j;
-      if !j >= nw then invalid_arg "Rank_select.select1: corrupt directory";
-      find ()
-    end
+  let acc = ref (before super !lo) and j = ref (!lo * sb_words) in
+  let c = ref (Popcount.count words.(!j)) in
+  while !acc + !c <= k do
+    acc := !acc + !c;
+    incr j;
+    if !j >= nw then invalid_arg "Rank_select.select1: corrupt directory";
+    c := Popcount.count (Array.unsafe_get words !j)
+  done;
+  (!j * w) + Popcount.select (Array.unsafe_get words !j) (k - !acc)
+
+(* 0-bits before superblock [sb] of a [len]-bit vector. *)
+let[@inline] zeros_before super ~len sb =
+  (if sb * sb_bits < len then sb * sb_bits else len) - before super sb
+
+(* Word [j] of a [len]-bit vector inverted, its bits from [len] on clear. *)
+let[@inline] inverted words ~len j =
+  let mask =
+    if j < Array.length words - 1 then Popcount.low_mask w else Popcount.low_mask (len - (j * w))
   in
-  find ();
-  (!j * w) + Popcount.select words.(!j) (k - !acc)
+  mask land lnot (Array.unsafe_get words j)
 
 (* Position of the [k]-th (0-based) 0-bit of a [len]-bit vector.
    Requires [0 <= k < zeros]. *)
 let select0_in words super ~len k =
-  let zeros_before sb = min (sb * sb_bits) len - before super sb in
   let lo = ref 0 and hi = ref (Array.length super - 1) in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
-    if zeros_before mid <= k then lo := mid else hi := mid
+    if zeros_before super ~len mid <= k then lo := mid else hi := mid
   done;
-  let sb = !lo in
-  let acc = ref (zeros_before sb) in
   let nw = Array.length words in
-  let inverted j =
-    let mask = if j < nw - 1 then Popcount.low_mask w else Popcount.low_mask (len - (j * w)) in
-    mask land lnot words.(j)
-  in
-  let j = ref (sb * sb_words) in
-  let rec find () =
-    let c = Popcount.count (inverted !j) in
-    if !acc + c > k then ()
-    else begin
-      acc := !acc + c;
-      incr j;
-      if !j >= nw then invalid_arg "Rank_select.select0: corrupt directory";
-      find ()
-    end
-  in
-  find ();
-  (!j * w) + Popcount.select (inverted !j) (k - !acc)
+  let acc = ref (zeros_before super ~len !lo) and j = ref (!lo * sb_words) in
+  let c = ref (Popcount.count (inverted words ~len !j)) in
+  while !acc + !c <= k do
+    acc := !acc + !c;
+    incr j;
+    if !j >= nw then invalid_arg "Rank_select.select0: corrupt directory";
+    c := Popcount.count (inverted words ~len !j)
+  done;
+  (!j * w) + Popcount.select (inverted words ~len !j) (k - !acc)
 
 let directory_bits super = if Array.length super = 0 then 0 else (Array.length super + 1) * 63
 
 let build bv = { bv; super = directory (Bitvec.words bv); ones = Bitvec.count bv }
-let of_bitvec = build
-let length t = Bitvec.length t.bv
 let ones t = t.ones
 let zeros t = Bitvec.length t.bv - t.ones
 let get t i = Bitvec.get t.bv i
-let bitvec t = t.bv
 
 let rank1 t i =
   if i < 0 || i > Bitvec.length t.bv then invalid_arg "Rank_select.rank1";

@@ -9,9 +9,6 @@ type t
 (** Build the directory; O(n/w) time, o(n) extra bits. *)
 val build : Bitvec.t -> t
 
-val of_bitvec : Bitvec.t -> t
-val length : t -> int
-
 (** Number of one bits. *)
 val ones : t -> int
 
@@ -19,7 +16,6 @@ val ones : t -> int
 val zeros : t -> int
 
 val get : t -> int -> bool
-val bitvec : t -> Bitvec.t
 
 (** [rank1 t i] is the number of ones in positions [[0, i)]. *)
 val rank1 : t -> int -> int

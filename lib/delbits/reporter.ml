@@ -2,7 +2,7 @@
 
      zero i        -- clear bit i
      report s e f  -- call f on every set position in [s, e)   O(k)
-     next_one      -- successor query
+     next_one      -- successor query (-1 when there is none)
 
    Implementation substitute for the Mortensen-Pagh-Patrascu dynamic range
    reporting structure: a hierarchy of summary bitmaps with 62-way fanout.
@@ -92,54 +92,40 @@ let zero t i =
     if after = 0 then up 1 j
   end
 
-(* Smallest set position >= pos, or None. *)
+(* Smallest set position >= pos, or -1: climb the summaries while the
+   rest of a word is empty, then descend through lowest set bits.
+   O(log_62 n) word probes, in loops that allocate nothing. *)
 let next_one t pos =
-  let pos = max 0 pos in
-  if pos >= t.len then None
-  else begin
-    (* search within level [level] for the first set bit at bit-position
-       >= p; translate back down to level 0 *)
-    let rec down level word =
-      (* [word] at [level] is known non-zero; find its lowest set bit and
-         descend *)
-      let bit = Popcount.select t.levels.(level).(word) 0 in
-      let p = (word * w) + bit in
-      if level = 0 then p else down (level - 1) p
-    in
-    let rec search level p =
-      if level >= Array.length t.levels then None
+  let levels = t.levels in
+  let l = ref 0 and p = ref (if pos < 0 then 0 else pos) and found = ref (-1) in
+  while !found < 0 && !l < Array.length levels do
+    let arr = Array.unsafe_get levels !l in
+    let word = !p / w in
+    if word >= Array.length arr then l := Array.length levels
+    else begin
+      let bits = Array.unsafe_get arr word lsr (!p mod w) in
+      if bits <> 0 then found := !p + Popcount.select bits 0
       else begin
-        let arr = t.levels.(level) in
-        let word = p / w and off = p mod w in
-        if word >= Array.length arr then None
-        else begin
-          let bits = arr.(word) lsr off in
-          if bits <> 0 then begin
-            let q = p + Popcount.select bits 0 in
-            Some (if level = 0 then q else down (level - 1) q)
-          end
-          else search (level + 1) (word + 1)
-        end
+        incr l;
+        p := word + 1
       end
-    in
-    match search 0 pos with
-    | Some q when q < t.len -> Some q
-    | _ -> None
-  end
+    end
+  done;
+  while !found >= 0 && !l > 0 do
+    decr l;
+    found := (!found * w) + Popcount.select (Array.unsafe_get (Array.unsafe_get levels !l) !found) 0
+  done;
+  if !found < t.len then !found else -1
 
 (* Report every set position in [s, e) in increasing order: O(k) summary
    probes overall. *)
 let report t s e f =
-  let s = max 0 s and e = min e t.len in
-  let rec go p =
-    if p < e then
-      match next_one t p with
-      | Some q when q < e ->
-        f q;
-        go (q + 1)
-      | _ -> ()
-  in
-  go s
+  let e = min e t.len in
+  let p = ref (next_one t s) in
+  while !p >= 0 && !p < e do
+    f !p;
+    p := next_one t (!p + 1)
+  done
 
 (* Number of live bits in [s, e): Fenwick over whole words plus popcounts
    at the two partial edges.  O(log n). *)

@@ -27,11 +27,13 @@ val get : t -> int -> bool
 (** [zero t i] clears bit [i] (idempotent). O(log_62 n). *)
 val zero : t -> int -> unit
 
-(** [next_one t i] is the smallest set position [>= i], if any. *)
-val next_one : t -> int -> int option
+(** [next_one t i] is the smallest set position [>= i], or [-1] if
+    there is none. Allocates nothing. *)
+val next_one : t -> int -> int
 
 (** [report t s e f] calls [f] on every set position in [[s, e)], in
-    increasing order; O(1) amortized probes per reported position. *)
+    increasing order; O(1) amortized probes per reported position, and
+    no allocation besides what [f] does. *)
 val report : t -> int -> int -> (int -> unit) -> unit
 
 (** [count_range t s e] is the number of set positions in [[s, e)];

@@ -69,11 +69,11 @@ let test_static_duplicate_rejected () =
 
 (* The construction as it was before the linear passes, reduced to the
    space it charges: sorted distinct ids, a binary search per pair, a
-   comparison sort of the local pairs, N by the object loop, and Da as
-   one Reporter over the n pairs in label order with sigma + 1 offsets.
+   comparison sort of the local pairs, D and Da as two Reporters over
+   the n pairs with sigma + 1 label offsets, and t + 1 object offsets
+   (no unary degree sequence N: the object offsets answer for it).
    The linear build must charge exactly this figure. *)
 let reference_space_bits pairs =
-  let open Dsdg_bits in
   let open Dsdg_delbits in
   let module Hwt = Dsdg_wavelet.Huffman_wavelet in
   let distinct ids = Array.of_list (List.sort_uniq Int.compare (Array.to_list ids)) in
@@ -91,18 +91,7 @@ let reference_space_bits pairs =
   let n = Array.length sorted and t_objs = Array.length objects in
   let sigma = max 1 (Array.length labels) in
   let s = Hwt.build ~sigma (Array.map snd sorted) in
-  let n_bits = Bitvec.create (n + t_objs) in
-  let pos = ref 0 and cur = ref 0 in
-  Array.iter
-    (fun (o, _) ->
-      while !cur < o do
-        incr cur;
-        incr pos
-      done;
-      Bitvec.set n_bits !pos;
-      incr pos)
-    sorted;
-  Hwt.space_bits s + Rank_select.space_bits (Rank_select.build n_bits)
+  Hwt.space_bits s
   + (2 * Reporter.space_bits (Reporter.create_full n))
   + ((sigma + 1) * 63)
   + ((t_objs + Array.length labels + t_objs + 1) * 63)

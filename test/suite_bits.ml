@@ -247,6 +247,37 @@ let prop_elias_fano_rank =
       let naive = Array.fold_left (fun acc x -> if x < v then acc + 1 else acc) 0 a in
       Elias_fano.rank_lt ef v = naive)
 
+(* select1/select0 and their bare-directory forms against a naive scan,
+   at densities 0, 1/64, 1/2, 63/64 and 1 (in 64ths) and at lengths
+   around a word (62), a superblock (496) and many superblocks. *)
+let prop_select_densities =
+  let lengths = [| 0; 1; 61; 62; 63; 496; 497; 10_000 |] and densities = [| 0; 1; 32; 63; 64 |] in
+  QCheck.Test.make ~name:"rank/select: select and select_in = naive scan at every density" ~count:120
+    QCheck.(triple (int_bound (Array.length lengths - 1)) (int_bound (Array.length densities - 1)) small_nat)
+    (fun (li, di, seed) ->
+      let len = lengths.(li) and density = densities.(di) in
+      let st = Random.State.make [| seed; len; density |] in
+      let bools = Array.init len (fun _ -> Random.State.int st 64 < density) in
+      let bv = Bitvec.of_bools (Array.to_list bools) in
+      let rs = Rank_select.build bv in
+      let words = Bitvec.words bv in
+      let super = Rank_select.directory words in
+      let ok = ref true and k1 = ref 0 and k0 = ref 0 in
+      Array.iteri
+        (fun i b ->
+          if b then begin
+            if Rank_select.select1 rs !k1 <> i || Rank_select.select1_in words super !k1 <> i then
+              ok := false;
+            incr k1
+          end
+          else begin
+            if Rank_select.select0 rs !k0 <> i || Rank_select.select0_in words super ~len !k0 <> i
+            then ok := false;
+            incr k0
+          end)
+        bools;
+      !ok && Rank_select.ones rs = !k1 && Rank_select.zeros rs = !k0)
+
 let qsuite = List.map Qc.to_alcotest
   [ prop_popcount_select; prop_bitvec_roundtrip; prop_rank_select;
     prop_select_rank_inverse; prop_int_vec_roundtrip; prop_elias_fano;
@@ -270,3 +301,4 @@ let suite =
     ("elias_fano dense", `Quick, test_elias_fano_dense);
     ("elias_fano rank_lt", `Quick, test_elias_fano_rank_lt) ]
   @ qsuite
+  @ [ Qc.to_alcotest prop_select_densities ]

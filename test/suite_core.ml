@@ -546,6 +546,61 @@ let test_space_bits_vs_heap () =
       within "semi_static" (SS_fm.space_bits ss) ss)
     [ 1; 5; 53; 400 ]
 
+(* At n_f = 256 the geometric schedule gives C1 and C2 C0's 64-symbol
+   floor, so no merge lands in them.  Grow n_f past 2,000 (global
+   rebuilds), then insert until C1 and C2 both hold documents, and
+   delete everything: each delete must find its document, whichever
+   level holds it, and counts must follow the model.  Some delete must
+   come out of C1 and some out of C2 (their live size drops by the
+   document, with no global rebuild in between). *)
+let test_t1_deletes_from_c1_c2 () =
+  let t = T1.create (t1_config ~sample:2 ~tau:8 ()) in
+  let model = Hashtbl.create 256 in
+  let add i = Hashtbl.replace model (T1.insert t (Printf.sprintf "doc %d of level fill %d" i (i * 7))) () in
+  let level name =
+    match List.find_opt (fun (n, _, _) -> n = name) (T1.census t) with
+    | Some (_, live, _) -> live
+    | None -> 0
+  in
+  let i = ref 0 in
+  while T1.nf t < 2000 do
+    add !i;
+    incr i
+  done;
+  while (level "C1" = 0 || level "C2" = 0) && !i < 2000 do
+    add !i;
+    incr i
+  done;
+  Alcotest.(check bool) "C1 and C2 filled" true (level "C1" > 0 && level "C2" > 0);
+  Alcotest.(check bool) "C1 above C0's floor" true (T1.level_capacity t 1 > T1.level_capacity t 0);
+  let st = Random.State.make [| 11 |] in
+  let ids = Array.of_list (Hashtbl.fold (fun id () acc -> id :: acc) model []) in
+  Array.sort compare ids;
+  for k = Array.length ids - 1 downto 1 do
+    let r = Random.State.int st (k + 1) in
+    let x = ids.(k) in
+    ids.(k) <- ids.(r);
+    ids.(r) <- x
+  done;
+  let from_c1 = ref 0 and from_c2 = ref 0 in
+  Array.iter
+    (fun id ->
+      let c1 = level "C1" and c2 = level "C2" in
+      let rebuilds = (T1.stats t).Transform1.global_rebuilds in
+      Alcotest.(check bool) (Printf.sprintf "delete %d" id) true (T1.delete t id);
+      Hashtbl.remove model id;
+      if (T1.stats t).Transform1.global_rebuilds = rebuilds then begin
+        if level "C1" < c1 then incr from_c1;
+        if level "C2" < c2 then incr from_c2
+      end;
+      check (Printf.sprintf "docs after delete %d" id) (Hashtbl.length model) (T1.doc_count t);
+      check (Printf.sprintf "count \"level fill\" after delete %d" id) (Hashtbl.length model)
+        (Epoch_view.count (T1.view t) "level fill"))
+    ids;
+  Alcotest.(check bool) "deleted from C1" true (!from_c1 > 0);
+  Alcotest.(check bool) "deleted from C2" true (!from_c2 > 0);
+  Alcotest.(check bool) "delete missing" false (T1.delete t ids.(0))
+
 let qsuite =
   List.map Qc.to_alcotest [ prop_sa_static_vs_fm; prop_csa_vs_fm; prop_t1_vs_model ]
 
@@ -574,4 +629,5 @@ let suite =
       Qc.to_alcotest prop_docs_equal_extract;
       ("semi_static id order over fm", `Quick, test_semi_static_id_order_fm);
       ("semi_static id order over sa", `Quick, test_semi_static_id_order_sa);
-      ("semi_static id order over csa", `Quick, test_semi_static_id_order_csa) ]
+      ("semi_static id order over csa", `Quick, test_semi_static_id_order_csa);
+      ("transform1 deletes from a filled C1 and C2", `Quick, test_t1_deletes_from_c1_c2) ]

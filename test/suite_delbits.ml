@@ -36,12 +36,12 @@ let test_reporter_next_one () =
   for i = 0 to 499 do
     if i <> 0 && i <> 250 && i <> 499 then Reporter.zero r i
   done;
-  Alcotest.(check (option int)) "from 0" (Some 0) (Reporter.next_one r 0);
-  Alcotest.(check (option int)) "from 1" (Some 250) (Reporter.next_one r 1);
-  Alcotest.(check (option int)) "from 251" (Some 499) (Reporter.next_one r 251);
-  Alcotest.(check (option int)) "past end" None (Reporter.next_one r 500);
+  check "from 0" 0 (Reporter.next_one r 0);
+  check "from 1" 250 (Reporter.next_one r 1);
+  check "from 251" 499 (Reporter.next_one r 251);
+  check "past end" (-1) (Reporter.next_one r 500);
   Reporter.zero r 499;
-  Alcotest.(check (option int)) "after zero" None (Reporter.next_one r 251)
+  check "after zero" (-1) (Reporter.next_one r 251)
 
 let test_reporter_empty_words () =
   (* zero out whole aligned word regions; summaries must skip them fast *)
@@ -49,7 +49,7 @@ let test_reporter_empty_words () =
   for i = 0 to 9999 do
     if i <> 9999 then Reporter.zero r i
   done;
-  Alcotest.(check (option int)) "survivor" (Some 9999) (Reporter.next_one r 0);
+  check "survivor" 9999 (Reporter.next_one r 0);
   check "ones" 1 (Reporter.ones r)
 
 let test_reporter_of_bitvec () =
@@ -70,9 +70,8 @@ let test_reporter_partial_word_lengths () =
       let r = Reporter.create_full len in
       check (Printf.sprintf "create_full %d ones" len) len (Reporter.ones r);
       check (Printf.sprintf "create_full %d count_range" len) len (Reporter.count_range r 0 len);
-      Alcotest.(check (option int))
-        (Printf.sprintf "create_full %d next_one" len)
-        (if len = 0 then None else Some 0)
+      check (Printf.sprintf "create_full %d next_one" len)
+        (if len = 0 then -1 else 0)
         (Reporter.next_one r 0);
       let bv = Bitvec.create len in
       Bitvec.fill_ones bv;
@@ -126,12 +125,89 @@ let prop_reporter_vs_naive =
       (* next_one from a few positions *)
       for p = 0 to min (n - 1) 50 do
         let naive_next =
-          let rec go i = if i >= n then None else if alive.(i) then Some i else go (i + 1) in
+          let rec go i = if i >= n then -1 else if alive.(i) then i else go (i + 1) in
           go p
         in
         if Reporter.next_one r p <> naive_next then ok := false
       done;
       !ok)
+
+(* report against a naive bit scan over random [s, e) after random
+   zeroing: single bits, whole 62-bit words, and whole summary words
+   (62 x 62 positions), so report's jumps through the summary pyramid
+   (levels 1 and 2 at these lengths) are exercised. *)
+let prop_reporter_report_ranges =
+  QCheck.Test.make ~name:"reporter report = naive scan after word and summary zeroing" ~count:150
+    QCheck.(pair (int_bound 12_000) small_nat)
+    (fun (n, seed) ->
+      let st = Random.State.make [| n; seed |] in
+      let r = Reporter.create_full n and alive = Array.make n true in
+      let kill lo hi =
+        for i = max 0 lo to min n hi - 1 do
+          Reporter.zero r i;
+          alive.(i) <- false
+        done
+      in
+      let w = Dsdg_bits.Popcount.word_bits in
+      if n > 0 then begin
+        for _ = 1 to Random.State.int st (n + 1) do
+          let i = Random.State.int st n in
+          kill i (i + 1)
+        done;
+        for _ = 1 to Random.State.int st 6 do
+          let j = Random.State.int st ((n / w) + 1) in
+          kill (j * w) ((j + 1 + Random.State.int st 3) * w)
+        done;
+        for _ = 1 to Random.State.int st 3 do
+          let j = Random.State.int st ((n / (w * w)) + 1) in
+          kill (j * w * w) ((j + 1) * w * w)
+        done
+      end;
+      let ok = ref (Reporter.ones r = Array.fold_left (fun a b -> if b then a + 1 else a) 0 alive) in
+      for _ = 1 to 8 do
+        let a = Random.State.int st (n + 3) - 1 and b = Random.State.int st (n + 3) - 1 in
+        let s = min a b and e = max a b in
+        let got = ref [] in
+        Reporter.report r s e (fun i -> got := i :: !got);
+        let want = ref [] in
+        for i = max 0 s to min n e - 1 do
+          if alive.(i) then want := i :: !want
+        done;
+        if !got <> !want then ok := false
+      done;
+      !ok)
+
+(* Allocation-free scans: 1,000 calls of select1_in, select0_in and
+   report (whose callback allocates nothing) add no minor-heap words. *)
+let test_scans_allocate_nothing () =
+  let open Dsdg_bits in
+  let st = Random.State.make [| 42 |] in
+  let len = 20_000 in
+  let bv = Bitvec.of_bools (List.init len (fun _ -> Random.State.bool st)) in
+  let words = Bitvec.words bv and ones = Bitvec.count bv in
+  let super = Rank_select.directory words in
+  let r = Reporter.of_bitvec bv in
+  for i = 0 to len - 1 do
+    if i mod 7 = 0 || (i / 1000) mod 3 = 0 then Reporter.zero r i
+  done;
+  let sink = ref 0 in
+  let f i = sink := !sink + i in
+  let words_of g =
+    let before = Gc.minor_words () in
+    for k = 0 to 999 do
+      g k
+    done;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let select1 = words_of (fun k -> sink := !sink + Rank_select.select1_in words super (k * ones / 1000)) in
+  let select0 =
+    words_of (fun k -> sink := !sink + Rank_select.select0_in words super ~len (k * (len - ones) / 1000))
+  in
+  let report = words_of (fun k -> Reporter.report r (k * 10) (len - (k * 10)) f) in
+  check "select1_in words" 0 select1;
+  check "select0_in words" 0 select0;
+  check "report words" 0 report;
+  Alcotest.(check bool) "scanned" true (!sink <> 0)
 
 (* --- Fenwick --- *)
 
@@ -300,3 +376,5 @@ let suite =
     ("incremental zero work", `Quick, test_incremental_zero_work);
     ("incremental sais", `Quick, test_incremental_sais) ]
   @ qsuite
+  @ [ Qc.to_alcotest prop_reporter_report_ranges;
+      ("select and report allocate nothing", `Quick, test_scans_allocate_nothing) ]
