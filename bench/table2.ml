@@ -9,7 +9,13 @@
    - query (count & report) time: Transform1/Transform2 must beat the
      dynamic-BWT baseline clearly and sit close to the static FM-index;
    - update time: the baseline's insert is cheap-ish per symbol but its
-     queries are slow; ours pay the rebuild schedule on insert. *)
+     queries are slow; ours pay the rebuild schedule on insert.
+
+   Each index's space also goes out as a JSON row ("table2/space",
+   bits/symbol after the deletes).  It is deterministic: the corpus is
+   seeded and every index runs in sync mode, so CI can hold the
+   Transformation 2 row to a ceiling.  DSDG_BENCH_QUICK=1 drops the
+   largest scaling row. *)
 
 open Dsdg_core
 open Dsdg_fm
@@ -109,10 +115,13 @@ let run () =
           List.length victims * (n / Array.length docs)
         in
         let _, del_ns = Bench_util.time_ns (fun () -> List.iter (fun id -> ignore (s.delete id)) victims) in
+        let space = s.space () in
+        Bench_util.(emit_json_row ~bench:"table2/space")
+          [ ("index", S s.name); ("symbols", I n); ("bits_per_symbol", F (float_of_int space /. float_of_int n)) ];
         [ s.name; Bench_util.ns_str ins_per_sym; Bench_util.ns_str count_ns;
           Bench_util.ns_str report_per_occ;
           Bench_util.ns_str (del_ns /. float_of_int (max 1 vict_syms));
-          Bench_util.bits_per_sym (s.space ()) n ])
+          Bench_util.bits_per_sym space n ])
       (subjects ())
   in
   Bench_util.print_table
@@ -159,7 +168,7 @@ let run () =
         in
         [ string_of_int n; Bench_util.ns_str ours_ns; Bench_util.ns_str base_ns;
           Printf.sprintf "%.1fx" (base_ns /. ours_ns) ])
-      [ 100; 400; 1600; 6400 ]
+      (if Sys.getenv_opt "DSDG_BENCH_QUICK" <> None then [ 100; 400; 1600 ] else [ 100; 400; 1600; 6400 ])
   in
   Bench_util.print_table
     ~title:"Table 2 (scaling): count query vs n, ours consolidated  [ratio grows with n]"

@@ -1,6 +1,10 @@
 (* Fixed-length mutable bit vector over 63-bit words. *)
 
-let w = Popcount.word_bits
+(* [Popcount.word_bits] as a literal, so that dividing by it is a
+   multiplication (see Int_vec). *)
+let w = 62
+
+let () = assert (w = Popcount.word_bits)
 
 type t = {
   len : int;

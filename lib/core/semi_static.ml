@@ -11,8 +11,55 @@
    zeroes them.  When dead symbols exceed live/tau the owner is expected
    to rebuild (see [needs_purge]); this module never rebuilds itself. *)
 
+open Dsdg_bits
 open Dsdg_delbits
 open Dsdg_obs
+
+(* The strictly ascending slot -> id map.  Ids are stored as offsets
+   from the first, packed at the width the span needs; only a span past
+   62 bits (ids from near [min_int] to near [max_int]) keeps whole
+   words. *)
+module Ids = struct
+  type t = Packed of { base : int; offs : Int_vec.t } | Wide of int array
+
+  let of_sorted (a : int array) =
+    let n = Array.length a in
+    if n = 0 then Packed { base = 0; offs = Int_vec.create ~width:1 0 }
+    else
+      let base = a.(0) in
+      let span = a.(n - 1) - base in
+      if span < 0 then Wide a
+      else Packed { base; offs = Int_vec.of_array ~width:(Int_vec.width_for span) (Array.map (fun id -> id - base) a) }
+
+  let length = function Packed { offs; _ } -> Int_vec.length offs | Wide a -> Array.length a
+
+  let get t slot = match t with Packed { base; offs } -> base + Int_vec.get offs slot | Wide a -> a.(slot)
+
+  (* The slot holding [id], if any: a binary search, on offsets when
+     packed (an id below the base, or one whose offset overflows, is
+     outside every stored id). *)
+  let find t id =
+    match t with
+    | Wide a ->
+      let lo = ref 0 and hi = ref (Array.length a) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if a.(mid) < id then lo := mid + 1 else hi := mid
+      done;
+      if !lo < Array.length a && a.(!lo) = id then Some !lo else None
+    | Packed { base; offs } ->
+      let off = id - base in
+      if id < base || off < 0 then None
+      else
+        let k = Int_vec.count_le offs off in
+        if k > 0 && Int_vec.unsafe_get offs (k - 1) = off then Some (k - 1) else None
+
+  (* A constructor block (header and two fields) and the packed vector,
+     or a one-field block and the word array. *)
+  let space_bits = function
+    | Packed { offs; _ } -> Int_vec.space_bits offs + (3 * 63)
+    | Wide a -> (Array.length a + 3) * 63
+end
 
 (* Process-wide scope shared by every Semi_static instance: build/delete/
    search/count totals and a build-size histogram.  Per-instance detail
@@ -35,8 +82,8 @@ let h_build_syms = Obs.histogram obs "build_syms"
 module Make (I : Static_index.S) = struct
   type t = {
     index : I.t;
-    ids : int array; (* slot -> external doc id, strictly ascending *)
-    dead : bool array;
+    ids : Ids.t; (* slot -> external doc id, strictly ascending *)
+    dead : Bitvec.t; (* by slot *)
     alive_rows : Reporter.t;
     mutable live_syms : int;
     mutable dead_syms : int;
@@ -60,8 +107,8 @@ module Make (I : Static_index.S) = struct
     Obs.observe h_build_syms (I.total_len index);
     {
       index;
-      ids;
-      dead = Array.make (Array.length ids) false;
+      ids = Ids.of_sorted ids;
+      dead = Bitvec.create (Array.length ids);
       alive_rows = Reporter.create_full m;
       live_syms = I.total_len index;
       dead_syms = 0;
@@ -71,19 +118,16 @@ module Make (I : Static_index.S) = struct
 
   (* The slot of a live document. *)
   let live_slot t id =
-    let lo = ref 0 and hi = ref (Array.length t.ids) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.ids.(mid) < id then lo := mid + 1 else hi := mid
-    done;
-    if !lo < Array.length t.ids && t.ids.(!lo) = id && not t.dead.(!lo) then Some !lo else None
+    match Ids.find t.ids id with
+    | Some slot when not (Bitvec.get t.dead slot) -> Some slot
+    | _ -> None
 
   let mem t id = live_slot t id <> None
 
   let live_symbols t = t.live_syms
   let dead_symbols t = t.dead_syms
   let total_symbols t = t.live_syms + t.dead_syms
-  let doc_count t = Array.length t.ids - Array.fold_left (fun a d -> if d then a + 1 else a) 0 t.dead
+  let doc_count t = Ids.length t.ids - Bitvec.count t.dead
   let needs_purge t =
     purge_threshold_exceeded ~dead_syms:t.dead_syms ~total_symbols:(total_symbols t)
       ~tau:t.tau
@@ -93,7 +137,7 @@ module Make (I : Static_index.S) = struct
     match live_slot t id with
     | None -> false
     | Some slot ->
-      t.dead.(slot) <- true;
+      Bitvec.set t.dead slot;
       I.iter_doc_rows t.index slot ~f:(fun row -> Reporter.zero t.alive_rows row);
       let syms = I.doc_len t.index slot + 1 in
       t.live_syms <- t.live_syms - syms;
@@ -110,7 +154,7 @@ module Make (I : Static_index.S) = struct
     | Some (sp, ep) ->
       Reporter.report t.alive_rows sp ep (fun row ->
           let slot, off = I.locate t.index row in
-          f ~doc:t.ids.(slot) ~off)
+          f ~doc:(Ids.get t.ids slot) ~off)
 
   (* Count surviving occurrences in O(trange + log n) (Theorem 1): the
      Reporter's word-level Fenwick counts live rows in the range. *)
@@ -138,16 +182,18 @@ module Make (I : Static_index.S) = struct
   let live_docs ?tick t : (int * string) list =
     let texts = I.docs ?tick t.index in
     let acc = ref [] in
-    for slot = Array.length t.ids - 1 downto 0 do
-      if not t.dead.(slot) then acc := (t.ids.(slot), texts.(slot)) :: !acc
+    for slot = Ids.length t.ids - 1 downto 0 do
+      if not (Bitvec.get t.dead slot) then acc := (Ids.get t.ids slot, texts.(slot)) :: !acc
     done;
     !acc
 
-  (* [ids] and [dead] are one word per document plus a header. *)
+  (* The record is a header and eight fields; [Bitvec.space_bits]
+     leaves out the dead vector's own record (a header and two
+     fields). *)
   let space_bits t =
-    I.space_bits t.index + Reporter.space_bits t.alive_rows
-    + ((2 + Array.length t.ids + Array.length t.dead) * 63)
-    + (4 * 63)
+    I.space_bits t.index + Reporter.space_bits t.alive_rows + Ids.space_bits t.ids
+    + Bitvec.space_bits t.dead
+    + ((9 + 3) * 63)
 
   let index t = t.index
 
@@ -155,8 +201,8 @@ module Make (I : Static_index.S) = struct
 
   (* Cached between deletes: only [delete] mutates a built instance, so
      a snapshot after k deletes since the last one costs one Reporter +
-     dead-array copy, amortized against those deletes.  The frozen copy
-     shares the static index and the id array (never changed after
+     dead-bit copy, amortized against those deletes.  The frozen copy
+     shares the static index and the id table (never changed after
      build) and owns its deletion state; nothing ever deletes from it,
      so this module's queries answer for the snapshot on any domain
      while the original keeps flipping dead bits. *)
@@ -165,7 +211,7 @@ module Make (I : Static_index.S) = struct
     | Some c -> c
     | None ->
       let f =
-        { t with dead = Array.copy t.dead; alive_rows = Reporter.copy t.alive_rows; view_cache = None }
+        { t with dead = Bitvec.copy t.dead; alive_rows = Reporter.copy t.alive_rows; view_cache = None }
       in
       let c =
         {

@@ -15,10 +15,12 @@ module Make (I : Static_index.S) : sig
   type t
 
   (** [build ~sample ~tau docs] indexes [(id, text)] pairs in ascending
-      id order (a sorted copy of [docs]), so the id array alone maps ids
-      to slots by binary search. Raises [Invalid_argument] on duplicate
-      ids or [tau < 1]. [tick] is called once per O(1) construction
-      work. *)
+      id order (a sorted copy of [docs]), so the id table alone maps ids
+      to slots by binary search. The table holds each id as its offset
+      from the smallest, packed at the width the largest offset needs
+      (whole words only when the ids span more than 62 bits). Raises
+      [Invalid_argument] on duplicate ids or [tau < 1]. [tick] is called
+      once per O(1) construction work. *)
   val build :
     ?tick:(unit -> unit) ->
     sample:int ->
@@ -38,7 +40,8 @@ module Make (I : Static_index.S) : sig
   (** [live_symbols + dead_symbols] -- the built size. O(1). *)
   val total_symbols : t -> int
 
-  (** Live documents. O(resident documents): folds the dead flags. *)
+  (** Live documents. O(resident documents / 62): counts the dead
+      bits. *)
   val doc_count : t -> int
 
   (** Whether dead symbols exceed the n/tau threshold. *)
@@ -69,7 +72,8 @@ module Make (I : Static_index.S) : sig
       symbol. *)
   val live_docs : ?tick:(unit -> unit) -> t -> (int * string) list
 
-  (** Measured bits: static index + Reporter + deletion bookkeeping. *)
+  (** Measured bits, as the heap holds them: static index + Reporter +
+      packed ids + dead bits + the record. *)
   val space_bits : t -> int
 
   (** The wrapped static index (shared, immutable). *)
@@ -79,7 +83,7 @@ module Make (I : Static_index.S) : sig
 
   (** The frozen structure as a read-plane component, safe to query
       from any domain while the write plane keeps deleting. Cached
-      between deletes; a miss costs one Reporter + dead-array copy,
+      between deletes; a miss costs one Reporter + dead-bit copy,
       amortized against the deletes that invalidated it. *)
   val snapshot : t -> Epoch_view.component
 end

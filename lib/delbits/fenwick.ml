@@ -1,33 +1,57 @@
 (* Fenwick (binary indexed) tree over [n] integer cells: point update,
    prefix sum in O(log n).  Substitute for the Navarro-Sadakane dynamic
    counting structure: Theorem 1 uses it to count surviving suffixes in a
-   suffix-array range of a semi-static index. *)
+   suffix-array range of a semi-static index.
 
-type t = {
-  n : int;
-  tree : int array; (* 1-based *)
-}
+   The nodes live in one packed [Int_vec] of [width] bits each, as
+   two's-complement values modulo 2^width: a node reads back exactly
+   while its partial sum lies in [-2^(width-1), 2^(width-1)).  A caller
+   whose sums are bounded (the Reporter's live-bit counts never exceed
+   the initial total) sizes [width] to that bound; the default, 62, is
+   a full word. *)
 
-let create n =
+open Dsdg_bits
+
+(* Node i (1-based) is cell i - 1 of the vector. *)
+type t = Int_vec.t
+
+let full_width = 62
+
+let create ?(width = full_width) n =
   if n < 0 then invalid_arg "Fenwick.create";
-  { n; tree = Array.make (n + 1) 0 }
+  if width < 2 || width > full_width then invalid_arg "Fenwick.create: width";
+  Int_vec.create ~width n
 
-let length t = t.n
+let length = Int_vec.length
+
+(* Node [i] (1-based, every caller has checked 1 <= i <= n),
+   sign-extended from the vector's width: [shift] is
+   [Sys.int_size - width], taken once per operation. *)
+let[@inline] node t shift i = (Int_vec.unsafe_get t (i - 1) lsl shift) asr shift
+
+let[@inline] shift t = Sys.int_size - Int_vec.width t
+
+(* Store [v] in node [i], modulo 2^width ([mask] = 2^width - 1). *)
+let[@inline] set_node t mask i v = Int_vec.unsafe_set t (i - 1) (v land mask)
+
+let[@inline] mask t = (1 lsl Int_vec.width t) - 1
 
 let add t i delta =
-  if i < 0 || i >= t.n then invalid_arg "Fenwick.add";
+  let n = length t and shift = shift t and mask = mask t in
+  if i < 0 || i >= n then invalid_arg "Fenwick.add";
   let i = ref (i + 1) in
-  while !i <= t.n do
-    t.tree.(!i) <- t.tree.(!i) + delta;
+  while !i <= n do
+    set_node t mask !i (node t shift !i + delta);
     i := !i + (!i land - !i)
   done
 
 (* Sum of cells [0, i). *)
 let prefix t i =
-  if i < 0 || i > t.n then invalid_arg "Fenwick.prefix";
+  if i < 0 || i > length t then invalid_arg "Fenwick.prefix";
+  let shift = shift t in
   let acc = ref 0 and i = ref i in
   while !i > 0 do
-    acc := !acc + t.tree.(!i);
+    acc := !acc + node t shift !i;
     i := !i - (!i land - !i)
   done;
   !acc
@@ -35,26 +59,27 @@ let prefix t i =
 (* Sum of cells [l, r). *)
 let range t l r = prefix t r - prefix t l
 
-let total t = prefix t t.n
+let total t = prefix t (length t)
 
 (* Fenwick tree pre-filled with ones (used for "count live suffixes").
    Closed form: node i of an all-ones tree holds lowbit(i) -- O(n). *)
 let create_ones n =
   let t = create n in
   for i = 1 to n do
-    t.tree.(i) <- i land (-i)
+    set_node t (mask t) i (i land -i)
   done;
   t
 
 (* Linear-time construction from initial cell values. *)
-let of_array (a : int array) =
+let of_array ?width (a : int array) =
   let n = Array.length a in
-  let t = create n in
-  Array.blit a 0 t.tree 1 n;
+  let sums = Array.copy a in
   for i = 1 to n do
     let j = i + (i land -i) in
-    if j <= n then t.tree.(j) <- t.tree.(j) + t.tree.(i)
+    if j <= n then sums.(j - 1) <- sums.(j - 1) + sums.(i - 1)
   done;
+  let t = create ?width n in
+  Array.iteri (fun k v -> set_node t (mask t) (k + 1) v) sums;
   t
 
 (* Smallest [i] with [prefix t (i + 1) > k], by binary lifting over the
@@ -62,9 +87,10 @@ let of_array (a : int array) =
    Requires all cells non-negative and [0 <= k < total t]. *)
 let search t k =
   if k < 0 then invalid_arg "Fenwick.search";
+  let n = length t and shift = shift t in
   let log2 =
     let b = ref 1 and l = ref 0 in
-    while !b * 2 <= t.n do
+    while !b * 2 <= n do
       b := !b * 2;
       incr l
     done;
@@ -73,18 +99,16 @@ let search t k =
   let pos = ref 0 and rem = ref k in
   for j = log2 downto 0 do
     let next = !pos + (1 lsl j) in
-    if next <= t.n && t.tree.(next) <= !rem then begin
-      rem := !rem - t.tree.(next);
+    if next <= n && node t shift next <= !rem then begin
+      rem := !rem - node t shift next;
       pos := next
     end
   done;
-  if !pos >= t.n then invalid_arg "Fenwick.search";
+  if !pos >= n then invalid_arg "Fenwick.search";
   !pos
 
 (* Deep copy, O(n).  Snapshot publication (read-plane views) copies the
    Fenwick summaries of structures whose deletion state keeps mutating. *)
-let copy t = { n = t.n; tree = Array.copy t.tree }
+let copy = Int_vec.copy
 
-(* The tree array already includes the unused 1-based slot, so it is the
-   whole footprint; charge payload words of [Popcount.word_bits]. *)
-let space_bits t = Array.length t.tree * Dsdg_bits.Popcount.word_bits
+let space_bits = Int_vec.space_bits

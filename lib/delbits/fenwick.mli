@@ -4,14 +4,19 @@
 
 type t
 
-(** [create n] is an all-zero tree over [n] cells. *)
-val create : int -> t
+(** [create ?width n] is an all-zero tree over [n] cells. Each node is
+    stored in [width] bits (2 to 62, default 62) as a two's-complement
+    value, so every partial sum of cells -- in particular every prefix
+    sum and the total -- must lie in [[-2^(width-1), 2^(width-1))]. A
+    caller whose sums are bounded by [b >= 0] passes
+    [Int_vec.width_for b + 1]. *)
+val create : ?width:int -> int -> t
 
 (** [create_ones n] is pre-filled with 1 in every cell; O(n). *)
 val create_ones : int -> t
 
 (** Linear-time construction from initial cell values. *)
-val of_array : int array -> t
+val of_array : ?width:int -> int array -> t
 
 val length : t -> int
 
@@ -34,4 +39,5 @@ val search : t -> int -> int
 (** Deep copy, O(n); used when publishing read-plane snapshots. *)
 val copy : t -> t
 
+(** Heap footprint: the packed nodes ({!Dsdg_bits.Int_vec.space_bits}). *)
 val space_bits : t -> int

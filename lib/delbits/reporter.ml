@@ -12,14 +12,18 @@
 
 open Dsdg_bits
 
-let w = Popcount.word_bits
+(* [Popcount.word_bits] as a literal, so that dividing by it is a
+   multiplication (see Int_vec). *)
+let w = 62
+
+let () = assert (w = Popcount.word_bits)
 
 type t = {
   len : int;
   levels : int array array; (* levels.(0): the words of B; each higher level summarises non-emptiness *)
   mutable ones : int;
   counts : Fenwick.t; (* live bits per level-0 word: O(log n) range counting
-                          (Theorem 1) at ~1 bit of overhead per position *)
+                          (Theorem 1) in log(len) + 2 bits per 62 positions *)
 }
 
 let words_for n = if n = 0 then 1 else (n + w - 1) / w
@@ -37,7 +41,10 @@ let build_levels level0 =
   done;
   Array.of_list (List.rev !levels)
 
-let counts_of_level0 level0 = Fenwick.of_array (Array.map Popcount.count level0)
+(* Bits only ever clear, so no partial sum of the word counts outgrows
+   the initial total: one sign bit above [width_for ones] suffices. *)
+let counts_of_level0 level0 ~ones =
+  Fenwick.of_array ~width:(Int_vec.width_for ones + 1) (Array.map Popcount.count level0)
 
 (* All bits initially one. *)
 let create_full len =
@@ -49,7 +56,7 @@ let create_full len =
   done;
   let rem = len mod w in
   if rem <> 0 || len = 0 then level0.(nw - 1) <- Popcount.low_mask (if len = 0 then 0 else rem);
-  { len; levels = build_levels level0; ones = len; counts = counts_of_level0 level0 }
+  { len; levels = build_levels level0; ones = len; counts = counts_of_level0 level0 ~ones:len }
 
 let of_bitvec bv =
   let len = Bitvec.length bv in
@@ -61,7 +68,7 @@ let of_bitvec bv =
   if rem <> 0 || len = 0 then
     level0.(nw - 1) <- level0.(nw - 1) land Popcount.low_mask (if len = 0 then 0 else rem);
   let ones = Array.fold_left (fun a x -> a + Popcount.count x) 0 level0 in
-  { len; levels = build_levels level0; ones; counts = counts_of_level0 level0 }
+  { len; levels = build_levels level0; ones; counts = counts_of_level0 level0 ~ones }
 
 let length t = t.len
 let ones t = t.ones
@@ -127,8 +134,14 @@ let report t s e f =
     p := next_one t (!p + 1)
   done
 
-(* Number of live bits in [s, e): Fenwick over whole words plus popcounts
-   at the two partial edges.  O(log n). *)
+(* Whole words between a range's edge words that [count_range] counts
+   by popcount rather than by the Fenwick's two prefix walks (about
+   2 log2 (len / 62) packed nodes). *)
+let scan_words = 8
+
+(* Number of live bits in [s, e): popcounts at the two partial edges,
+   and between them either up to [scan_words] popcounts or the Fenwick
+   over whole words.  O(log n). *)
 let count_range t s e =
   let s = max 0 s and e = min e t.len in
   if s >= e then 0
@@ -140,7 +153,17 @@ let count_range t s e =
     else begin
       let left = Popcount.count (arr0.(ws) lsr (s mod w)) in
       let right = Popcount.count (arr0.(we) land Popcount.low_mask (e - (we * w))) in
-      left + Fenwick.range t.counts (ws + 1) we + right
+      let middle =
+        if we - ws - 1 <= scan_words then begin
+          let c = ref 0 in
+          for j = ws + 1 to we - 1 do
+            c := !c + Popcount.count (Array.unsafe_get arr0 j)
+          done;
+          !c
+        end
+        else Fenwick.range t.counts (ws + 1) we
+      in
+      left + middle + right
     end
   end
 
@@ -159,6 +182,10 @@ let to_list t =
   report t 0 t.len (fun i -> acc := i :: !acc);
   List.rev !acc
 
+(* Counted as the heap holds it: the record (header and four fields),
+   the levels array (header and one pointer per level), each level's
+   words and header, and the Fenwick. *)
 let space_bits t =
-  Array.fold_left (fun acc arr -> acc + (Array.length arr * w)) (2 * w) t.levels
+  Array.fold_left (fun acc arr -> acc + (Array.length arr * w) + 63) (6 * 63) t.levels
+  + (Array.length t.levels * 63)
   + Fenwick.space_bits t.counts

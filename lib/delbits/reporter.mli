@@ -37,8 +37,8 @@ val next_one : t -> int -> int
 val report : t -> int -> int -> (int -> unit) -> unit
 
 (** [count_range t s e] is the number of set positions in [[s, e)];
-    O(log n) via a word-granular Fenwick tree (Theorem 1's counting at
-    ~1 extra bit per position). *)
+    O(log n) via a word-granular Fenwick tree (Theorem 1's counting),
+    whose counts take [log2 length + 2] bits per 62 positions. *)
 val count_range : t -> int -> int -> int
 
 val to_list : t -> int list
@@ -47,4 +47,5 @@ val to_list : t -> int list
     publishing read-plane snapshots. *)
 val copy : t -> t
 
+(** Heap footprint: summary words, headers and the packed counts. *)
 val space_bits : t -> int

@@ -24,7 +24,9 @@ val doc_start : t -> int -> int
 val doc_len : t -> int -> int
 
 (** Global position -> (document, offset); the offset equals the
-    document length when the position is its separator. *)
+    document length when the position is its separator. A binary
+    search over the document starts, which are packed at the width of
+    the total length. *)
 val locate : t -> int -> int * int
 
 (** [split t text] is every document of the concatenation [text], in
@@ -33,4 +35,5 @@ val locate : t -> int -> int * int
     per symbol, separators included. *)
 val split : ?tick:(unit -> unit) -> t -> int array -> string array
 
+(** Heap footprint: the packed starts and the record. *)
 val space_bits : t -> int

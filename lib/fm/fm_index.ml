@@ -27,7 +27,8 @@ type t = {
   docs : Doc_map.t;
   m : int; (* number of BWT rows = total_len + 1 (sentinel) *)
   bwt : Huffman_wavelet.t;
-  c_before : Int_vec.t; (* c_before.(c) = #symbols < c in the BWT *)
+  c_before : Int_vec.t; (* for a present symbol c: #symbols < c in the BWT,
+                           at Huffman_wavelet.slot c - 1 *)
   sample : int; (* sampling rate s *)
   marked : Rank_select.t; (* rows whose suffix position is ≡ 0 (mod s) *)
   sample_vals : Int_vec.t; (* position / s for marked rows, in row order *)
@@ -53,7 +54,16 @@ let build ?(tick = no_tick) ~sample (doc_strs : string array) : t =
   let sa = Sais.raw ~tick conc sigma in
   let bwt_arr = Bwt.of_sa conc sa in
   let bwt = Huffman_wavelet.build ~tick ~sigma bwt_arr in
-  let c_before = Int_vec.of_array ~width:(Int_vec.width_for m) (Bwt.counts_before bwt_arr sigma) in
+  let c_before =
+    let before = Bwt.counts_before bwt_arr sigma in
+    let t = Int_vec.create ~width:(Int_vec.width_for m) (Huffman_wavelet.present bwt) in
+    Array.iteri
+      (fun c b ->
+        let k = Huffman_wavelet.slot bwt c in
+        if k > 0 then Int_vec.set t (k - 1) b)
+      before;
+    t
+  in
   (* SA sampling, in one pass over the suffix array: a row whose suffix
      starts at a multiple of s before the sentinel is marked, and its
      position / s kept in row order (there are ceil(n / s) of them);
@@ -93,14 +103,19 @@ let doc_len t d = Doc_map.doc_len t.docs d
 let row_count t = t.m
 let sample_rate t = t.sample
 
+(* #symbols < c in the BWT, for a symbol c that occurs in it (so its
+   slot is at least 1). *)
+let[@inline] before t c = Int_vec.unsafe_get t.c_before (Huffman_wavelet.slot t.bwt c - 1)
+
 (* LF-mapping: row of suffix p -> row of suffix p-1 (mod), in one
    wavelet descent. *)
 let lf t row =
-  let c, r = Huffman_wavelet.access_rank t.bwt row in
-  Int_vec.get t.c_before c + r
+  let k, r = Huffman_wavelet.access_slot_rank t.bwt row in
+  Int_vec.unsafe_get t.c_before (k - 1) + r
 
 (* Backward search.  Returns the half-open SA row range of suffixes
-   starting with [p], or None. *)
+   starting with [p], or None; a symbol absent from the BWT ends it at
+   once. *)
 let range t (p : string) : (int * int) option =
   let len = String.length p in
   if len = 0 then invalid_arg "Fm_index.range: empty pattern";
@@ -109,10 +124,14 @@ let range t (p : string) : (int * int) option =
   let ok = ref true in
   while !ok && !i >= 0 do
     let c = sym_of_char p.[!i] in
-    let before = Int_vec.get t.c_before c in
-    sp := before + Huffman_wavelet.rank t.bwt c !sp;
-    ep := before + Huffman_wavelet.rank t.bwt c !ep;
-    if !sp >= !ep then ok := false;
+    let k = Huffman_wavelet.slot t.bwt c in
+    if k = 0 then ok := false
+    else begin
+      let b = Int_vec.unsafe_get t.c_before (k - 1) in
+      sp := b + Huffman_wavelet.rank t.bwt c !sp;
+      ep := b + Huffman_wavelet.rank t.bwt c !ep;
+      if !sp >= !ep then ok := false
+    end;
     decr i
   done;
   if !ok then Some (!sp, !ep) else None
@@ -171,7 +190,7 @@ let extract t ~doc ~off ~len =
   for p = anchor downto g + 1 do
     let c, r = Huffman_wavelet.access_rank t.bwt !row in
     if p - 1 < e then Bytes.unsafe_set out (p - 1 - g) (char_of_sym c);
-    row := Int_vec.get t.c_before c + r
+    row := before t c + r
   done;
   Bytes.unsafe_to_string out
 

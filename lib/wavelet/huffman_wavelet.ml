@@ -9,7 +9,9 @@ open Dsdg_bits
 (* A node keeps its bit vector's words, rank directory and one count in
    its own record: one heap block per node plus the two arrays.  Its
    length is not stored -- the root's is [len], and a node's children
-   have [len - ones] and [ones] symbols. *)
+   have [len - ones] and [ones] symbols.  A leaf holds its symbol and
+   the symbol's slot (below) in one int, [slot lsl sym_bits lor c], so
+   a descent can answer either without a table lookup. *)
 type node =
   | Leaf of int
   | Node of {
@@ -35,6 +37,10 @@ type t = {
   codes : int array;
 }
 
+let sym_bits = 31
+let[@inline] leaf_sym v = v land ((1 lsl sym_bits) - 1)
+let[@inline] leaf_slot v = v lsr sym_bits
+
 let length t = t.len
 let sigma t = t.sigma
 
@@ -49,9 +55,9 @@ let sigma t = t.sigma
    than the spare store (a stray store lands where a later symbol or
    the copy-back overwrites it).  [scratch] is shared by every node (it
    is free again before either child is built). *)
-let rec build_node seq scratch lo n (codes : Huffman.code array) depth tick =
+let rec build_node seq scratch lo n (codes : Huffman.code array) leaf depth tick =
   let c0 = seq.(lo) in
-  if codes.(c0).len = depth then Leaf c0
+  if codes.(c0).len = depth then Leaf (leaf c0)
   else begin
     let w = Popcount.word_bits in
     let words = Array.make ((n + w - 1) / w) 0 in
@@ -76,25 +82,22 @@ let rec build_node seq scratch lo n (codes : Huffman.code array) depth tick =
     (* A Huffman tree has no unary nodes, so both sides are non-empty --
        except for the degenerate single-symbol alphabet where the code is
        Branch(Sym c, Sym c) and one side may be empty.  Guard for that. *)
-    let left = if !nleft = 0 then Leaf c0 else build_node seq scratch lo !nleft codes (depth + 1) tick in
+    let left = if !nleft = 0 then Leaf (leaf c0) else build_node seq scratch lo !nleft codes leaf (depth + 1) tick in
     let right =
-      if !nright = 0 then Leaf c0
-      else build_node seq scratch (lo + !nleft) !nright codes (depth + 1) tick
+      if !nright = 0 then Leaf (leaf c0)
+      else build_node seq scratch (lo + !nleft) !nright codes leaf (depth + 1) tick
     in
     Node { words; super = Rank_select.directory words; ones = !nright; left; right }
   end
 
 let build ?(tick = fun () -> ()) ~sigma (seq : int array) =
+  if sigma > 1 lsl sym_bits then invalid_arg "Huffman_wavelet.build: sigma too large";
   Array.iter
     (fun c -> if c < 0 || c >= sigma then invalid_arg "Huffman_wavelet.build: symbol out of range")
     seq;
   let freqs = Array.make sigma 0 in
   Array.iter (fun c -> freqs.(c) <- freqs.(c) + 1) seq;
   let codes = Huffman.codes ~sigma freqs in
-  let n = Array.length seq in
-  let root =
-    if n = 0 then None else Some (build_node (Array.copy seq) (Array.make n 0) 0 n codes 0 tick)
-  in
   let present = Array.fold_left (fun a f -> if f > 0 then a + 1 else a) 0 freqs in
   let slot = Int_vec.create ~width:(Int_vec.width_for present) sigma in
   let packed = Array.make present 0 in
@@ -108,33 +111,42 @@ let build ?(tick = fun () -> ()) ~sigma (seq : int array) =
         Int_vec.set slot c !k
       end)
     freqs;
-  { root; len = Array.length seq; sigma; slot; codes = packed }
+  let leaf c = (Int_vec.get slot c lsl sym_bits) lor c in
+  let n = Array.length seq in
+  let root =
+    if n = 0 then None else Some (build_node (Array.copy seq) (Array.make n 0) 0 n codes leaf 0 tick)
+  in
+  { root; len = n; sigma; slot; codes = packed }
+
+let present t = Array.length t.codes
+
+let slot t c = if c < 0 || c >= t.sigma then 0 else Int_vec.unsafe_get t.slot c
 
 (* Packed code of [c]; 0 (length 0) for symbols that do not occur. *)
 let code t c =
-  if c < 0 || c >= t.sigma then 0
-  else
-    let k = Int_vec.get t.slot c in
-    if k = 0 then 0 else Array.unsafe_get t.codes (k - 1)
+  let k = slot t c in
+  if k = 0 then 0 else Array.unsafe_get t.codes (k - 1)
 
 let[@inline] code_bit code depth = (code lsr (6 + (code land 63) - 1 - depth)) land 1
 
 (* The access descent visits, at every level, exactly the positions
    [rank c i] visits for the symbol it finds, so the position it reaches
    in the leaf is that rank: one traversal answers both. *)
-let access_rank t i =
+let descend ~want_slot t i =
   if i < 0 || i >= t.len then invalid_arg "Huffman_wavelet.access";
-  let rec go node i =
+  let rec go want_slot node i =
     match node with
-    | Leaf c -> (c, i)
+    | Leaf v -> ((if want_slot then leaf_slot v else leaf_sym v), i)
     | Node { words; super; left; right; _ } ->
       let rb = Rank_select.rank_bit_in words super i in
-      if rb land 1 = 1 then go right (rb lsr 1) else go left (i - (rb lsr 1))
+      if rb land 1 = 1 then go want_slot right (rb lsr 1) else go want_slot left (i - (rb lsr 1))
   in
   match t.root with
   | None -> invalid_arg "Huffman_wavelet.access: empty"
-  | Some root -> go root i
+  | Some root -> go want_slot root i
 
+let access_rank t i = descend ~want_slot:false t i
+let access_slot_rank t i = descend ~want_slot:true t i
 let access t i = fst (access_rank t i)
 
 let rank t c i =
@@ -204,7 +216,7 @@ let to_array ?(tick = fun () -> ()) t =
   let w = Popcount.word_bits in
   let rec decode node n =
     match node with
-    | Leaf c -> Array.make n c
+    | Leaf v -> Array.make n (leaf_sym v)
     | Node { words; ones; left; right; _ } ->
       let l = decode left (n - ones) and r = decode right ones in
       let out = Array.make n 0 in

@@ -6,14 +6,31 @@
 
 type t
 
+(** Raises [Invalid_argument] for a symbol outside [[0, sigma)] or for
+    [sigma > 2^31]. *)
 val build : ?tick:(unit -> unit) -> sigma:int -> int array -> t
 val length : t -> int
 val sigma : t -> int
+
+(** Number of distinct symbols in the sequence. *)
+val present : t -> int
+
+(** [slot t c] is 1 + the number of present symbols smaller than [c] if
+    [c] occurs in the sequence, else 0: a dense index for tables sized
+    to the symbols present rather than to [sigma]. *)
+val slot : t -> int -> int
+
 val access : t -> int -> int
 
 (** [access_rank t i] is [(c, rank t c i)] for [c = access t i], from
-    one root-to-leaf descent instead of two. The FM-index LF step. *)
+    one root-to-leaf descent instead of two. The FM-index extract
+    step. *)
 val access_rank : t -> int -> int * int
+
+(** [access_slot_rank t i] is [(slot t c, rank t c i)] for
+    [c = access t i], from the same one descent: the LF step of an
+    index whose tables are sized to the present symbols. *)
+val access_slot_rank : t -> int -> int * int
 
 (** [rank t c i]: occurrences of [c] in [[0, i)]; 0 for symbols that do
     not occur in the sequence. *)

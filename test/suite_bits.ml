@@ -206,6 +206,38 @@ let prop_int_vec_roundtrip =
       let iv = Int_vec.of_array ~width a in
       Int_vec.to_array iv = a)
 
+(* The unchecked accessors and the binary search agree with the checked
+   ones at every width, cells straddling two words included: random
+   overwrites through [unsafe_set] leave every other cell alone, and
+   [count_le] on a sorted vector matches a linear count. *)
+let prop_int_vec_unsafe =
+  QCheck.Test.make ~name:"int_vec: unsafe_get/unsafe_set/count_le = checked reference" ~count:200
+    QCheck.(triple (int_range 1 62) (list_of_size Gen.(0 -- 200) int) (list (pair small_nat int)))
+    (fun (width, l, writes) ->
+      let mask = (1 lsl width) - 1 in
+      let a = Array.of_list (List.map (fun v -> v land mask) l) in
+      let n = Array.length a in
+      let iv = Int_vec.of_array ~width a in
+      List.iter
+        (fun (i, v) ->
+          if n > 0 then begin
+            a.(i mod n) <- v land mask;
+            Int_vec.unsafe_set iv (i mod n) (v land mask)
+          end)
+        writes;
+      let ok = ref (Int_vec.to_array iv = a) in
+      Array.iteri (fun i v -> if Int_vec.unsafe_get iv i <> v then ok := false) a;
+      let sorted = Array.copy a in
+      Array.sort compare sorted;
+      let sv = Int_vec.of_array ~width sorted in
+      let probes = [ 0; 1; mask; mask / 2 ] @ Array.to_list sorted @ List.map (fun v -> v + 1) (Array.to_list sorted) in
+      List.iter
+        (fun v ->
+          let naive = Array.fold_left (fun c x -> if x <= v then c + 1 else c) 0 sorted in
+          if Int_vec.count_le sv v <> naive then ok := false)
+        probes;
+      !ok)
+
 (* --- elias_fano --- *)
 
 let test_elias_fano_basic () =
@@ -301,4 +333,4 @@ let suite =
     ("elias_fano dense", `Quick, test_elias_fano_dense);
     ("elias_fano rank_lt", `Quick, test_elias_fano_rank_lt) ]
   @ qsuite
-  @ [ Qc.to_alcotest prop_select_densities ]
+  @ [ Qc.to_alcotest prop_select_densities; Qc.to_alcotest prop_int_vec_unsafe ]

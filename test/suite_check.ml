@@ -143,6 +143,56 @@ let test_trace_roundtrip () =
   Sys.remove path;
   Alcotest.(check bool) "save/load round-trips" true (loaded = ops)
 
+(* parse_op (op_to_string op) = Ok op for random ops: texts over a
+   byte mix that includes quotes, backslashes, newlines and high bytes
+   (so op_to_string escapes them), the empty text, and ids of every
+   size and sign. *)
+let prop_trace_op_roundtrip =
+  let text =
+    QCheck.Gen.(
+      string_size
+        ~gen:(frequency [ (6, char_range 'a' 'e'); (1, oneofl [ '"'; '\\'; '\n'; ' '; '\t'; '\255'; '\000' ]) ])
+        (0 -- 12))
+  in
+  let id = QCheck.Gen.(oneof [ small_signed_int; int; oneofl [ min_int; max_int; 0; -1 ] ]) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (4, map (fun t -> Trace.Insert t) text);
+          (4, map (fun i -> Trace.Delete i) id);
+          (1, map (fun t -> Trace.Search t) text);
+          (1, map (fun t -> Trace.Count t) text);
+          (1, map3 (fun doc off len -> Trace.Extract { doc; off; len }) id small_nat small_nat);
+          (1, map (fun i -> Trace.Mem i) id);
+          (1, return Trace.Drain) ])
+  in
+  QCheck.Test.make ~name:"trace parse_op (op_to_string op) = Ok op" ~count:1000
+    (QCheck.make ~print:Trace.op_to_string op)
+    (fun op -> Trace.parse_op (Trace.op_to_string op) = Ok op)
+
+(* The decoder for '+' and '-' records answers as [Scanf] does -- op or
+   error reason -- on near-miss lines too: missing or doubled spaces,
+   text after the closing quote, escapes, signs, long digit runs. *)
+let prop_trace_parse_matches_scanf =
+  let scanf line =
+    let scan fmt k ~expect =
+      try Ok (Scanf.sscanf line fmt k) with Scanf.Scan_failure _ | End_of_file | Failure _ -> Error expect
+    in
+    match line.[0] with
+    | '+' -> scan "+ %S" (fun s -> Trace.Insert s) ~expect:"expected a quoted document after '+'"
+    | _ -> scan "- %d" (fun id -> Trace.Delete id) ~expect:"expected a document id after '-'"
+  in
+  let piece =
+    QCheck.Gen.oneofl
+      [ " "; "  "; "\""; "\\"; "\\n"; "\\\""; "a"; "bc"; "-"; "+"; "0"; "7"; "123456789"; "_"; "x"; "\t" ]
+  in
+  let line =
+    QCheck.Gen.(
+      map2 (fun op rest -> op ^ String.concat "" rest) (oneofl [ "+"; "-"; "+ \""; "- "; "- -" ]) (list_size (0 -- 8) piece))
+  in
+  QCheck.Test.make ~name:"trace '+'/'-' decoding = Scanf" ~count:2000 (QCheck.make ~print:(Printf.sprintf "%S") line)
+    (fun line -> String.length line < 2 || Trace.parse_op line = scanf line)
+
 let test_opgen_deterministic () =
   let a = Opgen.generate ~seed:7 ~ops:300 () in
   let b = Opgen.generate ~seed:7 ~ops:300 () in
@@ -485,4 +535,6 @@ let suite =
     ("fuzz reader smoke streams", `Slow, test_fuzz_readers_smoke);
     ("fuzz cross-target streams", `Slow, test_fuzz_cross_targets);
     ("fuzz matrix streams", `Slow, test_fuzz_matrix);
-    ("verify catches a phantom id", `Quick, test_verify_catches_phantom) ]
+    ("verify catches a phantom id", `Quick, test_verify_catches_phantom);
+    Qc.to_alcotest prop_trace_op_roundtrip;
+    Qc.to_alcotest prop_trace_parse_matches_scanf ]

@@ -543,8 +543,44 @@ let test_space_bits_vs_heap () =
       let fm = Fm_static.build ~sample:8 (Array.map snd docs) in
       within "fm" (Fm_static.space_bits fm) fm;
       let ss = SS_fm.build ~sample:8 ~tau:8 docs in
-      within "semi_static" (SS_fm.space_bits ss) ss)
+      within "semi_static" (SS_fm.space_bits ss) ss;
+      Array.iter (fun (id, _) -> if id mod 3 = 1 then ignore (SS_fm.delete ss id)) docs;
+      within "semi_static after deletes" (SS_fm.space_bits ss) ss;
+      (* ids spanning more than 62 bits keep whole words *)
+      let wide = Array.mapi (fun i (_, d) -> ((if i mod 2 = 0 then min_int + i else max_int - i), d)) docs in
+      let ss = SS_fm.build ~sample:8 ~tau:8 wide in
+      within "semi_static, wide ids" (SS_fm.space_bits ss) ss;
+      let r = Dsdg_delbits.Reporter.create_full (100 * n) in
+      for i = 0 to (100 * n) - 1 do
+        if i mod 5 <> 0 then Dsdg_delbits.Reporter.zero r i
+      done;
+      within "reporter after zeroing" (Dsdg_delbits.Reporter.space_bits r) r)
     [ 1; 5; 53; 400 ]
+
+(* A component is indexed over the symbols its documents hold, so a
+   pattern with a symbol that occurs nowhere in it, or only in its dead
+   documents, must count and search as the model says (no occurrence),
+   next to patterns whose symbols all occur. *)
+let prop_absent_symbols (type a) (module M : SEMI with type t = a) name =
+  let gen_doc = QCheck.Gen.(string_size ~gen:(map (fun i -> Char.chr (97 + i)) (int_bound 3)) (0 -- 20)) in
+  QCheck.Test.make ~name:(name ^ ": patterns with absent symbols = model") ~count:100
+    QCheck.(
+      triple
+        (make Gen.(list_size (1 -- 8) gen_doc))
+        (list_of_size Gen.(1 -- 6) (string_gen_of_size Gen.(1 -- 3) Gen.(map (fun i -> Char.chr (97 + i)) (int_bound 6))))
+        (list small_nat))
+    (fun (texts, patterns, dels) ->
+      let docs = Array.of_list (List.mapi (fun i d -> (3 * i, d)) texts) in
+      let ss = M.build ~sample:2 ~tau:4 docs in
+      List.iter (fun k -> ignore (M.delete ss (3 * (k mod Array.length docs)))) dels;
+      let live = List.filter (fun (id, _) -> M.mem ss id) (Array.to_list docs) in
+      List.for_all
+        (fun p ->
+          let want = naive_search live p in
+          let got = ref [] in
+          M.search ss p ~f:(fun ~doc ~off -> got := (doc, off) :: !got);
+          M.count ss p = List.length want && List.sort compare !got = want)
+        patterns)
 
 (* At n_f = 256 the geometric schedule gives C1 and C2 C0's 64-symbol
    floor, so no merge lands in them.  Grow n_f past 2,000 (global
@@ -631,3 +667,7 @@ let suite =
       ("semi_static id order over sa", `Quick, test_semi_static_id_order_sa);
       ("semi_static id order over csa", `Quick, test_semi_static_id_order_csa);
       ("transform1 deletes from a filled C1 and C2", `Quick, test_t1_deletes_from_c1_c2) ]
+  @ List.map Qc.to_alcotest
+      [ prop_absent_symbols (module SS_fm) "semi_static fm";
+        prop_absent_symbols (module SS_sa) "semi_static sa";
+        prop_absent_symbols (module SS_csa) "semi_static csa" ]

@@ -266,19 +266,116 @@ let test_fenwick_search () =
   Alcotest.check_raises "search negative" (Invalid_argument "Fenwick.search")
     (fun () -> ignore (Fenwick.search f (-1)))
 
+(* [space_bits] against the heap the value really holds (within 10 %). *)
+let heap_match name bits value =
+  let heap = Obj.reachable_words (Obj.repr value) * 64 in
+  let ratio = float_of_int bits /. float_of_int heap in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: space_bits %d vs heap %d bits (%.2f)" name bits heap ratio)
+    true
+    (ratio >= 0.9 && ratio <= 1.1)
+
 let test_fenwick_space_bits () =
   let w = Dsdg_bits.Popcount.word_bits in
-  (* n+1 tree slots, one word each, derived from word_bits -- the old
-     figure multiplied by 63 and counted a phantom extra word *)
-  check "space 10" (11 * w) (Fenwick.space_bits (Fenwick.create 10));
-  check "space 1" (2 * w) (Fenwick.space_bits (Fenwick.create 1))
+  (* n nodes packed at the width (62 by default), in whole words, plus
+     the packed vector's record and array headers (5 words) *)
+  check "space 10" ((10 * w) + (5 * 63)) (Fenwick.space_bits (Fenwick.create 10));
+  check "space 1" (w + (5 * 63)) (Fenwick.space_bits (Fenwick.create 1));
+  check "space 100 at width 14" ((23 * w) + (5 * 63)) (Fenwick.space_bits (Fenwick.create ~width:14 100));
+  List.iter
+    (fun (n, width) ->
+      let f = Fenwick.create ~width n in
+      heap_match (Printf.sprintf "fenwick %d at width %d" n width) (Fenwick.space_bits f) f)
+    [ (1, 62); (10, 62); (1000, 11); (100_000, 18) ]
 
 let test_reporter_space_bits () =
-  let w = Dsdg_bits.Popcount.word_bits in
-  let r = Reporter.create_full 1000 in
-  let bits = Reporter.space_bits r in
-  Alcotest.(check bool) "multiple of word_bits" true (bits mod w = 0);
-  Alcotest.(check bool) "covers payload" true (bits >= 1000)
+  List.iter
+    (fun len ->
+      let r = Reporter.create_full len in
+      let bits = Reporter.space_bits r in
+      Alcotest.(check bool) (Printf.sprintf "%d covers payload" len) true (bits >= len);
+      heap_match (Printf.sprintf "reporter %d" len) bits r;
+      for i = 0 to len - 1 do
+        if i mod 3 <> 0 then Reporter.zero r i
+      done;
+      heap_match (Printf.sprintf "reporter %d after zeroing" len) (Reporter.space_bits r) r)
+    [ 1; 1000; 50_000 ]
+
+(* Width-sized counts: the Fenwick holds each word's live bits in
+   log2(len) + 2 bits.  count_range must match a naive count under
+   random zeroing of single bits and whole words, with range ends on
+   and next to word edges, and for a Reporter built from a bit vector
+   (whose width follows its initial ones, not its length). *)
+let prop_reporter_count_width_sized =
+  QCheck.Test.make ~name:"reporter width-sized counts = naive under zeroing, at word edges" ~count:100
+    QCheck.(triple (int_range 1 6000) small_nat bool)
+    (fun (n, seed, from_bits) ->
+      let open Dsdg_bits in
+      let st = Random.State.make [| n; seed |] in
+      let w = Popcount.word_bits in
+      let alive = Array.init n (fun _ -> (not from_bits) || Random.State.int st 8 > 0) in
+      let r =
+        if from_bits then Reporter.of_bitvec (Bitvec.init n (fun i -> alive.(i)))
+        else Reporter.create_full n
+      in
+      let kill lo hi =
+        for i = max 0 lo to min n hi - 1 do
+          Reporter.zero r i;
+          alive.(i) <- false
+        done
+      in
+      for _ = 1 to Random.State.int st (n + 1) do
+        let i = Random.State.int st n in
+        kill i (i + 1)
+      done;
+      for _ = 1 to Random.State.int st 8 do
+        let j = Random.State.int st ((n / w) + 1) in
+        kill (j * w) ((j + 1 + Random.State.int st 4) * w)
+      done;
+      let edge () =
+        let j = Random.State.int st ((n / w) + 2) in
+        (j * w) + Random.State.int st 3 - 1
+      in
+      let naive s e =
+        let c = ref 0 in
+        for i = max 0 s to min n e - 1 do
+          if alive.(i) then incr c
+        done;
+        !c
+      in
+      let ok = ref (Reporter.count_range r 0 n = naive 0 n) in
+      for _ = 1 to 12 do
+        let a = edge () and b = if Random.State.bool st then edge () else Random.State.int st (n + 1) in
+        let s = min a b and e = max a b in
+        if Reporter.count_range r s e <> naive s e then ok := false
+      done;
+      !ok)
+
+(* A Fenwick at the narrowest width its total allows: prefix sums and
+   search stay exact while non-negative cells only fall. *)
+let prop_fenwick_narrow =
+  QCheck.Test.make ~name:"fenwick at width_for total + 1: prefix and search exact" ~count:200
+    QCheck.(pair (list_of_size Gen.(1 -- 80) (int_bound 1000)) (list (pair small_nat small_nat)))
+    (fun (cells, decs) ->
+      let a = Array.of_list cells in
+      let n = Array.length a in
+      let f = Fenwick.of_array ~width:(Dsdg_bits.Int_vec.width_for (Array.fold_left ( + ) 0 a) + 1) a in
+      List.iter
+        (fun (i, d) ->
+          let i = i mod n in
+          let d = min d a.(i) in
+          a.(i) <- a.(i) - d;
+          Fenwick.add f i (-d))
+        decs;
+      let ok = ref true and acc = ref 0 in
+      for i = 0 to n do
+        if Fenwick.prefix f i <> !acc then ok := false;
+        if i < n then begin
+          if a.(i) > 0 && Fenwick.search f !acc <> i then ok := false;
+          acc := !acc + a.(i)
+        end
+      done;
+      !ok && Fenwick.total f = !acc)
 
 (* --- Incremental --- *)
 
@@ -377,4 +474,6 @@ let suite =
     ("incremental sais", `Quick, test_incremental_sais) ]
   @ qsuite
   @ [ Qc.to_alcotest prop_reporter_report_ranges;
-      ("select and report allocate nothing", `Quick, test_scans_allocate_nothing) ]
+      ("select and report allocate nothing", `Quick, test_scans_allocate_nothing);
+      Qc.to_alcotest prop_reporter_count_width_sized;
+      Qc.to_alcotest prop_fenwick_narrow ]

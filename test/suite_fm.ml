@@ -154,9 +154,29 @@ let prop_count_equals_range_width =
       | None -> c = 0
       | Some (sp, ep) -> c = ep - sp && c > 0)
 
+(* Doc_map.locate against a linear scan of the concatenation, over
+   every position: empty documents (a lone separator) included, and a
+   separator position maps to offset = the document's length. *)
+let prop_doc_map_locate =
+  QCheck.Test.make ~name:"doc_map locate = linear scan" ~count:200
+    QCheck.(list_of_size Gen.(1 -- 30) (oneof [ int_bound 3; int_bound 200; always 0 ]))
+    (fun lens ->
+      let dm = Doc_map.of_lengths (Array.of_list lens) in
+      let scan = ref [] in
+      List.iteri (fun d l -> for off = 0 to l do scan := (d, off) :: !scan done) lens;
+      let scan = Array.of_list (List.rev !scan) in
+      Doc_map.total_len dm = Array.length scan
+      && Doc_map.doc_count dm = List.length lens
+      && List.for_all (fun d -> Doc_map.doc_len dm d = List.nth lens d) (List.init (List.length lens) Fun.id)
+      && Array.for_all Fun.id (Array.mapi (fun p want -> Doc_map.locate dm p = want) scan)
+      && List.for_all
+           (fun p -> try ignore (Doc_map.locate dm p); false with Invalid_argument _ -> true)
+           [ -1; Array.length scan ])
+
 let qsuite =
   List.map Qc.to_alcotest
-    [ prop_search_matches_naive; prop_extract_roundtrip; prop_count_equals_range_width ]
+    [ prop_search_matches_naive; prop_extract_roundtrip; prop_count_equals_range_width;
+      prop_doc_map_locate ]
 
 let suite =
   [ ("basic multi-doc", `Quick, test_basic);
