@@ -14,8 +14,7 @@
    Each index's space also goes out as a JSON row ("table2/space",
    bits/symbol after the deletes).  It is deterministic: the corpus is
    seeded and every index runs in sync mode, so CI can hold the
-   Transformation 2 row to a ceiling.  DSDG_BENCH_QUICK=1 drops the
-   largest scaling row. *)
+   Transformation 2 row to a ceiling. *)
 
 open Dsdg_core
 open Dsdg_fm
@@ -168,7 +167,7 @@ let run () =
         in
         [ string_of_int n; Bench_util.ns_str ours_ns; Bench_util.ns_str base_ns;
           Printf.sprintf "%.1fx" (base_ns /. ours_ns) ])
-      (if Sys.getenv_opt "DSDG_BENCH_QUICK" <> None then [ 100; 400; 1600 ] else [ 100; 400; 1600; 6400 ])
+      [ 100; 400; 1600; 6400 ]
   in
   Bench_util.print_table
     ~title:"Table 2 (scaling): count query vs n, ours consolidated  [ratio grows with n]"

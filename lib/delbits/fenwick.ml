@@ -3,12 +3,11 @@
    counting structure: Theorem 1 uses it to count surviving suffixes in a
    suffix-array range of a semi-static index.
 
-   The nodes live in one packed [Int_vec] of [width] bits each, as
-   two's-complement values modulo 2^width: a node reads back exactly
-   while its partial sum lies in [-2^(width-1), 2^(width-1)).  A caller
-   whose sums are bounded (the Reporter's live-bit counts never exceed
-   the initial total) sizes [width] to that bound; the default, 62, is
-   a full word. *)
+   Cells must stay non-negative, so every node -- a sum of cells -- lies
+   in [0, total].  The nodes live in one packed [Int_vec] of [width]
+   bits each: a caller whose total is bounded (the Reporter's live-bit
+   counts never exceed the initial total) sizes [width] to that bound;
+   the default, 62, is a full word. *)
 
 open Dsdg_bits
 
@@ -19,39 +18,31 @@ let full_width = 62
 
 let create ?(width = full_width) n =
   if n < 0 then invalid_arg "Fenwick.create";
-  if width < 2 || width > full_width then invalid_arg "Fenwick.create: width";
+  if width < 1 || width > full_width then invalid_arg "Fenwick.create: width";
   Int_vec.create ~width n
 
 let length = Int_vec.length
 
-(* Node [i] (1-based, every caller has checked 1 <= i <= n),
-   sign-extended from the vector's width: [shift] is
-   [Sys.int_size - width], taken once per operation. *)
-let[@inline] node t shift i = (Int_vec.unsafe_get t (i - 1) lsl shift) asr shift
+(* Node [i] (1-based, every caller has checked 1 <= i <= n). *)
+let[@inline] node t i = Int_vec.unsafe_get t (i - 1)
 
-let[@inline] shift t = Sys.int_size - Int_vec.width t
-
-(* Store [v] in node [i], modulo 2^width ([mask] = 2^width - 1). *)
-let[@inline] set_node t mask i v = Int_vec.unsafe_set t (i - 1) (v land mask)
-
-let[@inline] mask t = (1 lsl Int_vec.width t) - 1
+let[@inline] set_node t i v = Int_vec.unsafe_set t (i - 1) v
 
 let add t i delta =
-  let n = length t and shift = shift t and mask = mask t in
+  let n = length t in
   if i < 0 || i >= n then invalid_arg "Fenwick.add";
   let i = ref (i + 1) in
   while !i <= n do
-    set_node t mask !i (node t shift !i + delta);
+    set_node t !i (node t !i + delta);
     i := !i + (!i land - !i)
   done
 
 (* Sum of cells [0, i). *)
 let prefix t i =
   if i < 0 || i > length t then invalid_arg "Fenwick.prefix";
-  let shift = shift t in
   let acc = ref 0 and i = ref i in
   while !i > 0 do
-    acc := !acc + node t shift !i;
+    acc := !acc + node t !i;
     i := !i - (!i land - !i)
   done;
   !acc
@@ -66,7 +57,7 @@ let total t = prefix t (length t)
 let create_ones n =
   let t = create n in
   for i = 1 to n do
-    set_node t (mask t) i (i land -i)
+    set_node t i (i land -i)
   done;
   t
 
@@ -79,7 +70,7 @@ let of_array ?width (a : int array) =
     if j <= n then sums.(j - 1) <- sums.(j - 1) + sums.(i - 1)
   done;
   let t = create ?width n in
-  Array.iteri (fun k v -> set_node t (mask t) (k + 1) v) sums;
+  Array.iteri (fun k v -> set_node t (k + 1) v) sums;
   t
 
 (* Smallest [i] with [prefix t (i + 1) > k], by binary lifting over the
@@ -87,7 +78,7 @@ let of_array ?width (a : int array) =
    Requires all cells non-negative and [0 <= k < total t]. *)
 let search t k =
   if k < 0 then invalid_arg "Fenwick.search";
-  let n = length t and shift = shift t in
+  let n = length t in
   let log2 =
     let b = ref 1 and l = ref 0 in
     while !b * 2 <= n do
@@ -99,8 +90,8 @@ let search t k =
   let pos = ref 0 and rem = ref k in
   for j = log2 downto 0 do
     let next = !pos + (1 lsl j) in
-    if next <= n && node t shift next <= !rem then begin
-      rem := !rem - node t shift next;
+    if next <= n && node t next <= !rem then begin
+      rem := !rem - node t next;
       pos := next
     end
   done;

@@ -4,12 +4,11 @@
 
 type t
 
-(** [create ?width n] is an all-zero tree over [n] cells. Each node is
-    stored in [width] bits (2 to 62, default 62) as a two's-complement
-    value, so every partial sum of cells -- in particular every prefix
-    sum and the total -- must lie in [[-2^(width-1), 2^(width-1))]. A
-    caller whose sums are bounded by [b >= 0] passes
-    [Int_vec.width_for b + 1]. *)
+(** [create ?width n] is an all-zero tree over [n] cells. Cells must
+    stay non-negative: each node, a sum of cells, is stored unsigned in
+    [width] bits (1 to 62, default 62), so the total must stay below
+    [2^width]. A caller whose total is bounded by [b] passes
+    [Int_vec.width_for b]. *)
 val create : ?width:int -> int -> t
 
 (** [create_ones n] is pre-filled with 1 in every cell; O(n). *)
@@ -20,7 +19,8 @@ val of_array : ?width:int -> int array -> t
 
 val length : t -> int
 
-(** [add t i delta] adds [delta] to cell [i]. *)
+(** [add t i delta] adds [delta] to cell [i]; the cell must stay
+    non-negative. *)
 val add : t -> int -> int -> unit
 
 (** [prefix t i] is the sum of cells [[0, i)]. *)

@@ -23,7 +23,7 @@ type t = {
   levels : int array array; (* levels.(0): the words of B; each higher level summarises non-emptiness *)
   mutable ones : int;
   counts : Fenwick.t; (* live bits per level-0 word: O(log n) range counting
-                          (Theorem 1) in log(len) + 2 bits per 62 positions *)
+                          (Theorem 1) in log(len) + 1 bits per 62 positions *)
 }
 
 let words_for n = if n = 0 then 1 else (n + w - 1) / w
@@ -42,9 +42,9 @@ let build_levels level0 =
   Array.of_list (List.rev !levels)
 
 (* Bits only ever clear, so no partial sum of the word counts outgrows
-   the initial total: one sign bit above [width_for ones] suffices. *)
+   the initial total: [width_for ones] bits hold every node. *)
 let counts_of_level0 level0 ~ones =
-  Fenwick.of_array ~width:(Int_vec.width_for ones + 1) (Array.map Popcount.count level0)
+  Fenwick.of_array ~width:(Int_vec.width_for ones) (Array.map Popcount.count level0)
 
 (* All bits initially one. *)
 let create_full len =
@@ -134,14 +134,8 @@ let report t s e f =
     p := next_one t (!p + 1)
   done
 
-(* Whole words between a range's edge words that [count_range] counts
-   by popcount rather than by the Fenwick's two prefix walks (about
-   2 log2 (len / 62) packed nodes). *)
-let scan_words = 8
-
 (* Number of live bits in [s, e): popcounts at the two partial edges,
-   and between them either up to [scan_words] popcounts or the Fenwick
-   over whole words.  O(log n). *)
+   Fenwick range over the whole words between.  O(log n). *)
 let count_range t s e =
   let s = max 0 s and e = min e t.len in
   if s >= e then 0
@@ -153,17 +147,7 @@ let count_range t s e =
     else begin
       let left = Popcount.count (arr0.(ws) lsr (s mod w)) in
       let right = Popcount.count (arr0.(we) land Popcount.low_mask (e - (we * w))) in
-      let middle =
-        if we - ws - 1 <= scan_words then begin
-          let c = ref 0 in
-          for j = ws + 1 to we - 1 do
-            c := !c + Popcount.count (Array.unsafe_get arr0 j)
-          done;
-          !c
-        end
-        else Fenwick.range t.counts (ws + 1) we
-      in
-      left + middle + right
+      left + Fenwick.range t.counts (ws + 1) we + right
     end
   end
 

@@ -237,9 +237,10 @@ let prop_fenwick =
     (fun (n, updates) ->
       let f = Fenwick.create n in
       let arr = Array.make n 0 in
+      (* cells stay non-negative, as [Fenwick.add] requires *)
       List.iter
         (fun (i, d) ->
-          if i < n then begin
+          if i < n && arr.(i) + d >= 0 then begin
             Fenwick.add f i d;
             arr.(i) <- arr.(i) + d
           end)
@@ -302,7 +303,7 @@ let test_reporter_space_bits () =
     [ 1; 1000; 50_000 ]
 
 (* Width-sized counts: the Fenwick holds each word's live bits in
-   log2(len) + 2 bits.  count_range must match a naive count under
+   log2(len) + 1 bits.  count_range must match a naive count under
    random zeroing of single bits and whole words, with range ends on
    and next to word edges, and for a Reporter built from a bit vector
    (whose width follows its initial ones, not its length). *)
@@ -354,12 +355,12 @@ let prop_reporter_count_width_sized =
 (* A Fenwick at the narrowest width its total allows: prefix sums and
    search stay exact while non-negative cells only fall. *)
 let prop_fenwick_narrow =
-  QCheck.Test.make ~name:"fenwick at width_for total + 1: prefix and search exact" ~count:200
+  QCheck.Test.make ~name:"fenwick at width_for total: prefix and search exact" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 80) (int_bound 1000)) (list (pair small_nat small_nat)))
     (fun (cells, decs) ->
       let a = Array.of_list cells in
       let n = Array.length a in
-      let f = Fenwick.of_array ~width:(Dsdg_bits.Int_vec.width_for (Array.fold_left ( + ) 0 a) + 1) a in
+      let f = Fenwick.of_array ~width:(Dsdg_bits.Int_vec.width_for (Array.fold_left ( + ) 0 a)) a in
       List.iter
         (fun (i, d) ->
           let i = i mod n in
